@@ -22,7 +22,8 @@ from .config import ConfigError, load_config
 from .params import eta_ratio, thermal_occupation
 from .steady_state import effective_coupling, solve_steady_state
 from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
-                    find_critical_temperature, render_records, run_sweep)
+                    find_critical_temperature, record_to_dict, render_records,
+                    run_sweep)
 
 DIFFUSION_FLAGS = {"as-printed": "as_printed", "abs": "absolute_value",
                    "physical": "physical_sum"}
@@ -45,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drift", choices=("derived", "printed"),
                        default=None, help="drift matrix variant")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+                       help="parallel worker processes, each given whole "
+                            "chunks of points")
 
     p_point = sub.add_parser("point", help="evaluate a single point")
     add_common(p_point)
@@ -100,20 +102,6 @@ def _report_warnings(records) -> None:
         print(f"warning: {head} (one or more points)", file=sys.stderr)
 
 
-def _record_to_json(rec, names) -> str:
-    obj = {
-        "axes": dict(zip(names, rec.axis_values)),
-        "stable": rec.stable,
-        "measures": rec.measures,
-        "margin": rec.margin,
-        "physicality": rec.physicality,
-        "residual": rec.residual,
-        "lyap_residual": rec.lyap_residual,
-        "warnings": list(rec.warnings),
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def cmd_point(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
@@ -131,7 +119,8 @@ def cmd_point(args) -> int:
         os.makedirs(args.dump_matrices, exist_ok=True)
         dynamics.write_matrix(os.path.join(args.dump_matrices, "A.txt"), A)
         dynamics.write_matrix(os.path.join(args.dump_matrices, "D.txt"), D)
-    _emit(_record_to_json(rec, ()), args.out)
+    _emit(json.dumps(record_to_dict(rec, ()), sort_keys=True, indent=2)
+          + "\n", args.out)
     _report_warnings([rec])
     return 0
 

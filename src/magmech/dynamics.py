@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lyapunov import EigensolverError, eigenvalues
+from .lyapunov import eigendecomposition
 from .params import PhysicalParams, effective_kappa_2, thermal_occupation
 
 QUADRATURES = ("I1", "phi1", "I2", "phi2", "x", "y", "q", "p")
@@ -37,13 +37,7 @@ def drift_matrix(params: PhysicalParams, delta_eff: float,
     """
     if G_mb_real < 0:
         raise ValueError("G_mb_real must be gauge-fixed non-negative")
-    if mode not in DRIFT_MODES:
-        raise ValueError(f"unknown drift mode {mode!r}")
-    A = drift_matrix_general(params, delta_eff, complex(G_mb_real))
-    if mode == "printed":
-        A[2, 2] = A[3, 3] = -params.kappa_2
-        A[5, 4] = delta_eff
-    return A
+    return drift_matrices([params], [delta_eff], [G_mb_real], mode=mode)[0]
 
 
 def drift_matrix_general(params: PhysicalParams, delta_eff: float,
@@ -54,42 +48,45 @@ def drift_matrix_general(params: PhysicalParams, delta_eff: float,
     amplitude rotates ``G_mb`` and acts on the matrix as an orthogonal
     similarity, leaving the spectrum and all derived measures unchanged.
     """
-    k1 = params.kappa_1
-    k2t = effective_kappa_2(params)
-    km = params.kappa_m
-    d1, d2 = params.Delta_1, params.Delta_2
-    gma, J = params.g_ma, params.J
-    gr, gi = G_mb.real, G_mb.imag
+    return drift_matrices([params], [delta_eff], [G_mb])[0]
 
-    A = np.zeros((8, 8))
-    A[0, 0] = -k1;  A[0, 1] = d1;   A[0, 3] = J;    A[0, 5] = gma
-    A[1, 0] = -d1;  A[1, 1] = -k1;  A[1, 2] = -J;   A[1, 4] = -gma
-    A[2, 1] = J;    A[2, 2] = -k2t; A[2, 3] = d2
-    A[3, 0] = -J;   A[3, 2] = -d2;  A[3, 3] = -k2t
-    A[4, 1] = gma;  A[4, 4] = -km;  A[4, 5] = delta_eff; A[4, 6] = -gr
-    A[5, 0] = -gma; A[5, 4] = -delta_eff; A[5, 5] = -km; A[5, 6] = -gi
-    A[6, 7] = params.omega_b
-    A[7, 4] = -gi;  A[7, 5] = gr
-    A[7, 6] = -params.omega_b; A[7, 7] = -params.gamma_b
+
+def drift_matrices(params_seq, delta_eff, G_mb, *,
+                   mode: str = "derived") -> np.ndarray:
+    """(N, 8, 8) stack of drift matrices, one per parameter set.
+
+    ``delta_eff`` and ``G_mb`` hold one effective detuning and one
+    (possibly complex) effective coupling per point; see
+    :func:`drift_matrix` for ``mode``.
+    """
+    if mode not in DRIFT_MODES:
+        raise ValueError(f"unknown drift mode {mode!r}")
+    (k1, k2t, k2, km, d1, d2, gma, J, wb, gb) = np.array(
+        [(p.kappa_1, effective_kappa_2(p), p.kappa_2, p.kappa_m, p.Delta_1,
+          p.Delta_2, p.g_ma, p.J, p.omega_b, p.gamma_b)
+         for p in params_seq], dtype=float).reshape(-1, 10).T
+    de = np.asarray(delta_eff, dtype=float)
+    G = np.asarray(G_mb, dtype=complex)
+    gr, gi = G.real, G.imag
+
+    A = np.zeros((len(k1), 8, 8))
+    A[:, 0, 0] = -k1;  A[:, 0, 1] = d1;   A[:, 0, 3] = J;   A[:, 0, 5] = gma
+    A[:, 1, 0] = -d1;  A[:, 1, 1] = -k1;  A[:, 1, 2] = -J;  A[:, 1, 4] = -gma
+    A[:, 2, 1] = J;    A[:, 2, 2] = -k2t; A[:, 2, 3] = d2
+    A[:, 3, 0] = -J;   A[:, 3, 2] = -d2;  A[:, 3, 3] = -k2t
+    A[:, 4, 1] = gma;  A[:, 4, 4] = -km;  A[:, 4, 5] = de;  A[:, 4, 6] = -gr
+    A[:, 5, 0] = -gma; A[:, 5, 4] = -de;  A[:, 5, 5] = -km; A[:, 5, 6] = -gi
+    A[:, 6, 7] = wb
+    A[:, 7, 4] = -gi;  A[:, 7, 5] = gr
+    A[:, 7, 6] = -wb;  A[:, 7, 7] = -gb
+    if mode == "printed":
+        A[:, 2, 2] = A[:, 3, 3] = -k2
+        A[:, 5, 4] = de
     return A
 
 
-def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
-    """Diagonal 8x8 noise matrix and any convention warnings.
-
-    The cavity-1, magnon and mechanical entries are kappa*(2N+1) with
-    the mode's thermal occupation (zero on the mechanical position).
-    The cavity-2 entry ``d2`` depends on ``params.diffusion_convention``:
-
-    - ``as_printed``:   (kappa_2 - g) * (2N2 + 1); negative when the
-      cavity is net active, which is flagged with a warning.
-    - ``absolute_value``: |kappa_2 - g| * (2N2 + 1), the minimal noise
-      of a phase-insensitive amplifier at that net rate.
-    - ``physical_sum``: (kappa_2 + g) * (2N2 + 1), loss and gain noises
-      added independently.  The symmetrized correlators of the inverted
-      gain reservoir carry the same (2N+1)/2 weight per quadrature as a
-      lossy one, so loss and gain contributions simply add.
-    """
+def _diffusion_diagonal(params: PhysicalParams) -> tuple[list[float],
+                                                          list[str]]:
     T = params.temperature_T
     n1 = thermal_occupation(params.omega_1, T)
     n2 = thermal_occupation(params.omega_2, T)
@@ -116,7 +113,41 @@ def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
             params.kappa_m * (2.0 * nm + 1.0),
             0.0,
             params.gamma_b * (2.0 * nb + 1.0)]
-    return np.diag(diag), warnings
+    return diag, warnings
+
+
+def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
+    """Diagonal 8x8 noise matrix and any convention warnings.
+
+    The cavity-1, magnon and mechanical entries are kappa*(2N+1) with
+    the mode's thermal occupation (zero on the mechanical position).
+    The cavity-2 entry ``d2`` depends on ``params.diffusion_convention``:
+
+    - ``as_printed``:   (kappa_2 - g) * (2N2 + 1); negative when the
+      cavity is net active, which is flagged with a warning.
+    - ``absolute_value``: |kappa_2 - g| * (2N2 + 1), the minimal noise
+      of a phase-insensitive amplifier at that net rate.
+    - ``physical_sum``: (kappa_2 + g) * (2N2 + 1), loss and gain noises
+      added independently.  The symmetrized correlators of the inverted
+      gain reservoir carry the same (2N+1)/2 weight per quadrature as a
+      lossy one, so loss and gain contributions simply add.
+    """
+    D, warnings = diffusion_matrices([params])
+    return D[0], warnings[0]
+
+
+def diffusion_matrices(params_seq) -> tuple[np.ndarray, list[list[str]]]:
+    """(N, 8, 8) stack of noise matrices and each point's warnings; see
+    :func:`diffusion_matrix`."""
+    diagonals, warnings = [], []
+    for params in params_seq:
+        diag, w = _diffusion_diagonal(params)
+        diagonals.append(diag)
+        warnings.append(w)
+    D = np.zeros((len(diagonals), 8, 8))
+    idx = np.arange(8)
+    D[:, idx, idx] = diagonals
+    return D, warnings
 
 
 @dataclass(frozen=True)
@@ -125,28 +156,37 @@ class StabilityReport:
 
     ``stable`` is true iff the largest real part is below the (kappa_1
     scaled) tolerance; ``indeterminate`` marks an eigensolver failure,
-    which is never silently reported as stable or unstable.
+    which is never silently reported as stable or unstable.  The
+    eigenvectors feed the spectral Lyapunov solve.  For a stack of
+    drift matrices every field holds one entry per slice.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
-    stable: bool
-    margin: float
-    indeterminate: bool = False
+    eigenvectors: np.ndarray = field(repr=False)
+    stable: bool | np.ndarray
+    margin: float | np.ndarray
+    indeterminate: bool | np.ndarray = False
 
 
-def stability(A: np.ndarray, kappa_1: float, *,
+def stability(A: np.ndarray, kappa_1, *,
               tol_stab_rel: float = 1e-9) -> StabilityReport:
-    """Classify the drift matrix by its spectrum.
+    """Classify drift matrices by their spectra, from one
+    eigendecomposition per matrix.
 
-    Stable iff every eigenvalue real part is < -tol_stab_rel*kappa_1.
+    ``A`` is one matrix or a stack (N, 8, 8); ``kappa_1`` a scalar or one
+    value per slice.  Stable iff every eigenvalue real part is
+    < -tol_stab_rel*kappa_1.
     """
-    try:
-        ev = eigenvalues(A)
-    except EigensolverError:
-        return StabilityReport(np.full(A.shape[0], np.nan, complex),
-                               False, float("nan"), indeterminate=True)
-    margin = float(ev.real.max())
-    return StabilityReport(ev, margin < -tol_stab_rel * kappa_1, margin)
+    A = np.asarray(A, dtype=float)
+    single = A.ndim == 2
+    w, S = eigendecomposition(A[None] if single else A)
+    indeterminate = np.isnan(w).any(axis=-1)
+    margin = w.real.max(axis=-1)  # NaN where indeterminate
+    stable = margin < -tol_stab_rel * np.asarray(kappa_1, dtype=float)
+    if single:
+        return StabilityReport(w[0], S[0], bool(stable[0]), float(margin[0]),
+                               bool(indeterminate[0]))
+    return StabilityReport(w, S, stable, margin, indeterminate)
 
 
 def format_matrix(M: np.ndarray) -> str:

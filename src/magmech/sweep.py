@@ -1,11 +1,12 @@
-"""Parameter-sweep engine: single-point pipeline, grid sweeps, critical
-temperature search and the named figure presets.
+"""Parameter-sweep engine: the chunked pipeline kernel, grid sweeps,
+critical temperature search and the named figure presets.
 
 Every grid point is an independent pure computation (steady state ->
-drift/diffusion -> stability -> Lyapunov -> measures), so sweeps may be
-evaluated in parallel; records are always emitted in row-major axis
-order regardless of execution order and unstable points carry explicit
-nulls, never zeros.
+drift/diffusion -> stability -> Lyapunov -> measures).  Points are
+evaluated in chunks of stacked arrays, one point being a chunk of one,
+and chunks may be evaluated in parallel; records are always emitted in
+row-major axis order regardless of execution order and unstable points
+carry explicit nulls, never zeros.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ _PARAM_FIELDS = {f.name for f in fields(PhysicalParams)}
 _NUMERIC_PARAM_FIELDS = {f.name for f in fields(PhysicalParams)
                          if f.type is float or f.type == "float"}
 AXIS_NAMES = _NUMERIC_PARAM_FIELDS | {"eta"}
+
+# Grid points per stacked evaluation.  Larger chunks amortize a little
+# more Python overhead per point but raise peak memory.
+CHUNK_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -148,67 +153,14 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
 
 
 def _blank_record(axis_values, columns, warnings, margin=None,
-                  residual=None) -> SweepRecord:
+                  residual=None, amplitudes=None) -> SweepRecord:
     return SweepRecord(axis_values=tuple(axis_values), stable=False,
                        measures={c: None for c in columns}, margin=margin,
-                       residual=residual, warnings=tuple(warnings))
+                       residual=residual, amplitudes=amplitudes,
+                       warnings=tuple(warnings))
 
 
-def evaluate_point(params: PhysicalParams, *,
-                   quantities=("all",), drift_mode: str = "derived",
-                   epsilon_d: float = 0.0,
-                   axis_values: tuple[float, ...] = ()) -> SweepRecord:
-    """Run the full pipeline for one parameter point.
-
-    Solver failures are folded into the record (nulled measures plus a
-    warning string); this function does not raise for per-point physics
-    problems, so sweeps always complete.
-    """
-    columns, with_amplitudes = normalize_quantities(quantities)
-    warnings: list[str] = []
-
-    try:
-        state = solve_steady_state(params, epsilon_d)
-    except (ZeroDivisionError, FloatingPointError, OverflowError,
-            np.linalg.LinAlgError) as exc:
-        warnings.append(f"steady state singular: {exc}")
-        return _blank_record(axis_values, columns, warnings)
-    if not state.converged:
-        warnings.append("steady state did not converge "
-                        f"(residual {state.residual:.3e})")
-        return _blank_record(axis_values, columns, warnings,
-                             residual=state.residual)
-
-    if params.coupling_mode == "direct_g":
-        g_eff = params.G_mb
-    else:
-        g_eff = abs(effective_coupling(params.g_mb, state.m_avg))
-
-    A = dynamics.drift_matrix(params, state.delta_eff, g_eff,
-                              mode=drift_mode)
-    D, d_warnings = dynamics.diffusion_matrix(params)
-    warnings.extend(d_warnings)
-
-    report = dynamics.stability(A, params.kappa_1)
-    if report.indeterminate:
-        warnings.append("stability indeterminate: eigensolver failed")
-        return _blank_record(axis_values, columns, warnings,
-                             residual=state.residual)
-    amplitudes = (abs(state.a1_avg), abs(state.a2_avg), abs(state.m_avg),
-                  state.q_avg) if with_amplitudes else None
-    if not report.stable:
-        rec = _blank_record(axis_values, columns, warnings,
-                            margin=report.margin, residual=state.residual)
-        rec.amplitudes = amplitudes
-        return rec
-
-    try:
-        V = lyapunov.solve_lyapunov(A, D)
-    except lyapunov.SingularSystemError as exc:
-        warnings.append(f"singular Lyapunov system: {exc}")
-        return _blank_record(axis_values, columns, warnings,
-                             margin=report.margin, residual=state.residual)
-
+def _columns_by_pair(columns) -> dict[tuple[str, str], list[str]]:
     by_pair: dict[tuple[str, str], list[str]] = {}
     for col in columns:
         if col.startswith("E_"):
@@ -217,57 +169,169 @@ def evaluate_point(params: PhysicalParams, *,
             a, b = col[3:].split("_to_")
             pair = next(p for p in measures.PAIRS if set(p) == {a, b})
         by_pair.setdefault(pair, []).append(col)
+    return by_pair
 
-    values: dict[str, float | None] = {}
-    for pair, cols in by_pair.items():
-        cm = measures.reduce_pair(V, pair)
+
+def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
+                    epsilon_d: float) -> list[SweepRecord]:
+    """Run the pipeline for a chunk of points as stacked (N, 8, 8) arrays.
+
+    The steady state is solved point by point; drift, diffusion,
+    stability, Lyapunov solve and pair measures each run once on the
+    chunk's stack.  Every stacked operation acts slice by slice, so a
+    point's record does not depend on the chunk it falls in.
+    """
+    columns, with_amplitudes = normalize_quantities(quantities)
+    records: list[SweepRecord | None] = [None] * len(params_seq)
+    warnings: list[list[str]] = [[] for _ in params_seq]
+    # k indexes the chunk, j the points with a steady state (``live``),
+    # i the rows of each later stack
+
+    live, states, g_eff = [], [], []
+    for k, params in enumerate(params_seq):
+        try:
+            state = solve_steady_state(params, epsilon_d)
+        except (ZeroDivisionError, FloatingPointError, OverflowError,
+                np.linalg.LinAlgError) as exc:
+            warnings[k].append(f"steady state singular: {exc}")
+            records[k] = _blank_record(axis_values[k], columns, warnings[k])
+            continue
+        if not state.converged:
+            warnings[k].append("steady state did not converge "
+                               f"(residual {state.residual:.3e})")
+            records[k] = _blank_record(axis_values[k], columns, warnings[k],
+                                       residual=state.residual)
+            continue
+        live.append(k)
+        states.append(state)
+        g_eff.append(params.G_mb if params.coupling_mode == "direct_g" else
+                     abs(effective_coupling(params.g_mb, state.m_avg)))
+    if not live:
+        return records
+
+    live_params = [params_seq[k] for k in live]
+    A = dynamics.drift_matrices(live_params, [s.delta_eff for s in states],
+                                g_eff, mode=drift_mode)
+    D, d_warnings = dynamics.diffusion_matrices(live_params)
+    report = dynamics.stability(A, [p.kappa_1 for p in live_params])
+
+    stable = []
+    for j, k in enumerate(live):
+        state = states[j]
+        warnings[k].extend(d_warnings[j])
+        if report.indeterminate[j]:
+            warnings[k].append("stability indeterminate: eigensolver failed")
+            records[k] = _blank_record(axis_values[k], columns, warnings[k],
+                                       residual=state.residual)
+        elif not report.stable[j]:
+            records[k] = _blank_record(
+                axis_values[k], columns, warnings[k],
+                margin=float(report.margin[j]), residual=state.residual,
+                amplitudes=_amplitudes(state) if with_amplitudes else None)
+        else:
+            stable.append(j)
+    if not stable:
+        return records
+
+    V = lyapunov.solve_lyapunov(A[stable], D[stable],
+                                eig=(report.eigenvalues[stable],
+                                     report.eigenvectors[stable]))
+    finite = np.isfinite(V).all(axis=(1, 2))
+    rows = []
+    for i, j in enumerate(stable):
+        if finite[i]:
+            rows.append(j)
+            continue
+        k = live[j]
+        warnings[k].append("singular Lyapunov system: no finite solution")
+        records[k] = _blank_record(axis_values[k], columns, warnings[k],
+                                   margin=float(report.margin[j]),
+                                   residual=states[j].residual)
+    if not rows:
+        return records
+
+    V = V[finite]
+    lyap_residual = lyapunov.lyapunov_residual(A[rows], V, D[rows])
+    physicality = lyapunov.physicality_min_eig(V)
+    values = [{} for _ in rows]
+    for pair, cols in _columns_by_pair(columns).items():
+        cms = measures.reduce_pair(V, pair)
         # entanglement first: its symplectic screen decides whether the
         # reduced state is physical enough to report at all
-        try:
-            e_value = measures.log_negativity(cm)
-        except measures.PhysicalityError as exc:
-            warnings.append(f"pair {pair[0]}-{pair[1]}: {exc}")
-            for col in cols:
-                values[col] = None
-            continue
+        e_values, e_errors = measures.log_negativity(cms)
+        steer = {}
         for col in cols:
-            if col.startswith("E_"):
-                values[col] = e_value
+            if col.startswith("st_"):
+                a, b = col[3:].split("_to_")
+                direction = "forward" if (a, b) == pair else "backward"
+                steer[col] = measures.steering(cms, direction)
+        for i, j in enumerate(rows):
+            k = live[j]
+            if e_errors[i] is not None:
+                warnings[k].append(f"pair {pair[0]}-{pair[1]}: "
+                                   f"{e_errors[i]}")
+                values[i].update(dict.fromkeys(cols))
                 continue
-            a, b = col[3:].split("_to_")
-            direction = "forward" if (a, b) == pair else "backward"
-            try:
-                values[col] = measures.steering(cm, direction)
-            except measures.PhysicalityError as exc:
-                values[col] = None
-                warnings.append(f"{col}: {exc}")
+            for col in cols:
+                if col.startswith("E_"):
+                    values[i][col] = float(e_values[i])
+                    continue
+                st_values, st_errors = steer[col]
+                if st_errors[i] is None:
+                    values[i][col] = float(st_values[i])
+                else:
+                    values[i][col] = None
+                    warnings[k].append(f"{col}: {st_errors[i]}")
 
-    return SweepRecord(
-        axis_values=tuple(axis_values),
-        stable=True,
-        measures=values,
-        margin=report.margin,
-        physicality=lyapunov.physicality_min_eig(V),
-        residual=state.residual,
-        lyap_residual=lyapunov.lyapunov_residual(A, V, D),
-        amplitudes=amplitudes,
-        warnings=tuple(warnings),
-    )
+    for i, j in enumerate(rows):
+        k = live[j]
+        records[k] = SweepRecord(
+            axis_values=tuple(axis_values[k]),
+            stable=True,
+            measures=values[i],
+            margin=float(report.margin[j]),
+            physicality=float(physicality[i]),
+            residual=states[j].residual,
+            lyap_residual=float(lyap_residual[i]),
+            amplitudes=_amplitudes(states[j]) if with_amplitudes else None,
+            warnings=tuple(warnings[k]),
+        )
+    return records
+
+
+def _amplitudes(state) -> tuple[float, float, float, float]:
+    return (abs(state.a1_avg), abs(state.a2_avg), abs(state.m_avg),
+            state.q_avg)
+
+
+def evaluate_point(params: PhysicalParams, *,
+                   quantities=("all",), drift_mode: str = "derived",
+                   epsilon_d: float = 0.0,
+                   axis_values: tuple[float, ...] = ()) -> SweepRecord:
+    """Run the full pipeline for one parameter point: the one-point
+    chunk of the kernel that sweeps run.
+
+    Solver failures are folded into the record (nulled measures plus a
+    warning string); this function does not raise for per-point physics
+    problems, so sweeps always complete.
+    """
+    return _evaluate_chunk([params], [axis_values], quantities, drift_mode,
+                           epsilon_d)[0]
 
 
 def build_point_params(spec: SweepSpec,
                        values: tuple[float, ...]) -> PhysicalParams:
-    """Apply axis values and links to the base parameter set."""
+    """Apply axis values, then links in order, to the base parameter set."""
     changes: dict[str, float] = {}
     for axis, value in zip(spec.axes, values):
         if axis.name == "eta":
             changes["gain_g"] = spec.base.kappa_2 - value * spec.base.kappa_1
         else:
             changes[axis.name] = float(value)
-    params = replace(spec.base, **changes)
     for target, source, factor in spec.links:
-        params = replace(params, **{target: factor * getattr(params, source)})
-    return params
+        source_value = changes.get(source, getattr(spec.base, source))
+        changes[target] = factor * source_value
+    return replace(spec.base, **changes)
 
 
 def grid_values(spec: SweepSpec):
@@ -278,32 +342,43 @@ def grid_values(spec: SweepSpec):
     return [(float(u), float(v)) for u in axes[0] for v in axes[1]]
 
 
-def _evaluate_task(spec: SweepSpec, values: tuple[float, ...]) -> SweepRecord:
-    try:
-        params = build_point_params(spec, values)
-    except ValueError as exc:
-        columns, _ = normalize_quantities(spec.quantities)
-        return _blank_record(values, columns,
-                             [f"invalid parameters at this point: {exc}"])
-    return evaluate_point(params, quantities=spec.quantities,
-                          drift_mode=spec.drift_mode,
-                          epsilon_d=spec.epsilon_d, axis_values=values)
+def _evaluate_points(spec: SweepSpec, points) -> list[SweepRecord]:
+    """Records of a run of grid points, evaluated as one chunk."""
+    records: list[SweepRecord | None] = [None] * len(points)
+    columns, _ = normalize_quantities(spec.quantities)
+    valid, valid_params = [], []
+    for k, values in enumerate(points):
+        try:
+            valid_params.append(build_point_params(spec, values))
+            valid.append(k)
+        except ValueError as exc:
+            records[k] = _blank_record(
+                values, columns, [f"invalid parameters at this point: {exc}"])
+    chunk = _evaluate_chunk(valid_params, [points[k] for k in valid],
+                            spec.quantities, spec.drift_mode, spec.epsilon_d)
+    for k, rec in zip(valid, chunk):
+        records[k] = rec
+    return records
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> list[SweepRecord]:
     """Evaluate the grid; records in deterministic row-major order.
 
-    With ``jobs > 1`` the points are farmed out to worker processes;
-    the result is identical to a serial run because every point is a
-    pure function of its parameters.
+    The grid is cut into chunks of ``CHUNK_POINTS`` points, each run as
+    one stacked evaluation.  With ``jobs > 1`` whole chunks are farmed
+    out to worker processes; the result is identical to a serial run
+    because every point is a pure function of its parameters.
     """
     points = grid_values(spec)
-    task = partial(_evaluate_task, spec)
+    chunks = [points[i:i + CHUNK_POINTS]
+              for i in range(0, len(points), CHUNK_POINTS)]
+    task = partial(_evaluate_points, spec)
     if jobs <= 1:
-        return [task(v) for v in points]
-    chunk = max(1, len(points) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, points, chunksize=chunk))
+        parts = map(task, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(task, chunks))
+    return [rec for part in parts for rec in part]
 
 
 def find_critical_temperature(params: PhysicalParams,
@@ -315,24 +390,23 @@ def find_critical_temperature(params: PhysicalParams,
                               ) -> tuple[float, tuple[str, ...]]:
     """Largest temperature at which the pair stays entangled.
 
-    A coarse scan over [0, t_max] checks the monotonic-decrease
-    precondition and brackets the first zero crossing, which is then
-    bisected to ``tol_t`` (default 1 mK).  Re-entrant entanglement on
-    the coarse scan yields a ``non-monotonic`` warning and the first
-    crossing is returned.  Raises ValueError if the pair is not
-    entangled at T = 0.
+    A coarse scan over [0, t_max], evaluated as one chunk, checks the
+    monotonic-decrease precondition and brackets the first zero
+    crossing, which is then bisected to ``tol_t`` (default 1 mK).
+    Re-entrant entanglement on the coarse scan yields a
+    ``non-monotonic`` warning and the first crossing is returned.
+    Raises ValueError if the pair is not entangled at T = 0.
     """
     column = "E_%s%s" % pair
 
-    def entanglement(T: float) -> float:
-        rec = evaluate_point(params.with_(temperature_T=T),
-                             quantities=(column,), drift_mode=drift_mode,
-                             epsilon_d=epsilon_d)
+    def entanglement(rec: SweepRecord) -> float:
         value = rec.measures.get(column)
         return value if (rec.stable and value is not None) else 0.0
 
     ts = np.linspace(0.0, t_max, coarse_points)
-    es = [entanglement(t) for t in ts]
+    coarse = _evaluate_chunk([params.with_(temperature_T=t) for t in ts],
+                             [()] * len(ts), (column,), drift_mode, epsilon_d)
+    es = [entanglement(rec) for rec in coarse]
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
@@ -353,7 +427,10 @@ def find_critical_temperature(params: PhysicalParams,
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        if entanglement(mid) > tol_e:
+        rec = evaluate_point(params.with_(temperature_T=mid),
+                             quantities=(column,), drift_mode=drift_mode,
+                             epsilon_d=epsilon_d)
+        if entanglement(rec) > tol_e:
             lo = mid
         else:
             hi = mid
@@ -473,23 +550,30 @@ def write_csv(records, spec: SweepSpec, stream) -> None:
         writer.writerow(row)
 
 
+def record_to_dict(rec: SweepRecord, axis_names) -> dict:
+    """JSON-ready object of one record; the amplitudes appear only when
+    the record carries them."""
+    obj = {
+        "axes": dict(zip(axis_names, rec.axis_values)),
+        "stable": rec.stable,
+        "measures": rec.measures,
+        "margin": rec.margin,
+        "physicality": rec.physicality,
+        "residual": rec.residual,
+        "lyap_residual": rec.lyap_residual,
+        "warnings": list(rec.warnings),
+    }
+    if rec.amplitudes is not None:
+        obj["amplitudes"] = dict(zip(AMPLITUDE_COLUMNS, rec.amplitudes))
+    return obj
+
+
 def write_jsonl(records, spec: SweepSpec, stream) -> None:
     """One JSON object per record, keys sorted for byte determinism."""
     names = spec.axis_names()
     for rec in records:
-        obj = {
-            "axes": dict(zip(names, rec.axis_values)),
-            "stable": rec.stable,
-            "measures": rec.measures,
-            "margin": rec.margin,
-            "physicality": rec.physicality,
-            "residual": rec.residual,
-            "lyap_residual": rec.lyap_residual,
-            "warnings": list(rec.warnings),
-        }
-        if rec.amplitudes is not None:
-            obj["amplitudes"] = dict(zip(AMPLITUDE_COLUMNS, rec.amplitudes))
-        stream.write(json.dumps(obj, sort_keys=True) + "\n")
+        stream.write(json.dumps(record_to_dict(rec, names), sort_keys=True)
+                     + "\n")
 
 
 def render_records(records, spec: SweepSpec) -> str:

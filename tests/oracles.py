@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite.
 
 Everything in here deliberately avoids the code paths it checks: the
-Lyapunov solution is reproduced by time integration, the drift matrix
+Lyapunov solution is reproduced as an exact time integral, the drift matrix
 by numerical differentiation of the nonlinear equations of motion, and
 reference covariance matrices are built from closed forms.
 """
@@ -9,50 +9,44 @@ reference covariance matrices are built from closed forms.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from magmech.params import effective_kappa_2
 
 SQRT2 = math.sqrt(2.0)
 
 
-def integrate_lyapunov(A, D, *, tol=1e-12, max_windows=200):
-    """Steady-state covariance by integrating dV/dt = AV + VA^T + D.
+def integrate_lyapunov(A, D, *, max_doublings=200):
+    """Steady-state covariance as the exact integral
+    V = int_0^inf e^{As} D e^{A^T s} ds.
 
-    A and D are jointly rescaled so the integrator works in O(1) units
-    (the fixed point is invariant under that rescaling).  Integration
-    proceeds in windows with an adaptive implicit scheme and the exact
-    (constant) Jacobian until the max-norm time derivative falls below
-    ``tol``.
+    The integral over one step h comes from the Van Loan block
+    exponential: with M = [[-A, D], [0, A^T]] h, expm(M) holds
+    e^{A^T h} in its lower-right block F22 and F22^T times its
+    upper-right block is int_0^h e^{As} D e^{A^T s} ds (Van Loan, IEEE
+    TAC 23, 1978).  Smith doubling, V <- V + Phi V Phi^T and
+    Phi <- Phi^2 with Phi = e^{Ah}, then sums the steps to infinity
+    (Smith, SIAM J. Appl. Math. 16, 1968).  The step h = 1/|A| keeps
+    the exponential well scaled.
     """
     A = np.asarray(A, float)
     D = np.asarray(D, float)
     n = A.shape[0]
-    scale = max(np.abs(np.linalg.eigvals(A)).max(), 1e-30)
-    As, Ds = A / scale, D / scale
-
-    eye = np.eye(n)
-    K = np.kron(As, eye) + np.kron(eye, As)
-    d = Ds.reshape(-1)
-
-    def rhs(_, v):
-        return K @ v + d
-
-    def jac(_, v):
-        return K
-
-    margin = np.linalg.eigvals(As).real.max()
-    if margin >= 0:
+    if np.linalg.eigvals(A).real.max() >= 0:
         raise ValueError("drift matrix is not stable")
-    window = 5.0 / abs(margin)
-    v = (0.5 * eye).reshape(-1)
-    for _ in range(max_windows):
-        sol = solve_ivp(rhs, (0.0, window), v, method="BDF", jac=jac,
-                        rtol=1e-12, atol=1e-14)
-        v = sol.y[:, -1]
-        if np.abs(K @ v + d).max() < tol:
+    h = 1.0 / max(np.abs(A).max(), 1e-300)
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = -A
+    M[:n, n:] = D
+    M[n:, n:] = A.T
+    F = expm(M * h)
+    phi = F[n:, n:].T
+    V = phi @ F[:n, n:]
+    for _ in range(max_doublings):
+        V = V + phi @ V @ phi.T
+        phi = phi @ phi
+        if np.abs(phi).max() < 1e-18:
             break
-    V = v.reshape(n, n)
     return 0.5 * (V + V.T)
 
 
@@ -111,8 +105,6 @@ def tmsv_cm(r):
 
 def random_symplectic(rng, n_modes=2, strength=0.6):
     """exp(Omega H) for random symmetric H is symplectic."""
-    from scipy.linalg import expm
-
     n = 2 * n_modes
     H = rng.normal(scale=strength, size=(n, n))
     H = 0.5 * (H + H.T)

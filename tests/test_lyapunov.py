@@ -33,6 +33,26 @@ def test_baseline_covariance_residual_and_integration(baseline):
     assert np.abs(V - V_t).max() < 1e-8
 
 
+def test_stacked_solve_matches_single_solves(rng):
+    A = np.stack([random_stable_drift(rng) for _ in range(5)])
+    D = np.stack([random_spd(rng) for _ in range(5)])
+    V = solve_lyapunov(A, D)
+    res = lyapunov_residual(A, V, D)
+    phys = physicality_min_eig(V)
+    for k in range(5):
+        assert np.array_equal(V[k], solve_lyapunov(A[k], D[k]))
+        assert res[k] == lyapunov_residual(A[k], V[k], D[k])
+        assert phys[k] == physicality_min_eig(V[k])
+    assert res.max() < 1e-12
+
+
+def test_singular_slice_of_a_stack_is_nan():
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    V = solve_lyapunov(np.stack([-np.eye(2), rot]), np.stack([np.eye(2)] * 2))
+    assert V[0] == pytest.approx(0.5 * np.eye(2), abs=1e-14)
+    assert np.isnan(V[1]).all()
+
+
 def test_lyapunov_rejects_bad_shapes():
     with pytest.raises(ValueError):
         solve_lyapunov(np.eye(3), np.eye(4))

@@ -121,6 +121,30 @@ def test_physicality_errors():
         log_negativity(np.eye(3))
 
 
+def test_stacked_measures_match_single_calls(rng):
+    cms = np.stack([random_physical_cm(rng) for _ in range(6)])
+    e_values, e_errors = log_negativity(cms)
+    s_values, s_errors = steering(cms, "backward")
+    assert e_errors == s_errors == [None] * 6
+    for k in range(6):
+        assert e_values[k] == log_negativity(cms[k])
+        assert s_values[k] == steering(cms[k], "backward")
+
+
+def test_unphysical_slice_of_a_stack_is_null_with_message():
+    bad = np.diag([1.0, -0.1, 1.0, 1.0])
+    cms = np.stack([tmsv_cm(0.5), bad])
+    values, errors = steering(cms, "forward")
+    assert values[0] == pytest.approx(math.log(math.cosh(1.0)), abs=1e-10)
+    assert errors[0] is None
+    assert np.isnan(values[1])
+    assert "non-positive" in errors[1]
+    nu, errors = min_ptranspose_symplectic_eig(cms)
+    assert nu[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
+    assert errors[0] is None
+    assert np.isnan(nu[1]) and errors[1]
+
+
 def test_steering_weaker_than_entanglement(baseline_cov):
     # any steerable pair of the reference state must also be entangled
     for pair in PAIRS:

@@ -1,11 +1,17 @@
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from magmech import lyapunov, sweep
 from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            ST_COLUMNS, SweepAxis, SweepSpec,
                            build_point_params, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values,
-                           normalize_quantities, render_records, run_sweep)
+                           normalize_quantities, record_to_dict,
+                           render_records, run_sweep)
 
 
 def small_spec(baseline, **kwargs):
@@ -248,3 +254,62 @@ def test_figure_presets_match_captions():
 def test_fig4a_grid_is_denser():
     assert figure_preset("fig4a").axes[0].count == 401
     assert figure_preset("fig4b").axes[0].count == 201
+
+
+def test_point_record_does_not_depend_on_its_chunk():
+    # fig5a: all six pairs with steering, stable and unstable points
+    spec = figure_preset("fig5a")
+    names = spec.axis_names()
+    records = run_sweep(spec)
+    assert any(r.stable for r in records) and not all(r.stable
+                                                      for r in records)
+    for values, rec in zip(grid_values(spec), records):
+        alone = evaluate_point(build_point_params(spec, values),
+                               quantities=spec.quantities,
+                               drift_mode=spec.drift_mode,
+                               epsilon_d=spec.epsilon_d, axis_values=values)
+        assert alone == rec
+        # float repr round-trips, so equal text means equal bits
+        assert (json.dumps(record_to_dict(alone, names))
+                == json.dumps(record_to_dict(rec, names)))
+
+
+def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
+    spec = figure_preset("fig2d")
+    texts = []
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(sweep, "CHUNK_POINTS", chunk)
+        texts.append(render_records(run_sweep(spec), spec))
+    texts.append(render_records(run_sweep(spec, jobs=2), spec))
+    assert all(text == texts[0] for text in texts)
+
+
+def test_exceptional_point_sweep(baseline, monkeypatch):
+    # g_ma = 0 with equal detunings: the gain/loss cavity pair has an
+    # exceptional point at J = |kappa_1 - (kappa_2 - g)| / 2 = 0.75 kappa_1,
+    # where the eigenbasis of the drift matrix degenerates
+    fallbacks = []
+    kronecker = lyapunov._kronecker_solve
+
+    def spy(A, D):
+        fallbacks.append(A)
+        return kronecker(A, D)
+
+    monkeypatch.setattr(lyapunov, "_kronecker_solve", spy)
+    k1 = baseline.kappa_1
+    spec = SweepSpec(base=baseline.with_(g_ma=0.0),
+                     axes=(SweepAxis("J", 0.70 * k1, 0.80 * k1, 2001),))
+    records = run_sweep(spec)
+    assert fallbacks
+    stable = [r for r in records if r.stable]
+    assert stable
+    for rec in stable:
+        assert rec.lyap_residual < 1e-10
+        for value in rec.measures.values():
+            assert (value is not None and math.isfinite(value)) \
+                or rec.warnings
+
+    # at the figure coupling the same window is unstable throughout
+    records = run_sweep(replace(spec, base=baseline))
+    assert not any(r.stable for r in records)
+    assert all(r.margin > 0 for r in records)
