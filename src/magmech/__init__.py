@@ -18,7 +18,8 @@ from .params import (DriveParams, PhysicalParams, eta_ratio,
                      reference_baseline, rabi_frequency, thermal_occupation)
 from .steady_state import (SteadyState, effective_coupling,
                            find_self_consistent_roots, gauge_phase,
-                           mean_field_residual, solve_steady_state)
+                           mean_field_residual, solve_steady_state,
+                           solve_steady_states)
 from .sweep import (SweepAxis, SweepRecord, SweepSpec, evaluate_point,
                     figure_preset, find_critical_temperature, run_sweep)
 
@@ -33,7 +34,8 @@ __all__ = [
     "lyapunov_residual", "mean_field_residual",
     "min_ptranspose_symplectic_eig", "reference_baseline",
     "physicality_min_eig", "rabi_frequency", "reduce_pair",
-    "run_sweep", "solve_lyapunov", "solve_steady_state", "stability",
+    "run_sweep", "solve_lyapunov", "solve_steady_state",
+    "solve_steady_states", "stability",
     "steering", "symplectic_form", "thermal_occupation",
 ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -92,14 +93,17 @@ def _emit(text: str, out_path) -> None:
 
 
 def _report_warnings(records) -> None:
-    seen = []
+    """One standard-error line per warning category, in order of first
+    appearance, with the number of points that raised it.  A warning's
+    category is its text before the first ':' or ' ('."""
+    counts: dict[str, int] = {}
     for rec in records:
-        for w in rec.warnings:
-            head = w.split(":")[0]
-            if head not in seen:
-                seen.append(head)
-    for head in seen:
-        print(f"warning: {head} (one or more points)", file=sys.stderr)
+        for head in {re.split(r":| \(", w, maxsplit=1)[0]: None
+                     for w in rec.warnings}:
+            counts[head] = counts.get(head, 0) + 1
+    for head, n in counts.items():
+        noun = "point" if n == 1 else "points"
+        print(f"warning: {head} ({n} {noun})", file=sys.stderr)
 
 
 def cmd_point(args) -> int:

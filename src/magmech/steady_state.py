@@ -7,6 +7,12 @@ shifts the magnon detuning, Delta_eff = Delta_m + g_mb*<q>, while
 In ``microscopic`` mode this scalar fixed point is iterated (damped
 Picard); in ``direct_g`` mode the effective coupling and detuning are
 taken from the parameter set and no iteration is needed.
+
+:func:`solve_steady_states` solves a stack of parameter sets with one
+Picard loop over (N,) arrays.  Each slice leaves the loop at the
+iteration where its own detuning shift meets the tolerance, so its
+result does not depend on the stack it is solved in;
+:func:`solve_steady_state` is the one-point call.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .params import PhysicalParams, effective_kappa_2
 
@@ -22,11 +31,14 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged mean-field amplitudes.
+    """Mean-field amplitudes: scalars for one parameter set, (N,) arrays
+    for a stack.
 
     ``residual`` is the max-norm of the zero-derivative equations of
     motion relative to the drive amplitude; ``delta_eff`` is the
-    self-consistent magnon detuning.
+    self-consistent magnon detuning.  A stack also carries ``errors``:
+    per slice, the ``ArithmeticError`` (division by zero, overflow)
+    that the solve ran into, or None.  Such a slice is not converged.
     """
 
     m_avg: complex
@@ -38,103 +50,290 @@ class SteadyState:
     iterations_used: int
     residual: float
     converged: bool
+    errors: tuple = ()
 
 
-def _closed_form(params: PhysicalParams, epsilon_d: float, delta_eff: float):
-    """Amplitudes for a given (frozen) effective magnon detuning.
+class _Rates(NamedTuple):
+    """Per-slice rates of a stack of parameter sets.
 
-    The cavity-2 response uses the net damping kappa_2 - g, consistent
-    with its equation of motion.  The cavity-1 amplitude is the reduced
-    form -i*g_ma*f2*<m>/(J^2 + f1*f2); the uncanceled textbook variant
-    carries a spurious extra factor that drops out identically.
+    ``k2t`` is the net cavity-2 damping kappa_2 - g and ``g`` the
+    displacement feedback: g_mb in ``microscopic`` mode, 0 in
+    ``direct_g`` mode.
     """
-    if epsilon_d == 0.0:
-        return 0j, 0j, 0j
-    f1 = 1j * params.Delta_1 + params.kappa_1
-    f2 = 1j * params.Delta_2 + effective_kappa_2(params)
-    fm = 1j * delta_eff + params.kappa_m
-    jj = params.J * params.J
-    denom = fm * (jj + f1 * f2) + params.g_ma ** 2 * f2
-    m = epsilon_d * (jj + f1 * f2) / denom
-    a1 = -1j * params.g_ma * f2 * m / (jj + f1 * f2)
-    # -i J a1 / f2 with the f2 cancellation done symbolically, so a
-    # resonant undamped cavity 2 (f2 = 0) stays finite
-    a2 = -params.J * params.g_ma * m / (jj + f1 * f2)
-    return m, a1, a2
+
+    D1: np.ndarray
+    D2: np.ndarray
+    Dm: np.ndarray
+    k1: np.ndarray
+    k2t: np.ndarray
+    km: np.ndarray
+    g_ma: np.ndarray
+    J: np.ndarray
+    g: np.ndarray
+    wb: np.ndarray
+    gb: np.ndarray
 
 
-def mean_field_residual(params: PhysicalParams, state: SteadyState,
-                        epsilon_d: float) -> float:
+def _rates(params_seq) -> _Rates:
+    return _Rates(*np.array(
+        [(p.Delta_1, p.Delta_2, p.Delta_m, p.kappa_1, effective_kappa_2(p),
+          p.kappa_m, p.g_ma, p.J,
+          p.g_mb if p.coupling_mode == "microscopic" else 0.0,
+          p.omega_b, p.gamma_b) for p in params_seq],
+        dtype=float).reshape(-1, 11).T)
+
+
+class _Response(NamedTuple):
+    """Constants of the closed form: the cavity responses
+    f1 = i*Delta_1 + kappa_1 and f2 = i*Delta_2 + kappa_2 - g (the net
+    damping, consistent with the cavity-2 equation of motion),
+    C = J^2 + f1*f2 and G = g_ma^2*f2."""
+
+    f1: np.ndarray
+    f2: np.ndarray
+    C: np.ndarray
+    G: np.ndarray
+
+
+def _response(r: _Rates) -> _Response:
+    f1 = 1j * r.D1 + r.k1
+    f2 = 1j * r.D2 + r.k2t
+    return _Response(f1, f2, r.J * r.J + f1 * f2, r.g_ma ** 2 * f2)
+
+
+def _equations(r: _Rates, f: _Response, m, a1, a2, q, p, epsilon_d):
+    """The five equations of motion with all time derivatives set to
+    zero; the magnon-phonon nonlinearity only acts in ``microscopic``
+    mode."""
+    return (-f.f1 * a1 - 1j * r.g_ma * m - 1j * r.J * a2,
+            -f.f2 * a2 - 1j * r.J * a1,
+            -(1j * r.Dm + r.km) * m - 1j * r.g_ma * a1 - 1j * r.g * m * q
+            + epsilon_d,
+            r.wb * p,
+            -r.wb * q - r.gb * p - r.g * np.abs(m) ** 2)
+
+
+def _relative_max_norm(equations, epsilon_d) -> np.ndarray:
+    worst = np.abs(equations[0])
+    for e in equations[1:]:
+        worst = np.maximum(worst, np.abs(e))
+    return worst / max(abs(epsilon_d), 1e-300)
+
+
+def mean_field_residual(params, state: SteadyState,
+                        epsilon_d: float):
     """Max-norm of the steady-state equations, relative to epsilon_d.
 
     Substitutes the amplitudes into the five equations of motion with
-    all time derivatives set to zero.  The magnon-phonon nonlinearity is
-    only present in ``microscopic`` mode.
+    all time derivatives set to zero.  ``params`` is one parameter set
+    with a scalar ``state`` (returns a float), or a sequence of them
+    with a stacked ``state`` (returns an (N,) array).
     """
-    g_mb = params.g_mb if params.coupling_mode == "microscopic" else 0.0
-    m, a1, a2, q, p = (state.m_avg, state.a1_avg, state.a2_avg,
-                       state.q_avg, state.p_avg)
-    r1 = -(1j * params.Delta_1 + params.kappa_1) * a1 \
-        - 1j * params.g_ma * m - 1j * params.J * a2
-    r2 = -(1j * params.Delta_2 + effective_kappa_2(params)) * a2 \
-        - 1j * params.J * a1
-    rm = -(1j * params.Delta_m + params.kappa_m) * m \
-        - 1j * params.g_ma * a1 - 1j * g_mb * m * q + epsilon_d
-    rq = params.omega_b * p
-    rp = -params.omega_b * q - params.gamma_b * p - g_mb * abs(m) ** 2
-    worst = max(abs(r1), abs(r2), abs(rm), abs(rq), abs(rp))
-    return worst / max(abs(epsilon_d), 1e-300)
+    single = isinstance(params, PhysicalParams)
+    fields = (np.atleast_1d(x) for x in (state.m_avg, state.a1_avg,
+                                         state.a2_avg, state.q_avg,
+                                         state.p_avg))
+    r = _rates([params] if single else params)
+    res = _relative_max_norm(_equations(r, _response(r), *fields, epsilon_d),
+                             epsilon_d)
+    return float(res[0]) if single else res
+
+
+def _arithmetic_error(denom: complex, m: complex, *moduli):
+    """The error that Python's complex arithmetic raises on one closed-
+    form evaluation, m = E/denom then abs(m)**2 and abs() of each of
+    ``moduli``: division by zero, or a finite value whose modulus or
+    squared modulus overflows.  None if it raises nothing."""
+    if denom == 0:
+        return ZeroDivisionError("complex division by zero")
+    try:
+        abs(m) ** 2
+        for z in moduli:
+            abs(z)
+    except OverflowError as exc:
+        return exc
+    return None
+
+
+def _iterate(r: _Rates, drive, errors, q_seed, *, tol_rel, max_iter,
+             damping):
+    """Damped Picard iteration of a stack; returns each slice's q,
+    iteration count and converged flag, and records errors in
+    ``errors`` in place.
+
+    ``drive`` holds the closed-form constants C, G and E = epsilon_d*C,
+    or is None without a drive (zero amplitudes).  Slices without
+    displacement feedback (g = 0) or with an error already recorded are
+    not iterated.  A slice whose iterate leaves the finite numbers stops
+    there with q = NaN and ``max_iter`` iterations, which is where NaN
+    arithmetic would take it, unless that step divided by zero or
+    overflowed a finite amplitude: then it records the error.
+    """
+    n = len(r.Dm)
+    q = np.zeros(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.array([e is None for e in errors], dtype=bool)
+    idx = np.flatnonzero((r.g != 0.0) & converged)
+    if not idx.size:
+        return q, iterations, converged
+    q[idx] = np.broadcast_to(q_seed, (n,))[idx]
+    converged[idx] = False
+
+    Dm, km, g, wb = (x[idx] for x in (r.Dm, r.km, r.g, r.wb))
+    if drive is not None:
+        C, G, E = (x[idx] for x in drive)
+    tol = tol_rel * wb
+    dg = damping * g
+    keep = 1.0 - damping
+    qa = q[idx]
+    tol_hi = tol.max()
+    a2 = 0.0
+    denom = m = None
+    prev = denom, m
+    it = 0
+    for it in range(1, max_iter + 1):
+        if drive is not None:
+            denom = (1j * (Dm + g * qa) + km) * C + G
+            m = E / denom
+            a2 = np.abs(m)
+            a2 = a2 * a2
+        q_next = keep * qa - dg * a2 / wb
+        shift = np.abs(g * (q_next - qa))
+        # NaN in the minimum: some slice went non-finite, at this step
+        # or (through an infinite q) at the last one
+        if shift.min() >= tol_hi:
+            prev = denom, m
+            qa = q_next
+            continue
+        done = shift < tol
+        lost = np.isnan(shift)
+        stop = done | lost
+        if stop.any():
+            k = idx[done]
+            q[k] = q_next[done]
+            iterations[k] = it
+            converged[k] = True
+            for j in np.flatnonzero(lost):
+                step = (denom, m) if np.isfinite(qa[j]) else prev
+                err = (None if step[0] is None else
+                       _arithmetic_error(complex(step[0][j]),
+                                         complex(step[1][j])))
+                q[idx[j]] = math.nan
+                iterations[idx[j]] = it if err else max_iter
+                errors[idx[j]] = err
+            live = ~stop
+            (idx, Dm, km, g, wb, tol, dg, q_next) = (
+                x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next))
+            if drive is not None:
+                C, G, E, denom, m = (x[live] for x in (C, G, E, denom, m))
+            if not idx.size:
+                return q, iterations, converged
+            tol_hi = tol.max()
+        prev = denom, m
+        qa = q_next
+    q[idx] = qa
+    iterations[idx] = it
+    if drive is not None:
+        # an infinite q from the last step
+        for j in np.flatnonzero(~np.isfinite(qa)):
+            errors[idx[j]] = _arithmetic_error(complex(denom[j]),
+                                               complex(m[j]))
+    return q, iterations, converged
+
+
+def solve_steady_states(params_seq, epsilon_d: float, *,
+                        tol_rel: float = 1e-12, max_iter: int = 1000,
+                        damping: float = 0.5,
+                        q_seed=0.0) -> SteadyState:
+    """Solve the mean-field equations for a stack of parameter sets.
+
+    Returns one :class:`SteadyState` of (N,) arrays.  In ``direct_g``
+    mode (or with g_mb = 0) the effective detuning equals ``Delta_m``
+    and the closed form is evaluated once.  In ``microscopic`` mode the
+    displacement fixed point q -> -(g_mb/omega_b)|m(q)|^2 is iterated
+    with damped Picard steps from ``q_seed`` (a scalar, or one value per
+    slice) until the slice's effective detuning moves by less than
+    ``tol_rel * omega_b``.  The seed 0 selects the branch continuously
+    connected to the undriven solution.
+
+    Never raises on non-convergence: the last iterate is returned with
+    ``converged`` False so that multistable points can be diagnosed by
+    the caller (see :func:`find_self_consistent_roots`).  A slice that
+    divides by zero or overflows a finite amplitude gets its error in
+    ``errors`` instead of raising.
+    """
+    if epsilon_d < 0:
+        raise ValueError("epsilon_d must be non-negative")
+    r = _rates(params_seq)
+    n = len(r.Dm)
+    errors: list = [None] * n
+    p = np.zeros(n)
+    options = dict(tol_rel=tol_rel, max_iter=max_iter, damping=damping)
+
+    if epsilon_d == 0.0:
+        # undriven: the amplitudes vanish, so the mechanical equation
+        # -omega_b*q is the only one that can be out of balance
+        q, iterations, converged = _iterate(r, None, errors, q_seed,
+                                            **options)
+        m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
+        return SteadyState(m, a1, a2, q, p, r.Dm + r.g * q, iterations,
+                           _relative_max_norm((r.wb * q,), epsilon_d),
+                           converged, tuple(errors))
+
+    # NumPy warns where Python's complex arithmetic raises; the errors
+    # that matter are named per slice
+    with np.errstate(all="ignore"):
+        f = _response(r)
+        E = epsilon_d * f.C
+        # J^2 + f1*f2 divides in the closed form
+        for k in np.flatnonzero(f.C == 0):
+            errors[k] = ZeroDivisionError("complex division by zero")
+        q, iterations, converged = _iterate(r, (f.C, f.G, E), errors,
+                                            q_seed, **options)
+        delta_eff = r.Dm + r.g * q
+        denom = (1j * delta_eff + r.km) * f.C + f.G
+        m = E / denom
+        a1 = -1j * r.g_ma * f.f2 * m / f.C
+        # -i J a1 / f2 with the f2 cancellation done symbolically, so a
+        # resonant undamped cavity 2 (f2 = 0) stays finite
+        a2 = -r.J * r.g_ma * m / f.C
+        equations = _equations(r, f, m, a1, a2, q, p, epsilon_d)
+        residual = _relative_max_norm(equations, epsilon_d)
+    for k in np.flatnonzero(~np.isfinite(residual)):
+        if errors[k] is None:
+            errors[k] = _arithmetic_error(
+                complex(denom[k]), complex(m[k]),
+                *(complex(e[k]) for e in equations[:3]))
+            converged[k] &= errors[k] is None
+    return SteadyState(m, a1, a2, q, p, delta_eff, iterations, residual,
+                       converged, tuple(errors))
+
+
+def _point(state: SteadyState, k: int) -> SteadyState:
+    """Slice ``k`` of a stacked state as Python scalars."""
+    return SteadyState(complex(state.m_avg[k]), complex(state.a1_avg[k]),
+                       complex(state.a2_avg[k]), float(state.q_avg[k]),
+                       float(state.p_avg[k]), float(state.delta_eff[k]),
+                       int(state.iterations_used[k]),
+                       float(state.residual[k]), bool(state.converged[k]))
 
 
 def solve_steady_state(params: PhysicalParams, epsilon_d: float, *,
                        tol_rel: float = 1e-12, max_iter: int = 1000,
                        damping: float = 0.5,
                        q_seed: float = 0.0) -> SteadyState:
-    """Solve the mean-field equations for one parameter set.
+    """Solve the mean-field equations for one parameter set: the
+    one-point call of :func:`solve_steady_states`, returning scalars.
 
-    In ``direct_g`` mode the effective detuning equals ``Delta_m`` and a
-    single linear solve suffices.  In ``microscopic`` mode the
-    displacement fixed point q -> -(g_mb/omega_b)|m(q)|^2 is iterated
-    with damped Picard steps from ``q_seed`` until the effective
-    detuning moves by less than ``tol_rel * omega_b``.  The seed 0
-    selects the branch continuously connected to the undriven solution.
-
-    Never raises on non-convergence: the best iterate is returned with
-    ``converged=False`` so that multistable points can be diagnosed by
-    the caller (see :func:`find_self_consistent_roots`).
+    Raises the slice's ``ArithmeticError`` (ZeroDivisionError or
+    OverflowError) if the solve ran into one.
     """
-    if epsilon_d < 0:
-        raise ValueError("epsilon_d must be non-negative")
-
-    if params.coupling_mode == "direct_g" or params.g_mb == 0.0:
-        delta_eff = params.Delta_m
-        m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
-        state = SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, 0.0, True)
-        res = mean_field_residual(params, state, epsilon_d)
-        return SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, res, True)
-
-    g_mb = params.g_mb
-    q = q_seed
-    converged = False
-    iterations = 0
-    tol = tol_rel * params.omega_b
-    for iterations in range(1, max_iter + 1):
-        delta_eff = params.Delta_m + g_mb * q
-        m, _, _ = _closed_form(params, epsilon_d, delta_eff)
-        q_next = (1.0 - damping) * q - damping * g_mb * abs(m) ** 2 \
-            / params.omega_b
-        shift = abs(g_mb * (q_next - q))
-        q = q_next
-        if shift < tol:
-            converged = True
-            break
-    delta_eff = params.Delta_m + g_mb * q
-    m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
-    state = SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, 0.0,
-                        converged)
-    res = mean_field_residual(params, state, epsilon_d)
-    return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
-                       converged)
+    state = solve_steady_states([params], epsilon_d, tol_rel=tol_rel,
+                                max_iter=max_iter, damping=damping,
+                                q_seed=q_seed)
+    if state.errors[0] is not None:
+        raise state.errors[0]
+    return _point(state, 0)
 
 
 def find_self_consistent_roots(params: PhysicalParams, epsilon_d: float, *,
@@ -146,7 +345,9 @@ def find_self_consistent_roots(params: PhysicalParams, epsilon_d: float, *,
     Returns all converged roots found from a coarse grid of seeds,
     deduplicated on the displacement, ordered with the branch connected
     to the undriven (q = 0 seed) solution first.  A single entry means
-    the operating point is monostable.
+    the operating point is monostable.  The seed grid spans eight times
+    the q = 0 root, so that root is solved first and the seeds then in
+    one stacked call.
     """
     if params.coupling_mode != "microscopic":
         return [solve_steady_state(params, epsilon_d, tol_rel=tol_rel,
@@ -154,21 +355,27 @@ def find_self_consistent_roots(params: PhysicalParams, epsilon_d: float, *,
     first = solve_steady_state(params, epsilon_d, tol_rel=tol_rel,
                                max_iter=max_iter, q_seed=0.0)
     span = 8.0 * max(abs(first.q_avg), 1.0)
+    seeds = [-span + 2.0 * span * k / max(n_seeds - 1, 1)
+             for k in range(n_seeds)]
+    cands = solve_steady_states([params] * n_seeds, epsilon_d,
+                                tol_rel=tol_rel, max_iter=max_iter,
+                                q_seed=np.array(seeds))
     roots = [first] if first.converged else []
     for k in range(n_seeds):
-        seed = -span + 2.0 * span * k / max(n_seeds - 1, 1)
-        cand = solve_steady_state(params, epsilon_d, tol_rel=tol_rel,
-                                  max_iter=max_iter, q_seed=seed)
-        if not cand.converged:
+        if cands.errors[k] is not None:
+            raise cands.errors[k]
+        if not cands.converged[k]:
             continue
+        cand = _point(cands, k)
         scale = max(abs(cand.q_avg), 1.0)
         if all(abs(cand.q_avg - r.q_avg) > 1e-6 * scale for r in roots):
             roots.append(cand)
     return roots if roots else [first]
 
 
-def effective_coupling(g_mb: float, m_avg: complex) -> complex:
-    """Effective magnon-phonon coupling i*sqrt(2)*g_mb*<m> (complex)."""
+def effective_coupling(g_mb, m_avg):
+    """Effective magnon-phonon coupling i*sqrt(2)*g_mb*<m> (complex);
+    elementwise on arrays."""
     return 1j * SQRT2 * g_mb * m_avg
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, lyapunov, measures
 from .params import PhysicalParams, reference_baseline
-from .steady_state import effective_coupling, solve_steady_state
+from .steady_state import effective_coupling, solve_steady_states
 
 E_COLUMNS = tuple("E_%s%s" % p for p in measures.PAIRS)
 ST_COLUMNS = tuple(col for a, b in measures.PAIRS
@@ -176,10 +176,10 @@ def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
                     epsilon_d: float) -> list[SweepRecord]:
     """Run the pipeline for a chunk of points as stacked (N, 8, 8) arrays.
 
-    The steady state is solved point by point; drift, diffusion,
-    stability, Lyapunov solve and pair measures each run once on the
-    chunk's stack.  Every stacked operation acts slice by slice, so a
-    point's record does not depend on the chunk it falls in.
+    Steady state, drift, diffusion, stability, Lyapunov solve and pair
+    measures each run once on the chunk's stack.  Every stacked
+    operation acts slice by slice, so a point's record does not depend
+    on the chunk it falls in.
     """
     columns, with_amplitudes = normalize_quantities(quantities)
     records: list[SweepRecord | None] = [None] * len(params_seq)
@@ -187,47 +187,51 @@ def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
     # k indexes the chunk, j the points with a steady state (``live``),
     # i the rows of each later stack
 
-    live, states, g_eff = [], [], []
-    for k, params in enumerate(params_seq):
-        try:
-            state = solve_steady_state(params, epsilon_d)
-        except (ZeroDivisionError, FloatingPointError, OverflowError,
-                np.linalg.LinAlgError) as exc:
-            warnings[k].append(f"steady state singular: {exc}")
+    state = solve_steady_states(params_seq, epsilon_d)
+    residual = state.residual.tolist()
+    live = []
+    for k, (error, converged) in enumerate(zip(state.errors,
+                                               state.converged.tolist())):
+        if error is not None:
+            warnings[k].append(f"steady state singular: {error}")
             records[k] = _blank_record(axis_values[k], columns, warnings[k])
-            continue
-        if not state.converged:
+        elif not converged:
             warnings[k].append("steady state did not converge "
-                               f"(residual {state.residual:.3e})")
+                               f"(residual {residual[k]:.3e})")
             records[k] = _blank_record(axis_values[k], columns, warnings[k],
-                                       residual=state.residual)
-            continue
-        live.append(k)
-        states.append(state)
-        g_eff.append(params.G_mb if params.coupling_mode == "direct_g" else
-                     abs(effective_coupling(params.g_mb, state.m_avg)))
+                                       residual=residual[k])
+        else:
+            live.append(k)
     if not live:
         return records
 
     live_params = [params_seq[k] for k in live]
-    A = dynamics.drift_matrices(live_params, [s.delta_eff for s in states],
-                                g_eff, mode=drift_mode)
+    # the effective coupling: prescribed in direct_g mode,
+    # |i*sqrt(2)*g_mb*<m>| in microscopic mode
+    g_eff = np.array([p.G_mb for p in live_params])
+    micro = [j for j, p in enumerate(live_params)
+             if p.coupling_mode == "microscopic"]
+    if micro:
+        g_mb = np.array([live_params[j].g_mb for j in micro])
+        g_eff[micro] = np.abs(effective_coupling(
+            g_mb, state.m_avg[live][micro]))
+    A = dynamics.drift_matrices(live_params, state.delta_eff[live], g_eff,
+                                mode=drift_mode)
     D, d_warnings = dynamics.diffusion_matrices(live_params)
     report = dynamics.stability(A, [p.kappa_1 for p in live_params])
 
     stable = []
     for j, k in enumerate(live):
-        state = states[j]
         warnings[k].extend(d_warnings[j])
         if report.indeterminate[j]:
             warnings[k].append("stability indeterminate: eigensolver failed")
             records[k] = _blank_record(axis_values[k], columns, warnings[k],
-                                       residual=state.residual)
+                                       residual=residual[k])
         elif not report.stable[j]:
             records[k] = _blank_record(
                 axis_values[k], columns, warnings[k],
-                margin=float(report.margin[j]), residual=state.residual,
-                amplitudes=_amplitudes(state) if with_amplitudes else None)
+                margin=float(report.margin[j]), residual=residual[k],
+                amplitudes=_amplitudes(state, k) if with_amplitudes else None)
         else:
             stable.append(j)
     if not stable:
@@ -246,7 +250,7 @@ def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
         warnings[k].append("singular Lyapunov system: no finite solution")
         records[k] = _blank_record(axis_values[k], columns, warnings[k],
                                    margin=float(report.margin[j]),
-                                   residual=states[j].residual)
+                                   residual=residual[k])
     if not rows:
         return records
 
@@ -291,17 +295,17 @@ def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
             measures=values[i],
             margin=float(report.margin[j]),
             physicality=float(physicality[i]),
-            residual=states[j].residual,
+            residual=residual[k],
             lyap_residual=float(lyap_residual[i]),
-            amplitudes=_amplitudes(states[j]) if with_amplitudes else None,
+            amplitudes=_amplitudes(state, k) if with_amplitudes else None,
             warnings=tuple(warnings[k]),
         )
     return records
 
 
-def _amplitudes(state) -> tuple[float, float, float, float]:
-    return (abs(state.a1_avg), abs(state.a2_avg), abs(state.m_avg),
-            state.q_avg)
+def _amplitudes(state, k: int) -> tuple[float, float, float, float]:
+    return (abs(complex(state.a1_avg[k])), abs(complex(state.a2_avg[k])),
+            abs(complex(state.m_avg[k])), float(state.q_avg[k]))
 
 
 def evaluate_point(params: PhysicalParams, *,

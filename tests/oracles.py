@@ -2,8 +2,10 @@
 
 Everything in here deliberately avoids the code paths it checks: the
 Lyapunov solution is reproduced as an exact time integral, the drift matrix
-by numerical differentiation of the nonlinear equations of motion, and
-reference covariance matrices are built from closed forms.
+by numerical differentiation of the nonlinear equations of motion,
+reference covariance matrices are built from closed forms, and the
+mean-field steady state by a damped Picard loop over Python scalars, one
+parameter set at a time.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from magmech.params import effective_kappa_2
+from magmech.steady_state import SteadyState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -158,3 +161,69 @@ def numerical_jacobian(fun, v0, step):
         vm[j] -= h
         J[:, j] = (fun(vp) - fun(vm)) / (2.0 * h)
     return J
+
+
+def _closed_form(params, epsilon_d, delta_eff):
+    """Amplitudes for a given (frozen) effective magnon detuning, with the
+    f2 cancellation of the cavity-2 amplitude done symbolically."""
+    if epsilon_d == 0.0:
+        return 0j, 0j, 0j
+    f1 = 1j * params.Delta_1 + params.kappa_1
+    f2 = 1j * params.Delta_2 + effective_kappa_2(params)
+    fm = 1j * delta_eff + params.kappa_m
+    jj = params.J * params.J
+    denom = fm * (jj + f1 * f2) + params.g_ma ** 2 * f2
+    m = epsilon_d * (jj + f1 * f2) / denom
+    a1 = -1j * params.g_ma * f2 * m / (jj + f1 * f2)
+    a2 = -params.J * params.g_ma * m / (jj + f1 * f2)
+    return m, a1, a2
+
+
+def _scalar_residual(params, m, a1, a2, q, epsilon_d):
+    g_mb = params.g_mb if params.coupling_mode == "microscopic" else 0.0
+    r1 = -(1j * params.Delta_1 + params.kappa_1) * a1 \
+        - 1j * params.g_ma * m - 1j * params.J * a2
+    r2 = -(1j * params.Delta_2 + effective_kappa_2(params)) * a2 \
+        - 1j * params.J * a1
+    rm = -(1j * params.Delta_m + params.kappa_m) * m \
+        - 1j * params.g_ma * a1 - 1j * g_mb * m * q + epsilon_d
+    rp = -params.omega_b * q - g_mb * abs(m) ** 2
+    worst = max(abs(r1), abs(r2), abs(rm), abs(rp))
+    return worst / max(abs(epsilon_d), 1e-300)
+
+
+def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
+                        damping=0.5, q_seed=0.0):
+    """Reference steady state: the damped Picard loop on Python complex
+    numbers, q -> (1 - damping) q - damping (g_mb/omega_b)|m(q)|^2 until
+    the detuning moves by less than ``tol_rel * omega_b``.
+
+    Raises ZeroDivisionError or OverflowError where Python's complex
+    arithmetic does; the package reports these per slice instead.
+    """
+    if params.coupling_mode == "direct_g" or params.g_mb == 0.0:
+        delta_eff = params.Delta_m
+        m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
+        res = _scalar_residual(params, m, a1, a2, 0.0, epsilon_d)
+        return SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, res, True)
+
+    g_mb = params.g_mb
+    q = q_seed
+    converged = False
+    iterations = 0
+    tol = tol_rel * params.omega_b
+    for iterations in range(1, max_iter + 1):
+        delta_eff = params.Delta_m + g_mb * q
+        m, _, _ = _closed_form(params, epsilon_d, delta_eff)
+        q_next = (1.0 - damping) * q - damping * g_mb * abs(m) ** 2 \
+            / params.omega_b
+        shift = abs(g_mb * (q_next - q))
+        q = q_next
+        if shift < tol:
+            converged = True
+            break
+    delta_eff = params.Delta_m + g_mb * q
+    m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
+    res = _scalar_residual(params, m, a1, a2, q, epsilon_d)
+    return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
+                       converged)

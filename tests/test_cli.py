@@ -124,3 +124,25 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 def test_cli_missing_file_exit_code():
     assert main(["point", "--config", "/nonexistent/nowhere.cfg"]) == 2
+
+
+def test_cli_sweep_summarizes_warnings_with_counts(config_file, tmp_path,
+                                                   capsys):
+    # microscopic coupling over Delta_m: a band of points whose steady
+    # state does not converge, each warning with its own residual
+    text = GOOD_CONFIG.replace("coupling_mode = direct_g",
+                               "coupling_mode = microscopic\ng_mb = 0.2\n"
+                               "epsilon_d = 1e15 rad_s")
+    text = text.replace("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+                        "axis1 = Delta_m, 0 omega_b, 2 omega_b, 41")
+    path = tmp_path / "micro.cfg"
+    path.write_text(text)
+    out = tmp_path / "micro.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    unconverged = sum("did not converge" in row
+                      for row in out.read_text().splitlines()[1:])
+    assert unconverged > 1
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "did not converge" in line]
+    assert lines == [f"warning: steady state did not converge "
+                     f"({unconverged} points)"]

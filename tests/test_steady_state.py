@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmech.dynamics import drift_matrix
-from magmech.params import TWO_PI, effective_kappa_2
+from magmech.params import TWO_PI, effective_kappa_2, reference_baseline
 from magmech.steady_state import (effective_coupling,
                                   find_self_consistent_roots, gauge_phase,
-                                  mean_field_residual, solve_steady_state)
+                                  mean_field_residual, solve_steady_state,
+                                  solve_steady_states)
+from magmech.sweep import evaluate_point
+
+from .oracles import picard_steady_state
 
 
 @pytest.fixture
@@ -144,3 +150,129 @@ def test_root_scan_monostable_points(micro):
     for root in roots:
         assert root.converged
         assert root.residual < 1e-9
+
+
+def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
+    """The stacked solve agrees with the scalar Picard loop slice by
+    slice: same error, converged flag and iteration count, and converged
+    amplitudes within 1e-13 relative."""
+    state = solve_steady_states(params_seq, epsilon_d, q_seed=q_seed)
+    seeds = np.broadcast_to(q_seed, (len(params_seq),))
+    for k, params in enumerate(params_seq):
+        try:
+            ref = picard_steady_state(params, epsilon_d,
+                                      q_seed=float(seeds[k]))
+        except ArithmeticError as exc:
+            assert type(state.errors[k]) is type(exc)
+            assert str(state.errors[k]) == str(exc)
+            assert not state.converged[k]
+            continue
+        assert state.errors[k] is None
+        assert state.converged[k] == ref.converged
+        assert state.iterations_used[k] == ref.iterations_used
+        if not ref.converged:
+            continue
+        for got, want in ((state.m_avg[k], ref.m_avg),
+                          (state.a1_avg[k], ref.a1_avg),
+                          (state.a2_avg[k], ref.a2_avg),
+                          (state.q_avg[k], ref.q_avg),
+                          (state.delta_eff[k], ref.delta_eff)):
+            if np.isfinite(want):
+                assert abs(got - want) <= 1e-13 * abs(want)
+            else:
+                np.testing.assert_equal(got, want)
+    return state
+
+
+def test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid(micro):
+    # the benchmark's microscopic sweep: a third of it never converges
+    grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
+    state = assert_matches_oracle(
+        [micro.with_(Delta_m=float(dm)) for dm in grid], 1e15)
+    assert 0 < np.count_nonzero(~state.converged) < len(grid)
+    assert state.iterations_used.max() == 1000
+
+
+_WB = reference_baseline().omega_b
+_K1 = reference_baseline().kappa_1
+_MICRO_POINT = st.fixed_dictionaries({
+    "Delta_1": st.floats(-2.0 * _WB, 2.0 * _WB),
+    "Delta_2": st.floats(-2.0 * _WB, 2.0 * _WB),
+    "Delta_m": st.floats(-2.0 * _WB, 2.0 * _WB),
+    "gain_g": st.floats(0.0, 3.0 * _K1),
+    "g_ma": st.floats(0.0, 5.0 * _K1),
+    "J": st.floats(0.0, 4.0 * _K1),
+    "g_mb": st.sampled_from([0.0, TWO_PI * 0.05, TWO_PI * 0.2, TWO_PI]),
+})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(points=st.lists(_MICRO_POINT, min_size=1, max_size=6),
+       log_eps=st.floats(11.0, 16.0),
+       seeds=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+def test_stacked_solver_matches_scalar_oracle_on_drawn_points(points,
+                                                              log_eps,
+                                                              seeds):
+    base = reference_baseline().with_(coupling_mode="microscopic",
+                                      G_mb=0.0)
+    params_seq = [base.with_(**point) for point in points]
+    assert_matches_oracle(params_seq, 10.0 ** log_eps)
+    assert_matches_oracle(params_seq, 10.0 ** log_eps,
+                          q_seed=np.array(seeds[:len(points)]))
+
+
+def _resonant_loss(params):
+    # Delta_1 = Delta_2 = 0 and net cavity-2 gain -J^2/kappa_1:
+    # J^2 + f1*f2 = 0 divides in the closed form
+    return params.with_(Delta_1=0.0, Delta_2=0.0,
+                        gain_g=params.kappa_2 + params.J ** 2 / params.kappa_1)
+
+
+@pytest.mark.parametrize("case, epsilon_d, warning", [
+    ("micro", 1e300, "steady state did not converge (residual nan)"),
+    ("micro", 1e170,
+     "steady state singular: (34, 'Numerical result out of range')"),
+    ("direct", 1e170,
+     "steady state singular: (34, 'Numerical result out of range')"),
+    ("micro_resonant", 1e14, "steady state singular: complex division by zero"),
+    ("direct_resonant", 1e14,
+     "steady state singular: complex division by zero"),
+])
+def test_breakdown_points_keep_their_outcome(baseline, micro, case,
+                                             epsilon_d, warning):
+    params = {"micro": micro, "direct": baseline,
+              "micro_resonant": _resonant_loss(micro),
+              "direct_resonant": _resonant_loss(baseline)}[case]
+    rec = evaluate_point(params, epsilon_d=epsilon_d)
+    assert not rec.stable
+    assert rec.warnings[0] == warning
+    assert all(v is None for v in rec.measures.values())
+    assert_matches_oracle([params], epsilon_d)
+
+
+@pytest.mark.parametrize("q_seed", [math.inf, math.nan])
+def test_non_finite_seed_does_not_converge(micro, q_seed):
+    state = assert_matches_oracle([micro, micro], 1e14,
+                                  q_seed=np.array([0.0, q_seed]))
+    assert state.converged.tolist() == [True, False]
+    assert state.iterations_used[1] == 1000
+
+
+def test_direct_mode_keeps_infinite_drive_point(baseline):
+    # direct_g amplitudes do not enter the fluctuations: an overflowed
+    # drive leaves a NaN residual on a point that is still evaluated
+    rec = evaluate_point(baseline, epsilon_d=1e300)
+    assert rec.stable
+    assert math.isnan(rec.residual)
+    assert_matches_oracle([baseline], 1e300)
+
+
+def test_stacked_residual_matches_single(micro):
+    params_seq = [micro.with_(Delta_m=dm * micro.omega_b)
+                  for dm in (0.2, 0.9, 1.5)]
+    state = solve_steady_states(params_seq, 5e13)
+    stacked = mean_field_residual(params_seq, state, 5e13)
+    np.testing.assert_array_equal(stacked, state.residual)
+    for k, params in enumerate(params_seq):
+        single = solve_steady_state(params, 5e13)
+        assert mean_field_residual(params, single, 5e13) == stacked[k]

@@ -274,14 +274,30 @@ def test_point_record_does_not_depend_on_its_chunk():
                 == json.dumps(record_to_dict(rec, names)))
 
 
+def _microscopic_sweep():
+    # the benchmark's microscopic sweep, thinned: the steady state is a
+    # Picard loop here, and a band of Delta_m never converges
+    base = figure_preset("fig2d").base
+    base = base.with_(coupling_mode="microscopic", g_mb=2.0 * math.pi * 0.2)
+    return SweepSpec(base, (SweepAxis("Delta_m", 0.0, 2.0 * base.omega_b,
+                                      41),),
+                     quantities=("E_a2m", "st_m_to_a2", "amplitudes"),
+                     epsilon_d=1e15)
+
+
 def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
-    spec = figure_preset("fig2d")
-    texts = []
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(sweep, "CHUNK_POINTS", chunk)
-        texts.append(render_records(run_sweep(spec), spec))
-    texts.append(render_records(run_sweep(spec, jobs=2), spec))
-    assert all(text == texts[0] for text in texts)
+    for spec in (figure_preset("fig2d"), _microscopic_sweep()):
+        texts = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(sweep, "CHUNK_POINTS", chunk)
+            texts.append(render_records(run_sweep(spec), spec))
+        texts.append(render_records(run_sweep(spec, jobs=2), spec))
+        assert all(text == texts[0] for text in texts)
+
+    # the microscopic sweep holds converged and unconverged points
+    rows = texts[0].splitlines()[1:]
+    assert any("did not converge" in row for row in rows)
+    assert any(row.split(",")[1] == "true" for row in rows)
 
 
 def test_exceptional_point_sweep(baseline, monkeypatch):
