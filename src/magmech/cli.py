@@ -10,6 +10,7 @@ failure, 2 on configuration errors.  Warnings go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -30,7 +31,9 @@ DIFFUSION_FLAGS = {"as-printed": "as_printed", "abs": "absolute_value",
                    "physical": "physical_sum"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="magmech",
         description="Steady-state quantum correlations of a passive-active "
@@ -194,11 +197,15 @@ def cmd_validate(args) -> int:
     check("eta invariant under joint rate rescaling",
           abs(eta_ratio(scaled) - eta_ratio(params)) < 1e-12)
 
-    state = solve_steady_state(params, epsilon_d)
-    check("steady state converged", state.converged,
-          f"(residual {state.residual:.3e})")
-    check("steady-state residual < 1e-9", state.residual < 1e-9,
-          f"(residual {state.residual:.3e})")
+    try:
+        state = solve_steady_state(params, epsilon_d)
+    except ArithmeticError as exc:
+        check("steady state converged", False, f"(singular: {exc})")
+    else:
+        check("steady state converged", state.converged,
+              f"(residual {state.residual:.3e})")
+        check("steady-state residual < 1e-9", state.residual < 1e-9,
+              f"(residual {state.residual:.3e})")
 
     rec = evaluate_point(params, drift_mode=drift_mode, epsilon_d=epsilon_d)
     if rec.stable:
@@ -239,7 +246,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, lyapunov.SingularSystemError) as exc:
+    except (ValueError, ArithmeticError,
+            lyapunov.SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

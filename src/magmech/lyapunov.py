@@ -8,7 +8,8 @@ The Lyapunov equation A V + V A^T = -D is solved in the eigenbasis of
 A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
-of 8x8 products.  One refinement step, the same solve applied to the
+of 8x8 products; it is computed once per run of identical consecutive
+drift matrices, which a temperature sweep or a Tc search shares.  One refinement step, the same solve applied to the
 residual, brings V to the accuracy of a backward-stable solve.  Near an
 exceptional point of the drift matrix the eigenbasis degenerates and
 the spectral solve fails, so every slice whose relative residual
@@ -66,20 +67,30 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (N, n) and (N, n, n) with M[k] S[k] = S[k] diag(w[k]).  A slice with
     a non-finite entry, or on which the eigensolver does not converge,
     comes back as NaN in both, so one bad slice never costs the others.
+
+    Each run of consecutive bitwise-identical slices is decomposed once
+    (a temperature sweep shares one drift matrix); every slice still
+    gets exactly what ``np.linalg.eig`` returns for it alone.
     """
-    M = np.asarray(M, dtype=float)
-    w = np.full(M.shape[:-1], np.nan, complex)
-    S = np.full(M.shape, np.nan, complex)
-    finite = np.isfinite(M).all(axis=(-2, -1))
+    M = np.ascontiguousarray(M, dtype=float)
+    # bits, not values: +0.0 and -0.0 are different inputs to eig
+    bits = M.view(np.int64)
+    starts = np.ones(len(M), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=(-2, -1))
+    run = np.cumsum(starts) - 1
+    first = M[starts]
+    w = np.full(first.shape[:-1], np.nan, complex)
+    S = np.full(first.shape, np.nan, complex)
+    finite = np.isfinite(first).all(axis=(-2, -1))
     try:
-        w[finite], S[finite] = np.linalg.eig(M[finite])
+        w[finite], S[finite] = np.linalg.eig(first[finite])
     except np.linalg.LinAlgError:
         for k in np.flatnonzero(finite):
             try:
-                w[k], S[k] = np.linalg.eig(M[k])
+                w[k], S[k] = np.linalg.eig(first[k])
             except np.linalg.LinAlgError:
                 pass
-    return w, S
+    return w[run], S[run]
 
 
 def _inverse(S: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -38,6 +39,11 @@ AXIS_NAMES = _NUMERIC_PARAM_FIELDS | {"eta"}
 # Grid points per stacked evaluation.  Larger chunks amortize a little
 # more Python overhead per point but raise peak memory.
 CHUNK_POINTS = 64
+
+# Bisection levels of the Tc search per stacked evaluation: the
+# 2**BISECT_LEVELS - 1 midpoints the next halvings could visit run as
+# one chunk.
+BISECT_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,11 @@ def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
             records[k] = _blank_record(axis_values[k], columns, warnings[k],
                                        residual=residual[k])
         else:
+            # an overflowed drive in direct_g mode: the amplitudes do not
+            # enter the fluctuations, so the measures stand
+            if not math.isfinite(residual[k]):
+                warnings[k].append("steady state residual not finite "
+                                   f"(residual {residual[k]:.3e})")
             live.append(k)
     if not live:
         return records
@@ -396,10 +407,13 @@ def find_critical_temperature(params: PhysicalParams,
 
     A coarse scan over [0, t_max], evaluated as one chunk, checks the
     monotonic-decrease precondition and brackets the first zero
-    crossing, which is then bisected to ``tol_t`` (default 1 mK).
-    Re-entrant entanglement on the coarse scan yields a
-    ``non-monotonic`` warning and the first crossing is returned.
-    Raises ValueError if the pair is not entangled at T = 0.
+    crossing, which is then bisected to ``tol_t`` (default 1 mK).  The
+    bisection runs ``BISECT_LEVELS`` levels per stacked evaluation: the
+    midpoints the next halvings could visit are evaluated as one chunk,
+    then descended as one halving each, so the result is the one
+    sequential bisection gives.  Re-entrant entanglement on the coarse
+    scan yields a ``non-monotonic`` warning and the first crossing is
+    returned.  Raises ValueError if the pair is not entangled at T = 0.
     """
     column = "E_%s%s" % pair
 
@@ -430,14 +444,26 @@ def find_critical_temperature(params: PhysicalParams,
 
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
     while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        rec = evaluate_point(params.with_(temperature_T=mid),
-                             quantities=(column,), drift_mode=drift_mode,
-                             epsilon_d=epsilon_d)
-        if entanglement(rec) > tol_e:
-            lo = mid
-        else:
-            hi = mid
+        # the bracket's halving tree, built with the bisection's own
+        # midpoint formula; a level whose brackets all meet tol_t is
+        # never visited
+        grid = [lo, hi]
+        for _ in range(BISECT_LEVELS):
+            if all(b - a <= tol_t for a, b in zip(grid, grid[1:])):
+                break
+            grid = [t for a, b in zip(grid, grid[1:])
+                    for t in (a, 0.5 * (a + b))] + [hi]
+        mids = grid[1:-1]
+        found = _evaluate_chunk(
+            [params.with_(temperature_T=t) for t in mids], [()] * len(mids),
+            (column,), drift_mode, epsilon_d)
+        i, j = 0, len(grid) - 1
+        while j - i > 1 and hi - lo > tol_t:
+            k = (i + j) // 2
+            if entanglement(found[k - 1]) > tol_e:
+                i, lo = k, grid[k]
+            else:
+                j, hi = k, grid[k]
     return 0.5 * (lo + hi), tuple(warnings)
 
 

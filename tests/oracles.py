@@ -3,9 +3,10 @@
 Everything in here deliberately avoids the code paths it checks: the
 Lyapunov solution is reproduced as an exact time integral, the drift matrix
 by numerical differentiation of the nonlinear equations of motion,
-reference covariance matrices are built from closed forms, and the
+reference covariance matrices are built from closed forms, the
 mean-field steady state by a damped Picard loop over Python scalars, one
-parameter set at a time.
+parameter set at a time, and the critical temperature by a bisection
+that evaluates one midpoint at a time.
 """
 
 import math
@@ -15,6 +16,7 @@ from scipy.linalg import expm
 
 from magmech.params import effective_kappa_2
 from magmech.steady_state import SteadyState
+from magmech.sweep import _evaluate_chunk, evaluate_point
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,3 +229,51 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
     res = _scalar_residual(params, m, a1, a2, q, epsilon_d)
     return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
                        converged)
+
+
+def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
+                                tol_e=1e-6, coarse_points=41,
+                                drift_mode="derived", epsilon_d=0.0):
+    """Reference Tc search: the coarse scan as one chunk, then a
+    sequential bisection with one ``evaluate_point`` per midpoint.
+
+    Returns (Tc, warnings) as ``find_critical_temperature`` does.
+    """
+    column = "E_%s%s" % pair
+
+    def entanglement(rec):
+        value = rec.measures.get(column)
+        return value if (rec.stable and value is not None) else 0.0
+
+    ts = np.linspace(0.0, t_max, coarse_points)
+    coarse = _evaluate_chunk([params.with_(temperature_T=t) for t in ts],
+                             [()] * len(ts), (column,), drift_mode, epsilon_d)
+    es = [entanglement(rec) for rec in coarse]
+    if es[0] <= tol_e:
+        raise ValueError(f"{column} is not positive at T = 0; "
+                         "critical temperature undefined")
+
+    warnings = []
+    crossing = next((i for i, e in enumerate(es) if e <= tol_e), None)
+    if crossing is None:
+        warnings.append(f"still entangled at t_max = {t_max} K")
+        return t_max, tuple(warnings)
+    if any(e > tol_e for e in es[crossing:]):
+        warnings.append("non-monotonic: re-entrant entanglement on the "
+                        "coarse scan; returning the first zero crossing")
+    rises = [es[i + 1] - es[i] for i in range(crossing - 1)]
+    if rises and max(rises) > 1e-9 * max(1.0, max(es)):
+        warnings.append("non-monotonic: entanglement increases with "
+                        "temperature on the coarse scan")
+
+    lo, hi = float(ts[crossing - 1]), float(ts[crossing])
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        rec = evaluate_point(params.with_(temperature_T=mid),
+                             quantities=(column,), drift_mode=drift_mode,
+                             epsilon_d=epsilon_d)
+        if entanglement(rec) > tol_e:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tuple(warnings)

@@ -146,3 +146,31 @@ def test_cli_sweep_summarizes_warnings_with_counts(config_file, tmp_path,
              if "did not converge" in line]
     assert lines == [f"warning: steady state did not converge "
                      f"({unconverged} points)"]
+
+
+@pytest.fixture
+def singular_config(tmp_path):
+    # J^2 + f1*f2 = 0 with f1 = kappa_1 and f2 = kappa_2 - gain_g =
+    # -4 kappa_1: the mean-field closed form divides by zero
+    text = (GOOD_CONFIG.replace("-0.91 omega_b", "0")
+            .replace("eta = -0.5", "eta = -4")
+            .replace("coupling_mode", "epsilon_d = 1e14 rad_s\ncoupling_mode"))
+    path = tmp_path / "singular.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_validate_singular_mean_field(singular_config, capsys):
+    assert main(["validate", "--config", singular_config]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL steady state converged (singular: complex division by "
+            "zero)") in out.splitlines()
+
+
+def test_cli_point_dump_matrices_singular_mean_field(singular_config,
+                                                     tmp_path, capsys):
+    assert main(["point", "--config", singular_config, "--out",
+                 str(tmp_path / "p.json"), "--dump-matrices",
+                 str(tmp_path / "mats")]) == 1
+    err = capsys.readouterr().err
+    assert "error: complex division by zero" in err.splitlines()

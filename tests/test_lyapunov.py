@@ -3,9 +3,9 @@ import pytest
 
 from magmech.dynamics import diffusion_matrix, drift_matrix, stability
 from magmech.lyapunov import (EigensolverError, SingularSystemError,
-                              eigenvalues, lyapunov_residual,
-                              physicality_min_eig, solve_lyapunov,
-                              symplectic_form)
+                              eigendecomposition, eigenvalues,
+                              lyapunov_residual, physicality_min_eig,
+                              solve_lyapunov, symplectic_form)
 
 from .oracles import (integrate_lyapunov, random_spd, random_spectrum_matrix,
                       random_stable_drift, sorted_complex)
@@ -44,6 +44,36 @@ def test_stacked_solve_matches_single_solves(rng):
         assert res[k] == lyapunov_residual(A[k], V[k], D[k])
         assert phys[k] == physicality_min_eig(V[k])
     assert res.max() < 1e-12
+
+
+def test_eigendecomposition_decomposes_each_run_once(rng, monkeypatch):
+    a, b = random_stable_drift(rng), random_stable_drift(rng)
+    a[0, 1] = 0.0
+    signed = a.copy()
+    signed[0, 1] = -0.0
+    bad = b.copy()
+    bad[2, 3] = np.nan
+    M = np.stack([a, a, a, signed, b, b, bad, bad, a])
+    expected = [np.linalg.eig(m) for m in M[:6]] + [None, None,
+                                                    np.linalg.eig(a)]
+
+    decomposed = []
+    eig = np.linalg.eig
+
+    def spy(stack):
+        decomposed.append(len(stack))
+        return eig(stack)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    w, S = eigendecomposition(M)
+    # runs: a, signed (a different input to eig), b, bad (skipped), a
+    assert decomposed == [4]
+    for k, ref in enumerate(expected):
+        if ref is None:
+            assert np.isnan(w[k]).all() and np.isnan(S[k]).all()
+            continue
+        assert np.array_equal(w[k].view(np.int64), ref[0].view(np.int64))
+        assert np.array_equal(S[k].view(np.int64), ref[1].view(np.int64))
 
 
 def test_singular_slice_of_a_stack_is_nan():

@@ -265,6 +265,7 @@ def test_direct_mode_keeps_infinite_drive_point(baseline):
     assert rec.stable
     assert math.isnan(rec.residual)
     assert_matches_oracle([baseline], 1e300)
+    assert "steady state residual not finite (residual nan)" in rec.warnings
 
 
 def test_stacked_residual_matches_single(micro):

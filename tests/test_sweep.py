@@ -13,6 +13,8 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            normalize_quantities, record_to_dict,
                            render_records, run_sweep)
 
+from .oracles import bisect_critical_temperature
+
 
 def small_spec(baseline, **kwargs):
     defaults = dict(
@@ -216,6 +218,50 @@ def test_critical_temperature_against_linear_scan(baseline):
             break
     assert tc == pytest.approx(scan_tc, abs=2e-3)
     assert not warnings
+
+
+def _microscopic_point(baseline):
+    return baseline.with_(coupling_mode="microscopic",
+                          g_mb=2.0 * math.pi * 0.2,
+                          Delta_m=0.9 * baseline.omega_b)
+
+
+@pytest.mark.parametrize("pair, options, microscopic", [
+    (("a2", "m"), {}, False),
+    (("a1", "m"), {}, False),
+    # 8, 7 and 5 halvings: the last round of levels is partial
+    (("a2", "m"), {"coarse_points": 11}, False),
+    (("a2", "m"), {"coarse_points": 26}, False),
+    (("a2", "m"), {"coarse_points": 81}, False),
+    (("a2", "m"), {"tol_t": 1e-5}, False),
+    # the bracket's width after two halvings, while a sibling bracket is
+    # wider by rounding: the search must stop there, mid-round
+    (("a2", "m"), {"tol_t": 0.012499999999999983}, False),
+    (("a2", "m"), {"epsilon_d": 1e14}, True),
+])
+def test_critical_temperature_matches_sequential_bisection(
+        baseline, pair, options, microscopic):
+    params = _microscopic_point(baseline) if microscopic else baseline
+    tc, warnings = find_critical_temperature(params, pair, **options)
+    ref_tc, ref_warnings = bisect_critical_temperature(params, pair,
+                                                       **options)
+    assert repr(tc) == repr(ref_tc)
+    assert warnings == ref_warnings
+
+
+def test_critical_temperature_search_is_three_stacked_evaluations(
+        baseline, monkeypatch):
+    sizes = []
+    evaluate_chunk = sweep._evaluate_chunk
+
+    def spy(params_seq, *args):
+        sizes.append(len(params_seq))
+        return evaluate_chunk(params_seq, *args)
+
+    monkeypatch.setattr(sweep, "_evaluate_chunk", spy)
+    find_critical_temperature(baseline, ("a2", "m"))
+    # the coarse scan, then six halvings in two rounds of three levels
+    assert sizes == [41, 7, 7]
 
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
