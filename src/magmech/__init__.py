@@ -8,32 +8,30 @@ parameter-sweep engine and CLI reproducing the reference figure data.
 """
 
 from .dynamics import (StabilityReport, diffusion_matrix, drift_matrix,
-                       drift_matrix_general, stability)
-from .lyapunov import (EigensolverError, SingularSystemError, eigenvalues,
-                       lyapunov_residual, physicality_min_eig,
-                       solve_lyapunov, symplectic_form)
+                       stability)
+from .lyapunov import (SingularSystemError, lyapunov_residual,
+                       physicality_min_eig, solve_lyapunov, symplectic_form)
 from .measures import (MODES, PAIRS, PhysicalityError, log_negativity,
                        min_ptranspose_symplectic_eig, reduce_pair, steering)
-from .params import (DriveParams, PhysicalParams, eta_ratio,
+from .params import (DriveParams, ParamStack, PhysicalParams, eta_ratio,
                      reference_baseline, rabi_frequency, thermal_occupation)
 from .steady_state import (SteadyState, effective_coupling,
                            find_self_consistent_roots, gauge_phase,
-                           mean_field_residual, solve_steady_state,
-                           solve_steady_states)
-from .sweep import (SweepAxis, SweepRecord, SweepSpec, evaluate_point,
-                    figure_preset, find_critical_temperature, run_sweep)
+                           solve_steady_state, solve_steady_states)
+from .sweep import (SweepAxis, SweepRecord, SweepSpec, SweepTable,
+                    evaluate_point, figure_preset, find_critical_temperature,
+                    run_sweep)
 
 __all__ = [
-    "DriveParams", "EigensolverError", "MODES", "PAIRS", "PhysicalParams",
+    "DriveParams", "MODES", "PAIRS", "ParamStack", "PhysicalParams",
     "PhysicalityError", "SingularSystemError", "StabilityReport",
-    "SteadyState", "SweepAxis", "SweepRecord", "SweepSpec",
-    "diffusion_matrix", "drift_matrix", "drift_matrix_general",
-    "effective_coupling", "eigenvalues", "eta_ratio", "evaluate_point",
-    "figure_preset", "find_critical_temperature",
+    "SteadyState", "SweepAxis", "SweepRecord", "SweepSpec", "SweepTable",
+    "diffusion_matrix", "drift_matrix", "effective_coupling", "eta_ratio",
+    "evaluate_point", "figure_preset", "find_critical_temperature",
     "find_self_consistent_roots", "gauge_phase", "log_negativity",
-    "lyapunov_residual", "mean_field_residual",
-    "min_ptranspose_symplectic_eig", "reference_baseline",
-    "physicality_min_eig", "rabi_frequency", "reduce_pair",
+    "lyapunov_residual", "min_ptranspose_symplectic_eig",
+    "reference_baseline", "physicality_min_eig", "rabi_frequency",
+    "reduce_pair",
     "run_sweep", "solve_lyapunov", "solve_steady_state",
     "solve_steady_states", "stability",
     "steering", "symplectic_form", "thermal_occupation",

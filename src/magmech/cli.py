@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from dataclasses import replace
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import dynamics, lyapunov, measures
 from .config import ConfigError, load_config
 from .params import eta_ratio, thermal_occupation
-from .steady_state import effective_coupling, solve_steady_state
+from .steady_state import solve_steady_state
 from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
                     find_critical_temperature, record_to_dict, render_records,
                     run_sweep)
@@ -95,14 +94,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _report_warnings(records) -> None:
+def _report_warnings(warnings) -> None:
     """One standard-error line per warning category, in order of first
-    appearance, with the number of points that raised it.  A warning's
-    category is its text before the first ':' or ' ('."""
+    appearance, with the number of points (each a sequence of warnings)
+    that raised it.  A category is the text before the first ':' or ' ('."""
     counts: dict[str, int] = {}
-    for rec in records:
-        for head in {re.split(r":| \(", w, maxsplit=1)[0]: None
-                     for w in rec.warnings}:
+    for point in warnings:
+        for head in {w.split(":", 1)[0].split(" (", 1)[0]: None
+                     for w in point}:
             counts[head] = counts.get(head, 0) + 1
     for head, n in counts.items():
         noun = "point" if n == 1 else "points"
@@ -112,23 +111,16 @@ def _report_warnings(records) -> None:
 def cmd_point(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
-    rec = evaluate_point(params, drift_mode=_drift_mode(args),
-                         epsilon_d=cfg["epsilon_d"])
-    if args.dump_matrices:
-        state = solve_steady_state(params, cfg["epsilon_d"])
-        if params.coupling_mode == "direct_g":
-            g_eff = params.G_mb
-        else:
-            g_eff = abs(effective_coupling(params.g_mb, state.m_avg))
-        A = dynamics.drift_matrix(params, state.delta_eff, g_eff,
-                                  mode=_drift_mode(args))
-        D, _ = dynamics.diffusion_matrix(params)
+    rec, matrices = evaluate_point(params, drift_mode=_drift_mode(args),
+                                   epsilon_d=cfg["epsilon_d"], matrices=True)
+    # a point without a steady state has no matrices to dump
+    if args.dump_matrices and matrices is not None:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        dynamics.write_matrix(os.path.join(args.dump_matrices, "A.txt"), A)
-        dynamics.write_matrix(os.path.join(args.dump_matrices, "D.txt"), D)
+        for name, M in zip(("A.txt", "D.txt"), matrices):
+            dynamics.write_matrix(os.path.join(args.dump_matrices, name), M)
     _emit(json.dumps(record_to_dict(rec, ()), sort_keys=True, indent=2)
           + "\n", args.out)
-    _report_warnings([rec])
+    _report_warnings([rec.warnings])
     return 0
 
 
@@ -136,7 +128,7 @@ def _run_and_emit(spec: SweepSpec, args, default_out=None) -> int:
     records = run_sweep(spec, jobs=max(args.jobs, 1))
     out = args.out or default_out
     _emit(render_records(records, spec), out)
-    _report_warnings(records)
+    _report_warnings(records.warnings)
     return 0
 
 
@@ -207,13 +199,13 @@ def cmd_validate(args) -> int:
         check("steady-state residual < 1e-9", state.residual < 1e-9,
               f"(residual {state.residual:.3e})")
 
-    rec = evaluate_point(params, drift_mode=drift_mode, epsilon_d=epsilon_d)
+    rec, matrices = evaluate_point(params, drift_mode=drift_mode,
+                                   epsilon_d=epsilon_d, matrices=True)
     if rec.stable:
         check("Lyapunov residual < 1e-10",
               rec.lyap_residual is not None and rec.lyap_residual < 1e-10,
               f"(residual {rec.lyap_residual})")
-        D, _ = dynamics.diffusion_matrix(params)
-        if np.all(np.diag(D) >= 0):
+        if np.all(np.diag(matrices[1]) >= 0):
             check("covariance physicality >= -1e-9",
                   rec.physicality is not None and rec.physicality > -1e-9,
                   f"(min eig {rec.physicality})")

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields
 
-from .params import PhysicalParams
+from .params import NUMERIC_FIELDS, PhysicalParams
 from .sweep import SweepAxis, SweepSpec
 
 TWO_PI = 2.0 * math.pi
@@ -113,8 +112,7 @@ def parse_system(section) -> tuple[PhysicalParams, float]:
             raise ConfigError("give either eta or gain_g, not both")
         values["gain_g"] = values.get("kappa_2", kappa_1) - eta * kappa_1
 
-    required = {f.name for f in fields(PhysicalParams)} - {
-        "coupling_mode", "G_mb", "g_mb", "diffusion_convention"}
+    required = set(NUMERIC_FIELDS) - {"G_mb", "g_mb"}
     missing = sorted(required - values.keys())
     if missing:
         raise ConfigError(f"[system] is missing keys: {', '.join(missing)}")

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lyapunov import eigendecomposition
-from .params import PhysicalParams, effective_kappa_2, thermal_occupation
+from .params import (ParamStack, PhysicalParams, effective_kappa_2,
+                     thermal_occupation)
 
 QUADRATURES = ("I1", "phi1", "I2", "phi2", "x", "y", "q", "p")
 
@@ -37,23 +38,13 @@ def drift_matrix(params: PhysicalParams, delta_eff: float,
     """
     if G_mb_real < 0:
         raise ValueError("G_mb_real must be gauge-fixed non-negative")
-    return drift_matrices([params], [delta_eff], [G_mb_real], mode=mode)[0]
+    return drift_matrices(ParamStack.broadcast(params, 1), [delta_eff],
+                          [G_mb_real], mode=mode)[0]
 
 
-def drift_matrix_general(params: PhysicalParams, delta_eff: float,
-                         G_mb: complex) -> np.ndarray:
-    """Drift matrix for an arbitrary (complex) effective coupling.
-
-    Used to verify gauge invariance: a phase rotation of the magnon
-    amplitude rotates ``G_mb`` and acts on the matrix as an orthogonal
-    similarity, leaving the spectrum and all derived measures unchanged.
-    """
-    return drift_matrices([params], [delta_eff], [G_mb])[0]
-
-
-def drift_matrices(params_seq, delta_eff, G_mb, *,
+def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
                    mode: str = "derived") -> np.ndarray:
-    """(N, 8, 8) stack of drift matrices, one per parameter set.
+    """(N, 8, 8) stack of drift matrices, one per point of the stack.
 
     ``delta_eff`` and ``G_mb`` hold one effective detuning and one
     (possibly complex) effective coupling per point; see
@@ -61,10 +52,9 @@ def drift_matrices(params_seq, delta_eff, G_mb, *,
     """
     if mode not in DRIFT_MODES:
         raise ValueError(f"unknown drift mode {mode!r}")
-    (k1, k2t, k2, km, d1, d2, gma, J, wb, gb) = np.array(
-        [(p.kappa_1, effective_kappa_2(p), p.kappa_2, p.kappa_m, p.Delta_1,
-          p.Delta_2, p.g_ma, p.J, p.omega_b, p.gamma_b)
-         for p in params_seq], dtype=float).reshape(-1, 10).T
+    k1, k2t, k2, km = p.kappa_1, effective_kappa_2(p), p.kappa_2, p.kappa_m
+    d1, d2, gma, J = p.Delta_1, p.Delta_2, p.g_ma, p.J
+    wb, gb = p.omega_b, p.gamma_b
     de = np.asarray(delta_eff, dtype=float)
     G = np.asarray(G_mb, dtype=complex)
     gr, gi = G.real, G.imag
@@ -85,37 +75,6 @@ def drift_matrices(params_seq, delta_eff, G_mb, *,
     return A
 
 
-def _diffusion_diagonal(params: PhysicalParams) -> tuple[list[float],
-                                                          list[str]]:
-    T = params.temperature_T
-    n1 = thermal_occupation(params.omega_1, T)
-    n2 = thermal_occupation(params.omega_2, T)
-    nm = thermal_occupation(params.omega_m, T)
-    nb = thermal_occupation(params.omega_b, T)
-
-    k2t = effective_kappa_2(params)
-    warnings: list[str] = []
-    if params.diffusion_convention == "as_printed":
-        d2 = k2t * (2.0 * n2 + 1.0)
-        if k2t < 0:
-            warnings.append(
-                "negative diffusion: cavity-2 noise entry %.6g < 0 "
-                "(as_printed with net gain)" % d2)
-    elif params.diffusion_convention == "absolute_value":
-        d2 = abs(k2t) * (2.0 * n2 + 1.0)
-    else:  # physical_sum
-        d2 = (params.kappa_2 + params.gain_g) * (2.0 * n2 + 1.0)
-
-    diag = [params.kappa_1 * (2.0 * n1 + 1.0),
-            params.kappa_1 * (2.0 * n1 + 1.0),
-            d2, d2,
-            params.kappa_m * (2.0 * nm + 1.0),
-            params.kappa_m * (2.0 * nm + 1.0),
-            0.0,
-            params.gamma_b * (2.0 * nb + 1.0)]
-    return diag, warnings
-
-
 def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
     """Diagonal 8x8 noise matrix and any convention warnings.
 
@@ -132,21 +91,40 @@ def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
       gain reservoir carry the same (2N+1)/2 weight per quadrature as a
       lossy one, so loss and gain contributions simply add.
     """
-    D, warnings = diffusion_matrices([params])
-    return D[0], warnings[0]
+    D, warnings = diffusion_matrices(ParamStack.broadcast(params, 1))
+    return D[0], list(warnings[0])
 
 
-def diffusion_matrices(params_seq) -> tuple[np.ndarray, list[list[str]]]:
+def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
     """(N, 8, 8) stack of noise matrices and each point's warnings; see
     :func:`diffusion_matrix`."""
-    diagonals, warnings = [], []
-    for params in params_seq:
-        diag, w = _diffusion_diagonal(params)
-        diagonals.append(diag)
-        warnings.append(w)
-    D = np.zeros((len(diagonals), 8, 8))
-    idx = np.arange(8)
-    D[:, idx, idx] = diagonals
+    # the scalar thermal_occupation once per distinct (omega, T) pair,
+    # found as one complex number by a 1-D unique: np.expm1 may run a
+    # SIMD kernel that differs from math.expm1 in the last bit
+    omega = np.stack([p.omega_1, p.omega_2, p.omega_m, p.omega_b])
+    pairs = np.empty(omega.shape, dtype=complex)
+    pairs.real, pairs.imag = omega, p.temperature_T
+    distinct, inverse = np.unique(pairs.ravel(), return_inverse=True,
+                                  equal_nan=False)
+    n1, n2, nm, nb = np.array([thermal_occupation(z.real, z.imag) for z in
+                               distinct.tolist()])[inverse].reshape(4, -1)
+    k2t = effective_kappa_2(p)
+    warnings = [()] * len(p)
+    if p.diffusion_convention == "as_printed":
+        d2 = k2t * (2.0 * n2 + 1.0)
+        for k in np.flatnonzero(k2t < 0):
+            warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
+                           "< 0 (as_printed with net gain)" % d2[k],)
+    elif p.diffusion_convention == "absolute_value":
+        d2 = np.abs(k2t) * (2.0 * n2 + 1.0)
+    else:  # physical_sum
+        d2 = (p.kappa_2 + p.gain_g) * (2.0 * n2 + 1.0)
+
+    D = np.zeros((len(p), 8, 8))
+    D[:, 0, 0] = D[:, 1, 1] = p.kappa_1 * (2.0 * n1 + 1.0)
+    D[:, 2, 2] = D[:, 3, 3] = d2
+    D[:, 4, 4] = D[:, 5, 5] = p.kappa_m * (2.0 * nm + 1.0)
+    D[:, 7, 7] = p.gamma_b * (2.0 * nb + 1.0)
     return D, warnings
 
 

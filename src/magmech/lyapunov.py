@@ -8,8 +8,9 @@ The Lyapunov equation A V + V A^T = -D is solved in the eigenbasis of
 A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
-of 8x8 products; it is computed once per run of identical consecutive
-drift matrices, which a temperature sweep or a Tc search shares.  One refinement step, the same solve applied to the
+of 8x8 products; it and S^-1 are computed once per run of identical
+consecutive drift matrices, which a temperature sweep or a Tc search
+shares.  One refinement step, the same solve applied to the
 residual, brings V to the accuracy of a backward-stable solve.  Near an
 exceptional point of the drift matrix the eigenbasis degenerates and
 the spectral solve fails, so every slice whose relative residual
@@ -34,30 +35,14 @@ class SingularSystemError(Exception):
     """
 
 
-class EigensolverError(Exception):
-    """The iterative eigensolver failed to converge."""
-
-
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real or complex square matrix (n <= 64).
-
-    Backed by the LAPACK general eigensolver (balanced Hessenberg
-    reduction followed by shifted QR iteration), which meets the
-    backward-error bound ~ machine epsilon times the matrix norm.
-    Non-convergence raises :class:`EigensolverError` instead of
-    returning a partial spectrum.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.shape[0] > 64:
-        raise ValueError("kernel is sized for n <= 64")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(str(exc)) from exc
+def _runs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of consecutive bitwise-identical slices of a stack: a mask
+    of each run's first slice, and each slice's run number."""
+    # bits, not values: +0.0 and -0.0 are different inputs to eig
+    bits = np.ascontiguousarray(M).view(np.int64)
+    starts = np.ones(len(M), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=(-2, -1))
+    return starts, np.cumsum(starts) - 1
 
 
 def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,12 +57,8 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (a temperature sweep shares one drift matrix); every slice still
     gets exactly what ``np.linalg.eig`` returns for it alone.
     """
-    M = np.ascontiguousarray(M, dtype=float)
-    # bits, not values: +0.0 and -0.0 are different inputs to eig
-    bits = M.view(np.int64)
-    starts = np.ones(len(M), dtype=bool)
-    starts[1:] = (bits[1:] != bits[:-1]).any(axis=(-2, -1))
-    run = np.cumsum(starts) - 1
+    M = np.asarray(M, dtype=float)
+    starts, run = _runs(M)
     first = M[starts]
     w = np.full(first.shape[:-1], np.nan, complex)
     S = np.full(first.shape, np.nan, complex)
@@ -94,17 +75,20 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse(S: np.ndarray) -> np.ndarray:
-    """Inverse of each slice of a stack; singular slices come back NaN."""
+    """Inverse of each slice of a stack, computed once per run of
+    bitwise-identical slices; singular slices come back NaN."""
+    starts, run = _runs(S)
+    first = S[starts]
     try:
-        return np.linalg.inv(S)
+        out = np.linalg.inv(first)
     except np.linalg.LinAlgError:
-        out = np.full_like(S, np.nan)
-        for k in range(len(S)):
+        out = np.full_like(first, np.nan)
+        for k in range(len(first)):
             try:
-                out[k] = np.linalg.inv(S[k])
+                out[k] = np.linalg.inv(first[k])
             except np.linalg.LinAlgError:
                 pass
-        return out
+    return out[run]
 
 
 def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:

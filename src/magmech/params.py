@@ -4,7 +4,9 @@ magnomechanical system.
 All frequencies, detunings, decay rates and couplings are stored as
 angular quantities in rad/s.  Config files may quote values in ordinary
 frequency (``Hz2pi``) or in units of ``kappa_1`` / ``omega_b``; see
-:mod:`magmech.config` for the accepted suffixes.
+:mod:`magmech.config` for the accepted suffixes.  :class:`PhysicalParams`
+is one point, :class:`ParamStack` N points as columns; both obey one set
+of rules.
 
 Physical constants are fixed to five significant figures so that all
 reference numbers in the test suite are reproducible bit-for-bit:
@@ -14,7 +16,10 @@ reference numbers in the test suite are reproducible bit-for-bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,27 +96,79 @@ class PhysicalParams:
     diffusion_convention: str = "as_printed"
 
     def __post_init__(self):
-        if self.omega_b <= 0:
-            raise ValueError("omega_b must be positive")
-        if self.kappa_1 <= 0 or self.kappa_m <= 0 or self.gamma_b <= 0:
-            raise ValueError("kappa_1, kappa_m and gamma_b must be positive")
-        if self.kappa_2 < 0 or self.gain_g < 0:
-            raise ValueError("kappa_2 and gain_g must be non-negative")
-        if self.temperature_T < 0:
-            raise ValueError("temperature_T must be non-negative")
-        if self.coupling_mode not in COUPLING_MODES:
-            raise ValueError(f"unknown coupling_mode {self.coupling_mode!r}")
-        if self.diffusion_convention not in DIFFUSION_CONVENTIONS:
-            raise ValueError(
-                f"unknown diffusion_convention {self.diffusion_convention!r}")
-        if self.coupling_mode == "direct_g" and self.G_mb < 0:
-            raise ValueError("G_mb must be non-negative in direct_g mode")
-        if self.coupling_mode == "microscopic" and self.g_mb < 0:
-            raise ValueError("g_mb must be non-negative in microscopic mode")
+        for failed, message in _checks(self):
+            if failed:
+                raise ValueError(message)
 
     def with_(self, **changes) -> "PhysicalParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+NUMERIC_FIELDS = tuple(f.name for f in fields(PhysicalParams)
+                       if f.type in (float, "float"))
+
+
+def _checks(p):
+    """(failed, message) of each validity rule in order: ``failed`` is a
+    bool for a :class:`PhysicalParams`, a mask for a :class:`ParamStack`."""
+    return (
+        (p.omega_b <= 0, "omega_b must be positive"),
+        ((p.kappa_1 <= 0) | (p.kappa_m <= 0) | (p.gamma_b <= 0),
+         "kappa_1, kappa_m and gamma_b must be positive"),
+        ((p.kappa_2 < 0) | (p.gain_g < 0),
+         "kappa_2 and gain_g must be non-negative"),
+        (p.temperature_T < 0, "temperature_T must be non-negative"),
+        (p.coupling_mode not in COUPLING_MODES,
+         f"unknown coupling_mode {p.coupling_mode!r}"),
+        (p.diffusion_convention not in DIFFUSION_CONVENTIONS,
+         f"unknown diffusion_convention {p.diffusion_convention!r}"),
+        ((p.coupling_mode == "direct_g") & (p.G_mb < 0),
+         "G_mb must be non-negative in direct_g mode"),
+        ((p.coupling_mode == "microscopic") & (p.g_mb < 0),
+         "g_mb must be non-negative in microscopic mode"),
+    )
+
+
+class ParamStack(SimpleNamespace):
+    """N parameter sets as columns: one (N,) float array per numeric
+    field of :class:`PhysicalParams`, the two modes shared by the stack.
+    Not validated on construction; :meth:`errors` names each point's
+    first broken rule."""
+
+    @classmethod
+    def broadcast(cls, base: PhysicalParams, n: int,
+                  **columns) -> "ParamStack":
+        """``n`` copies of ``base`` with the given fields replaced by
+        (N,) arrays or scalars."""
+        block = np.array([getattr(base, name) for name in NUMERIC_FIELDS],
+                         dtype=float)[:, None].repeat(n, axis=1)
+        values = dict(zip(NUMERIC_FIELDS, block))
+        for name, column in columns.items():
+            values[name][:] = column
+        return cls(**values, coupling_mode=base.coupling_mode,
+                   diffusion_convention=base.diffusion_convention)
+
+    def __len__(self) -> int:
+        return len(self.omega_b)
+
+    def take(self, index) -> "ParamStack":
+        """The points at ``index``, as a stack."""
+        return ParamStack(**{name: getattr(self, name)[index]
+                             for name in NUMERIC_FIELDS},
+                          coupling_mode=self.coupling_mode,
+                          diffusion_convention=self.diffusion_convention)
+
+    def errors(self) -> list:
+        """Per point, the message of its first broken rule, or None."""
+        n = len(self)
+        errors = [None] * n
+        # in reverse, so that each point keeps its first broken rule
+        for failed, message in reversed(_checks(self)):
+            if np.any(failed):
+                for k in np.flatnonzero(np.broadcast_to(failed, (n,))):
+                    errors[k] = message
+        return errors
 
 
 @dataclass(frozen=True)
@@ -152,8 +209,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def effective_kappa_2(params: PhysicalParams) -> float:
-    """Net cavity-2 damping, intrinsic loss minus gain (negative if active)."""
+def effective_kappa_2(params):
+    """Net cavity-2 damping, intrinsic loss minus gain (negative if
+    active); one value per point of a :class:`ParamStack`."""
     return params.kappa_2 - params.gain_g
 
 

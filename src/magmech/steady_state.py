@@ -8,8 +8,8 @@ In ``microscopic`` mode this scalar fixed point is iterated (damped
 Picard); in ``direct_g`` mode the effective coupling and detuning are
 taken from the parameter set and no iteration is needed.
 
-:func:`solve_steady_states` solves a stack of parameter sets with one
-Picard loop over (N,) arrays.  Each slice leaves the loop at the
+:func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
+with one Picard loop over (N,) arrays.  Each slice leaves the loop at the
 iteration where its own detuning shift meets the tolerance, so its
 result does not depend on the stack it is solved in;
 :func:`solve_steady_state` is the one-point call.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import PhysicalParams, effective_kappa_2
+from .params import ParamStack, PhysicalParams, effective_kappa_2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,34 +53,9 @@ class SteadyState:
     errors: tuple = ()
 
 
-class _Rates(NamedTuple):
-    """Per-slice rates of a stack of parameter sets.
-
-    ``k2t`` is the net cavity-2 damping kappa_2 - g and ``g`` the
-    displacement feedback: g_mb in ``microscopic`` mode, 0 in
-    ``direct_g`` mode.
-    """
-
-    D1: np.ndarray
-    D2: np.ndarray
-    Dm: np.ndarray
-    k1: np.ndarray
-    k2t: np.ndarray
-    km: np.ndarray
-    g_ma: np.ndarray
-    J: np.ndarray
-    g: np.ndarray
-    wb: np.ndarray
-    gb: np.ndarray
-
-
-def _rates(params_seq) -> _Rates:
-    return _Rates(*np.array(
-        [(p.Delta_1, p.Delta_2, p.Delta_m, p.kappa_1, effective_kappa_2(p),
-          p.kappa_m, p.g_ma, p.J,
-          p.g_mb if p.coupling_mode == "microscopic" else 0.0,
-          p.omega_b, p.gamma_b) for p in params_seq],
-        dtype=float).reshape(-1, 11).T)
+def _feedback(s: ParamStack) -> np.ndarray:
+    """Displacement feedback g: g_mb in microscopic mode, else 0."""
+    return s.g_mb if s.coupling_mode == "microscopic" else np.zeros(len(s))
 
 
 class _Response(NamedTuple):
@@ -95,22 +70,22 @@ class _Response(NamedTuple):
     G: np.ndarray
 
 
-def _response(r: _Rates) -> _Response:
-    f1 = 1j * r.D1 + r.k1
-    f2 = 1j * r.D2 + r.k2t
-    return _Response(f1, f2, r.J * r.J + f1 * f2, r.g_ma ** 2 * f2)
+def _response(s: ParamStack) -> _Response:
+    f1 = 1j * s.Delta_1 + s.kappa_1
+    f2 = 1j * s.Delta_2 + effective_kappa_2(s)
+    return _Response(f1, f2, s.J * s.J + f1 * f2, s.g_ma ** 2 * f2)
 
 
-def _equations(r: _Rates, f: _Response, m, a1, a2, q, p, epsilon_d):
+def _equations(s: ParamStack, g, f: _Response, m, a1, a2, q, p, epsilon_d):
     """The five equations of motion with all time derivatives set to
-    zero; the magnon-phonon nonlinearity only acts in ``microscopic``
+    zero; the magnon-phonon nonlinearity g only acts in ``microscopic``
     mode."""
-    return (-f.f1 * a1 - 1j * r.g_ma * m - 1j * r.J * a2,
-            -f.f2 * a2 - 1j * r.J * a1,
-            -(1j * r.Dm + r.km) * m - 1j * r.g_ma * a1 - 1j * r.g * m * q
-            + epsilon_d,
-            r.wb * p,
-            -r.wb * q - r.gb * p - r.g * np.abs(m) ** 2)
+    return (-f.f1 * a1 - 1j * s.g_ma * m - 1j * s.J * a2,
+            -f.f2 * a2 - 1j * s.J * a1,
+            -(1j * s.Delta_m + s.kappa_m) * m - 1j * s.g_ma * a1
+            - 1j * g * m * q + epsilon_d,
+            s.omega_b * p,
+            -s.omega_b * q - s.gamma_b * p - g * np.abs(m) ** 2)
 
 
 def _relative_max_norm(equations, epsilon_d) -> np.ndarray:
@@ -118,25 +93,6 @@ def _relative_max_norm(equations, epsilon_d) -> np.ndarray:
     for e in equations[1:]:
         worst = np.maximum(worst, np.abs(e))
     return worst / max(abs(epsilon_d), 1e-300)
-
-
-def mean_field_residual(params, state: SteadyState,
-                        epsilon_d: float):
-    """Max-norm of the steady-state equations, relative to epsilon_d.
-
-    Substitutes the amplitudes into the five equations of motion with
-    all time derivatives set to zero.  ``params`` is one parameter set
-    with a scalar ``state`` (returns a float), or a sequence of them
-    with a stacked ``state`` (returns an (N,) array).
-    """
-    single = isinstance(params, PhysicalParams)
-    fields = (np.atleast_1d(x) for x in (state.m_avg, state.a1_avg,
-                                         state.a2_avg, state.q_avg,
-                                         state.p_avg))
-    r = _rates([params] if single else params)
-    res = _relative_max_norm(_equations(r, _response(r), *fields, epsilon_d),
-                             epsilon_d)
-    return float(res[0]) if single else res
 
 
 def _arithmetic_error(denom: complex, m: complex, *moduli):
@@ -155,7 +111,7 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
     return None
 
 
-def _iterate(r: _Rates, drive, errors, q_seed, *, tol_rel, max_iter,
+def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
              damping):
     """Damped Picard iteration of a stack; returns each slice's q,
     iteration count and converged flag, and records errors in
@@ -169,17 +125,17 @@ def _iterate(r: _Rates, drive, errors, q_seed, *, tol_rel, max_iter,
     arithmetic would take it, unless that step divided by zero or
     overflowed a finite amplitude: then it records the error.
     """
-    n = len(r.Dm)
+    n = len(s)
     q = np.zeros(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.array([e is None for e in errors], dtype=bool)
-    idx = np.flatnonzero((r.g != 0.0) & converged)
+    idx = np.flatnonzero((g != 0.0) & converged)
     if not idx.size:
         return q, iterations, converged
     q[idx] = np.broadcast_to(q_seed, (n,))[idx]
     converged[idx] = False
 
-    Dm, km, g, wb = (x[idx] for x in (r.Dm, r.km, r.g, r.wb))
+    Dm, km, g, wb = (x[idx] for x in (s.Delta_m, s.kappa_m, g, s.omega_b))
     if drive is not None:
         C, G, E = (x[idx] for x in drive)
     tol = tol_rel * wb
@@ -241,11 +197,11 @@ def _iterate(r: _Rates, drive, errors, q_seed, *, tol_rel, max_iter,
     return q, iterations, converged
 
 
-def solve_steady_states(params_seq, epsilon_d: float, *,
+def solve_steady_states(params: ParamStack, epsilon_d: float, *,
                         tol_rel: float = 1e-12, max_iter: int = 1000,
                         damping: float = 0.5,
                         q_seed=0.0) -> SteadyState:
-    """Solve the mean-field equations for a stack of parameter sets.
+    """Solve the mean-field equations for a parameter stack.
 
     Returns one :class:`SteadyState` of (N,) arrays.  In ``direct_g``
     mode (or with g_mb = 0) the effective detuning equals ``Delta_m``
@@ -264,8 +220,8 @@ def solve_steady_states(params_seq, epsilon_d: float, *,
     """
     if epsilon_d < 0:
         raise ValueError("epsilon_d must be non-negative")
-    r = _rates(params_seq)
-    n = len(r.Dm)
+    s, g = params, _feedback(params)
+    n = len(s)
     errors: list = [None] * n
     p = np.zeros(n)
     options = dict(tol_rel=tol_rel, max_iter=max_iter, damping=damping)
@@ -273,31 +229,31 @@ def solve_steady_states(params_seq, epsilon_d: float, *,
     if epsilon_d == 0.0:
         # undriven: the amplitudes vanish, so the mechanical equation
         # -omega_b*q is the only one that can be out of balance
-        q, iterations, converged = _iterate(r, None, errors, q_seed,
+        q, iterations, converged = _iterate(s, g, None, errors, q_seed,
                                             **options)
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
-        return SteadyState(m, a1, a2, q, p, r.Dm + r.g * q, iterations,
-                           _relative_max_norm((r.wb * q,), epsilon_d),
+        return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q, iterations,
+                           _relative_max_norm((s.omega_b * q,), epsilon_d),
                            converged, tuple(errors))
 
     # NumPy warns where Python's complex arithmetic raises; the errors
     # that matter are named per slice
     with np.errstate(all="ignore"):
-        f = _response(r)
+        f = _response(s)
         E = epsilon_d * f.C
         # J^2 + f1*f2 divides in the closed form
         for k in np.flatnonzero(f.C == 0):
             errors[k] = ZeroDivisionError("complex division by zero")
-        q, iterations, converged = _iterate(r, (f.C, f.G, E), errors,
+        q, iterations, converged = _iterate(s, g, (f.C, f.G, E), errors,
                                             q_seed, **options)
-        delta_eff = r.Dm + r.g * q
-        denom = (1j * delta_eff + r.km) * f.C + f.G
+        delta_eff = s.Delta_m + g * q
+        denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
         m = E / denom
-        a1 = -1j * r.g_ma * f.f2 * m / f.C
+        a1 = -1j * s.g_ma * f.f2 * m / f.C
         # -i J a1 / f2 with the f2 cancellation done symbolically, so a
         # resonant undamped cavity 2 (f2 = 0) stays finite
-        a2 = -r.J * r.g_ma * m / f.C
-        equations = _equations(r, f, m, a1, a2, q, p, epsilon_d)
+        a2 = -s.J * s.g_ma * m / f.C
+        equations = _equations(s, g, f, m, a1, a2, q, p, epsilon_d)
         residual = _relative_max_norm(equations, epsilon_d)
     for k in np.flatnonzero(~np.isfinite(residual)):
         if errors[k] is None:
@@ -328,9 +284,9 @@ def solve_steady_state(params: PhysicalParams, epsilon_d: float, *,
     Raises the slice's ``ArithmeticError`` (ZeroDivisionError or
     OverflowError) if the solve ran into one.
     """
-    state = solve_steady_states([params], epsilon_d, tol_rel=tol_rel,
-                                max_iter=max_iter, damping=damping,
-                                q_seed=q_seed)
+    state = solve_steady_states(ParamStack.broadcast(params, 1), epsilon_d,
+                                tol_rel=tol_rel, max_iter=max_iter,
+                                damping=damping, q_seed=q_seed)
     if state.errors[0] is not None:
         raise state.errors[0]
     return _point(state, 0)
@@ -357,9 +313,9 @@ def find_self_consistent_roots(params: PhysicalParams, epsilon_d: float, *,
     span = 8.0 * max(abs(first.q_avg), 1.0)
     seeds = [-span + 2.0 * span * k / max(n_seeds - 1, 1)
              for k in range(n_seeds)]
-    cands = solve_steady_states([params] * n_seeds, epsilon_d,
-                                tol_rel=tol_rel, max_iter=max_iter,
-                                q_seed=np.array(seeds))
+    cands = solve_steady_states(ParamStack.broadcast(params, n_seeds),
+                                epsilon_d, tol_rel=tol_rel,
+                                max_iter=max_iter, q_seed=np.array(seeds))
     roots = [first] if first.converged else []
     for k in range(n_seeds):
         if cands.errors[k] is not None:

@@ -2,39 +2,44 @@
 critical temperature search and the named figure presets.
 
 Every grid point is an independent pure computation (steady state ->
-drift/diffusion -> stability -> Lyapunov -> measures).  Points are
-evaluated in chunks of stacked arrays, one point being a chunk of one,
-and chunks may be evaluated in parallel; records are always emitted in
-row-major axis order regardless of execution order and unstable points
-carry explicit nulls, never zeros.
+drift/diffusion -> stability -> Lyapunov -> measures).  A chunk of
+points goes in as a :class:`~magmech.params.ParamStack` and comes out as
+a :class:`SweepTable` of columns, one point being a chunk of one; chunks
+may run in parallel.  Tables keep row-major axis order, and unstable
+points carry explicit nulls, never zeros.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from io import StringIO
 
 import numpy as np
 
 from . import dynamics, lyapunov, measures
-from .params import PhysicalParams, reference_baseline
+from .params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
+                     reference_baseline)
 from .steady_state import effective_coupling, solve_steady_states
 
 E_COLUMNS = tuple("E_%s%s" % p for p in measures.PAIRS)
 ST_COLUMNS = tuple(col for a, b in measures.PAIRS
                    for col in (f"st_{a}_to_{b}", f"st_{b}_to_{a}"))
 MEASURE_COLUMNS = E_COLUMNS + ST_COLUMNS
+DIAGNOSTIC_COLUMNS = ("margin", "physicality", "residual", "lyap_residual")
 AMPLITUDE_COLUMNS = ("abs_a1", "abs_a2", "abs_m", "q_avg")
 
-_PARAM_FIELDS = {f.name for f in fields(PhysicalParams)}
-_NUMERIC_PARAM_FIELDS = {f.name for f in fields(PhysicalParams)
-                         if f.type is float or f.type == "float"}
-AXIS_NAMES = _NUMERIC_PARAM_FIELDS | {"eta"}
+# the mode pair of each measure column, first-listed mode first
+_PAIR_OF = {col: pair for pair in measures.PAIRS
+            for col in ("E_%s%s" % pair, "st_%s_to_%s" % pair,
+                        "st_%s_to_%s" % pair[::-1])}
+
+AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 
 # Grid points per stacked evaluation.  Larger chunks amortize a little
 # more Python overhead per point but raise peak memory.
@@ -97,9 +102,9 @@ class SweepSpec:
         if self.drift_mode not in dynamics.DRIFT_MODES:
             raise ValueError(f"unknown drift mode {self.drift_mode!r}")
         for target, source, _ in self.links:
-            if target not in _NUMERIC_PARAM_FIELDS:
+            if target not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link target {target!r}")
-            if source not in _NUMERIC_PARAM_FIELDS:
+            if source not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link source {source!r}")
         normalize_quantities(self.quantities)
 
@@ -109,7 +114,7 @@ class SweepSpec:
 
 @dataclass
 class SweepRecord:
-    """Result of one pipeline evaluation.
+    """One point of a sweep: a row of a :class:`SweepTable`.
 
     ``measures`` maps each requested measure column to a float, or to
     None when the point is unstable or the measure failed; diagnostics
@@ -127,6 +132,77 @@ class SweepRecord:
     lyap_residual: float | None = None
     amplitudes: tuple[float, float, float, float] | None = None
     warnings: tuple[str, ...] = ()
+
+
+@dataclass(eq=False)
+class SweepTable(Sequence):
+    """The records of a run of points as columns, in row-major order;
+    indexing yields :class:`SweepRecord` rows, built on access.
+
+    ``values`` maps each of ``DIAGNOSTIC_COLUMNS``, each requested
+    measure and any requested ``AMPLITUDE_COLUMNS`` to an (N,) float
+    array, ``null`` to (N,) masks of null entries: a null is not a NaN
+    (an overflowed drive has a NaN residual).  ``matrices``, on request,
+    holds the drift-stage points and their drift and diffusion stacks.
+    """
+
+    axis_values: np.ndarray
+    stable: np.ndarray
+    values: dict[str, np.ndarray]
+    null: dict[str, np.ndarray]
+    warnings: list[list[str]]
+    columns: tuple[str, ...]
+    matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.stable)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        cell = {c: None if self.null[c][k] else float(v[k])
+                for c, v in self.values.items()}.get
+        # the amplitudes share one null mask
+        amplitudes = tuple(map(cell, AMPLITUDE_COLUMNS))
+        return SweepRecord(tuple(self.axis_values[k].tolist()),
+                           bool(self.stable[k]),
+                           {c: cell(c) for c in self.columns},
+                           *map(cell, DIAGNOSTIC_COLUMNS),
+                           None if amplitudes[0] is None else amplitudes,
+                           tuple(self.warnings[k]))
+
+    @classmethod
+    def concat(cls, parts) -> "SweepTable":
+        """The tables ``parts``, one after the other."""
+        def joined(get):
+            return np.concatenate([get(p) for p in parts])
+
+        names = parts[0].values
+        return cls(joined(lambda p: p.axis_values),
+                   joined(lambda p: p.stable),
+                   {c: joined(lambda p: p.values[c]) for c in names},
+                   {c: joined(lambda p: p.null[c]) for c in names},
+                   [w for p in parts for w in p.warnings], parts[0].columns)
+
+    @classmethod
+    def of(cls, rows, spec: "SweepSpec") -> "SweepTable":
+        """``rows`` as a table: a table as it is, a sequence of
+        :class:`SweepRecord` rows of ``spec`` stacked."""
+        if isinstance(rows, SweepTable):
+            return rows
+        columns, with_amplitudes = normalize_quantities(spec.quantities)
+        cells = {c: [getattr(r, c) for r in rows] for c in DIAGNOSTIC_COLUMNS}
+        cells.update({c: [r.measures.get(c) for r in rows] for c in columns})
+        for i, c in enumerate(AMPLITUDE_COLUMNS if with_amplitudes else ()):
+            cells[c] = [r.amplitudes and r.amplitudes[i] for r in rows]
+        return cls(np.array([r.axis_values for r in rows],
+                            dtype=float).reshape(len(rows), len(spec.axes)),
+                   np.array([r.stable for r in rows], dtype=bool),
+                   {c: np.array([np.nan if e is None else e for e in v])
+                    for c, v in cells.items()},
+                   {c: np.array([e is None for e in v], dtype=bool)
+                    for c, v in cells.items()},
+                   [list(r.warnings) for r in rows], columns)
 
 
 def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
@@ -147,253 +223,208 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
         elif q == "margin":
             pass  # the stability margin is always reported
         elif q in MEASURE_COLUMNS:
-            requested.add(q)
-            if q.startswith("st_"):
-                a, b = q[3:].split("_to_")
-                pair = next(p for p in measures.PAIRS if set(p) == {a, b})
-                requested.add("E_%s%s" % pair)
+            requested.update((q, "E_%s%s" % _PAIR_OF[q]))
         else:
             raise ValueError(f"unknown quantity {q!r}")
     cols = tuple(c for c in MEASURE_COLUMNS if c in requested)
     return cols, with_amplitudes
 
 
-def _blank_record(axis_values, columns, warnings, margin=None,
-                  residual=None, amplitudes=None) -> SweepRecord:
-    return SweepRecord(axis_values=tuple(axis_values), stable=False,
-                       measures={c: None for c in columns}, margin=margin,
-                       residual=residual, amplitudes=amplitudes,
-                       warnings=tuple(warnings))
-
-
-def _columns_by_pair(columns) -> dict[tuple[str, str], list[str]]:
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    for col in columns:
-        if col.startswith("E_"):
-            pair = next(p for p in measures.PAIRS if "E_%s%s" % p == col)
-        else:
-            a, b = col[3:].split("_to_")
-            pair = next(p for p in measures.PAIRS if set(p) == {a, b})
-        by_pair.setdefault(pair, []).append(col)
-    return by_pair
-
-
-def _evaluate_chunk(params_seq, axis_values, quantities, drift_mode: str,
-                    epsilon_d: float) -> list[SweepRecord]:
-    """Run the pipeline for a chunk of points as stacked (N, 8, 8) arrays.
+def _evaluate_chunk(params: ParamStack, axis_values, quantities,
+                    drift_mode: str, epsilon_d: float,
+                    matrices: bool = False) -> SweepTable:
+    """Run the pipeline for a chunk of points as stacked (N, 8, 8) arrays
+    and return its table; ``axis_values`` is (N, n_axes).
 
     Steady state, drift, diffusion, stability, Lyapunov solve and pair
-    measures each run once on the chunk's stack.  Every stacked
-    operation acts slice by slice, so a point's record does not depend
-    on the chunk it falls in.
+    measures each run once on the chunk's stack and fill their columns.
+    Every stacked operation acts slice by slice, so a point's record
+    does not depend on the chunk it falls in.
     """
     columns, with_amplitudes = normalize_quantities(quantities)
-    records: list[SweepRecord | None] = [None] * len(params_seq)
-    warnings: list[list[str]] = [[] for _ in params_seq]
-    # k indexes the chunk, j the points with a steady state (``live``),
-    # i the rows of each later stack
+    n = len(params)
+    names = DIAGNOSTIC_COLUMNS + columns + (AMPLITUDE_COLUMNS
+                                            if with_amplitudes else ())
+    table = SweepTable(np.asarray(axis_values, dtype=float),
+                       np.zeros(n, dtype=bool),
+                       {c: np.full(n, np.nan) for c in names},
+                       {c: np.ones(n, dtype=bool) for c in names},
+                       [[] for _ in range(n)], columns)
+    warnings = table.warnings
 
-    state = solve_steady_states(params_seq, epsilon_d)
-    residual = state.residual.tolist()
-    live = []
-    for k, (error, converged) in enumerate(zip(state.errors,
-                                               state.converged.tolist())):
-        if error is not None:
-            warnings[k].append(f"steady state singular: {error}")
-            records[k] = _blank_record(axis_values[k], columns, warnings[k])
-        elif not converged:
-            warnings[k].append("steady state did not converge "
-                               f"(residual {residual[k]:.3e})")
-            records[k] = _blank_record(axis_values[k], columns, warnings[k],
-                                       residual=residual[k])
-        else:
-            # an overflowed drive in direct_g mode: the amplitudes do not
-            # enter the fluctuations, so the measures stand
-            if not math.isfinite(residual[k]):
-                warnings[k].append("steady state residual not finite "
-                                   f"(residual {residual[k]:.3e})")
-            live.append(k)
-    if not live:
-        return records
+    def put(name, points, values):
+        table.values[name][points] = values
+        table.null[name][points] = False
 
-    live_params = [params_seq[k] for k in live]
+    # k indexes the chunk and j the steady state's slices (the valid
+    # points); the drift-stage arrays follow ``live`` (``good`` in j)
+    invalid = params.errors()
+    valid = np.flatnonzero([e is None for e in invalid])
+    for k in np.flatnonzero([e is not None for e in invalid]).tolist():
+        warnings[k].append(f"invalid parameters at this point: {invalid[k]}")
+    state = solve_steady_states(
+        params if valid.size == n else params.take(valid), epsilon_d)
+    solved = np.array([e is None for e in state.errors], dtype=bool)
+    for j in np.flatnonzero(~solved):
+        warnings[valid[j]].append(f"steady state singular: {state.errors[j]}")
+    residual = state.residual
+    put("residual", valid[solved], residual[solved])
+    for j in np.flatnonzero(solved & ~state.converged):
+        warnings[valid[j]].append("steady state did not converge "
+                                  f"(residual {residual[j]:.3e})")
+    good = np.flatnonzero(solved & state.converged)
+    # an overflowed drive in direct_g mode: the amplitudes do not enter
+    # the fluctuations, so the measures stand
+    for j in good[~np.isfinite(residual[good])]:
+        warnings[valid[j]].append("steady state residual not finite "
+                                  f"(residual {residual[j]:.3e})")
+    live = valid[good]  # the points that reach the drift stage
+    if not live.size:
+        return table
+
+    sub = params if live.size == n else params.take(live)
     # the effective coupling: prescribed in direct_g mode,
     # |i*sqrt(2)*g_mb*<m>| in microscopic mode
-    g_eff = np.array([p.G_mb for p in live_params])
-    micro = [j for j, p in enumerate(live_params)
-             if p.coupling_mode == "microscopic"]
-    if micro:
-        g_mb = np.array([live_params[j].g_mb for j in micro])
-        g_eff[micro] = np.abs(effective_coupling(
-            g_mb, state.m_avg[live][micro]))
-    A = dynamics.drift_matrices(live_params, state.delta_eff[live], g_eff,
+    if params.coupling_mode == "microscopic":
+        g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[good]))
+    else:
+        g_eff = sub.G_mb
+    A = dynamics.drift_matrices(sub, state.delta_eff[good], g_eff,
                                 mode=drift_mode)
-    D, d_warnings = dynamics.diffusion_matrices(live_params)
-    report = dynamics.stability(A, [p.kappa_1 for p in live_params])
+    D, d_warnings = dynamics.diffusion_matrices(sub)
+    if matrices:
+        table.matrices = (live, A, D)
+    report = dynamics.stability(A, sub.kappa_1)
+    for k, w in zip(live.tolist(), d_warnings):
+        warnings[k].extend(w)
+    for k in live[report.indeterminate]:
+        warnings[k].append("stability indeterminate: eigensolver failed")
+    decided = ~report.indeterminate
+    put("margin", live[decided], report.margin[decided])
 
-    stable = []
-    for j, k in enumerate(live):
-        warnings[k].extend(d_warnings[j])
-        if report.indeterminate[j]:
-            warnings[k].append("stability indeterminate: eigensolver failed")
-            records[k] = _blank_record(axis_values[k], columns, warnings[k],
-                                       residual=residual[k])
-        elif not report.stable[j]:
-            records[k] = _blank_record(
-                axis_values[k], columns, warnings[k],
-                margin=float(report.margin[j]), residual=residual[k],
-                amplitudes=_amplitudes(state, k) if with_amplitudes else None)
-        else:
-            stable.append(j)
-    if not stable:
-        return records
-
+    stable = np.flatnonzero(report.stable)
     V = lyapunov.solve_lyapunov(A[stable], D[stable],
                                 eig=(report.eigenvalues[stable],
                                      report.eigenvectors[stable]))
     finite = np.isfinite(V).all(axis=(1, 2))
-    rows = []
-    for i, j in enumerate(stable):
-        if finite[i]:
-            rows.append(j)
-            continue
-        k = live[j]
+    for k in live[stable[~finite]]:
         warnings[k].append("singular Lyapunov system: no finite solution")
-        records[k] = _blank_record(axis_values[k], columns, warnings[k],
-                                   margin=float(report.margin[j]),
-                                   residual=residual[k])
-    if not rows:
-        return records
+    rows = stable[finite]
+    points = live[rows]
+    table.stable[points] = True
+    if with_amplitudes:
+        shown = decided & ~report.stable
+        shown[rows] = True
+        k, j = live[shown], good[shown]
+        for name, z in zip(AMPLITUDE_COLUMNS,
+                           (state.a1_avg, state.a2_avg, state.m_avg)):
+            put(name, k, [abs(v) for v in z[j].tolist()])
+        put("q_avg", k, state.q_avg[j])
+    if not rows.size:
+        return table
 
     V = V[finite]
-    lyap_residual = lyapunov.lyapunov_residual(A[rows], V, D[rows])
-    physicality = lyapunov.physicality_min_eig(V)
-    values = [{} for _ in rows]
-    for pair, cols in _columns_by_pair(columns).items():
+    put("lyap_residual", points,
+        lyapunov.lyapunov_residual(A[rows], V, D[rows]))
+    put("physicality", points, lyapunov.physicality_min_eig(V))
+    by_pair: dict[tuple[str, str], list[str]] = {}
+    for col in columns:
+        by_pair.setdefault(_PAIR_OF[col], []).append(col)
+    for pair, cols in by_pair.items():
         cms = measures.reduce_pair(V, pair)
         # entanglement first: its symplectic screen decides whether the
         # reduced state is physical enough to report at all
         e_values, e_errors = measures.log_negativity(cms)
-        steer = {}
+        physical = np.array([e is None for e in e_errors], dtype=bool)
+        for i in np.flatnonzero(~physical):
+            warnings[points[i]].append(f"pair {pair[0]}-{pair[1]}: "
+                                       f"{e_errors[i]}")
         for col in cols:
-            if col.startswith("st_"):
-                a, b = col[3:].split("_to_")
-                direction = "forward" if (a, b) == pair else "backward"
-                steer[col] = measures.steering(cms, direction)
-        for i, j in enumerate(rows):
-            k = live[j]
-            if e_errors[i] is not None:
-                warnings[k].append(f"pair {pair[0]}-{pair[1]}: "
-                                   f"{e_errors[i]}")
-                values[i].update(dict.fromkeys(cols))
+            if col.startswith("E_"):
+                put(col, points[physical], e_values[physical])
                 continue
-            for col in cols:
-                if col.startswith("E_"):
-                    values[i][col] = float(e_values[i])
-                    continue
-                st_values, st_errors = steer[col]
-                if st_errors[i] is None:
-                    values[i][col] = float(st_values[i])
-                else:
-                    values[i][col] = None
-                    warnings[k].append(f"{col}: {st_errors[i]}")
-
-    for i, j in enumerate(rows):
-        k = live[j]
-        records[k] = SweepRecord(
-            axis_values=tuple(axis_values[k]),
-            stable=True,
-            measures=values[i],
-            margin=float(report.margin[j]),
-            physicality=float(physicality[i]),
-            residual=residual[k],
-            lyap_residual=float(lyap_residual[i]),
-            amplitudes=_amplitudes(state, k) if with_amplitudes else None,
-            warnings=tuple(warnings[k]),
-        )
-    return records
-
-
-def _amplitudes(state, k: int) -> tuple[float, float, float, float]:
-    return (abs(complex(state.a1_avg[k])), abs(complex(state.a2_avg[k])),
-            abs(complex(state.m_avg[k])), float(state.q_avg[k]))
+            st_values, st_errors = measures.steering(
+                cms, "forward" if col == "st_%s_to_%s" % pair else "backward")
+            shown = physical & np.array([e is None for e in st_errors],
+                                        dtype=bool)
+            put(col, points[shown], st_values[shown])
+            for i in np.flatnonzero(physical & ~shown):
+                warnings[points[i]].append(f"{col}: {st_errors[i]}")
+    return table
 
 
 def evaluate_point(params: PhysicalParams, *,
                    quantities=("all",), drift_mode: str = "derived",
                    epsilon_d: float = 0.0,
-                   axis_values: tuple[float, ...] = ()) -> SweepRecord:
+                   axis_values: tuple[float, ...] = (),
+                   matrices: bool = False):
     """Run the full pipeline for one parameter point: the one-point
     chunk of the kernel that sweeps run.
 
     Solver failures are folded into the record (nulled measures plus a
     warning string); this function does not raise for per-point physics
-    problems, so sweeps always complete.
+    problems, so sweeps always complete.  With ``matrices`` it returns
+    ``(record, (A, D))``, or ``(record, None)`` without a steady state.
     """
-    return _evaluate_chunk([params], [axis_values], quantities, drift_mode,
-                           epsilon_d)[0]
+    table = _evaluate_chunk(ParamStack.broadcast(params, 1), [axis_values],
+                            quantities, drift_mode, epsilon_d, matrices)
+    dump = table.matrices and (table.matrices[1][0], table.matrices[2][0])
+    return (table[0], dump) if matrices else table[0]
+
+
+def stack_params(spec: SweepSpec, values: np.ndarray) -> ParamStack:
+    """Parameter stack of the grid points ``values`` (N, n_axes): the
+    axis values, then the links in order, applied to the base."""
+    base = spec.base
+    changes = {}
+    for axis, column in zip(spec.axes, values.T):
+        if axis.name == "eta":
+            changes["gain_g"] = base.kappa_2 - column * base.kappa_1
+        else:
+            changes[axis.name] = column
+    for target, source, factor in spec.links:
+        changes[target] = factor * changes.get(source, getattr(base, source))
+    return ParamStack.broadcast(base, len(values), **changes)
 
 
 def build_point_params(spec: SweepSpec,
                        values: tuple[float, ...]) -> PhysicalParams:
-    """Apply axis values, then links in order, to the base parameter set."""
-    changes: dict[str, float] = {}
-    for axis, value in zip(spec.axes, values):
-        if axis.name == "eta":
-            changes["gain_g"] = spec.base.kappa_2 - value * spec.base.kappa_1
-        else:
-            changes[axis.name] = float(value)
-    for target, source, factor in spec.links:
-        source_value = changes.get(source, getattr(spec.base, source))
-        changes[target] = factor * source_value
-    return replace(spec.base, **changes)
+    """Apply axis values, then links in order, to the base parameter set;
+    raises ValueError for an invalid point."""
+    stack = stack_params(spec, np.array([values], dtype=float))
+    return replace(spec.base, **{name: float(getattr(stack, name)[0])
+                                 for name in NUMERIC_FIELDS})
 
 
 def grid_values(spec: SweepSpec):
     """Row-major list of axis value tuples."""
-    axes = [ax.values() for ax in spec.axes]
-    if len(axes) == 1:
-        return [(float(v),) for v in axes[0]]
-    return [(float(u), float(v)) for u in axes[0] for v in axes[1]]
+    return list(itertools.product(*(ax.values().tolist() for ax in spec.axes)))
 
 
-def _evaluate_points(spec: SweepSpec, points) -> list[SweepRecord]:
-    """Records of a run of grid points, evaluated as one chunk."""
-    records: list[SweepRecord | None] = [None] * len(points)
-    columns, _ = normalize_quantities(spec.quantities)
-    valid, valid_params = [], []
-    for k, values in enumerate(points):
-        try:
-            valid_params.append(build_point_params(spec, values))
-            valid.append(k)
-        except ValueError as exc:
-            records[k] = _blank_record(
-                values, columns, [f"invalid parameters at this point: {exc}"])
-    chunk = _evaluate_chunk(valid_params, [points[k] for k in valid],
-                            spec.quantities, spec.drift_mode, spec.epsilon_d)
-    for k, rec in zip(valid, chunk):
-        records[k] = rec
-    return records
+def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
+    """Table of a run of grid points, evaluated as one chunk."""
+    return _evaluate_chunk(stack_params(spec, values), values,
+                           spec.quantities, spec.drift_mode, spec.epsilon_d)
 
 
-def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> list[SweepRecord]:
-    """Evaluate the grid; records in deterministic row-major order.
+def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
+    """Evaluate the grid; a table in deterministic row-major order.
 
     The grid is cut into chunks of ``CHUNK_POINTS`` points, each run as
     one stacked evaluation.  With ``jobs > 1`` whole chunks are farmed
     out to worker processes; the result is identical to a serial run
     because every point is a pure function of its parameters.
     """
-    points = grid_values(spec)
-    chunks = [points[i:i + CHUNK_POINTS]
-              for i in range(0, len(points), CHUNK_POINTS)]
+    values = np.array(grid_values(spec), dtype=float)
+    chunks = [values[i:i + CHUNK_POINTS]
+              for i in range(0, len(values), CHUNK_POINTS)]
     task = partial(_evaluate_points, spec)
     if jobs <= 1:
-        parts = map(task, chunks)
+        parts = list(map(task, chunks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(task, chunks))
-    return [rec for part in parts for rec in part]
+    return SweepTable.concat(parts)
 
 
 def find_critical_temperature(params: PhysicalParams,
@@ -417,14 +448,20 @@ def find_critical_temperature(params: PhysicalParams,
     """
     column = "E_%s%s" % pair
 
-    def entanglement(rec: SweepRecord) -> float:
-        value = rec.measures.get(column)
-        return value if (rec.stable and value is not None) else 0.0
+    def entanglement(temperatures) -> list[float]:
+        """The pair's E_N at each temperature, 0 where unstable or null."""
+        n = len(temperatures)
+        stack = ParamStack.broadcast(params, n, temperature_T=temperatures)
+        invalid = next((e for e in stack.errors() if e is not None), None)
+        if invalid is not None:
+            raise ValueError(invalid)
+        table = _evaluate_chunk(stack, np.empty((n, 0)), (column,),
+                                drift_mode, epsilon_d)
+        shown = table.stable & ~table.null[column]
+        return np.where(shown, table.values[column], 0.0).tolist()
 
     ts = np.linspace(0.0, t_max, coarse_points)
-    coarse = _evaluate_chunk([params.with_(temperature_T=t) for t in ts],
-                             [()] * len(ts), (column,), drift_mode, epsilon_d)
-    es = [entanglement(rec) for rec in coarse]
+    es = entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
@@ -453,14 +490,11 @@ def find_critical_temperature(params: PhysicalParams,
                 break
             grid = [t for a, b in zip(grid, grid[1:])
                     for t in (a, 0.5 * (a + b))] + [hi]
-        mids = grid[1:-1]
-        found = _evaluate_chunk(
-            [params.with_(temperature_T=t) for t in mids], [()] * len(mids),
-            (column,), drift_mode, epsilon_d)
+        found = entanglement(grid[1:-1])
         i, j = 0, len(grid) - 1
         while j - i > 1 and hi - lo > tol_t:
             k = (i + j) // 2
-            if entanglement(found[k - 1]) > tol_e:
+            if found[k - 1] > tol_e:
                 i, lo = k, grid[k]
             else:
                 j, hi = k, grid[k]
@@ -545,39 +579,35 @@ def figure_preset(name: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # output writers
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.17g" % value
-
-
-def csv_columns(spec: SweepSpec) -> list[str]:
-    _, with_amplitudes = normalize_quantities(spec.quantities)
-    cols = list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
-    cols += ["margin", "physicality", "residual", "lyap_residual"]
-    if with_amplitudes:
-        cols += list(AMPLITUDE_COLUMNS)
-    cols.append("warnings")
-    return cols
-
-
 def write_csv(records, spec: SweepSpec, stream) -> None:
     """Lossless CSV: every column named, 17 significant digits, nulls
-    as empty fields."""
-    writer = csv.writer(stream, lineterminator="\n")
+    as empty fields.
+
+    Formats by column: each distinct axis value once, and a measure
+    column that was not requested as one shared empty field."""
+    table = SweepTable.of(records, spec)
     _, with_amplitudes = normalize_quantities(spec.quantities)
-    writer.writerow(csv_columns(spec))
-    for rec in records:
-        row = [_fmt(v) for v in rec.axis_values]
-        row.append("true" if rec.stable else "false")
-        row += [_fmt(rec.measures.get(c)) for c in MEASURE_COLUMNS]
-        row += [_fmt(rec.margin), _fmt(rec.physicality),
-                _fmt(rec.residual), _fmt(rec.lyap_residual)]
-        if with_amplitudes:
-            amps = rec.amplitudes or (None,) * 4
-            row += [_fmt(a) for a in amps]
-        row.append(";".join(rec.warnings))
-        writer.writerow(row)
+    header = (list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
+              + list(DIAGNOSTIC_COLUMNS)
+              + list(AMPLITUDE_COLUMNS if with_amplitudes else ())
+              + ["warnings"])
+    fields = []
+    for axis in table.axis_values.T:
+        # by bits, so that -0.0 keeps its sign
+        distinct, index = np.unique(axis.view(np.int64), return_inverse=True)
+        text = ["%.17g" % v for v in distinct.view(float).tolist()]
+        fields.append([text[i] for i in index.reshape(-1).tolist()])
+    fields.append(["true" if s else "false" for s in table.stable.tolist()])
+    blank = [""] * len(table)
+    for name in header[len(spec.axes) + 1:-1]:
+        values, null = table.values.get(name), table.null.get(name)
+        fields.append(blank if values is None else
+                      ["" if n else "%.17g" % v
+                       for v, n in zip(values.tolist(), null.tolist())])
+    fields.append([";".join(w) for w in table.warnings])
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*fields))
 
 
 def record_to_dict(rec: SweepRecord, axis_names) -> dict:
@@ -607,7 +637,8 @@ def write_jsonl(records, spec: SweepSpec, stream) -> None:
 
 
 def render_records(records, spec: SweepSpec) -> str:
-    """Render records to a CSV or JSON-lines string per the spec format."""
+    """Render records (a :class:`SweepTable` or a sequence of rows) to a
+    CSV or JSON-lines string per the spec format."""
     buf = StringIO()
     if spec.output_format == "jsonl":
         write_jsonl(records, spec, buf)

@@ -5,18 +5,25 @@ Lyapunov solution is reproduced as an exact time integral, the drift matrix
 by numerical differentiation of the nonlinear equations of motion,
 reference covariance matrices are built from closed forms, the
 mean-field steady state by a damped Picard loop over Python scalars, one
-parameter set at a time, and the critical temperature by a bisection
-that evaluates one midpoint at a time.
+parameter set at a time, the critical temperature by a bisection that
+evaluates one point at a time, and a grid point's parameters by
+replacing fields of the base one point at a time.
+
+It also holds the package helpers that only the tests call.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
 
-from magmech.params import effective_kappa_2
+from magmech import steady_state
+from magmech.dynamics import drift_matrices
+from magmech.params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
+                            effective_kappa_2)
 from magmech.steady_state import SteadyState
-from magmech.sweep import _evaluate_chunk, evaluate_point
+from magmech.sweep import evaluate_point
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,6 +60,88 @@ def integrate_lyapunov(A, D, *, max_doublings=200):
         if np.abs(phi).max() < 1e-18:
             break
     return 0.5 * (V + V.T)
+
+
+def stack_of(params_seq):
+    """The parameter sets ``params_seq``, which share their modes, as a
+    :class:`ParamStack`."""
+    first = params_seq[0]
+    return ParamStack(**{name: np.array([getattr(p, name)
+                                         for p in params_seq], dtype=float)
+                         for name in NUMERIC_FIELDS},
+                      coupling_mode=first.coupling_mode,
+                      diffusion_convention=first.diffusion_convention)
+
+
+def point_params(spec, values):
+    """Reference parameters of one grid point: the axis values, then the
+    links in order, applied to the base with ``dataclasses.replace``."""
+    changes = {}
+    for axis, value in zip(spec.axes, values):
+        if axis.name == "eta":
+            changes["gain_g"] = spec.base.kappa_2 - value * spec.base.kappa_1
+        else:
+            changes[axis.name] = float(value)
+    for target, source, factor in spec.links:
+        source_value = changes.get(source, getattr(spec.base, source))
+        changes[target] = factor * source_value
+    return replace(spec.base, **changes)
+
+
+class EigensolverError(Exception):
+    """The iterative eigensolver failed to converge."""
+
+
+def eigenvalues(M):
+    """All eigenvalues of a real or complex square matrix (n <= 64).
+
+    Backed by the LAPACK general eigensolver (balanced Hessenberg
+    reduction followed by shifted QR iteration), which meets the
+    backward-error bound ~ machine epsilon times the matrix norm.
+    Non-convergence raises :class:`EigensolverError` instead of
+    returning a partial spectrum.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    if M.shape[0] > 64:
+        raise ValueError("kernel is sized for n <= 64")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    try:
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(str(exc)) from exc
+
+
+def drift_matrix_general(params, delta_eff, G_mb):
+    """Drift matrix for an arbitrary (complex) effective coupling.
+
+    Used to verify gauge invariance: a phase rotation of the magnon
+    amplitude rotates ``G_mb`` and acts on the matrix as an orthogonal
+    similarity, leaving the spectrum and all derived measures unchanged.
+    """
+    return drift_matrices(stack_of([params]), [delta_eff], [G_mb])[0]
+
+
+def mean_field_residual(params, state, epsilon_d):
+    """Max-norm of the steady-state equations, relative to epsilon_d.
+
+    Substitutes the amplitudes into the five equations of motion with
+    all time derivatives set to zero.  ``params`` is one parameter set
+    with a scalar ``state`` (returns a float), or a sequence of them
+    with a stacked ``state`` (returns an (N,) array).
+    """
+    single = isinstance(params, PhysicalParams)
+    fields = (np.atleast_1d(x) for x in (state.m_avg, state.a1_avg,
+                                         state.a2_avg, state.q_avg,
+                                         state.p_avg))
+    s = stack_of([params] if single else params)
+    equations = steady_state._equations(s, steady_state._feedback(s),
+                                        steady_state._response(s), *fields,
+                                        epsilon_d)
+    res = steady_state._relative_max_norm(equations, epsilon_d)
+    return float(res[0]) if single else res
 
 
 def random_stable_drift(rng, n=8, margin=0.5):
@@ -234,8 +323,8 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
 def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
                                 tol_e=1e-6, coarse_points=41,
                                 drift_mode="derived", epsilon_d=0.0):
-    """Reference Tc search: the coarse scan as one chunk, then a
-    sequential bisection with one ``evaluate_point`` per midpoint.
+    """Reference Tc search: a coarse scan and then a sequential
+    bisection, with one ``evaluate_point`` per temperature.
 
     Returns (Tc, warnings) as ``find_critical_temperature`` does.
     """
@@ -245,10 +334,13 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
         value = rec.measures.get(column)
         return value if (rec.stable and value is not None) else 0.0
 
+    def at(t):
+        return evaluate_point(params.with_(temperature_T=t),
+                              quantities=(column,), drift_mode=drift_mode,
+                              epsilon_d=epsilon_d)
+
     ts = np.linspace(0.0, t_max, coarse_points)
-    coarse = _evaluate_chunk([params.with_(temperature_T=t) for t in ts],
-                             [()] * len(ts), (column,), drift_mode, epsilon_d)
-    es = [entanglement(rec) for rec in coarse]
+    es = [entanglement(at(t)) for t in ts]
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
@@ -269,10 +361,7 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        rec = evaluate_point(params.with_(temperature_T=mid),
-                             quantities=(column,), drift_mode=drift_mode,
-                             epsilon_d=epsilon_d)
-        if entanglement(rec) > tol_e:
+        if entanglement(at(mid)) > tol_e:
             lo = mid
         else:
             hi = mid

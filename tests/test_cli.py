@@ -4,6 +4,8 @@ import pytest
 
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
+from magmech.dynamics import diffusion_matrix, drift_matrix, format_matrix
+from magmech.steady_state import solve_steady_state
 
 GOOD_CONFIG = """\
 [system]
@@ -84,6 +86,22 @@ def test_cli_point_dump_matrices(config_file, tmp_path):
                  str(dump)]) == 0
     a_text = (dump / "A.txt").read_text()
     assert len(a_text.strip().splitlines()) == 8
+
+
+def test_cli_point_dumps_the_matrices_of_the_pipeline(config_file,
+                                                      tmp_path):
+    # the dumps are the matrices built outside the kernel, byte for byte
+    dump = tmp_path / "mats"
+    assert main(["point", "--config", config_file, "--out",
+                 str(tmp_path / "p.json"), "--dump-matrices",
+                 str(dump)]) == 0
+    cfg = load_config(config_file)
+    params = cfg["params"]
+    state = solve_steady_state(params, cfg["epsilon_d"])
+    A = drift_matrix(params, state.delta_eff, params.G_mb)
+    D, _ = diffusion_matrix(params)
+    assert (dump / "A.txt").read_text() == format_matrix(A)
+    assert (dump / "D.txt").read_text() == format_matrix(D)
 
 
 def test_cli_sweep_writes_csv(config_file, tmp_path):
@@ -169,8 +187,14 @@ def test_cli_validate_singular_mean_field(singular_config, capsys):
 
 def test_cli_point_dump_matrices_singular_mean_field(singular_config,
                                                      tmp_path, capsys):
-    assert main(["point", "--config", singular_config, "--out",
-                 str(tmp_path / "p.json"), "--dump-matrices",
-                 str(tmp_path / "mats")]) == 1
+    # as without the flag: the record with its warning, and no dumps
+    out = tmp_path / "p.json"
+    assert main(["point", "--config", singular_config, "--out", str(out),
+                 "--dump-matrices", str(tmp_path / "mats")]) == 0
+    record = json.loads(out.read_text())
+    assert record["stable"] is False
+    assert record["warnings"] == ["steady state singular: complex division "
+                                  "by zero"]
+    assert not (tmp_path / "mats").exists()
     err = capsys.readouterr().err
-    assert "error: complex division by zero" in err.splitlines()
+    assert "warning: steady state singular (1 point)" in err.splitlines()

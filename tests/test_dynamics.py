@@ -1,15 +1,17 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from magmech.dynamics import (diffusion_matrix, drift_matrix,
-                              drift_matrix_general, format_matrix,
-                              stability)
+from magmech.dynamics import (diffusion_matrices, diffusion_matrix,
+                              drift_matrix, format_matrix, stability)
 from magmech.params import TWO_PI, thermal_occupation
 from magmech.steady_state import effective_coupling, solve_steady_state
+from magmech.sweep import figure_preset, grid_values, stack_params
 
-from .oracles import numerical_jacobian, quadrature_field
+from .oracles import (drift_matrix_general, numerical_jacobian, point_params,
+                      quadrature_field)
 
 # positions of structurally nonzero entries in the drift matrix
 NONZERO = {
@@ -113,6 +115,32 @@ def test_gauge_rotation_is_a_similarity(baseline, rng):
                                  g0 * cmath.exp(1j * theta))
         ev = np.sort_complex(np.linalg.eigvals(A))
         assert np.abs(ev - ref).max() < 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
+                                        "physical_sum"])
+def test_stacked_diffusion_matches_scalar_thermal_occupation(convention):
+    # fig2d's temperature axis, where a vectorized expm1 may differ from
+    # the C library's in the last bit
+    spec = figure_preset("fig2d")
+    spec = replace(spec, base=spec.base.with_(diffusion_convention=convention))
+    points = grid_values(spec)
+    D, warnings = diffusion_matrices(stack_params(spec, np.array(points)))
+    for k, values in enumerate(points):
+        p = point_params(spec, values)
+        T = p.temperature_T
+        n1, n2, nm, nb = (thermal_occupation(w, T) for w in
+                          (p.omega_1, p.omega_2, p.omega_m, p.omega_b))
+        k2t = p.kappa_2 - p.gain_g
+        d2 = {"as_printed": k2t, "absolute_value": abs(k2t),
+              "physical_sum": p.kappa_2 + p.gain_g}[convention] \
+            * (2.0 * n2 + 1.0)
+        c1 = p.kappa_1 * (2.0 * n1 + 1.0)
+        cm = p.kappa_m * (2.0 * nm + 1.0)
+        expected = [c1, c1, d2, d2, cm, cm, 0.0, p.gamma_b * (2.0 * nb + 1.0)]
+        assert np.diag(D[k]).tolist() == expected
+        assert np.count_nonzero(D[k]) == 7
+        assert len(warnings[k]) == (convention == "as_printed")
 
 
 def test_diffusion_vacuum_floor(baseline):

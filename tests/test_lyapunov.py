@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from magmech import lyapunov
 from magmech.dynamics import diffusion_matrix, drift_matrix, stability
-from magmech.lyapunov import (EigensolverError, SingularSystemError,
-                              eigendecomposition, eigenvalues,
+from magmech.lyapunov import (SingularSystemError, eigendecomposition,
                               lyapunov_residual, physicality_min_eig,
                               solve_lyapunov, symplectic_form)
 
-from .oracles import (integrate_lyapunov, random_spd, random_spectrum_matrix,
+from .oracles import (EigensolverError, eigenvalues, integrate_lyapunov,
+                      random_spd, random_spectrum_matrix,
                       random_stable_drift, sorted_complex)
 
 
@@ -131,6 +132,30 @@ def test_lyapunov_matches_integration_on_random_instances(rng):
         V = solve_lyapunov(A, D)
         V_t = integrate_lyapunov(A, D)
         assert np.abs(V - V_t).max() < 1e-8
+
+
+def test_eigenvector_inverse_once_per_run(monkeypatch, rng):
+    # runs of identical slices, as a temperature sweep or a Tc search
+    # gives, and a -0.0 twin, which is a different input
+    S0, S1 = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+              for _ in range(2))
+    S1[0, 0] = 0.0
+    twin = S1.copy()
+    twin[0, 0] = -0.0
+    S = np.array([S0, S0, S0, S1, S1, twin, S0])
+    inverted = []
+    inv = np.linalg.inv
+
+    def spy(M):
+        inverted.append(len(M))
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    Sinv = lyapunov._inverse(S)
+    monkeypatch.undo()
+    assert inverted == [4]
+    for k in range(len(S)):
+        assert Sinv[k].tobytes() == np.linalg.inv(S[k]).tobytes()
 
 
 def test_eigenvalues_trivial_cases():

@@ -10,11 +10,10 @@ from magmech.dynamics import drift_matrix
 from magmech.params import TWO_PI, effective_kappa_2, reference_baseline
 from magmech.steady_state import (effective_coupling,
                                   find_self_consistent_roots, gauge_phase,
-                                  mean_field_residual, solve_steady_state,
-                                  solve_steady_states)
+                                  solve_steady_state, solve_steady_states)
 from magmech.sweep import evaluate_point
 
-from .oracles import picard_steady_state
+from .oracles import mean_field_residual, picard_steady_state, stack_of
 
 
 @pytest.fixture
@@ -156,7 +155,8 @@ def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
     """The stacked solve agrees with the scalar Picard loop slice by
     slice: same error, converged flag and iteration count, and converged
     amplitudes within 1e-13 relative."""
-    state = solve_steady_states(params_seq, epsilon_d, q_seed=q_seed)
+    state = solve_steady_states(stack_of(params_seq), epsilon_d,
+                                q_seed=q_seed)
     seeds = np.broadcast_to(q_seed, (len(params_seq),))
     for k, params in enumerate(params_seq):
         try:
@@ -271,7 +271,7 @@ def test_direct_mode_keeps_infinite_drive_point(baseline):
 def test_stacked_residual_matches_single(micro):
     params_seq = [micro.with_(Delta_m=dm * micro.omega_b)
                   for dm in (0.2, 0.9, 1.5)]
-    state = solve_steady_states(params_seq, 5e13)
+    state = solve_steady_states(stack_of(params_seq), 5e13)
     stacked = mean_field_residual(params_seq, state, 5e13)
     np.testing.assert_array_equal(stacked, state.residual)
     for k, params in enumerate(params_seq):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 
 from magmech import lyapunov, sweep
+from magmech.params import NUMERIC_FIELDS
 from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            ST_COLUMNS, SweepAxis, SweepSpec,
                            build_point_params, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values,
                            normalize_quantities, record_to_dict,
-                           render_records, run_sweep)
+                           render_records, run_sweep, stack_params)
 
-from .oracles import bisect_critical_temperature
+from .oracles import bisect_critical_temperature, point_params
 
 
 def small_spec(baseline, **kwargs):
@@ -136,6 +138,100 @@ def test_out_of_range_axis_points_are_flagged_not_fatal(baseline):
     assert records[0].stable
     assert not records[2].stable
     assert any("invalid parameters" in w for w in records[2].warnings)
+
+
+def _stack_cases(baseline):
+    k1 = baseline.kappa_1
+    return {
+        "fig2a": figure_preset("fig2a"),
+        # link factor -1
+        "fig5b": figure_preset("fig5b"),
+        "eta": SweepSpec(baseline, (SweepAxis("J", 0.0, 4.0 * k1, 9),
+                                    SweepAxis("eta", -1.0, 1.0, 201)),
+                         links=(("kappa_m", "gain_g", 0.5),)),
+        # three rules broken, several at some points: eta > 1 needs
+        # negative gain, T < 0, and G_mb = -1e9 T < 0 for T > 0
+        "out_of_range": SweepSpec(
+            baseline, (SweepAxis("temperature_T", -0.01, 0.01, 5),
+                       SweepAxis("eta", 0.5, 1.5, 5)),
+            links=(("G_mb", "temperature_T", -1e9),)),
+    }
+
+
+@pytest.mark.parametrize("case", ["fig2a", "fig5b", "eta", "out_of_range"])
+def test_param_stack_matches_point_by_point_replace(baseline, case):
+    spec = _stack_cases(baseline)[case]
+    points = grid_values(spec)
+    stack = stack_params(spec, np.array(points))
+    errors = stack.errors()
+    refs = []
+    for k, values in enumerate(points):
+        try:
+            refs.append(point_params(spec, values))
+        except ValueError as exc:
+            assert errors[k] == str(exc)
+            refs.append(None)
+            continue
+        assert errors[k] is None
+    valid = [k for k, ref in enumerate(refs) if ref is not None]
+    assert valid
+    for name in NUMERIC_FIELDS:
+        want = np.array([getattr(refs[k], name) for k in valid])
+        got = getattr(stack, name)[valid]
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for k in valid[::97]:
+        assert build_point_params(spec, points[k]) == refs[k]
+    if case == "out_of_range":
+        assert len(set(errors)) == 4  # None and the three rules
+        with pytest.raises(ValueError, match="gain_g"):
+            build_point_params(spec, points[-1])
+
+
+def test_csv_keeps_nan_apart_from_null(baseline):
+    # an overflowed direct_g drive: stable points whose mean-field
+    # residual is a genuine NaN; eta > 1 is an invalid point, whose
+    # residual is null
+    spec = SweepSpec(baseline, (SweepAxis("eta", 0.5, 1.5, 3),),
+                     quantities=("E_a2m",), epsilon_d=1e300)
+    records = run_sweep(spec)
+    assert records[0].stable and math.isnan(records[0].residual)
+    assert records[2].residual is None
+    lines = render_records(records, spec).splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert rows[0]["residual"] == "nan"
+    assert rows[0]["E_a2m"] not in ("", "nan")
+    assert rows[0]["E_a1b"] == ""
+    assert rows[2]["residual"] == ""
+    assert rows[2]["margin"] == ""
+    jsonl = [json.loads(line) for line in render_records(
+        records, replace(spec, output_format="jsonl")).splitlines()]
+    assert math.isnan(jsonl[0]["residual"])
+    assert jsonl[2]["residual"] is None
+
+
+def test_csv_of_rows_equals_csv_of_table():
+    spec = _microscopic_sweep()
+    table = run_sweep(spec)
+    assert render_records(list(table), spec) == render_records(table, spec)
+
+
+def test_invalid_points_skip_the_steady_state(baseline, monkeypatch):
+    # an invalid microscopic point would otherwise run the Picard loop
+    # to its iteration limit before being masked
+    sizes = []
+    solve = sweep.solve_steady_states
+
+    def spy(params, *args, **kwargs):
+        sizes.append(len(params))
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_steady_states", spy)
+    spec = SweepSpec(base=baseline, axes=(SweepAxis("eta", 0.5, 1.5, 3),),
+                     quantities=("E_a2m",))
+    records = run_sweep(spec)
+    assert sizes == [2]
+    assert [r.stable for r in records] == [True, True, False]
 
 
 def test_serial_and_parallel_runs_are_identical(baseline):
@@ -375,3 +471,27 @@ def test_exceptional_point_sweep(baseline, monkeypatch):
     records = run_sweep(replace(spec, base=baseline))
     assert not any(r.stable for r in records)
     assert all(r.margin > 0 for r in records)
+
+
+# SHA-256 of the CSV text of these sweeps.  A change that moves values on
+# purpose updates the digests and lists the points that moved.
+CSV_DIGESTS = {
+    "fig2d":
+        "5efee5d9183a16e9358dd6034c1569e794b373e257f2df689c6102e558cf7623",
+    "fig4a":
+        "c3a5be8569e22faa6f16da1bbf11af856d0547fd2dccd8f2ee37b27ea1b24426",
+    "fig5b":
+        "8581aefb6d91490cc413dd43dda3f3d876321292788674e729c982a5e45463c9",
+    "fig7a":
+        "a893624601cccf9902cedbaaed880fed9f747f8d8a036c2c76af6c570abe9ab8",
+    "microscopic":
+        "80f621bf826ad836aae51448964002850d21f64fd9b5984e2adc6f2b7f11133c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+def test_csv_bytes_are_pinned(name):
+    spec = (_microscopic_sweep() if name == "microscopic"
+            else figure_preset(name))
+    text = render_records(run_sweep(spec), spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_DIGESTS[name]
