@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dynamics, lyapunov, measures
+from . import dynamics, measures
 from .config import ConfigError, load_config
 from .params import eta_ratio, thermal_occupation
 from .steady_state import solve_steady_state
@@ -238,8 +238,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError,
-            lyapunov.SingularSystemError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

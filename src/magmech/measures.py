@@ -4,25 +4,24 @@ steering.
 
 Conventions: vacuum variance 1/2 (a thermal mode has V = (N + 1/2) I),
 so a pair is entangled iff the smallest partially-transposed symplectic
-eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).
+eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).  That eigenvalue
+comes from one closed form in the block determinants; the spectral
+route, the eigenvalues of i*Omega*(P cm P), is the tests' oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lyapunov import symplectic_form
-
 MODES = ("a1", "a2", "m", "b")
 
 PAIRS = (("a1", "a2"), ("a1", "m"), ("a2", "m"),
          ("a1", "b"), ("a2", "b"), ("m", "b"))
 
-_PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
-_OMEGA4 = symplectic_form(2)
-
 ZERO_CLAMP = 1e-12
-DUAL_METHOD_TOL = 1e-10
+
+# adj(M)^T of a 2x2 block M is M[::-1, ::-1] times these signs
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class PhysicalityError(Exception):
@@ -83,50 +82,49 @@ def _first_error(n: int, checks) -> list:
 
 
 def _symplectic(cms: np.ndarray) -> tuple[np.ndarray, list]:
-    tilde = _PARTIAL_TRANSPOSE @ cms @ _PARTIAL_TRANSPOSE
-    spec = np.linalg.eigvals(1j * _OMEGA4 @ tilde)
-    nu_eig = np.abs(spec).min(axis=-1)
-
-    det_a = np.linalg.det(cms[:, :2, :2])
-    det_c = np.linalg.det(cms[:, 2:, 2:])
-    det_b = np.linalg.det(cms[:, :2, 2:])
+    a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
+    det_a = np.linalg.det(a)
+    det_c = np.linalg.det(c)
+    det_b = np.linalg.det(b)
     det_v = np.linalg.det(cms)
     sigma = det_a + det_c - 2.0 * det_b
     disc = sigma * sigma - 4.0 * det_v
     scale = np.maximum(1.0, sigma * sigma)
     inner = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
-    nu_cf = np.sqrt(np.maximum(inner, 0.0))
-
-    # Forward-error allowance for the closed form: the discriminant is
-    # computed with absolute error ~ eps * scale, which blows up as
-    # 1/sqrt(disc) when the two symplectic eigenvalues (nearly)
-    # coincide.  Only disagreement beyond that conditioning bound marks
-    # a genuine inconsistency.
-    disc_err = 64.0 * np.finfo(float).eps * np.maximum(scale,
-                                                       np.abs(4.0 * det_v))
-    cond = disc_err / (4.0 * np.maximum(nu_eig, 1e-3)
-                       * np.sqrt(np.maximum(disc, 0.0) + disc_err))
+    # The same discriminant with det V = det A det C + det B^2 - t,
+    # t = tr(A adj(B)^T C adj(B)), expanded: sigma^2 - 4 det V cancels
+    # to roundoff as the two symplectic eigenvalues meet (a product of
+    # vacua gives nu off by 5e-9), this expansion does not.  The
+    # screens keep the plain form.
+    adj_bt = b[:, ::-1, ::-1] * _COFACTOR_SIGNS
+    t = ((a @ adj_bt) * (adj_bt @ c.transpose(0, 2, 1))).sum(axis=(1, 2))
+    root = np.sqrt(np.maximum((det_a - det_c) ** 2
+                              - 4.0 * det_b * (det_a + det_c) + 4.0 * t,
+                              0.0))
+    # nu-^2 = 2 det V / (sigma + sqrt(disc)), from nu-^2 nu+^2 = det V:
+    # sigma - sqrt(disc) cancels when sigma is large, this sum does not
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nu = np.sqrt(np.maximum(2.0 * det_v / (sigma + root), 0.0))
     errors = _first_error(len(cms), [
         (disc < -ZERO_CLAMP * scale,
          lambda k: f"negative symplectic discriminant {disc[k]:.3e}"),
         (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)),
          lambda k: f"negative squared symplectic eigenvalue {inner[k]:.3e}"),
-        (np.abs(nu_eig - nu_cf) > DUAL_METHOD_TOL * np.maximum(1.0, nu_cf)
-         + cond,
-         lambda k: "symplectic eigenvalue methods disagree: "
-                   f"{float(nu_eig[k])!r} (spectral) vs "
-                   f"{float(nu_cf[k])!r} (closed form)"),
     ])
-    return nu_eig, errors
+    return nu, errors
 
 
 def min_ptranspose_symplectic_eig(cm: np.ndarray):
     """Smallest symplectic eigenvalue of the partially transposed CM.
 
-    Computed by two independent routes that must agree to 1e-10: the
-    spectrum of i*Omega*(P cm P), and the closed form from the local and
-    cross-block determinants.  Note det(B) of the off-diagonal block is
-    used *signed*; it is negative for entangled states.
+    One route: the closed form from the local and cross-block
+    determinants, sigma = det A + det C - 2 det B, in the rationalised
+    form nu-^2 = 2 det V / (sigma + sqrt(sigma^2 - 4 det V)) (Serafini,
+    Illuminati and De Siena, J. Phys. B 37, L21 (2004)), with the
+    discriminant expanded so that it does not cancel where the two
+    symplectic eigenvalues meet.  Note det(B) of the off-diagonal block
+    is used *signed*; it is negative for entangled states.  The tests
+    check it against the spectrum of i*Omega*(P cm P).
 
     A single 4x4 matrix returns a float and raises
     :class:`PhysicalityError`; a stack (N, 4, 4) returns ``(values,

@@ -6,8 +6,10 @@ by numerical differentiation of the nonlinear equations of motion,
 reference covariance matrices are built from closed forms, the
 mean-field steady state by a damped Picard loop over Python scalars, one
 parameter set at a time, the critical temperature by a bisection that
-evaluates one point at a time, and a grid point's parameters by
-replacing fields of the base one point at a time.
+evaluates one point at a time, a grid point's parameters by
+replacing fields of the base one point at a time, and the smallest
+partially-transposed symplectic eigenvalue by the spectrum of
+i*Omega*(P V P) instead of the package's closed form.
 
 It also holds the package helpers that only the tests call.
 """
@@ -20,12 +22,19 @@ from scipy.linalg import expm
 
 from magmech import steady_state
 from magmech.dynamics import drift_matrices
+from magmech.lyapunov import solve_lyapunov, symplectic_form
 from magmech.params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
                             effective_kappa_2)
 from magmech.steady_state import SteadyState
-from magmech.sweep import evaluate_point
+from magmech.sweep import _evaluate_chunk, evaluate_point, stack_params
 
 SQRT2 = math.sqrt(2.0)
+
+# agreement bound of the package's symplectic eigenvalue with the
+# spectral route, relative above 1 and absolute below
+DUAL_METHOD_TOL = 1e-10
+
+_PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
 
 
 def integrate_lyapunov(A, D, *, max_doublings=200):
@@ -366,3 +375,55 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
         else:
             hi = mid
     return 0.5 * (lo + hi), tuple(warnings)
+
+
+def spectral_symplectic_eig(cm):
+    """Smallest symplectic eigenvalue of the partially transposed
+    two-mode CM as the smallest modulus in the spectrum of
+    i*Omega*(P cm P), which is {+-nu_-, +-nu_+}.  A 4x4 matrix gives a
+    float, a stack (N, 4, 4) an (N,) array."""
+    tilde = _PARTIAL_TRANSPOSE @ np.asarray(cm, float) @ _PARTIAL_TRANSPOSE
+    spec = np.linalg.eigvals(1j * symplectic_form(2) @ tilde)
+    nu = np.abs(spec).min(axis=-1)
+    return float(nu) if nu.ndim == 0 else nu
+
+
+def symplectic_agreement(cm, nu):
+    """(|nu - spectral|, allowance) per slice of the CM stack ``cm``;
+    ``nu`` agrees with the spectral route where the first is at most the
+    second.
+
+    The allowance is ``DUAL_METHOD_TOL`` plus the forward error of a
+    determinant closed form: a discriminant sigma^2 - 4 det V carries an
+    absolute error ~ eps * max(1, sigma^2, |4 det V|), which blows up as
+    1/sqrt(disc) when the two symplectic eigenvalues (nearly) coincide.
+    Only disagreement beyond that conditioning bound marks a genuine
+    inconsistency.
+    """
+    cms = np.asarray(cm, float).reshape(-1, 4, 4)
+    nu = np.asarray(nu, float).reshape(-1)
+    nu_spec = spectral_symplectic_eig(cms)
+    sigma = (np.linalg.det(cms[:, :2, :2]) + np.linalg.det(cms[:, 2:, 2:])
+             - 2.0 * np.linalg.det(cms[:, :2, 2:]))
+    det_v = np.linalg.det(cms)
+    disc = sigma * sigma - 4.0 * det_v
+    disc_err = 64.0 * np.finfo(float).eps * np.maximum(
+        np.maximum(1.0, sigma * sigma), np.abs(4.0 * det_v))
+    cond = disc_err / (4.0 * np.maximum(nu_spec, 1e-3)
+                       * np.sqrt(np.maximum(disc, 0.0) + disc_err))
+    return (np.abs(nu - nu_spec),
+            DUAL_METHOD_TOL * np.maximum(1.0, nu) + cond)
+
+
+def stable_covariances(spec, values):
+    """(rows, V) for the grid points ``values`` (N, n_axes) of ``spec``:
+    the rows of the stable points and their covariance stack, solved
+    again by ``solve_lyapunov`` from the kernel's own drift and diffusion
+    matrices."""
+    table = _evaluate_chunk(stack_params(spec, values), values, (),
+                            spec.drift_mode, spec.epsilon_d, matrices=True)
+    if table.matrices is None:
+        return np.empty(0, dtype=int), np.empty((0, 8, 8))
+    live, A, D = table.matrices
+    keep = table.stable[live]
+    return live[keep], solve_lyapunov(A[keep], D[keep])

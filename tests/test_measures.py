@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +9,10 @@ from magmech.lyapunov import solve_lyapunov
 from magmech.measures import (PAIRS, PhysicalityError, log_negativity,
                               min_ptranspose_symplectic_eig, mode_indices,
                               reduce_pair, steering)
+from magmech.sweep import figure_preset, grid_values
 
-from .oracles import random_physical_cm, tmsv_cm
+from .oracles import (random_physical_cm, stable_covariances,
+                      symplectic_agreement, tmsv_cm)
 
 
 @pytest.fixture
@@ -70,10 +73,56 @@ def test_tmsv_symplectic_eigenvalue():
 
 
 def test_dual_methods_agree_on_random_states(rng):
-    for _ in range(200):
-        cm = random_physical_cm(rng)
-        nu = min_ptranspose_symplectic_eig(cm)  # raises if methods differ
-        assert nu > 0
+    cms = np.stack([random_physical_cm(rng) for _ in range(200)])
+    nu, errors = min_ptranspose_symplectic_eig(cms)
+    assert errors == [None] * len(cms)
+    assert np.all(nu > 0)
+    diff, allowance = symplectic_agreement(cms, nu)
+    assert np.all(diff <= allowance)
+
+
+def _exact_nu(cm):
+    """Smallest partially-transposed symplectic eigenvalue at 50 digits
+    from the float entries of the 4x4 CM, which mpmath holds exactly."""
+    with mpmath.workdps(50):
+        M = mpmath.matrix(cm.tolist())
+
+        def det2(i, j):
+            return M[i, j] * M[i + 1, j + 1] - M[i, j + 1] * M[i + 1, j]
+
+        sigma = det2(0, 0) + det2(2, 2) - 2 * det2(0, 2)
+        return mpmath.sqrt((sigma - mpmath.sqrt(sigma ** 2
+                                                - 4 * mpmath.det(M))) / 2)
+
+
+# (preset, pair, row-major grid indices, bound on |nu - exact|).  On
+# fig2b, pairs a1-b and a2-b reach sigma ~ 6.8e7, where sigma -
+# sqrt(disc) cancels: that form is off by up to 5.7e-9 there, the
+# spectral route by up to 1.7e-13 and the package by up to 9.3e-15.  On
+# fig3 the discriminant falls to ~ 4e-7 (a1-a2) and 1.2e-4 (a2-m), where
+# sigma^2 - 4 det V cancels: with that discriminant the rationalised
+# form is off by up to 8.2e-14, the spectral route by up to 6.3e-16 and
+# the package, with the expanded discriminant, by up to 1.9e-16.
+EXACT_CASES = [
+    ("fig2b", ("a1", "b"), (7420, 3731, 1099), 2e-14),
+    ("fig2b", ("a2", "b"), (7420, 3731, 1099), 2e-14),
+    ("fig3", ("a1", "a2"), (917, 728, 1729, 1554, 1526, 133), 1e-15),
+    ("fig3", ("a2", "m"), (39998, 39795), 1e-15),
+]
+
+
+@pytest.mark.parametrize("name,pair,indices,bound", EXACT_CASES)
+def test_symplectic_eigenvalue_against_50_digits(name, pair, indices, bound):
+    spec = figure_preset(name)
+    values = np.array(grid_values(spec))[list(indices)]
+    rows, V = stable_covariances(spec, values)
+    assert len(rows) == len(indices)
+    cms = reduce_pair(V, pair)
+    nu, errors = min_ptranspose_symplectic_eig(cms)
+    assert errors == [None] * len(cms)
+    for cm, value in zip(cms, nu):
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(float(value)) - _exact_nu(cm)) <= bound
 
 
 def test_swap_symmetry(baseline_cov):

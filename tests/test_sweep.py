@@ -477,15 +477,15 @@ def test_exceptional_point_sweep(baseline, monkeypatch):
 # purpose updates the digests and lists the points that moved.
 CSV_DIGESTS = {
     "fig2d":
-        "5efee5d9183a16e9358dd6034c1569e794b373e257f2df689c6102e558cf7623",
+        "cadbeaac48a4bb74a72ece5dee53615d69eb7fafbbacdaa4f267682ae8a6ea66",
     "fig4a":
-        "c3a5be8569e22faa6f16da1bbf11af856d0547fd2dccd8f2ee37b27ea1b24426",
+        "17b64c0f50edc34f6018db490f3f4edd78313142fe9b81c11b4d58a4b6577dbf",
     "fig5b":
-        "8581aefb6d91490cc413dd43dda3f3d876321292788674e729c982a5e45463c9",
+        "0b8623edef7bdcfcc733fa461375307e064c97dcce1aed2c557e0fe06f87d68e",
     "fig7a":
-        "a893624601cccf9902cedbaaed880fed9f747f8d8a036c2c76af6c570abe9ab8",
+        "9f3dc2c7fbad72907322e3521327071c6c0e7dcc679679b09d9fe0802c9c42a5",
     "microscopic":
-        "80f621bf826ad836aae51448964002850d21f64fd9b5984e2adc6f2b7f11133c",
+        "5fae5162ceeca72116c8690970d2b774f043b671f6cc79556e7d18fb90809253",
 }
 
 
