@@ -16,7 +16,6 @@ from .measures import (MODES, PAIRS, PhysicalityError, log_negativity,
 from .params import (DriveParams, ParamStack, PhysicalParams, eta_ratio,
                      reference_baseline, rabi_frequency, thermal_occupation)
 from .steady_state import (SteadyState, effective_coupling,
-                           find_self_consistent_roots, gauge_phase,
                            solve_steady_state, solve_steady_states)
 from .sweep import (SweepAxis, SweepRecord, SweepSpec, SweepTable,
                     evaluate_point, figure_preset, find_critical_temperature,
@@ -28,13 +27,11 @@ __all__ = [
     "SteadyState", "SweepAxis", "SweepRecord", "SweepSpec", "SweepTable",
     "diffusion_matrix", "drift_matrix", "effective_coupling", "eta_ratio",
     "evaluate_point", "figure_preset", "find_critical_temperature",
-    "find_self_consistent_roots", "gauge_phase", "log_negativity",
-    "lyapunov_residual", "min_ptranspose_symplectic_eig",
+    "log_negativity", "lyapunov_residual", "min_ptranspose_symplectic_eig",
     "reference_baseline", "physicality_min_eig", "rabi_frequency",
-    "reduce_pair",
-    "run_sweep", "solve_lyapunov", "solve_steady_state",
-    "solve_steady_states", "stability",
-    "steering", "symplectic_form", "thermal_occupation",
+    "reduce_pair", "run_sweep", "solve_lyapunov", "solve_steady_state",
+    "solve_steady_states", "stability", "steering", "symplectic_form",
+    "thermal_occupation",
 ]
 
 __version__ = "0.1.0"

@@ -20,6 +20,9 @@ QUADRATURES = ("I1", "phi1", "I2", "phi2", "x", "y", "q", "p")
 
 DRIFT_MODES = ("derived", "printed")
 
+# stable iff every eigenvalue's real part is below -TOL_STAB_REL*kappa_1
+TOL_STAB_REL = 1e-9
+
 
 def drift_matrix(params: PhysicalParams, delta_eff: float,
                  G_mb_real: float, *, mode: str = "derived") -> np.ndarray:
@@ -146,21 +149,20 @@ class StabilityReport:
     indeterminate: bool | np.ndarray = False
 
 
-def stability(A: np.ndarray, kappa_1, *,
-              tol_stab_rel: float = 1e-9) -> StabilityReport:
+def stability(A: np.ndarray, kappa_1) -> StabilityReport:
     """Classify drift matrices by their spectra, from one
     eigendecomposition per matrix.
 
     ``A`` is one matrix or a stack (N, 8, 8); ``kappa_1`` a scalar or one
     value per slice.  Stable iff every eigenvalue real part is
-    < -tol_stab_rel*kappa_1.
+    < -TOL_STAB_REL*kappa_1.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
     w, S = eigendecomposition(A[None] if single else A)
     indeterminate = np.isnan(w).any(axis=-1)
     margin = w.real.max(axis=-1)  # NaN where indeterminate
-    stable = margin < -tol_stab_rel * np.asarray(kappa_1, dtype=float)
+    stable = margin < -TOL_STAB_REL * np.asarray(kappa_1, dtype=float)
     if single:
         return StabilityReport(w[0], S[0], bool(stable[0]), float(margin[0]),
                                bool(indeterminate[0]))

@@ -4,12 +4,20 @@ steering.
 
 Conventions: vacuum variance 1/2 (a thermal mode has V = (N + 1/2) I),
 so a pair is entangled iff the smallest partially-transposed symplectic
-eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).  That eigenvalue
-comes from one closed form in the block determinants; the spectral
-route, the eigenvalues of i*Omega*(P cm P), is the tests' oracle.
+eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).
+
+A pair's measures come from one pass, :func:`pair_measures`, over the
+four block determinants det A, det C, det B and det V of its 4x4 CM:
+E_N, the steering in both directions and the symplectic eigenvalue,
+each with its own screens.  :func:`log_negativity`, :func:`steering`
+and :func:`min_ptranspose_symplectic_eig` select from it.  The spectral
+route to the eigenvalue, the eigenvalues of i*Omega*(P cm P), is the
+tests' oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,64 +83,113 @@ def _first_error(n: int, checks) -> list:
     or None."""
     errors = [None] * n
     for mask, message in checks:
-        for k in np.flatnonzero(mask):
+        for k in mask.nonzero()[0]:
             if errors[k] is None:
                 errors[k] = message(k)
     return errors
 
 
-def _symplectic(cms: np.ndarray) -> tuple[np.ndarray, list]:
+class PairMeasures(NamedTuple):
+    """The measures of a stack of two-mode CMs, each as ``(values,
+    errors)``: an (N,) array and, per slice, the message of the first
+    screen it failed or None.  A failed slice's value means nothing."""
+
+    log_negativity: tuple[np.ndarray, list]
+    forward: tuple[np.ndarray, list]
+    backward: tuple[np.ndarray, list]
+    nu: tuple[np.ndarray, list]
+
+
+def _clamp(value: np.ndarray) -> np.ndarray:
+    """Roundoff-scale magnitudes (below ``ZERO_CLAMP``) as exact zero,
+    negatives as zero."""
+    return np.where(np.abs(value) < ZERO_CLAMP, 0.0, np.maximum(0.0, value))
+
+
+def pair_measures(cms: np.ndarray) -> PairMeasures:
+    """E_N, the steering in both directions and the smallest partially
+    transposed symplectic eigenvalue of a stack (N, 4, 4), from one set
+    of block determinants det A, det C, det B and det V.
+
+    nu: sigma = det A + det C - 2 det B and nu-^2 = 2 det V / (sigma +
+    sqrt(sigma^2 - 4 det V)) (Serafini, Illuminati and De Siena, J.
+    Phys. B 37, L21 (2004)), with the discriminant expanded so that it
+    does not cancel where the two symplectic eigenvalues meet; det B is
+    signed, negative for entangled states.  E_N = max(0, -ln(2 nu-)).
+
+    Steering (Kogias, Lee, Ragy and Adesso, PRL 114, 060403 (2015)):
+    S(2 block) - S(2 cm) with S = (1/2) ln det, the block being A
+    (first-mode -> second-mode, ``forward``) or C (``backward``).
+    """
     a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
-    det_a = np.linalg.det(a)
-    det_c = np.linalg.det(c)
-    det_b = np.linalg.det(b)
-    det_v = np.linalg.det(cms)
-    sigma = det_a + det_c - 2.0 * det_b
-    disc = sigma * sigma - 4.0 * det_v
-    scale = np.maximum(1.0, sigma * sigma)
-    inner = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
-    # The same discriminant with det V = det A det C + det B^2 - t,
-    # t = tr(A adj(B)^T C adj(B)), expanded: sigma^2 - 4 det V cancels
-    # to roundoff as the two symplectic eigenvalues meet (a product of
-    # vacua gives nu off by 5e-9), this expansion does not.  The
-    # screens keep the plain form.
-    adj_bt = b[:, ::-1, ::-1] * _COFACTOR_SIGNS
-    t = ((a @ adj_bt) * (adj_bt @ c.transpose(0, 2, 1))).sum(axis=(1, 2))
-    root = np.sqrt(np.maximum((det_a - det_c) ** 2
-                              - 4.0 * det_b * (det_a + det_c) + 4.0 * t,
-                              0.0))
-    # nu-^2 = 2 det V / (sigma + sqrt(disc)), from nu-^2 nu+^2 = det V:
-    # sigma - sqrt(disc) cancels when sigma is large, this sum does not
+    det_a, det_c, det_b, det_v = (np.linalg.det(m) for m in (a, c, b, cms))
+    n = len(cms)
     with np.errstate(invalid="ignore", divide="ignore"):
+        sigma = det_a + det_c - 2.0 * det_b
+        disc = sigma * sigma - 4.0 * det_v
+        scale = np.maximum(1.0, sigma * sigma)
+        inner = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
+        # The same discriminant with det V = det A det C + det B^2 - t,
+        # t = tr(A adj(B)^T C adj(B)), expanded: sigma^2 - 4 det V
+        # cancels to roundoff as the two symplectic eigenvalues meet (a
+        # product of vacua gives nu off by 5e-9), this expansion does
+        # not.  The screens keep the plain form.
+        adj_bt = b[:, ::-1, ::-1] * _COFACTOR_SIGNS
+        t = ((a @ adj_bt) * (adj_bt @ c.transpose(0, 2, 1))).sum(axis=(1, 2))
+        root = np.sqrt(np.maximum((det_a - det_c) ** 2
+                                  - 4.0 * det_b * (det_a + det_c) + 4.0 * t,
+                                  0.0))
+        # nu-^2 = 2 det V / (sigma + sqrt(disc)), from nu-^2 nu+^2 =
+        # det V: sigma - sqrt(disc) cancels when sigma is large, this
+        # sum does not
         nu = np.sqrt(np.maximum(2.0 * det_v / (sigma + root), 0.0))
-    errors = _first_error(len(cms), [
+        e_n = -np.log(2.0 * nu)
+        forward = 0.5 * np.log(det_a / (4.0 * det_v))
+        backward = 0.5 * np.log(det_c / (4.0 * det_v))
+        vanishing = ~(nu > 0.0)
+    screens = [
         (disc < -ZERO_CLAMP * scale,
          lambda k: f"negative symplectic discriminant {disc[k]:.3e}"),
         (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)),
          lambda k: f"negative squared symplectic eigenvalue {inner[k]:.3e}"),
-    ])
-    return nu, errors
+    ]
+
+    def steering_errors(det_block):
+        return _first_error(n, [
+            (det_block <= 0.0, lambda k: "non-positive conditioning block "
+                                         f"determinant {det_block[k]:.3e}"),
+            (det_v <= 0.0, lambda k: "non-positive covariance determinant "
+                                     f"{det_v[k]:.3e}"),
+        ])
+
+    # roundoff around the threshold nu = 1/2 reports exact zero, and
+    # roundoff-scale steering too, so that one-way statements are crisp
+    return PairMeasures(
+        (_clamp(e_n), _first_error(n, screens + [
+            (vanishing, lambda k: "vanishing symplectic eigenvalue")])),
+        (_clamp(forward), steering_errors(det_a)),
+        (_clamp(backward), steering_errors(det_c)),
+        (nu, _first_error(n, screens)))
+
+
+def _select(cm, name: str):
+    """Measure ``name`` of :class:`PairMeasures` for a 4x4 matrix or a
+    stack, as :func:`_result` returns it."""
+    cms, single = _two_mode_stack(cm)
+    values, errors = getattr(pair_measures(cms), name)
+    return _result(values, errors, single)
 
 
 def min_ptranspose_symplectic_eig(cm: np.ndarray):
-    """Smallest symplectic eigenvalue of the partially transposed CM.
-
-    One route: the closed form from the local and cross-block
-    determinants, sigma = det A + det C - 2 det B, in the rationalised
-    form nu-^2 = 2 det V / (sigma + sqrt(sigma^2 - 4 det V)) (Serafini,
-    Illuminati and De Siena, J. Phys. B 37, L21 (2004)), with the
-    discriminant expanded so that it does not cancel where the two
-    symplectic eigenvalues meet.  Note det(B) of the off-diagonal block
-    is used *signed*; it is negative for entangled states.  The tests
-    check it against the spectrum of i*Omega*(P cm P).
+    """Smallest symplectic eigenvalue of the partially transposed CM,
+    from the closed form of :func:`pair_measures`.  The tests check it
+    against the spectrum of i*Omega*(P cm P).
 
     A single 4x4 matrix returns a float and raises
     :class:`PhysicalityError`; a stack (N, 4, 4) returns ``(values,
     errors)``, with NaN and the error message on each failed slice.
     """
-    cms, single = _two_mode_stack(cm)
-    nu, errors = _symplectic(cms)
-    return _result(nu, errors, single)
+    return _select(cm, "nu")
 
 
 def log_negativity(cm: np.ndarray):
@@ -141,17 +198,7 @@ def log_negativity(cm: np.ndarray):
     Takes a 4x4 matrix or a stack, as
     :func:`min_ptranspose_symplectic_eig` does.
     """
-    cms, single = _two_mode_stack(cm)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nu, errors = _symplectic(cms)
-        errors = [e if e is not None or nu[k] > 0.0
-                  else "vanishing symplectic eigenvalue"
-                  for k, e in enumerate(errors)]
-        value = -np.log(2.0 * nu)
-    # roundoff around the threshold nu = 1/2 reports exact zero
-    value = np.where(np.abs(value) < ZERO_CLAMP, 0.0,
-                     np.maximum(0.0, value))
-    return _result(value, errors, single)
+    return _select(cm, "log_negativity")
 
 
 def steering(cm: np.ndarray, direction: str = "forward"):
@@ -163,21 +210,6 @@ def steering(cm: np.ndarray, direction: str = "forward"):
     so that one-way statements are crisp.  Takes a 4x4 matrix or a
     stack, as :func:`min_ptranspose_symplectic_eig` does.
     """
-    cms, single = _two_mode_stack(cm)
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    block = cms[:, :2, :2] if direction == "forward" else cms[:, 2:, 2:]
-    det_block = np.linalg.det(block)
-    det_v = np.linalg.det(cms)
-    errors = _first_error(len(cms), [
-        (det_block <= 0.0, lambda k: "non-positive conditioning block "
-                                     f"determinant {det_block[k]:.3e}"),
-        (det_v <= 0.0, lambda k: "non-positive covariance determinant "
-                                 f"{det_v[k]:.3e}"),
-    ])
-    # S(2*block) - S(2*cm) with S = (1/2) ln det
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = 0.5 * np.log(det_block / (4.0 * det_v))
-    # roundoff; keep "no steering" crisp
-    value = np.where(np.abs(value) < ZERO_CLAMP, 0.0, np.maximum(0.0, value))
-    return _result(value, errors, single)
+    return _select(cm, direction)

@@ -17,7 +17,6 @@ result does not depend on the stack it is solved in;
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +26,13 @@ import numpy as np
 from .params import ParamStack, PhysicalParams, effective_kappa_2
 
 SQRT2 = math.sqrt(2.0)
+
+# The damped Picard iteration: a slice has converged once its detuning
+# shift is below TOL_REL * omega_b, after at most MAX_ITER steps, each
+# moving q by DAMPING of the way to the next iterate.
+TOL_REL = 1e-12
+MAX_ITER = 1000
+DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,7 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
     return None
 
 
-def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
-             damping):
+def _iterate(s: ParamStack, g, drive, errors, q_seed):
     """Damped Picard iteration of a stack; returns each slice's q,
     iteration count and converged flag, and records errors in
     ``errors`` in place.
@@ -121,7 +126,7 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
     or is None without a drive (zero amplitudes).  Slices without
     displacement feedback (g = 0) or with an error already recorded are
     not iterated.  A slice whose iterate leaves the finite numbers stops
-    there with q = NaN and ``max_iter`` iterations, which is where NaN
+    there with q = NaN and ``MAX_ITER`` iterations, which is where NaN
     arithmetic would take it, unless that step divided by zero or
     overflowed a finite amplitude: then it records the error.
     """
@@ -138,16 +143,16 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
     Dm, km, g, wb = (x[idx] for x in (s.Delta_m, s.kappa_m, g, s.omega_b))
     if drive is not None:
         C, G, E = (x[idx] for x in drive)
-    tol = tol_rel * wb
-    dg = damping * g
-    keep = 1.0 - damping
+    tol = TOL_REL * wb
+    dg = DAMPING * g
+    keep = 1.0 - DAMPING
     qa = q[idx]
     tol_hi = tol.max()
     a2 = 0.0
     denom = m = None
     prev = denom, m
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if drive is not None:
             denom = (1j * (Dm + g * qa) + km) * C + G
             m = E / denom
@@ -175,7 +180,7 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
                        _arithmetic_error(complex(step[0][j]),
                                          complex(step[1][j])))
                 q[idx[j]] = math.nan
-                iterations[idx[j]] = it if err else max_iter
+                iterations[idx[j]] = it if err else MAX_ITER
                 errors[idx[j]] = err
             live = ~stop
             (idx, Dm, km, g, wb, tol, dg, q_next) = (
@@ -198,8 +203,6 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed, *, tol_rel, max_iter,
 
 
 def solve_steady_states(params: ParamStack, epsilon_d: float, *,
-                        tol_rel: float = 1e-12, max_iter: int = 1000,
-                        damping: float = 0.5,
                         q_seed=0.0) -> SteadyState:
     """Solve the mean-field equations for a parameter stack.
 
@@ -209,12 +212,12 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     displacement fixed point q -> -(g_mb/omega_b)|m(q)|^2 is iterated
     with damped Picard steps from ``q_seed`` (a scalar, or one value per
     slice) until the slice's effective detuning moves by less than
-    ``tol_rel * omega_b``.  The seed 0 selects the branch continuously
+    ``TOL_REL * omega_b``.  The seed 0 selects the branch continuously
     connected to the undriven solution.
 
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False so that multistable points can be diagnosed by
-    the caller (see :func:`find_self_consistent_roots`).  A slice that
+    the caller, e.g. by solving again from other seeds.  A slice that
     divides by zero or overflows a finite amplitude gets its error in
     ``errors`` instead of raising.
     """
@@ -224,13 +227,11 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     n = len(s)
     errors: list = [None] * n
     p = np.zeros(n)
-    options = dict(tol_rel=tol_rel, max_iter=max_iter, damping=damping)
 
     if epsilon_d == 0.0:
         # undriven: the amplitudes vanish, so the mechanical equation
         # -omega_b*q is the only one that can be out of balance
-        q, iterations, converged = _iterate(s, g, None, errors, q_seed,
-                                            **options)
+        q, iterations, converged = _iterate(s, g, None, errors, q_seed)
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q, iterations,
                            _relative_max_norm((s.omega_b * q,), epsilon_d),
@@ -245,7 +246,7 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
         for k in np.flatnonzero(f.C == 0):
             errors[k] = ZeroDivisionError("complex division by zero")
         q, iterations, converged = _iterate(s, g, (f.C, f.G, E), errors,
-                                            q_seed, **options)
+                                            q_seed)
         delta_eff = s.Delta_m + g * q
         denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
         m = E / denom
@@ -274,59 +275,18 @@ def _point(state: SteadyState, k: int) -> SteadyState:
                        float(state.residual[k]), bool(state.converged[k]))
 
 
-def solve_steady_state(params: PhysicalParams, epsilon_d: float, *,
-                       tol_rel: float = 1e-12, max_iter: int = 1000,
-                       damping: float = 0.5,
-                       q_seed: float = 0.0) -> SteadyState:
+def solve_steady_state(params: PhysicalParams,
+                       epsilon_d: float) -> SteadyState:
     """Solve the mean-field equations for one parameter set: the
     one-point call of :func:`solve_steady_states`, returning scalars.
 
     Raises the slice's ``ArithmeticError`` (ZeroDivisionError or
     OverflowError) if the solve ran into one.
     """
-    state = solve_steady_states(ParamStack.broadcast(params, 1), epsilon_d,
-                                tol_rel=tol_rel, max_iter=max_iter,
-                                damping=damping, q_seed=q_seed)
+    state = solve_steady_states(ParamStack.broadcast(params, 1), epsilon_d)
     if state.errors[0] is not None:
         raise state.errors[0]
     return _point(state, 0)
-
-
-def find_self_consistent_roots(params: PhysicalParams, epsilon_d: float, *,
-                               n_seeds: int = 32,
-                               tol_rel: float = 1e-12,
-                               max_iter: int = 1000) -> list[SteadyState]:
-    """Scan displacement seeds for distinct self-consistent solutions.
-
-    Returns all converged roots found from a coarse grid of seeds,
-    deduplicated on the displacement, ordered with the branch connected
-    to the undriven (q = 0 seed) solution first.  A single entry means
-    the operating point is monostable.  The seed grid spans eight times
-    the q = 0 root, so that root is solved first and the seeds then in
-    one stacked call.
-    """
-    if params.coupling_mode != "microscopic":
-        return [solve_steady_state(params, epsilon_d, tol_rel=tol_rel,
-                                   max_iter=max_iter)]
-    first = solve_steady_state(params, epsilon_d, tol_rel=tol_rel,
-                               max_iter=max_iter, q_seed=0.0)
-    span = 8.0 * max(abs(first.q_avg), 1.0)
-    seeds = [-span + 2.0 * span * k / max(n_seeds - 1, 1)
-             for k in range(n_seeds)]
-    cands = solve_steady_states(ParamStack.broadcast(params, n_seeds),
-                                epsilon_d, tol_rel=tol_rel,
-                                max_iter=max_iter, q_seed=np.array(seeds))
-    roots = [first] if first.converged else []
-    for k in range(n_seeds):
-        if cands.errors[k] is not None:
-            raise cands.errors[k]
-        if not cands.converged[k]:
-            continue
-        cand = _point(cands, k)
-        scale = max(abs(cand.q_avg), 1.0)
-        if all(abs(cand.q_avg - r.q_avg) > 1e-6 * scale for r in roots):
-            roots.append(cand)
-    return roots if roots else [first]
 
 
 def effective_coupling(g_mb, m_avg):
@@ -334,14 +294,3 @@ def effective_coupling(g_mb, m_avg):
     elementwise on arrays."""
     return 1j * SQRT2 * g_mb * m_avg
 
-
-def gauge_phase(m_avg: complex) -> float:
-    """Phase angle that rotates <m> so the effective coupling is real >= 0.
-
-    Rotating ``m_avg`` by ``exp(1j*gauge_phase(m_avg))`` makes
-    :func:`effective_coupling` real and non-negative.  This is the gauge
-    in which the drift matrix takes its canonical form.
-    """
-    if m_avg == 0:
-        return 0.0
-    return -cmath.phase(1j * m_avg)

@@ -34,10 +34,12 @@ MEASURE_COLUMNS = E_COLUMNS + ST_COLUMNS
 DIAGNOSTIC_COLUMNS = ("margin", "physicality", "residual", "lyap_residual")
 AMPLITUDE_COLUMNS = ("abs_a1", "abs_a2", "abs_m", "q_avg")
 
-# the mode pair of each measure column, first-listed mode first
-_PAIR_OF = {col: pair for pair in measures.PAIRS
-            for col in ("E_%s%s" % pair, "st_%s_to_%s" % pair,
-                        "st_%s_to_%s" % pair[::-1])}
+# the mode pair of each measure column, first-listed mode first, and
+# the column's place in measures.PairMeasures: E_N, forward, backward
+_PAIR_OF = {col: (pair, place) for pair in measures.PAIRS
+            for place, col in enumerate(("E_%s%s" % pair,
+                                         "st_%s_to_%s" % pair,
+                                         "st_%s_to_%s" % pair[::-1]))}
 
 AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 
@@ -223,7 +225,7 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
         elif q == "margin":
             pass  # the stability margin is always reported
         elif q in MEASURE_COLUMNS:
-            requested.update((q, "E_%s%s" % _PAIR_OF[q]))
+            requested.update((q, "E_%s%s" % _PAIR_OF[q][0]))
         else:
             raise ValueError(f"unknown quantity {q!r}")
     cols = tuple(c for c in MEASURE_COLUMNS if c in requested)
@@ -329,22 +331,19 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
     put("physicality", points, lyapunov.physicality_min_eig(V))
     by_pair: dict[tuple[str, str], list[str]] = {}
     for col in columns:
-        by_pair.setdefault(_PAIR_OF[col], []).append(col)
+        by_pair.setdefault(_PAIR_OF[col][0], []).append(col)
     for pair, cols in by_pair.items():
-        cms = measures.reduce_pair(V, pair)
-        # entanglement first: its symplectic screen decides whether the
-        # reduced state is physical enough to report at all
-        e_values, e_errors = measures.log_negativity(cms)
+        found = measures.pair_measures(measures.reduce_pair(V, pair))
+        # cols[0] is the pair's E column: its symplectic screen decides
+        # whether the reduced state is physical enough to report at all
+        e_values, e_errors = found.log_negativity
         physical = np.array([e is None for e in e_errors], dtype=bool)
         for i in np.flatnonzero(~physical):
             warnings[points[i]].append(f"pair {pair[0]}-{pair[1]}: "
                                        f"{e_errors[i]}")
-        for col in cols:
-            if col.startswith("E_"):
-                put(col, points[physical], e_values[physical])
-                continue
-            st_values, st_errors = measures.steering(
-                cms, "forward" if col == "st_%s_to_%s" % pair else "backward")
+        put(cols[0], points[physical], e_values[physical])
+        for col in cols[1:]:
+            st_values, st_errors = found[_PAIR_OF[col][1]]
             shown = physical & np.array([e is None for e in st_errors],
                                         dtype=bool)
             put(col, points[shown], st_values[shown])

@@ -14,6 +14,7 @@ i*Omega*(P V P) instead of the package's closed form.
 It also holds the package helpers that only the tests call.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -327,6 +328,50 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
     res = _scalar_residual(params, m, a1, a2, q, epsilon_d)
     return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
                        converged)
+
+
+def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
+    """Scan displacement seeds for distinct self-consistent solutions.
+
+    Returns all converged roots found from a coarse grid of seeds,
+    deduplicated on the displacement, ordered with the branch connected
+    to the undriven (q = 0 seed) solution first.  A single entry means
+    the operating point is monostable.  The seed grid spans eight times
+    the q = 0 root, so that root is solved first and the seeds then in
+    one stacked call.
+    """
+    first = steady_state.solve_steady_state(params, epsilon_d)
+    if params.coupling_mode != "microscopic":
+        return [first]
+    span = 8.0 * max(abs(first.q_avg), 1.0)
+    seeds = [-span + 2.0 * span * k / max(n_seeds - 1, 1)
+             for k in range(n_seeds)]
+    cands = steady_state.solve_steady_states(
+        ParamStack.broadcast(params, n_seeds), epsilon_d,
+        q_seed=np.array(seeds))
+    roots = [first] if first.converged else []
+    for k in range(n_seeds):
+        if cands.errors[k] is not None:
+            raise cands.errors[k]
+        if not cands.converged[k]:
+            continue
+        cand = steady_state._point(cands, k)
+        scale = max(abs(cand.q_avg), 1.0)
+        if all(abs(cand.q_avg - r.q_avg) > 1e-6 * scale for r in roots):
+            roots.append(cand)
+    return roots if roots else [first]
+
+
+def gauge_phase(m_avg):
+    """Phase angle that rotates <m> so the effective coupling is real >= 0.
+
+    Rotating ``m_avg`` by ``exp(1j*gauge_phase(m_avg))`` makes
+    ``effective_coupling`` real and non-negative.  This is the gauge in
+    which the drift matrix takes its canonical form.
+    """
+    if m_avg == 0:
+        return 0.0
+    return -cmath.phase(1j * m_avg)
 
 
 def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,

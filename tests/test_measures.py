@@ -3,12 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from magmech.dynamics import diffusion_matrix, drift_matrix
 from magmech.lyapunov import solve_lyapunov
 from magmech.measures import (PAIRS, PhysicalityError, log_negativity,
                               min_ptranspose_symplectic_eig, mode_indices,
-                              reduce_pair, steering)
+                              pair_measures, reduce_pair, steering)
 from magmech.sweep import figure_preset, grid_values
 
 from .oracles import (random_physical_cm, stable_covariances,
@@ -145,6 +148,53 @@ def test_local_rotation_invariance(rng):
                       [-np.sin(theta), np.cos(theta)]])
         S = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
         assert log_negativity(S @ cm @ S.T) == pytest.approx(base, abs=1e-10)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def two_mode_states(draw):
+    """A physical two-mode CM: a thermal diagonal (occupations up to
+    1.5) conjugated by the symplectic exp(Omega H), H symmetric with
+    entries up to 0.6."""
+    upper = np.array(draw(st.lists(_UNIT, min_size=10, max_size=10)))
+    H = np.zeros((4, 4))
+    H[np.triu_indices(4)] = 0.6 * upper
+    H = H + np.triu(H, 1).T
+    occupations = draw(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2))
+    S = expm(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) @ H)
+    return S @ np.diag(np.repeat(np.add(occupations, 0.5), 2)) @ S.T
+
+
+def _measures(cm):
+    """(E_N, forward, backward) of one CM, each with no screen failed."""
+    found = pair_measures(cm[None])
+    assert all(errors == [None] for _, errors in found)
+    return [values[0] for values, _ in found[:3]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cm=two_mode_states())
+def test_swapping_a_pair_swaps_the_steering_directions(cm):
+    swap = np.zeros((4, 4))
+    swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
+    e_n, forward, backward = _measures(cm)
+    assert _measures(swap @ cm @ swap.T) == pytest.approx(
+        [e_n, backward, forward], rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cm=two_mode_states(), phases=st.lists(st.floats(-math.pi, math.pi),
+                                             min_size=2, max_size=2))
+def test_local_phase_rotations_leave_the_measures_unchanged(cm, phases):
+    R = np.zeros((4, 4))
+    for k, theta in enumerate(phases):
+        R[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [
+            [math.cos(theta), math.sin(theta)],
+            [-math.sin(theta), math.cos(theta)]]
+    assert _measures(R @ cm @ R.T) == pytest.approx(
+        _measures(cm), rel=1e-12, abs=1e-12)
 
 
 def test_local_noise_never_increases_entanglement():

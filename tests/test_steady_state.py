@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from magmech.dynamics import drift_matrix
 from magmech.params import TWO_PI, effective_kappa_2, reference_baseline
-from magmech.steady_state import (effective_coupling,
-                                  find_self_consistent_roots, gauge_phase,
-                                  solve_steady_state, solve_steady_states)
+from magmech.steady_state import (effective_coupling, solve_steady_state,
+                                  solve_steady_states)
 from magmech.sweep import evaluate_point
 
-from .oracles import mean_field_residual, picard_steady_state, stack_of
+from .oracles import (find_self_consistent_roots, gauge_phase,
+                      mean_field_residual, picard_steady_state, stack_of)
 
 
 @pytest.fixture

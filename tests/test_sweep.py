@@ -345,6 +345,30 @@ def test_critical_temperature_matches_sequential_bisection(
     assert warnings == ref_warnings
 
 
+@pytest.mark.parametrize("quantities,n_pairs", [
+    (("E_a2m",), 1), (("st_m_to_a2",), 1), (("st_a2_to_m", "st_m_to_a2"), 1),
+    (("E_a1m", "st_a2_to_m", "st_m_to_a2", "st_b_to_a1"), 3)])
+def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
+                                              quantities, n_pairs):
+    # det A, det C, det B and det V of each requested pair, taken once
+    # per chunk however many steering directions the pair reports
+    calls = []
+    det = np.linalg.det
+
+    def spy(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    spec = small_spec(baseline, quantities=quantities, axes=(
+        SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
+    monkeypatch.setattr(np.linalg, "det", spy)
+    records = run_sweep(spec)
+    # two chunks, of 4 and 3 points, every point stable
+    assert all(r.stable for r in records)
+    assert len(calls) == 4 * n_pairs * 2
+
+
 def test_critical_temperature_search_is_three_stacked_evaluations(
         baseline, monkeypatch):
     sizes = []
