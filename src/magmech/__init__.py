@@ -7,31 +7,27 @@ logarithmic negativity and Renyi-2 steering for every mode pair, plus a
 parameter-sweep engine and CLI reproducing the reference figure data.
 """
 
-from .dynamics import (StabilityReport, diffusion_matrix, drift_matrix,
+from .dynamics import (StabilityReport, diffusion_matrices, drift_matrices,
                        stability)
-from .lyapunov import (SingularSystemError, lyapunov_residual,
-                       physicality_min_eig, solve_lyapunov, symplectic_form)
-from .measures import (MODES, PAIRS, PhysicalityError, log_negativity,
-                       min_ptranspose_symplectic_eig, reduce_pair, steering)
+from .lyapunov import (lyapunov_residual, physicality_min_eig, solve_lyapunov,
+                       symplectic_form)
+from .measures import MODES, PAIRS, pair_measures, reduce_pair
 from .params import (DriveParams, ParamStack, PhysicalParams, eta_ratio,
                      reference_baseline, rabi_frequency, thermal_occupation)
-from .steady_state import (SteadyState, effective_coupling,
-                           solve_steady_state, solve_steady_states)
+from .steady_state import SteadyState, effective_coupling, solve_steady_states
 from .sweep import (SweepAxis, SweepRecord, SweepSpec, SweepTable,
                     evaluate_point, figure_preset, find_critical_temperature,
                     run_sweep)
 
 __all__ = [
     "DriveParams", "MODES", "PAIRS", "ParamStack", "PhysicalParams",
-    "PhysicalityError", "SingularSystemError", "StabilityReport",
-    "SteadyState", "SweepAxis", "SweepRecord", "SweepSpec", "SweepTable",
-    "diffusion_matrix", "drift_matrix", "effective_coupling", "eta_ratio",
-    "evaluate_point", "figure_preset", "find_critical_temperature",
-    "log_negativity", "lyapunov_residual", "min_ptranspose_symplectic_eig",
+    "StabilityReport", "SteadyState", "SweepAxis", "SweepRecord",
+    "SweepSpec", "SweepTable", "diffusion_matrices", "drift_matrices",
+    "effective_coupling", "eta_ratio", "evaluate_point", "figure_preset",
+    "find_critical_temperature", "lyapunov_residual", "pair_measures",
     "reference_baseline", "physicality_min_eig", "rabi_frequency",
-    "reduce_pair", "run_sweep", "solve_lyapunov", "solve_steady_state",
-    "solve_steady_states", "stability", "steering", "symplectic_form",
-    "thermal_occupation",
+    "reduce_pair", "run_sweep", "solve_lyapunov", "solve_steady_states",
+    "stability", "symplectic_form", "thermal_occupation",
 ]
 
 __version__ = "0.1.0"

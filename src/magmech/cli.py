@@ -41,15 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="path to the INI config file")
-        p.add_argument("--out", help="output file (default: stdout or "
-                                     "<preset>.csv)")
         p.add_argument("--diffusion", choices=sorted(DIFFUSION_FLAGS),
                        help="override the cavity-2 noise convention")
         p.add_argument("--drift", choices=("derived", "printed"),
                        default=None, help="drift matrix variant")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes, each given whole "
-                            "chunks of points")
 
     p_point = sub.add_parser("point", help="evaluate a single point")
     add_common(p_point)
@@ -70,6 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the invariant battery")
     add_common(p_val)
+
+    for p in (p_point, p_sweep, p_preset, p_tc):
+        p.add_argument("--out", help="output file (default: stdout or "
+                                     "<preset>.csv)")
+    for p in (p_sweep, p_preset):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes, each given whole "
+                            "chunks of points")
 
     return parser
 
@@ -153,8 +156,13 @@ def cmd_tc(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
     pair = tuple(p.strip() for p in args.pair.split(","))
-    if len(pair) != 2:
-        raise ConfigError(f"--pair must name two modes, got {args.pair!r}")
+    # E_N does not depend on the order of the pair
+    if pair[::-1] in measures.PAIRS:
+        pair = pair[::-1]
+    if pair not in measures.PAIRS:
+        raise ConfigError(f"--pair must be one of "
+                          f"{' '.join(','.join(p) for p in measures.PAIRS)}"
+                          f" (in either order), got {args.pair!r}")
     tc, warnings = find_critical_temperature(
         params, pair, drift_mode=_drift_mode(args),
         epsilon_d=cfg["epsilon_d"])

@@ -33,6 +33,13 @@ class ConfigError(Exception):
     """Malformed configuration file."""
 
 
+def _number(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"bad number {text!r} for {key!r}")
+
+
 def _parse_rate(text: str, default_unit: str, kappa_1=None, omega_b=None,
                 *, key: str = "") -> float:
     parts = text.split()
@@ -42,10 +49,7 @@ def _parse_rate(text: str, default_unit: str, kappa_1=None, omega_b=None,
         value, unit = parts
     else:
         raise ConfigError(f"cannot parse rate {text!r} for {key!r}")
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"bad number {value!r} for {key!r}")
+    number = _number(value, key)
     if unit == "rad_s":
         return number
     if unit == "Hz2pi":
@@ -95,9 +99,9 @@ def parse_system(section) -> tuple[PhysicalParams, float]:
         if key in STRING_KEYS:
             values[key] = section[key].strip()
         elif key == "temperature_T":
-            values[key] = float(section[key])
+            values[key] = _number(section[key], key)
         elif key == "eta":
-            eta = float(section[key])
+            eta = _number(section[key], key)
         elif key == "epsilon_d":
             epsilon_d = _parse_rate(section[key], default_unit, kappa_1,
                                     omega_b, key=key)
@@ -130,8 +134,8 @@ def _parse_axis(text: str, default_unit: str, kappa_1: float,
     name = parts[0]
     plain = name in ("eta", "temperature_T")
     def conv(v):
-        return float(v) if plain else _parse_rate(v, default_unit, kappa_1,
-                                                  omega_b, key=name)
+        return _number(v, name) if plain else _parse_rate(
+            v, default_unit, kappa_1, omega_b, key=name)
     try:
         return SweepAxis(name, conv(parts[1]), conv(parts[2]),
                          int(parts[3]))
@@ -149,7 +153,8 @@ def _parse_links(text: str):
             target, source, factor = pieces
         else:
             raise ConfigError(f"link must be target:source[:factor]: {item!r}")
-        links.append((target.strip(), source.strip(), float(factor)))
+        links.append((target.strip(), source.strip(),
+                      _number(factor, "links")))
     return tuple(links)
 
 

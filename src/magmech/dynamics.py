@@ -1,5 +1,6 @@
-"""Linearized fluctuation dynamics: drift matrix, diffusion matrix and
-the stability gate.
+"""Linearized fluctuation dynamics: drift and diffusion matrices and
+the stability gate, for a :class:`~magmech.params.ParamStack` of points
+at a time; each function returns one result per point.
 
 Quadrature ordering is (dI1, dphi1, dI2, dphi2, dx, dy, dq, dp): the two
 cavity quadrature pairs, the magnon pair, then mechanical position and
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lyapunov import eigendecomposition
-from .params import (ParamStack, PhysicalParams, effective_kappa_2,
-                     thermal_occupation)
+from .params import ParamStack, effective_kappa_2, thermal_occupation
 
 QUADRATURES = ("I1", "phi1", "I2", "phi2", "x", "y", "q", "p")
 
@@ -24,12 +24,15 @@ DRIFT_MODES = ("derived", "printed")
 TOL_STAB_REL = 1e-9
 
 
-def drift_matrix(params: PhysicalParams, delta_eff: float,
-                 G_mb_real: float, *, mode: str = "derived") -> np.ndarray:
-    """8x8 drift matrix of the quadrature fluctuations.
+def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
+                   mode: str = "derived") -> np.ndarray:
+    """(N, 8, 8) stack of drift matrices of the quadrature fluctuations,
+    one per point of the stack.
 
-    ``G_mb_real`` is the gauge-fixed (real, non-negative) effective
-    magnon-phonon coupling; ``delta_eff`` the shifted magnon detuning.
+    ``delta_eff`` and ``G_mb`` hold one shifted magnon detuning and one
+    effective magnon-phonon coupling per point; the pipeline passes the
+    gauge-fixed (real, non-negative) coupling, and a complex one rotates
+    the magnon block by its phase.
 
     ``mode="derived"`` (default) builds the matrix from the
     linearization of the equations of motion: the cavity-2 diagonal
@@ -38,20 +41,6 @@ def drift_matrix(params: PhysicalParams, delta_eff: float,
     ``mode="printed"`` reproduces a legacy transcription that differs in
     exactly two places: intrinsic kappa_2 on the cavity-2 diagonal and a
     +delta_eff sign at row 6, column 5.  It is retained for audit only.
-    """
-    if G_mb_real < 0:
-        raise ValueError("G_mb_real must be gauge-fixed non-negative")
-    return drift_matrices(ParamStack.broadcast(params, 1), [delta_eff],
-                          [G_mb_real], mode=mode)[0]
-
-
-def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
-                   mode: str = "derived") -> np.ndarray:
-    """(N, 8, 8) stack of drift matrices, one per point of the stack.
-
-    ``delta_eff`` and ``G_mb`` hold one effective detuning and one
-    (possibly complex) effective coupling per point; see
-    :func:`drift_matrix` for ``mode``.
     """
     if mode not in DRIFT_MODES:
         raise ValueError(f"unknown drift mode {mode!r}")
@@ -78,12 +67,13 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
     return A
 
 
-def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
-    """Diagonal 8x8 noise matrix and any convention warnings.
+def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
+    """(N, 8, 8) stack of diagonal noise matrices and each point's
+    convention warnings, a tuple per point.
 
     The cavity-1, magnon and mechanical entries are kappa*(2N+1) with
     the mode's thermal occupation (zero on the mechanical position).
-    The cavity-2 entry ``d2`` depends on ``params.diffusion_convention``:
+    The cavity-2 entry ``d2`` depends on ``p.diffusion_convention``:
 
     - ``as_printed``:   (kappa_2 - g) * (2N2 + 1); negative when the
       cavity is net active, which is flagged with a warning.
@@ -94,13 +84,6 @@ def diffusion_matrix(params: PhysicalParams) -> tuple[np.ndarray, list[str]]:
       gain reservoir carry the same (2N+1)/2 weight per quadrature as a
       lossy one, so loss and gain contributions simply add.
     """
-    D, warnings = diffusion_matrices(ParamStack.broadcast(params, 1))
-    return D[0], list(warnings[0])
-
-
-def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
-    """(N, 8, 8) stack of noise matrices and each point's warnings; see
-    :func:`diffusion_matrix`."""
     # the scalar thermal_occupation once per distinct (omega, T) pair,
     # found as one complex number by a 1-D unique: np.expm1 may run a
     # SIMD kernel that differs from math.expm1 in the last bit
@@ -138,34 +121,29 @@ class StabilityReport:
     ``stable`` is true iff the largest real part is below the (kappa_1
     scaled) tolerance; ``indeterminate`` marks an eigensolver failure,
     which is never silently reported as stable or unstable.  The
-    eigenvectors feed the spectral Lyapunov solve.  For a stack of
-    drift matrices every field holds one entry per slice.
+    eigenvectors feed the spectral Lyapunov solve.  Every field holds
+    one entry per slice of the stack of drift matrices.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    stable: bool | np.ndarray
-    margin: float | np.ndarray
-    indeterminate: bool | np.ndarray = False
+    stable: np.ndarray
+    margin: np.ndarray
+    indeterminate: np.ndarray
 
 
 def stability(A: np.ndarray, kappa_1) -> StabilityReport:
     """Classify drift matrices by their spectra, from one
     eigendecomposition per matrix.
 
-    ``A`` is one matrix or a stack (N, 8, 8); ``kappa_1`` a scalar or one
-    value per slice.  Stable iff every eigenvalue real part is
+    ``A`` is a stack (N, 8, 8); ``kappa_1`` a scalar or one value per
+    slice.  Stable iff every eigenvalue real part is
     < -TOL_STAB_REL*kappa_1.
     """
-    A = np.asarray(A, dtype=float)
-    single = A.ndim == 2
-    w, S = eigendecomposition(A[None] if single else A)
+    w, S = eigendecomposition(A)
     indeterminate = np.isnan(w).any(axis=-1)
     margin = w.real.max(axis=-1)  # NaN where indeterminate
     stable = margin < -TOL_STAB_REL * np.asarray(kappa_1, dtype=float)
-    if single:
-        return StabilityReport(w[0], S[0], bool(stable[0]), float(margin[0]),
-                               bool(indeterminate[0]))
     return StabilityReport(w, S, stable, margin, indeterminate)
 
 

@@ -1,8 +1,10 @@
 """Dense numerical kernels: steady-state Lyapunov solver, eigensolver
 contract and covariance physicality checks.
 
-The kernels take one matrix or a stack of shape (N, n, n) and act slice
-by slice, so a point's result does not depend on the stack it sits in.
+The kernels take stacks of shape (N, n, n), return one result per
+slice and act slice by slice, so a point's result does not depend on
+the stack it sits in.  A slice that fails comes back NaN; nothing
+raises for one slice.
 
 The Lyapunov equation A V + V A^T = -D is solved in the eigenbasis of
 A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
@@ -25,14 +27,6 @@ import numpy as np
 
 EPS_FLOOR = 1e-300
 SPECTRAL_RESIDUAL_MAX = 1e-12
-
-
-class SingularSystemError(Exception):
-    """The vectorized Lyapunov system is rank deficient.
-
-    Occurs exactly on the stability boundary, where eigenvalue pairs of
-    the drift matrix sum to zero.
-    """
 
 
 def _runs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,16 +86,19 @@ def _inverse(S: np.ndarray) -> np.ndarray:
 
 
 def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """V from the vectorized system (A (x) I + I (x) A) vec(V) = -vec(D)."""
+    """V from the vectorized system (A (x) I + I (x) A) vec(V) = -vec(D);
+    NaN where the system is singular or the solution not finite, which
+    happens exactly on the stability boundary, where eigenvalue pairs
+    of A sum to zero."""
     n = A.shape[0]
     eye = np.eye(n)
     K = np.kron(A, eye) + np.kron(eye, A)
     try:
         v = np.linalg.solve(K, -D.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    except np.linalg.LinAlgError:
+        return np.full((n, n), np.nan)
     if not np.all(np.isfinite(v)):
-        raise SingularSystemError("non-finite solution")
+        return np.full((n, n), np.nan)
     V = v.reshape(n, n)
     return 0.5 * (V + V.T)
 
@@ -113,27 +110,22 @@ def _transpose(M: np.ndarray) -> np.ndarray:
 def solve_lyapunov(A: np.ndarray, D: np.ndarray,
                    eig: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> np.ndarray:
-    """Unique symmetric solution V of A V + V A^T = -D for stable A.
+    """Unique symmetric solutions V of A V + V A^T = -D for stable A.
 
-    ``A`` and ``D`` are (n, n), or stacks (N, n, n) solved slice by
-    slice.  ``eig`` passes the eigendecomposition ``(w, S)`` of ``A``
-    in the form :func:`eigendecomposition` returns, so that the
-    stability gate's decomposition is not computed twice.
+    ``A`` and ``D`` are stacks (N, n, n), solved slice by slice.
+    ``eig`` passes the eigendecomposition ``(w, S)`` of ``A`` in the
+    form :func:`eigendecomposition` returns, so that the stability
+    gate's decomposition is not computed twice.
 
     Callers must gate on stability first.  On the stability boundary
-    the Kronecker fallback detects singularity: a single system raises
-    :class:`SingularSystemError`, a slice of a stack comes back NaN.
+    the Kronecker fallback finds the system singular and the slice
+    comes back NaN.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
-    if (A.ndim not in (2, 3) or A.shape != D.shape
-            or A.shape[-1] != A.shape[-2]):
-        raise ValueError("A and D must be square and conformable")
-    single = A.ndim == 2
-    if single:
-        A, D = A[None], D[None]
-        if eig is not None:
-            eig = (eig[0][None], eig[1][None])
+    if A.ndim != 3 or A.shape != D.shape or A.shape[-1] != A.shape[-2]:
+        raise ValueError("A and D must be conformable stacks of square "
+                         "matrices")
     w, S = eigendecomposition(A) if eig is None else eig
 
     with np.errstate(all="ignore"):
@@ -150,24 +142,18 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
         V = V + spectral(A @ V + V @ _transpose(A) + D)  # refinement
         retry = ~(lyapunov_residual(A, V, D) <= SPECTRAL_RESIDUAL_MAX)
     for k in np.flatnonzero(retry):
-        try:
-            V[k] = _kronecker_solve(A[k], D[k])
-        except SingularSystemError:
-            if single:
-                raise
-            V[k] = np.nan
-    return V[0] if single else V
+        V[k] = _kronecker_solve(A[k], D[k])
+    return V
 
 
 def lyapunov_residual(A: np.ndarray, V: np.ndarray,
-                      D: np.ndarray) -> float | np.ndarray:
-    """Relative max-norm residual |A V + V A^T + D| / max(|D|, floor),
-    one value per slice for stacks."""
+                      D: np.ndarray) -> np.ndarray:
+    """Relative max-norm residual |A V + V A^T + D| / max(|D|, floor)
+    of each slice of the stacks."""
     A, V, D = (np.asarray(M, dtype=float) for M in (A, V, D))
     R = A @ V + V @ _transpose(A) + D
-    res = np.abs(R).max(axis=(-2, -1)) / np.maximum(
+    return np.abs(R).max(axis=(-2, -1)) / np.maximum(
         np.abs(D).max(axis=(-2, -1)), EPS_FLOOR)
-    return float(res) if res.ndim == 0 else res
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -175,14 +161,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def physicality_min_eig(V: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of V + (i/2) Omega, one value per slice for
-    stacks.
+def physicality_min_eig(V: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of V + (i/2) Omega for each slice of a
+    stack.
 
     Non-negative (up to roundoff) exactly when V is a bona fide quantum
     covariance matrix in the vacuum-variance-1/2 convention.
     """
     V = np.asarray(V, dtype=float)
     H = V + 0.5j * symplectic_form(V.shape[-1] // 2)
-    least = np.linalg.eigvalsh(H).min(axis=-1)
-    return float(least) if least.ndim == 0 else least
+    return np.linalg.eigvalsh(H).min(axis=-1)

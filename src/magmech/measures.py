@@ -6,13 +6,13 @@ Conventions: vacuum variance 1/2 (a thermal mode has V = (N + 1/2) I),
 so a pair is entangled iff the smallest partially-transposed symplectic
 eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).
 
-A pair's measures come from one pass, :func:`pair_measures`, over the
-four block determinants det A, det C, det B and det V of its 4x4 CM:
-E_N, the steering in both directions and the symplectic eigenvalue,
-each with its own screens.  :func:`log_negativity`, :func:`steering`
-and :func:`min_ptranspose_symplectic_eig` select from it.  The spectral
-route to the eigenvalue, the eigenvalues of i*Omega*(P cm P), is the
-tests' oracle.
+A pair's measures come from one pass, :func:`pair_measures`, over a
+stack (N, 4, 4) of its reduced CMs and the four block determinants det
+A, det C, det B and det V of each: E_N, the steering in both directions
+and the symplectic eigenvalue, each with its own screens.  A slice that
+fails a screen comes back NaN with a message; nothing raises.  The
+spectral route to the eigenvalue, the eigenvalues of i*Omega*(P cm P),
+is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ ZERO_CLAMP = 1e-12
 
 # adj(M)^T of a 2x2 block M is M[::-1, ::-1] times these signs
 _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-class PhysicalityError(Exception):
-    """The two-mode covariance matrix is not a physical Gaussian state
-    (beyond numerical tolerance)."""
 
 
 def mode_indices(mode: str) -> tuple[int, int]:
@@ -58,41 +53,23 @@ def reduce_pair(V: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
     return np.asarray(V)[..., idx[:, None], idx]
 
 
-def _two_mode_stack(cm) -> tuple[np.ndarray, bool]:
-    """(stack (N, 4, 4), whether the input was a single matrix)."""
-    cm = np.asarray(cm, dtype=float)
-    if cm.ndim not in (2, 3) or cm.shape[-2:] != (4, 4):
-        raise ValueError("expected a 4x4 two-mode covariance matrix "
-                         "or a stack of them")
-    return (cm[None], True) if cm.ndim == 2 else (cm, False)
-
-
-def _result(values: np.ndarray, errors: list, single: bool):
-    """A single matrix returns its value or raises its error; a stack
-    returns (values, errors) with NaN where ``errors`` holds a
-    message."""
-    if not single:
-        return np.where([e is None for e in errors], values, np.nan), errors
-    if errors[0] is not None:
-        raise PhysicalityError(errors[0])
-    return float(values[0])
-
-
-def _first_error(n: int, checks) -> list:
-    """Per slice, the message of the first failed (mask, message) check,
-    or None."""
-    errors = [None] * n
+def _screened(values: np.ndarray, checks) -> tuple[np.ndarray, list]:
+    """``(values, errors)``: per slice, the message of the first failed
+    (mask, message) check or None, and NaN in ``values``, which is
+    written in place, where there is one."""
+    errors = [None] * len(values)
     for mask, message in checks:
         for k in mask.nonzero()[0]:
             if errors[k] is None:
                 errors[k] = message(k)
-    return errors
+                values[k] = np.nan
+    return values, errors
 
 
 class PairMeasures(NamedTuple):
     """The measures of a stack of two-mode CMs, each as ``(values,
-    errors)``: an (N,) array and, per slice, the message of the first
-    screen it failed or None.  A failed slice's value means nothing."""
+    errors)``: an (N,) array, NaN on each slice that failed a screen,
+    and per slice the message of the first screen it failed or None."""
 
     log_negativity: tuple[np.ndarray, list]
     forward: tuple[np.ndarray, list]
@@ -123,7 +100,6 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
     """
     a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
     det_a, det_c, det_b, det_v = (np.linalg.det(m) for m in (a, c, b, cms))
-    n = len(cms)
     with np.errstate(invalid="ignore", divide="ignore"):
         sigma = det_a + det_c - 2.0 * det_b
         disc = sigma * sigma - 4.0 * det_v
@@ -154,8 +130,8 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
          lambda k: f"negative squared symplectic eigenvalue {inner[k]:.3e}"),
     ]
 
-    def steering_errors(det_block):
-        return _first_error(n, [
+    def steering(value, det_block):
+        return _screened(_clamp(value), [
             (det_block <= 0.0, lambda k: "non-positive conditioning block "
                                          f"determinant {det_block[k]:.3e}"),
             (det_v <= 0.0, lambda k: "non-positive covariance determinant "
@@ -165,51 +141,8 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
     # roundoff around the threshold nu = 1/2 reports exact zero, and
     # roundoff-scale steering too, so that one-way statements are crisp
     return PairMeasures(
-        (_clamp(e_n), _first_error(n, screens + [
-            (vanishing, lambda k: "vanishing symplectic eigenvalue")])),
-        (_clamp(forward), steering_errors(det_a)),
-        (_clamp(backward), steering_errors(det_c)),
-        (nu, _first_error(n, screens)))
-
-
-def _select(cm, name: str):
-    """Measure ``name`` of :class:`PairMeasures` for a 4x4 matrix or a
-    stack, as :func:`_result` returns it."""
-    cms, single = _two_mode_stack(cm)
-    values, errors = getattr(pair_measures(cms), name)
-    return _result(values, errors, single)
-
-
-def min_ptranspose_symplectic_eig(cm: np.ndarray):
-    """Smallest symplectic eigenvalue of the partially transposed CM,
-    from the closed form of :func:`pair_measures`.  The tests check it
-    against the spectrum of i*Omega*(P cm P).
-
-    A single 4x4 matrix returns a float and raises
-    :class:`PhysicalityError`; a stack (N, 4, 4) returns ``(values,
-    errors)``, with NaN and the error message on each failed slice.
-    """
-    return _select(cm, "nu")
-
-
-def log_negativity(cm: np.ndarray):
-    """Logarithmic negativity max(0, -ln(2 nu-)) of a two-mode CM.
-
-    Takes a 4x4 matrix or a stack, as
-    :func:`min_ptranspose_symplectic_eig` does.
-    """
-    return _select(cm, "log_negativity")
-
-
-def steering(cm: np.ndarray, direction: str = "forward"):
-    """Directional Gaussian steerability from the Renyi-2 entropy.
-
-    ``forward`` quantifies first-mode -> second-mode steering through
-    the first mode's local block; ``backward`` swaps the roles.
-    Roundoff-scale magnitudes (below 1e-12) are reported as exact zero
-    so that one-way statements are crisp.  Takes a 4x4 matrix or a
-    stack, as :func:`min_ptranspose_symplectic_eig` does.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    return _select(cm, direction)
+        _screened(_clamp(e_n), screens + [
+            (vanishing, lambda k: "vanishing symplectic eigenvalue")]),
+        steering(forward, det_a),
+        steering(backward, det_c),
+        _screened(nu, screens))

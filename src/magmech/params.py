@@ -72,7 +72,8 @@ class PhysicalParams:
     diffusion_convention : str
         How the cavity-2 noise diagonal is built when the cavity is
         active; one of ``as_printed``, ``absolute_value``,
-        ``physical_sum``.  See :func:`magmech.dynamics.diffusion_matrix`.
+        ``physical_sum``.  See
+        :func:`magmech.dynamics.diffusion_matrices`.
     """
 
     omega_b: float
@@ -114,6 +115,8 @@ def _checks(p):
     bool for a :class:`PhysicalParams`, a mask for a :class:`ParamStack`."""
     return (
         (p.omega_b <= 0, "omega_b must be positive"),
+        ((p.omega_1 <= 0) | (p.omega_2 <= 0) | (p.omega_m <= 0),
+         "omega_1, omega_2 and omega_m must be positive"),
         ((p.kappa_1 <= 0) | (p.kappa_m <= 0) | (p.gamma_b <= 0),
          "kappa_1, kappa_m and gamma_b must be positive"),
         ((p.kappa_2 < 0) | (p.gain_g < 0),
@@ -163,9 +166,10 @@ class ParamStack(SimpleNamespace):
         """Per point, the message of its first broken rule, or None."""
         n = len(self)
         errors = [None] * n
-        # in reverse, so that each point keeps its first broken rule
+        # in reverse, so that each point keeps its first broken rule;
+        # count_nonzero costs a tenth of np.any on a chunk's mask or bool
         for failed, message in reversed(_checks(self)):
-            if np.any(failed):
+            if np.count_nonzero(failed):
                 for k in np.flatnonzero(np.broadcast_to(failed, (n,))):
                     errors[k] = message
         return errors

@@ -11,8 +11,8 @@ taken from the parameter set and no iteration is needed.
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
 with one Picard loop over (N,) arrays.  Each slice leaves the loop at the
 iteration where its own detuning shift meets the tolerance, so its
-result does not depend on the stack it is solved in;
-:func:`solve_steady_state` is the one-point call.
+result does not depend on the stack it is solved in.  A slice that
+divides by zero or overflows records its error and does not raise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParamStack, PhysicalParams, effective_kappa_2
+from .params import ParamStack, effective_kappa_2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,25 +37,25 @@ DAMPING = 0.5
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Mean-field amplitudes: scalars for one parameter set, (N,) arrays
-    for a stack.
+    """Mean-field amplitudes of a stack of parameter sets, one entry per
+    slice in (N,) arrays.
 
     ``residual`` is the max-norm of the zero-derivative equations of
     motion relative to the drive amplitude; ``delta_eff`` is the
-    self-consistent magnon detuning.  A stack also carries ``errors``:
-    per slice, the ``ArithmeticError`` (division by zero, overflow)
-    that the solve ran into, or None.  Such a slice is not converged.
+    self-consistent magnon detuning.  ``errors`` holds, per slice, the
+    ``ArithmeticError`` (division by zero, overflow) that the solve ran
+    into, or None.  Such a slice is not converged.
     """
 
-    m_avg: complex
-    a1_avg: complex
-    a2_avg: complex
-    q_avg: float
-    p_avg: float
-    delta_eff: float
-    iterations_used: int
-    residual: float
-    converged: bool
+    m_avg: np.ndarray
+    a1_avg: np.ndarray
+    a2_avg: np.ndarray
+    q_avg: np.ndarray
+    p_avg: np.ndarray
+    delta_eff: np.ndarray
+    iterations_used: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
     errors: tuple = ()
 
 
@@ -264,29 +264,6 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
             converged[k] &= errors[k] is None
     return SteadyState(m, a1, a2, q, p, delta_eff, iterations, residual,
                        converged, tuple(errors))
-
-
-def _point(state: SteadyState, k: int) -> SteadyState:
-    """Slice ``k`` of a stacked state as Python scalars."""
-    return SteadyState(complex(state.m_avg[k]), complex(state.a1_avg[k]),
-                       complex(state.a2_avg[k]), float(state.q_avg[k]),
-                       float(state.p_avg[k]), float(state.delta_eff[k]),
-                       int(state.iterations_used[k]),
-                       float(state.residual[k]), bool(state.converged[k]))
-
-
-def solve_steady_state(params: PhysicalParams,
-                       epsilon_d: float) -> SteadyState:
-    """Solve the mean-field equations for one parameter set: the
-    one-point call of :func:`solve_steady_states`, returning scalars.
-
-    Raises the slice's ``ArithmeticError`` (ZeroDivisionError or
-    OverflowError) if the solve ran into one.
-    """
-    state = solve_steady_states(ParamStack.broadcast(params, 1), epsilon_d)
-    if state.errors[0] is not None:
-        raise state.errors[0]
-    return _point(state, 0)
 
 
 def effective_coupling(g_mb, m_avg):

@@ -16,7 +16,7 @@ It also holds the package helpers that only the tests call.
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,8 +24,7 @@ from scipy.linalg import expm
 from magmech import steady_state
 from magmech.dynamics import drift_matrices
 from magmech.lyapunov import solve_lyapunov, symplectic_form
-from magmech.params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
-                            effective_kappa_2)
+from magmech.params import NUMERIC_FIELDS, ParamStack, effective_kappa_2
 from magmech.steady_state import SteadyState
 from magmech.sweep import _evaluate_chunk, evaluate_point, stack_params
 
@@ -134,24 +133,20 @@ def drift_matrix_general(params, delta_eff, G_mb):
     return drift_matrices(stack_of([params]), [delta_eff], [G_mb])[0]
 
 
-def mean_field_residual(params, state, epsilon_d):
-    """Max-norm of the steady-state equations, relative to epsilon_d.
+def mean_field_residual(params_seq, state, epsilon_d):
+    """Max-norm of the steady-state equations, relative to epsilon_d,
+    of each of the parameter sets ``params_seq`` with its slice of the
+    stacked ``state``: an (N,) array.
 
     Substitutes the amplitudes into the five equations of motion with
-    all time derivatives set to zero.  ``params`` is one parameter set
-    with a scalar ``state`` (returns a float), or a sequence of them
-    with a stacked ``state`` (returns an (N,) array).
+    all time derivatives set to zero.
     """
-    single = isinstance(params, PhysicalParams)
-    fields = (np.atleast_1d(x) for x in (state.m_avg, state.a1_avg,
-                                         state.a2_avg, state.q_avg,
-                                         state.p_avg))
-    s = stack_of([params] if single else params)
-    equations = steady_state._equations(s, steady_state._feedback(s),
-                                        steady_state._response(s), *fields,
-                                        epsilon_d)
-    res = steady_state._relative_max_norm(equations, epsilon_d)
-    return float(res[0]) if single else res
+    s = stack_of(params_seq)
+    return steady_state._relative_max_norm(
+        steady_state._equations(s, steady_state._feedback(s),
+                                steady_state._response(s), state.m_avg,
+                                state.a1_avg, state.a2_avg, state.q_avg,
+                                state.p_avg, epsilon_d), epsilon_d)
 
 
 def random_stable_drift(rng, n=8, margin=0.5):
@@ -333,33 +328,40 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
 def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
     """Scan displacement seeds for distinct self-consistent solutions.
 
-    Returns all converged roots found from a coarse grid of seeds,
-    deduplicated on the displacement, ordered with the branch connected
-    to the undriven (q = 0 seed) solution first.  A single entry means
-    the operating point is monostable.  The seed grid spans eight times
-    the q = 0 root, so that root is solved first and the seeds then in
-    one stacked call.
+    Returns all converged roots found from a coarse grid of seeds, as
+    one :class:`SteadyState` of (R,) arrays, deduplicated on the
+    displacement, ordered with the branch connected to the undriven
+    (q = 0 seed) solution first.  A single root means the operating
+    point is monostable.  The seed grid spans eight times the q = 0
+    root, so that root is solved first, and then again with the seeds
+    in one stacked call.  Raises a slice's ``ArithmeticError``.
     """
-    first = steady_state.solve_steady_state(params, epsilon_d)
+    first = steady_state.solve_steady_states(ParamStack.broadcast(params, 1),
+                                             epsilon_d)
+    if first.errors[0] is not None:
+        raise first.errors[0]
     if params.coupling_mode != "microscopic":
-        return [first]
-    span = 8.0 * max(abs(first.q_avg), 1.0)
-    seeds = [-span + 2.0 * span * k / max(n_seeds - 1, 1)
-             for k in range(n_seeds)]
+        return first
+    span = 8.0 * max(abs(first.q_avg[0]), 1.0)
+    seeds = [0.0] + [-span + 2.0 * span * k / max(n_seeds - 1, 1)
+                     for k in range(n_seeds)]
     cands = steady_state.solve_steady_states(
-        ParamStack.broadcast(params, n_seeds), epsilon_d,
+        ParamStack.broadcast(params, len(seeds)), epsilon_d,
         q_seed=np.array(seeds))
-    roots = [first] if first.converged else []
-    for k in range(n_seeds):
+    q = cands.q_avg
+    roots = [0] if cands.converged[0] else []
+    for k in range(1, len(seeds)):
         if cands.errors[k] is not None:
             raise cands.errors[k]
         if not cands.converged[k]:
             continue
-        cand = steady_state._point(cands, k)
-        scale = max(abs(cand.q_avg), 1.0)
-        if all(abs(cand.q_avg - r.q_avg) > 1e-6 * scale for r in roots):
-            roots.append(cand)
-    return roots if roots else [first]
+        scale = max(abs(q[k]), 1.0)
+        if all(abs(q[k] - q[r]) > 1e-6 * scale for r in roots):
+            roots.append(k)
+    keep = roots if roots else [0]
+    return SteadyState(*(getattr(cands, f.name)[keep]
+                         for f in fields(SteadyState)[:-1]),
+                       tuple(cands.errors[k] for k in keep))
 
 
 def gauge_phase(m_avg):
@@ -422,15 +424,13 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
     return 0.5 * (lo + hi), tuple(warnings)
 
 
-def spectral_symplectic_eig(cm):
-    """Smallest symplectic eigenvalue of the partially transposed
-    two-mode CM as the smallest modulus in the spectrum of
-    i*Omega*(P cm P), which is {+-nu_-, +-nu_+}.  A 4x4 matrix gives a
-    float, a stack (N, 4, 4) an (N,) array."""
-    tilde = _PARTIAL_TRANSPOSE @ np.asarray(cm, float) @ _PARTIAL_TRANSPOSE
+def spectral_symplectic_eig(cms):
+    """Smallest symplectic eigenvalue of each partially transposed
+    two-mode CM of a stack (N, 4, 4), as the smallest modulus in the
+    spectrum of i*Omega*(P cm P), which is {+-nu_-, +-nu_+}."""
+    tilde = _PARTIAL_TRANSPOSE @ cms @ _PARTIAL_TRANSPOSE
     spec = np.linalg.eigvals(1j * symplectic_form(2) @ tilde)
-    nu = np.abs(spec).min(axis=-1)
-    return float(nu) if nu.ndim == 0 else nu
+    return np.abs(spec).min(axis=-1)
 
 
 def symplectic_agreement(cm, nu):

@@ -33,10 +33,8 @@ import numpy as np
 import pytest
 
 from magmech.lyapunov import lyapunov_residual, solve_lyapunov
-from magmech.measures import (PAIRS, min_ptranspose_symplectic_eig,
-                              reduce_pair)
+from magmech.measures import PAIRS, pair_measures, reduce_pair
 from magmech.params import reference_baseline
-from magmech.steady_state import solve_steady_state
 from magmech.sweep import (PRESET_NAMES, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values, run_sweep)
 
@@ -67,8 +65,8 @@ def test_lyapunov_residual_on_random_stable_instances(rng):
     for _ in range(1000):
         A = random_stable_drift(rng)
         D = random_spd(rng)
-        V = solve_lyapunov(A, D)
-        worst = max(worst, lyapunov_residual(A, V, D))
+        V = solve_lyapunov(A[None], D[None])
+        worst = max(worst, lyapunov_residual(A[None], V, D[None])[0])
     announce("lyapunov residual < 1e-10 on 1000 instances", worst < 1e-10,
              f"(worst {worst:.3e})")
     assert worst < 1e-10
@@ -79,7 +77,7 @@ def test_lyapunov_vs_time_integration(rng):
     for _ in range(100):
         A = random_stable_drift(rng)
         D = random_spd(rng)
-        V = solve_lyapunov(A, D)
+        V = solve_lyapunov(A[None], D[None])[0]
         V_t = integrate_lyapunov(A, D)
         worst = max(worst, float(np.abs(V - V_t).max()))
     announce("vectorized vs integrated covariance (100 instances)",
@@ -91,7 +89,7 @@ def test_dual_method_symplectic_eigenvalue(rng):
     # the package's closed form against the spectral oracle, within
     # DUAL_METHOD_TOL plus the closed form's conditioning allowance
     cms = np.stack([random_physical_cm(rng) for _ in range(1000)])
-    nu, errors = min_ptranspose_symplectic_eig(cms)
+    nu, errors = pair_measures(cms).nu
     diff, allowance = symplectic_agreement(cms, nu)
     ok = errors == [None] * len(cms) and bool(np.all(diff <= allowance))
     announce("dual-method symplectic eigenvalue (1000 instances)", ok,
@@ -109,7 +107,7 @@ def test_dual_method_symplectic_eigenvalue(rng):
         _, V = stable_covariances(spec, np.array(grid_values(spec))[::7])
         for pair in PAIRS:
             cms = reduce_pair(V, pair)
-            nu, errors = min_ptranspose_symplectic_eig(cms)
+            nu, errors = pair_measures(cms).nu
             shown = np.array([e is None for e in errors], dtype=bool)
             diff, allowance = symplectic_agreement(cms[shown], nu[shown])
             checked += int(shown.sum())
@@ -126,11 +124,8 @@ def test_dual_method_symplectic_eigenvalue(rng):
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
 def test_squeezed_vacuum_closed_forms(r):
-    from magmech.measures import log_negativity, steering
-
-    cm = tmsv_cm(r)
-    e_n = log_negativity(cm)
-    zeta = steering(cm, "forward")
+    found = pair_measures(tmsv_cm(r)[None])
+    e_n, zeta = found.log_negativity[0][0], found.forward[0][0]
     ok = (abs(e_n - 2 * r) < 1e-10
           and abs(zeta - math.log(math.cosh(2 * r))) < 1e-10)
     announce(f"squeezed-vacuum anchors at r={r}", ok,

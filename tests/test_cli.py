@@ -4,8 +4,10 @@ import pytest
 
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
-from magmech.dynamics import diffusion_matrix, drift_matrix, format_matrix
-from magmech.steady_state import solve_steady_state
+from magmech.dynamics import diffusion_matrices, format_matrix
+from magmech.steady_state import solve_steady_states
+
+from .oracles import drift_matrix_general, stack_of
 
 GOOD_CONFIG = """\
 [system]
@@ -97,9 +99,9 @@ def test_cli_point_dumps_the_matrices_of_the_pipeline(config_file,
                  str(dump)]) == 0
     cfg = load_config(config_file)
     params = cfg["params"]
-    state = solve_steady_state(params, cfg["epsilon_d"])
-    A = drift_matrix(params, state.delta_eff, params.G_mb)
-    D, _ = diffusion_matrix(params)
+    state = solve_steady_states(stack_of([params]), cfg["epsilon_d"])
+    A = drift_matrix_general(params, state.delta_eff[0], params.G_mb)
+    D = diffusion_matrices(stack_of([params]))[0][0]
     assert (dump / "A.txt").read_text() == format_matrix(A)
     assert (dump / "D.txt").read_text() == format_matrix(D)
 
@@ -127,6 +129,28 @@ def test_cli_tc(config_file, capsys):
     assert 0.1 < value < 0.4
 
 
+def test_cli_tc_takes_a_pair_in_either_order(config_file, capsys):
+    assert main(["tc", "--config", config_file, "--pair", "a2,m"]) == 0
+    forward = capsys.readouterr().out
+    assert main(["tc", "--config", config_file, "--pair", "m,a2"]) == 0
+    assert capsys.readouterr().out == forward
+    for pair in ("a2,x", "m,m", "a2"):
+        assert main(["tc", "--config", config_file, "--pair", pair]) == 2
+        assert "a1,a2 a1,m a2,m a1,b a2,b m,b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--jobs", "2"],
+    ["validate", "--out", "v.txt"],
+    ["point", "--jobs", "2"],
+    ["tc", "--jobs", "2"],
+])
+def test_cli_rejects_flags_the_verb_does_not_read(config_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", config_file] + argv[1:])
+    assert exc.value.code == 2
+
+
 def test_cli_validate(config_file, capsys):
     assert main(["validate", "--config", config_file]) == 0
     out = capsys.readouterr().out
@@ -142,6 +166,25 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 def test_cli_missing_file_exit_code():
     assert main(["point", "--config", "/nonexistent/nowhere.cfg"]) == 2
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("temperature_T = 0.015", "temperature_T = warm",
+     "bad number 'warm' for 'temperature_T'"),
+    ("eta = -0.5", "eta = -0.5x", "bad number '-0.5x' for 'eta'"),
+    ("quantities =", "links = Delta_2:Delta_1:abc\nquantities =",
+     "bad number 'abc' for 'links'"),
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1", "axis1 = eta, -1, abc",
+     "bad number 'abc' for 'eta'"),
+    ("omega_1 = 10e9", "omega_1 = 0",
+     "omega_1, omega_2 and omega_m must be positive"),
+])
+def test_cli_bad_config_value_names_the_key(tmp_path, capsys, old, new,
+                                            message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG.replace(old, new))
+    assert main(["point", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_cli_sweep_summarizes_warnings_with_counts(config_file, tmp_path,

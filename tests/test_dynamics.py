@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magmech.dynamics import (diffusion_matrices, diffusion_matrix,
-                              drift_matrix, format_matrix, stability)
+from magmech.dynamics import (diffusion_matrices, drift_matrices,
+                              format_matrix, stability)
 from magmech.params import TWO_PI, thermal_occupation
-from magmech.steady_state import effective_coupling, solve_steady_state
+from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import figure_preset, grid_values, stack_params
 
 from .oracles import (drift_matrix_general, numerical_jacobian, point_params,
-                      quadrature_field)
+                      quadrature_field, stack_of)
 
 # positions of structurally nonzero entries in the drift matrix
 NONZERO = {
@@ -26,9 +26,21 @@ NONZERO = {
 }
 
 
+def _diffusion(params):
+    """(D, warnings) of one parameter set, built as a one-point stack."""
+    D, warnings = diffusion_matrices(stack_of([params]))
+    return D[0], warnings[0]
+
+
+def _stability(A, kappa_1):
+    """(stable, margin, indeterminate) of one drift matrix."""
+    report = stability(A[None], kappa_1)
+    return report.stable[0], report.margin[0], report.indeterminate[0]
+
+
 def test_full_decoupling_gives_block_diagonal(baseline):
     params = baseline.with_(J=0.0, g_ma=0.0, G_mb=0.0, gain_g=0.0)
-    A = drift_matrix(params, params.Delta_m, 0.0)
+    A = drift_matrix_general(params, params.Delta_m, 0.0)
     for i in range(4):
         block = A[2 * i:2 * i + 2, 2 * i:2 * i + 2]
         assert np.any(block != 0)
@@ -47,13 +59,13 @@ def test_full_decoupling_gives_block_diagonal(baseline):
 
 
 def test_zero_pattern(baseline):
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     nonzero = {(i, j) for i in range(8) for j in range(8) if A[i, j] != 0}
     assert nonzero == NONZERO
 
 
 def test_cavity_coupling_antisymmetry(baseline):
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     assert A[0, 3] == pytest.approx(baseline.J)
     assert A[1, 2] == pytest.approx(-baseline.J)
     assert A[6, 7] == pytest.approx(baseline.omega_b)
@@ -62,15 +74,16 @@ def test_cavity_coupling_antisymmetry(baseline):
 
 def test_active_cavity_diagonal_entry(baseline):
     # eta = -0.5: the net cavity-2 damping entry is +0.5 kappa_1
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     assert A[2, 2] == pytest.approx(0.5 * baseline.kappa_1)
     assert A[3, 3] == pytest.approx(0.5 * baseline.kappa_1)
 
 
 def test_printed_variant_differs_in_exactly_two_places(baseline):
-    derived = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
-    printed = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb,
-                           mode="printed")
+    derived, printed = (
+        drift_matrices(stack_of([baseline]), [baseline.Delta_m],
+                       [baseline.G_mb], mode=mode)[0]
+        for mode in ("derived", "printed"))
     diff = {(i, j) for i in range(8) for j in range(8)
             if derived[i, j] != printed[i, j]}
     assert diff == {(2, 2), (3, 3), (5, 4)}
@@ -81,9 +94,8 @@ def test_printed_variant_differs_in_exactly_two_places(baseline):
 
 def test_drift_rejects_bad_arguments(baseline):
     with pytest.raises(ValueError):
-        drift_matrix(baseline, baseline.Delta_m, -1.0)
-    with pytest.raises(ValueError):
-        drift_matrix(baseline, baseline.Delta_m, 1.0, mode="bogus")
+        drift_matrices(stack_of([baseline]), [baseline.Delta_m], [1.0],
+                       mode="bogus")
 
 
 def test_drift_matches_numerical_linearization(baseline):
@@ -91,15 +103,16 @@ def test_drift_matches_numerical_linearization(baseline):
     micro = baseline.with_(coupling_mode="microscopic", g_mb=TWO_PI * 0.2,
                            G_mb=0.0)
     eps = 1e14
-    state = solve_steady_state(micro, eps)
-    g_complex = effective_coupling(micro.g_mb, state.m_avg)
-    A = drift_matrix_general(micro, state.delta_eff, g_complex)
+    state = solve_steady_states(stack_of([micro]), eps)
+    a1, a2, m = state.a1_avg[0], state.a2_avg[0], state.m_avg[0]
+    g_complex = effective_coupling(micro.g_mb, m)
+    A = drift_matrix_general(micro, state.delta_eff[0], g_complex)
 
     v0 = np.array([
-        np.sqrt(2) * state.a1_avg.real, np.sqrt(2) * state.a1_avg.imag,
-        np.sqrt(2) * state.a2_avg.real, np.sqrt(2) * state.a2_avg.imag,
-        np.sqrt(2) * state.m_avg.real, np.sqrt(2) * state.m_avg.imag,
-        state.q_avg, state.p_avg])
+        np.sqrt(2) * a1.real, np.sqrt(2) * a1.imag,
+        np.sqrt(2) * a2.real, np.sqrt(2) * a2.imag,
+        np.sqrt(2) * m.real, np.sqrt(2) * m.imag,
+        state.q_avg[0], state.p_avg[0]])
     J = numerical_jacobian(lambda v: quadrature_field(micro, eps, v), v0,
                            step=1e-4)
     assert np.abs(A - J).max() < 1e-6 * np.abs(A).max()
@@ -145,29 +158,29 @@ def test_stacked_diffusion_matches_scalar_thermal_occupation(convention):
 
 def test_diffusion_vacuum_floor(baseline):
     params = baseline.with_(gain_g=0.0, temperature_T=0.0)
-    D, warnings = diffusion_matrix(params)
+    D, warnings = _diffusion(params)
     expected = np.diag([params.kappa_1, params.kappa_1, params.kappa_2,
                         params.kappa_2, params.kappa_m, params.kappa_m,
                         0.0, params.gamma_b])
     assert D == pytest.approx(expected)
-    assert warnings == []
+    assert warnings == ()
 
 
 def test_diffusion_conventions_at_active_point(baseline):
     n2 = thermal_occupation(baseline.omega_2, baseline.temperature_T)
     expected_printed = -0.5 * baseline.kappa_1 * (2 * n2 + 1)
 
-    D, warnings = diffusion_matrix(baseline)
+    D, warnings = _diffusion(baseline)
     assert D[2, 2] == pytest.approx(expected_printed)
     assert D[2, 2] < 0
     assert any("negative diffusion" in w for w in warnings)
 
-    D_abs, w_abs = diffusion_matrix(
+    D_abs, w_abs = _diffusion(
         baseline.with_(diffusion_convention="absolute_value"))
     assert D_abs[2, 2] == pytest.approx(-expected_printed)
-    assert w_abs == []
+    assert w_abs == ()
 
-    D_phys, _ = diffusion_matrix(
+    D_phys, _ = _diffusion(
         baseline.with_(diffusion_convention="physical_sum"))
     assert D_phys[2, 2] == pytest.approx(
         (baseline.kappa_2 + baseline.gain_g) * (2 * n2 + 1))
@@ -175,39 +188,39 @@ def test_diffusion_conventions_at_active_point(baseline):
 
 def test_diffusion_thermal_entries(baseline):
     hot = baseline.with_(temperature_T=0.1, gain_g=0.0)
-    D, _ = diffusion_matrix(hot)
+    D, _ = _diffusion(hot)
     nb = thermal_occupation(hot.omega_b, 0.1)
     assert D[7, 7] == pytest.approx(hot.gamma_b * (2 * nb + 1))
     assert D[6, 6] == 0.0
 
 
 def test_stability_trivial_cases(baseline):
-    rep = stability(-np.eye(8), 1.0)
-    assert rep.stable
-    assert rep.margin == pytest.approx(-1.0)
-    assert not rep.indeterminate
+    stable, margin, indeterminate = _stability(-np.eye(8), 1.0)
+    assert stable
+    assert margin == pytest.approx(-1.0)
+    assert not indeterminate
 
     # isolated net-gain cavity diverges
     lonely = baseline.with_(J=0.0, g_ma=0.0)
-    A = drift_matrix(lonely, lonely.Delta_m, lonely.G_mb)
-    rep = stability(A, lonely.kappa_1)
-    assert not rep.stable
-    assert rep.margin == pytest.approx(0.5 * lonely.kappa_1)
+    A = drift_matrix_general(lonely, lonely.Delta_m, lonely.G_mb)
+    stable, margin, _ = _stability(A, lonely.kappa_1)
+    assert not stable
+    assert margin == pytest.approx(0.5 * lonely.kappa_1)
 
 
 def test_stability_baseline_is_stable(baseline):
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
-    rep = stability(A, baseline.kappa_1)
-    assert rep.stable
-    assert rep.margin < 0
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
+    stable, margin, _ = _stability(A, baseline.kappa_1)
+    assert stable
+    assert margin < 0
 
 
 def test_passive_uncoupled_blocks_are_damped(baseline):
     params = baseline.with_(gain_g=0.0, temperature_T=0.0, J=0.0,
                             g_ma=0.0, G_mb=0.0)
-    D, _ = diffusion_matrix(params)
+    D, _ = _diffusion(params)
     assert np.all(np.diag(D) >= 0)
-    A = drift_matrix(params, params.Delta_m, 0.0)
+    A = drift_matrix_general(params, params.Delta_m, 0.0)
     floor = -min(params.kappa_1, params.kappa_2, params.kappa_m,
                  params.gamma_b / 2)
     for i in range(4):
@@ -218,11 +231,11 @@ def test_passive_uncoupled_blocks_are_damped(baseline):
 def test_spectrum_continuity_under_small_perturbations(baseline):
     from scipy.optimize import linear_sum_assignment
 
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     ev = np.linalg.eigvals(A)
     for field in ("Delta_1", "Delta_m", "J", "g_ma", "G_mb"):
         bumped = baseline.with_(**{field: getattr(baseline, field) * 1.01})
-        A2 = drift_matrix(bumped, bumped.Delta_m, bumped.G_mb)
+        A2 = drift_matrix_general(bumped, bumped.Delta_m, bumped.G_mb)
         ev2 = np.linalg.eigvals(A2)
         cost = np.abs(ev[:, None] - ev2[None, :])
         rows, cols = linear_sum_assignment(cost)
@@ -231,7 +244,7 @@ def test_spectrum_continuity_under_small_perturbations(baseline):
 
 
 def test_matrix_dump_roundtrip(baseline):
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     text = format_matrix(A)
     parsed = np.array([[float(x) for x in line.split()]
                        for line in text.strip().splitlines()])

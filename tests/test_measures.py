@@ -7,22 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from magmech.dynamics import diffusion_matrix, drift_matrix
+from magmech.dynamics import diffusion_matrices
 from magmech.lyapunov import solve_lyapunov
-from magmech.measures import (PAIRS, PhysicalityError, log_negativity,
-                              min_ptranspose_symplectic_eig, mode_indices,
-                              pair_measures, reduce_pair, steering)
+from magmech.measures import PAIRS, mode_indices, pair_measures, reduce_pair
 from magmech.sweep import figure_preset, grid_values
 
-from .oracles import (random_physical_cm, stable_covariances,
-                      symplectic_agreement, tmsv_cm)
+from .oracles import (drift_matrix_general, random_physical_cm,
+                      stable_covariances, stack_of, symplectic_agreement,
+                      tmsv_cm)
 
 
 @pytest.fixture
 def baseline_cov(baseline):
-    A = drift_matrix(baseline, baseline.Delta_m, baseline.G_mb)
-    D, _ = diffusion_matrix(baseline)
-    return solve_lyapunov(A, D)
+    A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
+    D, _ = diffusion_matrices(stack_of([baseline]))
+    return solve_lyapunov(A[None], D)[0]
 
 
 def test_mode_indices():
@@ -54,30 +53,36 @@ def test_reduce_rejects_identical_modes(baseline_cov):
         reduce_pair(baseline_cov, ("m", "m"))
 
 
+def _measures(cm):
+    """(E_N, forward, backward, nu) of one CM, each with no screen
+    failed."""
+    found = pair_measures(cm[None])
+    assert all(errors == [None] for _, errors in found)
+    return [values[0] for values, _ in found]
+
+
 def test_product_of_thermal_states_is_separable():
     cm = np.diag([1.2, 1.2, 0.8, 0.8])
-    assert log_negativity(cm) == 0.0
-    assert steering(cm, "forward") == 0.0
-    assert steering(cm, "backward") == 0.0
+    assert _measures(cm)[:3] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
 def test_tmsv_closed_forms(r):
-    cm = tmsv_cm(r)
-    assert log_negativity(cm) == pytest.approx(2.0 * r, abs=1e-10)
+    e_n, forward, backward, _ = _measures(tmsv_cm(r))
+    assert e_n == pytest.approx(2.0 * r, abs=1e-10)
     expected = math.log(math.cosh(2.0 * r))
-    assert steering(cm, "forward") == pytest.approx(expected, abs=1e-10)
-    assert steering(cm, "backward") == pytest.approx(expected, abs=1e-10)
+    assert forward == pytest.approx(expected, abs=1e-10)
+    assert backward == pytest.approx(expected, abs=1e-10)
 
 
 def test_tmsv_symplectic_eigenvalue():
-    nu = min_ptranspose_symplectic_eig(tmsv_cm(0.5))
+    nu = _measures(tmsv_cm(0.5))[3]
     assert nu == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
 
 
 def test_dual_methods_agree_on_random_states(rng):
     cms = np.stack([random_physical_cm(rng) for _ in range(200)])
-    nu, errors = min_ptranspose_symplectic_eig(cms)
+    nu, errors = pair_measures(cms).nu
     assert errors == [None] * len(cms)
     assert np.all(nu > 0)
     diff, allowance = symplectic_agreement(cms, nu)
@@ -121,7 +126,7 @@ def test_symplectic_eigenvalue_against_50_digits(name, pair, indices, bound):
     rows, V = stable_covariances(spec, values)
     assert len(rows) == len(indices)
     cms = reduce_pair(V, pair)
-    nu, errors = min_ptranspose_symplectic_eig(cms)
+    nu, errors = pair_measures(cms).nu
     assert errors == [None] * len(cms)
     for cm, value in zip(cms, nu):
         with mpmath.workdps(50):
@@ -130,24 +135,23 @@ def test_symplectic_eigenvalue_against_50_digits(name, pair, indices, bound):
 
 def test_swap_symmetry(baseline_cov):
     for pair in PAIRS:
-        fwd = reduce_pair(baseline_cov, pair)
-        back = reduce_pair(baseline_cov, pair[::-1])
-        assert log_negativity(fwd) == pytest.approx(log_negativity(back),
-                                                    abs=1e-12)
-        assert steering(fwd, "forward") == pytest.approx(
-            steering(back, "backward"), abs=1e-12)
-        assert steering(fwd, "backward") == pytest.approx(
-            steering(back, "forward"), abs=1e-12)
+        e_fwd, fwd_forward, fwd_backward, _ = _measures(
+            reduce_pair(baseline_cov, pair))
+        e_back, back_forward, back_backward, _ = _measures(
+            reduce_pair(baseline_cov, pair[::-1]))
+        assert e_fwd == pytest.approx(e_back, abs=1e-12)
+        assert fwd_forward == pytest.approx(back_backward, abs=1e-12)
+        assert fwd_backward == pytest.approx(back_forward, abs=1e-12)
 
 
 def test_local_rotation_invariance(rng):
     cm = tmsv_cm(0.7)
-    base = log_negativity(cm)
+    base = _measures(cm)[0]
     for theta in rng.uniform(-np.pi, np.pi, 10):
         R = np.array([[np.cos(theta), np.sin(theta)],
                       [-np.sin(theta), np.cos(theta)]])
         S = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
-        assert log_negativity(S @ cm @ S.T) == pytest.approx(base, abs=1e-10)
+        assert _measures(S @ cm @ S.T)[0] == pytest.approx(base, abs=1e-10)
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -167,20 +171,13 @@ def two_mode_states(draw):
     return S @ np.diag(np.repeat(np.add(occupations, 0.5), 2)) @ S.T
 
 
-def _measures(cm):
-    """(E_N, forward, backward) of one CM, each with no screen failed."""
-    found = pair_measures(cm[None])
-    assert all(errors == [None] for _, errors in found)
-    return [values[0] for values, _ in found[:3]]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cm=two_mode_states())
 def test_swapping_a_pair_swaps_the_steering_directions(cm):
     swap = np.zeros((4, 4))
     swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
-    e_n, forward, backward = _measures(cm)
-    assert _measures(swap @ cm @ swap.T) == pytest.approx(
+    e_n, forward, backward, _ = _measures(cm)
+    assert _measures(swap @ cm @ swap.T)[:3] == pytest.approx(
         [e_n, backward, forward], rel=1e-12, abs=1e-12)
 
 
@@ -193,13 +190,13 @@ def test_local_phase_rotations_leave_the_measures_unchanged(cm, phases):
         R[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [
             [math.cos(theta), math.sin(theta)],
             [-math.sin(theta), math.cos(theta)]]
-    assert _measures(R @ cm @ R.T) == pytest.approx(
-        _measures(cm), rel=1e-12, abs=1e-12)
+    assert _measures(R @ cm @ R.T)[:3] == pytest.approx(
+        _measures(cm)[:3], rel=1e-12, abs=1e-12)
 
 
 def test_local_noise_never_increases_entanglement():
     cm = tmsv_cm(0.8)
-    values = [log_negativity(cm + t * np.eye(4))
+    values = [_measures(cm + t * np.eye(4))[0]
               for t in np.linspace(0.0, 1.0, 11)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -207,38 +204,40 @@ def test_local_noise_never_increases_entanglement():
 def test_roundoff_negative_clamps_to_zero():
     nu = 0.5 * (1.0 + 1e-13)
     cm = np.diag([nu, nu, nu, nu])
-    assert log_negativity(cm) == 0.0
+    assert _measures(cm)[0] == 0.0
 
 
 def test_physicality_errors():
     bad = np.diag([1.0, -0.1, 1.0, 1.0])
-    with pytest.raises(PhysicalityError):
-        steering(bad, "forward")
-    with pytest.raises(ValueError):
-        steering(tmsv_cm(0.1), "sideways")
-    with pytest.raises(ValueError):
-        log_negativity(np.eye(3))
+    values, errors = pair_measures(bad[None]).forward
+    assert np.isnan(values[0])
+    assert errors == ["non-positive conditioning block determinant "
+                      "-1.000e-01"]
 
 
 def test_stacked_measures_match_single_calls(rng):
-    cms = np.stack([random_physical_cm(rng) for _ in range(6)])
-    e_values, e_errors = log_negativity(cms)
-    s_values, s_errors = steering(cms, "backward")
-    assert e_errors == s_errors == [None] * 6
-    for k in range(6):
-        assert e_values[k] == log_negativity(cms[k])
-        assert s_values[k] == steering(cms[k], "backward")
+    # each slice, an unphysical one too, is bit-equal to the same slice
+    # taken as a one-slice stack
+    cms = np.stack([random_physical_cm(rng) for _ in range(6)]
+                   + [np.diag([1.0, -0.1, 1.0, 1.0])])
+    found = pair_measures(cms)
+    assert found.log_negativity[1][:6] == found.backward[1][:6] == [None] * 6
+    for k in range(7):
+        for (values, errors), (alone, alone_errors) in zip(
+                found, pair_measures(cms[k:k + 1])):
+            assert values[k].tobytes() == alone[0].tobytes()
+            assert errors[k] == alone_errors[0]
 
 
 def test_unphysical_slice_of_a_stack_is_null_with_message():
     bad = np.diag([1.0, -0.1, 1.0, 1.0])
     cms = np.stack([tmsv_cm(0.5), bad])
-    values, errors = steering(cms, "forward")
+    values, errors = pair_measures(cms).forward
     assert values[0] == pytest.approx(math.log(math.cosh(1.0)), abs=1e-10)
     assert errors[0] is None
     assert np.isnan(values[1])
     assert "non-positive" in errors[1]
-    nu, errors = min_ptranspose_symplectic_eig(cms)
+    nu, errors = pair_measures(cms).nu
     assert nu[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
     assert errors[0] is None
     assert np.isnan(nu[1]) and errors[1]
@@ -247,8 +246,6 @@ def test_unphysical_slice_of_a_stack_is_null_with_message():
 def test_steering_weaker_than_entanglement(baseline_cov):
     # any steerable pair of the reference state must also be entangled
     for pair in PAIRS:
-        cm = reduce_pair(baseline_cov, pair)
-        zf = steering(cm, "forward")
-        zb = steering(cm, "backward")
+        e_n, zf, zb, _ = _measures(reduce_pair(baseline_cov, pair))
         if max(zf, zb) > 1e-9:
-            assert log_negativity(cm) > 0.0
+            assert e_n > 0.0

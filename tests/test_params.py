@@ -100,6 +100,8 @@ def test_physical_params_validation(baseline):
     with pytest.raises(ValueError):
         baseline.with_(kappa_1=0.0)
     with pytest.raises(ValueError):
+        baseline.with_(omega_1=0.0)
+    with pytest.raises(ValueError):
         baseline.with_(temperature_T=-1e-3)
     with pytest.raises(ValueError):
         baseline.with_(gain_g=-1.0)

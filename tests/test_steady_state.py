@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magmech.dynamics import drift_matrix
 from magmech.params import TWO_PI, effective_kappa_2, reference_baseline
-from magmech.steady_state import (effective_coupling, solve_steady_state,
-                                  solve_steady_states)
+from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import evaluate_point
 
-from .oracles import (find_self_consistent_roots, gauge_phase,
-                      mean_field_residual, picard_steady_state, stack_of)
+from .oracles import (drift_matrix_general, find_self_consistent_roots,
+                      gauge_phase, mean_field_residual, picard_steady_state,
+                      stack_of)
 
 
 @pytest.fixture
@@ -25,83 +24,85 @@ def micro(baseline):
 
 
 def test_undriven_system_is_empty(baseline):
-    state = solve_steady_state(baseline, 0.0)
-    assert state.m_avg == 0
-    assert state.a1_avg == 0
-    assert state.a2_avg == 0
-    assert state.q_avg == 0.0
-    assert state.p_avg == 0.0
-    assert state.delta_eff == baseline.Delta_m
-    assert state.converged
+    state = solve_steady_states(stack_of([baseline]), 0.0)
+    assert state.m_avg[0] == 0
+    assert state.a1_avg[0] == 0
+    assert state.a2_avg[0] == 0
+    assert state.q_avg[0] == 0.0
+    assert state.p_avg[0] == 0.0
+    assert state.delta_eff[0] == baseline.Delta_m
+    assert state.converged[0]
 
 
 def test_decoupled_mechanics_single_linear_solve(baseline):
     params = baseline.with_(coupling_mode="microscopic", g_mb=0.0)
     eps = 1e12
-    state = solve_steady_state(params, eps)
-    assert state.iterations_used == 0
-    assert state.q_avg == 0.0
+    state = solve_steady_states(stack_of([params]), eps)
+    assert state.iterations_used[0] == 0
+    assert state.q_avg[0] == 0.0
     f1 = 1j * params.Delta_1 + params.kappa_1
     f2 = 1j * params.Delta_2 + effective_kappa_2(params)
     fm = 1j * params.Delta_m + params.kappa_m
     jj = params.J ** 2
     expected_m = eps * (jj + f1 * f2) / (fm * (jj + f1 * f2)
                                          + params.g_ma ** 2 * f2)
-    assert state.m_avg == pytest.approx(expected_m, rel=1e-12)
+    assert state.m_avg[0] == pytest.approx(expected_m, rel=1e-12)
 
 
 def test_microscopic_fixed_point_converges(micro):
     eps = 1e14
-    state = solve_steady_state(micro, eps)
-    assert state.converged
-    assert state.residual < 1e-9
-    assert state.p_avg == 0.0
+    state = solve_steady_states(stack_of([micro]), eps)
+    assert state.converged[0]
+    assert state.residual[0] < 1e-9
+    assert state.p_avg[0] == 0.0
     # displacement self-consistency
-    q_expected = -micro.g_mb * abs(state.m_avg) ** 2 / micro.omega_b
-    assert state.q_avg == pytest.approx(q_expected, rel=1e-9)
+    q_expected = -micro.g_mb * abs(state.m_avg[0]) ** 2 / micro.omega_b
+    assert state.q_avg[0] == pytest.approx(q_expected, rel=1e-9)
     # one more iteration of the map does not move the detuning
-    shift = abs(micro.Delta_m + micro.g_mb * q_expected - state.delta_eff)
+    shift = abs(micro.Delta_m + micro.g_mb * q_expected - state.delta_eff[0])
     assert shift < 1e-12 * micro.omega_b
 
 
 def test_cavity2_cross_relation(micro):
     # a2 = -i J a1 / f2 must hold with the net (gain-reduced) damping
-    state = solve_steady_state(micro, 5e13)
+    state = solve_steady_states(stack_of([micro]), 5e13)
     f2 = 1j * micro.Delta_2 + effective_kappa_2(micro)
-    assert state.a2_avg == pytest.approx(-1j * micro.J * state.a1_avg / f2,
-                                         rel=1e-12)
+    assert state.a2_avg[0] == pytest.approx(
+        -1j * micro.J * state.a1_avg[0] / f2, rel=1e-12)
 
 
 def test_residual_detects_wrong_cavity2_damping(micro):
     # amplitudes computed as if the cavity-2 gain were absent fail the
     # zero-derivative equations of the actual system
-    state_wrong = solve_steady_state(micro.with_(gain_g=0.0), 5e13)
-    res = mean_field_residual(micro, state_wrong, 5e13)
-    assert res > 1e-3
+    state_wrong = solve_steady_states(stack_of([micro.with_(gain_g=0.0)]),
+                                      5e13)
+    res = mean_field_residual([micro], state_wrong, 5e13)
+    assert res[0] > 1e-3
 
 
 def test_direct_g_skips_iteration(baseline):
-    state = solve_steady_state(baseline, 1e13)
-    assert state.iterations_used == 0
-    assert state.delta_eff == baseline.Delta_m
-    assert state.residual < 1e-12
+    state = solve_steady_states(stack_of([baseline]), 1e13)
+    assert state.iterations_used[0] == 0
+    assert state.delta_eff[0] == baseline.Delta_m
+    assert state.residual[0] < 1e-12
 
 
 def test_direct_and_microscopic_modes_agree(micro):
     eps = 1e14
-    state = solve_steady_state(micro, eps)
-    g_eff = abs(effective_coupling(micro.g_mb, state.m_avg))
+    state = solve_steady_states(stack_of([micro]), eps)
+    delta_eff = state.delta_eff[0]
+    g_eff = abs(effective_coupling(micro.g_mb, state.m_avg[0]))
     direct = micro.with_(coupling_mode="direct_g", G_mb=g_eff,
-                         Delta_m=state.delta_eff, g_mb=0.0)
-    A_micro = drift_matrix(micro, state.delta_eff, g_eff)
-    A_direct = drift_matrix(direct, direct.Delta_m, direct.G_mb)
+                         Delta_m=delta_eff, g_mb=0.0)
+    A_micro = drift_matrix_general(micro, delta_eff, g_eff)
+    A_direct = drift_matrix_general(direct, direct.Delta_m, direct.G_mb)
     scale = np.abs(A_micro).max()
     assert np.abs(A_micro - A_direct).max() < 1e-12 * scale
 
 
 def test_negative_drive_rejected(baseline):
     with pytest.raises(ValueError):
-        solve_steady_state(baseline, -1.0)
+        solve_steady_states(stack_of([baseline]), -1.0)
 
 
 def test_resonant_undamped_cavity2_stays_finite(baseline):
@@ -109,12 +110,13 @@ def test_resonant_undamped_cavity2_stays_finite(baseline):
     # denominator vanishes but the amplitudes have a finite limit
     params = baseline.with_(Delta_2=0.0, gain_g=baseline.kappa_2)
     eps = 1e13
-    state = solve_steady_state(params, eps)
-    assert np.isfinite(abs(state.m_avg))
-    assert state.a1_avg == 0
-    assert state.a2_avg == pytest.approx(
-        -params.g_ma * state.m_avg / params.J, rel=1e-12)
-    assert state.residual < 1e-12
+    state = solve_steady_states(stack_of([params]), eps)
+    m = state.m_avg[0]
+    assert np.isfinite(abs(m))
+    assert state.a1_avg[0] == 0
+    assert state.a2_avg[0] == pytest.approx(-params.g_ma * m / params.J,
+                                            rel=1e-12)
+    assert state.residual[0] < 1e-12
 
 
 def test_effective_coupling_examples():
@@ -142,13 +144,12 @@ def test_gauge_phase_makes_coupling_real_positive(rng):
 
 def test_root_scan_monostable_points(micro):
     roots = find_self_consistent_roots(micro, 1e14, n_seeds=16)
-    assert len(roots) >= 1
-    base = solve_steady_state(micro, 1e14)
+    assert len(roots.q_avg) >= 1
+    base = solve_steady_states(stack_of([micro]), 1e14)
     # first root is the branch connected to the undriven solution
-    assert roots[0].q_avg == pytest.approx(base.q_avg, rel=1e-9)
-    for root in roots:
-        assert root.converged
-        assert root.residual < 1e-9
+    assert roots.q_avg[0] == pytest.approx(base.q_avg[0], rel=1e-9)
+    assert roots.converged.all()
+    assert (roots.residual < 1e-9).all()
 
 
 def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
@@ -269,11 +270,13 @@ def test_direct_mode_keeps_infinite_drive_point(baseline):
 
 
 def test_stacked_residual_matches_single(micro):
+    # each slice's residual is bit-equal to that of the same point
+    # solved as a one-point stack
     params_seq = [micro.with_(Delta_m=dm * micro.omega_b)
                   for dm in (0.2, 0.9, 1.5)]
     state = solve_steady_states(stack_of(params_seq), 5e13)
     stacked = mean_field_residual(params_seq, state, 5e13)
     np.testing.assert_array_equal(stacked, state.residual)
     for k, params in enumerate(params_seq):
-        single = solve_steady_state(params, 5e13)
-        assert mean_field_residual(params, single, 5e13) == stacked[k]
+        single = solve_steady_states(stack_of([params]), 5e13)
+        assert mean_field_residual([params], single, 5e13)[0] == stacked[k]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magmech import lyapunov, sweep
-from magmech.params import NUMERIC_FIELDS
+from magmech.params import NUMERIC_FIELDS, TWO_PI
 from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            ST_COLUMNS, SweepAxis, SweepSpec,
                            build_point_params, evaluate_point, figure_preset,
@@ -138,6 +138,27 @@ def test_out_of_range_axis_points_are_flagged_not_fatal(baseline):
     assert records[0].stable
     assert not records[2].stable
     assert any("invalid parameters" in w for w in records[2].warnings)
+
+
+@pytest.mark.parametrize("mode", ["direct_g", "microscopic"])
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_sweep_of_any_field_through_zero_completes(baseline, name, mode):
+    # from -2x to 2x the base value: the points that break a rule get
+    # nulls and a warning instead of aborting the sweep
+    base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2)
+    value = getattr(base, name)
+    spec = SweepSpec(base, (SweepAxis(name, -2.0 * value, 2.0 * value, 5),),
+                     epsilon_d=1e14 if mode == "microscopic" else 0.0)
+    records = run_sweep(spec)
+    assert len(records) == 5
+    for rec in records:
+        if any("invalid parameters" in w for w in rec.warnings):
+            assert not rec.stable
+            assert all(v is None for v in rec.measures.values())
+    if name in ("omega_1", "omega_2", "omega_m"):
+        assert [rec.warnings for rec in records[:3]] == [(
+            "invalid parameters at this point: omega_1, omega_2 and "
+            "omega_m must be positive",)] * 3
 
 
 def _stack_cases(baseline):
