@@ -71,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "<preset>.csv)")
     for p in (p_sweep, p_preset):
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes, each given whole "
-                            "chunks of points")
+                       help="parallel worker processes, each given "
+                            "contiguous parts of the grid")
 
     return parser
 

@@ -9,10 +9,12 @@ Picard); in ``direct_g`` mode the effective coupling and detuning are
 taken from the parameter set and no iteration is needed.
 
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
-with one Picard loop over (N,) arrays.  Each slice leaves the loop at the
-iteration where its own detuning shift meets the tolerance, so its
-result does not depend on the stack it is solved in.  A slice that
-divides by zero or overflows records its error and does not raise.
+with one Picard loop over (N,) arrays; a serial sweep hands it every
+valid point of its grid at once, so the loop runs once per sweep.  Each
+slice leaves the loop at the iteration where its own detuning shift
+meets the tolerance, so its result does not depend on the stack it is
+solved in.  A slice that divides by zero or overflows records its error
+and does not raise.
 """
 
 from __future__ import annotations

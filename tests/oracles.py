@@ -438,24 +438,44 @@ def symplectic_agreement(cm, nu):
     ``nu`` agrees with the spectral route where the first is at most the
     second.
 
-    The allowance is ``DUAL_METHOD_TOL`` plus the forward error of a
-    determinant closed form: a discriminant sigma^2 - 4 det V carries an
-    absolute error ~ eps * max(1, sigma^2, |4 det V|), which blows up as
-    1/sqrt(disc) when the two symplectic eigenvalues (nearly) coincide.
-    Only disagreement beyond that conditioning bound marks a genuine
-    inconsistency.
+    The allowance is ``DUAL_METHOD_TOL`` plus the forward error of the
+    form the package evaluates, nu^2 = 2 det V / (sigma + sqrt(disc))
+    with the expanded discriminant disc = (det A - det C)^2 - 4 det B
+    (det A + det C) + 4 t, t = tr(A adj(B)^T C adj(B)).  A 2x2 block
+    determinant is off by at most ``unit`` times the moduli of its two
+    products, and the expansion by ``unit`` times the moduli of its
+    terms.  Near a meeting of the two symplectic eigenvalues those
+    errors enter disc squared or times det B, and where sigma is large
+    the sum sigma + sqrt(disc) damps them, so the allowance stays tight
+    where a cancelling form is off.
     """
     cms = np.asarray(cm, float).reshape(-1, 4, 4)
     nu = np.asarray(nu, float).reshape(-1)
     nu_spec = spectral_symplectic_eig(cms)
-    sigma = (np.linalg.det(cms[:, :2, :2]) + np.linalg.det(cms[:, 2:, 2:])
-             - 2.0 * np.linalg.det(cms[:, :2, 2:]))
-    det_v = np.linalg.det(cms)
-    disc = sigma * sigma - 4.0 * det_v
-    disc_err = 64.0 * np.finfo(float).eps * np.maximum(
-        np.maximum(1.0, sigma * sigma), np.abs(4.0 * det_v))
-    cond = disc_err / (4.0 * np.maximum(nu_spec, 1e-3)
-                       * np.sqrt(np.maximum(disc, 0.0) + disc_err))
+    unit = 64.0 * np.finfo(float).eps
+    a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
+    det_a, det_b, det_c = (np.linalg.det(m) for m in (a, b, c))
+    err_a, err_b, err_c = (unit * (np.abs(m[:, 0, 0] * m[:, 1, 1])
+                                   + np.abs(m[:, 0, 1] * m[:, 1, 0]))
+                           for m in (a, b, c))
+    adj_bt = b[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    t = ((a @ adj_bt) * (adj_bt @ c.transpose(0, 2, 1))).sum(axis=(1, 2))
+    t_abs = ((np.abs(a) @ np.abs(adj_bt)) * (np.abs(adj_bt) @ np.abs(
+        c).transpose(0, 2, 1))).sum(axis=(1, 2))
+    gap = np.abs(det_a - det_c)
+    both = np.abs(det_a) + np.abs(det_c)
+    err_ac = err_a + err_c
+    disc = gap * gap - 4.0 * det_b * (det_a + det_c) + 4.0 * t
+    disc_err = ((2.0 * gap + err_ac) * err_ac
+                + 4.0 * (err_b * (both + err_ac) + np.abs(det_b) * err_ac)
+                + 4.0 * unit * t_abs
+                + unit * (gap * gap + 4.0 * np.abs(det_b) * both
+                          + 4.0 * np.abs(t)))
+    root = np.sqrt(np.maximum(disc, 0.0))
+    root_err = disc_err / np.sqrt(root * root + disc_err)
+    sigma = det_a + det_c - 2.0 * det_b
+    cond = (nu_spec * (root_err + err_ac + 2.0 * err_b)
+            / (2.0 * (sigma + root)))
     return (np.abs(nu - nu_spec),
             DUAL_METHOD_TOL * np.maximum(1.0, nu) + cond)
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magmech import lyapunov
+from magmech import lyapunov, reference_baseline
 from magmech.dynamics import diffusion_matrices, stability
 from magmech.lyapunov import (eigendecomposition, lyapunov_residual,
                               physicality_min_eig, solve_lyapunov,
                               symplectic_form)
+from magmech.sweep import evaluate_point
 
 from .oracles import (EigensolverError, drift_matrix_general, eigenvalues,
                       integrate_lyapunov, random_spd, random_spectrum_matrix,
@@ -211,3 +214,36 @@ def test_physicality_of_simple_states():
     assert least[1] == pytest.approx(2.0, rel=1e-12)
     # sub-vacuum isotropic noise is unphysical
     assert least[2] < -0.1
+
+
+# the rates and frequencies of a point, which set its time scale
+_RATES = ("omega_b", "omega_1", "omega_2", "omega_m", "Delta_1", "Delta_2",
+          "Delta_m", "kappa_1", "kappa_2", "kappa_m", "gain_g", "gamma_b",
+          "g_ma", "J", "G_mb")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(unit=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       power=st.integers(-20, 20))
+def test_rescaling_every_rate_leaves_the_covariance_unchanged(unit, power):
+    # time measured in other units: A and D scale by s = 2**power, V
+    # does not; T scales too, so that hbar*omega/(k_B*T) keeps its bits
+    base = reference_baseline()
+    wb, k1 = base.omega_b, base.kappa_1
+    params = base.with_(Delta_1=-2.0 * wb * unit[0],
+                        Delta_2=-2.0 * wb * unit[0],
+                        Delta_m=2.0 * wb * unit[1], J=4.0 * k1 * unit[2],
+                        g_ma=5.0 * k1 * unit[3], G_mb=6.4 * k1 * unit[4],
+                        gain_g=base.kappa_2 - (2.0 * unit[5] - 1.0) * k1,
+                        temperature_T=0.3 * unit[6])
+    s = 2.0 ** power
+    scaled = params.with_(temperature_T=s * params.temperature_T,
+                          **{name: s * getattr(params, name)
+                             for name in _RATES})
+    (rec, (A, D)), (rec_s, (A_s, D_s)) = (
+        evaluate_point(p, quantities=(), matrices=True)
+        for p in (params, scaled))
+    assert rec_s.stable == rec.stable
+    if rec.stable:
+        V, V_s = solve_lyapunov(np.stack([A, A_s]), np.stack([D, D_s]))
+        assert np.abs(V_s - V).max() <= 1e-12 * np.abs(V).max()

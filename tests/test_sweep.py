@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magmech import lyapunov, sweep
-from magmech.params import NUMERIC_FIELDS, TWO_PI
+from magmech.params import NUMERIC_FIELDS, TWO_PI, ParamStack
 from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            ST_COLUMNS, SweepAxis, SweepSpec,
                            build_point_params, evaluate_point, figure_preset,
@@ -15,7 +15,8 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            normalize_quantities, record_to_dict,
                            render_records, run_sweep, stack_params)
 
-from .oracles import bisect_critical_temperature, point_params
+from .oracles import (bisect_critical_temperature,
+                      find_self_consistent_roots, point_params)
 
 
 def small_spec(baseline, **kwargs):
@@ -372,7 +373,7 @@ def test_critical_temperature_matches_sequential_bisection(
 def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
                                               quantities, n_pairs):
     # det A, det C, det B and det V of each requested pair, taken once
-    # per chunk however many steering directions the pair reports
+    # per block however many steering directions the pair reports
     calls = []
     det = np.linalg.det
 
@@ -385,7 +386,7 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
         SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
     monkeypatch.setattr(np.linalg, "det", spy)
     records = run_sweep(spec)
-    # two chunks, of 4 and 3 points, every point stable
+    # two blocks, of 4 and 3 points, every point stable
     assert all(r.stable for r in records)
     assert len(calls) == 4 * n_pairs * 2
 
@@ -403,6 +404,23 @@ def test_critical_temperature_search_is_three_stacked_evaluations(
     find_critical_temperature(baseline, ("a2", "m"))
     # the coarse scan, then six halvings in two rounds of three levels
     assert sizes == [41, 7, 7]
+
+
+def test_critical_temperature_validates_each_evaluation_once(
+        baseline, monkeypatch):
+    sizes = []
+    errors = ParamStack.errors
+
+    def spy(stack):
+        sizes.append(len(stack))
+        return errors(stack)
+
+    monkeypatch.setattr(ParamStack, "errors", spy)
+    find_critical_temperature(baseline, ("a2", "m"))
+    assert sizes == [41, 7, 7]
+    with pytest.raises(ValueError, match="^temperature_T must be "
+                                         "non-negative$"):
+        find_critical_temperature(baseline, ("a2", "m"), t_max=-1.0)
 
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
@@ -470,6 +488,42 @@ def _microscopic_sweep():
                                       41),),
                      quantities=("E_a2m", "st_m_to_a2", "amplitudes"),
                      epsilon_d=1e15)
+
+
+def test_serial_sweep_solves_the_mean_field_once(monkeypatch):
+    # one Picard loop over every valid point of the grid, however small
+    # the blocks of the 8x8 stages
+    sizes = []
+    solve = sweep.solve_steady_states
+
+    def spy(params, *args, **kwargs):
+        sizes.append(len(params))
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_steady_states", spy)
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 7)
+    records = run_sweep(_microscopic_sweep())
+    assert not any("invalid" in w for r in records for w in r.warnings)
+    assert sizes == [len(records)]
+
+
+def test_unconverged_band_has_no_attracting_root():
+    # the band of the microscopic sweep whose Picard loop runs out of
+    # iterations: there no seed of the root scan converges either, so
+    # the band is not a second branch; elsewhere the root is unique
+    spec = _microscopic_sweep()
+    records = run_sweep(spec)
+    band = [k for k, rec in enumerate(records)
+            if any(w.startswith("steady state did not converge")
+                   for w in rec.warnings)]
+    assert band == list(range(2, 16))
+    for k, values in enumerate(grid_values(spec)):
+        roots = find_self_consistent_roots(build_point_params(spec, values),
+                                           spec.epsilon_d)
+        if k in band:
+            assert not roots.converged.any()
+        else:
+            assert roots.converged.tolist() == [True]
 
 
 def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
