@@ -375,9 +375,7 @@ def _evaluate_block(table: SweepTable, params: ParamStack, state, live,
 
 def evaluate_point(params: PhysicalParams, *,
                    quantities=("all",), drift_mode: str = "derived",
-                   epsilon_d: float = 0.0,
-                   axis_values: tuple[float, ...] = (),
-                   matrices: bool = False):
+                   epsilon_d: float = 0.0, matrices: bool = False):
     """Run the full pipeline for one parameter point: the one-point
     stack of the kernel that sweeps run.
 
@@ -386,7 +384,7 @@ def evaluate_point(params: PhysicalParams, *,
     problems, so sweeps always complete.  With ``matrices`` it returns
     ``(record, (A, D))``, or ``(record, None)`` without a steady state.
     """
-    table = _evaluate_chunk(ParamStack.broadcast(params, 1), [axis_values],
+    table = _evaluate_chunk(ParamStack.broadcast(params, 1), np.empty((1, 0)),
                             quantities, drift_mode, epsilon_d, matrices)
     dump = table.matrices and (table.matrices[1][0], table.matrices[2][0])
     return (table[0], dump) if matrices else table[0]
@@ -437,10 +435,11 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     ``CHUNK_POINTS`` points are farmed out to worker processes, each
     evaluated the same way, and their tables joined; the result is
     identical to a serial run because every point is a pure function of
-    its parameters.
+    its parameters.  A grid that fits one part runs serially: one
+    worker would do all of it, after paying for the pool.
     """
     values = np.array(grid_values(spec), dtype=float)
-    if jobs <= 1:
+    if jobs <= 1 or len(values) <= CHUNK_POINTS:
         return _evaluate_points(spec, values)
     parts = [values[i:i + CHUNK_POINTS]
              for i in range(0, len(values), CHUNK_POINTS)]

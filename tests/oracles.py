@@ -17,6 +17,7 @@ It also holds the package helpers that only the tests call.
 import cmath
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -147,6 +148,57 @@ def mean_field_residual(params_seq, state, epsilon_d):
                                 steady_state._response(s), state.m_avg,
                                 state.a1_avg, state.a2_avg, state.q_avg,
                                 state.p_avg, epsilon_d), epsilon_d)
+
+
+def _determinant(M):
+    """Exact determinant of a square matrix of Fractions, by Gaussian
+    elimination."""
+    M = [row[:] for row in M]
+    det = Fraction(1)
+    for k in range(len(M)):
+        pivot = next((i for i in range(k, len(M)) if M[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            factor = M[i][k] / M[k][k]
+            if factor:
+                M[i] = [x - factor * y for x, y in zip(M[i], M[k])]
+    return det
+
+
+def hurwitz_stable(A, shift):
+    """True iff every eigenvalue of A + shift*I has a negative real part,
+    decided in exact rational arithmetic on the float entries.
+
+    The monic characteristic polynomial s^n + a_1 s^(n-1) + ... + a_n
+    comes from the Faddeev-LeVerrier recursion, and the Routh-Hurwitz
+    criterion asks every leading principal minor of its Hurwitz matrix,
+    H_ij = a_(2j-i), to be positive (DeJesus and Kaufman, PRA 35, 5288
+    (1987)).
+    """
+    n = len(A)
+    shift = Fraction(float(shift))
+    # the rows of A + shift*I as (column, entry) pairs of the nonzero
+    # entries: a drift matrix is sparse
+    rows = [[(j, Fraction(float(v)) + (shift if i == j else 0))
+             for j, v in enumerate(row) if v or i == j]
+            for i, row in enumerate(A)]
+    a = [Fraction(1)]
+    B = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        MB = [[sum(v * B[j][c] for j, v in row) for c in range(n)]
+              for row in rows]
+        a.append(-sum(MB[i][i] for i in range(n)) / k)
+        B = [[v + (a[k] if i == j else 0) for j, v in enumerate(row)]
+             for i, row in enumerate(MB)]
+    H = [[a[2 * j - i] if 0 <= 2 * j - i <= n else Fraction(0)
+          for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return all(_determinant([row[:k] for row in H[:k]]) > 0
+               for k in range(1, n + 1))
 
 
 def random_stable_drift(rng, n=8, margin=0.5):

@@ -5,14 +5,15 @@ eigenvalue dual-method agreement, closed-form anchors, physicality,
 steering-implies-entanglement, runtime budgets).
 
 Group 2 checks the quantitative reproduction targets.  Each target is
-evaluated under every drift/diffusion convention combination; a single
-consistent combination must satisfy them.  Targets that fail under all
-combinations are written to a discrepancy report (observed vs reference
-value per convention) and reported as expected failures: documented
-findings, not gate failures.  The report goes to a pytest temporary
-directory, or to the path given by ``--discrepancy-report``; pass
-``--discrepancy-report discrepancy_report.json`` to refresh the tracked
-copy.
+evaluated under every drift/diffusion convention combination, from the
+tables of ``run_sweep`` over its grids; a single consistent combination
+must satisfy them.  Targets that fail under all combinations are
+written to a discrepancy report (observed vs reference value per
+convention) and reported as expected failures: documented findings, not
+gate failures.  The report goes to a pytest temporary directory, or to
+the path given by ``--discrepancy-report``, and must equal the tracked
+``discrepancy_report.json``; pass ``--discrepancy-report
+discrepancy_report.json`` to refresh the tracked copy.
 
 Group 3 checks CLI determinism (byte-identical output, serial vs
 parallel).
@@ -35,7 +36,8 @@ import pytest
 from magmech.lyapunov import lyapunov_residual, solve_lyapunov
 from magmech.measures import PAIRS, pair_measures, reduce_pair
 from magmech.params import reference_baseline
-from magmech.sweep import (PRESET_NAMES, evaluate_point, figure_preset,
+from magmech.sweep import (PRESET_NAMES, SweepAxis, SweepSpec,
+                           evaluate_point, figure_preset,
                            find_critical_temperature, grid_values, run_sweep)
 
 from .oracles import (integrate_lyapunov, random_physical_cm, random_spd,
@@ -148,14 +150,14 @@ def preset_runs():
 def test_physicality_at_all_preset_points(preset_runs):
     worst = np.inf
     checked = 0
-    for name, (_, records, _) in preset_runs.items():
-        for rec in records:
-            if not rec.stable or rec.physicality is None:
-                continue
-            if any("negative diffusion" in w for w in rec.warnings):
-                continue  # indefinite-noise points are out of scope
-            checked += 1
-            worst = min(worst, rec.physicality)
+    for name, (_, table, _) in preset_runs.items():
+        # indefinite-noise points are out of scope
+        noisy = np.array([any("negative diffusion" in w for w in ws)
+                          for ws in table.warnings], dtype=bool)
+        shown = table.stable & ~table.null["physicality"] & ~noisy
+        checked += int(shown.sum())
+        worst = min(worst, table.values["physicality"][shown].min(
+            initial=np.inf))
     ok = worst > -1e-9
     announce("covariance physicality on stable non-negative-noise points",
              ok, f"({checked} points, worst min-eig {worst:.3e})")
@@ -166,22 +168,20 @@ def test_physicality_at_all_preset_points(preset_runs):
 def test_steering_implies_entanglement_on_presets(preset_runs):
     violations = []
     checked = 0
-    for name, (_, records, _) in preset_runs.items():
-        for rec in records:
-            if not rec.stable:
+    for name, (_, table, _) in preset_runs.items():
+        for col in table.columns:
+            if not col.startswith("st_"):
                 continue
-            for col, value in rec.measures.items():
-                if not col.startswith("st_") or value is None:
-                    continue
-                if value <= 1e-9:
-                    continue
-                a, b = col[3:].split("_to_")
-                e_col = "E_%s%s" % ((a, b) if f"E_{a}{b}" in rec.measures
-                                    else (b, a))
-                checked += 1
-                e_val = rec.measures.get(e_col)
-                if e_val is None or e_val <= 0.0:
-                    violations.append((name, rec.axis_values, col))
+            steerable = (table.stable & ~table.null[col]
+                         & (table.values[col] > 1e-9))
+            a, b = col[3:].split("_to_")
+            e_col = "E_%s%s" % ((a, b) if f"E_{a}{b}" in table.columns
+                                else (b, a))
+            checked += int(steerable.sum())
+            unentangled = steerable & (table.null[e_col]
+                                       | (table.values[e_col] <= 0.0))
+            violations += [(name, tuple(v), col)
+                           for v in table.axis_values[unentangled].tolist()]
     announce("steering implies entanglement", not violations,
              f"({checked} steerable evaluations, "
              f"{len(violations)} violations)")
@@ -220,46 +220,52 @@ class Outcome:
     detail: str = ""
 
 
+BASE = reference_baseline()
+EQUAL_DETUNINGS = (("Delta_2", "Delta_1", 1.0),)
+
+
 def _base(diffusion, **overrides):
     return reference_baseline(diffusion_convention=diffusion, **overrides)
 
 
-def _measure(params, drift, columns):
-    rec = evaluate_point(params, quantities=columns, drift_mode=drift)
-    if not rec.stable:
-        return {c: None for c in columns}
-    return {c: rec.measures.get(c) for c in columns}
+def _scan(drift, diffusion, axes, columns, links=(), **overrides):
+    """One ``run_sweep`` of the grid ``axes`` under one convention: its
+    table, and each of ``columns`` as an array in row-major order, 0
+    where a point is unstable or null."""
+    table = run_sweep(SweepSpec(_base(diffusion, **overrides), axes,
+                                quantities=columns, links=links,
+                                drift_mode=drift))
+    return table, {c: np.where(table.stable & ~table.null[c],
+                               table.values[c], 0.0) for c in columns}
 
 
-def _value(params, drift, column):
-    v = _measure(params, drift, (column,))[column]
-    return 0.0 if v is None else v
+def _axis(name, grid, unit):
+    """The axis over ``name`` = ``grid`` * ``unit``, ``grid`` being a
+    unitless linear grid."""
+    return SweepAxis(name, grid[0] * unit, grid[-1] * unit, len(grid))
 
 
-def _series(drift, diffusion, field, values, columns, **overrides):
-    rows = []
-    for v in values:
-        over = dict(overrides)
-        if field == "J_over_k1":
-            over["J"] = v * reference_baseline().kappa_1
-        elif field == "g_ma_over_k1":
-            over["g_ma"] = v * reference_baseline().kappa_1
-        params = _base(diffusion, **over)
-        rows.append(_measure(params, drift, columns))
-    return rows
+def _line(drift, diffusion, name, grid, columns, unit=BASE.kappa_1,
+          **overrides):
+    """``columns`` along the unitless ``grid`` of one parameter, as
+    :func:`_scan` gives them."""
+    return _scan(drift, diffusion, (_axis(name, grid, unit),), columns,
+                 **overrides)[1]
+
+
+def _detuning_plane(drift, diffusion, d1, dm, columns):
+    """:func:`_scan` over the Delta_1 x Delta_m plane, the unitless grids
+    ``d1`` and ``dm`` in units of omega_b, with Delta_2 = Delta_1."""
+    axes = (_axis("Delta_1", d1, BASE.omega_b),
+            _axis("Delta_m", dm, BASE.omega_b))
+    return _scan(drift, diffusion, axes, columns, EQUAL_DETUNINGS)
 
 
 def crit_peak_distant_entanglement(drift, diffusion):
-    wb = reference_baseline().omega_b
-    best_a2m = 0.0
-    best_a1m = 0.0
-    for d1 in np.linspace(-0.96, -0.86, 21):
-        for dm in np.linspace(0.84, 0.94, 21):
-            params = _base(diffusion, Delta_1=d1 * wb, Delta_2=d1 * wb,
-                           Delta_m=dm * wb)
-            got = _measure(params, drift, ("E_a2m", "E_a1m"))
-            best_a2m = max(best_a2m, got["E_a2m"] or 0.0)
-            best_a1m = max(best_a1m, got["E_a1m"] or 0.0)
+    _, got = _detuning_plane(drift, diffusion, np.linspace(-0.96, -0.86, 21),
+                             np.linspace(0.84, 0.94, 21), ("E_a2m", "E_a1m"))
+    best_a2m = float(got["E_a2m"].max())
+    best_a1m = float(got["E_a1m"].max())
     passed = abs(best_a2m - 0.45) <= 0.10
     return (Outcome(passed, round(best_a2m, 4),
                     f"peak E_a2m {best_a2m:.4f} vs 0.45 +- 0.10"),
@@ -271,11 +277,8 @@ def crit_peak_distant_entanglement(drift, diffusion):
 
 
 def crit_eta_monotone(drift, diffusion):
-    values = []
-    for eta in np.arange(1.0, -0.51, -0.1):
-        params = _base(diffusion)
-        params = params.with_(gain_g=params.kappa_2 - eta * params.kappa_1)
-        values.append(_value(params, drift, "E_a2m"))
+    values = _line(drift, diffusion, "eta", np.linspace(1.0, -0.5, 16),
+                   ("E_a2m",), unit=1.0)["E_a2m"].tolist()
     steps = np.diff(values)
     passed = bool(np.all(steps >= -1e-6) and values[-1] > 0)
     return Outcome(passed, [round(v, 4) for v in values],
@@ -304,34 +307,28 @@ def crit_tc_passive(drift, diffusion):
     return _tc(drift, diffusion, 0.0, 0.10, 0.05)
 
 
-def _first(iterable):
-    return next(iterable, None)
+def _at_first(grid, mask):
+    """The grid value of the first true entry of ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return grid[hits[0]] if hits.size else None
 
 
 def crit_fig4a_structure(drift, diffusion):
     grid = np.linspace(0.0, 4.0, 401)
-    cols = ("E_a1b", "E_a2m", "E_a1m", "E_a2b")
-    rows = _series(drift, diffusion, "J_over_k1", grid, cols)
-    series = {c: np.array([r[c] if r[c] is not None else 0.0 for r in rows])
-              for c in cols}
+    series = _line(drift, diffusion, "J", grid,
+                   ("E_a1b", "E_a2m", "E_a1m", "E_a2b"))
 
     def peak(col):
         return grid[series[col].argmax()] if series[col].max() > 1e-4 \
             else None
 
-    def onset(col):
-        idx = _first(i for i, v in enumerate(series[col]) if v > TOL_E)
-        return grid[idx] if idx is not None else None
-
-    overtake_idx = _first(
-        i for i, (x, y) in enumerate(zip(series["E_a2m"], series["E_a1b"]))
-        if x > 1e-4 and x > y)
     observed = {
         "peak_a1b": peak("E_a1b"),
-        "overtake": grid[overtake_idx] if overtake_idx is not None else None,
+        "overtake": _at_first(grid, (series["E_a2m"] > 1e-4)
+                              & (series["E_a2m"] > series["E_a1b"])),
         "peak_a2m": peak("E_a2m"),
-        "onset_a1m": onset("E_a1m"),
-        "onset_a2b": onset("E_a2b"),
+        "onset_a1m": _at_first(grid, series["E_a1m"] > TOL_E),
+        "onset_a2b": _at_first(grid, series["E_a2b"] > TOL_E),
     }
     targets = {"peak_a1b": (1.6, 0.2), "overtake": (1.7, 0.2),
                "peak_a2m": (1.9, 0.2), "onset_a1m": (1.97, 0.25),
@@ -346,10 +343,8 @@ def crit_fig4a_structure(drift, diffusion):
 
 def crit_fig4b_structure(drift, diffusion):
     grid = np.linspace(0.0, 5.0, 201)
-    cols = ("E_a1b", "E_a2b", "E_a1m", "E_a2m")
-    rows = _series(drift, diffusion, "g_ma_over_k1", grid, cols)
-    series = {c: np.array([r[c] if r[c] is not None else 0.0 for r in rows])
-              for c in cols}
+    series = _line(drift, diffusion, "g_ma", grid,
+                   ("E_a1b", "E_a2b", "E_a1m", "E_a2m"))
 
     def vanish(col):
         values = series[col]
@@ -373,33 +368,22 @@ def crit_fig4b_structure(drift, diffusion):
 
 
 def crit_steering_structure(drift, diffusion):
-    wb = reference_baseline().omega_b
-    one_way = False
-    for d1 in np.linspace(-1.2, -0.7, 11):
-        for dm in np.linspace(0.7, 1.2, 11):
-            params = _base(diffusion, Delta_1=d1 * wb, Delta_2=d1 * wb,
-                           Delta_m=dm * wb)
-            got = _measure(params, drift, ("st_a2_to_m", "st_m_to_a2"))
-            fwd, back = got["st_a2_to_m"], got["st_m_to_a2"]
-            if fwd is not None and fwd > TOL_E and back == 0.0:
-                one_way = True
-                break
-        if one_way:
-            break
+    table, plane = _detuning_plane(drift, diffusion,
+                                   np.linspace(-1.2, -0.7, 11),
+                                   np.linspace(0.7, 1.2, 11),
+                                   ("st_a2_to_m", "st_m_to_a2"))
+    # one-way: a2 steers m and m's steering of a2 is shown, and exactly 0
+    one_way = bool(np.any((plane["st_a2_to_m"] > TOL_E)
+                          & table.stable & ~table.null["st_m_to_a2"]
+                          & (table.values["st_m_to_a2"] == 0.0)))
 
     grid = np.linspace(0.0, 4.0, 201)
-    cols = ("st_a2_to_m", "st_m_to_a2", "st_a2_to_b", "st_b_to_a2")
-    rows = _series(drift, diffusion, "J_over_k1", grid, cols)
-    series = {c: np.array([r[c] if r[c] is not None else 0.0 for r in rows])
-              for c in cols}
-
+    series = _line(drift, diffusion, "J", grid,
+                   ("st_a2_to_m", "st_m_to_a2", "st_a2_to_b", "st_b_to_a2"))
     peak_fwd = grid[series["st_a2_to_m"].argmax()] \
         if series["st_a2_to_m"].max() > TOL_E else None
-    two_way_idx = _first(
-        i for i in range(len(grid))
-        if series["st_a2_to_b"][i] > TOL_E
-        and series["st_b_to_a2"][i] > TOL_E)
-    two_way = grid[two_way_idx] if two_way_idx is not None else None
+    two_way = _at_first(grid, (series["st_a2_to_b"] > TOL_E)
+                        & (series["st_b_to_a2"] > TOL_E))
     window = (grid >= 2.5) & (grid <= 3.2)
     suppressed = bool(np.all(series["st_a2_to_m"][window] <= TOL_E)
                       and np.all(series["st_m_to_a2"][window] <= TOL_E))
@@ -418,19 +402,13 @@ def crit_steering_structure(drift, diffusion):
 
 
 def crit_fig6_exchange(drift, diffusion):
-    wb = reference_baseline().omega_b
+    wb = BASE.omega_b
     grid = np.linspace(-2.0, 0.0, 201)
 
     def run(dm):
-        rows = []
-        for d1 in grid:
-            params = _base(diffusion, Delta_1=d1 * wb, Delta_2=d1 * wb,
-                           Delta_m=dm * wb)
-            rows.append(_measure(params, drift,
-                                 ("E_a1m", "E_a2m", "E_a1a2")))
-        return {c: np.array([r[c] if r[c] is not None else 0.0
-                             for r in rows])
-                for c in ("E_a1m", "E_a2m", "E_a1a2")}
+        return _line(drift, diffusion, "Delta_1", grid,
+                     ("E_a1m", "E_a2m", "E_a1a2"), unit=wb,
+                     links=EQUAL_DETUNINGS, Delta_m=dm * wb)
 
     near = run(0.87)
     only_a2m = ((near["E_a2m"] > TOL_E) & (near["E_a1m"] <= TOL_E)
@@ -500,8 +478,18 @@ def group2(report_path):
     scores = {combo: sum(results[cid][combo].passed for cid in CRITERIA)
               for combo in CONVENTIONS}
     best = max(CONVENTIONS, key=lambda c: scores[c])
+    # the criteria that fail under every convention
+    report = [{"criterion": cid, "reference_value": CRITERIA[cid][0],
+               "results": [{"drift": drift, "diffusion": diffusion,
+                            "observed": outcome.observed,
+                            "passed": outcome.passed}
+                           for (drift, diffusion), outcome
+                           in results[cid].items()]}
+              for cid in CRITERIA
+              if not any(o.passed for o in results[cid].values())]
+    _write_report(report, report_path)
     return {"results": results, "best": best, "scores": scores,
-            "report": [], "report_path": report_path}
+            "report_path": report_path}
 
 
 def _check_criterion(group2, cid):
@@ -516,15 +504,6 @@ def _check_criterion(group2, cid):
         pytest.fail(f"{cid} fails under the selected convention {best} "
                     f"but passes under {passing}; a single consistent "
                     "convention must satisfy all reproduction targets")
-    group2["report"].append({
-        "criterion": cid,
-        "reference_value": CRITERIA[cid][0],
-        "results": [{"drift": drift, "diffusion": diffusion,
-                     "observed": results[(drift, diffusion)].observed,
-                     "passed": results[(drift, diffusion)].passed}
-                    for drift, diffusion in CONVENTIONS],
-    })
-    _write_report(group2["report"], group2["report_path"])
     pytest.xfail(f"{cid} fails under every drift/diffusion convention; "
                  f"documented in {group2['report_path']} "
                  f"({outcome.detail})")
@@ -534,6 +513,16 @@ def _write_report(entries, path):
     path.write_text(json.dumps(entries, indent=2, sort_keys=True,
                                default=float) + "\n")
     print(f"discrepancy report written to {path} ({len(entries)} entries)")
+
+
+def test_tracked_discrepancy_report_is_current(group2):
+    # the report of this run, which goes to a temporary path unless
+    # --discrepancy-report names another, against the tracked copy
+    tracked = Path(__file__).resolve().parents[1] / "discrepancy_report.json"
+    same = group2["report_path"].read_bytes() == tracked.read_bytes()
+    announce("tracked discrepancy report is current", same)
+    assert same, ("discrepancy_report.json is stale; refresh it with "
+                  "--discrepancy-report discrepancy_report.json")
 
 
 def test_group2_convention_selected(group2):

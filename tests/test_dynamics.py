@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magmech.dynamics import (diffusion_matrices, drift_matrices,
-                              format_matrix, stability)
+from magmech.dynamics import (TOL_STAB_REL, diffusion_matrices,
+                              drift_matrices, format_matrix, stability)
 from magmech.params import TWO_PI, thermal_occupation
 from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import figure_preset, grid_values, stack_params
 
-from .oracles import (drift_matrix_general, numerical_jacobian, point_params,
-                      quadrature_field, stack_of)
+from .oracles import (drift_matrix_general, hurwitz_stable,
+                      numerical_jacobian, point_params, quadrature_field,
+                      stack_of)
 
 # positions of structurally nonzero entries in the drift matrix
 NONZERO = {
@@ -213,6 +214,52 @@ def test_stability_baseline_is_stable(baseline):
     stable, margin, _ = _stability(A, baseline.kappa_1)
     assert stable
     assert margin < 0
+
+
+def _gate(spec, values, exact=False):
+    """The stability gate's verdicts at the grid points ``values`` (N, 1)
+    of a direct_g preset; with ``exact``, also the Routh-Hurwitz verdicts
+    on the same drift matrices shifted by the gate's tolerance."""
+    stack = stack_params(spec, values)
+    A = drift_matrices(stack, stack.Delta_m, stack.G_mb, mode=spec.drift_mode)
+    gate = stability(A, stack.kappa_1).stable.tolist()
+    if not exact:
+        return gate
+    return gate, [hurwitz_stable(a, TOL_STAB_REL * k)
+                  for a, k in zip(A, stack.kappa_1)]
+
+
+# the stability boundary of each preset lies between these grid points
+CROSSINGS = {"fig4a": 109, "fig4b": 170}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSINGS))
+def test_stability_gate_matches_routh_hurwitz(name):
+    spec = figure_preset(name)
+    grid = np.array(grid_values(spec))
+    gate, exact = _gate(spec, grid[::10], exact=True)
+    assert gate == exact
+    assert any(gate) and not all(gate)
+
+    # bisect the gate's verdict between the two grid points down to
+    # adjacent floats
+    k = CROSSINGS[name]
+    lo, hi = float(grid[k, 0]), float(grid[k + 1, 0])
+    at_lo, at_hi = _gate(spec, np.array([[lo], [hi]]))
+    assert at_lo != at_hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _gate(spec, np.array([[mid]])) == [at_lo]:
+            lo = mid
+        else:
+            hi = mid
+    # 1e-6 relative on either side the margin is far above the rounding
+    # of eig and the verdicts agree.  At lo and hi themselves the margin
+    # is within that rounding, so eig's last bits decide the gate there
+    # and the exact verdict may differ: no assertion at the crossing.
+    gate, exact = _gate(spec, np.array([[lo * (1 - 1e-6)],
+                                        [hi * (1 + 1e-6)]]), exact=True)
+    assert gate == exact == [at_lo, at_hi]
 
 
 def test_passive_uncoupled_blocks_are_damped(baseline):

@@ -256,15 +256,30 @@ def test_invalid_points_skip_the_steady_state(baseline, monkeypatch):
     assert [r.stable for r in records] == [True, True, False]
 
 
-def test_serial_and_parallel_runs_are_identical(baseline):
+def test_serial_and_parallel_runs_are_identical(baseline, monkeypatch):
     spec = small_spec(baseline)
     serial = run_sweep(spec, jobs=1)
+    # parts of one point, so that the three points run in a pool
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 1)
     parallel = run_sweep(spec, jobs=2)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert a.axis_values == b.axis_values
         assert a.measures == b.measures
         assert a.margin == b.margin
+
+
+def test_grid_of_one_part_runs_serially(monkeypatch):
+    # fig5b's 201 points fit one part: a pool would give them all to one
+    # worker
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a grid of one part started a process pool")
+
+    spec = figure_preset("fig5b")
+    serial = render_records(run_sweep(spec), spec)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    assert len(grid_values(spec)) <= sweep.CHUNK_POINTS
+    assert render_records(run_sweep(spec, jobs=2), spec) == serial
 
 
 def test_csv_rendering(baseline):
@@ -469,10 +484,11 @@ def test_point_record_does_not_depend_on_its_chunk():
     assert any(r.stable for r in records) and not all(r.stable
                                                       for r in records)
     for values, rec in zip(grid_values(spec), records):
-        alone = evaluate_point(build_point_params(spec, values),
-                               quantities=spec.quantities,
-                               drift_mode=spec.drift_mode,
-                               epsilon_d=spec.epsilon_d, axis_values=values)
+        alone = replace(evaluate_point(build_point_params(spec, values),
+                                       quantities=spec.quantities,
+                                       drift_mode=spec.drift_mode,
+                                       epsilon_d=spec.epsilon_d),
+                        axis_values=values)
         assert alone == rec
         # float repr round-trips, so equal text means equal bits
         assert (json.dumps(record_to_dict(alone, names))
@@ -529,7 +545,8 @@ def test_unconverged_band_has_no_attracting_root():
 def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
     for spec in (figure_preset("fig2d"), _microscopic_sweep()):
         texts = []
-        for chunk in (1, 7, 64):
+        # the last size also cuts the parts of the jobs=2 run
+        for chunk in (1, 64, 7):
             monkeypatch.setattr(sweep, "CHUNK_POINTS", chunk)
             texts.append(render_records(run_sweep(spec), spec))
         texts.append(render_records(run_sweep(spec, jobs=2), spec))
