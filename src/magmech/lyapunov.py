@@ -11,17 +11,20 @@ A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
 of 8x8 products; it and S^-1 are computed once per run of identical
-consecutive drift matrices, which a temperature sweep or a Tc search
-shares.  One refinement step, the same solve applied to the
-residual, brings V to the accuracy of a backward-stable solve.  Near an
-exceptional point of the drift matrix the eigenbasis degenerates and
-the spectral solve fails, so every slice whose relative residual
-exceeds 1e-12, or is not finite, is solved again from the vectorized
-64x64 Kronecker system (A (x) I + I (x) A) vec(V) = -vec(D) with a
-partially pivoted factorization.
+consecutive drift matrices, which a temperature sweep shares, as do
+the unit-noise systems of a Tc search.  One refinement step, the same
+solve applied to the residual, brings V to the accuracy of a
+backward-stable solve.  Near an exceptional point of the drift matrix
+the eigenbasis degenerates and the spectral solve fails, so every slice
+whose relative residual exceeds 1e-12, or is not finite, is solved
+again from the vectorized 64x64 Kronecker system
+(A (x) I + I (x) A) vec(V) = -vec(D) with a partially pivoted
+factorization.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -48,7 +51,8 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     comes back as NaN in both, so one bad slice never costs the others.
 
     Each run of consecutive bitwise-identical slices is decomposed once
-    (a temperature sweep shares one drift matrix); every slice still
+    (a temperature sweep shares one drift matrix, and so do the
+    unit-noise systems of a Tc search); every slice still
     gets exactly what ``np.linalg.eig`` returns for it alone.
     """
     M = np.asarray(M, dtype=float)
@@ -161,6 +165,15 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+@cache
+def _half_symplectic_form(size: int) -> np.ndarray:
+    """(i/2) Omega of a size x size covariance, built once per size and
+    read-only."""
+    form = 0.5j * symplectic_form(size // 2)
+    form.flags.writeable = False
+    return form
+
+
 def physicality_min_eig(V: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of V + (i/2) Omega for each slice of a
     stack.
@@ -169,5 +182,5 @@ def physicality_min_eig(V: np.ndarray) -> np.ndarray:
     covariance matrix in the vacuum-variance-1/2 convention.
     """
     V = np.asarray(V, dtype=float)
-    H = V + 0.5j * symplectic_form(V.shape[-1] // 2)
+    H = V + _half_symplectic_form(V.shape[-1])
     return np.linalg.eigvalsh(H).min(axis=-1)

@@ -51,9 +51,10 @@ AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 # than of 64, and no faster in blocks of 1024, which peak 7 MiB higher.
 CHUNK_POINTS = 256
 
-# Bisection levels of the Tc search per stacked evaluation: the
-# 2**BISECT_LEVELS - 1 midpoints the next halvings could visit run as
-# one stack.
+# Bisection levels of the Tc search per round: the 2**BISECT_LEVELS - 1
+# midpoints the next halvings could visit are evaluated as one stack,
+# at the cost of one diffusion stack, one contraction with the
+# unit-noise solutions and one pair_measures call.
 BISECT_LEVELS = 3
 
 
@@ -448,6 +449,47 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
                                                        spec), parts)))
 
 
+def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
+                          epsilon_d: float) -> np.ndarray | None:
+    """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
+    per quadrature, as a stack (8, 8, 8); None where the kernel finds
+    the point not stable.
+
+    Temperature enters only the diagonal noise D(T): the steady state,
+    the drift matrix A and the stability verdict hold at every
+    temperature, and the Lyapunov equation is linear in D, so the
+    covariance at T is sum_i D_ii(T) V_i.
+    """
+    record, matrices = evaluate_point(params, quantities=(),
+                                      drift_mode=drift_mode,
+                                      epsilon_d=epsilon_d, matrices=True)
+    if not record.stable:
+        return None
+    A = matrices[0]
+    n = len(A)
+    i = np.arange(n)
+    units = np.zeros((n, n, n))
+    units[i, i, i] = 1.0
+    V = lyapunov.solve_lyapunov(np.broadcast_to(A, units.shape), units)
+    # a singular slice nulls the point, as it does in the kernel
+    return V if np.isfinite(V).all() else None
+
+
+def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
+                               temperatures) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """A pair's E_N at each temperature from its reduced unit-noise
+    solutions ``basis`` (8, 4, 4), and the mask of the temperatures
+    where a screen fails.  Exact for any diagonal D, negative entries
+    included."""
+    stack = ParamStack.broadcast(params, len(temperatures),
+                                 temperature_T=temperatures)
+    D, _ = dynamics.diffusion_matrices(stack)
+    cms = np.einsum("ni,ijk->njk", np.diagonal(D, axis1=1, axis2=2), basis)
+    values, errors = measures.pair_measures(cms).log_negativity
+    return values, np.array([e is not None for e in errors], dtype=bool)
+
+
 def find_critical_temperature(params: PhysicalParams,
                               pair: tuple[str, str], *,
                               t_max: float = 2.0, tol_t: float = 1e-3,
@@ -460,30 +502,42 @@ def find_critical_temperature(params: PhysicalParams,
     A coarse scan over [0, t_max], evaluated as one stack, checks the
     monotonic-decrease precondition and brackets the first zero
     crossing, which is then bisected to ``tol_t`` (default 1 mK).  The
-    bisection runs ``BISECT_LEVELS`` levels per stacked evaluation: the
-    midpoints the next halvings could visit are evaluated as one stack,
-    then descended as one halving each, so the result is the one
-    sequential bisection gives.  Re-entrant entanglement on the coarse
+    bisection runs ``BISECT_LEVELS`` levels per round: the midpoints
+    the next halvings could visit are evaluated as one stack, then
+    descended as one halving each, so the result is the one sequential
+    bisection gives.
+
+    The point goes through the kernel once, for its stability verdict
+    and drift matrix, and the Lyapunov equation is solved once, for the
+    eight unit noises (:func:`_unit_noise_solutions`).  A stack of
+    temperatures then costs one diffusion stack, one contraction and
+    one ``pair_measures`` call; a point that is not stable has E_N = 0
+    at every temperature.  Re-entrant entanglement on the coarse
     scan yields a ``non-monotonic`` warning and the first crossing is
     returned.  Raises ValueError if the pair is not entangled at T = 0
     or a scanned temperature is negative.
     """
     column = "E_%s%s" % pair
-
-    def entanglement(temperatures) -> list[float]:
-        """The pair's E_N at each temperature, 0 where unstable or null."""
-        n = len(temperatures)
-        stack = ParamStack.broadcast(params, n, temperature_T=temperatures)
-        table = _evaluate_chunk(stack, np.empty((n, 0)), (column,),
-                                drift_mode, epsilon_d)
-        shown = table.stable & ~table.null[column]
-        return np.where(shown, table.values[column], 0.0).tolist()
-
     ts = np.linspace(0.0, t_max, coarse_points)
     # every temperature the search visits lies between ts[0] = 0 and
     # ts[-1], and temperature enters no rule but T >= 0: checking ts[-1]
     # on the valid ``params`` raises the ValueError of any invalid one
     params.with_(temperature_T=float(ts[-1]))
+    normalize_quantities((column,))  # the ValueError of an unknown pair
+
+    solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
+    basis = None if solutions is None else measures.reduce_pair(solutions,
+                                                                pair)
+
+    def entanglement(temperatures) -> list[float]:
+        """The pair's E_N at each temperature, 0 where the point is not
+        stable or a screen fails."""
+        if basis is None:
+            return [0.0] * len(temperatures)
+        values, null = _superposed_log_negativity(params, basis,
+                                                  temperatures)
+        return np.where(null, 0.0, values).tolist()
+
     es = entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "

@@ -6,7 +6,7 @@ import pytest
 
 from magmech.dynamics import (TOL_STAB_REL, diffusion_matrices,
                               drift_matrices, format_matrix, stability)
-from magmech.params import TWO_PI, thermal_occupation
+from magmech.params import TWO_PI, ParamStack, thermal_occupation
 from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import figure_preset, grid_values, stack_params
 
@@ -155,6 +155,21 @@ def test_stacked_diffusion_matches_scalar_thermal_occupation(convention):
         assert np.diag(D[k]).tolist() == expected
         assert np.count_nonzero(D[k]) == 7
         assert len(warnings[k]) == (convention == "as_printed")
+
+
+@pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
+                                        "physical_sum"])
+def test_diffusion_is_diagonal(baseline, convention):
+    # the Tc search superposes one Lyapunov solution per diagonal entry,
+    # which is exact only for diagonal noise: gains from passive to net
+    # gain, temperatures from 0 to 2 K
+    gains = np.repeat(np.linspace(0.0, 2.5, 11) * baseline.kappa_1, 11)
+    temperatures = np.tile(np.linspace(0.0, 2.0, 11), 11)
+    D, _ = diffusion_matrices(ParamStack.broadcast(
+        baseline.with_(diffusion_convention=convention), 121,
+        gain_g=gains, temperature_T=temperatures))
+    diagonal = np.diagonal(D, axis1=1, axis2=2)
+    assert np.array_equal(D, diagonal[:, :, None] * np.eye(8))
 
 
 def test_diffusion_vacuum_floor(baseline):

@@ -216,6 +216,17 @@ def test_physicality_of_simple_states():
     assert least[2] < -0.1
 
 
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_physicality_form_is_built_once_per_size(size, rng):
+    M = rng.normal(size=(5, size, size))
+    V = M @ np.swapaxes(M, 1, 2) + 0.1 * np.eye(size)
+    fresh = np.linalg.eigvalsh(V + 0.5j * symplectic_form(size // 2))
+    assert physicality_min_eig(V).tobytes() == fresh.min(axis=-1).tobytes()
+    form = lyapunov._half_symplectic_form(size)
+    assert form is lyapunov._half_symplectic_form(size)
+    assert not form.flags.writeable
+
+
 # the rates and frequencies of a point, which set its time scale
 _RATES = ("omega_b", "omega_1", "omega_2", "omega_m", "Delta_1", "Delta_2",
           "Delta_m", "kappa_1", "kappa_2", "kappa_m", "gain_g", "gamma_b",

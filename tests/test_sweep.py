@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magmech import lyapunov, sweep
+from magmech import dynamics, lyapunov, measures, sweep
 from magmech.params import NUMERIC_FIELDS, TWO_PI, ParamStack
 from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
                            ST_COLUMNS, SweepAxis, SweepSpec,
@@ -353,13 +353,18 @@ def test_critical_temperature_against_linear_scan(baseline):
     assert not warnings
 
 
+# the reference baseline's omega_b and kappa_1
+_WB = TWO_PI * 10e6
+_K1 = TWO_PI * 1e6
+
+
 def _microscopic_point(baseline):
     return baseline.with_(coupling_mode="microscopic",
                           g_mb=2.0 * math.pi * 0.2,
                           Delta_m=0.9 * baseline.omega_b)
 
 
-@pytest.mark.parametrize("pair, options, microscopic", [
+@pytest.mark.parametrize("pair, options, point", [
     (("a2", "m"), {}, False),
     (("a1", "m"), {}, False),
     # 8, 7 and 5 halvings: the last round of levels is partial
@@ -371,10 +376,28 @@ def _microscopic_point(baseline):
     # wider by rounding: the search must stop there, mid-round
     (("a2", "m"), {"tol_t": 0.012499999999999983}, False),
     (("a2", "m"), {"epsilon_d": 1e14}, True),
+    # the other conventions, each at a point entangled at T = 0: a
+    # net-gain cavity under absolute_value, a gain under physical_sum,
+    # the printed drift matrix, and a net-gain as_printed point whose
+    # cavity-2 noise entry is negative
+    (("m", "b"), {}, dict(diffusion_convention="absolute_value",
+                          Delta_1=-2.0 * _WB, Delta_2=-2.0 * _WB,
+                          Delta_m=0.9 * _WB)),
+    (("m", "b"), {}, dict(diffusion_convention="physical_sum",
+                          gain_g=0.5 * _K1, Delta_1=1.1 * _WB,
+                          Delta_2=1.1 * _WB, Delta_m=-0.4 * _WB)),
+    (("a1", "b"), {"drift_mode": "printed"},
+     dict(Delta_1=_WB, Delta_2=_WB, Delta_m=-0.1 * _WB)),
+    (("a1", "m"), {}, dict(gain_g=1.25 * _K1)),
 ])
 def test_critical_temperature_matches_sequential_bisection(
-        baseline, pair, options, microscopic):
-    params = _microscopic_point(baseline) if microscopic else baseline
+        baseline, pair, options, point):
+    # ``point``: the baseline (False), the microscopic point (True) or
+    # the baseline with the given changes
+    if isinstance(point, dict):
+        params = baseline.with_(**point)
+    else:
+        params = _microscopic_point(baseline) if point else baseline
     tc, warnings = find_critical_temperature(params, pair, **options)
     ref_tc, ref_warnings = bisect_critical_temperature(params, pair,
                                                        **options)
@@ -406,19 +429,29 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
     assert len(calls) == 4 * n_pairs * 2
 
 
-def test_critical_temperature_search_is_three_stacked_evaluations(
+def test_critical_temperature_search_is_one_kernel_evaluation(
         baseline, monkeypatch):
-    sizes = []
-    evaluate_chunk = sweep._evaluate_chunk
+    calls = {"kernel": [], "lyapunov": [], "diffusion": []}
 
-    def spy(params_seq, *args):
-        sizes.append(len(params_seq))
-        return evaluate_chunk(params_seq, *args)
+    def spy(name, module, function):
+        wrapped = getattr(module, function)
 
-    monkeypatch.setattr(sweep, "_evaluate_chunk", spy)
+        def counted(stack, *args, **kwargs):
+            calls[name].append(len(stack))
+            return wrapped(stack, *args, **kwargs)
+
+        monkeypatch.setattr(module, function, counted)
+
+    spy("kernel", sweep, "_evaluate_chunk")
+    spy("lyapunov", lyapunov, "solve_lyapunov")
+    spy("diffusion", dynamics, "diffusion_matrices")
     find_critical_temperature(baseline, ("a2", "m"))
-    # the coarse scan, then six halvings in two rounds of three levels
-    assert sizes == [41, 7, 7]
+    # one kernel evaluation of the point, which solves its own one-point
+    # Lyapunov system; then the one solve of the eight unit noises; then
+    # the noise of the coarse scan and of six halvings in two rounds of
+    # three levels
+    assert calls == {"kernel": [1], "lyapunov": [1, 8],
+                     "diffusion": [1, 41, 7, 7]}
 
 
 def test_critical_temperature_validates_each_evaluation_once(
@@ -432,10 +465,46 @@ def test_critical_temperature_validates_each_evaluation_once(
 
     monkeypatch.setattr(ParamStack, "errors", spy)
     find_critical_temperature(baseline, ("a2", "m"))
-    assert sizes == [41, 7, 7]
+    assert sizes == [1]
     with pytest.raises(ValueError, match="^temperature_T must be "
                                          "non-negative$"):
         find_critical_temperature(baseline, ("a2", "m"), t_max=-1.0)
+
+
+@pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
+                                        "physical_sum"])
+@pytest.mark.parametrize("changes, drift_mode", [
+    ({"gain_g": 0.0}, "derived"),
+    ({}, "derived"),  # net gain 0.5 kappa_1
+    (dict(Delta_1=_WB, Delta_2=_WB, Delta_m=-0.1 * _WB), "printed"),
+])
+def test_unit_noise_superposition_matches_the_kernel(
+        baseline, convention, changes, drift_mode):
+    # V(T) = sum_i D_ii(T) V_i against the kernel's own solve at each
+    # temperature, for every pair
+    params = baseline.with_(diffusion_convention=convention, **changes)
+    temperatures = np.linspace(0.0, 2.0, 41)
+    table = sweep._evaluate_chunk(
+        ParamStack.broadcast(params, 41, temperature_T=temperatures),
+        np.empty((41, 0)), E_COLUMNS, drift_mode, 0.0)
+    solutions = sweep._unit_noise_solutions(params, drift_mode, 0.0)
+    assert table.stable.all()
+    for column, pair in zip(E_COLUMNS, measures.PAIRS):
+        values, null = sweep._superposed_log_negativity(
+            params, measures.reduce_pair(solutions, pair), temperatures)
+        assert np.array_equal(null, table.null[column])
+        expected = table.values[column][~null]
+        assert np.all(np.abs(values[~null] - expected)
+                      <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_unstable_point_has_no_unit_noise_solutions(baseline):
+    # an unstable point is not entangled at any temperature
+    params = baseline.with_(gain_g=2.5 * baseline.kappa_1)
+    assert not evaluate_point(params).stable
+    assert sweep._unit_noise_solutions(params, "derived", 0.0) is None
+    with pytest.raises(ValueError, match="not positive at T = 0"):
+        find_critical_temperature(params, ("a2", "m"))
 
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
