@@ -84,23 +84,16 @@ def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
       gain reservoir carry the same (2N+1)/2 weight per quadrature as a
       lossy one, so loss and gain contributions simply add.
     """
-    # the scalar thermal_occupation once per distinct (omega, T) pair,
-    # found as one complex number by a 1-D unique: np.expm1 may run a
-    # SIMD kernel that differs from math.expm1 in the last bit
     omega = np.stack([p.omega_1, p.omega_2, p.omega_m, p.omega_b])
-    pairs = np.empty(omega.shape, dtype=complex)
-    pairs.real, pairs.imag = omega, p.temperature_T
-    distinct, inverse = np.unique(pairs.ravel(), return_inverse=True,
-                                  equal_nan=False)
-    n1, n2, nm, nb = np.array([thermal_occupation(z.real, z.imag) for z in
-                               distinct.tolist()])[inverse].reshape(4, -1)
+    n1, n2, nm, nb = thermal_occupation(omega, p.temperature_T)
     k2t = effective_kappa_2(p)
     warnings = [()] * len(p)
     if p.diffusion_convention == "as_printed":
         d2 = k2t * (2.0 * n2 + 1.0)
-        for k in np.flatnonzero(k2t < 0):
+        neg = np.flatnonzero(k2t < 0)
+        for k, d in zip(neg.tolist(), d2[neg].tolist()):
             warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
-                           "< 0 (as_printed with net gain)" % d2[k],)
+                           "< 0 (as_printed with net gain)" % d,)
     elif p.diffusion_convention == "absolute_value":
         d2 = np.abs(k2t) * (2.0 * n2 + 1.0)
     else:  # physical_sum

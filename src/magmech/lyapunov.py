@@ -11,13 +11,13 @@ A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
 of 8x8 products; it and S^-1 are computed once per run of identical
-consecutive drift matrices, which a temperature sweep shares, as do
-the unit-noise systems of a Tc search.  One refinement step, the same
-solve applied to the residual, brings V to the accuracy of a
-backward-stable solve.  Near an exceptional point of the drift matrix
-the eigenbasis degenerates and the spectral solve fails, so every slice
-whose relative residual exceeds 1e-12, or is not finite, is solved
-again from the vectorized 64x64 Kronecker system
+consecutive matrices, which a temperature sweep shares, and a Tc search
+hands its one decomposition to its eight unit-noise systems.  One
+refinement step, the same solve applied to the residual, brings V to
+the accuracy of a backward-stable solve.  Near an exceptional point of
+the drift matrix the eigenbasis degenerates and the spectral solve
+fails, so every slice whose relative residual exceeds 1e-12, or is not
+finite, is solved again from the vectorized 64x64 Kronecker system
 (A (x) I + I (x) A) vec(V) = -vec(D) with a partially pivoted
 factorization.
 """
@@ -51,8 +51,7 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     comes back as NaN in both, so one bad slice never costs the others.
 
     Each run of consecutive bitwise-identical slices is decomposed once
-    (a temperature sweep shares one drift matrix, and so do the
-    unit-noise systems of a Tc search); every slice still
+    (a temperature sweep shares one drift matrix); every slice still
     gets exactly what ``np.linalg.eig`` returns for it alone.
     """
     M = np.asarray(M, dtype=float)

@@ -51,11 +51,11 @@ AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 # than of 64, and no faster in blocks of 1024, which peak 7 MiB higher.
 CHUNK_POINTS = 256
 
-# Bisection levels of the Tc search per round: the 2**BISECT_LEVELS - 1
-# midpoints the next halvings could visit are evaluated as one stack,
-# at the cost of one diffusion stack, one contraction with the
-# unit-noise solutions and one pair_measures call.
-BISECT_LEVELS = 3
+# Bisection levels of the Tc search per stack: the 2**BISECT_LEVELS - 1
+# midpoints the next halvings could visit cost one diffusion stack, one
+# contraction and one pair_measures call.  Six levels take the default
+# 0.05 K bracket below 1 mK in one stack.
+BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -241,15 +241,9 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
                     drift_mode: str, epsilon_d: float,
                     matrices: bool = False) -> SweepTable:
     """Run the pipeline for a stack of points and return its table;
-    ``axis_values`` is (N, n_axes).
-
-    Validation and the steady state run once on the whole stack, so a
-    microscopic sweep pays for one Picard loop.  The 8x8 stages (drift,
-    diffusion, stability, Lyapunov solve, physicality and pair measures)
-    then run on the points that reach them in blocks of
-    ``CHUNK_POINTS``, each block filling its rows of the table.  Every
-    stacked operation acts slice by slice, so a point's record does not
-    depend on the stack or the block it falls in.
+    ``axis_values`` is (N, n_axes).  Each block of :func:`_gate` fills its
+    rows.  Every stacked operation acts slice by slice, so a point's
+    record does not depend on the stack or the block it falls in.
     """
     columns, with_amplitudes = normalize_quantities(quantities)
     n = len(params)
@@ -260,8 +254,34 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
                        {c: np.full(n, np.nan) for c in names},
                        {c: np.ones(n, dtype=bool) for c in names},
                        [[] for _ in range(n)], columns)
-    warnings = table.warnings
+    gate = _gate(params, drift_mode, epsilon_d, table.warnings)
+    state, solved = next(gate)
+    _put(table, "residual", *solved)
+    kept = []
+    for block in gate:
+        dump = _evaluate_block(table, state, *block, with_amplitudes)
+        if matrices:
+            kept.append(dump)
+    if kept:
+        table.matrices = tuple(np.concatenate(m) for m in zip(*kept))
+    return table
 
+
+def _put(table: SweepTable, name: str, points, values) -> None:
+    table.values[name][points] = values
+    table.null[name][points] = False
+
+
+def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
+          warnings: list[list[str]]):
+    """The kernel's front stages, as a generator.  Validation and the
+    steady state run once on the whole stack, append the warnings of the
+    null rules they apply and yield the steady state with the solved
+    points and their residuals.  Then, per block of at most
+    ``CHUNK_POINTS`` points with a steady state: their stack indices,
+    steady-state slices, parameters, drift stack and stability report,
+    whose ``stable`` mask is the last null rule.
+    """
     # k indexes the stack and j the steady state's slices (the valid
     # points); ``live`` and ``good`` are the drift-stage points in each
     invalid = params.errors()
@@ -269,12 +289,12 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
     for k in np.flatnonzero([e is not None for e in invalid]).tolist():
         warnings[k].append(f"invalid parameters at this point: {invalid[k]}")
     state = solve_steady_states(
-        params if valid.size == n else params.take(valid), epsilon_d)
+        params if valid.size == len(params) else params.take(valid),
+        epsilon_d)
     solved = np.array([e is None for e in state.errors], dtype=bool)
     for j in np.flatnonzero(~solved):
         warnings[valid[j]].append(f"steady state singular: {state.errors[j]}")
     residual = state.residual
-    _put(table, "residual", valid[solved], residual[solved])
     for j in np.flatnonzero(solved & ~state.converged):
         warnings[valid[j]].append("steady state did not converge "
                                   f"(residual {residual[j]:.3e})")
@@ -284,41 +304,28 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
     for j in good[~np.isfinite(residual[good])]:
         warnings[valid[j]].append("steady state residual not finite "
                                   f"(residual {residual[j]:.3e})")
-    live = valid[good]
-    kept = []
-    for first in range(0, live.size, CHUNK_POINTS):
-        block = slice(first, first + CHUNK_POINTS)
-        A, D = _evaluate_block(table, params, state, live[block],
-                               good[block], drift_mode, with_amplitudes)
-        if matrices:
-            kept.append((A, D))
-    if kept:
-        table.matrices = (live, *(np.concatenate(m) for m in zip(*kept)))
-    return table
+    yield state, (valid[solved], residual[solved])
+    for first in range(0, good.size, CHUNK_POINTS):
+        block = good[first:first + CHUNK_POINTS]
+        live = valid[block]
+        sub = params if live.size == len(params) else params.take(live)
+        # the effective coupling: prescribed in direct_g mode,
+        # |i*sqrt(2)*g_mb*<m>| in microscopic mode
+        if params.coupling_mode == "microscopic":
+            g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[block]))
+        else:
+            g_eff = sub.G_mb
+        A = dynamics.drift_matrices(sub, state.delta_eff[block], g_eff,
+                                    mode=drift_mode)
+        yield live, block, sub, A, dynamics.stability(A, sub.kappa_1)
 
 
-def _put(table: SweepTable, name: str, points, values) -> None:
-    table.values[name][points] = values
-    table.null[name][points] = False
-
-
-def _evaluate_block(table: SweepTable, params: ParamStack, state, live,
-                    good, drift_mode: str, with_amplitudes: bool):
-    """The 8x8 stages for the points ``live`` of ``table``, whose steady
-    states are the slices ``good`` of ``state``; fills their rows and
-    returns their drift and diffusion stacks."""
+def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
+                    with_amplitudes: bool):
+    """The stages after the gate on one of its blocks; fills the rows
+    ``live`` of ``table`` and returns them, A and D."""
     warnings = table.warnings
-    sub = params if live.size == len(params) else params.take(live)
-    # the effective coupling: prescribed in direct_g mode,
-    # |i*sqrt(2)*g_mb*<m>| in microscopic mode
-    if params.coupling_mode == "microscopic":
-        g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[good]))
-    else:
-        g_eff = sub.G_mb
-    A = dynamics.drift_matrices(sub, state.delta_eff[good], g_eff,
-                                mode=drift_mode)
     D, d_warnings = dynamics.diffusion_matrices(sub)
-    report = dynamics.stability(A, sub.kappa_1)
     for k, w in zip(live.tolist(), d_warnings):
         warnings[k].extend(w)
     for k in live[report.indeterminate]:
@@ -345,7 +352,7 @@ def _evaluate_block(table: SweepTable, params: ParamStack, state, live,
             _put(table, name, k, [abs(v) for v in z[j].tolist()])
         _put(table, "q_avg", k, state.q_avg[j])
     if not rows.size:
-        return A, D
+        return live, A, D
 
     V = V[finite]
     _put(table, "lyap_residual", points,
@@ -371,7 +378,7 @@ def _evaluate_block(table: SweepTable, params: ParamStack, state, live,
             _put(table, col, points[shown], st_values[shown])
             for i in np.flatnonzero(physical & ~shown):
                 warnings[points[i]].append(f"{col}: {st_errors[i]}")
-    return A, D
+    return live, A, D
 
 
 def evaluate_point(params: PhysicalParams, *,
@@ -452,25 +459,24 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
 def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
                           epsilon_d: float) -> np.ndarray | None:
     """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
-    per quadrature, as a stack (8, 8, 8); None where the kernel finds
-    the point not stable.
+    per quadrature, as a stack (8, 8, 8); None where the kernel's gate
+    nulls the point.
 
     Temperature enters only the diagonal noise D(T): the steady state,
     the drift matrix A and the stability verdict hold at every
     temperature, and the Lyapunov equation is linear in D, so the
     covariance at T is sum_i D_ii(T) V_i.
     """
-    record, matrices = evaluate_point(params, quantities=(),
-                                      drift_mode=drift_mode,
-                                      epsilon_d=epsilon_d, matrices=True)
-    if not record.stable:
+    # the steady state, then one block of the point or none
+    _, *blocks = _gate(ParamStack.broadcast(params, 1), drift_mode,
+                       epsilon_d, [[]])
+    if not blocks or not blocks[0][-1].stable[0]:
         return None
-    A = matrices[0]
-    n = len(A)
-    i = np.arange(n)
-    units = np.zeros((n, n, n))
-    units[i, i, i] = 1.0
-    V = lyapunov.solve_lyapunov(np.broadcast_to(A, units.shape), units)
+    *_, A, report = blocks[0]
+    units = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
+    first = [0] * 8  # the eight systems share A and the gate's eigenbasis
+    V = lyapunov.solve_lyapunov(A[first], units, eig=(
+        report.eigenvalues[first], report.eigenvectors[first]))
     # a singular slice nulls the point, as it does in the kernel
     return V if np.isfinite(V).all() else None
 
@@ -499,23 +505,18 @@ def find_critical_temperature(params: PhysicalParams,
                               ) -> tuple[float, tuple[str, ...]]:
     """Largest temperature at which the pair stays entangled.
 
-    A coarse scan over [0, t_max], evaluated as one stack, checks the
-    monotonic-decrease precondition and brackets the first zero
-    crossing, which is then bisected to ``tol_t`` (default 1 mK).  The
-    bisection runs ``BISECT_LEVELS`` levels per round: the midpoints
-    the next halvings could visit are evaluated as one stack, then
-    descended as one halving each, so the result is the one sequential
-    bisection gives.
-
-    The point goes through the kernel once, for its stability verdict
-    and drift matrix, and the Lyapunov equation is solved once, for the
-    eight unit noises (:func:`_unit_noise_solutions`).  A stack of
-    temperatures then costs one diffusion stack, one contraction and
-    one ``pair_measures`` call; a point that is not stable has E_N = 0
-    at every temperature.  Re-entrant entanglement on the coarse
-    scan yields a ``non-monotonic`` warning and the first crossing is
-    returned.  Raises ValueError if the pair is not entangled at T = 0
-    or a scanned temperature is negative.
+    A coarse scan over [0, t_max] checks the monotonic-decrease
+    precondition and brackets the first zero crossing, which is then
+    bisected to ``tol_t`` (default 1 mK).  Each stack of temperatures
+    holds the midpoints of the next ``BISECT_LEVELS`` halvings, which
+    are then descended one by one, so the result is the one sequential
+    bisection gives; at the defaults one stack of 63 does.  The
+    temperatures of a stack share the unit-noise solutions of the point
+    (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
+    has E_N = 0 at every temperature.  Re-entrant entanglement on the
+    coarse scan yields a ``non-monotonic`` warning and the first
+    crossing is returned.  Raises ValueError if the pair is not
+    entangled at T = 0 or a scanned temperature is negative.
     """
     column = "E_%s%s" % pair
     ts = np.linspace(0.0, t_max, coarse_points)
@@ -530,15 +531,13 @@ def find_critical_temperature(params: PhysicalParams,
                                                                 pair)
 
     def entanglement(temperatures) -> list[float]:
-        """The pair's E_N at each temperature, 0 where the point is not
-        stable or a screen fails."""
-        if basis is None:
-            return [0.0] * len(temperatures)
+        """The pair's E_N at each temperature, 0 where a screen fails."""
         values, null = _superposed_log_negativity(params, basis,
                                                   temperatures)
         return np.where(null, 0.0, values).tolist()
 
-    es = entanglement(ts)
+    # a point the gate nulls is entangled at no temperature
+    es = [0.0] if basis is None else entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")

@@ -25,7 +25,8 @@ from scipy.linalg import expm
 from magmech import steady_state
 from magmech.dynamics import drift_matrices
 from magmech.lyapunov import solve_lyapunov, symplectic_form
-from magmech.params import NUMERIC_FIELDS, ParamStack, effective_kappa_2
+from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, ParamStack,
+                            effective_kappa_2)
 from magmech.steady_state import SteadyState
 from magmech.sweep import _evaluate_chunk, evaluate_point, stack_params
 
@@ -426,6 +427,16 @@ def gauge_phase(m_avg):
     if m_avg == 0:
         return 0.0
     return -cmath.phase(1j * m_avg)
+
+
+def bose_occupation(omega, temperature):
+    """Scalar Bose-Einstein occupation 1/(exp(x) - 1), x = hbar*omega /
+    (k_B*T), in Python floats with ``math.expm1``: 0 at T = 0 and past
+    x = 700, where exp would overflow."""
+    if temperature == 0.0:
+        return 0.0
+    x = HBAR * omega / (K_B * temperature)
+    return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from magmech.params import (TWO_PI, DriveParams, PhysicalParams, eta_ratio,
-                            reference_baseline, rabi_frequency,
+from magmech.params import (HBAR, K_B, TWO_PI, DriveParams, PhysicalParams,
+                            eta_ratio, reference_baseline, rabi_frequency,
                             thermal_occupation)
+
+from .oracles import bose_occupation
 
 
 def test_thermal_occupation_zero_temperature():
@@ -22,12 +24,16 @@ def test_thermal_occupation_reference_values():
 
 
 def test_thermal_occupation_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        thermal_occupation(0.0, 0.1)
-    with pytest.raises(ValueError):
-        thermal_occupation(-1.0, 0.1)
-    with pytest.raises(ValueError):
-        thermal_occupation(1.0, -0.1)
+    # two scalars, or one bad entry of arrays
+    for omega, temperature, message in (
+            (0.0, 0.1, "omega must be positive"),
+            (-1.0, 0.1, "omega must be positive"),
+            (1.0, -0.1, "temperature must be non-negative")):
+        omegas, temps = np.full(5, TWO_PI * 1e7), np.full(5, 0.1)
+        omegas[3], temps[3] = omega, temperature
+        for args in ((omega, temperature), (omegas, temps)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                thermal_occupation(*args)
 
 
 def test_thermal_occupation_monotone_in_temperature_and_frequency():
@@ -43,6 +49,35 @@ def test_thermal_occupation_monotone_in_temperature_and_frequency():
 
 def test_thermal_occupation_huge_gap_underflows_to_zero():
     assert thermal_occupation(TWO_PI * 1e15, 1e-6) == 0.0
+
+
+def test_array_thermal_occupation_is_the_scalar_bit_for_bit():
+    rng = np.random.default_rng(13)
+    omega = TWO_PI * 10.0 ** rng.uniform(5.0, 11.0, 200)
+    temps = 10.0 ** rng.uniform(-4.0, 1.0, 200)
+    temps[:20] = 0.0
+    # x = hbar*omega/(k_B*T) a few ulps either side of 700
+    edge = HBAR * omega[20:60] / (K_B * 700.0)
+    temps[20:60] = edge * (1.0 + np.linspace(-8.0, 8.0, 40) * 2.0 ** -52)
+    x = [HBAR * w / (K_B * t) for w, t in zip(omega[20:60].tolist(),
+                                             temps[20:60].tolist())]
+    assert min(x) < 700.0 < max(x)
+    temps[60:70] = 1e-300  # x overflows to inf
+    pairs = list(zip(omega.tolist(), temps.tolist()))
+    expected = np.array([bose_occupation(w, t) for w, t in pairs])
+    assert np.count_nonzero(expected) > 100
+    got = thermal_occupation(omega, temps)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # two scalars give a float, and the same bits
+    scalars = [thermal_occupation(w, t) for w, t in pairs]
+    assert all(type(n) is float for n in scalars)
+    assert scalars == expected.tolist()
+    # arrays broadcast against each other
+    grid = thermal_occupation(omega[:, None], temps[None, 60:80])
+    assert grid.shape == (200, 20)
+    assert np.array_equal(grid[60:80].diagonal(), got[60:80])
+    # a temperature whose k_B*T underflows is the T -> 0 limit
+    assert thermal_occupation(omega, 5e-324).tolist() == [0.0] * 200
 
 
 def test_eta_ratio_examples(baseline):

@@ -367,10 +367,12 @@ def _microscopic_point(baseline):
 @pytest.mark.parametrize("pair, options, point", [
     (("a2", "m"), {}, False),
     (("a1", "m"), {}, False),
-    # 8, 7 and 5 halvings: the last round of levels is partial
+    # 8, 7 and 5 halvings: a round of six levels and a partial one of
+    # two, of one, and a single partial round
     (("a2", "m"), {"coarse_points": 11}, False),
     (("a2", "m"), {"coarse_points": 26}, False),
     (("a2", "m"), {"coarse_points": 81}, False),
+    # 13 halvings: two full rounds and one of a single level
     (("a2", "m"), {"tol_t": 1e-5}, False),
     # the bracket's width after two halvings, while a sibling bracket is
     # wider by rounding: the search must stop there, mid-round
@@ -431,27 +433,30 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
 
 def test_critical_temperature_search_is_one_kernel_evaluation(
         baseline, monkeypatch):
-    calls = {"kernel": [], "lyapunov": [], "diffusion": []}
+    calls = {"kernel": [], "eig": [], "lyapunov": [], "diffusion": []}
 
-    def spy(name, module, function):
+    def spy(name, module, function, record=lambda stack, *_, **__:
+            len(stack)):
         wrapped = getattr(module, function)
 
-        def counted(stack, *args, **kwargs):
-            calls[name].append(len(stack))
-            return wrapped(stack, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name].append(record(*args, **kwargs))
+            return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(module, function, counted)
 
     spy("kernel", sweep, "_evaluate_chunk")
-    spy("lyapunov", lyapunov, "solve_lyapunov")
+    spy("eig", np.linalg, "eig")
+    spy("lyapunov", lyapunov, "solve_lyapunov",
+        lambda A, D, eig=None: (len(A), eig is not None))
     spy("diffusion", dynamics, "diffusion_matrices")
     find_critical_temperature(baseline, ("a2", "m"))
-    # one kernel evaluation of the point, which solves its own one-point
-    # Lyapunov system; then the one solve of the eight unit noises; then
-    # the noise of the coarse scan and of six halvings in two rounds of
-    # three levels
-    assert calls == {"kernel": [1], "lyapunov": [1, 8],
-                     "diffusion": [1, 41, 7, 7]}
+    # the point's one pass through the kernel is its gate: one
+    # eigendecomposition of its drift matrix, which the one solve of the
+    # eight unit noises is given; then the noise of the coarse scan and
+    # of six halvings in one round of six levels
+    assert calls == {"kernel": [], "eig": [1], "lyapunov": [(8, True)],
+                     "diffusion": [41, 63]}
 
 
 def test_critical_temperature_validates_each_evaluation_once(
@@ -505,6 +510,33 @@ def test_unstable_point_has_no_unit_noise_solutions(baseline):
     assert sweep._unit_noise_solutions(params, "derived", 0.0) is None
     with pytest.raises(ValueError, match="not positive at T = 0"):
         find_critical_temperature(params, ("a2", "m"))
+
+
+@pytest.mark.parametrize("k", [2, 15])
+def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
+    # the ends of the unconverged Picard band of the microscopic sweep:
+    # the gate's mean-field rule, not a kernel record, nulls the point,
+    # before its drift matrix is classified (which would null it too)
+    spec = _microscopic_sweep()
+    params = build_point_params(spec, grid_values(spec)[k])
+    record = evaluate_point(params, quantities=(),
+                            epsilon_d=spec.epsilon_d)
+    assert any(w.startswith("steady state did not converge")
+               for w in record.warnings)
+    classified = []
+    stability = dynamics.stability
+
+    def spy(A, kappa_1):
+        classified.append(len(A))
+        return stability(A, kappa_1)
+
+    monkeypatch.setattr(dynamics, "stability", spy)
+    assert sweep._unit_noise_solutions(params, spec.drift_mode,
+                                       spec.epsilon_d) is None
+    assert classified == []
+    with pytest.raises(ValueError, match="not positive at T = 0"):
+        find_critical_temperature(params, ("a2", "m"),
+                                  epsilon_d=spec.epsilon_d)
 
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
