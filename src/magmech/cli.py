@@ -156,10 +156,7 @@ def cmd_tc(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
     pair = tuple(p.strip() for p in args.pair.split(","))
-    # E_N does not depend on the order of the pair
-    if pair[::-1] in measures.PAIRS:
-        pair = pair[::-1]
-    if pair not in measures.PAIRS:
+    if pair not in measures.PAIRS and pair[::-1] not in measures.PAIRS:
         raise ConfigError(f"--pair must be one of "
                           f"{' '.join(','.join(p) for p in measures.PAIRS)}"
                           f" (in either order), got {args.pair!r}")

@@ -67,16 +67,19 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
     return A
 
 
-def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
-    """(N, 8, 8) stack of diagonal noise matrices and each point's
-    convention warnings, a tuple per point.
+def noise_diagonals(p, temperature) -> np.ndarray:
+    """(N, 8) diagonals of the noise matrices at the parameters ``p``,
+    a :class:`~magmech.params.ParamStack` or a
+    :class:`~magmech.params.PhysicalParams`, and the temperatures
+    ``temperature``, broadcast against each other: a stack and its own
+    temperatures, or one point and an (N,) array of them.
 
     The cavity-1, magnon and mechanical entries are kappa*(2N+1) with
     the mode's thermal occupation (zero on the mechanical position).
     The cavity-2 entry ``d2`` depends on ``p.diffusion_convention``:
 
     - ``as_printed``:   (kappa_2 - g) * (2N2 + 1); negative when the
-      cavity is net active, which is flagged with a warning.
+      cavity is net active.
     - ``absolute_value``: |kappa_2 - g| * (2N2 + 1), the minimal noise
       of a phase-insensitive amplifier at that net rate.
     - ``physical_sum``: (kappa_2 + g) * (2N2 + 1), loss and gain noises
@@ -85,25 +88,38 @@ def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
       lossy one, so loss and gain contributions simply add.
     """
     omega = np.stack([p.omega_1, p.omega_2, p.omega_m, p.omega_b])
-    n1, n2, nm, nb = thermal_occupation(omega, p.temperature_T)
+    n1, n2, nm, nb = thermal_occupation(omega.reshape(4, -1), temperature)
     k2t = effective_kappa_2(p)
-    warnings = [()] * len(p)
     if p.diffusion_convention == "as_printed":
         d2 = k2t * (2.0 * n2 + 1.0)
-        neg = np.flatnonzero(k2t < 0)
-        for k, d in zip(neg.tolist(), d2[neg].tolist()):
-            warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
-                           "< 0 (as_printed with net gain)" % d,)
     elif p.diffusion_convention == "absolute_value":
         d2 = np.abs(k2t) * (2.0 * n2 + 1.0)
     else:  # physical_sum
         d2 = (p.kappa_2 + p.gain_g) * (2.0 * n2 + 1.0)
 
+    diag = np.zeros((len(n1), 8))
+    diag[:, 0] = diag[:, 1] = p.kappa_1 * (2.0 * n1 + 1.0)
+    diag[:, 2] = diag[:, 3] = d2
+    diag[:, 4] = diag[:, 5] = p.kappa_m * (2.0 * nm + 1.0)
+    diag[:, 7] = p.gamma_b * (2.0 * nb + 1.0)
+    return diag
+
+
+def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
+    """(N, 8, 8) stack of diagonal noise matrices, the
+    :func:`noise_diagonals` of the stack at its own temperatures, and
+    each point's convention warnings, a tuple per point: a negative
+    cavity-2 entry (``as_printed`` with net gain) is flagged.
+    """
+    diag = noise_diagonals(p, p.temperature_T)
+    warnings = [()] * len(p)
+    if p.diffusion_convention == "as_printed":
+        neg = np.flatnonzero(effective_kappa_2(p) < 0)
+        for k, d in zip(neg.tolist(), diag[neg, 2].tolist()):
+            warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
+                           "< 0 (as_printed with net gain)" % d,)
     D = np.zeros((len(p), 8, 8))
-    D[:, 0, 0] = D[:, 1, 1] = p.kappa_1 * (2.0 * n1 + 1.0)
-    D[:, 2, 2] = D[:, 3, 3] = d2
-    D[:, 4, 4] = D[:, 5, 5] = p.kappa_m * (2.0 * nm + 1.0)
-    D[:, 7, 7] = p.gamma_b * (2.0 * nb + 1.0)
+    D[:, range(8), range(8)] = diag
     return D, warnings
 
 

@@ -9,8 +9,10 @@ eigenvalue is below 1/2 and E_N = max(0, -ln(2 nu)).
 A pair's measures come from one pass, :func:`pair_measures`, over a
 stack (N, 4, 4) of its reduced CMs and the four block determinants det
 A, det C, det B and det V of each: E_N, the steering in both directions
-and the symplectic eigenvalue, each with its own screens.  A slice that
-fails a screen comes back NaN with a message; nothing raises.  The
+and the symplectic eigenvalue, each with its own screens.
+:func:`log_negativity` is the same pass without the steering, for a
+caller that reads E_N alone.  A slice that fails a screen comes back
+NaN with a message; nothing raises.  The
 spectral route to the eigenvalue, the eigenvalues of i*Omega*(P cm P),
 is the tests' oracle.
 """
@@ -83,20 +85,18 @@ def _clamp(value: np.ndarray) -> np.ndarray:
     return np.where(np.abs(value) < ZERO_CLAMP, 0.0, np.maximum(0.0, value))
 
 
-def pair_measures(cms: np.ndarray) -> PairMeasures:
-    """E_N, the steering in both directions and the smallest partially
-    transposed symplectic eigenvalue of a stack (N, 4, 4), from one set
-    of block determinants det A, det C, det B and det V.
+def _symplectic(cms: np.ndarray):
+    """E_N of each slice of a stack (N, 4, 4) as ``(values, errors)``,
+    then what the steering and nu- reuse: det A, det C and det V of each
+    slice, its smallest partially transposed symplectic eigenvalue nu-
+    and the (mask, message) screens of nu-.
 
-    nu: sigma = det A + det C - 2 det B and nu-^2 = 2 det V / (sigma +
+    sigma = det A + det C - 2 det B and nu-^2 = 2 det V / (sigma +
     sqrt(sigma^2 - 4 det V)) (Serafini, Illuminati and De Siena, J.
     Phys. B 37, L21 (2004)), with the discriminant expanded so that it
     does not cancel where the two symplectic eigenvalues meet; det B is
-    signed, negative for entangled states.  E_N = max(0, -ln(2 nu-)).
-
-    Steering (Kogias, Lee, Ragy and Adesso, PRL 114, 060403 (2015)):
-    S(2 block) - S(2 cm) with S = (1/2) ln det, the block being A
-    (first-mode -> second-mode, ``forward``) or C (``backward``).
+    signed, negative for entangled states.  E_N = max(0, -ln(2 nu-)),
+    with the screens of nu- and a vanishing nu- as a third.
     """
     a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
     det_a, det_c, det_b, det_v = (np.linalg.det(m) for m in (a, c, b, cms))
@@ -120,15 +120,38 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
         # sum does not
         nu = np.sqrt(np.maximum(2.0 * det_v / (sigma + root), 0.0))
         e_n = -np.log(2.0 * nu)
-        forward = 0.5 * np.log(det_a / (4.0 * det_v))
-        backward = 0.5 * np.log(det_c / (4.0 * det_v))
-        vanishing = ~(nu > 0.0)
     screens = [
         (disc < -ZERO_CLAMP * scale,
          lambda k: f"negative symplectic discriminant {disc[k]:.3e}"),
         (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)),
          lambda k: f"negative squared symplectic eigenvalue {inner[k]:.3e}"),
     ]
+    # roundoff around the threshold nu = 1/2 reports exact zero
+    return (_screened(_clamp(e_n), screens + [
+        (~(nu > 0.0), lambda k: "vanishing symplectic eigenvalue")]),
+        det_a, det_c, det_v, nu, screens)
+
+
+def log_negativity(cms: np.ndarray) -> tuple[np.ndarray, list]:
+    """E_N of each slice of a stack (N, 4, 4) as ``(values, errors)``,
+    the first element of :func:`pair_measures` without the steering."""
+    return _symplectic(cms)[0]
+
+
+def pair_measures(cms: np.ndarray) -> PairMeasures:
+    """E_N, the steering in both directions and the smallest partially
+    transposed symplectic eigenvalue of a stack (N, 4, 4), from one set
+    of block determinants det A, det C, det B and det V
+    (:func:`_symplectic`); E_N is the one :func:`log_negativity` gives.
+
+    Steering (Kogias, Lee, Ragy and Adesso, PRL 114, 060403 (2015)):
+    S(2 block) - S(2 cm) with S = (1/2) ln det, the block being A
+    (first-mode -> second-mode, ``forward``) or C (``backward``).
+    """
+    e_n, det_a, det_c, det_v, nu, screens = _symplectic(cms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        forward = 0.5 * np.log(det_a / (4.0 * det_v))
+        backward = 0.5 * np.log(det_c / (4.0 * det_v))
 
     def steering(value, det_block):
         return _screened(_clamp(value), [
@@ -138,11 +161,7 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
                                      f"{det_v[k]:.3e}"),
         ])
 
-    # roundoff around the threshold nu = 1/2 reports exact zero, and
-    # roundoff-scale steering too, so that one-way statements are crisp
-    return PairMeasures(
-        _screened(_clamp(e_n), screens + [
-            (vanishing, lambda k: "vanishing symplectic eigenvalue")]),
-        steering(forward, det_a),
-        steering(backward, det_c),
-        _screened(nu, screens))
+    # roundoff-scale steering reports exact zero, so that one-way
+    # statements are crisp
+    return PairMeasures(e_n, steering(forward, det_a),
+                        steering(backward, det_c), _screened(nu, screens))

@@ -130,7 +130,18 @@ def _checks(p):
          "G_mb must be non-negative in direct_g mode"),
         ((p.coupling_mode == "microscopic") & (p.g_mb < 0),
          "g_mb must be non-negative in microscopic mode"),
+        (_not_finite(p), "all numeric parameters must be finite"),
     )
+
+
+def _not_finite(p):
+    """Whether a numeric field is infinite or NaN: one check over the
+    fields of a :class:`PhysicalParams`, one array op over the columns
+    of a :class:`ParamStack`."""
+    values = [getattr(p, name) for name in NUMERIC_FIELDS]
+    if isinstance(p, PhysicalParams):
+        return not all(map(math.isfinite, values))
+    return ~np.isfinite(values).all(axis=0)
 
 
 class ParamStack(SimpleNamespace):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,8 +53,8 @@ AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 CHUNK_POINTS = 256
 
 # Bisection levels of the Tc search per stack: the 2**BISECT_LEVELS - 1
-# midpoints the next halvings could visit cost one diffusion stack, one
-# contraction and one pair_measures call.  Six levels take the default
+# midpoints the next halvings could visit cost one noise diagonal, one
+# contraction and one log_negativity call.  Six levels take the default
 # 0.05 K bracket below 1 mK in one stack.
 BISECT_LEVELS = 6
 
@@ -488,12 +489,38 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
     solutions ``basis`` (8, 4, 4), and the mask of the temperatures
     where a screen fails.  Exact for any diagonal D, negative entries
     included."""
-    stack = ParamStack.broadcast(params, len(temperatures),
-                                 temperature_T=temperatures)
-    D, _ = dynamics.diffusion_matrices(stack)
-    cms = np.einsum("ni,ijk->njk", np.diagonal(D, axis1=1, axis2=2), basis)
-    values, errors = measures.pair_measures(cms).log_negativity
+    diag = dynamics.noise_diagonals(params, temperatures)
+    # np.einsum adds D_11 V_1 + D_22 V_2 + ... in index order over an
+    # operand strided along i, but in SIMD blocks over a contiguous one,
+    # which moves nu by ulps (E_N by up to 1e-7 relative near its zero);
+    # the columns of an (8, N + 1) buffer are strided for every N, one
+    # included
+    strided = np.empty((8, len(diag) + 1))[:, :-1].T
+    strided[...] = diag
+    values, errors = measures.log_negativity(
+        np.einsum("ni,ijk->njk", strided, basis))
     return values, np.array([e is not None for e in errors], dtype=bool)
+
+
+def _check_search(params: PhysicalParams, t_max, tol_t, tol_e,
+                  coarse_points) -> None:
+    """Raise the ValueError of the first bad argument of a Tc search."""
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
+    # every temperature the search visits lies in [0, t_max], and a
+    # finite temperature enters no rule but T >= 0: checking t_max on
+    # the valid ``params`` raises the ValueError of a negative one
+    params.with_(temperature_T=float(t_max))
+    for name, value, ok, rule in (
+            ("t_max", t_max, t_max > 0.0, "positive"),
+            ("tol_t", tol_t, math.isfinite(tol_t) and tol_t > 0.0,
+             "finite and positive"),
+            ("tol_e", tol_e, math.isfinite(tol_e) and tol_e >= 0.0,
+             "finite and non-negative"),
+            ("coarse_points", coarse_points, coarse_points >= 2,
+             "at least 2")):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def find_critical_temperature(params: PhysicalParams,
@@ -503,7 +530,8 @@ def find_critical_temperature(params: PhysicalParams,
                               drift_mode: str = "derived",
                               epsilon_d: float = 0.0
                               ) -> tuple[float, tuple[str, ...]]:
-    """Largest temperature at which the pair stays entangled.
+    """Largest temperature at which the pair, in either order, stays
+    entangled.
 
     A coarse scan over [0, t_max] checks the monotonic-decrease
     precondition and brackets the first zero crossing, which is then
@@ -515,16 +543,19 @@ def find_critical_temperature(params: PhysicalParams,
     (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
     has E_N = 0 at every temperature.  Re-entrant entanglement on the
     coarse scan yields a ``non-monotonic`` warning and the first
-    crossing is returned.  Raises ValueError if the pair is not
-    entangled at T = 0 or a scanned temperature is negative.
+    crossing is returned.  Raises ValueError, before any evaluation, if
+    an argument is out of range (``t_max`` and ``tol_t`` finite and
+    positive, ``tol_e`` finite and non-negative, ``coarse_points`` at
+    least 2); and if the pair is not entangled at T = 0.
     """
+    pair = tuple(pair)
+    # E_N does not depend on the order of the pair
+    if pair[::-1] in measures.PAIRS:
+        pair = pair[::-1]
     column = "E_%s%s" % pair
-    ts = np.linspace(0.0, t_max, coarse_points)
-    # every temperature the search visits lies between ts[0] = 0 and
-    # ts[-1], and temperature enters no rule but T >= 0: checking ts[-1]
-    # on the valid ``params`` raises the ValueError of any invalid one
-    params.with_(temperature_T=float(ts[-1]))
     normalize_quantities((column,))  # the ValueError of an unknown pair
+    _check_search(params, t_max, tol_t, tol_e, coarse_points)
+    ts = np.linspace(0.0, t_max, coarse_points)
 
     solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
     basis = None if solutions is None else measures.reduce_pair(solutions,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from magmech.dynamics import (TOL_STAB_REL, diffusion_matrices,
-                              drift_matrices, format_matrix, stability)
+                              drift_matrices, format_matrix,
+                              noise_diagonals, stability)
 from magmech.params import TWO_PI, ParamStack, thermal_occupation
 from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import figure_preset, grid_values, stack_params
@@ -170,6 +171,28 @@ def test_diffusion_is_diagonal(baseline, convention):
         gain_g=gains, temperature_T=temperatures))
     diagonal = np.diagonal(D, axis1=1, axis2=2)
     assert np.array_equal(D, diagonal[:, :, None] * np.eye(8))
+
+
+@pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
+                                        "physical_sum"])
+@pytest.mark.parametrize("gain", [0.0, 1.5])  # passive, net gain 0.5 kappa_1
+def test_noise_diagonals_are_the_diffusion_diagonals(baseline, convention,
+                                                     gain):
+    # bit for bit, T = 0 included: of a stack at its own temperatures,
+    # and of one point at the same temperatures as an array
+    params = baseline.with_(diffusion_convention=convention,
+                            gain_g=gain * baseline.kappa_1)
+    temperatures = np.linspace(0.0, 2.0, 41)
+    stack = ParamStack.broadcast(params, 41, temperature_T=temperatures)
+    D, warnings = diffusion_matrices(stack)
+    diagonal = np.diagonal(D, axis1=1, axis2=2)
+    for diag in (noise_diagonals(stack, stack.temperature_T),
+                 noise_diagonals(params, temperatures)):
+        assert diag.shape == (41, 8)
+        assert diag.tobytes() == np.ascontiguousarray(diagonal).tobytes()
+    negative = convention == "as_printed" and gain > 1.0
+    assert (diagonal[:, 2] < 0).all() == negative
+    assert [len(w) for w in warnings] == [negative] * 41
 
 
 def test_diffusion_vacuum_floor(baseline):

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from magmech.dynamics import diffusion_matrices
 from magmech.lyapunov import solve_lyapunov
-from magmech.measures import PAIRS, mode_indices, pair_measures, reduce_pair
+from magmech.measures import (PAIRS, log_negativity, mode_indices,
+                              pair_measures, reduce_pair)
 from magmech.sweep import figure_preset, grid_values
 
 from .oracles import (drift_matrix_general, random_physical_cm,
@@ -241,6 +242,29 @@ def test_unphysical_slice_of_a_stack_is_null_with_message():
     assert nu[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
     assert errors[0] is None
     assert np.isnan(nu[1]) and errors[1]
+
+
+def test_log_negativity_is_the_pair_measures_one_bit_for_bit(rng):
+    # values, NaNs and messages on random physical CMs, products of
+    # vacua and thermal states (nu at 1/2, where E_N clamps to zero) and
+    # one slice that each screen rejects, first-failed screen first
+    rejected = {
+        "negative symplectic discriminant -4.000e+00": np.array(
+            [[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
+             [0.5, 0.0, -1.0, 0.0], [0.0, 0.5, 0.0, -1.0]]),
+        "negative squared symplectic eigenvalue -1.000e-01":
+            np.diag([1.0, -0.1, 1.0, 1.0]),
+        "vanishing symplectic eigenvalue": np.diag([1.0, 0.0, 1.0, 1.0]),
+    }
+    cms = np.stack([random_physical_cm(rng) for _ in range(12)]
+                   + [0.5 * np.eye(4), np.diag([0.5, 0.5, 1.5, 1.5])]
+                   + list(rejected.values()))
+    values, errors = log_negativity(cms)
+    expected, expected_errors = pair_measures(cms).log_negativity
+    assert values.tobytes() == expected.tobytes()
+    assert errors == expected_errors
+    assert errors[:14] == [None] * 14 and errors[14:] == list(rejected)
+    assert np.isnan(values[14:]).all() and values[12] == values[13] == 0.0
 
 
 def test_steering_weaker_than_entanglement(baseline_cov):

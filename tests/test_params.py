@@ -148,6 +148,17 @@ def test_physical_params_validation(baseline):
         baseline.with_(G_mb=-1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("kappa_1", math.nan), ("J", math.inf), ("Delta_m", math.nan),
+    ("temperature_T", math.inf), ("temperature_T", math.nan)])
+def test_physical_params_must_be_finite(baseline, name, value):
+    # none of them breaks an earlier rule: a NaN compares false, and a
+    # positive infinity passes every sign rule
+    with pytest.raises(ValueError,
+                       match="^all numeric parameters must be finite$"):
+        baseline.with_(**{name: value})
+
+
 def test_baseline_table(baseline):
     assert baseline.omega_b == pytest.approx(TWO_PI * 10e6)
     assert baseline.kappa_m == pytest.approx(TWO_PI * 0.56e6)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,25 @@ def test_invalid_points_skip_the_steady_state(baseline, monkeypatch):
     assert [r.stable for r in records] == [True, True, False]
 
 
+def test_non_finite_points_are_invalid(baseline):
+    # each is nulled by the validation rule, before any later stage can
+    # null it with a warning of its own; the finite point is untouched
+    n = 5
+    stack = ParamStack.broadcast(baseline, n)
+    stack.kappa_1[1] = np.nan
+    stack.J[2] = np.inf
+    stack.Delta_m[3] = np.nan
+    stack.temperature_T[4] = np.inf
+    table = sweep._evaluate_chunk(stack, np.empty((n, 0)), ("E_a2m",),
+                                  "derived", 0.0)
+    message = "invalid parameters at this point: all numeric parameters " \
+              "must be finite"
+    assert table.warnings[1:] == [[message]] * 4
+    assert table.stable.tolist() == [True] + [False] * 4
+    assert all(null[1:].all() for null in table.null.values())
+    assert table[0] == evaluate_point(baseline, quantities=("E_a2m",))
+
+
 def test_serial_and_parallel_runs_are_identical(baseline, monkeypatch):
     spec = small_spec(baseline)
     serial = run_sweep(spec, jobs=1)
@@ -433,7 +453,8 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
 
 def test_critical_temperature_search_is_one_kernel_evaluation(
         baseline, monkeypatch):
-    calls = {"kernel": [], "eig": [], "lyapunov": [], "diffusion": []}
+    calls = {"kernel": [], "eig": [], "lyapunov": [], "diffusion": [],
+             "noise": [], "pair_measures": [], "log_negativity": []}
 
     def spy(name, module, function, record=lambda stack, *_, **__:
             len(stack)):
@@ -450,13 +471,22 @@ def test_critical_temperature_search_is_one_kernel_evaluation(
     spy("lyapunov", lyapunov, "solve_lyapunov",
         lambda A, D, eig=None: (len(A), eig is not None))
     spy("diffusion", dynamics, "diffusion_matrices")
+    spy("noise", dynamics, "noise_diagonals",
+        lambda p, temperature: (type(p).__name__, len(temperature)))
+    spy("pair_measures", measures, "pair_measures")
+    spy("log_negativity", measures, "log_negativity")
+    # at the baseline's net gain, where as_printed noise is negative
     find_critical_temperature(baseline, ("a2", "m"))
     # the point's one pass through the kernel is its gate: one
     # eigendecomposition of its drift matrix, which the one solve of the
-    # eight unit noises is given; then the noise of the coarse scan and
-    # of six halvings in one round of six levels
+    # eight unit noises is given; then the noise diagonals of the point
+    # at the coarse scan's temperatures and at those of six halvings in
+    # one round of six levels, and E_N alone at each: no noise matrices,
+    # no parameter stacks and no steering
     assert calls == {"kernel": [], "eig": [1], "lyapunov": [(8, True)],
-                     "diffusion": [41, 63]}
+                     "diffusion": [],
+                     "noise": [("PhysicalParams", 41), ("PhysicalParams", 63)],
+                     "pair_measures": [], "log_negativity": [41, 63]}
 
 
 def test_critical_temperature_validates_each_evaluation_once(
@@ -503,6 +533,24 @@ def test_unit_noise_superposition_matches_the_kernel(
                       <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 41, 63])
+def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
+    # D_11 V_1 + D_22 V_2 + ... added left to right, bit for bit, at
+    # every size of a stack of temperatures, one included
+    basis = measures.reduce_pair(
+        sweep._unit_noise_solutions(baseline, "derived", 0.0), ("a2", "m"))
+    temperatures = np.linspace(0.0, 0.3, n)
+    diag = dynamics.noise_diagonals(baseline, temperatures)
+    cms = diag[:, 0, None, None] * basis[0]
+    for i in range(1, 8):
+        cms = cms + diag[:, i, None, None] * basis[i]
+    expected, errors = measures.log_negativity(cms)
+    values, null = sweep._superposed_log_negativity(baseline, basis,
+                                                    temperatures)
+    assert values.tobytes() == expected.tobytes()
+    assert null.tolist() == [e is not None for e in errors]
+
+
 def test_unstable_point_has_no_unit_noise_solutions(baseline):
     # an unstable point is not entangled at any temperature
     params = baseline.with_(gain_g=2.5 * baseline.kappa_1)
@@ -537,6 +585,37 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
     with pytest.raises(ValueError, match="not positive at T = 0"):
         find_critical_temperature(params, ("a2", "m"),
                                   epsilon_d=spec.epsilon_d)
+
+
+@pytest.mark.parametrize("option, message", [
+    ({"tol_t": 0.0}, "tol_t must be finite and positive, got 0.0"),
+    ({"tol_t": -1.0}, "tol_t must be finite and positive, got -1.0"),
+    ({"tol_t": math.nan}, "tol_t must be finite and positive, got nan"),
+    ({"coarse_points": 1}, "coarse_points must be at least 2, got 1"),
+    ({"coarse_points": 0}, "coarse_points must be at least 2, got 0"),
+    ({"tol_e": math.nan}, "tol_e must be finite and non-negative, got nan"),
+    ({"t_max": 0.0}, "t_max must be positive, got 0.0"),
+    ({"t_max": math.inf}, "t_max must be finite, got inf"),
+])
+def test_critical_temperature_rejects_bad_search_arguments(
+        baseline, monkeypatch, option, message):
+    # each would hang, or answer wrongly, in the search: the ValueError
+    # comes before the gate, the noise or the bisection runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search evaluated something")
+
+    for name in ("_gate", "_superposed_log_negativity"):
+        monkeypatch.setattr(sweep, name, unreachable)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        find_critical_temperature(baseline, ("a2", "m"), **option)
+
+
+@pytest.mark.parametrize("pair", [("a2", "m"), ("a1", "m")])
+def test_critical_temperature_takes_a_pair_in_either_order(baseline, pair):
+    forward = find_critical_temperature(baseline, pair)
+    assert repr(find_critical_temperature(baseline, pair[::-1])) \
+        == repr(forward)
+    assert find_critical_temperature(baseline, list(pair[::-1])) == forward
 
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
