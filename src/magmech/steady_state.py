@@ -110,9 +110,11 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
     squared modulus overflows.  None if it raises nothing."""
     if denom == 0:
         return ZeroDivisionError("complex division by zero")
+    # CPython's abs() of a NaN complex can raise on a stale C errno
     try:
-        abs(m) ** 2
-        for z in moduli:
+        if np.isfinite(m):
+            abs(m) ** 2
+        for z in filter(np.isfinite, moduli):
             abs(z)
     except OverflowError as exc:
         return exc
@@ -142,7 +144,11 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
     q[idx] = np.broadcast_to(q_seed, (n,))[idx]
     converged[idx] = False
 
-    Dm, km, g, wb = (x[idx] for x in (s.Delta_m, s.kappa_m, g, s.omega_b))
+    Dm, g, wb = (x[idx] for x in (s.Delta_m, g, s.omega_b))
+    # 1j*x + kappa_m, x = Delta_m + g*q: 1j*x is (+-0, x) for finite x,
+    # so the real part is kappa_m; an infinite x makes m NaN either way
+    z = np.empty(idx.size, dtype=complex)
+    z.real = s.kappa_m[idx]
     if drive is not None:
         C, G, E = (x[idx] for x in drive)
     tol = TOL_REL * wb
@@ -156,15 +162,16 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
     it = 0
     for it in range(1, MAX_ITER + 1):
         if drive is not None:
-            denom = (1j * (Dm + g * qa) + km) * C + G
+            np.add(Dm, g * qa, out=z.imag)
+            denom = z * C + G
             m = E / denom
             a2 = np.abs(m)
-            a2 = a2 * a2
+            a2 *= a2
         q_next = keep * qa - dg * a2 / wb
         shift = np.abs(g * (q_next - qa))
         # NaN in the minimum: some slice went non-finite, at this step
         # or (through an infinite q) at the last one
-        if shift.min() >= tol_hi:
+        if np.minimum.reduce(shift) >= tol_hi:
             prev = denom, m
             qa = q_next
             continue
@@ -185,8 +192,8 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
                 iterations[idx[j]] = it if err else MAX_ITER
                 errors[idx[j]] = err
             live = ~stop
-            (idx, Dm, km, g, wb, tol, dg, q_next) = (
-                x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next))
+            (idx, Dm, g, wb, tol, dg, z, q_next) = (
+                x[live] for x in (idx, Dm, g, wb, tol, dg, z, q_next))
             if drive is not None:
                 C, G, E, denom, m = (x[live] for x in (C, G, E, denom, m))
             if not idx.size:
@@ -204,6 +211,16 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
     return q, iterations, converged
 
 
+def check_drive(epsilon_d: float) -> None:
+    """Raise ValueError unless the drive is finite and non-negative."""
+    if not (math.isfinite(epsilon_d) and epsilon_d >= 0):
+        raise ValueError("epsilon_d must be finite and non-negative, "
+                         f"got {epsilon_d!r}")
+
+
+# NumPy warns where Python's complex arithmetic raises; the errors that
+# matter are named per slice
+@np.errstate(all="ignore")
 def solve_steady_states(params: ParamStack, epsilon_d: float, *,
                         q_seed=0.0) -> SteadyState:
     """Solve the mean-field equations for a parameter stack.
@@ -221,10 +238,10 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     ``converged`` False so that multistable points can be diagnosed by
     the caller, e.g. by solving again from other seeds.  A slice that
     divides by zero or overflows a finite amplitude gets its error in
-    ``errors`` instead of raising.
+    ``errors`` instead of raising.  A NaN, infinite or negative
+    ``epsilon_d`` raises ValueError.
     """
-    if epsilon_d < 0:
-        raise ValueError("epsilon_d must be non-negative")
+    check_drive(epsilon_d)
     s, g = params, _feedback(params)
     n = len(s)
     errors: list = [None] * n
@@ -239,25 +256,22 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
                            _relative_max_norm((s.omega_b * q,), epsilon_d),
                            converged, tuple(errors))
 
-    # NumPy warns where Python's complex arithmetic raises; the errors
-    # that matter are named per slice
-    with np.errstate(all="ignore"):
-        f = _response(s)
-        E = epsilon_d * f.C
-        # J^2 + f1*f2 divides in the closed form
-        for k in np.flatnonzero(f.C == 0):
-            errors[k] = ZeroDivisionError("complex division by zero")
-        q, iterations, converged = _iterate(s, g, (f.C, f.G, E), errors,
-                                            q_seed)
-        delta_eff = s.Delta_m + g * q
-        denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
-        m = E / denom
-        a1 = -1j * s.g_ma * f.f2 * m / f.C
-        # -i J a1 / f2 with the f2 cancellation done symbolically, so a
-        # resonant undamped cavity 2 (f2 = 0) stays finite
-        a2 = -s.J * s.g_ma * m / f.C
-        equations = _equations(s, g, f, m, a1, a2, q, p, epsilon_d)
-        residual = _relative_max_norm(equations, epsilon_d)
+    f = _response(s)
+    E = epsilon_d * f.C
+    # J^2 + f1*f2 divides in the closed form
+    for k in np.flatnonzero(f.C == 0):
+        errors[k] = ZeroDivisionError("complex division by zero")
+    q, iterations, converged = _iterate(s, g, (f.C, f.G, E), errors,
+                                        q_seed)
+    delta_eff = s.Delta_m + g * q
+    denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
+    m = E / denom
+    a1 = -1j * s.g_ma * f.f2 * m / f.C
+    # -i J a1 / f2 with the f2 cancellation done symbolically, so a
+    # resonant undamped cavity 2 (f2 = 0) stays finite
+    a2 = -s.J * s.g_ma * m / f.C
+    equations = _equations(s, g, f, m, a1, a2, q, p, epsilon_d)
+    residual = _relative_max_norm(equations, epsilon_d)
     for k in np.flatnonzero(~np.isfinite(residual)):
         if errors[k] is None:
             errors[k] = _arithmetic_error(

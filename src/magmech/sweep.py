@@ -22,10 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import dynamics, lyapunov, measures
+from . import dynamics, lyapunov, measures, steady_state
 from .params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
                      reference_baseline)
 from .steady_state import effective_coupling, solve_steady_states
@@ -115,6 +116,7 @@ class SweepSpec:
             if source not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link source {source!r}")
         normalize_quantities(self.quantities)
+        steady_state.check_drive(self.epsilon_d)
 
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)
@@ -686,35 +688,41 @@ def figure_preset(name: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # output writers
 
+def _formatted(column: np.ndarray, null: np.ndarray) -> list[str]:
+    """``"%.17g"`` of each entry, formatted once per distinct bit
+    pattern, so that -0.0 keeps its sign; nulls as empty fields."""
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = ["%.17g" % v for v in distinct.view(float).tolist()] + [""]
+    index[null] = len(distinct)
+    return list(map(text.__getitem__, index.tolist()))
+
+
 def write_csv(records, spec: SweepSpec, stream) -> None:
     """Lossless CSV: every column named, 17 significant digits, nulls
     as empty fields.
 
-    Formats by column: each distinct axis value once, and a measure
-    column that was not requested as one shared empty field."""
+    Formats by column, each distinct value once, and a measure column
+    that was not requested as one shared empty field."""
     table = SweepTable.of(records, spec)
     _, with_amplitudes = normalize_quantities(spec.quantities)
     header = (list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
               + list(DIAGNOSTIC_COLUMNS)
               + list(AMPLITUDE_COLUMNS if with_amplitudes else ())
               + ["warnings"])
-    fields = []
-    for axis in table.axis_values.T:
-        # by bits, so that -0.0 keeps its sign
-        distinct, index = np.unique(axis.view(np.int64), return_inverse=True)
-        text = ["%.17g" % v for v in distinct.view(float).tolist()]
-        fields.append([text[i] for i in index.reshape(-1).tolist()])
+    no_null = np.zeros(len(table), dtype=bool)
+    fields = [_formatted(axis, no_null) for axis in table.axis_values.T]
     fields.append(["true" if s else "false" for s in table.stable.tolist()])
-    blank = [""] * len(table)
-    for name in header[len(spec.axes) + 1:-1]:
-        values, null = table.values.get(name), table.null.get(name)
-        fields.append(blank if values is None else
-                      ["" if n else "%.17g" % v
-                       for v, n in zip(values.tolist(), null.tolist())])
-    fields.append([";".join(w) for w in table.warnings])
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*fields))
+    fields += [_formatted(table.values[c], table.null[c])
+               if c in table.values else [""] * len(table)
+               for c in header[len(spec.axes) + 1:-1]]
+    # only a warnings field can need quoting, and the csv module decides:
+    # its writer returns what the file's write does, here the line
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    warnings = list(map(";".join, table.warnings))
+    quoted = {w: row(("", w))[1:-1] for w in set(warnings)}
+    fields.append([quoted[w] for w in warnings])
+    stream.write("\n".join([",".join(header)]
+                           + list(map(",".join, zip(*fields)))) + "\n")
 
 
 def record_to_dict(rec: SweepRecord, axis_names) -> dict:

@@ -1,0 +1,241 @@
+"""Compare the outputs of this tree with those of another checkout.
+
+Run from the repository root, against a checkout of another commit
+(made with ``git worktree add ../parent HEAD~1``, or with ``git
+archive HEAD~1 | tar -x -C ../parent`` into an empty directory)::
+
+    python tests/compare_outputs.py --against ../parent
+
+Each tree runs in its own subprocess with its own ``src`` on
+``PYTHONPATH`` and writes, output by output:
+
+- the CSV and JSON lines of all 13 figure presets;
+- ``point``, ``tc``, ``validate`` and ``sweep`` (CSV and JSON lines) on
+  configs written from ``reference_baseline()``: in ``direct_g`` mode
+  with a sweep over J, and in ``microscopic`` mode with the
+  benchmark's 401-point sweep over Delta_m; standard output, standard
+  error and the exit code of each;
+- the acceptance suite's discrepancy report, from the tree's own tests.
+
+The script prints ``identical``, or for each output that differs the
+columns (CSV header, JSON key or text line) that moved, with the
+largest numeric move; it exits 1 on any difference.  pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+SCRIPT = os.path.abspath(__file__)
+
+# per coupling mode: the parameters that differ from reference_baseline(),
+# the drive and the [sweep] axis
+MODES = {
+    "direct_g": ({}, 1e14, "J, 1 kappa1, 3 kappa1, 101"),
+    "microscopic": ({"G_mb": 0.0, "g_mb": 2.0 * math.pi * 0.2}, 1e15,
+                    "Delta_m, 0 omega_b, 2 omega_b, 401"),
+}
+
+
+def _config(mode: str, output_format: str) -> str:
+    from magmech.params import NUMERIC_FIELDS, reference_baseline
+
+    changes, epsilon_d, axis = MODES[mode]
+    base = reference_baseline().with_(coupling_mode=mode, **changes)
+    return "\n".join(
+        ["[system]", "units = rad_s"]
+        + [f"{name} = {getattr(base, name)!r}" for name in NUMERIC_FIELDS]
+        + [f"coupling_mode = {mode}",
+           f"diffusion_convention = {base.diffusion_convention}",
+           f"epsilon_d = {epsilon_d!r}",
+           "[sweep]", f"axis1 = {axis}", "quantities = all, amplitudes",
+           "[output]", f"format = {output_format}", ""])
+
+
+def _run_cli(argv, stem: str, out_dir: str) -> None:
+    from magmech.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    for suffix, text in ((".stdout", stdout.getvalue()),
+                         (".stderr", stderr.getvalue()),
+                         (".exit", f"{code}\n")):
+        with open(os.path.join(out_dir, stem + suffix), "w") as fh:
+            fh.write(text)
+
+
+def emit(out_dir: str, tree: str) -> None:
+    """Write every compared output of the imported package to
+    ``out_dir``; ``tree`` is the checkout whose tests give the report."""
+    from magmech.sweep import (PRESET_NAMES, figure_preset, render_records,
+                               run_sweep)
+
+    for name in PRESET_NAMES:
+        spec = figure_preset(name)
+        table = run_sweep(spec)
+        for fmt in ("csv", "jsonl"):
+            with open(os.path.join(out_dir, f"preset_{name}.{fmt}"),
+                      "w") as fh:
+                fh.write(render_records(table,
+                                        replace(spec, output_format=fmt)))
+    for mode in MODES:
+        for fmt in ("csv", "jsonl"):
+            cfg = os.path.join(out_dir, f"{mode}_{fmt}.ini")
+            with open(cfg, "w") as fh:
+                fh.write(_config(mode, fmt))
+        cfg = os.path.join(out_dir, f"{mode}_csv.ini")
+        for verb in ("point", "tc", "validate"):
+            _run_cli([verb, "--config", cfg], f"{verb}_{mode}", out_dir)
+        for fmt in ("csv", "jsonl"):
+            out = os.path.join(out_dir, f"sweep_{mode}.{fmt}")
+            _run_cli(["sweep", "--config",
+                      os.path.join(out_dir, f"{mode}_{fmt}.ini"),
+                      "--out", out], f"sweep_{mode}_{fmt}", out_dir)
+    report = os.path.join(out_dir, "discrepancy_report.json")
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                    "no:cacheprovider", "tests/test_acceptance.py", "-k",
+                    "tracked_discrepancy_report", "--discrepancy-report",
+                    report], cwd=tree, check=False,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _columns(name: str, text: str) -> dict[str, list[str]]:
+    """The cells of an output by column: CSV header names, flattened
+    JSON keys, or else one column of text lines."""
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        if rows:
+            return {h: [r[i] if i < len(r) else "" for r in rows[1:]]
+                    for i, h in enumerate(rows[0])}
+    if name.endswith((".jsonl", ".json", ".stdout")):
+        try:
+            objs = ([json.loads(line) for line in text.splitlines()]
+                    if name.endswith(".jsonl") else [json.loads(text)])
+        except ValueError:
+            objs = None
+        if objs is not None:
+            cells: dict[str, list[str]] = {}
+            for obj in objs:
+                for key, value in _flatten(obj, ""):
+                    cells.setdefault(key, []).append(value)
+            return cells
+    return {"line": text.splitlines()}
+
+
+def _flatten(obj, prefix: str):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _flatten(obj[key],
+                                f"{prefix}.{key}" if prefix else key)
+    elif isinstance(obj, list) and any(isinstance(v, (dict, list))
+                                       for v in obj):
+        for k, value in enumerate(obj):
+            yield from _flatten(value, f"{prefix}[{k}]")
+    else:
+        yield prefix, json.dumps(obj)
+
+
+def _move(a: str, b: str) -> float | None:
+    """|a - b| of two numeric cells (inf where one is NaN or infinite
+    and the other not), or None if either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if math.isnan(x) and math.isnan(y) or x == y:
+        return 0.0
+    return abs(x - y) if math.isfinite(x - y) else math.inf
+
+
+def describe(name: str, mine: str, theirs: str) -> list[str]:
+    """One line per column of ``name`` that differs between the trees."""
+    a, b = _columns(name, mine), _columns(name, theirs)
+    lines = []
+    for col in list(a) + [c for c in b if c not in a]:
+        ca, cb = a.get(col), b.get(col)
+        if ca is None or cb is None:
+            side = "this" if cb is None else "the other"
+            lines.append(f"  {col}: only in {side} tree")
+            continue
+        if len(ca) != len(cb):
+            lines.append(f"  {col}: {len(ca)} cells here, {len(cb)} there")
+            continue
+        moved = [(x, y) for x, y in zip(ca, cb) if x != y]
+        if not moved:
+            continue
+        moves = [_move(x, y) for x, y in moved]
+        numeric = [m for m in moves if m is not None]
+        text = len(moves) - len(numeric)
+        line = f"  {col}: {len(moved)} of {len(ca)} cells differ"
+        if numeric:
+            line += f", largest move {max(numeric):.3g}"
+        if text:
+            line += f", {text} as text (e.g. {moved[moves.index(None)]!r})"
+        lines.append(line)
+    return lines or ["  bytes differ, cells equal"]
+
+
+def _outputs(tree: str, out_dir: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    return subprocess.Popen([sys.executable, SCRIPT, "--emit", out_dir,
+                             "--tree", tree], env=env, cwd=out_dir)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", help="the other checkout's root")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    parser.add_argument("--tree", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit, args.tree)
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+    here = os.path.dirname(os.path.dirname(SCRIPT))
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, side) for side in ("this", "other")]
+        runs = []
+        for tree, out_dir in zip((here, os.path.abspath(args.against)), dirs):
+            os.makedirs(out_dir)
+            runs.append(_outputs(tree, out_dir))
+        if any([run.wait() for run in runs]):
+            print("a tree failed to write its outputs", file=sys.stderr)
+            return 1
+        names = sorted(set().union(*map(os.listdir, dirs)))
+        differ = 0
+        for name in names:
+            paths = [Path(out_dir, name) for out_dir in dirs]
+            texts = [p.read_text() if p.exists() else None for p in paths]
+            if texts[0] == texts[1]:
+                continue
+            differ += 1
+            if None in texts:
+                print(f"{name}: only in "
+                      f"{'the other' if texts[0] is None else 'this'} tree")
+            else:
+                print(f"{name}:")
+                print("\n".join(describe(name, *texts)))
+    if differ:
+        print(f"{differ} of {len(names)} outputs differ")
+        return 1
+    print(f"identical: {len(names)} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

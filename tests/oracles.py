@@ -11,10 +11,13 @@ replacing fields of the base one point at a time, and the smallest
 partially-transposed symplectic eigenvalue by the spectrum of
 i*Omega*(P V P) instead of the package's closed form.
 
-It also holds the package helpers that only the tests call.
+It also holds the package helpers that only the tests call, and the
+earlier forms of two rewritten loops, which the rewrites must match bit
+for bit: the stacked Picard loop and the ``csv.writer`` CSV writer.
 """
 
 import cmath
+import csv
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -27,8 +30,12 @@ from magmech.dynamics import drift_matrices
 from magmech.lyapunov import solve_lyapunov, symplectic_form
 from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, ParamStack,
                             effective_kappa_2)
-from magmech.steady_state import SteadyState
-from magmech.sweep import _evaluate_chunk, evaluate_point, stack_params
+from magmech.steady_state import (DAMPING, MAX_ITER, TOL_REL, SteadyState,
+                                   _arithmetic_error)
+from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS,
+                           MEASURE_COLUMNS, SweepTable, _evaluate_chunk,
+                           evaluate_point, normalize_quantities,
+                           stack_params)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -417,6 +424,85 @@ def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
                        tuple(cands.errors[k] for k in keep))
 
 
+def stacked_picard_loop(s, g, drive, errors, q_seed):
+    """The stacked damped Picard loop of ``steady_state._iterate`` as it
+    was written before its step was cut to fewer NumPy calls: one fresh
+    array per operation, ``(1j * (Delta_m + g*q) + kappa_m) * C + G`` as
+    the denominator and ``ndarray.min`` as the stop test.  Same calling
+    contract as ``_iterate``; the package's loop must give the same bits.
+    """
+    n = len(s)
+    q = np.zeros(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.array([e is None for e in errors], dtype=bool)
+    idx = np.flatnonzero((g != 0.0) & converged)
+    if not idx.size:
+        return q, iterations, converged
+    q[idx] = np.broadcast_to(q_seed, (n,))[idx]
+    converged[idx] = False
+
+    Dm, km, g, wb = (x[idx] for x in (s.Delta_m, s.kappa_m, g, s.omega_b))
+    if drive is not None:
+        C, G, E = (x[idx] for x in drive)
+    tol = TOL_REL * wb
+    dg = DAMPING * g
+    keep = 1.0 - DAMPING
+    qa = q[idx]
+    tol_hi = tol.max()
+    a2 = 0.0
+    denom = m = None
+    prev = denom, m
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        if drive is not None:
+            denom = (1j * (Dm + g * qa) + km) * C + G
+            m = E / denom
+            a2 = np.abs(m)
+            a2 = a2 * a2
+        q_next = keep * qa - dg * a2 / wb
+        shift = np.abs(g * (q_next - qa))
+        # NaN in the minimum: some slice went non-finite, at this step
+        # or (through an infinite q) at the last one
+        if shift.min() >= tol_hi:
+            prev = denom, m
+            qa = q_next
+            continue
+        done = shift < tol
+        lost = np.isnan(shift)
+        stop = done | lost
+        if stop.any():
+            k = idx[done]
+            q[k] = q_next[done]
+            iterations[k] = it
+            converged[k] = True
+            for j in np.flatnonzero(lost):
+                step = (denom, m) if np.isfinite(qa[j]) else prev
+                err = (None if step[0] is None else
+                       _arithmetic_error(complex(step[0][j]),
+                                         complex(step[1][j])))
+                q[idx[j]] = math.nan
+                iterations[idx[j]] = it if err else MAX_ITER
+                errors[idx[j]] = err
+            live = ~stop
+            (idx, Dm, km, g, wb, tol, dg, q_next) = (
+                x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next))
+            if drive is not None:
+                C, G, E, denom, m = (x[live] for x in (C, G, E, denom, m))
+            if not idx.size:
+                return q, iterations, converged
+            tol_hi = tol.max()
+        prev = denom, m
+        qa = q_next
+    q[idx] = qa
+    iterations[idx] = it
+    if drive is not None:
+        # an infinite q from the last step
+        for j in np.flatnonzero(~np.isfinite(qa)):
+            errors[idx[j]] = _arithmetic_error(complex(denom[j]),
+                                               complex(m[j]))
+    return q, iterations, converged
+
+
 def gauge_phase(m_avg):
     """Phase angle that rotates <m> so the effective coupling is real >= 0.
 
@@ -541,6 +627,36 @@ def symplectic_agreement(cm, nu):
             / (2.0 * (sigma + root)))
     return (np.abs(nu - nu_spec),
             DUAL_METHOD_TOL * np.maximum(1.0, nu) + cond)
+
+
+def csv_module_write_csv(records, spec, stream):
+    """``sweep.write_csv`` as it was written before it formatted each
+    distinct value once: ``"%.17g"`` of every measure and diagnostic
+    entry, and every row through ``csv.writer``, which decides all the
+    quoting.  The package's writer must give the same bytes."""
+    table = SweepTable.of(records, spec)
+    _, with_amplitudes = normalize_quantities(spec.quantities)
+    header = (list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
+              + list(DIAGNOSTIC_COLUMNS)
+              + list(AMPLITUDE_COLUMNS if with_amplitudes else ())
+              + ["warnings"])
+    fields = []
+    for axis in table.axis_values.T:
+        # by bits, so that -0.0 keeps its sign
+        distinct, index = np.unique(axis.view(np.int64), return_inverse=True)
+        text = ["%.17g" % v for v in distinct.view(float).tolist()]
+        fields.append([text[i] for i in index.reshape(-1).tolist()])
+    fields.append(["true" if s else "false" for s in table.stable.tolist()])
+    blank = [""] * len(table)
+    for name in header[len(spec.axes) + 1:-1]:
+        values, null = table.values.get(name), table.null.get(name)
+        fields.append(blank if values is None else
+                      ["" if n else "%.17g" % v
+                       for v, n in zip(values.tolist(), null.tolist())])
+    fields.append([";".join(w) for w in table.warnings])
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*fields))
 
 
 def stable_covariances(spec, values):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from magmech import sweep
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
 from magmech.dynamics import diffusion_matrices, format_matrix
@@ -241,3 +242,27 @@ def test_cli_point_dump_matrices_singular_mean_field(singular_config,
     assert not (tmp_path / "mats").exists()
     err = capsys.readouterr().err
     assert "warning: steady state singular (1 point)" in err.splitlines()
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"),
+                                          ("-1", "-1.0")])
+def test_cli_rejects_a_bad_drive_before_evaluating(tmp_path, capsys,
+                                                   monkeypatch, value, shown):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweep, "_evaluate_chunk", evaluated)
+    message = f"epsilon_d must be finite and non-negative, got {shown}"
+    text = GOOD_CONFIG.replace("coupling_mode",
+                               f"epsilon_d = {value} rad_s\ncoupling_mode")
+    path, out = tmp_path / "drive.cfg", tmp_path / "drive.csv"
+    path.write_text(text)
+    # the sweep spec is built, and rejected, when the config is read
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    # without a [sweep] section the point's solve rejects it
+    monkeypatch.undo()
+    path.write_text(text.split("[sweep]")[0])
+    assert main(["point", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,18 +1,23 @@
 import cmath
 import math
+import re
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magmech import steady_state
 from magmech.params import TWO_PI, effective_kappa_2, reference_baseline
-from magmech.steady_state import effective_coupling, solve_steady_states
+from magmech.steady_state import (SteadyState, effective_coupling,
+                                  solve_steady_states)
 from magmech.sweep import evaluate_point
 
 from .oracles import (drift_matrix_general, find_self_consistent_roots,
                       gauge_phase, mean_field_residual, picard_steady_state,
-                      stack_of)
+                      stack_of, stacked_picard_loop)
 
 
 @pytest.fixture
@@ -280,3 +285,89 @@ def test_stacked_residual_matches_single(micro):
     for k, params in enumerate(params_seq):
         single = solve_steady_states(stack_of([params]), 5e13)
         assert mean_field_residual([params], single, 5e13)[0] == stacked[k]
+
+
+def assert_loop_is_the_oracle_loop(params_seq, epsilon_d, q_seed=0.0):
+    """The solve gives the same bits in every SteadyState field, and the
+    same errors, as with the oracle's copy of the earlier Picard loop."""
+    stack = stack_of(params_seq)
+    state = solve_steady_states(stack, epsilon_d, q_seed=q_seed)
+    with mock.patch.object(steady_state, "_iterate", stacked_picard_loop):
+        ref = solve_steady_states(stack, epsilon_d, q_seed=q_seed)
+    for f in fields(SteadyState)[:-1]:
+        got, want = getattr(state, f.name), getattr(ref, f.name)
+        assert got.dtype == want.dtype, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+    assert ([(type(e), getattr(e, "args", None)) for e in state.errors]
+            == [(type(e), getattr(e, "args", None)) for e in ref.errors])
+    return state
+
+
+def test_picard_loop_is_the_oracle_loop_on_the_micro_sweep_grid(micro):
+    grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
+    state = assert_loop_is_the_oracle_loop(
+        [micro.with_(Delta_m=float(dm)) for dm in grid], 1e15)
+    assert 0 < np.count_nonzero(~state.converged) < len(grid)
+
+
+@pytest.mark.parametrize("epsilon_d", [0.0, 1e14, 1e170, 1e300])
+@pytest.mark.parametrize("q_seed", [0.0, -0.0, 37.5, 1.5e308, math.inf,
+                                    math.nan, "per_slice"])
+def test_picard_loop_is_the_oracle_loop_on_breakdown_slices(micro, epsilon_d,
+                                                            q_seed):
+    # a C == 0 slice, a slice without feedback and two plain ones, under
+    # no drive, a drive that overflows and one that does not; the seed
+    # 1.5e308 is finite, but Delta_m + g_mb*q is not
+    params_seq = [micro, _resonant_loss(micro), micro.with_(g_mb=0.0),
+                  micro.with_(Delta_m=0.3 * micro.omega_b)]
+    if q_seed == "per_slice":
+        q_seed = np.array([0.0, -1.0, math.inf, math.nan])
+    assert_loop_is_the_oracle_loop(params_seq, epsilon_d, q_seed)
+
+
+_SEED = st.one_of(st.floats(-1e3, 1e3),
+                  st.sampled_from([-0.0, 1.5e308, math.inf, -math.inf,
+                                   math.nan]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_MICRO_POINT, st.floats(0.0, TWO_PI)).map(
+           lambda pg: {**pg[0], "g_mb": pg[1]}), min_size=1, max_size=8),
+       epsilon_d=st.one_of(st.floats(11.0, 16.0).map(lambda x: 10.0 ** x),
+                           st.sampled_from([0.0, 1e170, 1e300])),
+       resonant=st.booleans(),
+       seeds=st.one_of(_SEED, st.lists(_SEED, min_size=9, max_size=9)))
+def test_picard_loop_is_the_oracle_loop_on_drawn_points(points, epsilon_d,
+                                                        resonant, seeds):
+    base = reference_baseline().with_(coupling_mode="microscopic",
+                                      G_mb=0.0)
+    params_seq = [base.with_(**point) for point in points]
+    if resonant:
+        params_seq.append(_resonant_loss(params_seq[0]))
+    q_seed = (np.array(seeds[:len(params_seq)]) if isinstance(seeds, list)
+              else seeds)
+    assert_loop_is_the_oracle_loop(params_seq, epsilon_d, q_seed)
+
+
+@pytest.mark.parametrize("epsilon_d", [math.nan, math.inf, -math.inf, -1.0])
+def test_drive_must_be_finite_and_non_negative(baseline, micro, epsilon_d):
+    message = ("epsilon_d must be finite and non-negative, got "
+               + re.escape(repr(epsilon_d)))
+    for params in (baseline, micro):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_steady_states(stack_of([params]), epsilon_d)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_point(params, epsilon_d=epsilon_d)
+
+
+def test_arithmetic_error_ignores_a_stale_overflow():
+    # CPython's abs() of a NaN complex returns NaN without clearing the
+    # C errno, so right after an overflow it raised one too
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    nan = complex(math.nan, math.nan)
+    assert steady_state._arithmetic_error(1j, nan, nan) is None
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    assert isinstance(steady_state._arithmetic_error(
+        1j, 1.5e308 + 1.5e308j), OverflowError)

@@ -3,20 +3,25 @@ import json
 import math
 import re
 from dataclasses import replace
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmech import dynamics, lyapunov, measures, sweep
-from magmech.params import NUMERIC_FIELDS, TWO_PI, ParamStack
-from magmech.sweep import (AMPLITUDE_COLUMNS, E_COLUMNS, MEASURE_COLUMNS,
-                           ST_COLUMNS, SweepAxis, SweepSpec,
+from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
+                            reference_baseline)
+from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
+                           MEASURE_COLUMNS, ST_COLUMNS, SweepAxis, SweepSpec,
+                           SweepTable,
                            build_point_params, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values,
                            normalize_quantities, record_to_dict,
                            render_records, run_sweep, stack_params)
 
-from .oracles import (bisect_critical_temperature,
+from .oracles import (bisect_critical_temperature, csv_module_write_csv,
                       find_self_consistent_roots, point_params)
 
 
@@ -237,6 +242,85 @@ def test_csv_of_rows_equals_csv_of_table():
     spec = _microscopic_sweep()
     table = run_sweep(spec)
     assert render_records(list(table), spec) == render_records(table, spec)
+
+
+_CELL = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+     0.1, 1e300]))
+_WARNING = st.text(st.sampled_from([",", '"', "\n", "\r", ";", " ", "\t", "a",
+                                    "Z", "7", "(", "é", "Ω", "→"]),
+                   max_size=8)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A table of drawn cells, null masks and warnings, and a spec of
+    one or two axes that requests drawn columns."""
+    n_axes = draw(st.integers(1, 2))
+    quantities = tuple(draw(st.lists(st.sampled_from(
+        MEASURE_COLUMNS + ("amplitudes",)), max_size=4)))
+    columns, with_amplitudes = normalize_quantities(quantities)
+    n = draw(st.integers(0, 12))
+    # a few values that recur
+    pool = draw(st.lists(_CELL, min_size=1, max_size=3))
+    cells = st.lists(st.one_of(_CELL, st.sampled_from(pool)),
+                     min_size=n, max_size=n)
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    names = DIAGNOSTIC_COLUMNS + columns + (AMPLITUDE_COLUMNS
+                                            if with_amplitudes else ())
+    table = SweepTable(
+        np.array(draw(st.lists(cells, min_size=n_axes, max_size=n_axes)),
+                 dtype=float).T.reshape(n, n_axes),
+        np.array(draw(masks), dtype=bool),
+        {c: np.array(draw(cells), dtype=float) for c in names},
+        {c: np.array(draw(masks), dtype=bool) for c in names},
+        [draw(st.lists(_WARNING, max_size=3)) for _ in range(n)], columns)
+    spec = SweepSpec(reference_baseline(),
+                     tuple(SweepAxis(name, 0.0, 1.0, 2)
+                           for name in ("J", "eta")[:n_axes]),
+                     quantities=quantities)
+    return table, spec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_csv_tables(), as_rows=st.booleans())
+def test_csv_writer_is_the_csv_module_writer_byte_for_byte(case, as_rows):
+    table, spec = case
+    records = list(table) if as_rows else table
+    got, want = StringIO(), StringIO()
+    sweep.write_csv(records, spec, got)
+    csv_module_write_csv(records, spec, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_csv_writer_formats_each_distinct_value_once(baseline):
+    # -0.0 and 0.0 are distinct bit patterns, so each keeps its text;
+    # a null is empty whatever value it masks
+    table = SweepTable(np.array([[0.0], [-0.0], [0.0]]),
+                       np.array([True, True, False]),
+                       {c: np.array([-0.0, 0.0, -0.0])
+                        for c in DIAGNOSTIC_COLUMNS},
+                       {c: np.array([False, False, True])
+                        for c in DIAGNOSTIC_COLUMNS},
+                       [["a,b", 'say "x"'], [], ["x\ry"]], ())
+    spec = SweepSpec(baseline, (SweepAxis("J", 0.0, 1.0, 2),),
+                     quantities=())
+    buf = StringIO()
+    sweep.write_csv(table, spec, buf)
+    empty = "," * len(MEASURE_COLUMNS)
+    assert buf.getvalue().split("\n")[1:] == [
+        f"0,true{empty},-0,-0,-0,-0,\"a,b;say \"\"x\"\"\"",
+        f"-0,true{empty},0,0,0,0,",
+        f"0,false{empty},,,,,x\ry",
+        ""]
+
+
+@pytest.mark.parametrize("epsilon_d", [math.nan, math.inf, -1.0])
+def test_sweep_spec_drive_must_be_finite_and_non_negative(baseline,
+                                                         epsilon_d):
+    with pytest.raises(ValueError, match="^epsilon_d must be finite and "
+                       f"non-negative, got {epsilon_d!r}$"):
+        small_spec(baseline, epsilon_d=epsilon_d)
 
 
 def test_invalid_points_skip_the_steady_state(baseline, monkeypatch):
