@@ -19,7 +19,8 @@ the drift matrix the eigenbasis degenerates and the spectral solve
 fails, so every slice whose relative residual exceeds 1e-12, or is not
 finite, is solved again from the vectorized 64x64 Kronecker system
 (A (x) I + I (x) A) vec(V) = -vec(D) with a partially pivoted
-factorization.
+factorization.  The solve returns the residual it gated on, taken
+again on the slices solved again.
 """
 
 from __future__ import annotations
@@ -112,17 +113,19 @@ def _transpose(M: np.ndarray) -> np.ndarray:
 
 def solve_lyapunov(A: np.ndarray, D: np.ndarray,
                    eig: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> np.ndarray:
-    """Unique symmetric solutions V of A V + V A^T = -D for stable A.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Unique symmetric solutions V of A V + V A^T = -D for stable A,
+    and the :func:`lyapunov_residual` of each.
 
-    ``A`` and ``D`` are stacks (N, n, n), solved slice by slice.
-    ``eig`` passes the eigendecomposition ``(w, S)`` of ``A`` in the
-    form :func:`eigendecomposition` returns, so that the stability
-    gate's decomposition is not computed twice.
+    ``A`` and ``D`` are stacks (N, n, n), solved slice by slice; returns
+    ``(V, residual)`` of shapes (N, n, n) and (N,).  ``eig`` passes the
+    eigendecomposition ``(w, S)`` of ``A`` in the form
+    :func:`eigendecomposition` returns, so that the stability gate's
+    decomposition is not computed twice.
 
     Callers must gate on stability first.  On the stability boundary
     the Kronecker fallback finds the system singular and the slice
-    comes back NaN.
+    comes back NaN, with a NaN residual.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -143,10 +146,13 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
 
         V = spectral(D)
         V = V + spectral(A @ V + V @ _transpose(A) + D)  # refinement
-        retry = ~(lyapunov_residual(A, V, D) <= SPECTRAL_RESIDUAL_MAX)
-    for k in np.flatnonzero(retry):
+        residual = lyapunov_residual(A, V, D)
+    retry = np.flatnonzero(~(residual <= SPECTRAL_RESIDUAL_MAX))
+    for k in retry:
         V[k] = _kronecker_solve(A[k], D[k])
-    return V
+    if retry.size:
+        residual[retry] = lyapunov_residual(A[retry], V[retry], D[retry])
+    return V, residual
 
 
 def lyapunov_residual(A: np.ndarray, V: np.ndarray,

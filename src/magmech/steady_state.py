@@ -43,7 +43,9 @@ class SteadyState:
     slice in (N,) arrays.
 
     ``residual`` is the max-norm of the zero-derivative equations of
-    motion relative to the drive amplitude; ``delta_eff`` is the
+    motion relative to the drive amplitude, or without a drive, where
+    only the mechanical equation -omega_b*q can be out of balance,
+    relative to omega_b; ``delta_eff`` is the
     self-consistent magnon detuning.  ``errors`` holds, per slice, the
     ``ArithmeticError`` (division by zero, overflow) that the solve ran
     into, or None.  Such a slice is not converged.
@@ -96,11 +98,11 @@ def _equations(s: ParamStack, g, f: _Response, m, a1, a2, q, p, epsilon_d):
             -s.omega_b * q - s.gamma_b * p - g * np.abs(m) ** 2)
 
 
-def _relative_max_norm(equations, epsilon_d) -> np.ndarray:
+def _relative_max_norm(equations, scale) -> np.ndarray:
     worst = np.abs(equations[0])
     for e in equations[1:]:
         worst = np.maximum(worst, np.abs(e))
-    return worst / max(abs(epsilon_d), 1e-300)
+    return worst / scale
 
 
 def _arithmetic_error(denom: complex, m: complex, *moduli):
@@ -253,7 +255,7 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
         q, iterations, converged = _iterate(s, g, None, errors, q_seed)
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q, iterations,
-                           _relative_max_norm((s.omega_b * q,), epsilon_d),
+                           _relative_max_norm((s.omega_b * q,), s.omega_b),
                            converged, tuple(errors))
 
     f = _response(s)
@@ -271,7 +273,7 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     # resonant undamped cavity 2 (f2 = 0) stays finite
     a2 = -s.J * s.g_ma * m / f.C
     equations = _equations(s, g, f, m, a1, a2, q, p, epsilon_d)
-    residual = _relative_max_norm(equations, epsilon_d)
+    residual = _relative_max_norm(equations, max(epsilon_d, 1e-300))
     for k in np.flatnonzero(~np.isfinite(residual)):
         if errors[k] is None:
             errors[k] = _arithmetic_error(

@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from io import StringIO
@@ -337,9 +336,9 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     _put(table, "margin", live[decided], report.margin[decided])
 
     stable = np.flatnonzero(report.stable)
-    V = lyapunov.solve_lyapunov(A[stable], D[stable],
-                                eig=(report.eigenvalues[stable],
-                                     report.eigenvectors[stable]))
+    V, residual = lyapunov.solve_lyapunov(A[stable], D[stable],
+                                          eig=(report.eigenvalues[stable],
+                                               report.eigenvectors[stable]))
     finite = np.isfinite(V).all(axis=(1, 2))
     for k in live[stable[~finite]]:
         warnings[k].append("singular Lyapunov system: no finite solution")
@@ -358,24 +357,33 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
         return live, A, D
 
     V = V[finite]
-    _put(table, "lyap_residual", points,
-         lyapunov.lyapunov_residual(A[rows], V, D[rows]))
+    _put(table, "lyap_residual", points, residual[finite])
     _put(table, "physicality", points, lyapunov.physicality_min_eig(V))
     by_pair: dict[tuple[str, str], list[str]] = {}
     for col in table.columns:
         by_pair.setdefault(_PAIR_OF[col][0], []).append(col)
-    for pair, cols in by_pair.items():
-        found = measures.pair_measures(measures.reduce_pair(V, pair))
+    if not by_pair:
+        return live, A, D
+    # one pass over the 4x4 reductions of every requested pair, stacked
+    # pair after pair: slice p*n + i is point i of the p-th pair
+    n = len(points)
+    idx = np.array([measures.mode_indices(a) + measures.mode_indices(b)
+                    for a, b in by_pair])
+    found = measures.pair_measures(V[np.arange(n)[:, None, None],
+                                     idx[:, None, :, None],
+                                     idx[:, None, None, :]].reshape(-1, 4, 4))
+    for p, (pair, cols) in enumerate(by_pair.items()):
+        at = slice(p * n, (p + 1) * n)
         # cols[0] is the pair's E column: its symplectic screen decides
         # whether the reduced state is physical enough to report at all
-        e_values, e_errors = found.log_negativity
+        e_values, e_errors = (x[at] for x in found.log_negativity)
         physical = np.array([e is None for e in e_errors], dtype=bool)
         for i in np.flatnonzero(~physical):
             warnings[points[i]].append(f"pair {pair[0]}-{pair[1]}: "
                                        f"{e_errors[i]}")
         _put(table, cols[0], points[physical], e_values[physical])
         for col in cols[1:]:
-            st_values, st_errors = found[_PAIR_OF[col][1]]
+            st_values, st_errors = (x[at] for x in found[_PAIR_OF[col][1]])
             shown = physical & np.array([e is None for e in st_errors],
                                         dtype=bool)
             _put(table, col, points[shown], st_values[shown])
@@ -452,6 +460,10 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     values = np.array(grid_values(spec), dtype=float)
     if jobs <= 1 or len(values) <= CHUNK_POINTS:
         return _evaluate_points(spec, values)
+    # imported where a pool runs: with multiprocessing, it makes up about
+    # a third of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     parts = [values[i:i + CHUNK_POINTS]
              for i in range(0, len(values), CHUNK_POINTS)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -478,7 +490,7 @@ def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
     *_, A, report = blocks[0]
     units = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
     first = [0] * 8  # the eight systems share A and the gate's eigenbasis
-    V = lyapunov.solve_lyapunov(A[first], units, eig=(
+    V, _ = lyapunov.solve_lyapunov(A[first], units, eig=(
         report.eigenvalues[first], report.eigenvectors[first]))
     # a singular slice nulls the point, as it does in the kernel
     return V if np.isfinite(V).all() else None

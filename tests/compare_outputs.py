@@ -19,8 +19,9 @@ Each tree runs in its own subprocess with its own ``src`` on
 
 The script prints ``identical``, or for each output that differs the
 columns (CSV header, JSON key or text line) that moved, with the
-largest numeric move; it exits 1 on any difference.  pytest does not
-collect it.
+largest numeric move; it exits 1 on any difference.  It also prints the
+net change in the lines of the Python files under ``src``, which does
+not enter the exit code.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -189,6 +190,17 @@ def describe(name: str, mine: str, theirs: str) -> list[str]:
     return lines or ["  bytes differ, cells equal"]
 
 
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under the tree's ``src``."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
+
+
 def _outputs(tree: str, out_dir: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     return subprocess.Popen([sys.executable, SCRIPT, "--emit", out_dir,
@@ -206,11 +218,14 @@ def main(argv=None) -> int:
         return 0
     if not args.against:
         parser.error("--against is required")
-    here = os.path.dirname(os.path.dirname(SCRIPT))
+    trees = (os.path.dirname(os.path.dirname(SCRIPT)),
+             os.path.abspath(args.against))
+    mine, theirs = map(src_lines, trees)
+    lines = f"src/ lines {mine - theirs:+d} ({mine} here, {theirs} there)"
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, side) for side in ("this", "other")]
         runs = []
-        for tree, out_dir in zip((here, os.path.abspath(args.against)), dirs):
+        for tree, out_dir in zip(trees, dirs):
             os.makedirs(out_dir)
             runs.append(_outputs(tree, out_dir))
         if any([run.wait() for run in runs]):
@@ -231,9 +246,9 @@ def main(argv=None) -> int:
                 print(f"{name}:")
                 print("\n".join(describe(name, *texts)))
     if differ:
-        print(f"{differ} of {len(names)} outputs differ")
+        print(f"{differ} of {len(names)} outputs differ; {lines}")
         return 1
-    print(f"identical: {len(names)} outputs")
+    print(f"identical: {len(names)} outputs; {lines}")
     return 0
 
 

@@ -155,7 +155,8 @@ def mean_field_residual(params_seq, state, epsilon_d):
         steady_state._equations(s, steady_state._feedback(s),
                                 steady_state._response(s), state.m_avg,
                                 state.a1_avg, state.a2_avg, state.q_avg,
-                                state.p_avg, epsilon_d), epsilon_d)
+                                state.p_avg, epsilon_d),
+        max(abs(epsilon_d), 1e-300))
 
 
 def _determinant(M):
@@ -670,4 +671,4 @@ def stable_covariances(spec, values):
         return np.empty(0, dtype=int), np.empty((0, 8, 8))
     live, A, D = table.matrices
     keep = table.stable[live]
-    return live[keep], solve_lyapunov(A[keep], D[keep])
+    return live[keep], solve_lyapunov(A[keep], D[keep])[0]

@@ -67,7 +67,7 @@ def test_lyapunov_residual_on_random_stable_instances(rng):
     for _ in range(1000):
         A = random_stable_drift(rng)
         D = random_spd(rng)
-        V = solve_lyapunov(A[None], D[None])
+        V, _ = solve_lyapunov(A[None], D[None])
         worst = max(worst, lyapunov_residual(A[None], V, D[None])[0])
     announce("lyapunov residual < 1e-10 on 1000 instances", worst < 1e-10,
              f"(worst {worst:.3e})")
@@ -79,7 +79,7 @@ def test_lyapunov_vs_time_integration(rng):
     for _ in range(100):
         A = random_stable_drift(rng)
         D = random_spd(rng)
-        V = solve_lyapunov(A[None], D[None])[0]
+        V = solve_lyapunov(A[None], D[None])[0][0]
         V_t = integrate_lyapunov(A, D)
         worst = max(worst, float(np.abs(V - V_t).max()))
     announce("vectorized vs integrated covariance (100 instances)",

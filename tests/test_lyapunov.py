@@ -17,7 +17,8 @@ from .oracles import (EigensolverError, drift_matrix_general, eigenvalues,
 
 def _solve(A, D):
     """The solution of one system, solved as a one-slice stack."""
-    return solve_lyapunov(A[None], D[None])[0]
+    V, _ = solve_lyapunov(A[None], D[None])
+    return V[0]
 
 
 def _residual(A, V, D):
@@ -51,15 +52,44 @@ def test_stacked_solve_matches_single_solves(rng):
     # stack
     A = np.stack([random_stable_drift(rng) for _ in range(5)])
     D = np.stack([random_spd(rng) for _ in range(5)])
-    V = solve_lyapunov(A, D)
+    V, _ = solve_lyapunov(A, D)
     res = lyapunov_residual(A, V, D)
     phys = physicality_min_eig(V)
     for k in range(5):
         one = slice(k, k + 1)
-        assert V[k].tobytes() == solve_lyapunov(A[one], D[one])[0].tobytes()
+        assert V[k].tobytes() == solve_lyapunov(A[one],
+                                                D[one])[0][0].tobytes()
         assert res[k] == lyapunov_residual(A[one], V[one], D[one])[0]
         assert phys[k] == physicality_min_eig(V[one])[0]
     assert res.max() < 1e-12
+
+
+def test_returned_residual_is_the_residual(rng, monkeypatch):
+    # spectral slices; the exceptional point of the g_ma = 0 window of
+    # J, which the Kronecker fallback solves again; and a marginal drift
+    # matrix, singular in both solves
+    base = reference_baseline()
+    _, (A_ep, D_ep) = evaluate_point(
+        base.with_(g_ma=0.0, J=0.75 * base.kappa_1), quantities=(),
+        matrices=True)
+    marginal = -np.eye(8)
+    marginal[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    A = np.stack([random_stable_drift(rng), A_ep, marginal,
+                  random_stable_drift(rng)])
+    D = np.stack([random_spd(rng), D_ep, np.eye(8), random_spd(rng)])
+    solved_again = []
+    kronecker = lyapunov._kronecker_solve
+
+    def spy(a, d):
+        solved_again.append(a.tobytes())
+        return kronecker(a, d)
+
+    monkeypatch.setattr(lyapunov, "_kronecker_solve", spy)
+    V, residual = solve_lyapunov(A, D)
+    assert solved_again == [A[1].tobytes(), A[2].tobytes()]
+    assert np.isnan(V[2]).all() and np.isnan(residual[2])
+    assert residual[[0, 1, 3]].max() < 1e-12
+    assert residual.tobytes() == lyapunov_residual(A, V, D).tobytes()
 
 
 def test_eigendecomposition_decomposes_each_run_once(rng, monkeypatch):
@@ -94,7 +124,8 @@ def test_eigendecomposition_decomposes_each_run_once(rng, monkeypatch):
 
 def test_singular_slice_of_a_stack_is_nan():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    V = solve_lyapunov(np.stack([-np.eye(2), rot]), np.stack([np.eye(2)] * 2))
+    V, _ = solve_lyapunov(np.stack([-np.eye(2), rot]),
+                          np.stack([np.eye(2)] * 2))
     assert V[0] == pytest.approx(0.5 * np.eye(2), abs=1e-14)
     assert np.isnan(V[1]).all()
 
@@ -256,5 +287,6 @@ def test_rescaling_every_rate_leaves_the_covariance_unchanged(unit, power):
         for p in (params, scaled))
     assert rec_s.stable == rec.stable
     if rec.stable:
-        V, V_s = solve_lyapunov(np.stack([A, A_s]), np.stack([D, D_s]))
+        (V, V_s), _ = solve_lyapunov(np.stack([A, A_s]),
+                                     np.stack([D, D_s]))
         assert np.abs(V_s - V).max() <= 1e-12 * np.abs(V).max()

@@ -22,7 +22,8 @@ from .oracles import (drift_matrix_general, random_physical_cm,
 def baseline_cov(baseline):
     A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
     D, _ = diffusion_matrices(stack_of([baseline]))
-    return solve_lyapunov(A[None], D)[0]
+    V, _ = solve_lyapunov(A[None], D)
+    return V[0]
 
 
 def test_mode_indices():

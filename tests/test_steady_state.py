@@ -349,6 +349,21 @@ def test_picard_loop_is_the_oracle_loop_on_drawn_points(points, epsilon_d,
     assert_loop_is_the_oracle_loop(params_seq, epsilon_d, q_seed)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(epsilon_d=st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+       g_mb=st.floats(-6.0, 1.0).map(lambda x: 10.0 ** x),
+       seeds=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+def test_a_converged_slice_has_a_finite_residual(epsilon_d, g_mb, seeds):
+    # undriven, a slice that leaves the loop with q != 0 reports the
+    # mechanical equation's imbalance |omega_b*q| on the scale of
+    # omega_b, not of the vanishing drive
+    params = reference_baseline().with_(coupling_mode="microscopic",
+                                        G_mb=0.0, g_mb=g_mb)
+    state = solve_steady_states(stack_of([params] * len(seeds)), epsilon_d,
+                                q_seed=np.array(seeds))
+    assert np.isfinite(state.residual[state.converged]).all()
+
+
 @pytest.mark.parametrize("epsilon_d", [math.nan, math.inf, -math.inf, -1.0])
 def test_drive_must_be_finite_and_non_negative(baseline, micro, epsilon_d):
     message = ("epsilon_d must be finite and non-negative, got "

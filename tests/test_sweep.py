@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -381,7 +382,7 @@ def test_grid_of_one_part_runs_serially(monkeypatch):
 
     spec = figure_preset("fig5b")
     serial = render_records(run_sweep(spec), spec)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert len(grid_values(spec)) <= sweep.CHUNK_POINTS
     assert render_records(run_sweep(spec, jobs=2), spec) == serial
 
@@ -516,8 +517,9 @@ def test_critical_temperature_matches_sequential_bisection(
     (("E_a1m", "st_a2_to_m", "st_m_to_a2", "st_b_to_a1"), 3)])
 def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
                                               quantities, n_pairs):
-    # det A, det C, det B and det V of each requested pair, taken once
-    # per block however many steering directions the pair reports
+    # det A, det C, det B and det V, taken once per block on the stacked
+    # reductions of every requested pair, however many pairs and steering
+    # directions are requested
     calls = []
     det = np.linalg.det
 
@@ -532,7 +534,34 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
     records = run_sweep(spec)
     # two blocks, of 4 and 3 points, every point stable
     assert all(r.stable for r in records)
-    assert len(calls) == 4 * n_pairs * 2
+    assert [len(a) for a in calls] == [4 * n_pairs] * 4 + [3 * n_pairs] * 4
+
+
+def test_a_pairs_columns_do_not_depend_on_the_other_pairs():
+    # fig5b requests every pair; at three of its points two or more
+    # pairs fail a screen
+    spec = figure_preset("fig5b")
+    together = run_sweep(spec)
+
+    def about(pair, warnings):
+        a, b = pair
+        return [w for w in warnings if w.startswith(
+            (f"pair {a}-{b}: ", f"st_{a}_to_{b}: ", f"st_{b}_to_{a}: "))]
+
+    # the warnings of the stages before the measures, then each pair's
+    expected = run_sweep(replace(spec, quantities=())).warnings
+    for pair in measures.PAIRS:
+        cols = tuple(c for c in MEASURE_COLUMNS
+                     if sweep._PAIR_OF[c][0] == pair)
+        alone = run_sweep(replace(spec, quantities=cols))
+        for c in cols:
+            assert together.values[c].tobytes() == alone.values[c].tobytes()
+            assert together.null[c].tobytes() == alone.null[c].tobytes()
+        for k, warnings in enumerate(alone.warnings):
+            expected[k] += about(pair, warnings)
+    assert together.warnings == expected
+    assert sum(len([p for p in measures.PAIRS if about(p, w)]) >= 2
+               for w in together.warnings) == 3
 
 
 def test_critical_temperature_search_is_one_kernel_evaluation(
