@@ -4,9 +4,11 @@ The undepleted (classical) amplitudes obey a closed form once the
 magnon-phonon self-consistency is resolved: the mechanical displacement
 shifts the magnon detuning, Delta_eff = Delta_m + g_mb*<q>, while
 <q> = -(g_mb/omega_b)|<m>|^2 depends on the magnon amplitude in turn.
-In ``microscopic`` mode this scalar fixed point is iterated (damped
-Picard); in ``direct_g`` mode the effective coupling and detuning are
-taken from the parameter set and no iteration is needed.
+In ``microscopic`` mode this scalar fixed point is a cubic in q, solved
+in closed form, and then iterated (damped Picard) where one of its real
+roots attracts the iteration; in ``direct_g`` mode the effective
+coupling and detuning are taken from the parameter set and no iteration
+is needed.
 
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
 with one Picard loop over (N,) arrays; a serial sweep hands it every
@@ -36,6 +38,14 @@ TOL_REL = 1e-12
 MAX_ITER = 1000
 DAMPING = 0.5
 
+# A driven slice skips the Picard loop when every real root r of its
+# mean-field cubic repels the damped map F: |F'(r)| >= 1 + REPEL_TOL,
+# unless the cubic's discriminant lies within DISC_TOL times the sum of
+# its terms' moduli, where roundoff decides the number of real roots.
+REPEL_TOL = 1e-6
+DISC_TOL = 1e-12
+_THIRDS = 2.0 * math.pi / 3.0 * np.arange(3)
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -48,7 +58,9 @@ class SteadyState:
     relative to omega_b; ``delta_eff`` is the
     self-consistent magnon detuning.  ``errors`` holds, per slice, the
     ``ArithmeticError`` (division by zero, overflow) that the solve ran
-    into, or None.  Such a slice is not converged.
+    into, or None.  Such a slice is not converged.  ``real_roots`` is
+    the number of real roots, 1 or 3, of a driven microscopic slice's
+    mean-field cubic, and 0 where the cubic is not solved.
     """
 
     m_avg: np.ndarray
@@ -60,6 +72,7 @@ class SteadyState:
     iterations_used: np.ndarray
     residual: np.ndarray
     converged: np.ndarray
+    real_roots: np.ndarray
     errors: tuple = ()
 
 
@@ -121,6 +134,66 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
     except OverflowError as exc:
         return exc
     return None
+
+
+def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
+    """The displacement fixed point q = -(g/omega_b)|E/(u + v q)|^2,
+    with u = (kappa_m + i*Delta_m)*C + G and v = i*g*C, as the cubic
+    |v|^2 q^3 + 2 Re(conj(u) v) q^2 + |u|^2 q + (g/omega_b)|E|^2 = 0,
+    solved in closed form for every slice with feedback and C != 0
+    (trigonometric for three real roots, Cardano for one).
+
+    Returns per slice the number of real roots (0 where the cubic is
+    not solved: no feedback, C = 0, or a non-finite coefficient or
+    discriminant); the slices where every real root repels the damped
+    map F(q) = q/2 + f(q)/2 and the discriminant is clear of roundoff;
+    and their real roots of smallest |q|.
+    """
+    count = np.zeros(len(s), dtype=int)
+    idx = np.flatnonzero((g != 0.0) & (f.C != 0.0))
+    if not idx.size:
+        return count, idx, None
+    # the monic cubic q^3 + B q^2 + Cq + D: divided by |v|^2, with
+    # w = u/C = kappa_m + i*Delta_m + G/C
+    gi = g[idx]
+    w = 1j * s.Delta_m[idx] + s.kappa_m[idx] + f.G[idx] / f.C[idx]
+    B = 2.0 * w.imag / gi
+    C = (w.real * w.real + w.imag * w.imag) / (gi * gi)
+    D = epsilon_d / gi * (epsilon_d / s.omega_b[idx])
+    BC = B * C
+    terms = (18.0 * BC * D, -4.0 * B * B * B * D, BC * BC,
+             -4.0 * C * C * C, -27.0 * D * D)
+    disc = sum(terms)
+    scale = sum(np.abs(t) for t in terms)
+    solved = np.isfinite(scale)
+    three = disc > 0.0
+    count[idx[solved]] = np.where(three[solved], 3, 1)
+
+    # the depressed cubic t^3 + Pt + Q in t = q + B/3; a single real
+    # root fills all three columns
+    B3 = B / 3.0
+    P = C - B * B3
+    Q = B3 * (2.0 * B3 * B3 - C) + D
+    r = np.sqrt(-P / 3.0)
+    theta = np.arccos(np.clip(-Q / (2.0 * r * r * r), -1.0, 1.0)) / 3.0
+    trig = 2.0 * r[:, None] * np.cos(theta[:, None] - _THIRDS)
+    h = np.sqrt(np.maximum(0.25 * Q * Q + P * P * P / 27.0, 0.0))
+    A = -np.copysign(np.cbrt(0.5 * np.abs(Q) + h), Q)
+    cardano = A - P / (3.0 * A)
+    q = np.where(three[:, None], trig, cardano[:, None]) - B3[:, None]
+    B, C, D = B[:, None], C[:, None], D[:, None]
+    # one Newton step brings the closed form (about 1e-14 relative on
+    # the benchmark's sweep) to roundoff
+    q -= (((q + B) * q + C) * q + D) / ((3.0 * q + 2.0 * B) * q + C)
+
+    # F'(r) = 1/2 + f'(r)/2 = 1/2 - r (2r + B) / (2 (r^2 + B r + C)); a
+    # NaN root or slope (a triple root, say) counts as attracting
+    slope = 0.5 - q * (2.0 * q + B) / (2.0 * ((q + B) * q + C))
+    repelled = np.flatnonzero(
+        solved & (np.abs(disc) > DISC_TOL * scale)
+        & (np.abs(slope) >= 1.0 + REPEL_TOL).all(axis=1))
+    nearest = np.argmin(np.abs(q[repelled]), axis=1)
+    return count, idx[repelled], q[repelled, nearest]
 
 
 def _iterate(s: ParamStack, g, drive, errors, q_seed):
@@ -234,7 +307,10 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     with damped Picard steps from ``q_seed`` (a scalar, or one value per
     slice) until the slice's effective detuning moves by less than
     ``TOL_REL * omega_b``.  The seed 0 selects the branch continuously
-    connected to the undriven solution.
+    connected to the undriven solution.  Under a drive the fixed point
+    is first solved as a cubic: a slice none of whose real roots can
+    attract the damped iteration is not iterated, and reports its real
+    root of smallest |q| with 0 iterations, not converged.
 
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False so that multistable points can be diagnosed by
@@ -256,15 +332,23 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q, iterations,
                            _relative_max_norm((s.omega_b * q,), s.omega_b),
-                           converged, tuple(errors))
+                           converged, np.zeros(n, dtype=int), tuple(errors))
 
     f = _response(s)
     E = epsilon_d * f.C
     # J^2 + f1*f2 divides in the closed form
     for k in np.flatnonzero(f.C == 0):
         errors[k] = ZeroDivisionError("complex division by zero")
-    q, iterations, converged = _iterate(s, g, (f.C, f.G, E), errors,
+    # the loop leaves out the slices that skip it, as if without feedback
+    real_roots, skip, root = _mean_field_cubic(s, g, f, epsilon_d)
+    looped = g
+    if skip.size:
+        looped = g.copy()
+        looped[skip] = 0.0
+    q, iterations, converged = _iterate(s, looped, (f.C, f.G, E), errors,
                                         q_seed)
+    q[skip] = root
+    converged[skip] = False
     delta_eff = s.Delta_m + g * q
     denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
     m = E / denom
@@ -281,7 +365,7 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
                 *(complex(e[k]) for e in equations[:3]))
             converged[k] &= errors[k] is None
     return SteadyState(m, a1, a2, q, p, delta_eff, iterations, residual,
-                       converged, tuple(errors))
+                       converged, real_roots, tuple(errors))
 
 
 def effective_coupling(g_mb, m_avg):

@@ -298,7 +298,10 @@ def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
         warnings[valid[j]].append(f"steady state singular: {state.errors[j]}")
     residual = state.residual
     for j in np.flatnonzero(solved & ~state.converged):
-        warnings[valid[j]].append("steady state did not converge "
+        # a slice left out of the Picard loop took no iterations
+        reason = (": no real mean-field root attracts the damped iteration"
+                  if state.iterations_used[j] == 0 else "")
+        warnings[valid[j]].append(f"steady state did not converge{reason} "
                                   f"(residual {residual[j]:.3e})")
     good = np.flatnonzero(solved & state.converged)
     # an overflowed drive in direct_g mode: the amplitudes do not enter

@@ -22,6 +22,21 @@ columns (CSV header, JSON key or text line) that moved, with the
 largest numeric move; it exits 1 on any difference.  It also prints the
 net change in the lines of the Python files under ``src``, which does
 not enter the exit code.  pytest does not collect it.
+
+With ``--rule refactor`` the exit code is the refactor rule's instead,
+whatever else moved.  Over every CSV output it checks that:
+
+- the stable mask is unchanged, except at points whose |margin| in the
+  other tree is within the stability gate's 1e-9 kappa_1, which are
+  listed;
+- no ``E_*`` or ``st_*`` cell moves by more than 1e-12 times
+  max(|other|, 1), a null on one side only counting as a move, except
+  at those listed points;
+- the Python files under ``src`` have no more lines than the other
+  tree's.
+
+It prints one verdict line per check, with the points that break it,
+and exits 1 if any check fails.
 """
 
 from __future__ import annotations
@@ -40,6 +55,11 @@ from dataclasses import replace
 from pathlib import Path
 
 SCRIPT = os.path.abspath(__file__)
+
+# the refactor rule: the stability gate's tolerance on the margin (the
+# presets' kappa_1 is 2 pi * 1 MHz) and the relative bound on a measure
+MARGIN_TOL = 1e-9 * 2.0 * math.pi * 1e6
+MEASURE_TOL = 1e-12
 
 # per coupling mode: the parameters that differ from reference_baseline(),
 # the drive and the [sweep] axis
@@ -190,6 +210,48 @@ def describe(name: str, mine: str, theirs: str) -> list[str]:
     return lines or ["  bytes differ, cells equal"]
 
 
+def _number(cell: str) -> float:
+    return float(cell) if cell else math.nan
+
+
+def _measure_moved(mine: str, theirs: str) -> bool:
+    a, b = _number(mine), _number(theirs)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) != math.isnan(b)
+    return not abs(a - b) <= MEASURE_TOL * max(abs(b), 1.0)
+
+
+def refactor_rule(name: str, mine: str, theirs: str):
+    """The refactor rule on one CSV output: (mask changes, exempt mask
+    changes, measure moves), each a list of text lines."""
+    a, b = _columns(name, mine), _columns(name, theirs)
+    if len(a.get("stable", ())) != len(b.get("stable", ())):
+        return [f"{name}: the trees have different points"], [], []
+    flips, exempt = [], {}
+    for k, (x, y) in enumerate(zip(a["stable"], b["stable"])):
+        if x != y:
+            line = f"{name} point {k}: stable {y} -> {x}"
+            if abs(_number(b["margin"][k])) <= MARGIN_TOL:
+                exempt[k] = line
+            else:
+                flips.append(line)
+    moves = []
+    for col in b:
+        if not col.startswith(("E_", "st_")):
+            continue
+        if col not in a:
+            moves.append(f"{name} {col}: only in the other tree")
+            continue
+        # an exempt point's measures come or go with its mask
+        moved = [k for k, (x, y) in enumerate(zip(a[col], b[col]))
+                 if k not in exempt and _measure_moved(x, y)]
+        if moved:
+            moves.append(f"{name} {col}: {len(moved)} cells, first at "
+                         f"point {moved[0]} ({b[col][moved[0]]!r} -> "
+                         f"{a[col][moved[0]]!r})")
+    return flips, list(exempt.values()), moves
+
+
 def src_lines(tree: str) -> int:
     """Lines of the Python files under the tree's ``src``."""
     total = 0
@@ -210,6 +272,8 @@ def _outputs(tree: str, out_dir: str) -> subprocess.Popen:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="the other checkout's root")
+    parser.add_argument("--rule", choices=("refactor",),
+                        help="exit on this rule instead of on any change")
     parser.add_argument("--emit", help=argparse.SUPPRESS)
     parser.add_argument("--tree", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -233,6 +297,7 @@ def main(argv=None) -> int:
             return 1
         names = sorted(set().union(*map(os.listdir, dirs)))
         differ = 0
+        rule = ([], [], [])
         for name in names:
             paths = [Path(out_dir, name) for out_dir in dirs]
             texts = [p.read_text() if p.exists() else None for p in paths]
@@ -242,14 +307,39 @@ def main(argv=None) -> int:
             if None in texts:
                 print(f"{name}: only in "
                       f"{'the other' if texts[0] is None else 'this'} tree")
+                rule[0].append(f"{name}: only in one tree")
             else:
                 print(f"{name}:")
                 print("\n".join(describe(name, *texts)))
+                if name.endswith(".csv"):
+                    for found, more in zip(rule,
+                                           refactor_rule(name, *texts)):
+                        found.extend(more)
+    if args.rule:
+        return _verdict(*rule, mine - theirs)
     if differ:
         print(f"{differ} of {len(names)} outputs differ; {lines}")
         return 1
     print(f"identical: {len(names)} outputs; {lines}")
     return 0
+
+
+def _verdict(flips, exempt, moves, net_lines: int) -> int:
+    """Print the refactor rule's three verdicts; 1 if any fails."""
+    checks = (
+        ("stable mask", flips,
+         [f"  exempt, within {MARGIN_TOL:.3g} of the boundary: {line}"
+          for line in exempt]),
+        (f"measures within {MEASURE_TOL:g} relative", moves, []),
+        (f"src/ lines {net_lines:+d}",
+         ["  more lines than the other tree"] if net_lines > 0 else [], []))
+    for label, failures, notes in checks:
+        print(f"refactor rule: {label}: {'FAIL' if failures else 'pass'}")
+        for line in failures:
+            print(f"  {line.strip()}")
+        for line in notes:
+            print(line)
+    return 1 if any(failures for _, failures, _ in checks) else 0
 
 
 if __name__ == "__main__":

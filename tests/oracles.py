@@ -362,7 +362,7 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
         delta_eff = params.Delta_m
         m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
         res = _scalar_residual(params, m, a1, a2, 0.0, epsilon_d)
-        return SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, res, True)
+        return SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, res, True, 0)
 
     g_mb = params.g_mb
     q = q_seed
@@ -383,7 +383,7 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
     m, a1, a2 = _closed_form(params, epsilon_d, delta_eff)
     res = _scalar_residual(params, m, a1, a2, q, epsilon_d)
     return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
-                       converged)
+                       converged, 0)
 
 
 def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
@@ -423,6 +423,40 @@ def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
     return SteadyState(*(getattr(cands, f.name)[keep]
                          for f in fields(SteadyState)[:-1]),
                        tuple(cands.errors[k] for k in keep))
+
+
+def mean_field_cubic_roots(params, epsilon_d):
+    """Real roots of one microscopic point's mean-field cubic
+    |v|^2 q^3 + 2 Re(conj(u) v) q^2 + |u|^2 q + (g_mb/omega_b)|E|^2 = 0,
+    u = (kappa_m + i Delta_m) C + G, v = i g_mb C, E = epsilon_d C,
+    as pairs (root, slope) sorted by the root, where slope is F'(root)
+    of the damped map F(q) = q/2 - (g_mb/omega_b)|E/(u + v q)|^2 / 2.
+
+    The roots are numpy's companion-matrix eigenvalues whose imaginary
+    part is below 1e-6 of their modulus, polished by Newton steps on
+    Python floats.
+    """
+    f1 = 1j * params.Delta_1 + params.kappa_1
+    f2 = 1j * params.Delta_2 + effective_kappa_2(params)
+    C = params.J ** 2 + f1 * f2
+    u = (params.kappa_m + 1j * params.Delta_m) * C + params.g_ma ** 2 * f2
+    v = 1j * params.g_mb * C
+    k = params.g_mb / params.omega_b * abs(epsilon_d * C) ** 2
+    coeffs = [abs(v) ** 2, 2.0 * (u.conjugate() * v).real, abs(u) ** 2, k]
+    out = []
+    for z in np.roots(coeffs):
+        if abs(z.imag) > 1e-6 * abs(z):
+            continue
+        q = float(z.real)
+        for _ in range(3):
+            p = ((coeffs[0] * q + coeffs[1]) * q + coeffs[2]) * q + k
+            dp = (3.0 * coeffs[0] * q + 2.0 * coeffs[1]) * q + coeffs[2]
+            q -= p / dp
+        d = u + v * q
+        # f'(q) = (g_mb/omega_b)|E|^2 * 2 Re(conj(d) v) / |d|^4
+        slope = 0.5 + k * (d.conjugate() * v).real / abs(d) ** 4
+        out.append((q, slope))
+    return sorted(out)
 
 
 def stacked_picard_loop(s, g, drive, errors, q_seed):

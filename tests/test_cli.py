@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmech import sweep
 from magmech.cli import main
@@ -266,3 +272,33 @@ def test_cli_rejects_a_bad_drive_before_evaluating(tmp_path, capsys,
     path.write_text(text.split("[sweep]")[0])
     assert main(["point", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(eta=st.floats(-1.0, -0.05), J=st.floats(1.0, 3.0),
+       Delta_m=st.floats(0.6, 1.2))
+def test_validate_never_judges_physicality_on_negative_noise(eta, J,
+                                                             Delta_m):
+    # net cavity-2 gain (eta < 0) under as_printed makes the cavity-2
+    # noise negative: a stable point skips the physicality check, an
+    # unstable one all Lyapunov checks, and neither passes or fails it
+    text = (GOOD_CONFIG.replace("eta = -0.5", f"eta = {eta!r}")
+            .replace("J = 2 kappa1", f"J = {J!r} kappa1")
+            .replace("Delta_m = 0.89 omega_b",
+                     f"Delta_m = {Delta_m!r} omega_b"))
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net_gain.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(["validate", "--config", path])
+    lines = out.getvalue().splitlines()
+    skipped = [line for line in lines if line.startswith("SKIP ")]
+    assert skipped in (["SKIP covariance physicality (negative diffusion "
+                        "convention at this point)"],
+                       ["SKIP Lyapunov checks (configured point is not "
+                        "stable)"])
+    assert not [line for line in lines
+                if line.startswith(("PASS", "FAIL")) and "physicality" in line]

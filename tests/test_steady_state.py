@@ -16,8 +16,9 @@ from magmech.steady_state import (SteadyState, effective_coupling,
 from magmech.sweep import evaluate_point
 
 from .oracles import (drift_matrix_general, find_self_consistent_roots,
-                      gauge_phase, mean_field_residual, picard_steady_state,
-                      stack_of, stacked_picard_loop)
+                      gauge_phase, mean_field_cubic_roots,
+                      mean_field_residual, picard_steady_state, stack_of,
+                      stacked_picard_loop)
 
 
 @pytest.fixture
@@ -160,7 +161,11 @@ def test_root_scan_monostable_points(micro):
 def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
     """The stacked solve agrees with the scalar Picard loop slice by
     slice: same error, converged flag and iteration count, and converged
-    amplitudes within 1e-13 relative."""
+    amplitudes within 1e-13 relative.  Where the mean-field cubic is
+    solved, its real roots are the oracle's; a slice none of whose real
+    roots attracts the damped map skips the loop, with 0 iterations and
+    its root of smallest |q|, and the oracle's loop does not converge
+    there either; a converged slice sits on an attracting root."""
     state = solve_steady_states(stack_of(params_seq), epsilon_d,
                                 q_seed=q_seed)
     seeds = np.broadcast_to(q_seed, (len(params_seq),))
@@ -174,10 +179,29 @@ def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
             assert not state.converged[k]
             continue
         assert state.errors[k] is None
+        roots = (mean_field_cubic_roots(params, epsilon_d)
+                 if state.real_roots[k] else [])
+        assert len(roots) == state.real_roots[k]
+        if roots and all(abs(slope) >= 1.0 + steady_state.REPEL_TOL
+                         for _, slope in roots):
+            assert state.iterations_used[k] == 0
+            assert not state.converged[k]
+            assert not ref.converged
+            nearest = min((r for r, _ in roots), key=abs)
+            assert abs(state.q_avg[k] - nearest) <= 1e-9 * abs(nearest)
+            continue
         assert state.converged[k] == ref.converged
         assert state.iterations_used[k] == ref.iterations_used
         if not ref.converged:
             continue
+        # within 1e-9 relative, or within the stop rule's own error: a
+        # last step below TOL_REL * omega_b / g_mb leaves a geometric
+        # tail of |F'| / (1 - |F'|) times it
+        if roots:
+            stop = steady_state.TOL_REL * params.omega_b / params.g_mb
+            assert any(abs(slope) < 1.0 and abs(state.q_avg[k] - r) <= max(
+                1e-9 * abs(r), 2.0 * stop * abs(slope) / (1.0 - abs(slope)))
+                for r, slope in roots)
         for got, want in ((state.m_avg[k], ref.m_avg),
                           (state.a1_avg[k], ref.a1_avg),
                           (state.a2_avg[k], ref.a2_avg),
@@ -191,12 +215,15 @@ def assert_matches_oracle(params_seq, epsilon_d, q_seed=0.0):
 
 
 def test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid(micro):
-    # the benchmark's microscopic sweep: a third of it never converges
+    # the benchmark's microscopic sweep: a third of it never converges,
+    # and all but two of those points have no attracting root
     grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
     state = assert_matches_oracle(
         [micro.with_(Delta_m=float(dm)) for dm in grid], 1e15)
-    assert 0 < np.count_nonzero(~state.converged) < len(grid)
+    assert np.count_nonzero(~state.converged) == 134
+    assert np.count_nonzero(state.iterations_used == 0) == 132
     assert state.iterations_used.max() == 1000
+    assert np.bincount(state.real_roots).tolist() == [0, 153, 0, 248]
 
 
 _WB = reference_baseline().omega_b

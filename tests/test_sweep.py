@@ -835,6 +835,24 @@ def test_unconverged_band_has_no_attracting_root():
             assert roots.converged.tolist() == [True]
 
 
+def test_points_without_an_attracting_root_skip_the_picard_loop():
+    # points 3-15 of the unconverged band have no real mean-field root
+    # that the damped iteration can reach; point 2 has one (F' about
+    # -0.998) and runs out its steps
+    spec = _microscopic_sweep()
+    warnings = run_sweep(spec).warnings
+    skipped = "steady state did not converge: no real mean-field root " \
+        "attracts the damped iteration (residual "
+    assert [k for k, w in enumerate(warnings)
+            if w and w[0].startswith(skipped)] == list(range(3, 16))
+    assert warnings[2][0].startswith("steady state did not converge "
+                                     "(residual ")
+    params = stack_params(spec, np.array(grid_values(spec)[2:16]))
+    state = sweep.solve_steady_states(params, spec.epsilon_d)
+    assert state.iterations_used.tolist() == [1000] + [0] * 13
+    assert state.real_roots.tolist() == [1] * 14
+
+
 def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
     for spec in (figure_preset("fig2d"), _microscopic_sweep()):
         texts = []
@@ -894,7 +912,7 @@ CSV_DIGESTS = {
     "fig7a":
         "9f3dc2c7fbad72907322e3521327071c6c0e7dcc679679b09d9fe0802c9c42a5",
     "microscopic":
-        "5fae5162ceeca72116c8690970d2b774f043b671f6cc79556e7d18fb90809253",
+        "a3e01c526a83d7a6da913d3dddb93009101184b7a12dc77190c9e746c4496a8a",
 }
 
 
