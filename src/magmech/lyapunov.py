@@ -11,16 +11,18 @@ A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
 of 8x8 products; it and S^-1 are computed once per run of identical
-consecutive matrices, which a temperature sweep shares, and a Tc search
-hands its one decomposition to its eight unit-noise systems.  One
-refinement step, the same solve applied to the residual, brings V to
-the accuracy of a backward-stable solve.  Near an exceptional point of
-the drift matrix the eigenbasis degenerates and the spectral solve
-fails, so every slice whose relative residual exceeds 1e-12, or is not
-finite, is solved again from the vectorized 64x64 Kronecker system
-(A (x) I + I (x) A) vec(V) = -vec(D) with a partially pivoted
-factorization.  The solve returns the residual it gated on, taken
-again on the slices solved again.
+consecutive matrices, which a temperature sweep shares; a stack without
+such runs goes to LAPACK as it is.  One A is broadcast against a stack
+of noises: a Tc search solves its eight unit noises against its drift
+matrix and the decomposition its gate computed.  One refinement step,
+the same solve applied to the residual, brings V to the accuracy of a
+backward-stable solve.  Near an exceptional point of the drift matrix
+the eigenbasis degenerates and the spectral solve fails, so every slice
+whose relative residual exceeds 1e-12, or is not finite, is solved
+again from the vectorized 64x64 Kronecker system (A (x) I + I (x) A)
+vec(V) = -vec(D) with a partially pivoted factorization.  The solve
+returns the residual it gated on, taken again on the slices solved
+again.
 """
 
 from __future__ import annotations
@@ -53,10 +55,22 @@ def eigendecomposition(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each run of consecutive bitwise-identical slices is decomposed once
     (a temperature sweep shares one drift matrix); every slice still
-    gets exactly what ``np.linalg.eig`` returns for it alone.
+    gets exactly what ``np.linalg.eig`` returns for it alone.  A stack
+    without runs goes to ``np.linalg.eig`` as it is.
     """
     M = np.asarray(M, dtype=float)
     starts, run = _runs(M)
+    if starts.all():
+        # np.linalg.eig raises LinAlgError on a non-finite entry, as on
+        # a slice that does not converge; the run path handles both
+        try:
+            w, S = np.linalg.eig(M)
+            # complex as on the run path: complex and real division
+            # round differently
+            return (w.astype(complex, copy=False),
+                    S.astype(complex, copy=False))
+        except np.linalg.LinAlgError:
+            pass
     first = M[starts]
     w = np.full(first.shape[:-1], np.nan, complex)
     S = np.full(first.shape, np.nan, complex)
@@ -76,7 +90,8 @@ def _inverse(S: np.ndarray) -> np.ndarray:
     """Inverse of each slice of a stack, computed once per run of
     bitwise-identical slices; singular slices come back NaN."""
     starts, run = _runs(S)
-    first = S[starts]
+    distinct = starts.all()
+    first = S if distinct else S[starts]
     try:
         out = np.linalg.inv(first)
     except np.linalg.LinAlgError:
@@ -86,7 +101,7 @@ def _inverse(S: np.ndarray) -> np.ndarray:
                 out[k] = np.linalg.inv(first[k])
             except np.linalg.LinAlgError:
                 pass
-    return out[run]
+    return out if distinct else out[run]
 
 
 def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -118,7 +133,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
     and the :func:`lyapunov_residual` of each.
 
     ``A`` and ``D`` are stacks (N, n, n), solved slice by slice; returns
-    ``(V, residual)`` of shapes (N, n, n) and (N,).  ``eig`` passes the
+    ``(V, residual)`` of shapes (N, n, n) and (N,).  An ``A`` of one
+    slice is shared by the N noises of ``D``.  ``eig`` passes the
     eigendecomposition ``(w, S)`` of ``A`` in the form
     :func:`eigendecomposition` returns, so that the stability gate's
     decomposition is not computed twice.
@@ -129,7 +145,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
-    if A.ndim != 3 or A.shape != D.shape or A.shape[-1] != A.shape[-2]:
+    if (A.ndim != 3 or D.ndim != 3 or A.shape[1:] != D.shape[1:]
+            or A.shape[-1] != A.shape[-2] or len(A) not in (1, len(D))):
         raise ValueError("A and D must be conformable stacks of square "
                          "matrices")
     w, S = eigendecomposition(A) if eig is None else eig
@@ -148,9 +165,10 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
         V = V + spectral(A @ V + V @ _transpose(A) + D)  # refinement
         residual = lyapunov_residual(A, V, D)
     retry = np.flatnonzero(~(residual <= SPECTRAL_RESIDUAL_MAX))
-    for k in retry:
-        V[k] = _kronecker_solve(A[k], D[k])
     if retry.size:
+        A = np.broadcast_to(A, D.shape)
+        for k in retry:
+            V[k] = _kronecker_solve(A[k], D[k])
         residual[retry] = lyapunov_residual(A[retry], V[retry], D[retry])
     return V, residual
 

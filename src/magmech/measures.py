@@ -99,7 +99,10 @@ def _symplectic(cms: np.ndarray):
     with the screens of nu- and a vanishing nu- as a third.
     """
     a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
-    det_a, det_c, det_b, det_v = (np.linalg.det(m) for m in (a, c, b, cms))
+    # LAPACK factors each slice alone, so joining stacks keeps the bits
+    det_a, det_c, det_b = np.linalg.det(np.concatenate((a, c, b))).reshape(
+        3, -1)
+    det_v = np.linalg.det(cms)
     with np.errstate(invalid="ignore", divide="ignore"):
         sigma = det_a + det_c - 2.0 * det_b
         disc = sigma * sigma - 4.0 * det_v

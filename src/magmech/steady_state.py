@@ -203,16 +203,17 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
 
     ``drive`` holds the closed-form constants C, G and E = epsilon_d*C,
     or is None without a drive (zero amplitudes).  Slices without
-    displacement feedback (g = 0) or with an error already recorded are
-    not iterated.  A slice whose iterate leaves the finite numbers stops
-    there with q = NaN and ``MAX_ITER`` iterations, which is where NaN
-    arithmetic would take it, unless that step divided by zero or
-    overflowed a finite amplitude: then it records the error.
+    displacement feedback (g = 0) or with C = 0, whose division by zero
+    is already recorded, are not iterated.  A slice whose iterate leaves
+    the finite numbers stops there with q = NaN and ``MAX_ITER``
+    iterations, which is where NaN arithmetic would take it, unless that
+    step divided by zero or overflowed a finite amplitude: then it
+    records the error.
     """
     n = len(s)
     q = np.zeros(n)
     iterations = np.zeros(n, dtype=int)
-    converged = np.array([e is None for e in errors], dtype=bool)
+    converged = np.ones(n, dtype=bool) if drive is None else drive[0] != 0
     idx = np.flatnonzero((g != 0.0) & converged)
     if not idx.size:
         return q, iterations, converged

@@ -474,6 +474,11 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
                                                        spec), parts)))
 
 
+# the unit noises e_i e_i^T of the eight quadratures, read-only
+_UNIT_NOISES = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
+_UNIT_NOISES.flags.writeable = False
+
+
 def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
                           epsilon_d: float) -> np.ndarray | None:
     """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
@@ -491,10 +496,9 @@ def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
     if not blocks or not blocks[0][-1].stable[0]:
         return None
     *_, A, report = blocks[0]
-    units = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
-    first = [0] * 8  # the eight systems share A and the gate's eigenbasis
-    V, _ = lyapunov.solve_lyapunov(A[first], units, eig=(
-        report.eigenvalues[first], report.eigenvectors[first]))
+    # the eight systems share A and the gate's eigenbasis
+    V, _ = lyapunov.solve_lyapunov(A, _UNIT_NOISES, eig=(
+        report.eigenvalues, report.eigenvectors))
     # a singular slice nulls the point, as it does in the kernel
     return V if np.isfinite(V).all() else None
 

@@ -15,6 +15,9 @@ Each tree runs in its own subprocess with its own ``src`` on
   with a sweep over J, and in ``microscopic`` mode with the
   benchmark's 401-point sweep over Delta_m; standard output, standard
   error and the exit code of each;
+- the Tc of ``reference_baseline()`` along a row of 21 eta values, for
+  (a2,m) over [-0.6, 1] and (a1,m) over [-0.5, 0], at ``"%.17g"`` with
+  its warnings or the search's error;
 - the acceptance suite's discrepancy report, from the tree's own tests.
 
 The script prints ``identical``, or for each output that differs the
@@ -70,6 +73,11 @@ MODES = {
 }
 
 
+# per pair, the eta range of its Tc row
+TC_ROWS = {("a2", "m"): (-0.6, 1.0), ("a1", "m"): (-0.5, 0.0)}
+TC_ROW_POINTS = 21
+
+
 def _config(mode: str, output_format: str) -> str:
     from magmech.params import NUMERIC_FIELDS, reference_baseline
 
@@ -99,11 +107,37 @@ def _run_cli(argv, stem: str, out_dir: str) -> None:
             fh.write(text)
 
 
+def _tc_row(pair, lo: float, hi: float) -> str:
+    """One line per eta of the row: eta, then Tc and its warnings, or
+    the search's error."""
+    import numpy as np
+
+    from magmech.params import reference_baseline
+    from magmech.sweep import find_critical_temperature
+
+    base = reference_baseline()
+    lines = []
+    for eta in np.linspace(lo, hi, TC_ROW_POINTS).tolist():
+        params = base.with_(gain_g=base.kappa_2 - eta * base.kappa_1)
+        try:
+            tc, warnings = find_critical_temperature(params, pair)
+            found = "; ".join(["%.17g" % tc, *warnings])
+        except ValueError as exc:
+            found = f"ValueError: {exc}"
+        lines.append("%.17g %s" % (eta, found))
+    return "\n".join(lines) + "\n"
+
+
 def emit(out_dir: str, tree: str) -> None:
     """Write every compared output of the imported package to
     ``out_dir``; ``tree`` is the checkout whose tests give the report."""
     from magmech.sweep import (PRESET_NAMES, figure_preset, render_records,
                                run_sweep)
+
+    for pair, (lo, hi) in TC_ROWS.items():
+        with open(os.path.join(out_dir, "tc_row_%s%s.txt" % pair),
+                  "w") as fh:
+            fh.write(_tc_row(pair, lo, hi))
 
     for name in PRESET_NAMES:
         spec = figure_preset(name)

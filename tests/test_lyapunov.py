@@ -122,6 +122,98 @@ def test_eigendecomposition_decomposes_each_run_once(rng, monkeypatch):
         assert np.array_equal(S[k].view(np.int64), ref[1].view(np.int64))
 
 
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_real_spectra_come_back_complex_as_on_the_run_path(rng):
+    # symmetric matrices, for which np.linalg.eig returns real arrays;
+    # the distinct stack goes to eig as it is, the repeated one through
+    # the runs, and both give the same complex bits
+    M = rng.normal(size=(3, 8, 8))
+    M = M + np.swapaxes(M, 1, 2)
+    assert np.linalg.eig(M)[0].dtype == float
+    fast = eigendecomposition(M)
+    runs = eigendecomposition(M[[0, 0, 1, 2, 2]])
+    for got, ran in zip(fast, runs):
+        assert got.dtype == complex
+        assert _bits(got) == _bits(ran[[0, 2, 3]])
+
+
+def test_non_finite_slice_of_a_distinct_stack_is_nan(rng):
+    a, b = random_stable_drift(rng), random_stable_drift(rng)
+    bad = b.copy()
+    bad[0, 0] = np.inf
+    w, S = eigendecomposition(np.stack([a, bad, b]))
+    assert np.isnan(w[1]).all() and np.isnan(S[1]).all()
+    for k, m in ((0, a), (2, b)):
+        ref = np.linalg.eig(m)
+        assert _bits(w[k]) == _bits(ref[0]) and _bits(S[k]) == _bits(ref[1])
+
+
+def test_eigensolver_failure_costs_only_its_slice(rng, monkeypatch):
+    # LAPACK may fail to converge on a slice: the distinct stack falls
+    # back to the runs, then to one slice at a time
+    a, b, c = (random_stable_drift(rng) for _ in range(3))
+    eig = np.linalg.eig
+    refs = [eig(m) for m in (a, c)]
+
+    def failing(stack):
+        if any(np.array_equal(m, b) for m in np.reshape(stack, (-1, 8, 8))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(stack)
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    w, S = eigendecomposition(np.stack([a, b, c]))
+    assert np.isnan(w[1]).all() and np.isnan(S[1]).all()
+    for k, ref in zip((0, 2), refs):
+        assert _bits(w[k]) == _bits(ref[0]) and _bits(S[k]) == _bits(ref[1])
+
+
+def test_singular_slice_of_a_distinct_stack_inverts_to_nan(rng):
+    S0, S1 = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+              for _ in range(2))
+    Sinv = lyapunov._inverse(np.stack([S0, np.zeros((8, 8), complex), S1]))
+    assert np.isnan(Sinv[1]).all()
+    assert Sinv[0].tobytes() == np.linalg.inv(S0).tobytes()
+    assert Sinv[2].tobytes() == np.linalg.inv(S1).tobytes()
+
+
+@pytest.mark.parametrize("exceptional", [False, True])
+def test_one_drift_matrix_solves_a_stack_of_noises(rng, monkeypatch,
+                                                   exceptional):
+    # the unit noises and one full noise against one A, given with its
+    # decomposition or without, give the bits of the solve against that
+    # A replicated; at the exceptional point of the g_ma = 0 window of J
+    # the Kronecker retry solves again, from the broadcast A
+    if exceptional:
+        base = reference_baseline()
+        _, (A, D) = evaluate_point(
+            base.with_(g_ma=0.0, J=0.75 * base.kappa_1), quantities=(),
+            matrices=True)
+    else:
+        A, D = random_stable_drift(rng), random_spd(rng)
+    noises = np.concatenate([np.einsum("ij,ik->ijk", np.eye(8), np.eye(8)),
+                             D[None]])
+    solved_again = []
+    kronecker = lyapunov._kronecker_solve
+
+    def spy(a, d):
+        solved_again.append(a.tobytes())
+        return kronecker(a, d)
+
+    monkeypatch.setattr(lyapunov, "_kronecker_solve", spy)
+    replicated = solve_lyapunov(np.repeat(A[None], 9, axis=0), noises)
+    retried = len(solved_again)
+    assert (retried > 0) == exceptional
+    for eig in (None, eigendecomposition(A[None])):
+        solved_again.clear()
+        V, residual = solve_lyapunov(A[None], noises, eig=eig)
+        assert _bits(V) == _bits(replicated[0])
+        assert _bits(residual) == _bits(replicated[1])
+        assert solved_again == [A.tobytes()] * retried
+
+
 def test_singular_slice_of_a_stack_is_nan():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     V, _ = solve_lyapunov(np.stack([-np.eye(2), rot]),
@@ -133,6 +225,14 @@ def test_singular_slice_of_a_stack_is_nan():
 def test_lyapunov_rejects_bad_shapes():
     with pytest.raises(ValueError):
         solve_lyapunov(np.eye(3)[None], np.eye(4)[None])
+
+
+@pytest.mark.parametrize("n_a, n_d", [(2, 3), (3, 2), (2, 1), (0, 1)])
+def test_lyapunov_rejects_mismatched_stack_lengths(n_a, n_d):
+    # one A serves any number of noises; otherwise the lengths agree
+    with pytest.raises(ValueError):
+        solve_lyapunov(np.stack([-np.eye(2)] * n_a),
+                       np.stack([np.eye(2)] * n_d))
 
 
 def test_singular_system_is_nan():

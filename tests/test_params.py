@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from magmech.params import (HBAR, K_B, TWO_PI, DriveParams, PhysicalParams,
-                            eta_ratio, reference_baseline, rabi_frequency,
-                            thermal_occupation)
+from magmech import params as params_module
+from magmech.params import (HBAR, K_B, TWO_PI, DriveParams, ParamStack,
+                            PhysicalParams, eta_ratio, reference_baseline,
+                            rabi_frequency, thermal_occupation)
 
 from .oracles import bose_occupation
 
@@ -157,6 +158,56 @@ def test_physical_params_must_be_finite(baseline, name, value):
     with pytest.raises(ValueError,
                        match="^all numeric parameters must be finite$"):
         baseline.with_(**{name: value})
+
+
+def _spy_on_rules(monkeypatch):
+    """The lengths of the stacks whose validity rules are evaluated."""
+    evaluated = []
+    checks = params_module._checks
+
+    def spy(p):
+        if isinstance(p, ParamStack):
+            evaluated.append(len(p))
+        return checks(p)
+
+    monkeypatch.setattr(params_module, "_checks", spy)
+    return evaluated
+
+
+def test_copies_of_a_valid_point_skip_the_rules(baseline, monkeypatch):
+    evaluated = _spy_on_rules(monkeypatch)
+    stack = ParamStack.broadcast(baseline, 4)
+    part = stack.take([0, 2])
+    assert stack.errors() == [None] * 4
+    assert part.errors() == [None] * 2
+    assert part.take([1]).errors() == [None]
+    assert evaluated == []
+    # a column, even one that keeps the point, makes a stack of points
+    # that must be checked, and one that breaks a rule reports it
+    assert ParamStack.broadcast(baseline, 3, J=baseline.J).errors() \
+        == [None] * 3
+    broken = ParamStack.broadcast(baseline, 3, gain_g=-1.0)
+    assert broken.errors() == ["kappa_2 and gain_g must be non-negative"] * 3
+    assert broken.take([1]).errors() == [
+        "kappa_2 and gain_g must be non-negative"]
+    assert evaluated == [3, 3, 1]
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: s.J.__setitem__(1, math.inf),
+    lambda s: s.kappa_1.__setitem__(1, -1.0),
+    lambda s: setattr(s, "G_mb", np.array([1.0, -1.0, 1.0])),
+    lambda s: setattr(s, "coupling_mode", "nonsense")])
+def test_copies_changed_in_place_are_checked(baseline, monkeypatch, change):
+    # a stack that no longer holds its point runs the rules, and a take
+    # of it too
+    stack = ParamStack.broadcast(baseline, 3)
+    change(stack)
+    evaluated = _spy_on_rules(monkeypatch)
+    errors = stack.errors()
+    assert errors[1] is not None
+    assert stack.take([1]).errors() == [errors[1]]
+    assert evaluated == [3, 1]
 
 
 def test_baseline_table(baseline):

@@ -519,7 +519,8 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
                                               quantities, n_pairs):
     # det A, det C, det B and det V, taken once per block on the stacked
     # reductions of every requested pair, however many pairs and steering
-    # directions are requested
+    # directions are requested: the three 2x2 blocks in one call, then
+    # the 4x4 covariances
     calls = []
     det = np.linalg.det
 
@@ -534,7 +535,10 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
     records = run_sweep(spec)
     # two blocks, of 4 and 3 points, every point stable
     assert all(r.stable for r in records)
-    assert [len(a) for a in calls] == [4 * n_pairs] * 4 + [3 * n_pairs] * 4
+    assert [a.shape for a in calls] == [(12 * n_pairs, 2, 2),
+                                        (4 * n_pairs, 4, 4),
+                                        (9 * n_pairs, 2, 2),
+                                        (3 * n_pairs, 4, 4)]
 
 
 def test_a_pairs_columns_do_not_depend_on_the_other_pairs():
@@ -591,12 +595,13 @@ def test_critical_temperature_search_is_one_kernel_evaluation(
     # at the baseline's net gain, where as_printed noise is negative
     find_critical_temperature(baseline, ("a2", "m"))
     # the point's one pass through the kernel is its gate: one
-    # eigendecomposition of its drift matrix, which the one solve of the
-    # eight unit noises is given; then the noise diagonals of the point
-    # at the coarse scan's temperatures and at those of six halvings in
-    # one round of six levels, and E_N alone at each: no noise matrices,
-    # no parameter stacks and no steering
-    assert calls == {"kernel": [], "eig": [1], "lyapunov": [(8, True)],
+    # eigendecomposition of its drift matrix; the one solve of the eight
+    # unit noises is given that one matrix and its decomposition; then
+    # the noise diagonals of the point at the coarse scan's temperatures
+    # and at those of six halvings in one round of six levels, and E_N
+    # alone at each: no noise matrices, no parameter stacks and no
+    # steering
+    assert calls == {"kernel": [], "eig": [1], "lyapunov": [(1, True)],
                      "diffusion": [],
                      "noise": [("PhysicalParams", 41), ("PhysicalParams", 63)],
                      "pair_measures": [], "log_negativity": [41, 63]}
@@ -612,8 +617,10 @@ def test_critical_temperature_validates_each_evaluation_once(
         return errors(stack)
 
     monkeypatch.setattr(ParamStack, "errors", spy)
+    # the search's one-point stack holds copies of the caller's point,
+    # which validated itself when it was built
     find_critical_temperature(baseline, ("a2", "m"))
-    assert sizes == [1]
+    assert sizes == []
     with pytest.raises(ValueError, match="^temperature_T must be "
                                          "non-negative$"):
         find_critical_temperature(baseline, ("a2", "m"), t_max=-1.0)
