@@ -51,16 +51,15 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
     G = np.asarray(G_mb, dtype=complex)
     gr, gi = G.real, G.imag
 
+    # one line per term, each value negated once
     A = np.zeros((len(k1), 8, 8))
-    A[:, 0, 0] = -k1;  A[:, 0, 1] = d1;   A[:, 0, 3] = J;   A[:, 0, 5] = gma
-    A[:, 1, 0] = -d1;  A[:, 1, 1] = -k1;  A[:, 1, 2] = -J;  A[:, 1, 4] = -gma
-    A[:, 2, 1] = J;    A[:, 2, 2] = -k2t; A[:, 2, 3] = d2
-    A[:, 3, 0] = -J;   A[:, 3, 2] = -d2;  A[:, 3, 3] = -k2t
-    A[:, 4, 1] = gma;  A[:, 4, 4] = -km;  A[:, 4, 5] = de;  A[:, 4, 6] = -gr
-    A[:, 5, 0] = -gma; A[:, 5, 4] = -de;  A[:, 5, 5] = -km; A[:, 5, 6] = -gi
-    A[:, 6, 7] = wb
-    A[:, 7, 4] = -gi;  A[:, 7, 5] = gr
-    A[:, 7, 6] = -wb;  A[:, 7, 7] = -gb
+    A[:, 0, 0] = A[:, 1, 1] = -k1;  A[:, 0, 1] = d1;  A[:, 1, 0] = -d1
+    A[:, 0, 3] = A[:, 2, 1] = J;    A[:, 1, 2] = A[:, 3, 0] = -J
+    A[:, 0, 5] = A[:, 4, 1] = gma;  A[:, 1, 4] = A[:, 5, 0] = -gma
+    A[:, 2, 2] = A[:, 3, 3] = -k2t; A[:, 2, 3] = d2;  A[:, 3, 2] = -d2
+    A[:, 4, 4] = A[:, 5, 5] = -km;  A[:, 4, 5] = de;  A[:, 5, 4] = -de
+    A[:, 4, 6] = -gr;  A[:, 7, 5] = gr;  A[:, 5, 6] = A[:, 7, 4] = -gi
+    A[:, 6, 7] = wb;   A[:, 7, 6] = -wb; A[:, 7, 7] = -gb
     if mode == "printed":
         A[:, 2, 2] = A[:, 3, 3] = -k2
         A[:, 5, 4] = de
@@ -87,21 +86,21 @@ def noise_diagonals(p, temperature) -> np.ndarray:
       gain reservoir carry the same (2N+1)/2 weight per quadrature as a
       lossy one, so loss and gain contributions simply add.
     """
-    omega = np.stack([p.omega_1, p.omega_2, p.omega_m, p.omega_b])
-    n1, n2, nm, nb = thermal_occupation(omega.reshape(4, -1), temperature)
+    omega = np.array([p.omega_1, p.omega_2, p.omega_m, p.omega_b])
+    # 2N + 1 of the four modes, (4, N)
+    spread = 2.0 * thermal_occupation(omega.reshape(4, -1), temperature) + 1.0
     k2t = effective_kappa_2(p)
     if p.diffusion_convention == "as_printed":
-        d2 = k2t * (2.0 * n2 + 1.0)
+        rate_2 = k2t
     elif p.diffusion_convention == "absolute_value":
-        d2 = np.abs(k2t) * (2.0 * n2 + 1.0)
+        rate_2 = np.abs(k2t)
     else:  # physical_sum
-        d2 = (p.kappa_2 + p.gain_g) * (2.0 * n2 + 1.0)
-
-    diag = np.zeros((len(n1), 8))
-    diag[:, 0] = diag[:, 1] = p.kappa_1 * (2.0 * n1 + 1.0)
-    diag[:, 2] = diag[:, 3] = d2
-    diag[:, 4] = diag[:, 5] = p.kappa_m * (2.0 * nm + 1.0)
-    diag[:, 7] = p.gamma_b * (2.0 * nb + 1.0)
+        rate_2 = p.kappa_2 + p.gain_g
+    rates = np.array([p.kappa_1, rate_2, p.kappa_m, p.gamma_b])
+    noise = rates.reshape(4, -1) * spread
+    diag = np.zeros((noise.shape[1], 8))
+    diag[:, :6] = noise[[0, 0, 1, 1, 2, 2]].T
+    diag[:, 7] = noise[3]
     return diag
 
 

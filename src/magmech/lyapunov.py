@@ -11,18 +11,19 @@ A = S diag(lambda) S^-1: with C = S^-1 D S^-T, X_ij = -C_ij /
 (lambda_i + lambda_j) and V = Re(S X S^T).  The eigendecomposition is
 the one the stability gate already computed, so a solve costs a handful
 of 8x8 products; it and S^-1 are computed once per run of identical
-consecutive matrices, which a temperature sweep shares; a stack without
-such runs goes to LAPACK as it is.  One A is broadcast against a stack
-of noises: a Tc search solves its eight unit noises against its drift
-matrix and the decomposition its gate computed.  One refinement step,
-the same solve applied to the residual, brings V to the accuracy of a
-backward-stable solve.  Near an exceptional point of the drift matrix
-the eigenbasis degenerates and the spectral solve fails, so every slice
-whose relative residual exceeds 1e-12, or is not finite, is solved
-again from the vectorized 64x64 Kronecker system (A (x) I + I (x) A)
-vec(V) = -vec(D) with a partially pivoted factorization.  The solve
-returns the residual it gated on, taken again on the slices solved
-again.
+consecutive matrices, which a temperature sweep shares.  A stack
+without such runs goes to LAPACK as it is, and a one-slice stack, as
+a Tc search's gate and unit-noise solve have, without a look for them.
+One A is broadcast against a stack of noises: a Tc search solves its
+eight unit noises against its drift matrix and the decomposition its
+gate computed.  One refinement step, the same solve applied to the
+residual, brings V to the accuracy of a backward-stable solve.  Near
+an exceptional point of the drift matrix the eigenbasis degenerates
+and the spectral solve fails, so every slice whose relative residual
+exceeds 1e-12, or is not finite, is solved again from the vectorized
+64x64 Kronecker system (A (x) I + I (x) A) vec(V) = -vec(D) with a
+partially pivoted factorization.  The solve returns the residual it
+gated on, taken again on the slices solved again.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ import numpy as np
 
 EPS_FLOOR = 1e-300
 SPECTRAL_RESIDUAL_MAX = 1e-12
+# the runs of a one-slice stack, read-only
+_ONE_RUN = (np.broadcast_to(True, 1), np.broadcast_to(np.intp(0), 1))
 
 
 def _runs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Runs of consecutive bitwise-identical slices of a stack: a mask
     of each run's first slice, and each slice's run number."""
+    if len(M) == 1:  # a single slice is its own run
+        return _ONE_RUN
     # bits, not values: +0.0 and -0.0 are different inputs to eig
     bits = np.ascontiguousarray(M).view(np.int64)
     starts = np.ones(len(M), dtype=bool)
@@ -123,7 +128,7 @@ def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _transpose(M: np.ndarray) -> np.ndarray:
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def solve_lyapunov(A: np.ndarray, D: np.ndarray,

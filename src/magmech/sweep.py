@@ -288,14 +288,16 @@ def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
     # points); ``live`` and ``good`` are the drift-stage points in each
     invalid = params.errors()
     valid = np.flatnonzero([e is None for e in invalid])
-    for k in np.flatnonzero([e is not None for e in invalid]).tolist():
-        warnings[k].append(f"invalid parameters at this point: {invalid[k]}")
+    for k, e in enumerate(invalid):
+        if e is not None:
+            warnings[k].append(f"invalid parameters at this point: {e}")
     state = solve_steady_states(
         params if valid.size == len(params) else params.take(valid),
         epsilon_d)
     solved = np.array([e is None for e in state.errors], dtype=bool)
-    for j in np.flatnonzero(~solved):
-        warnings[valid[j]].append(f"steady state singular: {state.errors[j]}")
+    for j, e in enumerate(state.errors):
+        if e is not None:
+            warnings[valid[j]].append(f"steady state singular: {e}")
     residual = state.residual
     for j in np.flatnonzero(solved & ~state.converged):
         # a slice left out of the Picard loop took no iterations
@@ -523,15 +525,14 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
     return values, np.array([e is not None for e in errors], dtype=bool)
 
 
-def _check_search(params: PhysicalParams, t_max, tol_t, tol_e,
-                  coarse_points) -> None:
+def _check_search(t_max, tol_t, tol_e, coarse_points) -> None:
     """Raise the ValueError of the first bad argument of a Tc search."""
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max!r}")
-    # every temperature the search visits lies in [0, t_max], and a
-    # finite temperature enters no rule but T >= 0: checking t_max on
-    # the valid ``params`` raises the ValueError of a negative one
-    params.with_(temperature_T=float(t_max))
+    # the search visits [0, t_max], and of a valid point's rules a
+    # finite temperature can break only T >= 0
+    if t_max < 0.0:
+        raise ValueError("temperature_T must be non-negative")
     for name, value, ok, rule in (
             ("t_max", t_max, t_max > 0.0, "positive"),
             ("tol_t", tol_t, math.isfinite(tol_t) and tol_t > 0.0,
@@ -556,7 +557,8 @@ def find_critical_temperature(params: PhysicalParams,
 
     A coarse scan over [0, t_max] checks the monotonic-decrease
     precondition and brackets the first zero crossing, which is then
-    bisected to ``tol_t`` (default 1 mK).  Each stack of temperatures
+    bisected to ``tol_t`` (default 1 mK), or until its midpoint rounds
+    to an end of the bracket.  Each stack of temperatures
     holds the midpoints of the next ``BISECT_LEVELS`` halvings, which
     are then descended one by one, so the result is the one sequential
     bisection gives; at the defaults one stack of 63 does.  The
@@ -575,7 +577,7 @@ def find_critical_temperature(params: PhysicalParams,
         pair = pair[::-1]
     column = "E_%s%s" % pair
     normalize_quantities((column,))  # the ValueError of an unknown pair
-    _check_search(params, t_max, tol_t, tol_e, coarse_points)
+    _check_search(t_max, tol_t, tol_e, coarse_points)
     ts = np.linspace(0.0, t_max, coarse_points)
 
     solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
@@ -608,7 +610,10 @@ def find_critical_temperature(params: PhysicalParams,
                         "temperature on the coarse scan")
 
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
-    while hi - lo > tol_t:
+    # a midpoint that rounds to an end of the bracket stops the search
+    # too; inside a round such a midpoint repeats that end's verdict and
+    # moves neither end
+    while hi - lo > tol_t and lo < 0.5 * (lo + hi) < hi:
         # the bracket's halving tree, built with the bisection's own
         # midpoint formula; a level whose brackets all meet tol_t is
         # never visited

@@ -18,6 +18,9 @@ Each tree runs in its own subprocess with its own ``src`` on
 - the Tc of ``reference_baseline()`` along a row of 21 eta values, for
   (a2,m) over [-0.6, 1] and (a1,m) over [-0.5, 0], at ``"%.17g"`` with
   its warnings or the search's error;
+- the same for the search's other branches (``TC_CASES``): the
+  ``absolute_value`` and ``physical_sum`` noises, the printed drift
+  matrix and a driven microscopic point;
 - the acceptance suite's discrepancy report, from the tree's own tests.
 
 The script prints ``identical``, or for each output that differs the
@@ -77,6 +80,23 @@ MODES = {
 TC_ROWS = {("a2", "m"): (-0.6, 1.0), ("a1", "m"): (-0.5, 0.0)}
 TC_ROW_POINTS = 21
 
+# the Tc searches off the rows' defaults, those of the sequential
+# bisection test: per case the pair, the search's options and the
+# changes to reference_baseline(), with detunings in units of omega_b
+# and the gain in units of kappa_1
+TC_CASES = {
+    "absolute_value": (("m", "b"), {}, dict(
+        diffusion_convention="absolute_value", Delta_1=-2.0, Delta_2=-2.0,
+        Delta_m=0.9)),
+    "physical_sum": (("m", "b"), {}, dict(
+        diffusion_convention="physical_sum", gain_g=0.5, Delta_1=1.1,
+        Delta_2=1.1, Delta_m=-0.4)),
+    "printed_drift": (("a1", "b"), {"drift_mode": "printed"}, dict(
+        Delta_1=1.0, Delta_2=1.0, Delta_m=-0.1)),
+    "driven_microscopic": (("a2", "m"), {"epsilon_d": 1e14}, dict(
+        coupling_mode="microscopic", g_mb=0.2, Delta_m=0.9)),
+}
+
 
 def _config(mode: str, output_format: str) -> str:
     from magmech.params import NUMERIC_FIELDS, reference_baseline
@@ -107,24 +127,44 @@ def _run_cli(argv, stem: str, out_dir: str) -> None:
             fh.write(text)
 
 
+def _tc(params, pair, **options) -> str:
+    """Tc at ``"%.17g"`` and its warnings, or the search's error."""
+    from magmech.sweep import find_critical_temperature
+
+    try:
+        tc, warnings = find_critical_temperature(params, pair, **options)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return "; ".join(["%.17g" % tc, *warnings])
+
+
 def _tc_row(pair, lo: float, hi: float) -> str:
-    """One line per eta of the row: eta, then Tc and its warnings, or
-    the search's error."""
+    """One line per eta of the row: eta, then its :func:`_tc`."""
     import numpy as np
 
     from magmech.params import reference_baseline
-    from magmech.sweep import find_critical_temperature
 
     base = reference_baseline()
     lines = []
     for eta in np.linspace(lo, hi, TC_ROW_POINTS).tolist():
         params = base.with_(gain_g=base.kappa_2 - eta * base.kappa_1)
-        try:
-            tc, warnings = find_critical_temperature(params, pair)
-            found = "; ".join(["%.17g" % tc, *warnings])
-        except ValueError as exc:
-            found = f"ValueError: {exc}"
-        lines.append("%.17g %s" % (eta, found))
+        lines.append("%.17g %s" % (eta, _tc(params, pair)))
+    return "\n".join(lines) + "\n"
+
+
+def _tc_cases() -> str:
+    """One line per case of ``TC_CASES``: its name, then its
+    :func:`_tc`."""
+    from magmech.params import TWO_PI, reference_baseline
+
+    base = reference_baseline()
+    units = dict(Delta_1=base.omega_b, Delta_2=base.omega_b,
+                 Delta_m=base.omega_b, gain_g=base.kappa_1, g_mb=TWO_PI)
+    lines = []
+    for name, (pair, options, changes) in TC_CASES.items():
+        params = base.with_(**{key: value * units[key] if key in units
+                               else value for key, value in changes.items()})
+        lines.append(f"{name} {_tc(params, pair, **options)}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,6 +178,8 @@ def emit(out_dir: str, tree: str) -> None:
         with open(os.path.join(out_dir, "tc_row_%s%s.txt" % pair),
                   "w") as fh:
             fh.write(_tc_row(pair, lo, hi))
+    with open(os.path.join(out_dir, "tc_cases.txt"), "w") as fh:
+        fh.write(_tc_cases())
 
     for name in PRESET_NAMES:
         spec = figure_preset(name)

@@ -562,25 +562,27 @@ def bose_occupation(omega, temperature):
 
 def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
                                 tol_e=1e-6, coarse_points=41,
-                                drift_mode="derived", epsilon_d=0.0):
+                                drift_mode="derived", epsilon_d=0.0,
+                                entanglement=None):
     """Reference Tc search: a coarse scan and then a sequential
-    bisection, with one ``evaluate_point`` per temperature.
+    bisection, with one ``evaluate_point`` per temperature, or one call
+    of ``entanglement``, the pair's E_N (0 where it is not reported) as
+    a function of the temperature.
 
     Returns (Tc, warnings) as ``find_critical_temperature`` does.
     """
     column = "E_%s%s" % pair
 
-    def entanglement(rec):
+    def kernel(t):
+        rec = evaluate_point(params.with_(temperature_T=t),
+                             quantities=(column,), drift_mode=drift_mode,
+                             epsilon_d=epsilon_d)
         value = rec.measures.get(column)
         return value if (rec.stable and value is not None) else 0.0
 
-    def at(t):
-        return evaluate_point(params.with_(temperature_T=t),
-                              quantities=(column,), drift_mode=drift_mode,
-                              epsilon_d=epsilon_d)
-
+    entanglement = entanglement or kernel
     ts = np.linspace(0.0, t_max, coarse_points)
-    es = [entanglement(at(t)) for t in ts]
+    es = [entanglement(t) for t in ts]
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
@@ -601,7 +603,9 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        if entanglement(at(mid)) > tol_e:
+        if not lo < mid < hi:  # the bracket can shrink no further
+            break
+        if entanglement(mid) > tol_e:
             lo = mid
         else:
             hi = mid

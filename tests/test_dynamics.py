@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magmech import reference_baseline
 from magmech.dynamics import (TOL_STAB_REL, diffusion_matrices,
                               drift_matrices, format_matrix,
                               noise_diagonals, stability)
-from magmech.params import TWO_PI, ParamStack, thermal_occupation
+from magmech.params import (DIFFUSION_CONVENTIONS, HBAR, K_B, TWO_PI,
+                            ParamStack, thermal_occupation)
 from magmech.steady_state import effective_coupling, solve_steady_states
 from magmech.sweep import figure_preset, grid_values, stack_params
 
@@ -193,6 +197,50 @@ def test_noise_diagonals_are_the_diffusion_diagonals(baseline, convention,
     negative = convention == "as_printed" and gain > 1.0
     assert (diagonal[:, 2] < 0).all() == negative
     assert [len(w) for w in warnings] == [negative] * 41
+
+
+_MODE_FREQUENCIES = ("omega_1", "omega_2", "omega_m", "omega_b")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_noise_diagonals_of_a_point_are_those_of_its_stack(data):
+    # one point against an array of temperatures gives the bits of the
+    # stack of its copies at those temperatures, and of the scalar
+    # formula; the four mode frequencies drawn equal or distinct, the
+    # temperatures with 0, the smallest subnormal and x = hbar omega /
+    # (k_B T) within a few ulps of 700
+    base = reference_baseline()
+    frequency = st.one_of(st.sampled_from([base.omega_1, base.omega_b]),
+                          st.floats(1e3, 1e13))
+    omegas = data.draw(st.lists(frequency, min_size=4, max_size=4))
+    point = base.with_(
+        **dict(zip(_MODE_FREQUENCIES, omegas)),
+        diffusion_convention=data.draw(st.sampled_from(
+            DIFFUSION_CONVENTIONS)),
+        gain_g=data.draw(st.sampled_from([0.0, 0.5, 1.5])) * base.kappa_1)
+    edge = st.builds(lambda w, k: HBAR * w / (K_B * 700.0)
+                     * (1.0 + k * 2.0 ** -52),
+                     st.sampled_from(omegas), st.integers(-4, 4))
+    temperature = st.one_of(st.sampled_from([0.0, 5e-324]),
+                            st.floats(0.0, 10.0), edge)
+    temps = np.array(data.draw(st.lists(temperature, min_size=1,
+                                        max_size=24)))
+    diag = noise_diagonals(point, temps)
+    assert diag.shape == (len(temps), 8)
+    stack = ParamStack.broadcast(point, len(temps), temperature_T=temps)
+    assert diag.tobytes() == noise_diagonals(stack,
+                                             stack.temperature_T).tobytes()
+    k2t = point.kappa_2 - point.gain_g
+    rate_2 = {"as_printed": k2t, "absolute_value": abs(k2t),
+              "physical_sum": point.kappa_2 + point.gain_g}[
+        point.diffusion_convention]
+    rates = (point.kappa_1, rate_2, point.kappa_m, point.gamma_b)
+    for t, row in zip(temps.tolist(), diag):
+        d1, d2, dm, db = (rate * (2.0 * thermal_occupation(w, t) + 1.0)
+                          for rate, w in zip(rates, omegas))
+        expected = np.array([d1, d1, d2, d2, dm, dm, 0.0, db])
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_diffusion_vacuum_floor(baseline):

@@ -179,6 +179,56 @@ def test_singular_slice_of_a_distinct_stack_inverts_to_nan(rng):
     assert Sinv[2].tobytes() == np.linalg.inv(S1).tobytes()
 
 
+def test_one_slice_is_its_own_run(rng, monkeypatch):
+    # a one-slice stack, the gate's and the unit-noise solve's in a Tc
+    # search, skips the bit comparison and the run numbering: _runs
+    # calls no NumPy function on it, and two slices still compare
+    used = []
+
+    class Watched:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(np, name)
+
+    M = random_stable_drift(rng)[None]
+    monkeypatch.setattr(lyapunov, "np", Watched())
+    starts, run = lyapunov._runs(M)
+    assert used == []
+    assert starts.tolist() == [True] and run.tolist() == [0]
+    lyapunov._runs(np.concatenate([M, M]))
+    assert "ascontiguousarray" in used
+    monkeypatch.undo()
+    # and goes to LAPACK as it is, complex as on the run path
+    w, S = eigendecomposition(M)
+    ref = np.linalg.eig(M[0])
+    assert _bits(w[0]) == _bits(ref[0]) and _bits(S[0]) == _bits(ref[1])
+    assert _bits(lyapunov._inverse(S)[0]) == _bits(np.linalg.inv(S[0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_one_slice_stack_is_nan(rng, entry):
+    M = random_stable_drift(rng)[None]
+    M[0, 2, 3] = entry
+    w, S = eigendecomposition(M)
+    assert w.shape == (1, 8) and S.shape == (1, 8, 8)
+    assert np.isnan(w).all() and np.isnan(S).all()
+
+
+def test_eigensolver_failure_on_one_slice_is_nan(rng, monkeypatch):
+    def failing(stack):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    w, S = eigendecomposition(random_stable_drift(rng)[None])
+    assert w.shape == (1, 8) and S.shape == (1, 8, 8)
+    assert np.isnan(w).all() and np.isnan(S).all()
+
+
+def test_singular_one_slice_stack_inverts_to_nan():
+    Sinv = lyapunov._inverse(np.zeros((1, 8, 8), complex))
+    assert Sinv.shape == (1, 8, 8) and np.isnan(Sinv).all()
+
+
 @pytest.mark.parametrize("exceptional", [False, True])
 def test_one_drift_matrix_solves_a_stack_of_noises(rng, monkeypatch,
                                                    exceptional):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from magmech import dynamics, lyapunov, measures, sweep
 from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
-                            reference_baseline)
+                            PhysicalParams, reference_baseline)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            MEASURE_COLUMNS, ST_COLUMNS, SweepAxis, SweepSpec,
                            SweepTable,
@@ -512,6 +512,52 @@ def test_critical_temperature_matches_sequential_bisection(
     assert warnings == ref_warnings
 
 
+def _superposed_entanglement(params, pair, drift_mode):
+    """The pair's E_N at one temperature, as the search computes it."""
+    basis = measures.reduce_pair(
+        sweep._unit_noise_solutions(params, drift_mode, 0.0), pair)
+
+    def entanglement(t):
+        values, null = sweep._superposed_log_negativity(params, basis, [t])
+        return 0.0 if null[0] else float(values[0])
+
+    return entanglement
+
+
+@pytest.mark.parametrize("tol_t", [1e-17, 1e-300])
+@pytest.mark.parametrize("pair, drift_mode, changes", [
+    (("a2", "m"), "derived", {}),
+    (("a1", "b"), "printed", dict(Delta_1=_WB, Delta_2=_WB,
+                                  Delta_m=-0.1 * _WB)),
+])
+def test_critical_temperature_stops_below_the_float_spacing(
+        baseline, monkeypatch, tol_t, pair, drift_mode, changes):
+    # no tol_t below the spacing of the floats at Tc is ever met: both
+    # bisections stop at the first midpoint that rounds to an end of its
+    # bracket, within ten stacked evaluations.  E_N of the superposed
+    # unit noises and of the kernel differ in the last bits, which moves
+    # the crossing by ulps, so the sequential bisection evaluates E_N as
+    # the search does
+    params = baseline.with_(**changes)
+    evaluations = []
+    superposed = sweep._superposed_log_negativity
+
+    def counted(*args):
+        evaluations.append(len(args[-1]))
+        assert len(evaluations) <= 10, "the search does not stop"
+        return superposed(*args)
+
+    monkeypatch.setattr(sweep, "_superposed_log_negativity", counted)
+    tc, warnings = find_critical_temperature(params, pair, tol_t=tol_t,
+                                             drift_mode=drift_mode)
+    monkeypatch.undo()
+    ref_tc, ref_warnings = bisect_critical_temperature(
+        params, pair, tol_t=tol_t, drift_mode=drift_mode,
+        entanglement=_superposed_entanglement(params, pair, drift_mode))
+    assert repr(tc) == repr(ref_tc)
+    assert warnings == ref_warnings
+
+
 @pytest.mark.parametrize("quantities,n_pairs", [
     (("E_a2m",), 1), (("st_m_to_a2",), 1), (("st_a2_to_m", "st_m_to_a2"), 1),
     (("E_a1m", "st_a2_to_m", "st_m_to_a2", "st_b_to_a1"), 3)])
@@ -624,6 +670,34 @@ def test_critical_temperature_validates_each_evaluation_once(
     with pytest.raises(ValueError, match="^temperature_T must be "
                                          "non-negative$"):
         find_critical_temperature(baseline, ("a2", "m"), t_max=-1.0)
+
+
+@pytest.mark.parametrize("t_max, tol_t, message", [
+    (2.0, 1e-3, None),
+    (-1.0, 0.0, "temperature_T must be non-negative"),
+    (-math.inf, 0.0, "t_max must be finite, got -inf"),
+    (0.0, 0.0, "t_max must be positive, got 0.0"),
+])
+def test_critical_temperature_builds_no_second_point(
+        baseline, monkeypatch, t_max, tol_t, message):
+    # t_max is held to the rule T >= 0 directly, after its finiteness and
+    # before every other argument, not through a copy of the point
+    built = []
+    post_init = PhysicalParams.__post_init__
+
+    def spy(point):
+        built.append(point)
+        post_init(point)
+
+    monkeypatch.setattr(PhysicalParams, "__post_init__", spy)
+    if message is None:
+        find_critical_temperature(baseline, ("a2", "m"), t_max=t_max,
+                                  tol_t=tol_t)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_critical_temperature(baseline, ("a2", "m"), t_max=t_max,
+                                      tol_t=tol_t)
+    assert built == []
 
 
 @pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
