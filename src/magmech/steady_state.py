@@ -5,10 +5,11 @@ magnon-phonon self-consistency is resolved: the mechanical displacement
 shifts the magnon detuning, Delta_eff = Delta_m + g_mb*<q>, while
 <q> = -(g_mb/omega_b)|<m>|^2 depends on the magnon amplitude in turn.
 In ``microscopic`` mode this scalar fixed point is a cubic in q, solved
-in closed form, and then iterated (damped Picard) where one of its real
-roots attracts the iteration; in ``direct_g`` mode the effective
-coupling and detuning are taken from the parameter set and no iteration
-is needed.
+in closed form, and then iterated (damped Picard) from q = 0 where one
+of its real roots attracts the iteration; in ``direct_g`` mode the
+effective coupling and detuning are taken from the parameter set and no
+iteration is needed.  Without a drive the solution is q = 0 and zero
+amplitudes, in closed form.
 
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
 with one Picard loop over (N,) arrays; a serial sweep hands it every
@@ -53,14 +54,13 @@ class SteadyState:
     slice in (N,) arrays.
 
     ``residual`` is the max-norm of the zero-derivative equations of
-    motion relative to the drive amplitude, or without a drive, where
-    only the mechanical equation -omega_b*q can be out of balance,
-    relative to omega_b; ``delta_eff`` is the
-    self-consistent magnon detuning.  ``errors`` holds, per slice, the
-    ``ArithmeticError`` (division by zero, overflow) that the solve ran
-    into, or None.  Such a slice is not converged.  ``real_roots`` is
-    the number of real roots, 1 or 3, of a driven microscopic slice's
-    mean-field cubic, and 0 where the cubic is not solved.
+    motion relative to the drive amplitude, and 0 without a drive;
+    ``delta_eff`` is the self-consistent magnon detuning.  ``errors``
+    holds, per slice, the ``ArithmeticError`` (division by zero,
+    overflow) that the solve ran into, or None.  Such a slice is not
+    converged.  ``real_roots`` is the number of real roots, 1 or 3, of a
+    driven microscopic slice's mean-field cubic, and 0 where the cubic
+    is not solved.
     """
 
     m_avg: np.ndarray
@@ -196,53 +196,46 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
     return count, idx[repelled], q[repelled, nearest]
 
 
-def _iterate(s: ParamStack, g, drive, errors, q_seed):
-    """Damped Picard iteration of a stack; returns each slice's q,
-    iteration count and converged flag, and records errors in
-    ``errors`` in place.
+def _iterate(s: ParamStack, g, C, G, E, errors):
+    """Damped Picard iteration of a driven stack from q = 0; returns
+    each slice's q, iteration count and converged flag, and records
+    errors in ``errors`` in place.
 
-    ``drive`` holds the closed-form constants C, G and E = epsilon_d*C,
-    or is None without a drive (zero amplitudes).  Slices without
-    displacement feedback (g = 0) or with C = 0, whose division by zero
-    is already recorded, are not iterated.  A slice whose iterate leaves
-    the finite numbers stops there with q = NaN and ``MAX_ITER``
-    iterations, which is where NaN arithmetic would take it, unless that
-    step divided by zero or overflowed a finite amplitude: then it
-    records the error.
+    C, G and E = epsilon_d*C are the closed-form constants.  Slices
+    without displacement feedback (g = 0) or with C = 0, whose division
+    by zero is already recorded, are not iterated.  A slice whose
+    iterate leaves the finite numbers stops there with q = NaN and
+    ``MAX_ITER`` iterations, which is where NaN arithmetic would take
+    it, unless that step divided by zero or overflowed a finite
+    amplitude: then it records the error.
     """
     n = len(s)
     q = np.zeros(n)
     iterations = np.zeros(n, dtype=int)
-    converged = np.ones(n, dtype=bool) if drive is None else drive[0] != 0
+    converged = C != 0
     idx = np.flatnonzero((g != 0.0) & converged)
     if not idx.size:
         return q, iterations, converged
-    q[idx] = np.broadcast_to(q_seed, (n,))[idx]
     converged[idx] = False
 
-    Dm, g, wb = (x[idx] for x in (s.Delta_m, g, s.omega_b))
+    Dm, g, wb, C, G, E = (x[idx] for x in (s.Delta_m, g, s.omega_b, C, G, E))
     # 1j*x + kappa_m, x = Delta_m + g*q: 1j*x is (+-0, x) for finite x,
     # so the real part is kappa_m; an infinite x makes m NaN either way
     z = np.empty(idx.size, dtype=complex)
     z.real = s.kappa_m[idx]
-    if drive is not None:
-        C, G, E = (x[idx] for x in drive)
     tol = TOL_REL * wb
     dg = DAMPING * g
     keep = 1.0 - DAMPING
     qa = q[idx]
     tol_hi = tol.max()
-    a2 = 0.0
-    denom = m = None
-    prev = denom, m
+    prev = None
     it = 0
     for it in range(1, MAX_ITER + 1):
-        if drive is not None:
-            np.add(Dm, g * qa, out=z.imag)
-            denom = z * C + G
-            m = E / denom
-            a2 = np.abs(m)
-            a2 *= a2
+        np.add(Dm, g * qa, out=z.imag)
+        denom = z * C + G
+        m = E / denom
+        a2 = np.abs(m)
+        a2 *= a2
         q_next = keep * qa - dg * a2 / wb
         shift = np.abs(g * (q_next - qa))
         # NaN in the minimum: some slice went non-finite, at this step
@@ -261,17 +254,15 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
             converged[k] = True
             for j in np.flatnonzero(lost):
                 step = (denom, m) if np.isfinite(qa[j]) else prev
-                err = (None if step[0] is None else
-                       _arithmetic_error(complex(step[0][j]),
-                                         complex(step[1][j])))
+                err = _arithmetic_error(complex(step[0][j]),
+                                        complex(step[1][j]))
                 q[idx[j]] = math.nan
                 iterations[idx[j]] = it if err else MAX_ITER
                 errors[idx[j]] = err
             live = ~stop
-            (idx, Dm, g, wb, tol, dg, z, q_next) = (
-                x[live] for x in (idx, Dm, g, wb, tol, dg, z, q_next))
-            if drive is not None:
-                C, G, E, denom, m = (x[live] for x in (C, G, E, denom, m))
+            (idx, Dm, g, wb, tol, dg, z, q_next, C, G, E, denom, m) = (
+                x[live] for x in (idx, Dm, g, wb, tol, dg, z, q_next, C, G,
+                                  E, denom, m))
             if not idx.size:
                 return q, iterations, converged
             tol_hi = tol.max()
@@ -279,11 +270,9 @@ def _iterate(s: ParamStack, g, drive, errors, q_seed):
         qa = q_next
     q[idx] = qa
     iterations[idx] = it
-    if drive is not None:
-        # an infinite q from the last step
-        for j in np.flatnonzero(~np.isfinite(qa)):
-            errors[idx[j]] = _arithmetic_error(complex(denom[j]),
-                                               complex(m[j]))
+    # an infinite q from the last step
+    for j in np.flatnonzero(~np.isfinite(qa)):
+        errors[idx[j]] = _arithmetic_error(complex(denom[j]), complex(m[j]))
     return q, iterations, converged
 
 
@@ -297,28 +286,27 @@ def check_drive(epsilon_d: float) -> None:
 # NumPy warns where Python's complex arithmetic raises; the errors that
 # matter are named per slice
 @np.errstate(all="ignore")
-def solve_steady_states(params: ParamStack, epsilon_d: float, *,
-                        q_seed=0.0) -> SteadyState:
+def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     """Solve the mean-field equations for a parameter stack.
 
-    Returns one :class:`SteadyState` of (N,) arrays.  In ``direct_g``
-    mode (or with g_mb = 0) the effective detuning equals ``Delta_m``
-    and the closed form is evaluated once.  In ``microscopic`` mode the
-    displacement fixed point q -> -(g_mb/omega_b)|m(q)|^2 is iterated
-    with damped Picard steps from ``q_seed`` (a scalar, or one value per
-    slice) until the slice's effective detuning moves by less than
-    ``TOL_REL * omega_b``.  The seed 0 selects the branch continuously
-    connected to the undriven solution.  Under a drive the fixed point
-    is first solved as a cubic: a slice none of whose real roots can
-    attract the damped iteration is not iterated, and reports its real
-    root of smallest |q| with 0 iterations, not converged.
+    Returns one :class:`SteadyState` of (N,) arrays.  Without a drive
+    every amplitude vanishes, with q = 0, residual 0 and no iteration.
+    In ``direct_g`` mode (or with g_mb = 0) the effective detuning
+    equals ``Delta_m`` and the closed form is evaluated once.  In
+    ``microscopic`` mode the displacement fixed point
+    q -> -(g_mb/omega_b)|m(q)|^2 is iterated with damped Picard steps
+    from q = 0, which selects the branch continuously connected to the
+    undriven solution, until the slice's effective detuning moves by
+    less than ``TOL_REL * omega_b``.  The fixed point is first solved as
+    a cubic: a slice none of whose real roots can attract the damped
+    iteration is not iterated, and reports its real root of smallest
+    |q| with 0 iterations, not converged.
 
     Never raises on non-convergence: the last iterate is returned with
-    ``converged`` False so that multistable points can be diagnosed by
-    the caller, e.g. by solving again from other seeds.  A slice that
-    divides by zero or overflows a finite amplitude gets its error in
-    ``errors`` instead of raising.  A NaN, infinite or negative
-    ``epsilon_d`` raises ValueError.
+    ``converged`` False, and ``real_roots`` tells a multistable slice.
+    A slice that divides by zero or overflows a finite amplitude gets
+    its error in ``errors`` instead of raising.  A NaN, infinite or
+    negative ``epsilon_d`` raises ValueError.
     """
     check_drive(epsilon_d)
     s, g = params, _feedback(params)
@@ -327,13 +315,12 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     p = np.zeros(n)
 
     if epsilon_d == 0.0:
-        # undriven: the amplitudes vanish, so the mechanical equation
-        # -omega_b*q is the only one that can be out of balance
-        q, iterations, converged = _iterate(s, g, None, errors, q_seed)
+        q = np.zeros(n)
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
-        return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q, iterations,
-                           _relative_max_norm((s.omega_b * q,), s.omega_b),
-                           converged, np.zeros(n, dtype=int), tuple(errors))
+        return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q,
+                           np.zeros(n, dtype=int), np.zeros(n),
+                           np.ones(n, dtype=bool), np.zeros(n, dtype=int),
+                           tuple(errors))
 
     f = _response(s)
     E = epsilon_d * f.C
@@ -346,8 +333,7 @@ def solve_steady_states(params: ParamStack, epsilon_d: float, *,
     if skip.size:
         looped = g.copy()
         looped[skip] = 0.0
-    q, iterations, converged = _iterate(s, looped, (f.C, f.G, E), errors,
-                                        q_seed)
+    q, iterations, converged = _iterate(s, looped, f.C, f.G, E, errors)
     q[skip] = root
     converged[skip] = False
     delta_eff = s.Delta_m + g * q

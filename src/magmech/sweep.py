@@ -347,6 +347,12 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     finite = np.isfinite(V).all(axis=(1, 2))
     for k in live[stable[~finite]]:
         warnings[k].append("singular Lyapunov system: no finite solution")
+    # a finite solution that misses the residual gate is nulled the same
+    for j in np.flatnonzero(finite & ~(residual < lyapunov.RESIDUAL_MAX)):
+        warnings[live[stable[j]]].append(
+            f"Lyapunov residual not below {lyapunov.RESIDUAL_MAX:g} "
+            f"(residual {residual[j]:.3e})")
+        finite[j] = False
     rows = stable[finite]
     points = live[rows]
     table.stable[points] = True
@@ -456,11 +462,12 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     A serial run evaluates the whole grid as one stack: one validation,
     one steady-state solve, then the 8x8 stages in blocks of
     ``CHUNK_POINTS``.  With ``jobs > 1`` contiguous parts of
-    ``CHUNK_POINTS`` points are farmed out to worker processes, each
-    evaluated the same way, and their tables joined; the result is
-    identical to a serial run because every point is a pure function of
-    its parameters.  A grid that fits one part runs serially: one
-    worker would do all of it, after paying for the pool.
+    ``CHUNK_POINTS`` points are farmed out to ``jobs`` worker processes,
+    or one per part if there are fewer parts, each evaluated the same
+    way, and their tables joined; the result is identical to a serial
+    run because every point is a pure function of its parameters.  A
+    grid that fits one part runs serially: one worker would do all of
+    it, after paying for the pool.
     """
     values = np.array(grid_values(spec), dtype=float)
     if jobs <= 1 or len(values) <= CHUNK_POINTS:
@@ -471,7 +478,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
 
     parts = [values[i:i + CHUNK_POINTS]
              for i in range(0, len(values), CHUNK_POINTS)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
         return SweepTable.concat(list(pool.map(partial(_evaluate_points,
                                                        spec), parts)))
 

@@ -1,0 +1,197 @@
+"""Check that the tests catch a fixed list of source mutations.
+
+Run from the repository root::
+
+    python tests/mutants.py            # every mutation
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutation replaces one snippet of one file under ``src`` with
+another, in a temporary copy of ``src`` and ``tests``, and runs only the
+tests named for it, with the copy's ``src`` on ``PYTHONPATH``.  The
+mutation is killed when one of them fails, and survives when all pass.
+Before the mutations, the named tests run once on the unmutated copy,
+which must pass them.  The script prints one line per mutation and
+exits 1 if any mutation survives, if pytest cannot run its tests, or if
+its snippet does not occur exactly once in its file (the list has
+fallen behind the source).
+pytest does not collect it.
+
+A change that adds a gate adds the mutation that drops it here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "pyproject.toml", "discrepancy_report.json")
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTATIONS = (
+    Mutation(
+        "stability_tolerance_zero", "src/magmech/dynamics.py",
+        "TOL_STAB_REL = 1e-9", "TOL_STAB_REL = 0",
+        ("tests/test_dynamics.py::"
+         "test_a_margin_inside_the_tolerance_is_not_stable",)),
+    Mutation(
+        "thermal_occupation_np_expm1", "src/magmech/params.py",
+        "(1.0 / np.fromiter(map(math.expm1, distinct.tolist()),",
+        "(1.0 / np.fromiter(np.expm1(distinct),",
+        ("tests/test_params.py::"
+         "test_array_thermal_occupation_is_the_scalar_bit_for_bit",)),
+    Mutation(
+        "steering_directions_swapped", "src/magmech/measures.py",
+        "steering(forward, det_a),\n"
+        "                        steering(backward, det_c),",
+        "steering(backward, det_c),\n"
+        "                        steering(forward, det_a),",
+        ("tests/test_measures.py::test_physicality_errors",
+         "tests/test_measures.py::"
+         "test_unphysical_slice_of_a_stack_is_null_with_message")),
+    Mutation(
+        "csv_unique_by_value", "src/magmech/sweep.py",
+        "np.unique(column.view(np.int64), return_inverse=True)\n"
+        '    text = ["%.17g" % v for v in distinct.view(float).tolist()]',
+        "np.unique(column, return_inverse=True)\n"
+        '    text = ["%.17g" % v for v in distinct.tolist()]',
+        ("tests/test_sweep.py::"
+         "test_csv_writer_formats_each_distinct_value_once",
+         "tests/test_sweep.py::"
+         "test_csv_writer_is_the_csv_module_writer_byte_for_byte")),
+    Mutation(
+        "check_drive_bypassed", "src/magmech/steady_state.py",
+        "    if not (math.isfinite(epsilon_d) and epsilon_d >= 0):",
+        "    if False:",
+        ("tests/test_steady_state.py::"
+         "test_drive_must_be_finite_and_non_negative",
+         "tests/test_steady_state.py::test_negative_drive_rejected")),
+    Mutation(
+        "tc_search_t_max_le_zero", "src/magmech/sweep.py",
+        "    if t_max < 0.0:", "    if t_max <= 0.0:",
+        ("tests/test_sweep.py::"
+         "test_critical_temperature_rejects_bad_search_arguments",)),
+    Mutation(
+        "picard_skip_at_slope_0_9", "src/magmech/steady_state.py",
+        "(np.abs(slope) >= 1.0 + REPEL_TOL)", "(np.abs(slope) >= 0.9)",
+        ("tests/test_steady_state.py::"
+         "test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid",
+         "tests/test_sweep.py::"
+         "test_points_without_an_attracting_root_skip_the_picard_loop")),
+    Mutation(
+        "lyapunov_residual_gate_dropped", "src/magmech/sweep.py",
+        "finite & ~(residual < lyapunov.RESIDUAL_MAX)",
+        "finite & ~(residual < np.inf)",
+        ("tests/test_sweep.py::"
+         "test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled",
+         "tests/test_acceptance.py::"
+         "test_lyapunov_residual_at_all_preset_points")),
+    Mutation(
+        "picard_start_off_zero", "src/magmech/steady_state.py",
+        "    qa = q[idx]\n", "    qa = q[idx] + 1.0\n",
+        ("tests/test_steady_state.py::test_root_scan_monostable_points",
+         "tests/test_steady_state.py::"
+         "test_picard_loop_is_the_oracle_loop_on_the_micro_sweep_grid")),
+    Mutation(
+        "physicality_form_without_half", "src/magmech/lyapunov.py",
+        "form = 0.5j * symplectic_form(size // 2)",
+        "form = 1j * symplectic_form(size // 2)",
+        ("tests/test_lyapunov.py::test_physicality_of_simple_states",)),
+)
+
+
+def _copy(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def _pytest(tree: str, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, capture_output=True, text=True)
+
+
+def _first_failure(output: str) -> str:
+    """The first failed test of pytest's summary, or its last line."""
+    lines = output.strip().splitlines() or [""]
+    for line in lines:
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return lines[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*",
+                        help="mutations to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTATIONS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutations: {', '.join(unknown)}; known: "
+                     f"{', '.join(known)}")
+    chosen = [known[n] for n in args.names] if args.names else MUTATIONS
+
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="magmech-mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        _copy(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        result = _pytest(clean, tests)
+        if result.returncode != 0:
+            print(f"unmutated tree fails: {_first_failure(result.stdout)}")
+            return 1
+        for m in chosen:
+            tree = os.path.join(tmp, m.name)
+            _copy(tree)
+            path = os.path.join(tree, m.path)
+            with open(path) as fh:
+                text = fh.read()
+            if text.count(m.old) != 1:
+                print(f"STALE    {m.name}: its snippet occurs "
+                      f"{text.count(m.old)} times in {m.path}")
+                bad += 1
+                continue
+            with open(path, "w") as fh:
+                fh.write(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            result = _pytest(tree, m.tests)
+            took = time.perf_counter() - start
+            # pytest exits 1 when a test failed; 2 and up when it could not
+            # run them, which kills nothing
+            if result.returncode == 1:
+                print(f"killed   {m.name} by "
+                      f"{_first_failure(result.stdout)} ({took:.1f} s)")
+            else:
+                verdict = "SURVIVED" if result.returncode == 0 else "ERROR   "
+                print(f"{verdict} {m.name}: "
+                      f"{_first_failure(result.stdout)} ({took:.1f} s)")
+                bad += 1
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutations killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ for bit: the stacked Picard loop and the ``csv.writer`` CSV writer.
 import cmath
 import csv
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -350,10 +350,10 @@ def _scalar_residual(params, m, a1, a2, q, epsilon_d):
 
 
 def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
-                        damping=0.5, q_seed=0.0):
+                        damping=0.5):
     """Reference steady state: the damped Picard loop on Python complex
     numbers, q -> (1 - damping) q - damping (g_mb/omega_b)|m(q)|^2 until
-    the detuning moves by less than ``tol_rel * omega_b``.
+    the detuning moves by less than ``tol_rel * omega_b``, from q = 0.
 
     Raises ZeroDivisionError or OverflowError where Python's complex
     arithmetic does; the package reports these per slice instead.
@@ -365,7 +365,7 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
         return SteadyState(m, a1, a2, 0.0, 0.0, delta_eff, 0, res, True, 0)
 
     g_mb = params.g_mb
-    q = q_seed
+    q = 0.0
     converged = False
     iterations = 0
     tol = tol_rel * params.omega_b
@@ -384,45 +384,6 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
     res = _scalar_residual(params, m, a1, a2, q, epsilon_d)
     return SteadyState(m, a1, a2, q, 0.0, delta_eff, iterations, res,
                        converged, 0)
-
-
-def find_self_consistent_roots(params, epsilon_d, *, n_seeds=32):
-    """Scan displacement seeds for distinct self-consistent solutions.
-
-    Returns all converged roots found from a coarse grid of seeds, as
-    one :class:`SteadyState` of (R,) arrays, deduplicated on the
-    displacement, ordered with the branch connected to the undriven
-    (q = 0 seed) solution first.  A single root means the operating
-    point is monostable.  The seed grid spans eight times the q = 0
-    root, so that root is solved first, and then again with the seeds
-    in one stacked call.  Raises a slice's ``ArithmeticError``.
-    """
-    first = steady_state.solve_steady_states(ParamStack.broadcast(params, 1),
-                                             epsilon_d)
-    if first.errors[0] is not None:
-        raise first.errors[0]
-    if params.coupling_mode != "microscopic":
-        return first
-    span = 8.0 * max(abs(first.q_avg[0]), 1.0)
-    seeds = [0.0] + [-span + 2.0 * span * k / max(n_seeds - 1, 1)
-                     for k in range(n_seeds)]
-    cands = steady_state.solve_steady_states(
-        ParamStack.broadcast(params, len(seeds)), epsilon_d,
-        q_seed=np.array(seeds))
-    q = cands.q_avg
-    roots = [0] if cands.converged[0] else []
-    for k in range(1, len(seeds)):
-        if cands.errors[k] is not None:
-            raise cands.errors[k]
-        if not cands.converged[k]:
-            continue
-        scale = max(abs(q[k]), 1.0)
-        if all(abs(q[k] - q[r]) > 1e-6 * scale for r in roots):
-            roots.append(k)
-    keep = roots if roots else [0]
-    return SteadyState(*(getattr(cands, f.name)[keep]
-                         for f in fields(SteadyState)[:-1]),
-                       tuple(cands.errors[k] for k in keep))
 
 
 def mean_field_cubic_roots(params, epsilon_d):
@@ -459,7 +420,7 @@ def mean_field_cubic_roots(params, epsilon_d):
     return sorted(out)
 
 
-def stacked_picard_loop(s, g, drive, errors, q_seed):
+def stacked_picard_loop(s, g, C, G, E, errors):
     """The stacked damped Picard loop of ``steady_state._iterate`` as it
     was written before its step was cut to fewer NumPy calls: one fresh
     array per operation, ``(1j * (Delta_m + g*q) + kappa_m) * C + G`` as
@@ -473,27 +434,22 @@ def stacked_picard_loop(s, g, drive, errors, q_seed):
     idx = np.flatnonzero((g != 0.0) & converged)
     if not idx.size:
         return q, iterations, converged
-    q[idx] = np.broadcast_to(q_seed, (n,))[idx]
     converged[idx] = False
 
-    Dm, km, g, wb = (x[idx] for x in (s.Delta_m, s.kappa_m, g, s.omega_b))
-    if drive is not None:
-        C, G, E = (x[idx] for x in drive)
+    Dm, km, g, wb, C, G, E = (x[idx] for x in (s.Delta_m, s.kappa_m, g,
+                                               s.omega_b, C, G, E))
     tol = TOL_REL * wb
     dg = DAMPING * g
     keep = 1.0 - DAMPING
     qa = q[idx]
     tol_hi = tol.max()
-    a2 = 0.0
-    denom = m = None
-    prev = denom, m
+    prev = None
     it = 0
     for it in range(1, MAX_ITER + 1):
-        if drive is not None:
-            denom = (1j * (Dm + g * qa) + km) * C + G
-            m = E / denom
-            a2 = np.abs(m)
-            a2 = a2 * a2
+        denom = (1j * (Dm + g * qa) + km) * C + G
+        m = E / denom
+        a2 = np.abs(m)
+        a2 = a2 * a2
         q_next = keep * qa - dg * a2 / wb
         shift = np.abs(g * (q_next - qa))
         # NaN in the minimum: some slice went non-finite, at this step
@@ -512,17 +468,15 @@ def stacked_picard_loop(s, g, drive, errors, q_seed):
             converged[k] = True
             for j in np.flatnonzero(lost):
                 step = (denom, m) if np.isfinite(qa[j]) else prev
-                err = (None if step[0] is None else
-                       _arithmetic_error(complex(step[0][j]),
-                                         complex(step[1][j])))
+                err = _arithmetic_error(complex(step[0][j]),
+                                        complex(step[1][j]))
                 q[idx[j]] = math.nan
                 iterations[idx[j]] = it if err else MAX_ITER
                 errors[idx[j]] = err
             live = ~stop
-            (idx, Dm, km, g, wb, tol, dg, q_next) = (
-                x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next))
-            if drive is not None:
-                C, G, E, denom, m = (x[live] for x in (C, G, E, denom, m))
+            (idx, Dm, km, g, wb, tol, dg, q_next, C, G, E, denom, m) = (
+                x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next, C, G,
+                                  E, denom, m))
             if not idx.size:
                 return q, iterations, converged
             tol_hi = tol.max()
@@ -530,11 +484,9 @@ def stacked_picard_loop(s, g, drive, errors, q_seed):
         qa = q_next
     q[idx] = qa
     iterations[idx] = it
-    if drive is not None:
-        # an infinite q from the last step
-        for j in np.flatnonzero(~np.isfinite(qa)):
-            errors[idx[j]] = _arithmetic_error(complex(denom[j]),
-                                               complex(m[j]))
+    # an infinite q from the last step
+    for j in np.flatnonzero(~np.isfinite(qa)):
+        errors[idx[j]] = _arithmetic_error(complex(denom[j]), complex(m[j]))
     return q, iterations, converged
 
 

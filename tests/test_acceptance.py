@@ -165,6 +165,22 @@ def test_physicality_at_all_preset_points(preset_runs):
     assert ok
 
 
+def test_lyapunov_residual_at_all_preset_points(preset_runs):
+    worst = 0.0
+    checked = 0
+    for name, (_, table, _) in preset_runs.items():
+        # every point that reports measures reports its residual
+        assert not table.null["lyap_residual"][table.stable].any(), name
+        residual = table.values["lyap_residual"][table.stable]
+        checked += residual.size
+        worst = max(worst, residual.max(initial=0.0))
+    ok = worst < 1e-10
+    announce("lyapunov residual < 1e-10 at every stable preset point", ok,
+             f"({checked} points, worst {worst:.3e})")
+    assert checked > 1000
+    assert ok
+
+
 def test_steering_implies_entanglement_on_presets(preset_runs):
     violations = []
     checked = 0

@@ -302,6 +302,17 @@ def test_stability_baseline_is_stable(baseline):
     assert margin < 0
 
 
+def test_a_margin_inside_the_tolerance_is_not_stable():
+    # a spectrum within 1e-9 kappa_1 of the imaginary axis is too close
+    # to call stable: roundoff of that size could put it either side
+    kappa_1 = TWO_PI * 1e6
+    A = np.repeat(-kappa_1 * np.eye(8)[None], 3, axis=0)
+    A[:, 0, 0] = np.array([-2.0, -0.5, 0.0]) * 1e-9 * kappa_1
+    report = stability(A, kappa_1)
+    assert report.stable.tolist() == [True, False, False]
+    assert report.margin.tolist() == A[:, 0, 0].tolist()
+
+
 def _gate(spec, values, exact=False):
     """The stability gate's verdicts at the grid points ``values`` (N, 1)
     of a direct_g preset; with ``exact``, also the Routh-Hurwitz verdicts

@@ -23,7 +23,7 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            render_records, run_sweep, stack_params)
 
 from .oracles import (bisect_critical_temperature, csv_module_write_csv,
-                      find_self_consistent_roots, point_params)
+                      mean_field_cubic_roots, point_params)
 
 
 def small_spec(baseline, **kwargs):
@@ -385,6 +385,56 @@ def test_grid_of_one_part_runs_serially(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert len(grid_values(spec)) <= sweep.CHUNK_POINTS
     assert render_records(run_sweep(spec, jobs=2), spec) == serial
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (5000, 3)])
+def test_pool_has_at_most_one_worker_per_part(baseline, monkeypatch, jobs,
+                                              workers):
+    # an in-process stand-in for the pool: a real one with 5000 workers
+    # would start 5000 processes at its first submit
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return map(fn, parts)
+
+    spec = small_spec(baseline)
+    serial = render_records(run_sweep(spec), spec)
+    # three parts of one point
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    assert render_records(run_sweep(spec, jobs=jobs), spec) == serial
+    assert started == [workers]
+
+
+def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
+    # fig2b at Delta_m = 0.1 omega_b, eta = 0 (row 2110) is stable, but
+    # its Kronecker retry leaves a residual above the 1e-10 gate
+    spec = figure_preset("fig2b")
+    values = grid_values(spec)[2110]
+    assert values == (0.1 * spec.base.omega_b, 0.0)
+    rec, (A, D) = evaluate_point(build_point_params(spec, values),
+                                 quantities=spec.quantities,
+                                 drift_mode=spec.drift_mode,
+                                 epsilon_d=spec.epsilon_d, matrices=True)
+    _, residual = lyapunov.solve_lyapunov(A[None], D[None])
+    assert lyapunov.RESIDUAL_MAX <= residual[0] < 2.0 * lyapunov.RESIDUAL_MAX
+    assert rec.margin < 0.0
+    assert not rec.stable
+    assert rec.warnings == (f"Lyapunov residual not below 1e-10 "
+                            f"(residual {residual[0]:.3e})",)
+    assert rec.lyap_residual is None and rec.physicality is None
+    assert all(v is None for v in rec.measures.values())
 
 
 def test_csv_rendering(baseline):
@@ -898,22 +948,27 @@ def test_serial_sweep_solves_the_mean_field_once(monkeypatch):
 
 
 def test_unconverged_band_has_no_attracting_root():
-    # the band of the microscopic sweep whose Picard loop runs out of
-    # iterations: there no seed of the root scan converges either, so
-    # the band is not a second branch; elsewhere the root is unique
+    # the band of the microscopic sweep that does not converge has one
+    # real mean-field root, which repels the damped map (|F'| >= 1) or,
+    # at point 2, attracts too weakly (F' about -0.998) for the loop's
+    # 1000 steps: the band is not a second branch.  Elsewhere exactly
+    # one root attracts, and the sweep reports it
     spec = _microscopic_sweep()
-    records = run_sweep(spec)
-    band = [k for k, rec in enumerate(records)
+    table = run_sweep(spec)
+    band = [k for k, rec in enumerate(table)
             if any(w.startswith("steady state did not converge")
                    for w in rec.warnings)]
     assert band == list(range(2, 16))
     for k, values in enumerate(grid_values(spec)):
-        roots = find_self_consistent_roots(build_point_params(spec, values),
-                                           spec.epsilon_d)
+        roots = mean_field_cubic_roots(build_point_params(spec, values),
+                                       spec.epsilon_d)
+        attracting = [r for r, slope in roots if abs(slope) < 1.0]
         if k in band:
-            assert not roots.converged.any()
+            assert len(roots) == 1
+            assert abs(roots[0][1]) > 0.99
         else:
-            assert roots.converged.tolist() == [True]
+            [root] = attracting
+            assert table.values["q_avg"][k] == pytest.approx(root, rel=1e-9)
 
 
 def test_points_without_an_attracting_root_skip_the_picard_loop():
