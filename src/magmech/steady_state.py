@@ -5,11 +5,10 @@ magnon-phonon self-consistency is resolved: the mechanical displacement
 shifts the magnon detuning, Delta_eff = Delta_m + g_mb*<q>, while
 <q> = -(g_mb/omega_b)|<m>|^2 depends on the magnon amplitude in turn.
 In ``microscopic`` mode this scalar fixed point is a cubic in q, solved
-in closed form, and then iterated (damped Picard) from q = 0 where one
-of its real roots attracts the iteration; in ``direct_g`` mode the
-effective coupling and detuning are taken from the parameter set and no
-iteration is needed.  Without a drive the solution is q = 0 and zero
-amplitudes, in closed form.
+in closed form; only a cubic with three real roots, one attracting, is
+then iterated (damped Picard) from q = 0 to select a branch.  In
+``direct_g`` mode the effective coupling and detuning are taken from the
+parameter set.  Without a drive q = 0 and the amplitudes vanish.
 
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
 with one Picard loop over (N,) arrays; a serial sweep hands it every
@@ -39,10 +38,10 @@ TOL_REL = 1e-12
 MAX_ITER = 1000
 DAMPING = 0.5
 
-# A driven slice skips the Picard loop when every real root r of its
-# mean-field cubic repels the damped map F: |F'(r)| >= 1 + REPEL_TOL,
-# unless the cubic's discriminant lies within DISC_TOL times the sum of
-# its terms' moduli, where roundoff decides the number of real roots.
+# A driven slice skips the Picard loop when its mean-field cubic has one
+# real root, or three that all repel the damped map F (|F'| >= 1 +
+# REPEL_TOL), unless the discriminant lies within DISC_TOL times the sum
+# of its terms' moduli, where roundoff decides the number of real roots.
 REPEL_TOL = 1e-6
 DISC_TOL = 1e-12
 _THIRDS = 2.0 * math.pi / 3.0 * np.arange(3)
@@ -145,14 +144,15 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
 
     Returns per slice the number of real roots (0 where the cubic is
     not solved: no feedback, C = 0, or a non-finite coefficient or
-    discriminant); the slices where every real root repels the damped
-    map F(q) = q/2 + f(q)/2 and the discriminant is clear of roundoff;
-    and their real roots of smallest |q|.
+    discriminant); the closed slices, with one finite real root or
+    three that repel the damped map F(q) = q/2 + f(q)/2, and a
+    discriminant clear of roundoff; and their roots of smallest |q|,
+    and whether these attract F.
     """
     count = np.zeros(len(s), dtype=int)
     idx = np.flatnonzero((g != 0.0) & (f.C != 0.0))
     if not idx.size:
-        return count, idx, None
+        return count, idx, None, None
     # the monic cubic q^3 + B q^2 + Cq + D: divided by |v|^2, with
     # w = u/C = kappa_m + i*Delta_m + G/C
     gi = g[idx]
@@ -187,13 +187,15 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
     q -= (((q + B) * q + C) * q + D) / ((3.0 * q + 2.0 * B) * q + C)
 
     # F'(r) = 1/2 + f'(r)/2 = 1/2 - r (2r + B) / (2 (r^2 + B r + C)); a
-    # NaN root or slope (a triple root, say) counts as attracting
+    # NaN slope counts as attracting
     slope = 0.5 - q * (2.0 * q + B) / (2.0 * ((q + B) * q + C))
-    repelled = np.flatnonzero(
+    attracts = ~(np.abs(slope) >= 1.0 + REPEL_TOL)
+    closed = np.flatnonzero(
         solved & (np.abs(disc) > DISC_TOL * scale)
-        & (np.abs(slope) >= 1.0 + REPEL_TOL).all(axis=1))
-    nearest = np.argmin(np.abs(q[repelled]), axis=1)
-    return count, idx[repelled], q[repelled, nearest]
+        & np.where(three, ~attracts.any(axis=1), np.isfinite(q[:, 0])))
+    nearest = np.argmin(np.abs(q[closed]), axis=1)
+    return (count, idx[closed], q[closed, nearest],
+            attracts[closed, nearest])
 
 
 def _iterate(s: ParamStack, g, C, G, E, errors):
@@ -294,13 +296,13 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     In ``direct_g`` mode (or with g_mb = 0) the effective detuning
     equals ``Delta_m`` and the closed form is evaluated once.  In
     ``microscopic`` mode the displacement fixed point
-    q -> -(g_mb/omega_b)|m(q)|^2 is iterated with damped Picard steps
-    from q = 0, which selects the branch continuously connected to the
-    undriven solution, until the slice's effective detuning moves by
-    less than ``TOL_REL * omega_b``.  The fixed point is first solved as
-    a cubic: a slice none of whose real roots can attract the damped
-    iteration is not iterated, and reports its real root of smallest
-    |q| with 0 iterations, not converged.
+    q -> -(g_mb/omega_b)|m(q)|^2 is a cubic in q, solved in closed form
+    first.  A slice with one real root takes it, and one with three that
+    all repel the damped map its root of smallest |q|, with 0 iterations,
+    converged unless the root repels.  The rest are iterated with damped
+    Picard steps from q = 0, which selects the branch continuously
+    connected to the undriven solution, until the slice's effective
+    detuning moves by less than ``TOL_REL * omega_b``.
 
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False, and ``real_roots`` tells a multistable slice.
@@ -327,15 +329,13 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     # J^2 + f1*f2 divides in the closed form
     for k in np.flatnonzero(f.C == 0):
         errors[k] = ZeroDivisionError("complex division by zero")
-    # the loop leaves out the slices that skip it, as if without feedback
-    real_roots, skip, root = _mean_field_cubic(s, g, f, epsilon_d)
-    looped = g
-    if skip.size:
-        looped = g.copy()
-        looped[skip] = 0.0
+    # the loop leaves out the closed slices, as if without feedback
+    real_roots, closed, root, attracts = _mean_field_cubic(s, g, f, epsilon_d)
+    looped = g.copy()
+    looped[closed] = 0.0
     q, iterations, converged = _iterate(s, looped, f.C, f.G, E, errors)
-    q[skip] = root
-    converged[skip] = False
+    q[closed] = root
+    converged[closed] = attracts
     delta_eff = s.Delta_m + g * q
     denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
     m = E / denom

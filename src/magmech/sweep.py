@@ -300,7 +300,7 @@ def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
             warnings[valid[j]].append(f"steady state singular: {e}")
     residual = state.residual
     for j in np.flatnonzero(solved & ~state.converged):
-        # a slice left out of the Picard loop took no iterations
+        # 0 iterations marks closed slices, converged or not: here, repelled
         reason = (": no real mean-field root attracts the damped iteration"
                   if state.iterations_used[j] == 0 else "")
         warnings[valid[j]].append(f"steady state did not converge{reason} "

@@ -25,7 +25,9 @@ Each tree runs in its own subprocess with its own ``src`` on
 
 The script prints ``identical``, or for each output that differs the
 columns (CSV header, JSON key or text line) that moved, with the
-largest numeric move; it exits 1 on any difference.  It also prints the
+largest numeric move and, in a CSV or JSON lines output, the rows that
+moved as ranges counted from 0 at the first record (``rows 0-20``); it
+exits 1 on any difference.  It also prints the
 net change in the lines of the Python files under ``src``, which does
 not enter the exit code.  pytest does not collect it.
 
@@ -212,7 +214,8 @@ def emit(out_dir: str, tree: str) -> None:
 
 def _columns(name: str, text: str) -> dict[str, list[str]]:
     """The cells of an output by column: CSV header names, flattened
-    JSON keys, or else one column of text lines."""
+    JSON keys (one cell per record, empty where a record lacks the key),
+    or else one column of text lines."""
     if name.endswith(".csv"):
         rows = list(csv.reader(io.StringIO(text)))
         if rows:
@@ -225,11 +228,9 @@ def _columns(name: str, text: str) -> dict[str, list[str]]:
         except ValueError:
             objs = None
         if objs is not None:
-            cells: dict[str, list[str]] = {}
-            for obj in objs:
-                for key, value in _flatten(obj, ""):
-                    cells.setdefault(key, []).append(value)
-            return cells
+            flat = [dict(_flatten(obj, "")) for obj in objs]
+            keys = dict.fromkeys(key for row in flat for key in row)
+            return {key: [row.get(key, "") for row in flat] for key in keys}
     return {"line": text.splitlines()}
 
 
@@ -271,9 +272,10 @@ def describe(name: str, mine: str, theirs: str) -> list[str]:
         if len(ca) != len(cb):
             lines.append(f"  {col}: {len(ca)} cells here, {len(cb)} there")
             continue
-        moved = [(x, y) for x, y in zip(ca, cb) if x != y]
-        if not moved:
+        rows = [k for k, (x, y) in enumerate(zip(ca, cb)) if x != y]
+        if not rows:
             continue
+        moved = [(ca[k], cb[k]) for k in rows]
         moves = [_move(x, y) for x, y in moved]
         numeric = [m for m in moves if m is not None]
         text = len(moves) - len(numeric)
@@ -282,8 +284,22 @@ def describe(name: str, mine: str, theirs: str) -> list[str]:
             line += f", largest move {max(numeric):.3g}"
         if text:
             line += f", {text} as text (e.g. {moved[moves.index(None)]!r})"
+        if name.endswith((".csv", ".jsonl")):
+            line += f"; {_row_ranges(rows)}"
         lines.append(line)
     return lines or ["  bytes differ, cells equal"]
+
+
+def _row_ranges(rows: list[int]) -> str:
+    """Ascending row indices as ranges: ``rows 0-20, 25``."""
+    spans: list[list[int]] = []
+    for k in rows:
+        if spans and k == spans[-1][1] + 1:
+            spans[-1][1] = k
+        else:
+            spans.append([k, k])
+    return "rows " + ", ".join(f"{a}-{b}" if b > a else f"{a}"
+                               for a, b in spans)
 
 
 def _number(cell: str) -> float:

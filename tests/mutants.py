@@ -103,9 +103,25 @@ MUTATIONS = (
     Mutation(
         "picard_start_off_zero", "src/magmech/steady_state.py",
         "    qa = q[idx]\n", "    qa = q[idx] + 1.0\n",
-        ("tests/test_steady_state.py::test_root_scan_monostable_points",
+        ("tests/test_steady_state.py::"
+         "test_picard_loop_is_the_oracle_loop_on_the_micro_sweep_grid",
          "tests/test_steady_state.py::"
-         "test_picard_loop_is_the_oracle_loop_on_the_micro_sweep_grid")),
+         "test_one_root_slices_are_closed_and_multistable_slices_loop")),
+    Mutation(
+        "closed_form_on_three_roots", "src/magmech/steady_state.py",
+        "np.where(three, ~attracts.any(axis=1), np.isfinite(q[:, 0]))",
+        "np.where(three, True, np.isfinite(q[:, 0]))",
+        ("tests/test_steady_state.py::"
+         "test_one_root_slices_are_closed_and_multistable_slices_loop",
+         "tests/test_steady_state.py::"
+         "test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid")),
+    Mutation(
+        "one_root_reported_unconverged", "src/magmech/steady_state.py",
+        "converged[closed] = attracts", "converged[closed] = False",
+        ("tests/test_steady_state.py::"
+         "test_a_monostable_point_takes_its_cubic_root",
+         "tests/test_sweep.py::"
+         "test_points_without_an_attracting_root_skip_the_picard_loop")),
     Mutation(
         "physicality_form_without_half", "src/magmech/lyapunov.py",
         "form = 0.5j * symplectic_form(size // 2)",

@@ -147,27 +147,42 @@ def test_gauge_phase_makes_coupling_real_positive(rng):
     assert gauge_phase(0.0) == 0.0
 
 
-def test_root_scan_monostable_points(micro):
-    # one real root, which attracts the damped map (|F'| < 1): the
-    # loop from q = 0 converges to it within the stop rule's own error
+def _stop_error(params, slope):
+    """The stop rule's own error: a last step below TOL_REL * omega_b /
+    g_mb leaves a geometric tail of |F'| / (1 - |F'|) times it."""
+    stop = steady_state.TOL_REL * params.omega_b / params.g_mb
+    return 2.0 * stop * abs(slope) / (1.0 - abs(slope))
+
+
+def test_a_monostable_point_takes_its_cubic_root(micro):
+    # one real root, which attracts the damped map (|F'| < 1): the slice
+    # takes it from the closed form without a Picard step, and the
+    # scalar loop from q = 0 converges to it within the stop rule's own
+    # error
     [(root, slope)] = mean_field_cubic_roots(micro, 1e14)
     assert abs(slope) < 1.0
     base = solve_steady_states(stack_of([micro]), 1e14)
     assert base.converged[0]
-    assert base.residual[0] < 1e-9
-    stop = steady_state.TOL_REL * micro.omega_b / micro.g_mb
-    assert abs(base.q_avg[0] - root) <= 2.0 * stop * abs(slope) / (
-        1.0 - abs(slope))
+    assert base.iterations_used[0] == 0
+    assert base.residual[0] < 1e-13
+    assert abs(base.q_avg[0] - root) <= 1e-12 * abs(root)
+    ref = picard_steady_state(micro, 1e14)
+    assert ref.converged and ref.iterations_used > 0
+    assert abs(ref.q_avg - root) <= _stop_error(micro, slope)
 
 
 def assert_matches_oracle(params_seq, epsilon_d):
-    """The stacked solve agrees with the scalar Picard loop slice by
-    slice: same error, converged flag and iteration count, and converged
-    amplitudes within 1e-13 relative.  Where the mean-field cubic is
-    solved, its real roots are the oracle's; a slice none of whose real
-    roots attracts the damped map skips the loop, with 0 iterations and
-    its root of smallest |q|, and the oracle's loop does not converge
-    there either; a converged slice sits on an attracting root."""
+    """The stacked solve agrees slice by slice with the scalar Picard
+    loop, or with the mean-field cubic where it closes the cubic.  Where
+    the cubic is solved, its real roots are the oracle's.  A slice with
+    one real root, or three that all repel the damped map, is closed:
+    0 iterations, its root of smallest |q| within 1e-12 relative, and
+    converged unless that root repels.  The oracle's loop does not
+    converge on a repelling root, and where it converges on the closed
+    root it is within the stop rule's own error of it.  Every other
+    slice has the oracle's error, converged flag and iteration count,
+    and converged amplitudes within 1e-13 relative; a converged one sits
+    on an attracting root."""
     state = solve_steady_states(stack_of(params_seq), epsilon_d)
     for k, params in enumerate(params_seq):
         try:
@@ -181,25 +196,27 @@ def assert_matches_oracle(params_seq, epsilon_d):
         roots = (mean_field_cubic_roots(params, epsilon_d)
                  if state.real_roots[k] else [])
         assert len(roots) == state.real_roots[k]
-        if roots and all(abs(slope) >= 1.0 + steady_state.REPEL_TOL
-                         for _, slope in roots):
+        repels = [abs(slope) >= 1.0 + steady_state.REPEL_TOL
+                  for _, slope in roots]
+        if len(roots) == 1 or roots and all(repels):
+            nearest, slope = min(roots, key=lambda rs: abs(rs[0]))
             assert state.iterations_used[k] == 0
-            assert not state.converged[k]
-            assert not ref.converged
-            nearest = min((r for r, _ in roots), key=abs)
-            assert abs(state.q_avg[k] - nearest) <= 1e-9 * abs(nearest)
+            assert state.converged[k] == (not all(repels))
+            assert abs(state.q_avg[k] - nearest) <= 1e-12 * abs(nearest)
+            if all(repels):
+                assert not ref.converged
+            elif ref.converged:
+                assert abs(ref.q_avg - state.q_avg[k]) <= max(
+                    1e-9 * abs(nearest), _stop_error(params, slope))
             continue
         assert state.converged[k] == ref.converged
         assert state.iterations_used[k] == ref.iterations_used
         if not ref.converged:
             continue
-        # within 1e-9 relative, or within the stop rule's own error: a
-        # last step below TOL_REL * omega_b / g_mb leaves a geometric
-        # tail of |F'| / (1 - |F'|) times it
+        # within 1e-9 relative, or within the stop rule's own error
         if roots:
-            stop = steady_state.TOL_REL * params.omega_b / params.g_mb
             assert any(abs(slope) < 1.0 and abs(state.q_avg[k] - r) <= max(
-                1e-9 * abs(r), 2.0 * stop * abs(slope) / (1.0 - abs(slope)))
+                1e-9 * abs(r), _stop_error(params, slope))
                 for r, slope in roots)
         for got, want in ((state.m_avg[k], ref.m_avg),
                           (state.a1_avg[k], ref.a1_avg),
@@ -214,14 +231,15 @@ def assert_matches_oracle(params_seq, epsilon_d):
 
 
 def test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid(micro):
-    # the benchmark's microscopic sweep: a third of it never converges,
-    # and all but two of those points have no attracting root
+    # the benchmark's microscopic sweep: its 153 one-root points are
+    # closed, and the 132 of them whose root repels do not converge; the
+    # 248 three-root points run the loop, and all of them converge
     grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
     state = assert_matches_oracle(
         [micro.with_(Delta_m=float(dm)) for dm in grid], 1e15)
-    assert np.count_nonzero(~state.converged) == 134
-    assert np.count_nonzero(state.iterations_used == 0) == 132
-    assert state.iterations_used.max() == 1000
+    assert np.count_nonzero(~state.converged) == 132
+    assert np.count_nonzero(state.iterations_used) == 248
+    assert state.iterations_used.max() == 218
     assert np.bincount(state.real_roots).tolist() == [0, 153, 0, 248]
 
 
@@ -237,6 +255,11 @@ _MICRO_POINT = st.fixed_dictionaries({
     "g_mb": st.sampled_from([0.0, TWO_PI * 0.05, TWO_PI * 0.2, TWO_PI]),
 })
 
+_SWEPT_POINT = st.fixed_dictionaries({
+    "Delta_m": st.floats(0.0, 2.0 * _WB),
+    "g_mb": st.just(TWO_PI * 0.2),
+})
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(points=st.lists(_MICRO_POINT, min_size=1, max_size=6),
@@ -247,6 +270,42 @@ def test_stacked_solver_matches_scalar_oracle_on_drawn_points(points,
                                       G_mb=0.0)
     params_seq = [base.with_(**point) for point in points]
     assert_matches_oracle(params_seq, 10.0 ** log_eps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points=st.lists(st.one_of(_MICRO_POINT, _SWEPT_POINT), min_size=1,
+                       max_size=8),
+       log_eps=st.one_of(st.just(15.0), st.floats(11.0, 16.0)))
+def test_one_root_slices_are_closed_and_multistable_slices_loop(points,
+                                                                 log_eps):
+    # the split of the solve: a one-root slice takes its closed-form
+    # root, which balances the equations of motion to 1e-13 of the drive
+    # and is the oracle's root to 1e-12; a three-root slice with an
+    # attracting root has the bits of the oracle's loop run on the whole
+    # stack, one-root slices and all.  Points of the benchmark's sweep
+    # (_SWEPT_POINT, at its drive of 1e15) are multistable more often
+    # than random ones.
+    base = reference_baseline().with_(coupling_mode="microscopic",
+                                      G_mb=0.0)
+    params_seq = [base.with_(**point) for point in points]
+    stack, epsilon_d = stack_of(params_seq), 10.0 ** log_eps
+    state = solve_steady_states(stack, epsilon_d)
+    f = steady_state._response(stack)
+    errors = [ZeroDivisionError() if c == 0 else None for c in f.C]
+    loop = stacked_picard_loop(stack, stack.g_mb, f.C, f.G,
+                               epsilon_d * f.C, errors)
+    for k in np.flatnonzero(state.real_roots):
+        roots = mean_field_cubic_roots(params_seq[k], epsilon_d)
+        if len(roots) == 1:
+            [(root, _)] = roots
+            assert state.iterations_used[k] == 0
+            assert state.residual[k] < 1e-13
+            assert abs(state.q_avg[k] - root) <= 1e-12 * abs(root)
+        elif any(abs(slope) < 1.0 + steady_state.REPEL_TOL
+                 for _, slope in roots):
+            assert state.q_avg[k].tobytes() == loop[0][k].tobytes()
+            assert state.iterations_used[k] == loop[1][k]
+            assert state.converged[k] == loop[2][k]
 
 
 def _resonant_loss(params):
