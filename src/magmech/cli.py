@@ -22,8 +22,8 @@ from . import dynamics, measures
 from .config import ConfigError, load_config
 from .params import eta_ratio, thermal_occupation
 from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
-                    find_critical_temperature, record_to_dict, render_records,
-                    run_sweep)
+                    find_critical_temperature, point_matrices, record_to_dict,
+                    render_records, run_sweep)
 
 DIFFUSION_FLAGS = {"as-printed": "as_printed", "abs": "absolute_value",
                    "physical": "physical_sum"}
@@ -113,10 +113,11 @@ def _report_warnings(warnings) -> None:
 def cmd_point(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
-    rec, matrices = evaluate_point(params, drift_mode=_drift_mode(args),
-                                   epsilon_d=cfg["epsilon_d"], matrices=True)
+    options = dict(drift_mode=_drift_mode(args), epsilon_d=cfg["epsilon_d"])
+    rec = evaluate_point(params, **options)
     # a point without a steady state has no matrices to dump
-    if args.dump_matrices and matrices is not None:
+    matrices = args.dump_matrices and point_matrices(params, **options)
+    if matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
         for name, M in zip(("A.txt", "D.txt"), matrices):
             dynamics.write_matrix(os.path.join(args.dump_matrices, name), M)
@@ -172,8 +173,8 @@ def cmd_tc(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
-    drift_mode = _drift_mode(args)
-    epsilon_d = cfg["epsilon_d"] or params.kappa_1
+    options = dict(drift_mode=_drift_mode(args),
+                   epsilon_d=cfg["epsilon_d"] or params.kappa_1)
     failures = 0
 
     def check(label, ok, detail=""):
@@ -193,8 +194,8 @@ def cmd_validate(args) -> int:
     check("eta invariant under joint rate rescaling",
           abs(eta_ratio(scaled) - eta_ratio(params)) < 1e-12)
 
-    rec, matrices = evaluate_point(params, drift_mode=drift_mode,
-                                   epsilon_d=epsilon_d, matrices=True)
+    rec = evaluate_point(params, **options)
+    matrices = point_matrices(params, **options)
     singular = [w.split(": ", 1)[1] for w in rec.warnings
                 if w.startswith("steady state singular: ")]
     if singular:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -57,6 +56,10 @@ CHUNK_POINTS = 256
 # contraction and one log_negativity call.  Six levels take the default
 # 0.05 K bracket below 1 mK in one stack.
 BISECT_LEVELS = 6
+
+TC_T_MAX = 2.0  # K: the Tc search scans [0, TC_T_MAX]
+TC_TOL_T = 1e-3  # K: the width at which its bisection stops
+TC_TOL_E = 1e-6  # a pair whose E_N is at most this is not entangled
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,7 @@ class SweepTable(Sequence):
     ``values`` maps each of ``DIAGNOSTIC_COLUMNS``, each requested
     measure and any requested ``AMPLITUDE_COLUMNS`` to an (N,) float
     array, ``null`` to (N,) masks of null entries: a null is not a NaN
-    (an overflowed drive has a NaN residual).  ``matrices``, on request,
-    holds the drift-stage points and their drift and diffusion stacks.
+    (an overflowed drive has a NaN residual).
     """
 
     axis_values: np.ndarray
@@ -161,7 +163,6 @@ class SweepTable(Sequence):
     null: dict[str, np.ndarray]
     warnings: list[list[str]]
     columns: tuple[str, ...]
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.stable)
@@ -240,8 +241,7 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
 
 
 def _evaluate_chunk(params: ParamStack, axis_values, quantities,
-                    drift_mode: str, epsilon_d: float,
-                    matrices: bool = False) -> SweepTable:
+                    drift_mode: str, epsilon_d: float) -> SweepTable:
     """Run the pipeline for a stack of points and return its table;
     ``axis_values`` is (N, n_axes).  Each block of :func:`_gate` fills its
     rows.  Every stacked operation acts slice by slice, so a point's
@@ -259,13 +259,8 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
     gate = _gate(params, drift_mode, epsilon_d, table.warnings)
     state, solved = next(gate)
     _put(table, "residual", *solved)
-    kept = []
     for block in gate:
-        dump = _evaluate_block(table, state, *block, with_amplitudes)
-        if matrices:
-            kept.append(dump)
-    if kept:
-        table.matrices = tuple(np.concatenate(m) for m in zip(*kept))
+        _evaluate_block(table, state, *block, with_amplitudes)
     return table
 
 
@@ -328,9 +323,9 @@ def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
 
 
 def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
-                    with_amplitudes: bool):
+                    with_amplitudes: bool) -> None:
     """The stages after the gate on one of its blocks; fills the rows
-    ``live`` of ``table`` and returns them, A and D."""
+    ``live`` of ``table``."""
     warnings = table.warnings
     D, d_warnings = dynamics.diffusion_matrices(sub)
     for k, w in zip(live.tolist(), d_warnings):
@@ -365,7 +360,7 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
             _put(table, name, k, [abs(v) for v in z[j].tolist()])
         _put(table, "q_avg", k, state.q_avg[j])
     if not rows.size:
-        return live, A, D
+        return
 
     V = V[finite]
     _put(table, "lyap_residual", points, residual[finite])
@@ -374,7 +369,7 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     for col in table.columns:
         by_pair.setdefault(_PAIR_OF[col][0], []).append(col)
     if not by_pair:
-        return live, A, D
+        return
     # one pass over the 4x4 reductions of every requested pair, stacked
     # pair after pair: slice p*n + i is point i of the p-th pair
     n = len(points)
@@ -400,24 +395,21 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
             _put(table, col, points[shown], st_values[shown])
             for i in np.flatnonzero(physical & ~shown):
                 warnings[points[i]].append(f"{col}: {st_errors[i]}")
-    return live, A, D
 
 
 def evaluate_point(params: PhysicalParams, *,
                    quantities=("all",), drift_mode: str = "derived",
-                   epsilon_d: float = 0.0, matrices: bool = False):
+                   epsilon_d: float = 0.0) -> SweepRecord:
     """Run the full pipeline for one parameter point: the one-point
     stack of the kernel that sweeps run.
 
     Solver failures are folded into the record (nulled measures plus a
     warning string); this function does not raise for per-point physics
-    problems, so sweeps always complete.  With ``matrices`` it returns
-    ``(record, (A, D))``, or ``(record, None)`` without a steady state.
+    problems, so sweeps always complete.  The point's drift and
+    diffusion matrices come from :func:`point_matrices`.
     """
-    table = _evaluate_chunk(ParamStack.broadcast(params, 1), np.empty((1, 0)),
-                            quantities, drift_mode, epsilon_d, matrices)
-    dump = table.matrices and (table.matrices[1][0], table.matrices[2][0])
-    return (table[0], dump) if matrices else table[0]
+    return _evaluate_chunk(ParamStack.broadcast(params, 1), np.empty((1, 0)),
+                           quantities, drift_mode, epsilon_d)[0]
 
 
 def stack_params(spec: SweepSpec, values: np.ndarray) -> ParamStack:
@@ -488,6 +480,24 @@ _UNIT_NOISES = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
 _UNIT_NOISES.flags.writeable = False
 
 
+def _point_block(params: PhysicalParams, drift_mode: str, epsilon_d: float):
+    """The one block of :func:`_gate` on the one-point stack of
+    ``params``, or None without a steady state."""
+    _, *blocks = _gate(ParamStack.broadcast(params, 1), drift_mode,
+                       epsilon_d, [[]])
+    return blocks[0] if blocks else None
+
+
+def point_matrices(params: PhysicalParams, *, drift_mode: str = "derived",
+                   epsilon_d: float = 0.0):
+    """The drift and diffusion matrices ``(A, D)``, each (8, 8), that the
+    kernel builds at ``params``; None without a steady state."""
+    if block := _point_block(params, drift_mode, epsilon_d):
+        _, _, sub, A, _ = block
+        return A[0], dynamics.diffusion_matrices(sub)[0][0]
+    return None
+
+
 def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
                           epsilon_d: float) -> np.ndarray | None:
     """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
@@ -499,12 +509,10 @@ def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
     temperature, and the Lyapunov equation is linear in D, so the
     covariance at T is sum_i D_ii(T) V_i.
     """
-    # the steady state, then one block of the point or none
-    _, *blocks = _gate(ParamStack.broadcast(params, 1), drift_mode,
-                       epsilon_d, [[]])
-    if not blocks or not blocks[0][-1].stable[0]:
+    block = _point_block(params, drift_mode, epsilon_d)
+    if block is None or not block[-1].stable[0]:
         return None
-    *_, A, report = blocks[0]
+    *_, A, report = block
     # the eight systems share A and the gate's eigenbasis
     V, _ = lyapunov.solve_lyapunov(A, _UNIT_NOISES, eig=(
         report.eigenvalues, report.eigenvectors))
@@ -532,51 +540,28 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
     return values, np.array([e is not None for e in errors], dtype=bool)
 
 
-def _check_search(t_max, tol_t, tol_e, coarse_points) -> None:
-    """Raise the ValueError of the first bad argument of a Tc search."""
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max!r}")
-    # the search visits [0, t_max], and of a valid point's rules a
-    # finite temperature can break only T >= 0
-    if t_max < 0.0:
-        raise ValueError("temperature_T must be non-negative")
-    for name, value, ok, rule in (
-            ("t_max", t_max, t_max > 0.0, "positive"),
-            ("tol_t", tol_t, math.isfinite(tol_t) and tol_t > 0.0,
-             "finite and positive"),
-            ("tol_e", tol_e, math.isfinite(tol_e) and tol_e >= 0.0,
-             "finite and non-negative"),
-            ("coarse_points", coarse_points, coarse_points >= 2,
-             "at least 2")):
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
 def find_critical_temperature(params: PhysicalParams,
                               pair: tuple[str, str], *,
-                              t_max: float = 2.0, tol_t: float = 1e-3,
-                              tol_e: float = 1e-6, coarse_points: int = 41,
+                              coarse_points: int = 41,
                               drift_mode: str = "derived",
                               epsilon_d: float = 0.0
                               ) -> tuple[float, tuple[str, ...]]:
     """Largest temperature at which the pair, in either order, stays
-    entangled.
+    entangled, its E_N above ``TC_TOL_E``.
 
-    A coarse scan over [0, t_max] checks the monotonic-decrease
-    precondition and brackets the first zero crossing, which is then
-    bisected to ``tol_t`` (default 1 mK), or until its midpoint rounds
-    to an end of the bracket.  Each stack of temperatures
-    holds the midpoints of the next ``BISECT_LEVELS`` halvings, which
-    are then descended one by one, so the result is the one sequential
-    bisection gives; at the defaults one stack of 63 does.  The
-    temperatures of a stack share the unit-noise solutions of the point
-    (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
-    has E_N = 0 at every temperature.  Re-entrant entanglement on the
-    coarse scan yields a ``non-monotonic`` warning and the first
-    crossing is returned.  Raises ValueError, before any evaluation, if
-    an argument is out of range (``t_max`` and ``tol_t`` finite and
-    positive, ``tol_e`` finite and non-negative, ``coarse_points`` at
-    least 2); and if the pair is not entangled at T = 0.
+    A coarse scan of ``coarse_points`` temperatures over [0,
+    ``TC_T_MAX``] checks the monotonic-decrease precondition and
+    brackets the first zero crossing, which is then bisected to
+    ``TC_TOL_T`` (1 mK).  Each stack of temperatures holds the midpoints
+    of the next ``BISECT_LEVELS`` halvings, which are then descended one
+    by one, so the result is the one sequential bisection gives; at the
+    defaults one stack of 63 does.  The temperatures of a stack share
+    the unit-noise solutions of the point (:func:`_unit_noise_solutions`),
+    and a point the kernel's gate nulls has E_N = 0 at every
+    temperature.  Re-entrant entanglement on the coarse scan yields a
+    ``non-monotonic`` warning and the first crossing is returned.
+    Raises ValueError, before any evaluation, if ``coarse_points`` is
+    below 2; and if the pair is not entangled at T = 0.
     """
     pair = tuple(pair)
     # E_N does not depend on the order of the pair
@@ -584,7 +569,10 @@ def find_critical_temperature(params: PhysicalParams,
         pair = pair[::-1]
     column = "E_%s%s" % pair
     normalize_quantities((column,))  # the ValueError of an unknown pair
-    _check_search(t_max, tol_t, tol_e, coarse_points)
+    if coarse_points < 2:
+        raise ValueError(f"coarse_points must be at least 2, "
+                         f"got {coarse_points!r}")
+    t_max, tol_t, tol_e = TC_T_MAX, TC_TOL_T, TC_TOL_E
     ts = np.linspace(0.0, t_max, coarse_points)
 
     solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
@@ -617,10 +605,7 @@ def find_critical_temperature(params: PhysicalParams,
                         "temperature on the coarse scan")
 
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
-    # a midpoint that rounds to an end of the bracket stops the search
-    # too; inside a round such a midpoint repeats that end's verdict and
-    # moves neither end
-    while hi - lo > tol_t and lo < 0.5 * (lo + hi) < hi:
+    while hi - lo > tol_t:
         # the bracket's halving tree, built with the bisection's own
         # midpoint formula; a level whose brackets all meet tol_t is
         # never visited

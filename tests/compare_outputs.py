@@ -14,7 +14,8 @@ Each tree runs in its own subprocess with its own ``src`` on
   configs written from ``reference_baseline()``: in ``direct_g`` mode
   with a sweep over J, and in ``microscopic`` mode with the
   benchmark's 401-point sweep over Delta_m; standard output, standard
-  error and the exit code of each;
+  error and the exit code of each, and the ``A.txt`` and ``D.txt``
+  that ``point --dump-matrices`` writes;
 - the Tc of ``reference_baseline()`` along a row of 21 eta values, for
   (a2,m) over [-0.6, 1] and (a1,m) over [-0.5, 0], at ``"%.17g"`` with
   its warnings or the search's error;
@@ -197,7 +198,17 @@ def emit(out_dir: str, tree: str) -> None:
             with open(cfg, "w") as fh:
                 fh.write(_config(mode, fmt))
         cfg = os.path.join(out_dir, f"{mode}_csv.ini")
-        for verb in ("point", "tc", "validate"):
+        dump = os.path.join(out_dir, f"dump_{mode}")
+        _run_cli(["point", "--config", cfg, "--dump-matrices", dump],
+                 f"point_{mode}", out_dir)
+        # the dumps beside the other outputs, as point_<mode>_A.txt; a
+        # point without a steady state writes none
+        if os.path.isdir(dump):
+            for name in os.listdir(dump):
+                os.replace(os.path.join(dump, name),
+                           os.path.join(out_dir, f"point_{mode}_{name}"))
+            os.rmdir(dump)
+        for verb in ("tc", "validate"):
             _run_cli([verb, "--config", cfg], f"{verb}_{mode}", out_dir)
         for fmt in ("csv", "jsonl"):
             out = os.path.join(out_dir, f"sweep_{mode}.{fmt}")

@@ -81,8 +81,8 @@ MUTATIONS = (
          "test_drive_must_be_finite_and_non_negative",
          "tests/test_steady_state.py::test_negative_drive_rejected")),
     Mutation(
-        "tc_search_t_max_le_zero", "src/magmech/sweep.py",
-        "    if t_max < 0.0:", "    if t_max <= 0.0:",
+        "tc_search_one_coarse_point", "src/magmech/sweep.py",
+        "    if coarse_points < 2:", "    if coarse_points < 1:",
         ("tests/test_sweep.py::"
          "test_critical_temperature_rejects_bad_search_arguments",)),
     Mutation(
@@ -127,6 +127,12 @@ MUTATIONS = (
         "form = 0.5j * symplectic_form(size // 2)",
         "form = 1j * symplectic_form(size // 2)",
         ("tests/test_lyapunov.py::test_physicality_of_simple_states",)),
+    Mutation(
+        "lyapunov_no_refinement", "src/magmech/lyapunov.py",
+        "        V = V + spectral(A @ V + V @ _transpose(A) + D)",
+        "        V = V",
+        ("tests/test_acceptance.py::"
+         "test_median_lyapunov_residual_of_each_preset",)),
 )
 
 

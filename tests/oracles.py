@@ -26,14 +26,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from magmech import steady_state
-from magmech.dynamics import drift_matrices
-from magmech.lyapunov import solve_lyapunov, symplectic_form
+from magmech.dynamics import diffusion_matrices, drift_matrices
+from magmech.lyapunov import RESIDUAL_MAX, solve_lyapunov, symplectic_form
 from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, ParamStack,
                             effective_kappa_2)
 from magmech.steady_state import (DAMPING, MAX_ITER, TOL_REL, SteadyState,
                                    _arithmetic_error)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS,
-                           MEASURE_COLUMNS, SweepTable, _evaluate_chunk,
+                           MEASURE_COLUMNS, SweepTable, _gate,
                            evaluate_point, normalize_quantities,
                            stack_params)
 
@@ -512,27 +512,25 @@ def bose_occupation(omega, temperature):
     return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
 
 
-def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
-                                tol_e=1e-6, coarse_points=41,
-                                drift_mode="derived", epsilon_d=0.0,
-                                entanglement=None):
-    """Reference Tc search: a coarse scan and then a sequential
-    bisection, with one ``evaluate_point`` per temperature, or one call
-    of ``entanglement``, the pair's E_N (0 where it is not reported) as
-    a function of the temperature.
+def bisect_critical_temperature(params, pair, *, tol_t=1e-3,
+                                coarse_points=41, drift_mode="derived",
+                                epsilon_d=0.0):
+    """Reference Tc search: a coarse scan over [0, 2] K and then a
+    sequential bisection to ``tol_t``, with one ``evaluate_point`` per
+    temperature; E_N at most 1e-6 is not entangled.
 
     Returns (Tc, warnings) as ``find_critical_temperature`` does.
     """
     column = "E_%s%s" % pair
+    t_max, tol_e = 2.0, 1e-6
 
-    def kernel(t):
+    def entanglement(t):
         rec = evaluate_point(params.with_(temperature_T=t),
                              quantities=(column,), drift_mode=drift_mode,
                              epsilon_d=epsilon_d)
         value = rec.measures.get(column)
         return value if (rec.stable and value is not None) else 0.0
 
-    entanglement = entanglement or kernel
     ts = np.linspace(0.0, t_max, coarse_points)
     es = [entanglement(t) for t in ts]
     if es[0] <= tol_e:
@@ -555,8 +553,6 @@ def bisect_critical_temperature(params, pair, *, t_max=2.0, tol_t=1e-3,
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # the bracket can shrink no further
-            break
         if entanglement(mid) > tol_e:
             lo = mid
         else:
@@ -653,12 +649,21 @@ def csv_module_write_csv(records, spec, stream):
 def stable_covariances(spec, values):
     """(rows, V) for the grid points ``values`` (N, n_axes) of ``spec``:
     the rows of the stable points and their covariance stack, solved
-    again by ``solve_lyapunov`` from the kernel's own drift and diffusion
-    matrices."""
-    table = _evaluate_chunk(stack_params(spec, values), values, (),
-                            spec.drift_mode, spec.epsilon_d, matrices=True)
-    if table.matrices is None:
+    again by ``solve_lyapunov`` from the drift matrices of the kernel's
+    gate, its stability verdicts and the diffusion matrices of its
+    blocks.  A solve that misses the kernel's residual gate leaves its
+    point out, as the kernel nulls it."""
+    blocks = _gate(stack_params(spec, values), spec.drift_mode,
+                   spec.epsilon_d, [[] for _ in values])
+    next(blocks)  # the steady state
+    rows, covariances = [], []
+    for live, _, sub, A, report in blocks:
+        stable = report.stable
+        V, residual = solve_lyapunov(A[stable],
+                                     diffusion_matrices(sub)[0][stable])
+        kept = residual < RESIDUAL_MAX
+        rows.append(live[stable][kept])
+        covariances.append(V[kept])
+    if not rows:
         return np.empty(0, dtype=int), np.empty((0, 8, 8))
-    live, A, D = table.matrices
-    keep = table.stable[live]
-    return live[keep], solve_lyapunov(A[keep], D[keep])[0]
+    return np.concatenate(rows), np.concatenate(covariances)

@@ -8,7 +8,7 @@ from magmech.dynamics import diffusion_matrices, stability
 from magmech.lyapunov import (eigendecomposition, lyapunov_residual,
                               physicality_min_eig, solve_lyapunov,
                               symplectic_form)
-from magmech.sweep import evaluate_point
+from magmech.sweep import evaluate_point, point_matrices
 
 from .oracles import (EigensolverError, drift_matrix_general, eigenvalues,
                       integrate_lyapunov, random_spd, random_spectrum_matrix,
@@ -69,9 +69,7 @@ def test_returned_residual_is_the_residual(rng, monkeypatch):
     # J, which the Kronecker fallback solves again; and a marginal drift
     # matrix, singular in both solves
     base = reference_baseline()
-    _, (A_ep, D_ep) = evaluate_point(
-        base.with_(g_ma=0.0, J=0.75 * base.kappa_1), quantities=(),
-        matrices=True)
+    A_ep, D_ep = point_matrices(base.with_(g_ma=0.0, J=0.75 * base.kappa_1))
     marginal = -np.eye(8)
     marginal[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
     A = np.stack([random_stable_drift(rng), A_ep, marginal,
@@ -238,9 +236,7 @@ def test_one_drift_matrix_solves_a_stack_of_noises(rng, monkeypatch,
     # the Kronecker retry solves again, from the broadcast A
     if exceptional:
         base = reference_baseline()
-        _, (A, D) = evaluate_point(
-            base.with_(g_ma=0.0, J=0.75 * base.kappa_1), quantities=(),
-            matrices=True)
+        A, D = point_matrices(base.with_(g_ma=0.0, J=0.75 * base.kappa_1))
     else:
         A, D = random_stable_drift(rng), random_spd(rng)
     noises = np.concatenate([np.einsum("ij,ik->ijk", np.eye(8), np.eye(8)),
@@ -432,9 +428,8 @@ def test_rescaling_every_rate_leaves_the_covariance_unchanged(unit, power):
     scaled = params.with_(temperature_T=s * params.temperature_T,
                           **{name: s * getattr(params, name)
                              for name in _RATES})
-    (rec, (A, D)), (rec_s, (A_s, D_s)) = (
-        evaluate_point(p, quantities=(), matrices=True)
-        for p in (params, scaled))
+    rec, rec_s = (evaluate_point(p, quantities=()) for p in (params, scaled))
+    (A, D), (A_s, D_s) = map(point_matrices, (params, scaled))
     assert rec_s.stable == rec.stable
     if rec.stable:
         (V, V_s), _ = solve_lyapunov(np.stack([A, A_s]),

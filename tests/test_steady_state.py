@@ -261,51 +261,69 @@ _SWEPT_POINT = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(points=st.lists(_MICRO_POINT, min_size=1, max_size=6),
-       log_eps=st.floats(11.0, 16.0))
-def test_stacked_solver_matches_scalar_oracle_on_drawn_points(points,
-                                                              log_eps):
+# random points, and points of the benchmark's sweep near its drive of
+# 1e15, which are multistable more often: over twelve seeds 9% to 34% of
+# the drawn slices have three real roots, against about 1% of random
+# points alone.  The tests below hold that share above 5%, so that the
+# check of the Picard loop, which only these slices still run, cannot
+# lapse unseen
+_DRAWN_POINTS = st.lists(st.one_of(_MICRO_POINT, _SWEPT_POINT), min_size=1,
+                         max_size=8)
+_DRAWN_LOG_EPS = st.one_of(st.floats(14.9, 15.1), st.floats(11.0, 16.0))
+
+
+def test_stacked_solver_matches_scalar_oracle_on_drawn_points():
     base = reference_baseline().with_(coupling_mode="microscopic",
                                       G_mb=0.0)
-    params_seq = [base.with_(**point) for point in points]
-    assert_matches_oracle(params_seq, 10.0 ** log_eps)
+    roots = np.zeros(4, dtype=int)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(points=_DRAWN_POINTS, log_eps=_DRAWN_LOG_EPS)
+    def check(points, log_eps):
+        state = assert_matches_oracle([base.with_(**p) for p in points],
+                                      10.0 ** log_eps)
+        roots[:] += np.bincount(state.real_roots, minlength=4)
+
+    check()
+    assert roots[3] >= 0.05 * roots.sum()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(points=st.lists(st.one_of(_MICRO_POINT, _SWEPT_POINT), min_size=1,
-                       max_size=8),
-       log_eps=st.one_of(st.just(15.0), st.floats(11.0, 16.0)))
-def test_one_root_slices_are_closed_and_multistable_slices_loop(points,
-                                                                 log_eps):
+def test_one_root_slices_are_closed_and_multistable_slices_loop():
     # the split of the solve: a one-root slice takes its closed-form
     # root, which balances the equations of motion to 1e-13 of the drive
     # and is the oracle's root to 1e-12; a three-root slice with an
     # attracting root has the bits of the oracle's loop run on the whole
-    # stack, one-root slices and all.  Points of the benchmark's sweep
-    # (_SWEPT_POINT, at its drive of 1e15) are multistable more often
-    # than random ones.
+    # stack, one-root slices and all
     base = reference_baseline().with_(coupling_mode="microscopic",
                                       G_mb=0.0)
-    params_seq = [base.with_(**point) for point in points]
-    stack, epsilon_d = stack_of(params_seq), 10.0 ** log_eps
-    state = solve_steady_states(stack, epsilon_d)
-    f = steady_state._response(stack)
-    errors = [ZeroDivisionError() if c == 0 else None for c in f.C]
-    loop = stacked_picard_loop(stack, stack.g_mb, f.C, f.G,
-                               epsilon_d * f.C, errors)
-    for k in np.flatnonzero(state.real_roots):
-        roots = mean_field_cubic_roots(params_seq[k], epsilon_d)
-        if len(roots) == 1:
-            [(root, _)] = roots
-            assert state.iterations_used[k] == 0
-            assert state.residual[k] < 1e-13
-            assert abs(state.q_avg[k] - root) <= 1e-12 * abs(root)
-        elif any(abs(slope) < 1.0 + steady_state.REPEL_TOL
-                 for _, slope in roots):
-            assert state.q_avg[k].tobytes() == loop[0][k].tobytes()
-            assert state.iterations_used[k] == loop[1][k]
-            assert state.converged[k] == loop[2][k]
+    looped = np.zeros(2, dtype=int)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(points=_DRAWN_POINTS, log_eps=_DRAWN_LOG_EPS)
+    def check(points, log_eps):
+        params_seq = [base.with_(**point) for point in points]
+        stack, epsilon_d = stack_of(params_seq), 10.0 ** log_eps
+        state = solve_steady_states(stack, epsilon_d)
+        f = steady_state._response(stack)
+        errors = [ZeroDivisionError() if c == 0 else None for c in f.C]
+        loop = stacked_picard_loop(stack, stack.g_mb, f.C, f.G,
+                                   epsilon_d * f.C, errors)
+        for k in np.flatnonzero(state.real_roots):
+            roots = mean_field_cubic_roots(params_seq[k], epsilon_d)
+            if len(roots) == 1:
+                [(root, _)] = roots
+                assert state.iterations_used[k] == 0
+                assert state.residual[k] < 1e-13
+                assert abs(state.q_avg[k] - root) <= 1e-12 * abs(root)
+            elif any(abs(slope) < 1.0 + steady_state.REPEL_TOL
+                     for _, slope in roots):
+                assert state.q_avg[k].tobytes() == loop[0][k].tobytes()
+                assert state.iterations_used[k] == loop[1][k]
+                assert state.converged[k] == loop[2][k]
+        looped[:] += np.count_nonzero(state.iterations_used), len(stack)
+
+    check()
+    assert looped[0] >= 0.05 * looped[1]
 
 
 def _resonant_loss(params):

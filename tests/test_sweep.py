@@ -19,8 +19,9 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            SweepTable,
                            build_point_params, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values,
-                           normalize_quantities, record_to_dict,
-                           render_records, run_sweep, stack_params)
+                           normalize_quantities, point_matrices,
+                           record_to_dict, render_records, run_sweep,
+                           stack_params)
 
 from .oracles import (bisect_critical_temperature, csv_module_write_csv,
                       mean_field_cubic_roots, point_params)
@@ -423,10 +424,11 @@ def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
     spec = figure_preset("fig2b")
     values = grid_values(spec)[2110]
     assert values == (0.1 * spec.base.omega_b, 0.0)
-    rec, (A, D) = evaluate_point(build_point_params(spec, values),
-                                 quantities=spec.quantities,
-                                 drift_mode=spec.drift_mode,
-                                 epsilon_d=spec.epsilon_d, matrices=True)
+    params = build_point_params(spec, values)
+    rec = evaluate_point(params, quantities=spec.quantities,
+                         drift_mode=spec.drift_mode, epsilon_d=spec.epsilon_d)
+    A, D = point_matrices(params, drift_mode=spec.drift_mode,
+                          epsilon_d=spec.epsilon_d)
     _, residual = lyapunov.solve_lyapunov(A[None], D[None])
     assert lyapunov.RESIDUAL_MAX <= residual[0] < 2.0 * lyapunov.RESIDUAL_MAX
     assert rec.margin < 0.0
@@ -491,8 +493,9 @@ def test_amplitude_columns(baseline):
 
 
 def test_critical_temperature_against_linear_scan(baseline):
+    # 0.02 K between coarse points
     tc, warnings = find_critical_temperature(baseline, ("a2", "m"),
-                                             t_max=0.5, coarse_points=26)
+                                             coarse_points=101)
     # brute-force scan oracle
     temps = np.linspace(0.0, 0.5, 1001)
     scan_tc = 0.0
@@ -527,7 +530,8 @@ def _microscopic_point(baseline):
     (("a2", "m"), {"coarse_points": 11}, False),
     (("a2", "m"), {"coarse_points": 26}, False),
     (("a2", "m"), {"coarse_points": 81}, False),
-    # 13 halvings: two full rounds and one of a single level
+    # with TC_TOL_T at 1e-5, 13 halvings: two full rounds and one of a
+    # single level
     (("a2", "m"), {"tol_t": 1e-5}, False),
     # the bracket's width after two halvings, while a sibling bracket is
     # wider by rounding: the search must stop there, mid-round
@@ -548,62 +552,20 @@ def _microscopic_point(baseline):
     (("a1", "m"), {}, dict(gain_g=1.25 * _K1)),
 ])
 def test_critical_temperature_matches_sequential_bisection(
-        baseline, pair, options, point):
+        baseline, monkeypatch, pair, options, point):
     # ``point``: the baseline (False), the microscopic point (True) or
-    # the baseline with the given changes
+    # the baseline with the given changes; a ``tol_t`` option is the
+    # search's TC_TOL_T
     if isinstance(point, dict):
         params = baseline.with_(**point)
     else:
         params = _microscopic_point(baseline) if point else baseline
-    tc, warnings = find_critical_temperature(params, pair, **options)
+    search = dict(options)
+    if "tol_t" in search:
+        monkeypatch.setattr(sweep, "TC_TOL_T", search.pop("tol_t"))
+    tc, warnings = find_critical_temperature(params, pair, **search)
     ref_tc, ref_warnings = bisect_critical_temperature(params, pair,
                                                        **options)
-    assert repr(tc) == repr(ref_tc)
-    assert warnings == ref_warnings
-
-
-def _superposed_entanglement(params, pair, drift_mode):
-    """The pair's E_N at one temperature, as the search computes it."""
-    basis = measures.reduce_pair(
-        sweep._unit_noise_solutions(params, drift_mode, 0.0), pair)
-
-    def entanglement(t):
-        values, null = sweep._superposed_log_negativity(params, basis, [t])
-        return 0.0 if null[0] else float(values[0])
-
-    return entanglement
-
-
-@pytest.mark.parametrize("tol_t", [1e-17, 1e-300])
-@pytest.mark.parametrize("pair, drift_mode, changes", [
-    (("a2", "m"), "derived", {}),
-    (("a1", "b"), "printed", dict(Delta_1=_WB, Delta_2=_WB,
-                                  Delta_m=-0.1 * _WB)),
-])
-def test_critical_temperature_stops_below_the_float_spacing(
-        baseline, monkeypatch, tol_t, pair, drift_mode, changes):
-    # no tol_t below the spacing of the floats at Tc is ever met: both
-    # bisections stop at the first midpoint that rounds to an end of its
-    # bracket, within ten stacked evaluations.  E_N of the superposed
-    # unit noises and of the kernel differ in the last bits, which moves
-    # the crossing by ulps, so the sequential bisection evaluates E_N as
-    # the search does
-    params = baseline.with_(**changes)
-    evaluations = []
-    superposed = sweep._superposed_log_negativity
-
-    def counted(*args):
-        evaluations.append(len(args[-1]))
-        assert len(evaluations) <= 10, "the search does not stop"
-        return superposed(*args)
-
-    monkeypatch.setattr(sweep, "_superposed_log_negativity", counted)
-    tc, warnings = find_critical_temperature(params, pair, tol_t=tol_t,
-                                             drift_mode=drift_mode)
-    monkeypatch.undo()
-    ref_tc, ref_warnings = bisect_critical_temperature(
-        params, pair, tol_t=tol_t, drift_mode=drift_mode,
-        entanglement=_superposed_entanglement(params, pair, drift_mode))
     assert repr(tc) == repr(ref_tc)
     assert warnings == ref_warnings
 
@@ -717,21 +679,10 @@ def test_critical_temperature_validates_each_evaluation_once(
     # which validated itself when it was built
     find_critical_temperature(baseline, ("a2", "m"))
     assert sizes == []
-    with pytest.raises(ValueError, match="^temperature_T must be "
-                                         "non-negative$"):
-        find_critical_temperature(baseline, ("a2", "m"), t_max=-1.0)
 
 
-@pytest.mark.parametrize("t_max, tol_t, message", [
-    (2.0, 1e-3, None),
-    (-1.0, 0.0, "temperature_T must be non-negative"),
-    (-math.inf, 0.0, "t_max must be finite, got -inf"),
-    (0.0, 0.0, "t_max must be positive, got 0.0"),
-])
-def test_critical_temperature_builds_no_second_point(
-        baseline, monkeypatch, t_max, tol_t, message):
-    # t_max is held to the rule T >= 0 directly, after its finiteness and
-    # before every other argument, not through a copy of the point
+def test_critical_temperature_builds_no_second_point(baseline, monkeypatch):
+    # the search's temperatures never pass through a copy of the point
     built = []
     post_init = PhysicalParams.__post_init__
 
@@ -740,13 +691,7 @@ def test_critical_temperature_builds_no_second_point(
         post_init(point)
 
     monkeypatch.setattr(PhysicalParams, "__post_init__", spy)
-    if message is None:
-        find_critical_temperature(baseline, ("a2", "m"), t_max=t_max,
-                                  tol_t=tol_t)
-    else:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            find_critical_temperature(baseline, ("a2", "m"), t_max=t_max,
-                                      tol_t=tol_t)
+    find_critical_temperature(baseline, ("a2", "m"))
     assert built == []
 
 
@@ -832,18 +777,12 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
 
 
 @pytest.mark.parametrize("option, message", [
-    ({"tol_t": 0.0}, "tol_t must be finite and positive, got 0.0"),
-    ({"tol_t": -1.0}, "tol_t must be finite and positive, got -1.0"),
-    ({"tol_t": math.nan}, "tol_t must be finite and positive, got nan"),
     ({"coarse_points": 1}, "coarse_points must be at least 2, got 1"),
     ({"coarse_points": 0}, "coarse_points must be at least 2, got 0"),
-    ({"tol_e": math.nan}, "tol_e must be finite and non-negative, got nan"),
-    ({"t_max": 0.0}, "t_max must be positive, got 0.0"),
-    ({"t_max": math.inf}, "t_max must be finite, got inf"),
 ])
 def test_critical_temperature_rejects_bad_search_arguments(
         baseline, monkeypatch, option, message):
-    # each would hang, or answer wrongly, in the search: the ValueError
+    # a scan of fewer than two points brackets nothing: the ValueError
     # comes before the gate, the noise or the bisection runs
     def unreachable(*args, **kwargs):
         raise AssertionError("the search evaluated something")
@@ -864,8 +803,7 @@ def test_critical_temperature_takes_a_pair_in_either_order(baseline, pair):
 
 def test_critical_temperature_requires_entanglement_at_zero(baseline):
     with pytest.raises(ValueError):
-        find_critical_temperature(baseline, ("a1", "a2"), t_max=0.5,
-                                  coarse_points=11)
+        find_critical_temperature(baseline, ("a1", "a2"), coarse_points=11)
 
 
 def test_figure_presets_match_captions():
