@@ -25,7 +25,6 @@ TWO_PI = 2.0 * math.pi
 RATE_KEYS = ("omega_b", "omega_1", "omega_2", "omega_m", "Delta_1",
              "Delta_2", "Delta_m", "kappa_1", "kappa_2", "kappa_m",
              "gain_g", "gamma_b", "g_ma", "J", "G_mb", "g_mb", "epsilon_d")
-PLAIN_KEYS = ("temperature_T", "eta")
 STRING_KEYS = ("coupling_mode", "diffusion_convention")
 
 
@@ -186,9 +185,6 @@ def load_config(path) -> dict:
             if key in section:
                 axes.append(_parse_axis(section[key], default_unit,
                                         params.kappa_1, params.omega_b))
-        if "axis" in section:
-            axes.append(_parse_axis(section["axis"], default_unit,
-                                    params.kappa_1, params.omega_b))
         if not axes:
             raise ConfigError("[sweep] needs axis1 (and optionally axis2)")
         quantities = tuple(

@@ -16,8 +16,6 @@ import numpy as np
 from .lyapunov import eigendecomposition
 from .params import ParamStack, effective_kappa_2, thermal_occupation
 
-QUADRATURES = ("I1", "phi1", "I2", "phi2", "x", "y", "q", "p")
-
 DRIFT_MODES = ("derived", "printed")
 
 # stable iff every eigenvalue's real part is below -TOL_STAB_REL*kappa_1

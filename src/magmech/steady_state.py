@@ -4,9 +4,9 @@ The undepleted (classical) amplitudes obey a closed form once the
 magnon-phonon self-consistency is resolved: the mechanical displacement
 shifts the magnon detuning, Delta_eff = Delta_m + g_mb*<q>, while
 <q> = -(g_mb/omega_b)|<m>|^2 depends on the magnon amplitude in turn.
-In ``microscopic`` mode this scalar fixed point is a cubic in q, solved
-in closed form; only a cubic with three real roots, one attracting, is
-then iterated (damped Picard) from q = 0 to select a branch.  In
+In ``microscopic`` mode this scalar fixed point is a cubic in q: one
+real root is taken in closed form, and a cubic with three is iterated
+(damped Picard) from q = 0, which descends to its largest root.  In
 ``direct_g`` mode the effective coupling and detuning are taken from the
 parameter set.  Without a drive q = 0 and the amplitudes vanish.
 
@@ -39,12 +39,11 @@ MAX_ITER = 1000
 DAMPING = 0.5
 
 # A driven slice skips the Picard loop when its mean-field cubic has one
-# real root, or three that all repel the damped map F (|F'| >= 1 +
-# REPEL_TOL), unless the discriminant lies within DISC_TOL times the sum
-# of its terms' moduli, where roundoff decides the number of real roots.
+# real root, which repels the damped map F where |F'| >= 1 + REPEL_TOL,
+# unless the discriminant lies within DISC_TOL times the sum of its
+# terms' moduli, where roundoff decides the number of real roots.
 REPEL_TOL = 1e-6
 DISC_TOL = 1e-12
-_THIRDS = 2.0 * math.pi / 3.0 * np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,22 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
 
 
 def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
-    """The displacement fixed point q = -(g/omega_b)|E/(u + v q)|^2,
+    """The displacement fixed point q = f(q) = -(g/omega_b)|E/(u + v q)|^2,
     with u = (kappa_m + i*Delta_m)*C + G and v = i*g*C, as the cubic
-    |v|^2 q^3 + 2 Re(conj(u) v) q^2 + |u|^2 q + (g/omega_b)|E|^2 = 0,
-    solved in closed form for every slice with feedback and C != 0
-    (trigonometric for three real roots, Cardano for one).
+    |v|^2 q^3 + 2 Re(conj(u) v) q^2 + |u|^2 q + (g/omega_b)|E|^2 = 0
+    of each slice with feedback and C != 0.  Only one real root is
+    closed, by Cardano's formula.  The Picard loop takes a cubic with
+    three from q = 0 to its largest root r3: every root is negative, as
+    f < 0; f(q) - q falls strictly left of the minimum of |u + v q|^2,
+    so at most one root lies there; so 0 < f'(r3) < 1, and the damped
+    map F(q) = q/2 + f(q)/2 has 1/2 < F'(r3) < 1 and takes each q in
+    (r3, 0] into (r3, q).
 
     Returns per slice the number of real roots (0 where the cubic is
     not solved: no feedback, C = 0, or a non-finite coefficient or
-    discriminant); the closed slices, with one finite real root or
-    three that repel the damped map F(q) = q/2 + f(q)/2, and a
-    discriminant clear of roundoff; and their roots of smallest |q|,
-    and whether these attract F.
+    discriminant); the closed slices, with one finite real root and a
+    discriminant clear of roundoff; their roots; and whether these
+    attract F.
     """
     count = np.zeros(len(s), dtype=int)
     idx = np.flatnonzero((g != 0.0) & (f.C != 0.0))
@@ -169,19 +172,13 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
     three = disc > 0.0
     count[idx[solved]] = np.where(three[solved], 3, 1)
 
-    # the depressed cubic t^3 + Pt + Q in t = q + B/3; a single real
-    # root fills all three columns
+    # Cardano's root of the depressed cubic t^3 + Pt + Q in t = q + B/3
     B3 = B / 3.0
     P = C - B * B3
     Q = B3 * (2.0 * B3 * B3 - C) + D
-    r = np.sqrt(-P / 3.0)
-    theta = np.arccos(np.clip(-Q / (2.0 * r * r * r), -1.0, 1.0)) / 3.0
-    trig = 2.0 * r[:, None] * np.cos(theta[:, None] - _THIRDS)
     h = np.sqrt(np.maximum(0.25 * Q * Q + P * P * P / 27.0, 0.0))
     A = -np.copysign(np.cbrt(0.5 * np.abs(Q) + h), Q)
-    cardano = A - P / (3.0 * A)
-    q = np.where(three[:, None], trig, cardano[:, None]) - B3[:, None]
-    B, C, D = B[:, None], C[:, None], D[:, None]
+    q = A - P / (3.0 * A) - B3
     # one Newton step brings the closed form (about 1e-14 relative on
     # the benchmark's sweep) to roundoff
     q -= (((q + B) * q + C) * q + D) / ((3.0 * q + 2.0 * B) * q + C)
@@ -190,12 +187,9 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
     # NaN slope counts as attracting
     slope = 0.5 - q * (2.0 * q + B) / (2.0 * ((q + B) * q + C))
     attracts = ~(np.abs(slope) >= 1.0 + REPEL_TOL)
-    closed = np.flatnonzero(
-        solved & (np.abs(disc) > DISC_TOL * scale)
-        & np.where(three, ~attracts.any(axis=1), np.isfinite(q[:, 0])))
-    nearest = np.argmin(np.abs(q[closed]), axis=1)
-    return (count, idx[closed], q[closed, nearest],
-            attracts[closed, nearest])
+    closed = (solved & ~three & np.isfinite(q)
+              & (np.abs(disc) > DISC_TOL * scale))
+    return count, idx[closed], q[closed], attracts[closed]
 
 
 def _iterate(s: ParamStack, g, C, G, E, errors):
@@ -296,13 +290,12 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     In ``direct_g`` mode (or with g_mb = 0) the effective detuning
     equals ``Delta_m`` and the closed form is evaluated once.  In
     ``microscopic`` mode the displacement fixed point
-    q -> -(g_mb/omega_b)|m(q)|^2 is a cubic in q, solved in closed form
-    first.  A slice with one real root takes it, and one with three that
-    all repel the damped map its root of smallest |q|, with 0 iterations,
-    converged unless the root repels.  The rest are iterated with damped
+    q -> -(g_mb/omega_b)|m(q)|^2 is a cubic in q.  A slice with one real
+    root takes it in closed form, with 0 iterations, converged unless
+    the root repels the damped map.  The rest are iterated with damped
     Picard steps from q = 0, which selects the branch continuously
-    connected to the undriven solution, until the slice's effective
-    detuning moves by less than ``TOL_REL * omega_b``.
+    connected to the undriven solution (of three roots, the largest),
+    until the effective detuning moves by less than ``TOL_REL * omega_b``.
 
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False, and ``real_roots`` tells a multistable slice.

@@ -51,12 +51,6 @@ AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 # than of 64, and no faster in blocks of 1024, which peak 7 MiB higher.
 CHUNK_POINTS = 256
 
-# Bisection levels of the Tc search per stack: the 2**BISECT_LEVELS - 1
-# midpoints the next halvings could visit cost one noise diagonal, one
-# contraction and one log_negativity call.  Six levels take the default
-# 0.05 K bracket below 1 mK in one stack.
-BISECT_LEVELS = 6
-
 TC_T_MAX = 2.0  # K: the Tc search scans [0, TC_T_MAX]
 TC_TOL_T = 1e-3  # K: the width at which its bisection stops
 TC_TOL_E = 1e-6  # a pair whose E_N is at most this is not entangled
@@ -552,14 +546,15 @@ def find_critical_temperature(params: PhysicalParams,
     A coarse scan of ``coarse_points`` temperatures over [0,
     ``TC_T_MAX``] checks the monotonic-decrease precondition and
     brackets the first zero crossing, which is then bisected to
-    ``TC_TOL_T`` (1 mK).  Each stack of temperatures holds the midpoints
-    of the next ``BISECT_LEVELS`` halvings, which are then descended one
-    by one, so the result is the one sequential bisection gives; at the
-    defaults one stack of 63 does.  The temperatures of a stack share
-    the unit-noise solutions of the point (:func:`_unit_noise_solutions`),
-    and a point the kernel's gate nulls has E_N = 0 at every
-    temperature.  Re-entrant entanglement on the coarse scan yields a
-    ``non-monotonic`` warning and the first crossing is returned.
+    ``TC_TOL_T`` (1 mK).  The bracket is halved, every part at once,
+    until each part is within ``TC_TOL_T``; the midpoints of that tree,
+    63 at the defaults, are evaluated as one stack and then descended,
+    so the result is the one sequential bisection gives.  Both stacks
+    share the unit-noise solutions of the point
+    (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
+    has E_N = 0 at every temperature.  Re-entrant entanglement on the
+    coarse scan yields a ``non-monotonic`` warning and the first
+    crossing is returned.
     Raises ValueError, before any evaluation, if ``coarse_points`` is
     below 2; and if the pair is not entangled at T = 0.
     """
@@ -605,24 +600,20 @@ def find_critical_temperature(params: PhysicalParams,
                         "temperature on the coarse scan")
 
     lo, hi = float(ts[crossing - 1]), float(ts[crossing])
+    # the bracket's halving tree, by the bisection's own midpoint formula
+    # down to parts within tol_t, where the descent stops
+    grid = [lo, hi]
+    while any(b - a > tol_t for a, b in zip(grid, grid[1:])):
+        grid = [t for a, b in zip(grid, grid[1:])
+                for t in (a, 0.5 * (a + b))] + [hi]
+    found = entanglement(grid[1:-1])
+    i, j = 0, len(grid) - 1
     while hi - lo > tol_t:
-        # the bracket's halving tree, built with the bisection's own
-        # midpoint formula; a level whose brackets all meet tol_t is
-        # never visited
-        grid = [lo, hi]
-        for _ in range(BISECT_LEVELS):
-            if all(b - a <= tol_t for a, b in zip(grid, grid[1:])):
-                break
-            grid = [t for a, b in zip(grid, grid[1:])
-                    for t in (a, 0.5 * (a + b))] + [hi]
-        found = entanglement(grid[1:-1])
-        i, j = 0, len(grid) - 1
-        while j - i > 1 and hi - lo > tol_t:
-            k = (i + j) // 2
-            if found[k - 1] > tol_e:
-                i, lo = k, grid[k]
-            else:
-                j, hi = k, grid[k]
+        k = (i + j) // 2
+        if found[k - 1] > tol_e:
+            i, lo = k, grid[k]
+        else:
+            j, hi = k, grid[k]
     return 0.5 * (lo + hi), tuple(warnings)
 
 

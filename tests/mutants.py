@@ -109,12 +109,19 @@ MUTATIONS = (
          "test_one_root_slices_are_closed_and_multistable_slices_loop")),
     Mutation(
         "closed_form_on_three_roots", "src/magmech/steady_state.py",
-        "np.where(three, ~attracts.any(axis=1), np.isfinite(q[:, 0]))",
-        "np.where(three, True, np.isfinite(q[:, 0]))",
+        "closed = (solved & ~three & np.isfinite(q)",
+        "closed = (solved & np.isfinite(q)",
         ("tests/test_steady_state.py::"
          "test_one_root_slices_are_closed_and_multistable_slices_loop",
          "tests/test_steady_state.py::"
          "test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid")),
+    Mutation(
+        "tc_tree_by_linspace", "src/magmech/sweep.py",
+        "        grid = [t for a, b in zip(grid, grid[1:])\n"
+        "                for t in (a, 0.5 * (a + b))] + [hi]",
+        "        grid = np.linspace(lo, hi, 2 * len(grid) - 1).tolist()",
+        ("tests/test_sweep.py::"
+         "test_critical_temperature_matches_sequential_bisection",)),
     Mutation(
         "one_root_reported_unconverged", "src/magmech/steady_state.py",
         "converged[closed] = attracts", "converged[closed] = False",

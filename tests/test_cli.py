@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -75,6 +76,15 @@ def test_load_config_rejects_unknown_unit(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(GOOD_CONFIG.replace("2 kappa1", "2 parsec"))
     with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+def test_load_config_rejects_a_bare_axis_key(tmp_path):
+    # a sweep's axes are axis1 and axis2; a key named axis is not one
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG.replace("axis1 =", "axis ="))
+    with pytest.raises(ConfigError, match=re.escape(
+            "[sweep] needs axis1 (and optionally axis2)")):
         load_config(str(path))
 
 

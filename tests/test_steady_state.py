@@ -175,14 +175,13 @@ def assert_matches_oracle(params_seq, epsilon_d):
     """The stacked solve agrees slice by slice with the scalar Picard
     loop, or with the mean-field cubic where it closes the cubic.  Where
     the cubic is solved, its real roots are the oracle's.  A slice with
-    one real root, or three that all repel the damped map, is closed:
-    0 iterations, its root of smallest |q| within 1e-12 relative, and
-    converged unless that root repels.  The oracle's loop does not
-    converge on a repelling root, and where it converges on the closed
-    root it is within the stop rule's own error of it.  Every other
-    slice has the oracle's error, converged flag and iteration count,
-    and converged amplitudes within 1e-13 relative; a converged one sits
-    on an attracting root."""
+    one real root is closed: 0 iterations, its root within 1e-12
+    relative, and converged unless that root repels.  The oracle's loop
+    does not converge on a repelling root, and where it converges on
+    the closed root it is within the stop rule's own error of it.  Every
+    other slice has the oracle's error, converged flag and iteration
+    count, and converged amplitudes within 1e-13 relative; a converged
+    one sits on an attracting root."""
     state = solve_steady_states(stack_of(params_seq), epsilon_d)
     for k, params in enumerate(params_seq):
         try:
@@ -196,18 +195,17 @@ def assert_matches_oracle(params_seq, epsilon_d):
         roots = (mean_field_cubic_roots(params, epsilon_d)
                  if state.real_roots[k] else [])
         assert len(roots) == state.real_roots[k]
-        repels = [abs(slope) >= 1.0 + steady_state.REPEL_TOL
-                  for _, slope in roots]
-        if len(roots) == 1 or roots and all(repels):
-            nearest, slope = min(roots, key=lambda rs: abs(rs[0]))
+        if len(roots) == 1:
+            [(root, slope)] = roots
+            repels = abs(slope) >= 1.0 + steady_state.REPEL_TOL
             assert state.iterations_used[k] == 0
-            assert state.converged[k] == (not all(repels))
-            assert abs(state.q_avg[k] - nearest) <= 1e-12 * abs(nearest)
-            if all(repels):
+            assert state.converged[k] == (not repels)
+            assert abs(state.q_avg[k] - root) <= 1e-12 * abs(root)
+            if repels:
                 assert not ref.converged
             elif ref.converged:
                 assert abs(ref.q_avg - state.q_avg[k]) <= max(
-                    1e-9 * abs(nearest), _stop_error(params, slope))
+                    1e-9 * abs(root), _stop_error(params, slope))
             continue
         assert state.converged[k] == ref.converged
         assert state.iterations_used[k] == ref.iterations_used
@@ -324,6 +322,52 @@ def test_one_root_slices_are_closed_and_multistable_slices_loop():
 
     check()
     assert looped[0] >= 0.05 * looped[1]
+
+
+def assert_three_roots_end_at_the_largest(params_seq, epsilon_d):
+    """Wherever the oracle finds three real roots of a slice's mean-field
+    cubic, all of them are negative, the largest, r3, has
+    1/2 < F'(r3) < 1, and the package's Picard loop from q = 0 ends
+    within the stop rule's own error of r3.  Returns the number of such
+    slices."""
+    state = solve_steady_states(stack_of(params_seq), epsilon_d)
+    three = 0
+    for k, params in enumerate(params_seq):
+        roots = (mean_field_cubic_roots(params, epsilon_d) if params.g_mb
+                 else [])
+        if len(roots) != 3:
+            continue
+        three += 1
+        assert all(r < 0.0 for r, _ in roots)
+        r3, slope = roots[-1]
+        assert 0.5 < slope < 1.0
+        assert state.converged[k] and state.iterations_used[k] > 0
+        assert abs(state.q_avg[k] - r3) <= _stop_error(params, slope)
+    return three
+
+
+def test_three_real_roots_end_at_the_largest_on_drawn_points():
+    # the proof that a three-root cubic's largest root attracts and is
+    # the loop's limit, checked on the drawn points of the tests above
+    base = reference_baseline().with_(coupling_mode="microscopic",
+                                      G_mb=0.0)
+    seen = np.zeros(2, dtype=int)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(points=_DRAWN_POINTS, log_eps=_DRAWN_LOG_EPS)
+    def check(points, log_eps):
+        three = assert_three_roots_end_at_the_largest(
+            [base.with_(**p) for p in points], 10.0 ** log_eps)
+        seen[:] += three, len(points)
+
+    check()
+    assert seen[0] >= 0.05 * seen[1]
+
+
+def test_three_real_roots_end_at_the_largest_on_micro_sweep_grid(micro):
+    grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
+    assert assert_three_roots_end_at_the_largest(
+        [micro.with_(Delta_m=float(dm)) for dm in grid], 1e15) == 248
 
 
 def _resonant_loss(params):

@@ -525,16 +525,16 @@ def _microscopic_point(baseline):
 @pytest.mark.parametrize("pair, options, point", [
     (("a2", "m"), {}, False),
     (("a1", "m"), {}, False),
-    # 8, 7 and 5 halvings: a round of six levels and a partial one of
-    # two, of one, and a single partial round
+    # brackets of 0.2, 0.08 and 0.025 K: trees of 8, 7 and 5 halvings,
+    # with 255, 127 and 31 midpoints
     (("a2", "m"), {"coarse_points": 11}, False),
     (("a2", "m"), {"coarse_points": 26}, False),
     (("a2", "m"), {"coarse_points": 81}, False),
-    # with TC_TOL_T at 1e-5, 13 halvings: two full rounds and one of a
-    # single level
+    # with TC_TOL_T at 1e-5, a tree of 13 halvings and 8191 midpoints
     (("a2", "m"), {"tol_t": 1e-5}, False),
     # the bracket's width after two halvings, while a sibling bracket is
-    # wider by rounding: the search must stop there, mid-round
+    # wider by rounding: the tree takes a third level, and the search
+    # must stop above it, where its own bracket meets TC_TOL_T
     (("a2", "m"), {"tol_t": 0.012499999999999983}, False),
     (("a2", "m"), {"epsilon_d": 1e14}, True),
     # the other conventions, each at a point entangled at T = 0: a
@@ -550,6 +550,9 @@ def _microscopic_point(baseline):
     (("a1", "b"), {"drift_mode": "printed"},
      dict(Delta_1=_WB, Delta_2=_WB, Delta_m=-0.1 * _WB)),
     (("a1", "m"), {}, dict(gain_g=1.25 * _K1)),
+    # the whole 2 K range as the bracket: a tree of 11 halvings and 2047
+    # midpoints
+    (("a2", "m"), {"coarse_points": 2}, False),
 ])
 def test_critical_temperature_matches_sequential_bisection(
         baseline, monkeypatch, pair, options, point):
@@ -656,13 +659,32 @@ def test_critical_temperature_search_is_one_kernel_evaluation(
     # eigendecomposition of its drift matrix; the one solve of the eight
     # unit noises is given that one matrix and its decomposition; then
     # the noise diagonals of the point at the coarse scan's temperatures
-    # and at those of six halvings in one round of six levels, and E_N
+    # and at the 63 midpoints of the bracket's halving tree, and E_N
     # alone at each: no noise matrices, no parameter stacks and no
     # steering
     assert calls == {"kernel": [], "eig": [1], "lyapunov": [(1, True)],
                      "diffusion": [],
                      "noise": [("PhysicalParams", 41), ("PhysicalParams", 63)],
                      "pair_measures": [], "log_negativity": [41, 63]}
+
+
+@pytest.mark.parametrize("coarse_points, midpoints",
+                         [(2, 2047), (11, 255), (26, 127), (81, 31)])
+def test_critical_temperature_search_makes_two_log_negativity_calls(
+        baseline, monkeypatch, coarse_points, midpoints):
+    # the coarse scan, then the whole halving tree of its bracket,
+    # however many halvings the bracket needs
+    sizes = []
+    log_negativity = measures.log_negativity
+
+    def spy(covariances):
+        sizes.append(len(covariances))
+        return log_negativity(covariances)
+
+    monkeypatch.setattr(measures, "log_negativity", spy)
+    find_critical_temperature(baseline, ("a2", "m"),
+                              coarse_points=coarse_points)
+    assert sizes == [coarse_points, midpoints]
 
 
 def test_critical_temperature_validates_each_evaluation_once(
