@@ -154,25 +154,22 @@ class ParamStack(SimpleNamespace):
     def broadcast(cls, base: PhysicalParams, n: int,
                   **columns) -> "ParamStack":
         """``n`` copies of ``base`` with the given fields replaced by
-        (N,) arrays or scalars.  Without columns the stack, and every
-        :meth:`take` of it, knows its points valid: ``base`` validated
-        itself when it was built."""
+        (N,) arrays or scalars.  Like any stack it is not validated: the
+        kernel's caller runs :meth:`errors` on the stacks built from grid
+        columns, and knows the copies of a bare ``base`` valid."""
         point = np.array([getattr(base, name) for name in NUMERIC_FIELDS],
                          dtype=float)[:, None]
         values = dict(zip(NUMERIC_FIELDS, point.repeat(n, axis=1)))
         for name, column in columns.items():
             values[name][:] = column
-        modes = dict(coupling_mode=base.coupling_mode,
-                     diffusion_convention=base.diffusion_convention)
-        if columns:
-            return cls(**values, **modes)
-        return _PointCopies(**values, **modes, point=(point, modes))
+        return cls(**values, coupling_mode=base.coupling_mode,
+                   diffusion_convention=base.diffusion_convention)
 
     def __len__(self) -> int:
         return len(self.omega_b)
 
     def take(self, index) -> "ParamStack":
-        """The points at ``index``, as a stack of the same kind."""
+        """The points at ``index``, as a stack."""
         return type(self)(**{**vars(self),
                              **{name: getattr(self, name)[index]
                                 for name in NUMERIC_FIELDS}})
@@ -188,21 +185,6 @@ class ParamStack(SimpleNamespace):
                 for k in np.flatnonzero(np.broadcast_to(failed, (n,))):
                     errors[k] = message
         return errors
-
-
-class _PointCopies(ParamStack):
-    """A :class:`ParamStack` of copies of one valid point, ``point``:
-    its numeric fields as a column and its two modes."""
-
-    def errors(self) -> list:
-        """None per point while the stack still holds its point, which
-        then breaks no rule; else the rules' messages."""
-        values, modes = self.point
-        held = np.array([getattr(self, name) for name in NUMERIC_FIELDS])
-        if (held == values).all() and modes == {
-                name: getattr(self, name) for name in modes}:
-            return [None] * len(self)
-        return super().errors()
 
 
 @dataclass(frozen=True)

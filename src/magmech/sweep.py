@@ -17,7 +17,7 @@ import csv
 import itertools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from io import StringIO
 from types import SimpleNamespace
@@ -52,6 +52,7 @@ AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 CHUNK_POINTS = 256
 
 TC_T_MAX = 2.0  # K: the Tc search scans [0, TC_T_MAX]
+TC_COARSE_POINTS = 41  # in as many temperatures
 TC_TOL_T = 1e-3  # K: the width at which its bisection stops
 TC_TOL_E = 1e-6  # a pair whose E_N is at most this is not entangled
 
@@ -234,9 +235,12 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
     return cols, with_amplitudes
 
 
-def _evaluate_chunk(params: ParamStack, axis_values, quantities,
-                    drift_mode: str, epsilon_d: float) -> SweepTable:
+def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
+                    quantities, drift_mode: str,
+                    epsilon_d: float) -> SweepTable:
     """Run the pipeline for a stack of points and return its table;
+    ``invalid`` holds each point's broken rule or None, as
+    :meth:`~magmech.params.ParamStack.errors` names it, and
     ``axis_values`` is (N, n_axes).  Each block of :func:`_gate` fills its
     rows.  Every stacked operation acts slice by slice, so a point's
     record does not depend on the stack or the block it falls in.
@@ -250,7 +254,7 @@ def _evaluate_chunk(params: ParamStack, axis_values, quantities,
                        {c: np.full(n, np.nan) for c in names},
                        {c: np.ones(n, dtype=bool) for c in names},
                        [[] for _ in range(n)], columns)
-    gate = _gate(params, drift_mode, epsilon_d, table.warnings)
+    gate = _gate(params, invalid, drift_mode, epsilon_d, table.warnings)
     state, solved = next(gate)
     _put(table, "residual", *solved)
     for block in gate:
@@ -263,19 +267,19 @@ def _put(table: SweepTable, name: str, points, values) -> None:
     table.null[name][points] = False
 
 
-def _gate(params: ParamStack, drift_mode: str, epsilon_d: float,
-          warnings: list[list[str]]):
-    """The kernel's front stages, as a generator.  Validation and the
-    steady state run once on the whole stack, append the warnings of the
-    null rules they apply and yield the steady state with the solved
-    points and their residuals.  Then, per block of at most
+def _gate(params: ParamStack, invalid: list, drift_mode: str,
+          epsilon_d: float, warnings: list[list[str]]):
+    """The kernel's front stages, as a generator.  The points that
+    ``invalid`` names a broken rule for are nulled; the steady state runs
+    once on the others.  Both append the warnings of the null rules they
+    apply, and the steady state is yielded with the solved points and
+    their residuals.  Then, per block of at most
     ``CHUNK_POINTS`` points with a steady state: their stack indices,
     steady-state slices, parameters, drift stack and stability report,
     whose ``stable`` mask is the last null rule.
     """
     # k indexes the stack and j the steady state's slices (the valid
     # points); ``live`` and ``good`` are the drift-stage points in each
-    invalid = params.errors()
     valid = np.flatnonzero([e is None for e in invalid])
     for k, e in enumerate(invalid):
         if e is not None:
@@ -395,15 +399,17 @@ def evaluate_point(params: PhysicalParams, *,
                    quantities=("all",), drift_mode: str = "derived",
                    epsilon_d: float = 0.0) -> SweepRecord:
     """Run the full pipeline for one parameter point: the one-point
-    stack of the kernel that sweeps run.
+    stack of the kernel that sweeps run, which skips the validity rules
+    that ``params`` passed when it was built.
 
     Solver failures are folded into the record (nulled measures plus a
     warning string); this function does not raise for per-point physics
     problems, so sweeps always complete.  The point's drift and
     diffusion matrices come from :func:`point_matrices`.
     """
-    return _evaluate_chunk(ParamStack.broadcast(params, 1), np.empty((1, 0)),
-                           quantities, drift_mode, epsilon_d)[0]
+    return _evaluate_chunk(ParamStack.broadcast(params, 1), [None],
+                           np.empty((1, 0)), quantities, drift_mode,
+                           epsilon_d)[0]
 
 
 def stack_params(spec: SweepSpec, values: np.ndarray) -> ParamStack:
@@ -421,25 +427,17 @@ def stack_params(spec: SweepSpec, values: np.ndarray) -> ParamStack:
     return ParamStack.broadcast(base, len(values), **changes)
 
 
-def build_point_params(spec: SweepSpec,
-                       values: tuple[float, ...]) -> PhysicalParams:
-    """Apply axis values, then links in order, to the base parameter set;
-    raises ValueError for an invalid point."""
-    stack = stack_params(spec, np.array([values], dtype=float))
-    return replace(spec.base, **{name: float(getattr(stack, name)[0])
-                                 for name in NUMERIC_FIELDS})
-
-
 def grid_values(spec: SweepSpec):
     """Row-major list of axis value tuples."""
     return list(itertools.product(*(ax.values().tolist() for ax in spec.axes)))
 
 
 def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
-    """Table of the grid points ``values`` (N, n_axes), evaluated as one
-    stack."""
-    return _evaluate_chunk(stack_params(spec, values), values,
-                           spec.quantities, spec.drift_mode, spec.epsilon_d)
+    """Table of the grid points ``values`` (N, n_axes), validated and
+    evaluated as one stack."""
+    params = stack_params(spec, values)
+    return _evaluate_chunk(params, params.errors(), values, spec.quantities,
+                           spec.drift_mode, spec.epsilon_d)
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
@@ -477,7 +475,7 @@ _UNIT_NOISES.flags.writeable = False
 def _point_block(params: PhysicalParams, drift_mode: str, epsilon_d: float):
     """The one block of :func:`_gate` on the one-point stack of
     ``params``, or None without a steady state."""
-    _, *blocks = _gate(ParamStack.broadcast(params, 1), drift_mode,
+    _, *blocks = _gate(ParamStack.broadcast(params, 1), [None], drift_mode,
                        epsilon_d, [[]])
     return blocks[0] if blocks else None
 
@@ -536,14 +534,13 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
 
 def find_critical_temperature(params: PhysicalParams,
                               pair: tuple[str, str], *,
-                              coarse_points: int = 41,
                               drift_mode: str = "derived",
                               epsilon_d: float = 0.0
                               ) -> tuple[float, tuple[str, ...]]:
     """Largest temperature at which the pair, in either order, stays
     entangled, its E_N above ``TC_TOL_E``.
 
-    A coarse scan of ``coarse_points`` temperatures over [0,
+    A coarse scan of ``TC_COARSE_POINTS`` temperatures over [0,
     ``TC_T_MAX``] checks the monotonic-decrease precondition and
     brackets the first zero crossing, which is then bisected to
     ``TC_TOL_T`` (1 mK).  The bracket is halved, every part at once,
@@ -552,23 +549,23 @@ def find_critical_temperature(params: PhysicalParams,
     so the result is the one sequential bisection gives.  Both stacks
     share the unit-noise solutions of the point
     (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
-    has E_N = 0 at every temperature.  Re-entrant entanglement on the
-    coarse scan yields a ``non-monotonic`` warning and the first
+    has E_N = 0 at every temperature; the gate skips the validity rules,
+    which ``params`` passed when it was built.  Re-entrant entanglement
+    on the coarse scan yields a ``non-monotonic`` warning and the first
     crossing is returned.
-    Raises ValueError, before any evaluation, if ``coarse_points`` is
-    below 2; and if the pair is not entangled at T = 0.
+    Raises ValueError, before any evaluation, if the pair in neither
+    order is one of ``measures.PAIRS``; and if the pair is not entangled
+    at T = 0.
     """
     pair = tuple(pair)
     # E_N does not depend on the order of the pair
     if pair[::-1] in measures.PAIRS:
         pair = pair[::-1]
+    elif pair not in measures.PAIRS:
+        raise ValueError(f"unknown mode pair {pair!r}")
     column = "E_%s%s" % pair
-    normalize_quantities((column,))  # the ValueError of an unknown pair
-    if coarse_points < 2:
-        raise ValueError(f"coarse_points must be at least 2, "
-                         f"got {coarse_points!r}")
     t_max, tol_t, tol_e = TC_T_MAX, TC_TOL_T, TC_TOL_E
-    ts = np.linspace(0.0, t_max, coarse_points)
+    ts = np.linspace(0.0, t_max, TC_COARSE_POINTS)
 
     solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
     basis = None if solutions is None else measures.reduce_pair(solutions,

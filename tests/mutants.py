@@ -81,10 +81,12 @@ MUTATIONS = (
          "test_drive_must_be_finite_and_non_negative",
          "tests/test_steady_state.py::test_negative_drive_rejected")),
     Mutation(
-        "tc_search_one_coarse_point", "src/magmech/sweep.py",
-        "    if coarse_points < 2:", "    if coarse_points < 1:",
-        ("tests/test_sweep.py::"
-         "test_critical_temperature_rejects_bad_search_arguments",)),
+        "grid_skips_validation", "src/magmech/sweep.py",
+        "_evaluate_chunk(params, params.errors(), values,",
+        "_evaluate_chunk(params, [None] * len(params), values,",
+        ("tests/test_sweep.py::test_invalid_points_skip_the_steady_state",
+         "tests/test_sweep.py::"
+         "test_a_serial_sweep_validates_its_grid_once")),
     Mutation(
         "picard_skip_at_slope_0_9", "src/magmech/steady_state.py",
         "(np.abs(slope) >= 1.0 + REPEL_TOL)", "(np.abs(slope) >= 0.9)",

@@ -106,6 +106,15 @@ def point_params(spec, values):
     return replace(spec.base, **changes)
 
 
+def build_point_params(spec, values):
+    """The grid point ``values`` of ``spec`` as a :class:`PhysicalParams`,
+    taken from the package's one-point :func:`stack_params` stack; raises
+    ValueError for an invalid point."""
+    stack = stack_params(spec, np.array([values], dtype=float))
+    return replace(spec.base, **{name: float(getattr(stack, name)[0])
+                                 for name in NUMERIC_FIELDS})
+
+
 class EigensolverError(Exception):
     """The iterative eigensolver failed to converge."""
 
@@ -653,8 +662,9 @@ def stable_covariances(spec, values):
     gate, its stability verdicts and the diffusion matrices of its
     blocks.  A solve that misses the kernel's residual gate leaves its
     point out, as the kernel nulls it."""
-    blocks = _gate(stack_params(spec, values), spec.drift_mode,
-                   spec.epsilon_d, [[] for _ in values])
+    params = stack_params(spec, values)
+    blocks = _gate(params, params.errors(), spec.drift_mode, spec.epsilon_d,
+                   [[] for _ in values])
     next(blocks)  # the steady state
     rows, covariances = [], []
     for live, _, sub, A, report in blocks:

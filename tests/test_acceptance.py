@@ -321,7 +321,6 @@ def _tc(drift, diffusion, gain_over_k1, reference, tol):
     params = params.with_(gain_g=gain_over_k1 * params.kappa_1)
     try:
         tc, _ = find_critical_temperature(params, ("a2", "m"),
-                                          coarse_points=81,
                                           drift_mode=drift)
     except ValueError as exc:
         return Outcome(False, None, f"undefined ({exc})")

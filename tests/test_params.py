@@ -174,16 +174,10 @@ def _spy_on_rules(monkeypatch):
     return evaluated
 
 
-def test_copies_of_a_valid_point_skip_the_rules(baseline, monkeypatch):
+def test_a_stack_runs_the_rules_on_every_point(baseline, monkeypatch):
+    # every stack is checked when asked, even one whose column keeps the
+    # point, and one that breaks a rule reports it
     evaluated = _spy_on_rules(monkeypatch)
-    stack = ParamStack.broadcast(baseline, 4)
-    part = stack.take([0, 2])
-    assert stack.errors() == [None] * 4
-    assert part.errors() == [None] * 2
-    assert part.take([1]).errors() == [None]
-    assert evaluated == []
-    # a column, even one that keeps the point, makes a stack of points
-    # that must be checked, and one that breaks a rule reports it
     assert ParamStack.broadcast(baseline, 3, J=baseline.J).errors() \
         == [None] * 3
     broken = ParamStack.broadcast(baseline, 3, gain_g=-1.0)
@@ -199,8 +193,8 @@ def test_copies_of_a_valid_point_skip_the_rules(baseline, monkeypatch):
     lambda s: setattr(s, "G_mb", np.array([1.0, -1.0, 1.0])),
     lambda s: setattr(s, "coupling_mode", "nonsense")])
 def test_copies_changed_in_place_are_checked(baseline, monkeypatch, change):
-    # a stack that no longer holds its point runs the rules, and a take
-    # of it too
+    # a stack changed after it was built runs the rules, and a take of
+    # it too
     stack = ParamStack.broadcast(baseline, 3)
     change(stack)
     evaluated = _spy_on_rules(monkeypatch)

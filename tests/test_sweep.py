@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -16,15 +17,15 @@ from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
                             PhysicalParams, reference_baseline)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            MEASURE_COLUMNS, ST_COLUMNS, SweepAxis, SweepSpec,
-                           SweepTable,
-                           build_point_params, evaluate_point, figure_preset,
+                           SweepTable, evaluate_point, figure_preset,
                            find_critical_temperature, grid_values,
                            normalize_quantities, point_matrices,
                            record_to_dict, render_records, run_sweep,
                            stack_params)
 
-from .oracles import (bisect_critical_temperature, csv_module_write_csv,
-                      mean_field_cubic_roots, point_params)
+from .oracles import (bisect_critical_temperature, build_point_params,
+                      csv_module_write_csv, mean_field_cubic_roots,
+                      point_params)
 
 
 def small_spec(baseline, **kwargs):
@@ -352,8 +353,8 @@ def test_non_finite_points_are_invalid(baseline):
     stack.J[2] = np.inf
     stack.Delta_m[3] = np.nan
     stack.temperature_T[4] = np.inf
-    table = sweep._evaluate_chunk(stack, np.empty((n, 0)), ("E_a2m",),
-                                  "derived", 0.0)
+    table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((n, 0)),
+                                  ("E_a2m",), "derived", 0.0)
     message = "invalid parameters at this point: all numeric parameters " \
               "must be finite"
     assert table.warnings[1:] == [[message]] * 4
@@ -492,10 +493,10 @@ def test_amplitude_columns(baseline):
         assert col in header
 
 
-def test_critical_temperature_against_linear_scan(baseline):
+def test_critical_temperature_against_linear_scan(baseline, monkeypatch):
     # 0.02 K between coarse points
-    tc, warnings = find_critical_temperature(baseline, ("a2", "m"),
-                                             coarse_points=101)
+    monkeypatch.setattr(sweep, "TC_COARSE_POINTS", 101)
+    tc, warnings = find_critical_temperature(baseline, ("a2", "m"))
     # brute-force scan oracle
     temps = np.linspace(0.0, 0.5, 1001)
     scan_tc = 0.0
@@ -557,15 +558,17 @@ def _microscopic_point(baseline):
 def test_critical_temperature_matches_sequential_bisection(
         baseline, monkeypatch, pair, options, point):
     # ``point``: the baseline (False), the microscopic point (True) or
-    # the baseline with the given changes; a ``tol_t`` option is the
-    # search's TC_TOL_T
+    # the baseline with the given changes; a ``coarse_points`` or
+    # ``tol_t`` option is the search's TC_COARSE_POINTS or TC_TOL_T
     if isinstance(point, dict):
         params = baseline.with_(**point)
     else:
         params = _microscopic_point(baseline) if point else baseline
     search = dict(options)
-    if "tol_t" in search:
-        monkeypatch.setattr(sweep, "TC_TOL_T", search.pop("tol_t"))
+    for option, constant in (("coarse_points", "TC_COARSE_POINTS"),
+                             ("tol_t", "TC_TOL_T")):
+        if option in search:
+            monkeypatch.setattr(sweep, constant, search.pop(option))
     tc, warnings = find_critical_temperature(params, pair, **search)
     ref_tc, ref_warnings = bisect_critical_temperature(params, pair,
                                                        **options)
@@ -682,13 +685,13 @@ def test_critical_temperature_search_makes_two_log_negativity_calls(
         return log_negativity(covariances)
 
     monkeypatch.setattr(measures, "log_negativity", spy)
-    find_critical_temperature(baseline, ("a2", "m"),
-                              coarse_points=coarse_points)
+    monkeypatch.setattr(sweep, "TC_COARSE_POINTS", coarse_points)
+    find_critical_temperature(baseline, ("a2", "m"))
     assert sizes == [coarse_points, midpoints]
 
 
-def test_critical_temperature_validates_each_evaluation_once(
-        baseline, monkeypatch):
+def _spy_on_validation(monkeypatch):
+    """The lengths of the stacks that :meth:`ParamStack.errors` checks."""
     sizes = []
     errors = ParamStack.errors
 
@@ -697,10 +700,33 @@ def test_critical_temperature_validates_each_evaluation_once(
         return errors(stack)
 
     monkeypatch.setattr(ParamStack, "errors", spy)
-    # the search's one-point stack holds copies of the caller's point,
-    # which validated itself when it was built
-    find_critical_temperature(baseline, ("a2", "m"))
+    return sizes
+
+
+@pytest.mark.parametrize("entry", [
+    partial(evaluate_point, quantities=("E_a2m",)), point_matrices,
+    partial(find_critical_temperature, pair=("a2", "m"))],
+    ids=["evaluate_point", "point_matrices", "find_critical_temperature"])
+def test_a_single_point_is_not_validated_again(baseline, monkeypatch,
+                                               entry):
+    # the point validated itself when it was built, and its one-point
+    # stack tells the kernel so
+    sizes = _spy_on_validation(monkeypatch)
+    entry(baseline)
     assert sizes == []
+
+
+def test_a_serial_sweep_validates_its_grid_once(baseline, monkeypatch):
+    # one check of the whole grid, before the steady state; the blocks
+    # of the 8x8 stages check nothing again
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    spec = small_spec(baseline, axes=(SweepAxis("eta", 0.5, 1.5, 11),))
+    sizes = _spy_on_validation(monkeypatch)
+    records = run_sweep(spec)
+    assert sizes == [11]
+    # eta above 1 takes a negative gain
+    assert [any(w.startswith("invalid parameters") for w in r.warnings)
+            for r in records] == [False] * 6 + [True] * 5
 
 
 def test_critical_temperature_builds_no_second_point(baseline, monkeypatch):
@@ -730,9 +756,9 @@ def test_unit_noise_superposition_matches_the_kernel(
     # temperature, for every pair
     params = baseline.with_(diffusion_convention=convention, **changes)
     temperatures = np.linspace(0.0, 2.0, 41)
-    table = sweep._evaluate_chunk(
-        ParamStack.broadcast(params, 41, temperature_T=temperatures),
-        np.empty((41, 0)), E_COLUMNS, drift_mode, 0.0)
+    stack = ParamStack.broadcast(params, 41, temperature_T=temperatures)
+    table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((41, 0)),
+                                  E_COLUMNS, drift_mode, 0.0)
     solutions = sweep._unit_noise_solutions(params, drift_mode, 0.0)
     assert table.stable.all()
     for column, pair in zip(E_COLUMNS, measures.PAIRS):
@@ -798,23 +824,6 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
                                   epsilon_d=spec.epsilon_d)
 
 
-@pytest.mark.parametrize("option, message", [
-    ({"coarse_points": 1}, "coarse_points must be at least 2, got 1"),
-    ({"coarse_points": 0}, "coarse_points must be at least 2, got 0"),
-])
-def test_critical_temperature_rejects_bad_search_arguments(
-        baseline, monkeypatch, option, message):
-    # a scan of fewer than two points brackets nothing: the ValueError
-    # comes before the gate, the noise or the bisection runs
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the search evaluated something")
-
-    for name in ("_gate", "_superposed_log_negativity"):
-        monkeypatch.setattr(sweep, name, unreachable)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        find_critical_temperature(baseline, ("a2", "m"), **option)
-
-
 @pytest.mark.parametrize("pair", [("a2", "m"), ("a1", "m")])
 def test_critical_temperature_takes_a_pair_in_either_order(baseline, pair):
     forward = find_critical_temperature(baseline, pair)
@@ -823,9 +832,25 @@ def test_critical_temperature_takes_a_pair_in_either_order(baseline, pair):
     assert find_critical_temperature(baseline, list(pair[::-1])) == forward
 
 
-def test_critical_temperature_requires_entanglement_at_zero(baseline):
-    with pytest.raises(ValueError):
-        find_critical_temperature(baseline, ("a1", "a2"), coarse_points=11)
+def test_critical_temperature_requires_entanglement_at_zero(baseline,
+                                                            monkeypatch):
+    monkeypatch.setattr(sweep, "TC_COARSE_POINTS", 11)
+    with pytest.raises(ValueError, match="^E_a1a2 is not positive at T = 0"):
+        find_critical_temperature(baseline, ("a1", "a2"))
+
+
+@pytest.mark.parametrize("pair", [("a1", "a1"), ("a1", "x")])
+def test_critical_temperature_names_an_unknown_pair(baseline, monkeypatch,
+                                                    pair):
+    # the pair itself, not a measure column the caller never named, and
+    # before the search evaluates anything
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search evaluated something")
+
+    monkeypatch.setattr(sweep, "_gate", unreachable)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'unknown mode pair {pair!r}')}$"):
+        find_critical_temperature(baseline, pair)
 
 
 def test_figure_presets_match_captions():
