@@ -121,8 +121,8 @@ def cmd_point(args) -> int:
         os.makedirs(args.dump_matrices, exist_ok=True)
         for name, M in zip(("A.txt", "D.txt"), matrices):
             dynamics.write_matrix(os.path.join(args.dump_matrices, name), M)
-    _emit(json.dumps(record_to_dict(rec, ()), sort_keys=True, indent=2)
-          + "\n", args.out)
+    _emit(json.dumps(record_to_dict(rec, ()), sort_keys=True, indent=2,
+                     allow_nan=False) + "\n", args.out)
     _report_warnings([rec.warnings])
     return 0
 
@@ -201,11 +201,12 @@ def cmd_validate(args) -> int:
     if singular:
         check("steady state converged", False, f"(singular: {singular[0]})")
     else:
+        residual = ("(residual not finite)" if rec.residual is None
+                    else f"(residual {rec.residual:.3e})")
         # the kernel builds matrices from a converged steady state only
-        check("steady state converged", matrices is not None,
-              f"(residual {rec.residual:.3e})")
-        check("steady-state residual < 1e-9", rec.residual < 1e-9,
-              f"(residual {rec.residual:.3e})")
+        check("steady state converged", matrices is not None, residual)
+        check("steady-state residual < 1e-9",
+              rec.residual is not None and rec.residual < 1e-9, residual)
 
     if rec.stable:
         check("Lyapunov residual < 1e-10",

@@ -8,7 +8,7 @@ a :class:`SweepTable` of columns, one point being a stack of one.  The
 steady state runs once over the whole stack; the 8x8 stages run in
 blocks of ``CHUNK_POINTS``.  Parts of a grid may run in parallel.
 Tables keep row-major axis order, and unstable points carry explicit
-nulls, never zeros.
+nulls, never zeros: NaN in a table, empty in CSV, ``null`` in JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -75,6 +76,10 @@ class SweepAxis:
             raise ValueError(f"unknown axis parameter {self.name!r}")
         if self.count < 2:
             raise ValueError("axis point count must be at least 2")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(self.values()).all():
+                raise ValueError(f"axis {self.name} from {self.start!r} "
+                                 f"to {self.stop!r} is not finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -148,14 +153,13 @@ class SweepTable(Sequence):
 
     ``values`` maps each of ``DIAGNOSTIC_COLUMNS``, each requested
     measure and any requested ``AMPLITUDE_COLUMNS`` to an (N,) float
-    array, ``null`` to (N,) masks of null entries: a null is not a NaN
-    (an overflowed drive has a NaN residual).
+    array.  Each entry is finite, or NaN where it is null: a value that
+    is not finite, such as the residual of an overflowed drive, is null.
     """
 
     axis_values: np.ndarray
     stable: np.ndarray
     values: dict[str, np.ndarray]
-    null: dict[str, np.ndarray]
     warnings: list[list[str]]
     columns: tuple[str, ...]
 
@@ -165,15 +169,14 @@ class SweepTable(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        cell = {c: None if self.null[c][k] else float(v[k])
+        cell = {c: None if math.isnan(v[k]) else float(v[k])
                 for c, v in self.values.items()}.get
-        # the amplitudes share one null mask
         amplitudes = tuple(map(cell, AMPLITUDE_COLUMNS))
         return SweepRecord(tuple(self.axis_values[k].tolist()),
                            bool(self.stable[k]),
                            {c: cell(c) for c in self.columns},
                            *map(cell, DIAGNOSTIC_COLUMNS),
-                           None if amplitudes[0] is None else amplitudes,
+                           None if amplitudes == (None,) * 4 else amplitudes,
                            tuple(self.warnings[k]))
 
     @classmethod
@@ -186,7 +189,6 @@ class SweepTable(Sequence):
         return cls(joined(lambda p: p.axis_values),
                    joined(lambda p: p.stable),
                    {c: joined(lambda p: p.values[c]) for c in names},
-                   {c: joined(lambda p: p.null[c]) for c in names},
                    [w for p in parts for w in p.warnings], parts[0].columns)
 
     @classmethod
@@ -203,10 +205,7 @@ class SweepTable(Sequence):
         return cls(np.array([r.axis_values for r in rows],
                             dtype=float).reshape(len(rows), len(spec.axes)),
                    np.array([r.stable for r in rows], dtype=bool),
-                   {c: np.array([np.nan if e is None else e for e in v])
-                    for c, v in cells.items()},
-                   {c: np.array([e is None for e in v], dtype=bool)
-                    for c, v in cells.items()},
+                   {c: np.array(v, dtype=float) for c, v in cells.items()},
                    [list(r.warnings) for r in rows], columns)
 
 
@@ -252,7 +251,6 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
     table = SweepTable(np.asarray(axis_values, dtype=float),
                        np.zeros(n, dtype=bool),
                        {c: np.full(n, np.nan) for c in names},
-                       {c: np.ones(n, dtype=bool) for c in names},
                        [[] for _ in range(n)], columns)
     gate = _gate(params, invalid, drift_mode, epsilon_d, table.warnings)
     state, solved = next(gate)
@@ -263,8 +261,8 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
 
 
 def _put(table: SweepTable, name: str, points, values) -> None:
-    table.values[name][points] = values
-    table.null[name][points] = False
+    """Store ``values`` in rows ``points`` of a column, non-finite as NaN."""
+    table.values[name][points] = np.where(np.isfinite(values), values, np.nan)
 
 
 def _gate(params: ParamStack, invalid: list, drift_mode: str,
@@ -381,17 +379,15 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
         # cols[0] is the pair's E column: its symplectic screen decides
         # whether the reduced state is physical enough to report at all
         e_values, e_errors = (x[at] for x in found.log_negativity)
-        physical = np.array([e is None for e in e_errors], dtype=bool)
+        physical = ~np.isnan(e_values)
         for i in np.flatnonzero(~physical):
             warnings[points[i]].append(f"pair {pair[0]}-{pair[1]}: "
                                        f"{e_errors[i]}")
         _put(table, cols[0], points[physical], e_values[physical])
         for col in cols[1:]:
             st_values, st_errors = (x[at] for x in found[_PAIR_OF[col][1]])
-            shown = physical & np.array([e is None for e in st_errors],
-                                        dtype=bool)
-            _put(table, col, points[shown], st_values[shown])
-            for i in np.flatnonzero(physical & ~shown):
+            _put(table, col, points[physical], st_values[physical])
+            for i in np.flatnonzero(physical & np.isnan(st_values)):
                 warnings[points[i]].append(f"{col}: {st_errors[i]}")
 
 
@@ -513,12 +509,10 @@ def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
 
 
 def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
-                               temperatures) -> tuple[np.ndarray,
-                                                      np.ndarray]:
+                               temperatures) -> np.ndarray:
     """A pair's E_N at each temperature from its reduced unit-noise
-    solutions ``basis`` (8, 4, 4), and the mask of the temperatures
-    where a screen fails.  Exact for any diagonal D, negative entries
-    included."""
+    solutions ``basis`` (8, 4, 4), NaN where a screen fails.  Exact for
+    any diagonal D, negative entries included."""
     diag = dynamics.noise_diagonals(params, temperatures)
     # np.einsum adds D_11 V_1 + D_22 V_2 + ... in index order over an
     # operand strided along i, but in SIMD blocks over a contiguous one,
@@ -527,9 +521,8 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
     # included
     strided = np.empty((8, len(diag) + 1))[:, :-1].T
     strided[...] = diag
-    values, errors = measures.log_negativity(
-        np.einsum("ni,ijk->njk", strided, basis))
-    return values, np.array([e is not None for e in errors], dtype=bool)
+    return measures.log_negativity(np.einsum("ni,ijk->njk", strided,
+                                             basis))[0]
 
 
 def find_critical_temperature(params: PhysicalParams,
@@ -548,11 +541,11 @@ def find_critical_temperature(params: PhysicalParams,
     63 at the defaults, are evaluated as one stack and then descended,
     so the result is the one sequential bisection gives.  Both stacks
     share the unit-noise solutions of the point
-    (:func:`_unit_noise_solutions`), and a point the kernel's gate nulls
-    has E_N = 0 at every temperature; the gate skips the validity rules,
-    which ``params`` passed when it was built.  Re-entrant entanglement
-    on the coarse scan yields a ``non-monotonic`` warning and the first
-    crossing is returned.
+    (:func:`_unit_noise_solutions`), and a point that the kernel nulls as
+    unstable, or for a singular Lyapunov system, has E_N = 0 at every
+    temperature; the gate skips the validity rules, which ``params``
+    passed when it was built.  Re-entrant entanglement on the coarse scan
+    yields a ``non-monotonic`` warning and the first crossing is returned.
     Raises ValueError, before any evaluation, if the pair in neither
     order is one of ``measures.PAIRS``; and if the pair is not entangled
     at T = 0.
@@ -573,11 +566,10 @@ def find_critical_temperature(params: PhysicalParams,
 
     def entanglement(temperatures) -> list[float]:
         """The pair's E_N at each temperature, 0 where a screen fails."""
-        values, null = _superposed_log_negativity(params, basis,
-                                                  temperatures)
-        return np.where(null, 0.0, values).tolist()
+        values = _superposed_log_negativity(params, basis, temperatures)
+        return np.where(np.isnan(values), 0.0, values).tolist()
 
-    # a point the gate nulls is entangled at no temperature
+    # a point without unit-noise solutions is entangled at no temperature
     es = [0.0] if basis is None else entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
@@ -692,12 +684,12 @@ def figure_preset(name: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # output writers
 
-def _formatted(column: np.ndarray, null: np.ndarray) -> list[str]:
+def _formatted(column: np.ndarray) -> list[str]:
     """``"%.17g"`` of each entry, formatted once per distinct bit
-    pattern, so that -0.0 keeps its sign; nulls as empty fields."""
+    pattern, so that -0.0 keeps its sign; nulls (NaN) as empty fields."""
     distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = ["%.17g" % v for v in distinct.view(float).tolist()] + [""]
-    index[null] = len(distinct)
+    text = ["" if math.isnan(v) else "%.17g" % v
+            for v in distinct.view(float).tolist()]
     return list(map(text.__getitem__, index.tolist()))
 
 
@@ -713,12 +705,10 @@ def write_csv(records, spec: SweepSpec, stream) -> None:
               + list(DIAGNOSTIC_COLUMNS)
               + list(AMPLITUDE_COLUMNS if with_amplitudes else ())
               + ["warnings"])
-    no_null = np.zeros(len(table), dtype=bool)
-    fields = [_formatted(axis, no_null) for axis in table.axis_values.T]
+    fields = list(map(_formatted, table.axis_values.T))
     fields.append(["true" if s else "false" for s in table.stable.tolist()])
-    fields += [_formatted(table.values[c], table.null[c])
-               if c in table.values else [""] * len(table)
-               for c in header[len(spec.axes) + 1:-1]]
+    fields += [_formatted(table.values[c]) if c in table.values
+               else [""] * len(table) for c in header[len(spec.axes) + 1:-1]]
     # only a warnings field can need quoting, and the csv module decides:
     # its writer returns what the file's write does, here the line
     row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
@@ -748,11 +738,11 @@ def record_to_dict(rec: SweepRecord, axis_names) -> dict:
 
 
 def write_jsonl(records, spec: SweepSpec, stream) -> None:
-    """One JSON object per record, keys sorted for byte determinism."""
+    """One strict JSON object per record, keys sorted for determinism."""
     names = spec.axis_names()
     for rec in records:
-        stream.write(json.dumps(record_to_dict(rec, names), sort_keys=True)
-                     + "\n")
+        stream.write(json.dumps(record_to_dict(rec, names), sort_keys=True,
+                                allow_nan=False) + "\n")
 
 
 def render_records(records, spec: SweepSpec) -> str:

@@ -66,13 +66,28 @@ MUTATIONS = (
     Mutation(
         "csv_unique_by_value", "src/magmech/sweep.py",
         "np.unique(column.view(np.int64), return_inverse=True)\n"
-        '    text = ["%.17g" % v for v in distinct.view(float).tolist()]',
+        '    text = ["" if math.isnan(v) else "%.17g" % v\n'
+        "            for v in distinct.view(float).tolist()]",
         "np.unique(column, return_inverse=True)\n"
-        '    text = ["%.17g" % v for v in distinct.tolist()]',
+        '    text = ["" if math.isnan(v) else "%.17g" % v\n'
+        "            for v in distinct.tolist()]",
         ("tests/test_sweep.py::"
          "test_csv_writer_formats_each_distinct_value_once",
          "tests/test_sweep.py::"
          "test_csv_writer_is_the_csv_module_writer_byte_for_byte")),
+    Mutation(
+        "put_keeps_non_finite", "src/magmech/sweep.py",
+        "table.values[name][points] = np.where(np.isfinite(values), values, "
+        "np.nan)",
+        "table.values[name][points] = values",
+        ("tests/test_sweep.py::"
+         "test_non_finite_values_are_written_as_nulls",)),
+    Mutation(
+        "axis_accepts_non_finite", "src/magmech/sweep.py",
+        "            if not np.isfinite(self.values()).all():",
+        "            if False:",
+        ("tests/test_sweep.py::test_axis_values_must_be_finite",
+         "tests/test_cli.py::test_cli_rejects_a_non_finite_axis")),
     Mutation(
         "check_drive_bypassed", "src/magmech/steady_state.py",
         "    if not (math.isfinite(epsilon_d) and epsilon_d >= 0):",

@@ -628,8 +628,9 @@ def symplectic_agreement(cm, nu):
 def csv_module_write_csv(records, spec, stream):
     """``sweep.write_csv`` as it was written before it formatted each
     distinct value once: ``"%.17g"`` of every measure and diagnostic
-    entry, and every row through ``csv.writer``, which decides all the
-    quoting.  The package's writer must give the same bytes."""
+    entry, an empty field for each null (NaN), and every row through
+    ``csv.writer``, which decides all the quoting.  The package's writer
+    must give the same bytes."""
     table = SweepTable.of(records, spec)
     _, with_amplitudes = normalize_quantities(spec.quantities)
     header = (list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
@@ -645,10 +646,11 @@ def csv_module_write_csv(records, spec, stream):
     fields.append(["true" if s else "false" for s in table.stable.tolist()])
     blank = [""] * len(table)
     for name in header[len(spec.axes) + 1:-1]:
-        values, null = table.values.get(name), table.null.get(name)
+        values = table.values.get(name)
         fields.append(blank if values is None else
                       ["" if n else "%.17g" % v
-                       for v, n in zip(values.tolist(), null.tolist())])
+                       for v, n in zip(values.tolist(),
+                                       np.isnan(values).tolist())])
     fields.append([";".join(w) for w in table.warnings])
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)

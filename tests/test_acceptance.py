@@ -154,7 +154,8 @@ def test_physicality_at_all_preset_points(preset_runs):
         # indefinite-noise points are out of scope
         noisy = np.array([any("negative diffusion" in w for w in ws)
                           for ws in table.warnings], dtype=bool)
-        shown = table.stable & ~table.null["physicality"] & ~noisy
+        shown = (table.stable & ~np.isnan(table.values["physicality"])
+                 & ~noisy)
         checked += int(shown.sum())
         worst = min(worst, table.values["physicality"][shown].min(
             initial=np.inf))
@@ -170,8 +171,8 @@ def test_lyapunov_residual_at_all_preset_points(preset_runs):
     checked = 0
     for name, (_, table, _) in preset_runs.items():
         # every point that reports measures reports its residual
-        assert not table.null["lyap_residual"][table.stable].any(), name
         residual = table.values["lyap_residual"][table.stable]
+        assert not np.isnan(residual).any(), name
         checked += residual.size
         worst = max(worst, residual.max(initial=0.0))
     ok = worst < 1e-10
@@ -202,13 +203,13 @@ def test_steering_implies_entanglement_on_presets(preset_runs):
         for col in table.columns:
             if not col.startswith("st_"):
                 continue
-            steerable = (table.stable & ~table.null[col]
+            steerable = (table.stable & ~np.isnan(table.values[col])
                          & (table.values[col] > 1e-9))
             a, b = col[3:].split("_to_")
             e_col = "E_%s%s" % ((a, b) if f"E_{a}{b}" in table.columns
                                 else (b, a))
             checked += int(steerable.sum())
-            unentangled = steerable & (table.null[e_col]
+            unentangled = steerable & (np.isnan(table.values[e_col])
                                        | (table.values[e_col] <= 0.0))
             violations += [(name, tuple(v), col)
                            for v in table.axis_values[unentangled].tolist()]
@@ -265,7 +266,7 @@ def _scan(drift, diffusion, axes, columns, links=(), **overrides):
     table = run_sweep(SweepSpec(_base(diffusion, **overrides), axes,
                                 quantities=columns, links=links,
                                 drift_mode=drift))
-    return table, {c: np.where(table.stable & ~table.null[c],
+    return table, {c: np.where(table.stable & ~np.isnan(table.values[c]),
                                table.values[c], 0.0) for c in columns}
 
 
@@ -403,7 +404,8 @@ def crit_steering_structure(drift, diffusion):
                                    ("st_a2_to_m", "st_m_to_a2"))
     # one-way: a2 steers m and m's steering of a2 is shown, and exactly 0
     one_way = bool(np.any((plane["st_a2_to_m"] > TOL_E)
-                          & table.stable & ~table.null["st_m_to_a2"]
+                          & table.stable
+                          & ~np.isnan(table.values["st_m_to_a2"])
                           & (table.values["st_m_to_a2"] == 0.0)))
 
     grid = np.linspace(0.0, 4.0, 201)

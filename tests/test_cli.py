@@ -284,6 +284,39 @@ def test_cli_rejects_a_bad_drive_before_evaluating(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("axis, shown", [
+    ("J, 0, inf, 3", "0.0 to inf"),
+    ("J, -1e308 rad_s, 1e308 rad_s, 3", "-1e+308 to 1e+308")],
+    ids=["infinite", "overflowing"])
+def test_cli_rejects_a_non_finite_axis(tmp_path, capsys, axis, shown):
+    path, out = tmp_path / "axis.cfg", tmp_path / "axis.csv"
+    path.write_text(GOOD_CONFIG.replace(
+        "axis1 = J, 1.5 kappa1, 2.5 kappa1, 3", f"axis1 = {axis}"))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: axis J from {shown} "
+                                       "is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, lines", [
+    # the steady state converges, but its residual overflows
+    ("direct_g", ["PASS steady state converged",
+                  "FAIL steady-state residual < 1e-9 (residual not finite)"]),
+    # the steady state does not converge, and its residual is NaN
+    ("microscopic\ng_mb = 0.2",
+     ["FAIL steady state converged (residual not finite)",
+      "FAIL steady-state residual < 1e-9 (residual not finite)"])],
+    ids=["direct_g", "microscopic"])
+def test_cli_validate_with_a_null_residual(tmp_path, capsys, mode, lines):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(GOOD_CONFIG.split("[sweep]")[0].replace(
+        "coupling_mode = direct_g",
+        f"epsilon_d = 1e300 rad_s\ncoupling_mode = {mode}"))
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "steady" in line] == lines
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(eta=st.floats(-1.0, -0.05), J=st.floats(1.0, 3.0),
        Delta_m=st.floats(0.6, 1.2))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magmech import dynamics, lyapunov, measures, sweep
+from magmech import cli, dynamics, lyapunov, measures, sweep
 from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
                             PhysicalParams, reference_baseline)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
@@ -61,6 +61,17 @@ def test_axis_validation(baseline):
         SweepSpec(base=baseline, axes=())
     with pytest.raises(ValueError):
         small_spec(baseline, links=(("nope", "Delta_1", 1.0),))
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+    # finite bounds whose difference overflows
+    (-1e308, 1e308)])
+def test_axis_values_must_be_finite(start, stop):
+    # rejected without a RuntimeWarning from computing the values
+    with pytest.raises(ValueError, match=re.escape(
+            f"axis J from {start!r} to {stop!r} is not finite")):
+        SweepAxis("J", start, stop, 3)
 
 
 def test_quiet_passive_point_has_no_correlations(baseline):
@@ -218,27 +229,51 @@ def test_param_stack_matches_point_by_point_replace(baseline, case):
             build_point_params(spec, points[-1])
 
 
-def test_csv_keeps_nan_apart_from_null(baseline):
-    # an overflowed direct_g drive: stable points whose mean-field
-    # residual is a genuine NaN; eta > 1 is an invalid point, whose
-    # residual is null
-    spec = SweepSpec(baseline, (SweepAxis("eta", 0.5, 1.5, 3),),
-                     quantities=("E_a2m",), epsilon_d=1e300)
-    records = run_sweep(spec)
-    assert records[0].stable and math.isnan(records[0].residual)
-    assert records[2].residual is None
-    lines = render_records(records, spec).splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    assert rows[0]["residual"] == "nan"
-    assert rows[0]["E_a2m"] not in ("", "nan")
-    assert rows[0]["E_a1b"] == ""
-    assert rows[2]["residual"] == ""
-    assert rows[2]["margin"] == ""
-    jsonl = [json.loads(line) for line in render_records(
-        records, replace(spec, output_format="jsonl")).splitlines()]
-    assert math.isnan(jsonl[0]["residual"])
-    assert jsonl[2]["residual"] is None
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_non_finite_values_are_written_as_nulls(baseline, tmp_path):
+    # an overflowed drive: in direct_g mode a stable point whose residual
+    # and |a1|, |a2|, |m| are not finite, in microscopic mode a point whose
+    # steady state does not converge; eta > 1 is an invalid point.  Each
+    # such value is null, a warning says why, and every number written,
+    # as CSV, JSON lines or the point's JSON, is finite
+    warned = {"direct_g": "steady state residual not finite (residual nan)",
+              "microscopic": "steady state did not converge (residual nan)"}
+    for mode, warning in warned.items():
+        base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2)
+        spec = SweepSpec(base, (SweepAxis("eta", 0.5, 1.5, 3),),
+                         quantities=("all", "amplitudes"), epsilon_d=1e300)
+        records = run_sweep(spec)
+        assert [r.residual for r in records] == [None] * 3
+        assert [r.warnings for r in records[:2]] == [(warning,)] * 2
+        assert records[0].stable == (mode == "direct_g")
+        if mode == "direct_g":
+            assert records[0].measures["E_a2m"] > 0.0
+            assert records[0].amplitudes == (None, None, None, 0.0)
+        lines = render_records(records, spec).splitlines()
+        header = lines[0].split(",")
+        numeric = [c for c in header if c not in ("stable", "warnings")]
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["residual"] == ""
+            assert all(math.isfinite(float(row[c]))
+                       for c in numeric if row[c]), line
+        for line in render_records(
+                records, replace(spec, output_format="jsonl")).splitlines():
+            json.loads(line, parse_constant=_no_constant)
+        config = tmp_path / f"{mode}.cfg"
+        config.write_text("[system]\nunits = rad_s\nepsilon_d = 1e300\n"
+                          + "".join(f"{name} = {getattr(base, name)!r}\n"
+                                    for name in NUMERIC_FIELDS)
+                          + f"coupling_mode = {mode}\n")
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["point", "--config", str(config),
+                         "--out", str(out)]) == 0
+        point = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert point["residual"] is None
+        assert warning in point["warnings"]
 
 
 def test_csv_of_rows_equals_csv_of_table():
@@ -247,9 +282,10 @@ def test_csv_of_rows_equals_csv_of_table():
     assert render_records(list(table), spec) == render_records(table, spec)
 
 
-_CELL = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
-     0.1, 1e300]))
+# a table holds finite values, and NaN for a null whatever its bits
+_AXIS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.1, 1e300]))
+_CELL = st.one_of(_AXIS, st.sampled_from([math.nan, -math.nan]))
 _WARNING = st.text(st.sampled_from([",", '"', "\n", "\r", ";", " ", "\t", "a",
                                     "Z", "7", "(", "é", "Ω", "→"]),
                    max_size=8)
@@ -257,8 +293,8 @@ _WARNING = st.text(st.sampled_from([",", '"', "\n", "\r", ";", " ", "\t", "a",
 
 @st.composite
 def _csv_tables(draw):
-    """A table of drawn cells, null masks and warnings, and a spec of
-    one or two axes that requests drawn columns."""
+    """A table of drawn cells, NaN among them, and warnings, and a spec
+    of one or two axes that requests drawn columns."""
     n_axes = draw(st.integers(1, 2))
     quantities = tuple(draw(st.lists(st.sampled_from(
         MEASURE_COLUMNS + ("amplitudes",)), max_size=4)))
@@ -268,15 +304,15 @@ def _csv_tables(draw):
     pool = draw(st.lists(_CELL, min_size=1, max_size=3))
     cells = st.lists(st.one_of(_CELL, st.sampled_from(pool)),
                      min_size=n, max_size=n)
-    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    axes = st.lists(_AXIS, min_size=n, max_size=n)
     names = DIAGNOSTIC_COLUMNS + columns + (AMPLITUDE_COLUMNS
                                             if with_amplitudes else ())
     table = SweepTable(
-        np.array(draw(st.lists(cells, min_size=n_axes, max_size=n_axes)),
+        np.array(draw(st.lists(axes, min_size=n_axes, max_size=n_axes)),
                  dtype=float).T.reshape(n, n_axes),
-        np.array(draw(masks), dtype=bool),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                 dtype=bool),
         {c: np.array(draw(cells), dtype=float) for c in names},
-        {c: np.array(draw(masks), dtype=bool) for c in names},
         [draw(st.lists(_WARNING, max_size=3)) for _ in range(n)], columns)
     spec = SweepSpec(reference_baseline(),
                      tuple(SweepAxis(name, 0.0, 1.0, 2)
@@ -298,12 +334,10 @@ def test_csv_writer_is_the_csv_module_writer_byte_for_byte(case, as_rows):
 
 def test_csv_writer_formats_each_distinct_value_once(baseline):
     # -0.0 and 0.0 are distinct bit patterns, so each keeps its text;
-    # a null is empty whatever value it masks
+    # a null is empty whatever the bits of its NaN
     table = SweepTable(np.array([[0.0], [-0.0], [0.0]]),
                        np.array([True, True, False]),
-                       {c: np.array([-0.0, 0.0, -0.0])
-                        for c in DIAGNOSTIC_COLUMNS},
-                       {c: np.array([False, False, True])
+                       {c: np.array([-0.0, 0.0, -math.nan])
                         for c in DIAGNOSTIC_COLUMNS},
                        [["a,b", 'say "x"'], [], ["x\ry"]], ())
     spec = SweepSpec(baseline, (SweepAxis("J", 0.0, 1.0, 2),),
@@ -359,7 +393,7 @@ def test_non_finite_points_are_invalid(baseline):
               "must be finite"
     assert table.warnings[1:] == [[message]] * 4
     assert table.stable.tolist() == [True] + [False] * 4
-    assert all(null[1:].all() for null in table.null.values())
+    assert all(np.isnan(v[1:]).all() for v in table.values.values())
     assert table[0] == evaluate_point(baseline, quantities=("E_a2m",))
 
 
@@ -624,7 +658,6 @@ def test_a_pairs_columns_do_not_depend_on_the_other_pairs():
         alone = run_sweep(replace(spec, quantities=cols))
         for c in cols:
             assert together.values[c].tobytes() == alone.values[c].tobytes()
-            assert together.null[c].tobytes() == alone.null[c].tobytes()
         for k, warnings in enumerate(alone.warnings):
             expected[k] += about(pair, warnings)
     assert together.warnings == expected
@@ -762,9 +795,10 @@ def test_unit_noise_superposition_matches_the_kernel(
     solutions = sweep._unit_noise_solutions(params, drift_mode, 0.0)
     assert table.stable.all()
     for column, pair in zip(E_COLUMNS, measures.PAIRS):
-        values, null = sweep._superposed_log_negativity(
+        values = sweep._superposed_log_negativity(
             params, measures.reduce_pair(solutions, pair), temperatures)
-        assert np.array_equal(null, table.null[column])
+        null = np.isnan(values)
+        assert np.array_equal(null, np.isnan(table.values[column]))
         expected = table.values[column][~null]
         assert np.all(np.abs(values[~null] - expected)
                       <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -782,10 +816,9 @@ def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
     for i in range(1, 8):
         cms = cms + diag[:, i, None, None] * basis[i]
     expected, errors = measures.log_negativity(cms)
-    values, null = sweep._superposed_log_negativity(baseline, basis,
-                                                    temperatures)
+    values = sweep._superposed_log_negativity(baseline, basis, temperatures)
     assert values.tobytes() == expected.tobytes()
-    assert null.tolist() == [e is not None for e in errors]
+    assert np.isnan(values).tolist() == [e is not None for e in errors]
 
 
 def test_unstable_point_has_no_unit_noise_solutions(baseline):
