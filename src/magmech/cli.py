@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, measures
 from .config import ConfigError, load_config
-from .params import eta_ratio, thermal_occupation
+from .params import DRIFT_MODES, eta_ratio, thermal_occupation
 from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
                     find_critical_temperature, point_matrices, record_to_dict,
                     render_records, run_sweep)
@@ -43,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to the INI config file")
         p.add_argument("--diffusion", choices=sorted(DIFFUSION_FLAGS),
                        help="override the cavity-2 noise convention")
-        p.add_argument("--drift", choices=("derived", "printed"),
-                       default=None, help="drift matrix variant")
+        p.add_argument("--drift", choices=DRIFT_MODES,
+                       help="override the drift matrix variant")
 
     p_point = sub.add_parser("point", help="evaluate a single point")
     add_common(p_point)
@@ -81,11 +81,9 @@ def _apply_overrides(params, args):
     if args.diffusion:
         params = replace(params,
                          diffusion_convention=DIFFUSION_FLAGS[args.diffusion])
+    if args.drift:
+        params = replace(params, drift_mode=args.drift)
     return params
-
-
-def _drift_mode(args, default="derived"):
-    return args.drift if args.drift else default
 
 
 def _emit(text: str, out_path) -> None:
@@ -113,10 +111,9 @@ def _report_warnings(warnings) -> None:
 def cmd_point(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
-    options = dict(drift_mode=_drift_mode(args), epsilon_d=cfg["epsilon_d"])
-    rec = evaluate_point(params, **options)
+    rec = evaluate_point(params)
     # a point without a steady state has no matrices to dump
-    matrices = args.dump_matrices and point_matrices(params, **options)
+    matrices = args.dump_matrices and point_matrices(params)
     if matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
         for name, M in zip(("A.txt", "D.txt"), matrices):
@@ -140,16 +137,13 @@ def cmd_sweep(args) -> int:
     spec = cfg["spec"]
     if spec is None:
         raise ConfigError("config file has no [sweep] section")
-    base = _apply_overrides(spec.base, args)
-    spec = replace(spec, base=base,
-                   drift_mode=_drift_mode(args, spec.drift_mode))
+    spec = replace(spec, base=_apply_overrides(spec.base, args))
     return _run_and_emit(spec, args, cfg["output"]["path"])
 
 
 def cmd_preset(args) -> int:
     spec = figure_preset(args.name)
-    base = _apply_overrides(spec.base, args)
-    spec = replace(spec, base=base, drift_mode=_drift_mode(args))
+    spec = replace(spec, base=_apply_overrides(spec.base, args))
     return _run_and_emit(spec, args, f"{args.name}.csv")
 
 
@@ -161,9 +155,7 @@ def cmd_tc(args) -> int:
         raise ConfigError(f"--pair must be one of "
                           f"{' '.join(','.join(p) for p in measures.PAIRS)}"
                           f" (in either order), got {args.pair!r}")
-    tc, warnings = find_critical_temperature(
-        params, pair, drift_mode=_drift_mode(args),
-        epsilon_d=cfg["epsilon_d"])
+    tc, warnings = find_critical_temperature(params, pair)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit("%.17g\n" % tc, args.out)
@@ -173,8 +165,8 @@ def cmd_tc(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
-    options = dict(drift_mode=_drift_mode(args),
-                   epsilon_d=cfg["epsilon_d"] or params.kappa_1)
+    # an undriven point is checked at the drive kappa_1
+    params = replace(params, epsilon_d=params.epsilon_d or params.kappa_1)
     failures = 0
 
     def check(label, ok, detail=""):
@@ -194,8 +186,7 @@ def cmd_validate(args) -> int:
     check("eta invariant under joint rate rescaling",
           abs(eta_ratio(scaled) - eta_ratio(params)) < 1e-12)
 
-    rec = evaluate_point(params, **options)
-    matrices = point_matrices(params, **options)
+    rec = evaluate_point(params)
     singular = [w.split(": ", 1)[1] for w in rec.warnings
                 if w.startswith("steady state singular: ")]
     if singular:
@@ -203,8 +194,9 @@ def cmd_validate(args) -> int:
     else:
         residual = ("(residual not finite)" if rec.residual is None
                     else f"(residual {rec.residual:.3e})")
-        # the kernel builds matrices from a converged steady state only
-        check("steady state converged", matrices is not None, residual)
+        check("steady state converged",
+              not any(w.startswith("steady state did not converge")
+                      for w in rec.warnings), residual)
         check("steady-state residual < 1e-9",
               rec.residual is not None and rec.residual < 1e-9, residual)
 
@@ -212,7 +204,7 @@ def cmd_validate(args) -> int:
         check("Lyapunov residual < 1e-10",
               rec.lyap_residual is not None and rec.lyap_residual < 1e-10,
               f"(residual {rec.lyap_residual})")
-        if np.all(np.diag(matrices[1]) >= 0):
+        if (dynamics.noise_diagonals(params, params.temperature_T) >= 0).all():
             check("covariance physicality >= -1e-9",
                   rec.physicality is not None and rec.physicality > -1e-9,
                   f"(min eig {rec.physicality})")

@@ -75,8 +75,8 @@ def _load(path) -> configparser.ConfigParser:
     return parser
 
 
-def parse_system(section) -> tuple[PhysicalParams, float]:
-    """Build (PhysicalParams, epsilon_d) from a [system] section."""
+def parse_system(section) -> PhysicalParams:
+    """Build the PhysicalParams, drive included, of a [system] section."""
     default_unit = section.get("units", "rad_s")
     if default_unit not in ("rad_s", "Hz2pi"):
         raise ConfigError(f"units must be rad_s or Hz2pi, got "
@@ -90,7 +90,6 @@ def parse_system(section) -> tuple[PhysicalParams, float]:
     kappa_1, omega_b = absolute["kappa_1"], absolute["omega_b"]
 
     values: dict = dict(absolute)
-    epsilon_d = 0.0
     eta = None
     for key in section:
         if key in ("units", "kappa_1", "omega_b"):
@@ -101,9 +100,6 @@ def parse_system(section) -> tuple[PhysicalParams, float]:
             values[key] = _number(section[key], key)
         elif key == "eta":
             eta = _number(section[key], key)
-        elif key == "epsilon_d":
-            epsilon_d = _parse_rate(section[key], default_unit, kappa_1,
-                                    omega_b, key=key)
         elif key in RATE_KEYS:
             values[key] = _parse_rate(section[key], default_unit, kappa_1,
                                       omega_b, key=key)
@@ -120,7 +116,7 @@ def parse_system(section) -> tuple[PhysicalParams, float]:
     if missing:
         raise ConfigError(f"[system] is missing keys: {', '.join(missing)}")
     try:
-        return PhysicalParams(**values), epsilon_d
+        return PhysicalParams(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -160,13 +156,13 @@ def _parse_links(text: str):
 def load_config(path) -> dict:
     """Parse a config file into params, optional sweep spec and output.
 
-    Returns a dict with keys ``params``, ``epsilon_d``, ``spec`` (None
-    when no [sweep] section is present) and ``output`` (format, path).
+    Returns a dict with keys ``params``, ``spec`` (None when no [sweep]
+    section is present) and ``output`` (format, path).
     """
     parser = _load(path)
     if "system" not in parser:
         raise ConfigError("config file needs a [system] section")
-    params, epsilon_d = parse_system(parser["system"])
+    params = parse_system(parser["system"])
     default_unit = parser["system"].get("units", "rad_s")
 
     out = {"format": "csv", "path": None}
@@ -191,14 +187,12 @@ def load_config(path) -> dict:
             q.strip() for q in section.get("quantities", "all").split(",")
             if q.strip())
         links = _parse_links(section.get("links", ""))
-        drift = section.get("drift", "derived")
         try:
-            spec = SweepSpec(base=params, axes=tuple(axes),
+            base = params.with_(drift_mode=section.get("drift", "derived"))
+            spec = SweepSpec(base=base, axes=tuple(axes),
                              quantities=quantities, links=links,
-                             output_format=out["format"], drift_mode=drift,
-                             epsilon_d=epsilon_d)
+                             output_format=out["format"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    return {"params": params, "epsilon_d": epsilon_d, "spec": spec,
-            "output": out}
+    return {"params": params, "spec": spec, "output": out}

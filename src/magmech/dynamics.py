@@ -16,14 +16,11 @@ import numpy as np
 from .lyapunov import eigendecomposition
 from .params import ParamStack, effective_kappa_2, thermal_occupation
 
-DRIFT_MODES = ("derived", "printed")
-
 # stable iff every eigenvalue's real part is below -TOL_STAB_REL*kappa_1
 TOL_STAB_REL = 1e-9
 
 
-def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
-                   mode: str = "derived") -> np.ndarray:
+def drift_matrices(p: ParamStack, delta_eff, G_mb) -> np.ndarray:
     """(N, 8, 8) stack of drift matrices of the quadrature fluctuations,
     one per point of the stack.
 
@@ -32,16 +29,14 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
     gauge-fixed (real, non-negative) coupling, and a complex one rotates
     the magnon block by its phase.
 
-    ``mode="derived"`` (default) builds the matrix from the
-    linearization of the equations of motion: the cavity-2 diagonal
-    carries the net damping kappa_2 - g, and the magnon block is a
-    damped rotation (-kappa_m, +delta_eff / -delta_eff, -kappa_m).
-    ``mode="printed"`` reproduces a legacy transcription that differs in
-    exactly two places: intrinsic kappa_2 on the cavity-2 diagonal and a
-    +delta_eff sign at row 6, column 5.  It is retained for audit only.
+    The stack's ``drift_mode = "derived"`` (the default) linearizes the
+    equations of motion: the cavity-2 diagonal carries the net damping
+    kappa_2 - g, and the magnon block is a damped rotation (-kappa_m,
+    +delta_eff / -delta_eff, -kappa_m).  ``"printed"`` is a legacy
+    transcription, kept for audit only, that differs in exactly two
+    places: intrinsic kappa_2 on the cavity-2 diagonal and a +delta_eff
+    sign at row 6, column 5.
     """
-    if mode not in DRIFT_MODES:
-        raise ValueError(f"unknown drift mode {mode!r}")
     k1, k2t, k2, km = p.kappa_1, effective_kappa_2(p), p.kappa_2, p.kappa_m
     d1, d2, gma, J = p.Delta_1, p.Delta_2, p.g_ma, p.J
     wb, gb = p.omega_b, p.gamma_b
@@ -58,7 +53,7 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb, *,
     A[:, 4, 4] = A[:, 5, 5] = -km;  A[:, 4, 5] = de;  A[:, 5, 4] = -de
     A[:, 4, 6] = -gr;  A[:, 7, 5] = gr;  A[:, 5, 6] = A[:, 7, 4] = -gi
     A[:, 6, 7] = wb;   A[:, 7, 6] = -wb; A[:, 7, 7] = -gb
-    if mode == "printed":
+    if p.drift_mode == "printed":
         A[:, 2, 2] = A[:, 3, 3] = -k2
         A[:, 5, 4] = de
     return A

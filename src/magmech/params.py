@@ -28,6 +28,11 @@ K_B = 1.3807e-23
 
 COUPLING_MODES = ("direct_g", "microscopic")
 DIFFUSION_CONVENTIONS = ("as_printed", "absolute_value", "physical_sum")
+DRIFT_MODES = ("derived", "printed")
+
+# the fields that every point of a ParamStack shares
+SHARED_FIELDS = ("coupling_mode", "diffusion_convention", "drift_mode",
+                 "epsilon_d")
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,13 @@ class PhysicalParams:
         active; one of ``as_printed``, ``absolute_value``,
         ``physical_sum``.  See
         :func:`magmech.dynamics.diffusion_matrices`.
+    drift_mode : str
+        ``derived`` or ``printed``; see
+        :func:`magmech.dynamics.drift_matrices`.
+    epsilon_d : float
+        Magnon drive amplitude (rad/s), finite and non-negative.
+
+    A :class:`ParamStack` shares the ``SHARED_FIELDS`` with its points.
     """
 
     omega_b: float
@@ -95,6 +107,8 @@ class PhysicalParams:
     G_mb: float = 0.0
     g_mb: float = 0.0
     diffusion_convention: str = "as_printed"
+    drift_mode: str = "derived"
+    epsilon_d: float = 0.0
 
     def __post_init__(self):
         for failed, message in _checks(self):
@@ -107,7 +121,7 @@ class PhysicalParams:
 
 
 NUMERIC_FIELDS = tuple(f.name for f in fields(PhysicalParams)
-                       if f.type in (float, "float"))
+                       if f.name not in SHARED_FIELDS)
 
 
 def _checks(p):
@@ -126,6 +140,10 @@ def _checks(p):
          f"unknown coupling_mode {p.coupling_mode!r}"),
         (p.diffusion_convention not in DIFFUSION_CONVENTIONS,
          f"unknown diffusion_convention {p.diffusion_convention!r}"),
+        (p.drift_mode not in DRIFT_MODES,
+         f"unknown drift mode {p.drift_mode!r}"),
+        (not (math.isfinite(p.epsilon_d) and p.epsilon_d >= 0),
+         f"epsilon_d must be finite and non-negative, got {p.epsilon_d!r}"),
         ((p.coupling_mode == "direct_g") & (p.G_mb < 0),
          "G_mb must be non-negative in direct_g mode"),
         ((p.coupling_mode == "microscopic") & (p.g_mb < 0),
@@ -146,9 +164,9 @@ def _not_finite(p):
 
 class ParamStack(SimpleNamespace):
     """N parameter sets as columns: one (N,) float array per numeric
-    field of :class:`PhysicalParams`, the two modes shared by the stack.
-    Not validated on construction; :meth:`errors` names each point's
-    first broken rule."""
+    field of :class:`PhysicalParams`, and one value of each of the
+    ``SHARED_FIELDS``.  Not validated on construction; :meth:`errors`
+    names each point's first broken rule."""
 
     @classmethod
     def broadcast(cls, base: PhysicalParams, n: int,
@@ -162,8 +180,8 @@ class ParamStack(SimpleNamespace):
         values = dict(zip(NUMERIC_FIELDS, point.repeat(n, axis=1)))
         for name, column in columns.items():
             values[name][:] = column
-        return cls(**values, coupling_mode=base.coupling_mode,
-                   diffusion_convention=base.diffusion_convention)
+        return cls(**values, **{name: getattr(base, name)
+                                for name in SHARED_FIELDS})
 
     def __len__(self) -> int:
         return len(self.omega_b)

@@ -97,14 +97,14 @@ def _response(s: ParamStack) -> _Response:
     return _Response(f1, f2, s.J * s.J + f1 * f2, s.g_ma ** 2 * f2)
 
 
-def _equations(s: ParamStack, g, f: _Response, m, a1, a2, q, p, epsilon_d):
+def _equations(s: ParamStack, g, f: _Response, m, a1, a2, q, p):
     """The five equations of motion with all time derivatives set to
-    zero; the magnon-phonon nonlinearity g only acts in ``microscopic``
-    mode."""
+    zero, at the stack's drive; the magnon-phonon nonlinearity g only
+    acts in ``microscopic`` mode."""
     return (-f.f1 * a1 - 1j * s.g_ma * m - 1j * s.J * a2,
             -f.f2 * a2 - 1j * s.J * a1,
             -(1j * s.Delta_m + s.kappa_m) * m - 1j * s.g_ma * a1
-            - 1j * g * m * q + epsilon_d,
+            - 1j * g * m * q + s.epsilon_d,
             s.omega_b * p,
             -s.omega_b * q - s.gamma_b * p - g * np.abs(m) ** 2)
 
@@ -134,7 +134,7 @@ def _arithmetic_error(denom: complex, m: complex, *moduli):
     return None
 
 
-def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
+def _mean_field_cubic(s: ParamStack, g, f: _Response):
     """The displacement fixed point q = f(q) = -(g/omega_b)|E/(u + v q)|^2,
     with u = (kappa_m + i*Delta_m)*C + G and v = i*g*C, as the cubic
     |v|^2 q^3 + 2 Re(conj(u) v) q^2 + |u|^2 q + (g/omega_b)|E|^2 = 0
@@ -162,7 +162,7 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response, epsilon_d):
     w = 1j * s.Delta_m[idx] + s.kappa_m[idx] + f.G[idx] / f.C[idx]
     B = 2.0 * w.imag / gi
     C = (w.real * w.real + w.imag * w.imag) / (gi * gi)
-    D = epsilon_d / gi * (epsilon_d / s.omega_b[idx])
+    D = s.epsilon_d / gi * (s.epsilon_d / s.omega_b[idx])
     BC = B * C
     terms = (18.0 * BC * D, -4.0 * B * B * B * D, BC * BC,
              -4.0 * C * C * C, -27.0 * D * D)
@@ -272,18 +272,12 @@ def _iterate(s: ParamStack, g, C, G, E, errors):
     return q, iterations, converged
 
 
-def check_drive(epsilon_d: float) -> None:
-    """Raise ValueError unless the drive is finite and non-negative."""
-    if not (math.isfinite(epsilon_d) and epsilon_d >= 0):
-        raise ValueError("epsilon_d must be finite and non-negative, "
-                         f"got {epsilon_d!r}")
-
-
 # NumPy warns where Python's complex arithmetic raises; the errors that
 # matter are named per slice
 @np.errstate(all="ignore")
-def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
-    """Solve the mean-field equations for a parameter stack.
+def solve_steady_states(params: ParamStack) -> SteadyState:
+    """Solve the mean-field equations for a parameter stack at its drive
+    ``epsilon_d``.
 
     Returns one :class:`SteadyState` of (N,) arrays.  Without a drive
     every amplitude vanishes, with q = 0, residual 0 and no iteration.
@@ -300,16 +294,15 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False, and ``real_roots`` tells a multistable slice.
     A slice that divides by zero or overflows a finite amplitude gets
-    its error in ``errors`` instead of raising.  A NaN, infinite or
-    negative ``epsilon_d`` raises ValueError.
+    its error in ``errors`` instead of raising.  The drive is not
+    checked: the caller names a stack's broken rules, as the kernel does.
     """
-    check_drive(epsilon_d)
     s, g = params, _feedback(params)
     n = len(s)
     errors: list = [None] * n
     p = np.zeros(n)
 
-    if epsilon_d == 0.0:
+    if s.epsilon_d == 0.0:
         q = np.zeros(n)
         m, a1, a2 = (np.zeros(n, dtype=complex) for _ in range(3))
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q,
@@ -318,12 +311,12 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
                            tuple(errors))
 
     f = _response(s)
-    E = epsilon_d * f.C
+    E = s.epsilon_d * f.C
     # J^2 + f1*f2 divides in the closed form
     for k in np.flatnonzero(f.C == 0):
         errors[k] = ZeroDivisionError("complex division by zero")
     # the loop leaves out the closed slices, as if without feedback
-    real_roots, closed, root, attracts = _mean_field_cubic(s, g, f, epsilon_d)
+    real_roots, closed, root, attracts = _mean_field_cubic(s, g, f)
     looped = g.copy()
     looped[closed] = 0.0
     q, iterations, converged = _iterate(s, looped, f.C, f.G, E, errors)
@@ -336,8 +329,8 @@ def solve_steady_states(params: ParamStack, epsilon_d: float) -> SteadyState:
     # -i J a1 / f2 with the f2 cancellation done symbolically, so a
     # resonant undamped cavity 2 (f2 = 0) stays finite
     a2 = -s.J * s.g_ma * m / f.C
-    equations = _equations(s, g, f, m, a1, a2, q, p, epsilon_d)
-    residual = _relative_max_norm(equations, max(epsilon_d, 1e-300))
+    equations = _equations(s, g, f, m, a1, a2, q, p)
+    residual = _relative_max_norm(equations, max(s.epsilon_d, 1e-300))
     for k in np.flatnonzero(~np.isfinite(residual)):
         if errors[k] is None:
             errors[k] = _arithmetic_error(

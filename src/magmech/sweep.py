@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import dynamics, lyapunov, measures, steady_state
+from . import dynamics, lyapunov, measures
 from .params import (NUMERIC_FIELDS, ParamStack, PhysicalParams,
                      reference_baseline)
 from .steady_state import effective_coupling, solve_steady_states
@@ -89,8 +89,9 @@ class SweepAxis:
 class SweepSpec:
     """Grid description: base point, one or two axes, linked fields.
 
-    ``links`` are (target, source, factor) triples applied after the
-    axis values, e.g. ``("Delta_2", "Delta_1", 1.0)`` keeps the two
+    The base's ``SHARED_FIELDS``, its modes and drive, hold at every
+    point.  ``links`` are (target, source, factor) triples applied after
+    the axis values, e.g. ``("Delta_2", "Delta_1", 1.0)`` keeps the two
     cavity detunings equal while ``Delta_1`` is swept.  ``quantities``
     selects the reported measure columns (``"all"`` for every pair);
     requesting a steering direction implies the matching entanglement
@@ -102,23 +103,18 @@ class SweepSpec:
     quantities: tuple[str, ...] = ("all",)
     links: tuple[tuple[str, str, float], ...] = ()
     output_format: str = "csv"
-    drift_mode: str = "derived"
-    epsilon_d: float = 0.0
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep needs one or two axes")
         if self.output_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.drift_mode not in dynamics.DRIFT_MODES:
-            raise ValueError(f"unknown drift mode {self.drift_mode!r}")
         for target, source, _ in self.links:
             if target not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link target {target!r}")
             if source not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link source {source!r}")
         normalize_quantities(self.quantities)
-        steady_state.check_drive(self.epsilon_d)
 
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)
@@ -235,8 +231,7 @@ def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
 
 
 def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
-                    quantities, drift_mode: str,
-                    epsilon_d: float) -> SweepTable:
+                    quantities) -> SweepTable:
     """Run the pipeline for a stack of points and return its table;
     ``invalid`` holds each point's broken rule or None, as
     :meth:`~magmech.params.ParamStack.errors` names it, and
@@ -252,7 +247,7 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
                        np.zeros(n, dtype=bool),
                        {c: np.full(n, np.nan) for c in names},
                        [[] for _ in range(n)], columns)
-    gate = _gate(params, invalid, drift_mode, epsilon_d, table.warnings)
+    gate = _gate(params, invalid, table.warnings)
     state, solved = next(gate)
     _put(table, "residual", *solved)
     for block in gate:
@@ -265,8 +260,7 @@ def _put(table: SweepTable, name: str, points, values) -> None:
     table.values[name][points] = np.where(np.isfinite(values), values, np.nan)
 
 
-def _gate(params: ParamStack, invalid: list, drift_mode: str,
-          epsilon_d: float, warnings: list[list[str]]):
+def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
     """The kernel's front stages, as a generator.  The points that
     ``invalid`` names a broken rule for are nulled; the steady state runs
     once on the others.  Both append the warnings of the null rules they
@@ -283,8 +277,7 @@ def _gate(params: ParamStack, invalid: list, drift_mode: str,
         if e is not None:
             warnings[k].append(f"invalid parameters at this point: {e}")
     state = solve_steady_states(
-        params if valid.size == len(params) else params.take(valid),
-        epsilon_d)
+        params if valid.size == len(params) else params.take(valid))
     solved = np.array([e is None for e in state.errors], dtype=bool)
     for j, e in enumerate(state.errors):
         if e is not None:
@@ -313,8 +306,7 @@ def _gate(params: ParamStack, invalid: list, drift_mode: str,
             g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[block]))
         else:
             g_eff = sub.G_mb
-        A = dynamics.drift_matrices(sub, state.delta_eff[block], g_eff,
-                                    mode=drift_mode)
+        A = dynamics.drift_matrices(sub, state.delta_eff[block], g_eff)
         yield live, block, sub, A, dynamics.stability(A, sub.kappa_1)
 
 
@@ -392,8 +384,7 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
 
 
 def evaluate_point(params: PhysicalParams, *,
-                   quantities=("all",), drift_mode: str = "derived",
-                   epsilon_d: float = 0.0) -> SweepRecord:
+                   quantities=("all",)) -> SweepRecord:
     """Run the full pipeline for one parameter point: the one-point
     stack of the kernel that sweeps run, which skips the validity rules
     that ``params`` passed when it was built.
@@ -404,8 +395,7 @@ def evaluate_point(params: PhysicalParams, *,
     diffusion matrices come from :func:`point_matrices`.
     """
     return _evaluate_chunk(ParamStack.broadcast(params, 1), [None],
-                           np.empty((1, 0)), quantities, drift_mode,
-                           epsilon_d)[0]
+                           np.empty((1, 0)), quantities)[0]
 
 
 def stack_params(spec: SweepSpec, values: np.ndarray) -> ParamStack:
@@ -432,8 +422,7 @@ def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
     """Table of the grid points ``values`` (N, n_axes), validated and
     evaluated as one stack."""
     params = stack_params(spec, values)
-    return _evaluate_chunk(params, params.errors(), values, spec.quantities,
-                           spec.drift_mode, spec.epsilon_d)
+    return _evaluate_chunk(params, params.errors(), values, spec.quantities)
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
@@ -468,26 +457,23 @@ _UNIT_NOISES = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
 _UNIT_NOISES.flags.writeable = False
 
 
-def _point_block(params: PhysicalParams, drift_mode: str, epsilon_d: float):
+def _point_block(params: PhysicalParams):
     """The one block of :func:`_gate` on the one-point stack of
     ``params``, or None without a steady state."""
-    _, *blocks = _gate(ParamStack.broadcast(params, 1), [None], drift_mode,
-                       epsilon_d, [[]])
+    _, *blocks = _gate(ParamStack.broadcast(params, 1), [None], [[]])
     return blocks[0] if blocks else None
 
 
-def point_matrices(params: PhysicalParams, *, drift_mode: str = "derived",
-                   epsilon_d: float = 0.0):
+def point_matrices(params: PhysicalParams):
     """The drift and diffusion matrices ``(A, D)``, each (8, 8), that the
     kernel builds at ``params``; None without a steady state."""
-    if block := _point_block(params, drift_mode, epsilon_d):
+    if block := _point_block(params):
         _, _, sub, A, _ = block
         return A[0], dynamics.diffusion_matrices(sub)[0][0]
     return None
 
 
-def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
-                          epsilon_d: float) -> np.ndarray | None:
+def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
     """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
     per quadrature, as a stack (8, 8, 8); None where the kernel's gate
     nulls the point.
@@ -497,7 +483,7 @@ def _unit_noise_solutions(params: PhysicalParams, drift_mode: str,
     temperature, and the Lyapunov equation is linear in D, so the
     covariance at T is sum_i D_ii(T) V_i.
     """
-    block = _point_block(params, drift_mode, epsilon_d)
+    block = _point_block(params)
     if block is None or not block[-1].stable[0]:
         return None
     *_, A, report = block
@@ -525,10 +511,7 @@ def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
                                              basis))[0]
 
 
-def find_critical_temperature(params: PhysicalParams,
-                              pair: tuple[str, str], *,
-                              drift_mode: str = "derived",
-                              epsilon_d: float = 0.0
+def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
                               ) -> tuple[float, tuple[str, ...]]:
     """Largest temperature at which the pair, in either order, stays
     entangled, its E_N above ``TC_TOL_E``.
@@ -560,7 +543,7 @@ def find_critical_temperature(params: PhysicalParams,
     t_max, tol_t, tol_e = TC_T_MAX, TC_TOL_T, TC_TOL_E
     ts = np.linspace(0.0, t_max, TC_COARSE_POINTS)
 
-    solutions = _unit_noise_solutions(params, drift_mode, epsilon_d)
+    solutions = _unit_noise_solutions(params)
     basis = None if solutions is None else measures.reduce_pair(solutions,
                                                                 pair)
 

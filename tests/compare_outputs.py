@@ -84,9 +84,10 @@ TC_ROWS = {("a2", "m"): (-0.6, 1.0), ("a1", "m"): (-0.5, 0.0)}
 TC_ROW_POINTS = 21
 
 # the Tc searches off the rows' defaults, those of the sequential
-# bisection test: per case the pair, the search's options and the
-# changes to reference_baseline(), with detunings in units of omega_b
-# and the gain in units of kappa_1
+# bisection test: per case the pair, the drift mode or drive (a field of
+# the point, or an option of the search in a tree whose point lacks it)
+# and the changes to reference_baseline(), with detunings in units of
+# omega_b and the gain in units of kappa_1
 TC_CASES = {
     "absolute_value": (("m", "b"), {}, dict(
         diffusion_convention="absolute_value", Delta_1=-2.0, Delta_2=-2.0,
@@ -131,9 +132,16 @@ def _run_cli(argv, stem: str, out_dir: str) -> None:
 
 
 def _tc(params, pair, **options) -> str:
-    """Tc at ``"%.17g"`` and its warnings, or the search's error."""
+    """Tc at ``"%.17g"`` and its warnings, or the search's error.  An
+    option that ``params`` has a field for is set on it, and the rest
+    are passed to the search."""
+    from dataclasses import fields
+
     from magmech.sweep import find_critical_temperature
 
+    names = {f.name for f in fields(params)}
+    params = params.with_(**{k: v for k, v in options.items() if k in names})
+    options = {k: v for k, v in options.items() if k not in names}
     try:
         tc, warnings = find_critical_temperature(params, pair, **options)
     except ValueError as exc:

@@ -89,12 +89,18 @@ MUTATIONS = (
         ("tests/test_sweep.py::test_axis_values_must_be_finite",
          "tests/test_cli.py::test_cli_rejects_a_non_finite_axis")),
     Mutation(
-        "check_drive_bypassed", "src/magmech/steady_state.py",
-        "    if not (math.isfinite(epsilon_d) and epsilon_d >= 0):",
-        "    if False:",
+        "check_drive_bypassed", "src/magmech/params.py",
+        "        (not (math.isfinite(p.epsilon_d) and p.epsilon_d >= 0),",
+        "        (False,",
         ("tests/test_steady_state.py::"
          "test_drive_must_be_finite_and_non_negative",
-         "tests/test_steady_state.py::test_negative_drive_rejected")),
+         "tests/test_steady_state.py::test_negative_drive_rejected",
+         "tests/test_cli.py::"
+         "test_cli_rejects_a_bad_drive_before_evaluating")),
+    Mutation(
+        "drift_mode_unchecked", "src/magmech/params.py",
+        "        (p.drift_mode not in DRIFT_MODES,", "        (False,",
+        ("tests/test_dynamics.py::test_drift_rejects_bad_arguments",)),
     Mutation(
         "grid_skips_validation", "src/magmech/sweep.py",
         "_evaluate_chunk(params, params.errors(), values,",

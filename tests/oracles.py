@@ -28,8 +28,8 @@ from scipy.linalg import expm
 from magmech import steady_state
 from magmech.dynamics import diffusion_matrices, drift_matrices
 from magmech.lyapunov import RESIDUAL_MAX, solve_lyapunov, symplectic_form
-from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, ParamStack,
-                            effective_kappa_2)
+from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS,
+                            ParamStack, effective_kappa_2)
 from magmech.steady_state import (DAMPING, MAX_ITER, TOL_REL, SteadyState,
                                    _arithmetic_error)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS,
@@ -80,15 +80,15 @@ def integrate_lyapunov(A, D, *, max_doublings=200):
     return 0.5 * (V + V.T)
 
 
-def stack_of(params_seq):
-    """The parameter sets ``params_seq``, which share their modes, as a
-    :class:`ParamStack`."""
+def stack_of(params_seq, **shared):
+    """The parameter sets ``params_seq``, which share their modes and
+    drive, as a :class:`ParamStack`; ``shared`` replaces shared fields."""
     first = params_seq[0]
     return ParamStack(**{name: np.array([getattr(p, name)
                                          for p in params_seq], dtype=float)
                          for name in NUMERIC_FIELDS},
-                      coupling_mode=first.coupling_mode,
-                      diffusion_convention=first.diffusion_convention)
+                      **{name: shared.get(name, getattr(first, name))
+                         for name in SHARED_FIELDS})
 
 
 def point_params(spec, values):
@@ -159,12 +159,12 @@ def mean_field_residual(params_seq, state, epsilon_d):
     Substitutes the amplitudes into the five equations of motion with
     all time derivatives set to zero.
     """
-    s = stack_of(params_seq)
+    s = stack_of(params_seq, epsilon_d=epsilon_d)
     return steady_state._relative_max_norm(
         steady_state._equations(s, steady_state._feedback(s),
                                 steady_state._response(s), state.m_avg,
                                 state.a1_avg, state.a2_avg, state.q_avg,
-                                state.p_avg, epsilon_d),
+                                state.p_avg),
         max(abs(epsilon_d), 1e-300))
 
 
@@ -522,8 +522,7 @@ def bose_occupation(omega, temperature):
 
 
 def bisect_critical_temperature(params, pair, *, tol_t=1e-3,
-                                coarse_points=41, drift_mode="derived",
-                                epsilon_d=0.0):
+                                coarse_points=41):
     """Reference Tc search: a coarse scan over [0, 2] K and then a
     sequential bisection to ``tol_t``, with one ``evaluate_point`` per
     temperature; E_N at most 1e-6 is not entangled.
@@ -535,8 +534,7 @@ def bisect_critical_temperature(params, pair, *, tol_t=1e-3,
 
     def entanglement(t):
         rec = evaluate_point(params.with_(temperature_T=t),
-                             quantities=(column,), drift_mode=drift_mode,
-                             epsilon_d=epsilon_d)
+                             quantities=(column,))
         value = rec.measures.get(column)
         return value if (rec.stable and value is not None) else 0.0
 
@@ -665,8 +663,7 @@ def stable_covariances(spec, values):
     blocks.  A solve that misses the kernel's residual gate leaves its
     point out, as the kernel nulls it."""
     params = stack_params(spec, values)
-    blocks = _gate(params, params.errors(), spec.drift_mode, spec.epsilon_d,
-                   [[] for _ in values])
+    blocks = _gate(params, params.errors(), [[] for _ in values])
     next(blocks)  # the steady state
     rows, covariances = [], []
     for live, _, sub, A, report in blocks:

@@ -263,9 +263,8 @@ def _scan(drift, diffusion, axes, columns, links=(), **overrides):
     """One ``run_sweep`` of the grid ``axes`` under one convention: its
     table, and each of ``columns`` as an array in row-major order, 0
     where a point is unstable or null."""
-    table = run_sweep(SweepSpec(_base(diffusion, **overrides), axes,
-                                quantities=columns, links=links,
-                                drift_mode=drift))
+    base = _base(diffusion, drift_mode=drift, **overrides)
+    table = run_sweep(SweepSpec(base, axes, quantities=columns, links=links))
     return table, {c: np.where(table.stable & ~np.isnan(table.values[c]),
                                table.values[c], 0.0) for c in columns}
 
@@ -318,11 +317,10 @@ def crit_eta_monotone(drift, diffusion):
 
 
 def _tc(drift, diffusion, gain_over_k1, reference, tol):
-    params = _base(diffusion)
+    params = _base(diffusion, drift_mode=drift)
     params = params.with_(gain_g=gain_over_k1 * params.kappa_1)
     try:
-        tc, _ = find_critical_temperature(params, ("a2", "m"),
-                                          drift_mode=drift)
+        tc, _ = find_critical_temperature(params, ("a2", "m"))
     except ValueError as exc:
         return Outcome(False, None, f"undefined ({exc})")
     return Outcome(bool(abs(tc - reference) <= tol), round(tc, 4),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magmech import sweep
+from magmech import reference_baseline, sweep
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
 from magmech.dynamics import diffusion_matrices, format_matrix
@@ -116,7 +116,7 @@ def test_cli_point_dumps_the_matrices_of_the_pipeline(config_file,
                  str(dump)]) == 0
     cfg = load_config(config_file)
     params = cfg["params"]
-    state = solve_steady_states(stack_of([params]), cfg["epsilon_d"])
+    state = solve_steady_states(stack_of([params]))
     A = drift_matrix_general(params, state.delta_eff[0], params.G_mb)
     D = diffusion_matrices(stack_of([params]))[0][0]
     assert (dump / "A.txt").read_text() == format_matrix(A)
@@ -268,20 +268,77 @@ def test_cli_rejects_a_bad_drive_before_evaluating(tmp_path, capsys,
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(sweep, "_evaluate_chunk", evaluated)
+    monkeypatch.setattr(sweep, "_gate", evaluated)
     message = f"epsilon_d must be finite and non-negative, got {shown}"
     text = GOOD_CONFIG.replace("coupling_mode",
                                f"epsilon_d = {value} rad_s\ncoupling_mode")
     path, out = tmp_path / "drive.cfg", tmp_path / "drive.csv"
     path.write_text(text)
-    # the sweep spec is built, and rejected, when the config is read
+    # the config's point is built, and rejected, when the config is read
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
-    # without a [sweep] section the point's solve rejects it
-    monkeypatch.undo()
+    # so every verb rejects it, without a [sweep] section too
     path.write_text(text.split("[sweep]")[0])
-    assert main(["point", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for verb in ("point", "tc", "validate"):
+        assert main([verb, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_cli_drift_flag_reaches_point_tc_and_validate(config_file, tmp_path,
+                                                     capsys):
+    # the config's point is reference_baseline(), which the printed drift
+    # matrix makes unstable
+    assert sweep.evaluate_point(reference_baseline()).stable
+    printed = reference_baseline(drift_mode="printed")
+    assert not sweep.evaluate_point(printed).stable
+    out = tmp_path / "p.json"
+    for drift, stable in (("derived", True), ("printed", False)):
+        assert main(["point", "--config", config_file, "--drift", drift,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stable"] is stable
+    capsys.readouterr()
+    assert main(["tc", "--config", config_file, "--drift", "printed"]) == 1
+    assert capsys.readouterr().err == ("error: E_a2m is not positive at T = "
+                                       "0; critical temperature undefined\n")
+    assert main(["validate", "--config", config_file, "--drift",
+                 "printed"]) == 0
+    assert ("SKIP Lyapunov checks (configured point is not stable)"
+            in capsys.readouterr().out.splitlines())
+
+
+def _printed_sweep_config(tmp_path):
+    path = tmp_path / "printed.cfg"
+    path.write_text(GOOD_CONFIG.replace("[sweep]\n",
+                                        "[sweep]\ndrift = printed\n"))
+    return str(path)
+
+
+def _output(verb, config, tmp_path, *flags):
+    out = tmp_path / "out.txt"
+    assert main([verb, "--config", config, "--out", str(out), *flags]) == 0
+    return out.read_text()
+
+
+def test_cli_sweep_drift_key_and_its_override(config_file, tmp_path):
+    # [sweep] drift sets the sweep's drift mode, and --drift overrides it
+    printed_config = _printed_sweep_config(tmp_path)
+    assert load_config(printed_config)["spec"].base.drift_mode == "printed"
+    printed = _output("sweep", printed_config, tmp_path)
+    assert [row.split(",")[1] for row in printed.splitlines()[1:]] == [
+        "false"] * 3
+    assert _output("sweep", config_file, tmp_path, "--drift",
+                   "printed") == printed
+    assert (_output("sweep", printed_config, tmp_path, "--drift", "derived")
+            == _output("sweep", config_file, tmp_path))
+
+
+def test_cli_point_ignores_the_sweep_drift_key(config_file, tmp_path):
+    printed_config = _printed_sweep_config(tmp_path)
+    assert load_config(printed_config)["params"].drift_mode == "derived"
+    point = _output("point", printed_config, tmp_path)
+    assert json.loads(point)["stable"] is True
+    assert point == _output("point", config_file, tmp_path)
 
 
 @pytest.mark.parametrize("axis, shown", [

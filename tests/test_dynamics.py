@@ -87,8 +87,8 @@ def test_active_cavity_diagonal_entry(baseline):
 
 def test_printed_variant_differs_in_exactly_two_places(baseline):
     derived, printed = (
-        drift_matrices(stack_of([baseline]), [baseline.Delta_m],
-                       [baseline.G_mb], mode=mode)[0]
+        drift_matrices(stack_of([baseline], drift_mode=mode),
+                       [baseline.Delta_m], [baseline.G_mb])[0]
         for mode in ("derived", "printed"))
     diff = {(i, j) for i in range(8) for j in range(8)
             if derived[i, j] != printed[i, j]}
@@ -99,9 +99,12 @@ def test_printed_variant_differs_in_exactly_two_places(baseline):
 
 
 def test_drift_rejects_bad_arguments(baseline):
-    with pytest.raises(ValueError):
-        drift_matrices(stack_of([baseline]), [baseline.Delta_m], [1.0],
-                       mode="bogus")
+    # the drift mode is a rule of the parameters, which a point raises
+    # and a stack names for each of its points
+    message = "unknown drift mode 'bogus'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        baseline.with_(drift_mode="bogus")
+    assert stack_of([baseline], drift_mode="bogus").errors() == [message]
 
 
 def test_drift_matches_numerical_linearization(baseline):
@@ -109,7 +112,7 @@ def test_drift_matches_numerical_linearization(baseline):
     micro = baseline.with_(coupling_mode="microscopic", g_mb=TWO_PI * 0.2,
                            G_mb=0.0)
     eps = 1e14
-    state = solve_steady_states(stack_of([micro]), eps)
+    state = solve_steady_states(stack_of([micro], epsilon_d=eps))
     a1, a2, m = state.a1_avg[0], state.a2_avg[0], state.m_avg[0]
     g_complex = effective_coupling(micro.g_mb, m)
     A = drift_matrix_general(micro, state.delta_eff[0], g_complex)
@@ -318,7 +321,7 @@ def _gate(spec, values, exact=False):
     of a direct_g preset; with ``exact``, also the Routh-Hurwitz verdicts
     on the same drift matrices shifted by the gate's tolerance."""
     stack = stack_params(spec, values)
-    A = drift_matrices(stack, stack.Delta_m, stack.G_mb, mode=spec.drift_mode)
+    A = drift_matrices(stack, stack.Delta_m, stack.G_mb)
     gate = stability(A, stack.kappa_1).stable.tolist()
     if not exact:
         return gate

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from magmech import params as params_module
-from magmech.params import (HBAR, K_B, TWO_PI, DriveParams, ParamStack,
-                            PhysicalParams, eta_ratio, reference_baseline,
-                            rabi_frequency, thermal_occupation)
+from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS, TWO_PI,
+                            DriveParams, ParamStack, PhysicalParams,
+                            eta_ratio, reference_baseline, rabi_frequency,
+                            thermal_occupation)
 
 from .oracles import bose_occupation
 
@@ -158,6 +159,22 @@ def test_physical_params_must_be_finite(baseline, name, value):
     with pytest.raises(ValueError,
                        match="^all numeric parameters must be finite$"):
         baseline.with_(**{name: value})
+
+
+def test_a_stack_shares_the_modes_and_the_drive(baseline):
+    # broadcast copies every shared field of its base, and take keeps
+    # them; every other field is a column
+    base = baseline.with_(coupling_mode="microscopic", g_mb=1.0,
+                          diffusion_convention="physical_sum",
+                          drift_mode="printed", epsilon_d=1e14)
+    stack = ParamStack.broadcast(base, 3, J=[1.0, 2.0, 3.0])
+    assert set(SHARED_FIELDS) == {"coupling_mode", "diffusion_convention",
+                                  "drift_mode", "epsilon_d"}
+    assert set(NUMERIC_FIELDS).isdisjoint(SHARED_FIELDS)
+    for part in (stack, stack.take([2])):
+        for name in SHARED_FIELDS:
+            assert getattr(part, name) == getattr(base, name)
+    assert stack.take([2]).J.tolist() == [3.0]
 
 
 def _spy_on_rules(monkeypatch):

@@ -29,7 +29,7 @@ def micro(baseline):
 
 
 def test_undriven_system_is_empty(baseline):
-    state = solve_steady_states(stack_of([baseline]), 0.0)
+    state = solve_steady_states(stack_of([baseline]))
     assert state.m_avg[0] == 0
     assert state.a1_avg[0] == 0
     assert state.a2_avg[0] == 0
@@ -42,7 +42,7 @@ def test_undriven_system_is_empty(baseline):
 def test_decoupled_mechanics_single_linear_solve(baseline):
     params = baseline.with_(coupling_mode="microscopic", g_mb=0.0)
     eps = 1e12
-    state = solve_steady_states(stack_of([params]), eps)
+    state = solve_steady_states(stack_of([params], epsilon_d=eps))
     assert state.iterations_used[0] == 0
     assert state.q_avg[0] == 0.0
     f1 = 1j * params.Delta_1 + params.kappa_1
@@ -56,7 +56,7 @@ def test_decoupled_mechanics_single_linear_solve(baseline):
 
 def test_microscopic_fixed_point_converges(micro):
     eps = 1e14
-    state = solve_steady_states(stack_of([micro]), eps)
+    state = solve_steady_states(stack_of([micro], epsilon_d=eps))
     assert state.converged[0]
     assert state.residual[0] < 1e-9
     assert state.p_avg[0] == 0.0
@@ -70,7 +70,7 @@ def test_microscopic_fixed_point_converges(micro):
 
 def test_cavity2_cross_relation(micro):
     # a2 = -i J a1 / f2 must hold with the net (gain-reduced) damping
-    state = solve_steady_states(stack_of([micro]), 5e13)
+    state = solve_steady_states(stack_of([micro], epsilon_d=5e13))
     f2 = 1j * micro.Delta_2 + effective_kappa_2(micro)
     assert state.a2_avg[0] == pytest.approx(
         -1j * micro.J * state.a1_avg[0] / f2, rel=1e-12)
@@ -79,14 +79,14 @@ def test_cavity2_cross_relation(micro):
 def test_residual_detects_wrong_cavity2_damping(micro):
     # amplitudes computed as if the cavity-2 gain were absent fail the
     # zero-derivative equations of the actual system
-    state_wrong = solve_steady_states(stack_of([micro.with_(gain_g=0.0)]),
-                                      5e13)
+    state_wrong = solve_steady_states(
+        stack_of([micro.with_(gain_g=0.0)], epsilon_d=5e13))
     res = mean_field_residual([micro], state_wrong, 5e13)
     assert res[0] > 1e-3
 
 
 def test_direct_g_skips_iteration(baseline):
-    state = solve_steady_states(stack_of([baseline]), 1e13)
+    state = solve_steady_states(stack_of([baseline], epsilon_d=1e13))
     assert state.iterations_used[0] == 0
     assert state.delta_eff[0] == baseline.Delta_m
     assert state.residual[0] < 1e-12
@@ -94,7 +94,7 @@ def test_direct_g_skips_iteration(baseline):
 
 def test_direct_and_microscopic_modes_agree(micro):
     eps = 1e14
-    state = solve_steady_states(stack_of([micro]), eps)
+    state = solve_steady_states(stack_of([micro], epsilon_d=eps))
     delta_eff = state.delta_eff[0]
     g_eff = abs(effective_coupling(micro.g_mb, state.m_avg[0]))
     direct = micro.with_(coupling_mode="direct_g", G_mb=g_eff,
@@ -106,8 +106,10 @@ def test_direct_and_microscopic_modes_agree(micro):
 
 
 def test_negative_drive_rejected(baseline):
-    with pytest.raises(ValueError):
-        solve_steady_states(stack_of([baseline]), -1.0)
+    # the drive is shared by a stack, so each of its points breaks the rule
+    stack = stack_of([baseline, baseline.with_(J=0.0)], epsilon_d=-1.0)
+    assert stack.errors() == [
+        "epsilon_d must be finite and non-negative, got -1.0"] * 2
 
 
 def test_resonant_undamped_cavity2_stays_finite(baseline):
@@ -115,7 +117,7 @@ def test_resonant_undamped_cavity2_stays_finite(baseline):
     # denominator vanishes but the amplitudes have a finite limit
     params = baseline.with_(Delta_2=0.0, gain_g=baseline.kappa_2)
     eps = 1e13
-    state = solve_steady_states(stack_of([params]), eps)
+    state = solve_steady_states(stack_of([params], epsilon_d=eps))
     m = state.m_avg[0]
     assert np.isfinite(abs(m))
     assert state.a1_avg[0] == 0
@@ -161,7 +163,7 @@ def test_a_monostable_point_takes_its_cubic_root(micro):
     # error
     [(root, slope)] = mean_field_cubic_roots(micro, 1e14)
     assert abs(slope) < 1.0
-    base = solve_steady_states(stack_of([micro]), 1e14)
+    base = solve_steady_states(stack_of([micro], epsilon_d=1e14))
     assert base.converged[0]
     assert base.iterations_used[0] == 0
     assert base.residual[0] < 1e-13
@@ -182,7 +184,7 @@ def assert_matches_oracle(params_seq, epsilon_d):
     other slice has the oracle's error, converged flag and iteration
     count, and converged amplitudes within 1e-13 relative; a converged
     one sits on an attracting root."""
-    state = solve_steady_states(stack_of(params_seq), epsilon_d)
+    state = solve_steady_states(stack_of(params_seq, epsilon_d=epsilon_d))
     for k, params in enumerate(params_seq):
         try:
             ref = picard_steady_state(params, epsilon_d)
@@ -300,8 +302,9 @@ def test_one_root_slices_are_closed_and_multistable_slices_loop():
     @given(points=_DRAWN_POINTS, log_eps=_DRAWN_LOG_EPS)
     def check(points, log_eps):
         params_seq = [base.with_(**point) for point in points]
-        stack, epsilon_d = stack_of(params_seq), 10.0 ** log_eps
-        state = solve_steady_states(stack, epsilon_d)
+        epsilon_d = 10.0 ** log_eps
+        stack = stack_of(params_seq, epsilon_d=epsilon_d)
+        state = solve_steady_states(stack)
         f = steady_state._response(stack)
         errors = [ZeroDivisionError() if c == 0 else None for c in f.C]
         loop = stacked_picard_loop(stack, stack.g_mb, f.C, f.G,
@@ -330,7 +333,7 @@ def assert_three_roots_end_at_the_largest(params_seq, epsilon_d):
     1/2 < F'(r3) < 1, and the package's Picard loop from q = 0 ends
     within the stop rule's own error of r3.  Returns the number of such
     slices."""
-    state = solve_steady_states(stack_of(params_seq), epsilon_d)
+    state = solve_steady_states(stack_of(params_seq, epsilon_d=epsilon_d))
     three = 0
     for k, params in enumerate(params_seq):
         roots = (mean_field_cubic_roots(params, epsilon_d) if params.g_mb
@@ -392,7 +395,7 @@ def test_breakdown_points_keep_their_outcome(baseline, micro, case,
     params = {"micro": micro, "direct": baseline,
               "micro_resonant": _resonant_loss(micro),
               "direct_resonant": _resonant_loss(baseline)}[case]
-    rec = evaluate_point(params, epsilon_d=epsilon_d)
+    rec = evaluate_point(params.with_(epsilon_d=epsilon_d))
     assert not rec.stable
     assert rec.warnings[0] == warning
     assert all(v is None for v in rec.measures.values())
@@ -403,7 +406,7 @@ def test_direct_mode_keeps_infinite_drive_point(baseline):
     # direct_g amplitudes do not enter the fluctuations: an overflowed
     # drive leaves a NaN residual, which the record holds as null, on a
     # point that is still evaluated
-    rec = evaluate_point(baseline, epsilon_d=1e300)
+    rec = evaluate_point(baseline.with_(epsilon_d=1e300))
     assert rec.stable
     assert rec.residual is None
     assert_matches_oracle([baseline], 1e300)
@@ -415,20 +418,20 @@ def test_stacked_residual_matches_single(micro):
     # solved as a one-point stack
     params_seq = [micro.with_(Delta_m=dm * micro.omega_b)
                   for dm in (0.2, 0.9, 1.5)]
-    state = solve_steady_states(stack_of(params_seq), 5e13)
+    state = solve_steady_states(stack_of(params_seq, epsilon_d=5e13))
     stacked = mean_field_residual(params_seq, state, 5e13)
     np.testing.assert_array_equal(stacked, state.residual)
     for k, params in enumerate(params_seq):
-        single = solve_steady_states(stack_of([params]), 5e13)
+        single = solve_steady_states(stack_of([params], epsilon_d=5e13))
         assert mean_field_residual([params], single, 5e13)[0] == stacked[k]
 
 
-def assert_loop_is_the_oracle_loop(stack, epsilon_d):
+def assert_loop_is_the_oracle_loop(stack):
     """The solve gives the same bits in every SteadyState field, and the
     same errors, as with the oracle's copy of the earlier Picard loop."""
-    state = solve_steady_states(stack, epsilon_d)
+    state = solve_steady_states(stack)
     with mock.patch.object(steady_state, "_iterate", stacked_picard_loop):
-        ref = solve_steady_states(stack, epsilon_d)
+        ref = solve_steady_states(stack)
     for f in fields(SteadyState)[:-1]:
         got, want = getattr(state, f.name), getattr(ref, f.name)
         assert got.dtype == want.dtype, f.name
@@ -441,7 +444,8 @@ def assert_loop_is_the_oracle_loop(stack, epsilon_d):
 def test_picard_loop_is_the_oracle_loop_on_the_micro_sweep_grid(micro):
     grid = np.linspace(0.0, 2.0 * micro.omega_b, 401)
     state = assert_loop_is_the_oracle_loop(
-        stack_of([micro.with_(Delta_m=float(dm)) for dm in grid]), 1e15)
+        stack_of([micro.with_(Delta_m=float(dm)) for dm in grid],
+                 epsilon_d=1e15))
     assert 0 < np.count_nonzero(~state.converged) < len(grid)
 
 
@@ -456,12 +460,13 @@ def test_picard_loop_is_the_oracle_loop_on_breakdown_slices(micro, epsilon_d,
     # finite, but (kappa_m + i*Delta_m)*C is not.  Parameter validation
     # keeps such detunings out of a sweep, not out of the solver.
     stack = stack_of([micro, _resonant_loss(micro), micro.with_(g_mb=0.0),
-                      micro.with_(Delta_m=0.3 * micro.omega_b)])
+                      micro.with_(Delta_m=0.3 * micro.omega_b)],
+                     epsilon_d=epsilon_d)
     if delta_m == "per_slice":
         stack.Delta_m[:] = [0.0, -1.0, math.inf, math.nan]
     else:
         stack.Delta_m[-1] = delta_m
-    assert_loop_is_the_oracle_loop(stack, epsilon_d)
+    assert_loop_is_the_oracle_loop(stack)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -477,7 +482,7 @@ def test_picard_loop_is_the_oracle_loop_on_drawn_points(points, epsilon_d,
     params_seq = [base.with_(**point) for point in points]
     if resonant:
         params_seq.append(_resonant_loss(params_seq[0]))
-    assert_loop_is_the_oracle_loop(stack_of(params_seq), epsilon_d)
+    assert_loop_is_the_oracle_loop(stack_of(params_seq, epsilon_d=epsilon_d))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -488,7 +493,7 @@ def test_a_converged_slice_has_a_finite_residual(epsilon_d, g_mb):
     # the scale of the drive and finite
     params = reference_baseline().with_(coupling_mode="microscopic",
                                         G_mb=0.0, g_mb=g_mb)
-    state = solve_steady_states(stack_of([params]), epsilon_d)
+    state = solve_steady_states(stack_of([params], epsilon_d=epsilon_d))
     assert np.isfinite(state.residual[state.converged]).all()
 
 
@@ -507,7 +512,7 @@ def test_an_undriven_stack_is_solved_in_closed_form(mode, points):
     stack = stack_of([base.with_(g_mb=g, Delta_m=dm) for g, dm in points])
     with mock.patch.object(steady_state, "_iterate",
                            side_effect=AssertionError("loop entered")):
-        state = solve_steady_states(stack, 0.0)
+        state = solve_steady_states(stack)
     g = stack.g_mb if mode == "microscopic" else np.zeros(len(stack))
     assert (state.q_avg.tobytes() == state.p_avg.tobytes()
             == np.zeros(len(stack)).tobytes())
@@ -526,7 +531,7 @@ def test_a_vanishing_drive_converges_with_a_small_residual(baseline):
     # every equation must balance on that scale: a loop that started
     # off q = 0 left |omega_b*q| behind and read 2.9e303
     params = baseline.with_(coupling_mode="microscopic", G_mb=0.0, g_mb=1.0)
-    state = solve_steady_states(stack_of([params]), 1e-300)
+    state = solve_steady_states(stack_of([params], epsilon_d=1e-300))
     assert state.converged[0]
     assert state.errors[0] is None
     assert state.residual[0] < 1e-9
@@ -538,9 +543,9 @@ def test_drive_must_be_finite_and_non_negative(baseline, micro, epsilon_d):
                + re.escape(repr(epsilon_d)))
     for params in (baseline, micro):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            solve_steady_states(stack_of([params]), epsilon_d)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate_point(params, epsilon_d=epsilon_d)
+            params.with_(epsilon_d=epsilon_d)
+        stack = stack_of([params], epsilon_d=epsilon_d)
+        assert re.fullmatch(message, stack.errors()[0])
 
 
 def test_arithmetic_error_ignores_a_stale_overflow():

@@ -166,10 +166,10 @@ def test_out_of_range_axis_points_are_flagged_not_fatal(baseline):
 def test_sweep_of_any_field_through_zero_completes(baseline, name, mode):
     # from -2x to 2x the base value: the points that break a rule get
     # nulls and a warning instead of aborting the sweep
-    base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2)
+    base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2,
+                          epsilon_d=1e14 if mode == "microscopic" else 0.0)
     value = getattr(base, name)
-    spec = SweepSpec(base, (SweepAxis(name, -2.0 * value, 2.0 * value, 5),),
-                     epsilon_d=1e14 if mode == "microscopic" else 0.0)
+    spec = SweepSpec(base, (SweepAxis(name, -2.0 * value, 2.0 * value, 5),))
     records = run_sweep(spec)
     assert len(records) == 5
     for rec in records:
@@ -242,9 +242,10 @@ def test_non_finite_values_are_written_as_nulls(baseline, tmp_path):
     warned = {"direct_g": "steady state residual not finite (residual nan)",
               "microscopic": "steady state did not converge (residual nan)"}
     for mode, warning in warned.items():
-        base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2)
+        base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2,
+                              epsilon_d=1e300)
         spec = SweepSpec(base, (SweepAxis("eta", 0.5, 1.5, 3),),
-                         quantities=("all", "amplitudes"), epsilon_d=1e300)
+                         quantities=("all", "amplitudes"))
         records = run_sweep(spec)
         assert [r.residual for r in records] == [None] * 3
         assert [r.warnings for r in records[:2]] == [(warning,)] * 2
@@ -355,9 +356,10 @@ def test_csv_writer_formats_each_distinct_value_once(baseline):
 @pytest.mark.parametrize("epsilon_d", [math.nan, math.inf, -1.0])
 def test_sweep_spec_drive_must_be_finite_and_non_negative(baseline,
                                                          epsilon_d):
+    # a sweep's drive is that of its base, which rejects a bad one
     with pytest.raises(ValueError, match="^epsilon_d must be finite and "
                        f"non-negative, got {epsilon_d!r}$"):
-        small_spec(baseline, epsilon_d=epsilon_d)
+        small_spec(baseline.with_(epsilon_d=epsilon_d))
 
 
 def test_invalid_points_skip_the_steady_state(baseline, monkeypatch):
@@ -388,7 +390,7 @@ def test_non_finite_points_are_invalid(baseline):
     stack.Delta_m[3] = np.nan
     stack.temperature_T[4] = np.inf
     table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((n, 0)),
-                                  ("E_a2m",), "derived", 0.0)
+                                  ("E_a2m",))
     message = "invalid parameters at this point: all numeric parameters " \
               "must be finite"
     assert table.warnings[1:] == [[message]] * 4
@@ -460,10 +462,8 @@ def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
     values = grid_values(spec)[2110]
     assert values == (0.1 * spec.base.omega_b, 0.0)
     params = build_point_params(spec, values)
-    rec = evaluate_point(params, quantities=spec.quantities,
-                         drift_mode=spec.drift_mode, epsilon_d=spec.epsilon_d)
-    A, D = point_matrices(params, drift_mode=spec.drift_mode,
-                          epsilon_d=spec.epsilon_d)
+    rec = evaluate_point(params, quantities=spec.quantities)
+    A, D = point_matrices(params)
     _, residual = lyapunov.solve_lyapunov(A[None], D[None])
     assert lyapunov.RESIDUAL_MAX <= residual[0] < 2.0 * lyapunov.RESIDUAL_MAX
     assert rec.margin < 0.0
@@ -593,19 +593,23 @@ def test_critical_temperature_matches_sequential_bisection(
         baseline, monkeypatch, pair, options, point):
     # ``point``: the baseline (False), the microscopic point (True) or
     # the baseline with the given changes; a ``coarse_points`` or
-    # ``tol_t`` option is the search's TC_COARSE_POINTS or TC_TOL_T
+    # ``tol_t`` option is the search's TC_COARSE_POINTS or TC_TOL_T, and
+    # an ``epsilon_d`` or ``drift_mode`` option a field of the point
     if isinstance(point, dict):
         params = baseline.with_(**point)
     else:
         params = _microscopic_point(baseline) if point else baseline
-    search = dict(options)
+    fields = dict(options)
+    search = {}
     for option, constant in (("coarse_points", "TC_COARSE_POINTS"),
                              ("tol_t", "TC_TOL_T")):
-        if option in search:
-            monkeypatch.setattr(sweep, constant, search.pop(option))
-    tc, warnings = find_critical_temperature(params, pair, **search)
+        if option in fields:
+            search[option] = fields.pop(option)
+            monkeypatch.setattr(sweep, constant, search[option])
+    params = params.with_(**fields)
+    tc, warnings = find_critical_temperature(params, pair)
     ref_tc, ref_warnings = bisect_critical_temperature(params, pair,
-                                                       **options)
+                                                       **search)
     assert repr(tc) == repr(ref_tc)
     assert warnings == ref_warnings
 
@@ -787,12 +791,13 @@ def test_unit_noise_superposition_matches_the_kernel(
         baseline, convention, changes, drift_mode):
     # V(T) = sum_i D_ii(T) V_i against the kernel's own solve at each
     # temperature, for every pair
-    params = baseline.with_(diffusion_convention=convention, **changes)
+    params = baseline.with_(diffusion_convention=convention,
+                            drift_mode=drift_mode, **changes)
     temperatures = np.linspace(0.0, 2.0, 41)
     stack = ParamStack.broadcast(params, 41, temperature_T=temperatures)
     table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((41, 0)),
-                                  E_COLUMNS, drift_mode, 0.0)
-    solutions = sweep._unit_noise_solutions(params, drift_mode, 0.0)
+                                  E_COLUMNS)
+    solutions = sweep._unit_noise_solutions(params)
     assert table.stable.all()
     for column, pair in zip(E_COLUMNS, measures.PAIRS):
         values = sweep._superposed_log_negativity(
@@ -809,7 +814,7 @@ def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
     # D_11 V_1 + D_22 V_2 + ... added left to right, bit for bit, at
     # every size of a stack of temperatures, one included
     basis = measures.reduce_pair(
-        sweep._unit_noise_solutions(baseline, "derived", 0.0), ("a2", "m"))
+        sweep._unit_noise_solutions(baseline), ("a2", "m"))
     temperatures = np.linspace(0.0, 0.3, n)
     diag = dynamics.noise_diagonals(baseline, temperatures)
     cms = diag[:, 0, None, None] * basis[0]
@@ -825,7 +830,7 @@ def test_unstable_point_has_no_unit_noise_solutions(baseline):
     # an unstable point is not entangled at any temperature
     params = baseline.with_(gain_g=2.5 * baseline.kappa_1)
     assert not evaluate_point(params).stable
-    assert sweep._unit_noise_solutions(params, "derived", 0.0) is None
+    assert sweep._unit_noise_solutions(params) is None
     with pytest.raises(ValueError, match="not positive at T = 0"):
         find_critical_temperature(params, ("a2", "m"))
 
@@ -837,8 +842,7 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
     # before its drift matrix is classified (which would null it too)
     spec = _microscopic_sweep()
     params = build_point_params(spec, grid_values(spec)[k])
-    record = evaluate_point(params, quantities=(),
-                            epsilon_d=spec.epsilon_d)
+    record = evaluate_point(params, quantities=())
     assert any(w.startswith("steady state did not converge")
                for w in record.warnings)
     classified = []
@@ -849,12 +853,10 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
         return stability(A, kappa_1)
 
     monkeypatch.setattr(dynamics, "stability", spy)
-    assert sweep._unit_noise_solutions(params, spec.drift_mode,
-                                       spec.epsilon_d) is None
+    assert sweep._unit_noise_solutions(params) is None
     assert classified == []
     with pytest.raises(ValueError, match="not positive at T = 0"):
-        find_critical_temperature(params, ("a2", "m"),
-                                  epsilon_d=spec.epsilon_d)
+        find_critical_temperature(params, ("a2", "m"))
 
 
 @pytest.mark.parametrize("pair", [("a2", "m"), ("a1", "m")])
@@ -927,9 +929,7 @@ def test_point_record_does_not_depend_on_its_chunk():
                                                       for r in records)
     for values, rec in zip(grid_values(spec), records):
         alone = replace(evaluate_point(build_point_params(spec, values),
-                                       quantities=spec.quantities,
-                                       drift_mode=spec.drift_mode,
-                                       epsilon_d=spec.epsilon_d),
+                                       quantities=spec.quantities),
                         axis_values=values)
         assert alone == rec
         # float repr round-trips, so equal text means equal bits
@@ -942,11 +942,11 @@ def _microscopic_sweep():
     # Picard loop on its multistable points, and a band of Delta_m
     # whose one root repels never converges
     base = figure_preset("fig2d").base
-    base = base.with_(coupling_mode="microscopic", g_mb=2.0 * math.pi * 0.2)
+    base = base.with_(coupling_mode="microscopic", g_mb=2.0 * math.pi * 0.2,
+                      epsilon_d=1e15)
     return SweepSpec(base, (SweepAxis("Delta_m", 0.0, 2.0 * base.omega_b,
                                       41),),
-                     quantities=("E_a2m", "st_m_to_a2", "amplitudes"),
-                     epsilon_d=1e15)
+                     quantities=("E_a2m", "st_m_to_a2", "amplitudes"))
 
 
 def test_serial_sweep_solves_the_mean_field_once(monkeypatch):
@@ -980,7 +980,7 @@ def test_unconverged_band_has_no_attracting_root():
     assert band == list(range(3, 16))
     for k, values in enumerate(grid_values(spec)):
         roots = mean_field_cubic_roots(build_point_params(spec, values),
-                                       spec.epsilon_d)
+                                       spec.base.epsilon_d)
         attracting = [r for r, slope in roots if abs(slope) < 1.0]
         if k in band:
             assert len(roots) == 1
@@ -1002,7 +1002,7 @@ def test_points_without_an_attracting_root_skip_the_picard_loop():
             if w and w[0].startswith(skipped)] == list(range(3, 16))
     assert not any("did not converge" in w for w in warnings[2])
     params = stack_params(spec, np.array(grid_values(spec)[2:16]))
-    state = sweep.solve_steady_states(params, spec.epsilon_d)
+    state = sweep.solve_steady_states(params)
     assert state.iterations_used.tolist() == [0] * 14
     assert state.converged.tolist() == [True] + [False] * 13
     assert state.real_roots.tolist() == [1] * 14
