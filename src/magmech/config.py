@@ -1,7 +1,7 @@
 """Plain-text configuration files.
 
-INI-style sections ``[system]``, ``[sweep]``, ``[output]``.  Every rate
-value accepts an optional unit suffix:
+INI-style sections ``[system]``, ``[sweep]``, ``[output]``, which reject
+unknown keys.  Every rate value accepts an optional unit suffix:
 
 - ``Hz2pi``   value f means rate = 2*pi*f (ordinary frequency),
 - ``kappa1``  multiples of the cavity-1 decay rate,
@@ -121,6 +121,12 @@ def parse_system(section) -> PhysicalParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_keys(section, *known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown [{section.name}] key {key!r}")
+
+
 def _parse_axis(text: str, default_unit: str, kappa_1: float,
                 omega_b: float) -> SweepAxis:
     parts = [p.strip() for p in text.split(",")]
@@ -168,6 +174,7 @@ def load_config(path) -> dict:
     out = {"format": "csv", "path": None}
     if "output" in parser:
         section = parser["output"]
+        _check_keys(section, "format", "path")
         out["format"] = section.get("format", "csv")
         out["path"] = section.get("path")
         if out["format"] not in ("csv", "jsonl"):
@@ -183,6 +190,7 @@ def load_config(path) -> dict:
                                         params.kappa_1, params.omega_b))
         if not axes:
             raise ConfigError("[sweep] needs axis1 (and optionally axis2)")
+        _check_keys(section, "axis1", "axis2", "quantities", "links", "drift")
         quantities = tuple(
             q.strip() for q in section.get("quantities", "all").split(",")
             if q.strip())

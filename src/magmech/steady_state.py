@@ -11,12 +11,12 @@ real root is taken in closed form, and a cubic with three is iterated
 parameter set.  Without a drive q = 0 and the amplitudes vanish.
 
 :func:`solve_steady_states` solves a :class:`~magmech.params.ParamStack`
-with one Picard loop over (N,) arrays; a serial sweep hands it every
-valid point of its grid at once, so the loop runs once per sweep.  Each
-slice leaves the loop at the iteration where its own detuning shift
-meets the tolerance, so its result does not depend on the stack it is
-solved in.  A slice that divides by zero or overflows records its error
-and does not raise.
+with one Picard loop over (N,) arrays; a sweep hands it the valid
+points of one part of its grid at a time, so the loop runs once per
+part.  Each slice leaves the loop at the iteration where its own
+detuning shift meets the tolerance, so its result does not depend on
+the stack it is solved in.  A slice that divides by zero or overflows
+records its error and does not raise.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ critical temperature search and the named figure presets.
 Every grid point is an independent pure computation (steady state ->
 drift/diffusion -> stability -> Lyapunov -> measures).  A stack of
 points goes in as a :class:`~magmech.params.ParamStack` and comes out as
-a :class:`SweepTable` of columns, one point being a stack of one.  The
-steady state runs once over the whole stack; the 8x8 stages run in
-blocks of ``CHUNK_POINTS``.  Parts of a grid may run in parallel.
+a :class:`SweepTable` of columns, one point being a stack of one.  A
+grid runs as parts of ``CHUNK_POINTS`` points, one stack each, in
+process or in parallel, and their tables are joined.
 Tables keep row-major axis order, and unstable points carry explicit
 nulls, never zeros: NaN in a table, empty in CSV, ``null`` in JSON.
 """
@@ -46,10 +46,10 @@ _PAIR_OF = {col: (pair, place) for pair in measures.PAIRS
 
 AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 
-# Points per block of the 8x8 stages, and per part of the grid that a
-# worker process evaluates.  Each stage pays a fixed Python and NumPy
-# cost per call: a serial fig2a runs about 1.3x faster in blocks of 256
-# than of 64, and no faster in blocks of 1024, which peak 7 MiB higher.
+# Points per part of a grid, serial or in a worker: the most that one
+# kernel stack holds.  Each stage pays a fixed Python and NumPy cost per
+# call: a serial fig2a runs about 1.3x faster in parts of 256 than of
+# 64, and no faster in parts of 1024, which peak 7 MiB higher.
 CHUNK_POINTS = 256
 
 TC_T_MAX = 2.0  # K: the Tc search scans [0, TC_T_MAX]
@@ -92,10 +92,11 @@ class SweepSpec:
     The base's ``SHARED_FIELDS``, its modes and drive, hold at every
     point.  ``links`` are (target, source, factor) triples applied after
     the axis values, e.g. ``("Delta_2", "Delta_1", 1.0)`` keeps the two
-    cavity detunings equal while ``Delta_1`` is swept.  ``quantities``
-    selects the reported measure columns (``"all"`` for every pair);
-    requesting a steering direction implies the matching entanglement
-    column.  ``"amplitudes"`` adds the steady-state amplitude columns.
+    cavity detunings equal while ``Delta_1`` is swept; no two axes or
+    links set one field.  ``quantities`` selects the reported measure
+    columns (``"all"`` for every pair); requesting a steering direction
+    implies the matching entanglement column.  ``"amplitudes"`` adds the
+    steady-state amplitude columns.
     """
 
     base: PhysicalParams
@@ -114,6 +115,15 @@ class SweepSpec:
                 raise ValueError(f"unknown link target {target!r}")
             if source not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link source {source!r}")
+        setting = [(f"axis {a.name}", "gain_g" if a.name == "eta"
+                    else a.name) for a in self.axes]
+        setters: dict[str, str] = {}
+        for what, field in setting + [(f"link {t}:{s}", t)
+                                      for t, s, _ in self.links]:
+            if field in setters:
+                raise ValueError(f"{what} sets {field}, which "
+                                 f"{setters[field]} already sets")
+            setters[field] = what
         normalize_quantities(self.quantities)
 
     def axis_names(self) -> tuple[str, ...]:
@@ -145,7 +155,7 @@ class SweepRecord:
 @dataclass(eq=False)
 class SweepTable(Sequence):
     """The records of a run of points as columns, in row-major order;
-    indexing yields :class:`SweepRecord` rows, built on access.
+    indexing gives :class:`SweepRecord` rows, built on access.
 
     ``values`` maps each of ``DIAGNOSTIC_COLUMNS``, each requested
     measure and any requested ``AMPLITUDE_COLUMNS`` to an (N,) float
@@ -235,9 +245,9 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
     """Run the pipeline for a stack of points and return its table;
     ``invalid`` holds each point's broken rule or None, as
     :meth:`~magmech.params.ParamStack.errors` names it, and
-    ``axis_values`` is (N, n_axes).  Each block of :func:`_gate` fills its
-    rows.  Every stacked operation acts slice by slice, so a point's
-    record does not depend on the stack or the block it falls in.
+    ``axis_values`` is (N, n_axes).  The block of :func:`_gate` fills the
+    rows of the points with a steady state.  Every stacked operation acts
+    slice by slice, so a point's record does not depend on its stack.
     """
     columns, with_amplitudes = normalize_quantities(quantities)
     n = len(params)
@@ -247,10 +257,9 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
                        np.zeros(n, dtype=bool),
                        {c: np.full(n, np.nan) for c in names},
                        [[] for _ in range(n)], columns)
-    gate = _gate(params, invalid, table.warnings)
-    state, solved = next(gate)
+    state, solved, block = _gate(params, invalid, table.warnings)
     _put(table, "residual", *solved)
-    for block in gate:
+    if block is not None:
         _evaluate_block(table, state, *block, with_amplitudes)
     return table
 
@@ -261,12 +270,12 @@ def _put(table: SweepTable, name: str, points, values) -> None:
 
 
 def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
-    """The kernel's front stages, as a generator.  The points that
-    ``invalid`` names a broken rule for are nulled; the steady state runs
-    once on the others.  Both append the warnings of the null rules they
-    apply, and the steady state is yielded with the solved points and
-    their residuals.  Then, per block of at most
-    ``CHUNK_POINTS`` points with a steady state: their stack indices,
+    """The kernel's front stages: ``(state, solved, block)``.  The
+    points that ``invalid`` names a broken rule for are nulled; the
+    steady state ``state`` is solved for the others.  Both append the
+    warnings of the null rules they apply; ``solved`` is the solved
+    points with their residuals.  ``block`` is None when no point has a
+    steady state, and else holds those points' stack indices,
     steady-state slices, parameters, drift stack and stability report,
     whose ``stable`` mask is the last null rule.
     """
@@ -295,25 +304,26 @@ def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
     for j in good[~np.isfinite(residual[good])]:
         warnings[valid[j]].append("steady state residual not finite "
                                   f"(residual {residual[j]:.3e})")
-    yield state, (valid[solved], residual[solved])
-    for first in range(0, good.size, CHUNK_POINTS):
-        block = good[first:first + CHUNK_POINTS]
-        live = valid[block]
-        sub = params if live.size == len(params) else params.take(live)
-        # the effective coupling: prescribed in direct_g mode,
-        # |i*sqrt(2)*g_mb*<m>| in microscopic mode
-        if params.coupling_mode == "microscopic":
-            g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[block]))
-        else:
-            g_eff = sub.G_mb
-        A = dynamics.drift_matrices(sub, state.delta_eff[block], g_eff)
-        yield live, block, sub, A, dynamics.stability(A, sub.kappa_1)
+    solved_points = (valid[solved], residual[solved])
+    if not good.size:
+        return state, solved_points, None
+    live = valid[good]
+    sub = params if live.size == len(params) else params.take(live)
+    # the effective coupling: prescribed in direct_g mode,
+    # |i*sqrt(2)*g_mb*<m>| in microscopic mode
+    if params.coupling_mode == "microscopic":
+        g_eff = np.abs(effective_coupling(sub.g_mb, state.m_avg[good]))
+    else:
+        g_eff = sub.G_mb
+    A = dynamics.drift_matrices(sub, state.delta_eff[good], g_eff)
+    return state, solved_points, (live, good, sub, A,
+                                  dynamics.stability(A, sub.kappa_1))
 
 
 def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
                     with_amplitudes: bool) -> None:
-    """The stages after the gate on one of its blocks; fills the rows
-    ``live`` of ``table``."""
+    """The stages after the gate on its block; fills the rows ``live``
+    of ``table``."""
     warnings = table.warnings
     D, d_warnings = dynamics.diffusion_matrices(sub)
     for k, w in zip(live.tolist(), d_warnings):
@@ -419,8 +429,8 @@ def grid_values(spec: SweepSpec):
 
 
 def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
-    """Table of the grid points ``values`` (N, n_axes), validated and
-    evaluated as one stack."""
+    """Table of the grid points ``values`` (N, n_axes), one part of a
+    grid, validated and evaluated as one stack."""
     params = stack_params(spec, values)
     return _evaluate_chunk(params, params.errors(), values, spec.quantities)
 
@@ -428,28 +438,25 @@ def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
 def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     """Evaluate the grid; a table in deterministic row-major order.
 
-    A serial run evaluates the whole grid as one stack: one validation,
-    one steady-state solve, then the 8x8 stages in blocks of
-    ``CHUNK_POINTS``.  With ``jobs > 1`` contiguous parts of
-    ``CHUNK_POINTS`` points are farmed out to ``jobs`` worker processes,
-    or one per part if there are fewer parts, each evaluated the same
-    way, and their tables joined; the result is identical to a serial
-    run because every point is a pure function of its parameters.  A
-    grid that fits one part runs serially: one worker would do all of
-    it, after paying for the pool.
+    The grid is cut into contiguous parts of ``CHUNK_POINTS`` points,
+    each evaluated as one stack by :func:`_evaluate_points`, and their
+    tables are joined.  A serial run maps the parts in process; with
+    ``jobs > 1`` they go to ``jobs`` worker processes, or one per part
+    if there are fewer.  A grid of one part runs serially, as one
+    worker would take all of it.  Each point is a pure function of its
+    parameters, so ``jobs`` changes no output.
     """
     values = np.array(grid_values(spec), dtype=float)
-    if jobs <= 1 or len(values) <= CHUNK_POINTS:
-        return _evaluate_points(spec, values)
+    parts = np.split(values, range(CHUNK_POINTS, len(values), CHUNK_POINTS))
+    evaluate = partial(_evaluate_points, spec)
+    if jobs <= 1 or len(parts) == 1:
+        return SweepTable.concat(list(map(evaluate, parts)))
     # imported where a pool runs: with multiprocessing, it makes up about
     # a third of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
-    parts = [values[i:i + CHUNK_POINTS]
-             for i in range(0, len(values), CHUNK_POINTS)]
     with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
-        return SweepTable.concat(list(pool.map(partial(_evaluate_points,
-                                                       spec), parts)))
+        return SweepTable.concat(list(pool.map(evaluate, parts)))
 
 
 # the unit noises e_i e_i^T of the eight quadratures, read-only
@@ -458,10 +465,9 @@ _UNIT_NOISES.flags.writeable = False
 
 
 def _point_block(params: PhysicalParams):
-    """The one block of :func:`_gate` on the one-point stack of
-    ``params``, or None without a steady state."""
-    _, *blocks = _gate(ParamStack.broadcast(params, 1), [None], [[]])
-    return blocks[0] if blocks else None
+    """The block of :func:`_gate` on the one-point stack of ``params``,
+    or None without a steady state."""
+    return _gate(ParamStack.broadcast(params, 1), [None], [[]])[2]
 
 
 def point_matrices(params: PhysicalParams):
@@ -528,7 +534,7 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     unstable, or for a singular Lyapunov system, has E_N = 0 at every
     temperature; the gate skips the validity rules, which ``params``
     passed when it was built.  Re-entrant entanglement on the coarse scan
-    yields a ``non-monotonic`` warning and the first crossing is returned.
+    gives a ``non-monotonic`` warning and the first crossing is returned.
     Raises ValueError, before any evaluation, if the pair in neither
     order is one of ``measures.PAIRS``; and if the pair is not entangled
     at T = 0.

@@ -9,7 +9,9 @@ archive HEAD~1 | tar -x -C ../parent`` into an empty directory)::
 Each tree runs in its own subprocess with its own ``src`` on
 ``PYTHONPATH`` and writes, output by output:
 
-- the CSV and JSON lines of all 13 figure presets;
+- the CSV and JSON lines of all 13 figure presets, evaluated in
+  process, and the CSV, standard error and exit code of ``preset fig2a
+  --jobs 2``, whose parts run in two worker processes;
 - ``point``, ``tc``, ``validate`` and ``sweep`` (CSV and JSON lines) on
   configs written from ``reference_baseline()``: in ``direct_g`` mode
   with a sweep over J, and in ``microscopic`` mode with the
@@ -200,6 +202,9 @@ def emit(out_dir: str, tree: str) -> None:
                       "w") as fh:
                 fh.write(render_records(table,
                                         replace(spec, output_format=fmt)))
+    _run_cli(["preset", "fig2a", "--jobs", "2", "--out",
+              os.path.join(out_dir, "preset_fig2a_jobs2.csv")],
+             "preset_fig2a_jobs2", out_dir)
     for mode in MODES:
         for fmt in ("csv", "jsonl"):
             cfg = os.path.join(out_dir, f"{mode}_{fmt}.ini")

@@ -107,7 +107,7 @@ MUTATIONS = (
         "_evaluate_chunk(params, [None] * len(params), values,",
         ("tests/test_sweep.py::test_invalid_points_skip_the_steady_state",
          "tests/test_sweep.py::"
-         "test_a_serial_sweep_validates_its_grid_once")),
+         "test_a_serial_sweep_validates_each_part_once")),
     Mutation(
         "picard_skip_at_slope_0_9", "src/magmech/steady_state.py",
         "(np.abs(slope) >= 1.0 + REPEL_TOL)", "(np.abs(slope) >= 0.9)",
@@ -157,6 +157,23 @@ MUTATIONS = (
         "form = 0.5j * symplectic_form(size // 2)",
         "form = 1j * symplectic_form(size // 2)",
         ("tests/test_lyapunov.py::test_physicality_of_simple_states",)),
+    Mutation(
+        "field_set_twice_accepted", "src/magmech/sweep.py",
+        "            if field in setters:", "            if False:",
+        ("tests/test_sweep.py::"
+         "test_axes_and_links_set_a_field_at_most_once",
+         "tests/test_cli.py::"
+         "test_cli_sweep_rejects_a_setting_it_would_ignore")),
+    Mutation(
+        "sweep_keys_unchecked", "src/magmech/config.py",
+        '_check_keys(section, "axis1",', '_check_keys((), "axis1",',
+        ("tests/test_cli.py::"
+         "test_cli_sweep_rejects_a_setting_it_would_ignore",)),
+    Mutation(
+        "output_keys_unchecked", "src/magmech/config.py",
+        '_check_keys(section, "format",', '_check_keys((), "format",',
+        ("tests/test_cli.py::"
+         "test_cli_sweep_rejects_a_setting_it_would_ignore",)),
     Mutation(
         "lyapunov_no_refinement", "src/magmech/lyapunov.py",
         "        V = V + spectral(A @ V + V @ _transpose(A) + D)",

@@ -659,20 +659,16 @@ def stable_covariances(spec, values):
     """(rows, V) for the grid points ``values`` (N, n_axes) of ``spec``:
     the rows of the stable points and their covariance stack, solved
     again by ``solve_lyapunov`` from the drift matrices of the kernel's
-    gate, its stability verdicts and the diffusion matrices of its
-    blocks.  A solve that misses the kernel's residual gate leaves its
-    point out, as the kernel nulls it."""
+    gate on ``values`` as one stack, its stability verdicts and the
+    diffusion matrices of its block.  A solve that misses the kernel's
+    residual gate leaves its point out, as the kernel nulls it."""
     params = stack_params(spec, values)
-    blocks = _gate(params, params.errors(), [[] for _ in values])
-    next(blocks)  # the steady state
-    rows, covariances = [], []
-    for live, _, sub, A, report in blocks:
-        stable = report.stable
-        V, residual = solve_lyapunov(A[stable],
-                                     diffusion_matrices(sub)[0][stable])
-        kept = residual < RESIDUAL_MAX
-        rows.append(live[stable][kept])
-        covariances.append(V[kept])
-    if not rows:
+    _, _, block = _gate(params, params.errors(), [[] for _ in values])
+    if block is None:
         return np.empty(0, dtype=int), np.empty((0, 8, 8))
-    return np.concatenate(rows), np.concatenate(covariances)
+    live, _, sub, A, report = block
+    stable = report.stable
+    V, residual = solve_lyapunov(A[stable],
+                                 diffusion_matrices(sub)[0][stable])
+    kept = residual < RESIDUAL_MAX
+    return live[stable][kept], V[kept]

@@ -204,6 +204,30 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, old, new,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a misspelt key would leave its setting at the default silently
+    ("quantities = E_a2m, E_a1m", "quantites = E_a2m",
+     "unknown [sweep] key 'quantites'"),
+    ("quantities =", "drfit = printed\nquantities =",
+     "unknown [sweep] key 'drfit'"),
+    ("format = csv", "fromat = jsonl", "unknown [output] key 'fromat'"),
+    # the link would overwrite the axis value on every row
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+     "axis1 = J, 1 kappa1, 3 kappa1, 3\nlinks = J:g_ma",
+     "link J:g_ma sets J, which axis J already sets"),
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+     "axis1 = eta, -1, 1, 3\naxis2 = gain_g, 0 kappa1, 1 kappa1, 3",
+     "axis gain_g sets gain_g, which axis eta already sets"),
+])
+def test_cli_sweep_rejects_a_setting_it_would_ignore(tmp_path, capsys, old,
+                                                      new, message):
+    path, out = tmp_path / "bad.cfg", tmp_path / "bad.csv"
+    path.write_text(GOOD_CONFIG.replace(old, new))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_cli_sweep_summarizes_warnings_with_counts(config_file, tmp_path,
                                                    capsys):
     # microscopic coupling over Delta_m: a band of points whose steady

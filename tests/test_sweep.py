@@ -149,6 +149,40 @@ def test_links_and_eta_axis(baseline):
         baseline.kappa_2 + 0.5 * baseline.kappa_1)
 
 
+@pytest.mark.parametrize("axes, links, message", [
+    (("J", "J"), (), "axis J sets J, which axis J already sets"),
+    (("eta", "gain_g"), (), "axis gain_g sets gain_g, which axis eta "
+                            "already sets"),
+    (("gain_g", "eta"), (), "axis eta sets gain_g, which axis gain_g "
+                            "already sets"),
+    (("eta",), (("gain_g", "J"),),
+     "link gain_g:J sets gain_g, which axis eta already sets"),
+    (("J",), (("J", "g_ma"),), "link J:g_ma sets J, which axis J already "
+                               "sets"),
+    (("J",), (("Delta_2", "Delta_1"), ("Delta_2", "J")),
+     "link Delta_2:J sets Delta_2, which link Delta_2:Delta_1 already "
+     "sets"),
+])
+def test_axes_and_links_set_a_field_at_most_once(baseline, axes, links,
+                                                 message):
+    # a later setting would win silently, and the rows would carry axis
+    # values that their points never had
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_spec(baseline,
+                   axes=tuple(SweepAxis(name, 0.0, 1.0, 3) for name in axes),
+                   links=tuple((t, s, 1.0) for t, s in links))
+
+
+def test_links_may_read_an_axis_and_each_other(baseline):
+    # a field set once may feed any number of links
+    spec = small_spec(baseline, axes=(SweepAxis("J", 1.0, 2.0, 2),),
+                      links=(("Delta_2", "J", 1.0), ("Delta_1", "J", 2.0),
+                             ("g_ma", "Delta_2", 3.0)))
+    params = stack_params(spec, np.array([[1.0], [2.0]]))
+    assert params.Delta_1.tolist() == [2.0, 4.0]
+    assert params.g_ma.tolist() == [3.0, 6.0]
+
+
 def test_out_of_range_axis_points_are_flagged_not_fatal(baseline):
     # eta beyond kappa_2/kappa_1 would need negative gain; those grid
     # points must be flagged per-point, not abort the sweep
@@ -619,7 +653,7 @@ def test_critical_temperature_matches_sequential_bisection(
     (("E_a1m", "st_a2_to_m", "st_m_to_a2", "st_b_to_a1"), 3)])
 def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
                                               quantities, n_pairs):
-    # det A, det C, det B and det V, taken once per block on the stacked
+    # det A, det C, det B and det V, taken once per part on the stacked
     # reductions of every requested pair, however many pairs and steering
     # directions are requested: the three 2x2 blocks in one call, then
     # the 4x4 covariances
@@ -635,7 +669,7 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
         SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
     monkeypatch.setattr(np.linalg, "det", spy)
     records = run_sweep(spec)
-    # two blocks, of 4 and 3 points, every point stable
+    # two parts, of 4 and 3 points, every point stable
     assert all(r.stable for r in records)
     assert [a.shape for a in calls] == [(12 * n_pairs, 2, 2),
                                         (4 * n_pairs, 4, 4),
@@ -753,14 +787,14 @@ def test_a_single_point_is_not_validated_again(baseline, monkeypatch,
     assert sizes == []
 
 
-def test_a_serial_sweep_validates_its_grid_once(baseline, monkeypatch):
-    # one check of the whole grid, before the steady state; the blocks
-    # of the 8x8 stages check nothing again
+def test_a_serial_sweep_validates_each_part_once(baseline, monkeypatch):
+    # one check of each part of the grid, before its steady state; the
+    # 8x8 stages check nothing again
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
     spec = small_spec(baseline, axes=(SweepAxis("eta", 0.5, 1.5, 11),))
     sizes = _spy_on_validation(monkeypatch)
     records = run_sweep(spec)
-    assert sizes == [11]
+    assert sizes == [4, 4, 3]
     # eta above 1 takes a negative gain
     assert [any(w.startswith("invalid parameters") for w in r.warnings)
             for r in records] == [False] * 6 + [True] * 5
@@ -949,9 +983,9 @@ def _microscopic_sweep():
                      quantities=("E_a2m", "st_m_to_a2", "amplitudes"))
 
 
-def test_serial_sweep_solves_the_mean_field_once(monkeypatch):
-    # one Picard loop over every valid point of the grid, however small
-    # the blocks of the 8x8 stages
+def test_a_serial_sweep_solves_the_mean_field_once_per_part(monkeypatch):
+    # one Picard loop over the valid points of each part of the grid,
+    # the parts that a pool's workers evaluate
     sizes = []
     solve = sweep.solve_steady_states
 
@@ -963,7 +997,7 @@ def test_serial_sweep_solves_the_mean_field_once(monkeypatch):
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 7)
     records = run_sweep(_microscopic_sweep())
     assert not any("invalid" in w for r in records for w in r.warnings)
-    assert sizes == [len(records)]
+    assert sizes == [7, 7, 7, 7, 7, 6]
 
 
 def test_unconverged_band_has_no_attracting_root():
