@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dynamics, measures
+from . import dynamics, lyapunov, measures
 from .config import ConfigError, load_config
 from .params import DRIFT_MODES, eta_ratio, thermal_occupation
 from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
@@ -201,12 +201,13 @@ def cmd_validate(args) -> int:
               rec.residual is not None and rec.residual < 1e-9, residual)
 
     if rec.stable:
-        check("Lyapunov residual < 1e-10",
-              rec.lyap_residual is not None and rec.lyap_residual < 1e-10,
+        check(f"Lyapunov residual < {lyapunov.RESIDUAL_MAX:g}",
+              rec.lyap_residual is not None
+              and rec.lyap_residual < lyapunov.RESIDUAL_MAX,
               f"(residual {rec.lyap_residual})")
-        if (dynamics.noise_diagonals(params, params.temperature_T) >= 0).all():
+        if (dynamics.mode_noises(params, params.temperature_T) >= 0).all():
             check("covariance physicality >= -1e-9",
-                  rec.physicality is not None and rec.physicality > -1e-9,
+                  rec.physicality is not None and rec.physicality >= -1e-9,
                   f"(min eig {rec.physicality})")
         else:
             print("SKIP covariance physicality (negative diffusion "

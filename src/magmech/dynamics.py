@@ -59,16 +59,16 @@ def drift_matrices(p: ParamStack, delta_eff, G_mb) -> np.ndarray:
     return A
 
 
-def noise_diagonals(p, temperature) -> np.ndarray:
-    """(N, 8) diagonals of the noise matrices at the parameters ``p``,
-    a :class:`~magmech.params.ParamStack` or a
+def mode_noises(p, temperature) -> np.ndarray:
+    """(N, 4) thermal noise rates of the modes a1, a2, m and b at the
+    parameters ``p``, a :class:`~magmech.params.ParamStack` or a
     :class:`~magmech.params.PhysicalParams`, and the temperatures
     ``temperature``, broadcast against each other: a stack and its own
     temperatures, or one point and an (N,) array of them.
 
-    The cavity-1, magnon and mechanical entries are kappa*(2N+1) with
-    the mode's thermal occupation (zero on the mechanical position).
-    The cavity-2 entry ``d2`` depends on ``p.diffusion_convention``:
+    The cavity-1, magnon and mechanical rates are kappa*(2N+1) with the
+    mode's thermal occupation.  The cavity-2 rate depends on
+    ``p.diffusion_convention``:
 
     - ``as_printed``:   (kappa_2 - g) * (2N2 + 1); negative when the
       cavity is net active.
@@ -90,29 +90,31 @@ def noise_diagonals(p, temperature) -> np.ndarray:
     else:  # physical_sum
         rate_2 = p.kappa_2 + p.gain_g
     rates = np.array([p.kappa_1, rate_2, p.kappa_m, p.gamma_b])
-    noise = rates.reshape(4, -1) * spread
-    diag = np.zeros((noise.shape[1], 8))
-    diag[:, :6] = noise[[0, 0, 1, 1, 2, 2]].T
-    diag[:, 7] = noise[3]
-    return diag
+    return (rates.reshape(4, -1) * spread).T
+
+
+def noise_matrices(rates) -> np.ndarray:
+    """(N, 8, 8) diagonal noise matrices of the (N, 4) mode rates
+    ``rates``: each rate of a1, a2 and m on both quadratures of its mode,
+    and that of b on the mechanical momentum only."""
+    D = np.zeros((len(rates), 8, 8))
+    D[:, range(6), range(6)] = rates[:, [0, 0, 1, 1, 2, 2]]
+    D[:, 7, 7] = rates[:, 3]
+    return D
 
 
 def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
-    """(N, 8, 8) stack of diagonal noise matrices, the
-    :func:`noise_diagonals` of the stack at its own temperatures, and
-    each point's convention warnings, a tuple per point: a negative
-    cavity-2 entry (``as_printed`` with net gain) is flagged.
+    """(N, 8, 8) stack of the :func:`noise_matrices` of the stack's
+    :func:`mode_noises` at its own temperatures, and each point's
+    convention warnings, a tuple per point: a negative cavity-2 rate
+    (``as_printed`` with net gain) is flagged.
     """
-    diag = noise_diagonals(p, p.temperature_T)
+    rates = mode_noises(p, p.temperature_T)
     warnings = [()] * len(p)
-    if p.diffusion_convention == "as_printed":
-        neg = np.flatnonzero(effective_kappa_2(p) < 0)
-        for k, d in zip(neg.tolist(), diag[neg, 2].tolist()):
-            warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
-                           "< 0 (as_printed with net gain)" % d,)
-    D = np.zeros((len(p), 8, 8))
-    D[:, range(8), range(8)] = diag
-    return D, warnings
+    for k in np.flatnonzero(rates[:, 1] < 0).tolist():
+        warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
+                       "< 0 (as_printed with net gain)" % rates[k, 1],)
+    return noise_matrices(rates), warnings
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ consecutive matrices, which a temperature sweep shares.  A stack
 without such runs goes to LAPACK as it is, and a one-slice stack, as
 a Tc search's gate and unit-noise solve have, without a look for them.
 One A is broadcast against a stack of noises: a Tc search solves its
-eight unit noises against its drift matrix and the decomposition its
+four unit noises against its drift matrix and the decomposition its
 gate computed.  One refinement step, the same solve applied to the
 residual, brings V to the accuracy of a backward-stable solve.  Near
 an exceptional point of the drift matrix the eigenbasis degenerates

@@ -93,10 +93,11 @@ class SweepSpec:
     point.  ``links`` are (target, source, factor) triples applied after
     the axis values, e.g. ``("Delta_2", "Delta_1", 1.0)`` keeps the two
     cavity detunings equal while ``Delta_1`` is swept; no two axes or
-    links set one field.  ``quantities`` selects the reported measure
-    columns (``"all"`` for every pair); requesting a steering direction
-    implies the matching entanglement column.  ``"amplitudes"`` adds the
-    steady-state amplitude columns.
+    links set one field, and none reads a field set beside or after it
+    (an ``eta`` axis reads ``kappa_1`` and ``kappa_2``).  ``quantities``
+    selects the reported measure columns (``"all"`` for every pair);
+    requesting a steering direction implies the matching entanglement
+    column.  ``"amplitudes"`` adds the steady-state amplitude columns.
     """
 
     base: PhysicalParams
@@ -115,15 +116,22 @@ class SweepSpec:
                 raise ValueError(f"unknown link target {target!r}")
             if source not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link source {source!r}")
-        setting = [(f"axis {a.name}", "gain_g" if a.name == "eta"
-                    else a.name) for a in self.axes]
-        setters: dict[str, str] = {}
-        for what, field in setting + [(f"link {t}:{s}", t)
-                                      for t, s, _ in self.links]:
-            if field in setters:
-                raise ValueError(f"{what} sets {field}, which "
-                                 f"{setters[field]} already sets")
-            setters[field] = what
+        # each setting's name, step, field set and fields read: the axes
+        # are step 0 and read the base, each link is a step of its own
+        settings = [(f"axis {a.name}", 0, "gain_g", ("kappa_1", "kappa_2"))
+                    if a.name == "eta" else (f"axis {a.name}", 0, a.name, ())
+                    for a in self.axes]
+        settings += [(f"link {t}:{s}", step, t, (s,))
+                     for step, (t, s, _) in enumerate(self.links, 1)]
+        for i, (what, step, field, reads) in enumerate(settings):
+            for k, (other, at, target, _) in enumerate(settings):
+                if k < i and target == field:
+                    raise ValueError(f"{what} sets {field}, which {other} "
+                                     "already sets")
+                if k != i and target in reads and at >= step:
+                    raise ValueError(f"{what} reads {target}, which {other} "
+                                     "sets " + ("later" if at > step
+                                                else "in the same step"))
         normalize_quantities(self.quantities)
 
     def axis_names(self) -> tuple[str, ...]:
@@ -459,8 +467,8 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
         return SweepTable.concat(list(pool.map(evaluate, parts)))
 
 
-# the unit noises e_i e_i^T of the eight quadratures, read-only
-_UNIT_NOISES = np.einsum("ij,ik->ijk", np.eye(8), np.eye(8))
+# the noise matrices of a unit rate on each of the four modes, read-only
+_UNIT_NOISES = dynamics.noise_matrices(np.eye(4))
 _UNIT_NOISES.flags.writeable = False
 
 
@@ -480,20 +488,20 @@ def point_matrices(params: PhysicalParams):
 
 
 def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
-    """The solutions V_i of A V + V A^T = -e_i e_i^T at ``params``, one
-    per quadrature, as a stack (8, 8, 8); None where the kernel's gate
-    nulls the point.
+    """The solutions V_k of A V + V A^T = -D_k at ``params``, D_k the
+    noise of a unit rate on mode k, as a stack (4, 8, 8); None where the
+    kernel's gate nulls the point.
 
-    Temperature enters only the diagonal noise D(T): the steady state,
-    the drift matrix A and the stability verdict hold at every
-    temperature, and the Lyapunov equation is linear in D, so the
-    covariance at T is sum_i D_ii(T) V_i.
+    Temperature enters only the mode rates w_k(T) of the noise: the
+    steady state, the drift matrix A and the stability verdict hold at
+    every temperature, and the Lyapunov equation is linear in the noise,
+    so the covariance at T is sum_k w_k(T) V_k.
     """
     block = _point_block(params)
     if block is None or not block[-1].stable[0]:
         return None
     *_, A, report = block
-    # the eight systems share A and the gate's eigenbasis
+    # the four systems share A and the gate's eigenbasis
     V, _ = lyapunov.solve_lyapunov(A, _UNIT_NOISES, eig=(
         report.eigenvalues, report.eigenvectors))
     # a singular slice nulls the point, as it does in the kernel
@@ -503,18 +511,12 @@ def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
 def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
                                temperatures) -> np.ndarray:
     """A pair's E_N at each temperature from its reduced unit-noise
-    solutions ``basis`` (8, 4, 4), NaN where a screen fails.  Exact for
-    any diagonal D, negative entries included."""
-    diag = dynamics.noise_diagonals(params, temperatures)
-    # np.einsum adds D_11 V_1 + D_22 V_2 + ... in index order over an
-    # operand strided along i, but in SIMD blocks over a contiguous one,
-    # which moves nu by ulps (E_N by up to 1e-7 relative near its zero);
-    # the columns of an (8, N + 1) buffer are strided for every N, one
-    # included
-    strided = np.empty((8, len(diag) + 1))[:, :-1].T
-    strided[...] = diag
-    return measures.log_negativity(np.einsum("ni,ijk->njk", strided,
-                                             basis))[0]
+    solutions ``basis`` (4, 4, 4), NaN where a screen fails.  Exact for
+    any mode rates, negative ones included."""
+    w = dynamics.mode_noises(params, temperatures)[:, :, None, None]
+    return measures.log_negativity(w[:, 0] * basis[0] + w[:, 1] * basis[1]
+                                   + w[:, 2] * basis[2]
+                                   + w[:, 3] * basis[3])[0]
 
 
 def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]

@@ -159,9 +159,25 @@ MUTATIONS = (
         ("tests/test_lyapunov.py::test_physicality_of_simple_states",)),
     Mutation(
         "field_set_twice_accepted", "src/magmech/sweep.py",
-        "            if field in setters:", "            if False:",
+        "if k < i and target == field:", "if False:",
         ("tests/test_sweep.py::"
          "test_axes_and_links_set_a_field_at_most_once",
+         "tests/test_cli.py::"
+         "test_cli_sweep_rejects_a_setting_it_would_ignore")),
+    Mutation(
+        "setting_reads_a_field_set_beside_it", "src/magmech/sweep.py",
+        "if k != i and target in reads and at >= step:",
+        "if k != i and target in reads and at > step:",
+        ("tests/test_sweep.py::"
+         "test_no_setting_reads_a_field_set_beside_or_after_it",
+         "tests/test_cli.py::"
+         "test_cli_sweep_rejects_a_setting_it_would_ignore")),
+    Mutation(
+        "setting_reads_a_field_set_after_it", "src/magmech/sweep.py",
+        "if k != i and target in reads and at >= step:",
+        "if k != i and target in reads and at == step:",
+        ("tests/test_sweep.py::"
+         "test_no_setting_reads_a_field_set_beside_or_after_it",
          "tests/test_cli.py::"
          "test_cli_sweep_rejects_a_setting_it_would_ignore")),
     Mutation(

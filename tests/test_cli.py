@@ -218,6 +218,17 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, old, new,
     ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
      "axis1 = eta, -1, 1, 3\naxis2 = gain_g, 0 kappa1, 1 kappa1, 3",
      "axis gain_g sets gain_g, which axis eta already sets"),
+    # the link would read the base Delta_2, and the eta labels would not
+    # be the rows' (kappa_2 - gain_g) / kappa_1
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+     "axis1 = J, 1 kappa1, 2 kappa1, 2\nlinks = Delta_1:Delta_2, Delta_2:J",
+     "link Delta_1:Delta_2 reads Delta_2, which link Delta_2:J sets later"),
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+     "axis1 = kappa_2, 1 kappa1, 2 kappa1, 2\naxis2 = eta, -1, 1, 3",
+     "axis eta reads kappa_2, which axis kappa_2 sets in the same step"),
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
+     "axis1 = eta, -1, 1, 3\nlinks = kappa_2:kappa_1:2",
+     "axis eta reads kappa_2, which link kappa_2:kappa_1 sets later"),
 ])
 def test_cli_sweep_rejects_a_setting_it_would_ignore(tmp_path, capsys, old,
                                                       new, message):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from magmech import reference_baseline
 from magmech.dynamics import (TOL_STAB_REL, diffusion_matrices,
-                              drift_matrices, format_matrix,
-                              noise_diagonals, stability)
+                              drift_matrices, format_matrix, mode_noises,
+                              noise_matrices, stability)
 from magmech.params import (DIFFUSION_CONVENTIONS, HBAR, K_B, TWO_PI,
                             ParamStack, thermal_occupation)
 from magmech.steady_state import effective_coupling, solve_steady_states
@@ -185,18 +185,21 @@ def test_diffusion_is_diagonal(baseline, convention):
 @pytest.mark.parametrize("gain", [0.0, 1.5])  # passive, net gain 0.5 kappa_1
 def test_noise_diagonals_are_the_diffusion_diagonals(baseline, convention,
                                                      gain):
-    # bit for bit, T = 0 included: of a stack at its own temperatures,
-    # and of one point at the same temperatures as an array
+    # the mode rates are the diagonals of the diffusion matrices, bit for
+    # bit, T = 0 included: those of a stack at its own temperatures, and
+    # of one point at the same temperatures as an array
     params = baseline.with_(diffusion_convention=convention,
                             gain_g=gain * baseline.kappa_1)
     temperatures = np.linspace(0.0, 2.0, 41)
     stack = ParamStack.broadcast(params, 41, temperature_T=temperatures)
     D, warnings = diffusion_matrices(stack)
     diagonal = np.diagonal(D, axis1=1, axis2=2)
-    for diag in (noise_diagonals(stack, stack.temperature_T),
-                 noise_diagonals(params, temperatures)):
-        assert diag.shape == (41, 8)
-        assert diag.tobytes() == np.ascontiguousarray(diagonal).tobytes()
+    for rates in (mode_noises(stack, stack.temperature_T),
+                  mode_noises(params, temperatures)):
+        assert rates.shape == (41, 4)
+        assert (np.ascontiguousarray(rates[:, [0, 0, 1, 1, 2, 2, 3]])
+                .tobytes() == diagonal[:, [0, 1, 2, 3, 4, 5, 7]].tobytes())
+        assert not diagonal[:, 6].any()
     negative = convention == "as_printed" and gain > 1.0
     assert (diagonal[:, 2] < 0).all() == negative
     assert [len(w) for w in warnings] == [negative] * 41
@@ -208,11 +211,11 @@ _MODE_FREQUENCIES = ("omega_1", "omega_2", "omega_m", "omega_b")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_noise_diagonals_of_a_point_are_those_of_its_stack(data):
-    # one point against an array of temperatures gives the bits of the
-    # stack of its copies at those temperatures, and of the scalar
-    # formula; the four mode frequencies drawn equal or distinct, the
-    # temperatures with 0, the smallest subnormal and x = hbar omega /
-    # (k_B T) within a few ulps of 700
+    # the mode rates of one point against an array of temperatures are
+    # the bits of the stack of its copies at those temperatures, and of
+    # the scalar formula; the four mode frequencies drawn equal or
+    # distinct, the temperatures with 0, the smallest subnormal and x =
+    # hbar omega / (k_B T) within a few ulps of 700
     base = reference_baseline()
     frequency = st.one_of(st.sampled_from([base.omega_1, base.omega_b]),
                           st.floats(1e3, 1e13))
@@ -229,21 +232,34 @@ def test_noise_diagonals_of_a_point_are_those_of_its_stack(data):
                             st.floats(0.0, 10.0), edge)
     temps = np.array(data.draw(st.lists(temperature, min_size=1,
                                         max_size=24)))
-    diag = noise_diagonals(point, temps)
-    assert diag.shape == (len(temps), 8)
+    rates = mode_noises(point, temps)
+    assert rates.shape == (len(temps), 4)
     stack = ParamStack.broadcast(point, len(temps), temperature_T=temps)
-    assert diag.tobytes() == noise_diagonals(stack,
-                                             stack.temperature_T).tobytes()
+    assert rates.tobytes() == mode_noises(stack,
+                                          stack.temperature_T).tobytes()
     k2t = point.kappa_2 - point.gain_g
     rate_2 = {"as_printed": k2t, "absolute_value": abs(k2t),
               "physical_sum": point.kappa_2 + point.gain_g}[
         point.diffusion_convention]
-    rates = (point.kappa_1, rate_2, point.kappa_m, point.gamma_b)
-    for t, row in zip(temps.tolist(), diag):
-        d1, d2, dm, db = (rate * (2.0 * thermal_occupation(w, t) + 1.0)
-                          for rate, w in zip(rates, omegas))
-        expected = np.array([d1, d1, d2, d2, dm, dm, 0.0, db])
+    mode_rates = (point.kappa_1, rate_2, point.kappa_m, point.gamma_b)
+    for t, row in zip(temps.tolist(), rates):
+        expected = np.array([rate * (2.0 * thermal_occupation(w, t) + 1.0)
+                             for rate, w in zip(mode_rates, omegas)])
         assert row.tobytes() == expected.tobytes()
+
+
+def test_noise_matrices_put_each_rate_on_its_quadratures():
+    # both quadratures of a1, a2 and m, the momentum of b, and nothing on
+    # the mechanical position or off the diagonal
+    rates = np.array([[1.0, 2.0, 3.0, 4.0], [-0.5, 0.0, 7.0, 1e-300]])
+    D = noise_matrices(rates)
+    assert D.shape == (2, 8, 8)
+    for d, (w1, w2, wm, wb) in zip(D, rates.tolist()):
+        assert d.tolist() == np.diag([w1, w1, w2, w2, wm, wm, 0.0,
+                                      wb]).tolist()
+    units = noise_matrices(np.eye(4))
+    assert [np.flatnonzero(np.diagonal(u)).tolist() for u in units] \
+        == [[0, 1], [2, 3], [4, 5], [7]]
 
 
 def test_diffusion_vacuum_floor(baseline):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from magmech import cli, dynamics, lyapunov, measures, sweep
 from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
-                            PhysicalParams, reference_baseline)
+                            PhysicalParams, eta_ratio, reference_baseline)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            MEASURE_COLUMNS, ST_COLUMNS, SweepAxis, SweepSpec,
                            SweepTable, evaluate_point, figure_preset,
@@ -171,6 +171,39 @@ def test_axes_and_links_set_a_field_at_most_once(baseline, axes, links,
         small_spec(baseline,
                    axes=tuple(SweepAxis(name, 0.0, 1.0, 3) for name in axes),
                    links=tuple((t, s, 1.0) for t, s in links))
+
+
+@pytest.mark.parametrize("axes, links, message", [
+    # the link would read the base Delta_2 on every row
+    (("J",), (("Delta_1", "Delta_2"), ("Delta_2", "J")),
+     "link Delta_1:Delta_2 reads Delta_2, which link Delta_2:J sets "
+     "later"),
+    # eta takes gain_g from the base kappa_1 and kappa_2, so the rows'
+    # eta labels would not be (kappa_2 - gain_g) / kappa_1
+    (("kappa_2", "eta"), (), "axis eta reads kappa_2, which axis kappa_2 "
+                             "sets in the same step"),
+    (("eta", "kappa_1"), (), "axis eta reads kappa_1, which axis kappa_1 "
+                             "sets in the same step"),
+    (("eta",), (("kappa_2", "kappa_1"),),
+     "axis eta reads kappa_2, which link kappa_2:kappa_1 sets later"),
+])
+def test_no_setting_reads_a_field_set_beside_or_after_it(baseline, axes,
+                                                         links, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_spec(baseline,
+                   axes=tuple(SweepAxis(name, 0.0, 1.0, 3) for name in axes),
+                   links=tuple((t, s, 2.0) for t, s in links))
+
+
+def test_a_link_may_read_the_gain_that_an_eta_axis_sets(baseline):
+    # the eta axis is an earlier step than any link; an axis of another
+    # field beside it keeps the rows' eta labels
+    spec = small_spec(baseline, axes=(SweepAxis("eta", -1.0, 1.0, 3),
+                                      SweepAxis("J", 1.0, 2.0, 2)),
+                      links=(("g_ma", "gain_g", 1.0),))
+    params = stack_params(spec, np.array(grid_values(spec)))
+    assert eta_ratio(params).tolist() == pytest.approx([-1, -1, 0, 0, 1, 1])
+    assert params.g_ma.tolist() == params.gain_g.tolist()
 
 
 def test_links_may_read_an_axis_and_each_other(baseline):
@@ -721,22 +754,22 @@ def test_critical_temperature_search_is_one_kernel_evaluation(
     spy("kernel", sweep, "_evaluate_chunk")
     spy("eig", np.linalg, "eig")
     spy("lyapunov", lyapunov, "solve_lyapunov",
-        lambda A, D, eig=None: (len(A), eig is not None))
+        lambda A, D, eig=None: (len(A), len(D), eig is not None))
     spy("diffusion", dynamics, "diffusion_matrices")
-    spy("noise", dynamics, "noise_diagonals",
+    spy("noise", dynamics, "mode_noises",
         lambda p, temperature: (type(p).__name__, len(temperature)))
     spy("pair_measures", measures, "pair_measures")
     spy("log_negativity", measures, "log_negativity")
     # at the baseline's net gain, where as_printed noise is negative
     find_critical_temperature(baseline, ("a2", "m"))
     # the point's one pass through the kernel is its gate: one
-    # eigendecomposition of its drift matrix; the one solve of the eight
-    # unit noises is given that one matrix and its decomposition; then
-    # the noise diagonals of the point at the coarse scan's temperatures
+    # eigendecomposition of its drift matrix; the one solve of the four
+    # unit mode noises is given that one matrix and its decomposition;
+    # then the mode rates of the point at the coarse scan's temperatures
     # and at the 63 midpoints of the bracket's halving tree, and E_N
     # alone at each: no noise matrices, no parameter stacks and no
     # steering
-    assert calls == {"kernel": [], "eig": [1], "lyapunov": [(1, True)],
+    assert calls == {"kernel": [], "eig": [1], "lyapunov": [(1, 4, True)],
                      "diffusion": [],
                      "noise": [("PhysicalParams", 41), ("PhysicalParams", 63)],
                      "pair_measures": [], "log_negativity": [41, 63]}
@@ -823,7 +856,7 @@ def test_critical_temperature_builds_no_second_point(baseline, monkeypatch):
 ])
 def test_unit_noise_superposition_matches_the_kernel(
         baseline, convention, changes, drift_mode):
-    # V(T) = sum_i D_ii(T) V_i against the kernel's own solve at each
+    # V(T) = sum_k w_k(T) V_k against the kernel's own solve at each
     # temperature, for every pair
     params = baseline.with_(diffusion_convention=convention,
                             drift_mode=drift_mode, **changes)
@@ -845,15 +878,16 @@ def test_unit_noise_superposition_matches_the_kernel(
 
 @pytest.mark.parametrize("n", [1, 2, 41, 63])
 def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
-    # D_11 V_1 + D_22 V_2 + ... added left to right, bit for bit, at
-    # every size of a stack of temperatures, one included
+    # w_a1 V_a1 + w_a2 V_a2 + w_m V_m + w_b V_b added left to right, bit
+    # for bit, at every size of a stack of temperatures, one included
     basis = measures.reduce_pair(
         sweep._unit_noise_solutions(baseline), ("a2", "m"))
+    assert basis.shape == (4, 4, 4)
     temperatures = np.linspace(0.0, 0.3, n)
-    diag = dynamics.noise_diagonals(baseline, temperatures)
-    cms = diag[:, 0, None, None] * basis[0]
-    for i in range(1, 8):
-        cms = cms + diag[:, i, None, None] * basis[i]
+    rates = dynamics.mode_noises(baseline, temperatures)
+    cms = rates[:, 0, None, None] * basis[0]
+    for k in range(1, 4):
+        cms = cms + rates[:, k, None, None] * basis[k]
     expected, errors = measures.log_negativity(cms)
     values = sweep._superposed_log_negativity(baseline, basis, temperatures)
     assert values.tobytes() == expected.tobytes()
