@@ -200,14 +200,23 @@ def cmd_validate(args) -> int:
         check("steady-state residual < 1e-9",
               rec.residual is not None and rec.residual < 1e-9, residual)
 
+    residual_check = f"Lyapunov residual < {lyapunov.RESIDUAL_MAX:g}"
+    physicality_check = "covariance physicality >= -1e-9"
+    # the kernel nulls a solved point that fails either check, and its
+    # warning carries the failing value
+    heads = {"Lyapunov residual not below": residual_check,
+             "unphysical covariance": physicality_check}
+    nulled = [(label, w[w.index("("):]) for w in rec.warnings
+              for head, label in heads.items() if w.startswith(head)]
+    for label, detail in nulled:
+        check(label, False, detail)
     if rec.stable:
-        check(f"Lyapunov residual < {lyapunov.RESIDUAL_MAX:g}",
-              rec.lyap_residual is not None
+        check(residual_check, rec.lyap_residual is not None
               and rec.lyap_residual < lyapunov.RESIDUAL_MAX,
               f"(residual {rec.lyap_residual})")
         if (dynamics.mode_noises(params, params.temperature_T) >= 0).all():
-            check("covariance physicality >= -1e-9",
-                  rec.physicality is not None and rec.physicality >= -1e-9,
+            check(physicality_check, rec.physicality is not None
+                  and rec.physicality >= lyapunov.PHYSICALITY_MIN,
                   f"(min eig {rec.physicality})")
         else:
             print("SKIP covariance physicality (negative diffusion "
@@ -220,7 +229,7 @@ def cmd_validate(args) -> int:
             and (rec.measures.get(other) or 0.0) <= 0.0
         ]
         check("steering implies entanglement", not bad, f"{bad}")
-    else:
+    elif not nulled:
         print("SKIP Lyapunov checks (configured point is not stable)")
 
     print(f"{failures} failure(s)")

@@ -17,15 +17,14 @@ from __future__ import annotations
 import configparser
 import math
 
-from .params import NUMERIC_FIELDS, PhysicalParams
+from .params import NUMERIC_FIELDS, SHARED_FIELDS, PhysicalParams
 from .sweep import SweepAxis, SweepSpec
 
 TWO_PI = 2.0 * math.pi
 
-RATE_KEYS = ("omega_b", "omega_1", "omega_2", "omega_m", "Delta_1",
-             "Delta_2", "Delta_m", "kappa_1", "kappa_2", "kappa_m",
-             "gain_g", "gamma_b", "g_ma", "J", "G_mb", "g_mb", "epsilon_d")
-STRING_KEYS = ("coupling_mode", "diffusion_convention")
+RATE_KEYS = tuple(k for k in NUMERIC_FIELDS if k != "temperature_T") + (
+    "epsilon_d",)
+STRING_KEYS = tuple(k for k in SHARED_FIELDS if k != "epsilon_d")
 
 
 class ConfigError(Exception):
@@ -190,14 +189,13 @@ def load_config(path) -> dict:
                                         params.kappa_1, params.omega_b))
         if not axes:
             raise ConfigError("[sweep] needs axis1 (and optionally axis2)")
-        _check_keys(section, "axis1", "axis2", "quantities", "links", "drift")
+        _check_keys(section, "axis1", "axis2", "quantities", "links")
         quantities = tuple(
             q.strip() for q in section.get("quantities", "all").split(",")
             if q.strip())
         links = _parse_links(section.get("links", ""))
         try:
-            base = params.with_(drift_mode=section.get("drift", "derived"))
-            spec = SweepSpec(base=base, axes=tuple(axes),
+            spec = SweepSpec(base=params, axes=tuple(axes),
                              quantities=quantities, links=links,
                              output_format=out["format"])
         except ValueError as exc:

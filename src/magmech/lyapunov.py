@@ -36,6 +36,8 @@ EPS_FLOOR = 1e-300
 SPECTRAL_RESIDUAL_MAX = 1e-12
 # the gate a sweep point's solve must pass for its measures to stand
 RESIDUAL_MAX = 1e-10
+# the least physicality_min_eig of a covariance whose noise is non-negative
+PHYSICALITY_MIN = -1e-9
 # the runs of a one-slice stack, read-only
 _ONE_RUN = (np.broadcast_to(True, 1), np.broadcast_to(np.intp(0), 1))
 

@@ -328,6 +328,21 @@ def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
                                   dynamics.stability(A, sub.kappa_1))
 
 
+def _covariances(A: np.ndarray, D: np.ndarray, eig, points, warnings):
+    """The Lyapunov solutions of ``A`` and ``D`` in the gate's eigenbasis
+    ``eig``, their residuals and the mask of those that stand, finite with
+    a residual below ``RESIDUAL_MAX``; each that falls warns ``points[j]``."""
+    V, residual = lyapunov.solve_lyapunov(A, D, eig=eig)
+    finite = np.isfinite(V).all(axis=(1, 2))
+    stands = finite & (residual < lyapunov.RESIDUAL_MAX)
+    for j in np.flatnonzero(~stands):
+        warnings[points[j]].append(
+            f"Lyapunov residual not below {lyapunov.RESIDUAL_MAX:g} "
+            f"(residual {residual[j]:.3e})" if finite[j] else
+            "singular Lyapunov system: no finite solution")
+    return V, residual, stands
+
+
 def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
                     with_amplitudes: bool) -> None:
     """The stages after the gate on its block; fills the rows ``live``
@@ -342,19 +357,21 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     _put(table, "margin", live[decided], report.margin[decided])
 
     stable = np.flatnonzero(report.stable)
-    V, residual = lyapunov.solve_lyapunov(A[stable], D[stable],
-                                          eig=(report.eigenvalues[stable],
-                                               report.eigenvectors[stable]))
-    finite = np.isfinite(V).all(axis=(1, 2))
-    for k in live[stable[~finite]]:
-        warnings[k].append("singular Lyapunov system: no finite solution")
-    # a finite solution that misses the residual gate is nulled the same
-    for j in np.flatnonzero(finite & ~(residual < lyapunov.RESIDUAL_MAX)):
-        warnings[live[stable[j]]].append(
-            f"Lyapunov residual not below {lyapunov.RESIDUAL_MAX:g} "
-            f"(residual {residual[j]:.3e})")
-        finite[j] = False
-    rows = stable[finite]
+    V, residual, stands = _covariances(A[stable], D[stable], (
+        report.eigenvalues[stable], report.eigenvectors[stable]),
+        live[stable], warnings)
+    rows = stable[stands]
+    V, residual = V[stands], residual[stands]
+    # a solution that is no quantum covariance, where every mode rate of
+    # the noise is non-negative (as validate reads it), is nulled the same
+    physicality = lyapunov.physicality_min_eig(V)
+    unphysical = ((physicality < lyapunov.PHYSICALITY_MIN)
+                  & (D[rows] >= 0).all(axis=(1, 2)))
+    for j in np.flatnonzero(unphysical):
+        warnings[live[rows[j]]].append(
+            f"unphysical covariance (min eigenvalue {physicality[j]:.3e})")
+    V, residual, physicality, rows = (
+        x[~unphysical] for x in (V, residual, physicality, rows))
     points = live[rows]
     table.stable[points] = True
     if with_amplitudes:
@@ -368,22 +385,17 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     if not rows.size:
         return
 
-    V = V[finite]
-    _put(table, "lyap_residual", points, residual[finite])
-    _put(table, "physicality", points, lyapunov.physicality_min_eig(V))
+    _put(table, "lyap_residual", points, residual)
+    _put(table, "physicality", points, physicality)
     by_pair: dict[tuple[str, str], list[str]] = {}
     for col in table.columns:
         by_pair.setdefault(_PAIR_OF[col][0], []).append(col)
     if not by_pair:
         return
-    # one pass over the 4x4 reductions of every requested pair, stacked
-    # pair after pair: slice p*n + i is point i of the p-th pair
+    # one pass over every requested pair: slice p*n + i is point i of pair p
     n = len(points)
-    idx = np.array([measures.mode_indices(a) + measures.mode_indices(b)
-                    for a, b in by_pair])
-    found = measures.pair_measures(V[np.arange(n)[:, None, None],
-                                     idx[:, None, :, None],
-                                     idx[:, None, None, :]].reshape(-1, 4, 4))
+    found = measures.pair_measures(np.concatenate(
+        [measures.reduce_pair(V, pair) for pair in by_pair]))
     for p, (pair, cols) in enumerate(by_pair.items()):
         at = slice(p * n, (p + 1) * n)
         # cols[0] is the pair's E column: its symplectic screen decides
@@ -490,7 +502,7 @@ def point_matrices(params: PhysicalParams):
 def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
     """The solutions V_k of A V + V A^T = -D_k at ``params``, D_k the
     noise of a unit rate on mode k, as a stack (4, 8, 8); None where the
-    kernel's gate nulls the point.
+    kernel's gate nulls the point or one of them falls (:func:`_covariances`).
 
     Temperature enters only the mode rates w_k(T) of the noise: the
     steady state, the drift matrix A and the stability verdict hold at
@@ -501,11 +513,9 @@ def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
     if block is None or not block[-1].stable[0]:
         return None
     *_, A, report = block
-    # the four systems share A and the gate's eigenbasis
-    V, _ = lyapunov.solve_lyapunov(A, _UNIT_NOISES, eig=(
-        report.eigenvalues, report.eigenvectors))
-    # a singular slice nulls the point, as it does in the kernel
-    return V if np.isfinite(V).all() else None
+    V, _, stands = _covariances(A, _UNIT_NOISES, (
+        report.eigenvalues, report.eigenvectors), (0,) * 4, [[]])
+    return V if stands.all() else None
 
 
 def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
@@ -532,11 +542,15 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     63 at the defaults, are evaluated as one stack and then descended,
     so the result is the one sequential bisection gives.  Both stacks
     share the unit-noise solutions of the point
-    (:func:`_unit_noise_solutions`), and a point that the kernel nulls as
-    unstable, or for a singular Lyapunov system, has E_N = 0 at every
+    (:func:`_unit_noise_solutions`), and a point without them, which the
+    kernel's gate or its Lyapunov rules null, has E_N = 0 at every
     temperature; the gate skips the validity rules, which ``params``
-    passed when it was built.  Re-entrant entanglement on the coarse scan
-    gives a ``non-monotonic`` warning and the first crossing is returned.
+    passed when it was built.  The kernel's physicality rule is not
+    applied: a unit solution is no covariance, and the search forms only
+    the pair's blocks of their weighted sums, never a whole covariance
+    whose spectrum the rule could read.  Re-entrant entanglement on the
+    coarse scan gives a ``non-monotonic`` warning and the first crossing
+    is returned.
     Raises ValueError, before any evaluation, if the pair in neither
     order is one of ``measures.PAIRS``; and if the pair is not entangled
     at T = 0.

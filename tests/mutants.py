@@ -117,12 +117,27 @@ MUTATIONS = (
          "test_points_without_an_attracting_root_skip_the_picard_loop")),
     Mutation(
         "lyapunov_residual_gate_dropped", "src/magmech/sweep.py",
-        "finite & ~(residual < lyapunov.RESIDUAL_MAX)",
-        "finite & ~(residual < np.inf)",
+        "stands = finite & (residual < lyapunov.RESIDUAL_MAX)",
+        "stands = finite & (residual < np.inf)",
         ("tests/test_sweep.py::"
          "test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled",
          "tests/test_acceptance.py::"
          "test_lyapunov_residual_at_all_preset_points")),
+    Mutation(
+        "tc_ignores_fallen_unit_solutions", "src/magmech/sweep.py",
+        "    return V if stands.all() else None", "    return V",
+        ("tests/test_sweep.py::"
+         "test_the_tc_search_gates_its_unit_solutions_as_the_kernel_does",
+         "tests/test_sweep.py::"
+         "test_preset_points_whose_unit_solutions_miss_the_residual_gate")),
+    Mutation(
+        "physicality_gate_dropped", "src/magmech/sweep.py",
+        "unphysical = ((physicality < lyapunov.PHYSICALITY_MIN)",
+        "unphysical = ((physicality < -np.inf)",
+        ("tests/test_sweep.py::"
+         "test_the_kernel_nulls_an_unphysical_covariance",
+         "tests/test_cli.py::"
+         "test_cli_validate_fails_the_check_that_nulled_the_point")),
     Mutation(
         "picard_start_off_zero", "src/magmech/steady_state.py",
         "    qa = q[idx]\n", "    qa = q[idx] + 1.0\n",

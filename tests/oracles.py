@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from magmech import steady_state
+from magmech import steady_state, sweep
 from magmech.dynamics import diffusion_matrices, drift_matrices
 from magmech.lyapunov import RESIDUAL_MAX, solve_lyapunov, symplectic_form
 from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS,
@@ -565,6 +565,31 @@ def bisect_critical_temperature(params, pair, *, tol_t=1e-3,
         else:
             hi = mid
     return 0.5 * (lo + hi), tuple(warnings)
+
+
+TC_CURVES = {
+    # E_N of the temperature, and the search's result and warnings
+    "still_entangled": (lambda t: 0.5 - 0.1 * t, 2.0,
+                        ("still entangled at t_max = 2.0 K",)),
+    "re_entrant": (lambda t: np.where(t < 0.5, 0.5 - t,
+                                      np.where(t < 1.0, 0.0, 0.1)), 0.5,
+                   ("non-monotonic: re-entrant entanglement on the coarse "
+                    "scan; returning the first zero crossing",)),
+    "increasing": (lambda t: np.maximum(0.0, (1.0 - t) * (0.1 + t)), 1.0,
+                   ("non-monotonic: entanglement increases with temperature "
+                    "on the coarse scan",)),
+}
+
+
+def prescribe_tc_curve(monkeypatch, name):
+    """Make a Tc search's E_N at each temperature the curve ``name`` of
+    ``TC_CURVES``, whatever the point; returns the search's Tc and
+    warnings on it."""
+    curve, tc, warnings = TC_CURVES[name]
+    monkeypatch.setattr(sweep, "_superposed_log_negativity",
+                        lambda params, basis, temperatures: curve(
+                            np.asarray(temperatures, dtype=float)))
+    return tc, warnings
 
 
 def spectral_symplectic_eig(cms):

@@ -15,7 +15,8 @@ from magmech.config import ConfigError, load_config
 from magmech.dynamics import diffusion_matrices, format_matrix
 from magmech.steady_state import solve_steady_states
 
-from .oracles import drift_matrix_general, stack_of
+from .oracles import (TC_CURVES, drift_matrix_general, prescribe_tc_curve,
+                      stack_of)
 
 GOOD_CONFIG = """\
 [system]
@@ -175,6 +176,40 @@ def test_cli_validate(config_file, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("changes, line", [
+    # fig2b at Delta_m = 0.1 omega_b, eta = 0: the solve misses the
+    # residual gate
+    ({"eta = -0.5": "eta = 0",
+      "Delta_m = 0.89 omega_b": "Delta_m = 0.1 omega_b"},
+     "FAIL Lyapunov residual < 1e-10 (residual 1.554e-10)"),
+    # the printed drift matrix under absolute_value noise: the solution is
+    # no quantum covariance
+    ({"-0.91 omega_b": "1 omega_b", "0.89 omega_b": "-0.1 omega_b",
+      "as_printed": "absolute_value\ndrift_mode = printed"},
+     "FAIL covariance physicality >= -1e-9 (min eigenvalue -1.826e-01)")],
+    ids=["residual", "physicality"])
+def test_cli_validate_fails_the_check_that_nulled_the_point(tmp_path, capsys,
+                                                           changes, line):
+    text = GOOD_CONFIG.split("[sweep]")[0]
+    for old, new in changes.items():
+        text = text.replace(old, new)
+    path = tmp_path / "nulled.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [x for x in out if x.startswith(("FAIL", "SKIP"))] == [line]
+    assert out[-1] == "1 failure(s)"
+
+
+@pytest.mark.parametrize("name", sorted(TC_CURVES))
+def test_cli_tc_prints_each_warning(config_file, monkeypatch, capsys, name):
+    tc, warnings = prescribe_tc_curve(monkeypatch, name)
+    assert main(["tc", "--config", config_file]) == 0
+    out, err = capsys.readouterr()
+    assert float(out) == pytest.approx(tc, abs=1e-3)
+    assert err.splitlines() == [f"warning: {w}" for w in warnings]
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.cfg"
     path.write_text("[system]\nkappa_1 = oops\nomega_b = 1\n")
@@ -205,11 +240,51 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, old, new,
 
 
 @pytest.mark.parametrize("old, new, message", [
+    ("J = 2 kappa1", "J = 2 kappa1 wide",
+     "cannot parse rate '2 kappa1 wide' for 'J'"),
+    ("kappa_1 = 1e6", "kappa_1 = 1 kappa1",
+     "'kappa_1' uses kappa1 units but kappa_1 is not defined in absolute "
+     "units"),
+    ("omega_b = 10e6", "omega_b = 1 omega_b",
+     "'omega_b' uses omega_b units but omega_b is not defined in absolute "
+     "units"),
+    ("units = Hz2pi", "units = GHz",
+     "units must be rad_s or Hz2pi, got 'GHz'"),
+    ("omega_b = 10e6\n", "", "[system] is missing required key 'omega_b'"),
+    ("J = 2 kappa1", "J = 2 kappa1\nspin = 1", "unknown [system] key 'spin'"),
+    ("eta = -0.5", "eta = -0.5\ngain_g = 1 kappa1",
+     "give either eta or gain_g, not both"),
+    ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3", "axis1 = J, 1.5 kappa1, 3",
+     "axis must be 'name, start, stop, count': 'J, 1.5 kappa1, 3'"),
+    ("quantities =", "links = Delta_2:Delta_1:1:2\nquantities =",
+     "link must be target:source[:factor]: 'Delta_2:Delta_1:1:2'"),
+    ("[system]", "[params]", "config file needs a [system] section"),
+    ("format = csv", "format = xml", "unknown output format 'xml'"),
+    ("drift_mode = derived", "drift_mode = sideways",
+     "unknown drift mode 'sideways'"),
+])
+def test_cli_config_error_names_its_cause(tmp_path, capsys, old, new,
+                                          message):
+    # one malformed config per raise of the config reader
+    text = GOOD_CONFIG.replace("diffusion_convention = as_printed\n",
+                               "diffusion_convention = as_printed\n"
+                               "drift_mode = derived\n")
+    assert text.count(old) == 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    assert main(["point", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
     # a misspelt key would leave its setting at the default silently
     ("quantities = E_a2m, E_a1m", "quantites = E_a2m",
      "unknown [sweep] key 'quantites'"),
     ("quantities =", "drfit = printed\nquantities =",
      "unknown [sweep] key 'drfit'"),
+    # the drift mode is a [system] key, drift_mode
+    ("quantities =", "drift = printed\nquantities =",
+     "unknown [sweep] key 'drift'"),
     ("format = csv", "fromat = jsonl", "unknown [output] key 'fromat'"),
     # the link would overwrite the axis value on every row
     ("axis1 = J, 1.5 kappa1, 2.5 kappa1, 3",
@@ -342,10 +417,11 @@ def test_cli_drift_flag_reaches_point_tc_and_validate(config_file, tmp_path,
             in capsys.readouterr().out.splitlines())
 
 
-def _printed_sweep_config(tmp_path):
+def _printed_config(tmp_path):
     path = tmp_path / "printed.cfg"
-    path.write_text(GOOD_CONFIG.replace("[sweep]\n",
-                                        "[sweep]\ndrift = printed\n"))
+    path.write_text(GOOD_CONFIG.replace(
+        "diffusion_convention = as_printed\n",
+        "diffusion_convention = as_printed\ndrift_mode = printed\n"))
     return str(path)
 
 
@@ -356,8 +432,9 @@ def _output(verb, config, tmp_path, *flags):
 
 
 def test_cli_sweep_drift_key_and_its_override(config_file, tmp_path):
-    # [sweep] drift sets the sweep's drift mode, and --drift overrides it
-    printed_config = _printed_sweep_config(tmp_path)
+    # [system] drift_mode sets the sweep's drift mode, and --drift
+    # overrides it
+    printed_config = _printed_config(tmp_path)
     assert load_config(printed_config)["spec"].base.drift_mode == "printed"
     printed = _output("sweep", printed_config, tmp_path)
     assert [row.split(",")[1] for row in printed.splitlines()[1:]] == [
@@ -368,12 +445,23 @@ def test_cli_sweep_drift_key_and_its_override(config_file, tmp_path):
             == _output("sweep", config_file, tmp_path))
 
 
-def test_cli_point_ignores_the_sweep_drift_key(config_file, tmp_path):
-    printed_config = _printed_sweep_config(tmp_path)
-    assert load_config(printed_config)["params"].drift_mode == "derived"
+def test_cli_point_and_tc_read_the_system_drift_key(config_file, tmp_path,
+                                                   capsys):
+    # the drift mode is a field of the point, so every verb reads it
+    printed_config = _printed_config(tmp_path)
+    assert load_config(printed_config)["params"].drift_mode == "printed"
     point = _output("point", printed_config, tmp_path)
-    assert json.loads(point)["stable"] is True
-    assert point == _output("point", config_file, tmp_path)
+    assert json.loads(point)["stable"] is False
+    assert point == _output("point", config_file, tmp_path, "--drift",
+                            "printed")
+    assert _output("point", printed_config, tmp_path, "--drift",
+                   "derived") == _output("point", config_file, tmp_path)
+    capsys.readouterr()
+    assert main(["tc", "--config", printed_config]) == 1
+    assert capsys.readouterr().err == ("error: E_a2m is not positive at T = "
+                                       "0; critical temperature undefined\n")
+    assert _output("tc", printed_config, tmp_path, "--drift",
+                   "derived") == _output("tc", config_file, tmp_path)
 
 
 @pytest.mark.parametrize("axis, shown", [

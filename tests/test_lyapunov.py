@@ -287,6 +287,28 @@ def test_singular_system_is_nan():
     assert np.isnan(_solve(A, np.eye(2))).all()
 
 
+def test_an_overflowing_kronecker_solution_is_nan(monkeypatch):
+    # a regular system whose solution overflows: eigenvalue pair sums of
+    # -2e-10 against a noise of 1e300.  LAPACK solves it without an
+    # error, to a vector that is not finite, and the slice comes back NaN
+    A, D = -1e-10 * np.eye(8), 1e300 * np.eye(8)
+    K = np.kron(A, np.eye(8)) + np.kron(np.eye(8), A)
+    assert not np.isfinite(np.linalg.solve(K, -D.reshape(-1))).all()
+    assert np.isnan(lyapunov._kronecker_solve(A, D)).all()
+    # the spectral solve overflows as well, and its retry is that solve
+    retried = []
+    kronecker = lyapunov._kronecker_solve
+
+    def spy(a, d):
+        retried.append(a.tobytes())
+        return kronecker(a, d)
+
+    monkeypatch.setattr(lyapunov, "_kronecker_solve", spy)
+    V, residual = solve_lyapunov(A[None], D[None])
+    assert retried == [A.tobytes()]
+    assert np.isnan(V).all() and np.isnan(residual).all()
+
+
 def test_residual_measures_errors(rng):
     A = random_stable_drift(rng)
     D = random_spd(rng)

@@ -23,9 +23,10 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            record_to_dict, render_records, run_sweep,
                            stack_params)
 
-from .oracles import (bisect_critical_temperature, build_point_params,
-                      csv_module_write_csv, mean_field_cubic_roots,
-                      point_params)
+from .oracles import (TC_CURVES, bisect_critical_temperature,
+                      build_point_params, csv_module_write_csv,
+                      mean_field_cubic_roots, point_params,
+                      prescribe_tc_curve)
 
 
 def small_spec(baseline, **kwargs):
@@ -541,6 +542,213 @@ def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
     assert all(v is None for v in rec.measures.values())
 
 
+def _reported(warnings, capsys):
+    """The standard-error lines that ``magmech`` prints for the warnings
+    of a run."""
+    capsys.readouterr()
+    cli._report_warnings(warnings)
+    return capsys.readouterr().err.splitlines()
+
+
+def _assert_nulled(rec, warning, margin=True):
+    """A record nulled after its stability gate: no measure, no solve
+    diagnostics, the margin only where the gate decided, and the
+    warning."""
+    assert not rec.stable
+    assert (rec.margin is not None) == margin
+    assert rec.lyap_residual is None and rec.physicality is None
+    assert all(v is None for v in rec.measures.values())
+    assert warning in rec.warnings
+
+
+def _three_point_sweep(baseline, monkeypatch, V_of_slice, **kwargs):
+    """A three-point J sweep of the baseline, in which the Lyapunov solve
+    gives ``V_of_slice(V[1])`` for the middle point, with the residual of
+    the true solution."""
+    solve = lyapunov.solve_lyapunov
+
+    def patched(A, D, eig=None):
+        V, residual = solve(A, D, eig=eig)
+        V[1] = V_of_slice(V[1])
+        return V, residual
+
+    monkeypatch.setattr(lyapunov, "solve_lyapunov", patched)
+    return run_sweep(small_spec(baseline, **kwargs))
+
+
+def test_an_eigensolver_failure_nulls_only_its_point(baseline, monkeypatch,
+                                                     capsys):
+    # LAPACK fails on the middle point's drift matrix, which the gate
+    # then leaves undecided: neither stable nor unstable, without margin
+    spec = small_spec(baseline)
+    J = grid_values(spec)[1][0]
+    eig = np.linalg.eig
+
+    def failing(stack):
+        if (np.reshape(stack, (-1, 8, 8))[:, 0, 3] == J).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(stack)
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    records = run_sweep(spec)
+    assert [r.stable for r in records] == [True, False, True]
+    _assert_nulled(records[1], "stability indeterminate: eigensolver failed",
+                   margin=False)
+    assert ("warning: stability indeterminate (1 point)"
+            in _reported(records.warnings, capsys))
+
+
+def test_a_singular_lyapunov_system_nulls_only_its_point(baseline,
+                                                         monkeypatch, capsys):
+    records = _three_point_sweep(baseline, monkeypatch,
+                                 lambda V: np.full_like(V, np.nan))
+    assert [r.stable for r in records] == [True, False, True]
+    _assert_nulled(records[1], "singular Lyapunov system: no finite solution")
+    assert ("warning: singular Lyapunov system (1 point)"
+            in _reported(records.warnings, capsys))
+
+
+def test_a_singular_unit_noise_system_leaves_no_critical_temperature(
+        baseline, monkeypatch):
+    # one of the four unit solutions without a finite value: the search
+    # nulls the point at every temperature, as the kernel would
+    solve = lyapunov.solve_lyapunov
+
+    def patched(A, D, eig=None):
+        V, residual = solve(A, D, eig=eig)
+        V[3], residual[3] = np.nan, np.nan
+        return V, residual
+
+    assert find_critical_temperature(baseline, ("a2", "m"))[0] > 0.1
+    monkeypatch.setattr(lyapunov, "solve_lyapunov", patched)
+    assert sweep._unit_noise_solutions(baseline) is None
+    with pytest.raises(ValueError, match="^E_a2m is not positive at T = 0"):
+        find_critical_temperature(baseline, ("a2", "m"))
+
+
+def test_an_overflowing_solve_is_a_singular_lyapunov_system(capsys):
+    # eigenvalue pair sums of -2e-10 against a noise of 1e300: both the
+    # spectral solve and the Kronecker retry overflow, and the solution
+    # falls
+    A, D = -1e-10 * np.eye(8)[None], 1e300 * np.eye(8)[None]
+    warnings = [[]]
+    V, residual, stands = sweep._covariances(
+        A, D, lyapunov.eigendecomposition(A), [0], warnings)
+    assert np.isnan(V).all() and np.isnan(residual).all()
+    assert stands.tolist() == [False]
+    assert warnings == [["singular Lyapunov system: no finite solution"]]
+    assert _reported(warnings, capsys) == [
+        "warning: singular Lyapunov system (1 point)"]
+
+
+def test_a_steering_screen_nulls_its_direction_only(baseline, monkeypatch,
+                                                    capsys):
+    # the middle point's (a2, m) block: det A = 0 and det V = 300 > 0.
+    # Its E_N is 0 and stands, its m -> a2 steering is 0, and a2 -> m,
+    # conditioned on the singular a2 block, fails its screen.  The
+    # baseline's noise is negative, so no physicality rule applies.
+    def crafted(V):
+        B = np.sqrt(30.0) * np.eye(2)
+        V[2:6, 2:6] = np.block([[np.ones((2, 2)), B], [B, 10.0 * np.eye(2)]])
+        return V
+
+    records = _three_point_sweep(baseline, monkeypatch, crafted,
+                                 quantities=("st_a2_to_m", "st_m_to_a2"))
+    assert all(r.stable for r in records)
+    rec = records[1]
+    assert rec.measures == {"E_a2m": 0.0, "st_a2_to_m": None,
+                            "st_m_to_a2": 0.0}
+    assert ("st_a2_to_m: non-positive conditioning block determinant "
+            "0.000e+00") in rec.warnings
+    assert ("warning: st_a2_to_m (1 point)"
+            in _reported(records.warnings, capsys))
+    for other in (records[0], records[2]):
+        assert all(v is not None for v in other.measures.values())
+
+
+def _printed_absolute_value_draws(n, seed):
+    """``n`` seeded draws around the baseline under the printed drift and
+    absolute_value noise: detunings in +-2 omega_b, gain, J, g_ma and G_mb
+    up to 4 kappa_1, kappa_2 and kappa_m a decade either way."""
+    base = reference_baseline(drift_mode="printed",
+                              diffusion_convention="absolute_value")
+    rng = np.random.default_rng(seed)
+    columns = {k: rng.uniform(-2.0, 2.0, n) * base.omega_b
+               for k in ("Delta_1", "Delta_2", "Delta_m")}
+    columns.update({k: rng.uniform(0.0, 4.0, n) * base.kappa_1
+                    for k in ("gain_g", "J", "g_ma", "G_mb")})
+    columns.update({k: getattr(base, k) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+                    for k in ("kappa_2", "kappa_m")})
+    return ParamStack.broadcast(base, n, **columns)
+
+
+def test_the_kernel_nulls_an_unphysical_covariance(capsys):
+    # the printed drift matrix is no valid quantum Langevin drift: some
+    # of its stable points solve to a V that no quantum state has, on
+    # noise that is non-negative everywhere
+    params = _printed_absolute_value_draws(400, seed=0)
+    assert all(e is None for e in params.errors())
+    table = sweep._evaluate_chunk(params, [None] * 400, np.empty((400, 0)),
+                                  ("E_a1m", "st_m_to_a1"))
+    stable = table.stable
+    assert stable.any()
+    assert (table.values["physicality"][stable]
+            >= lyapunov.PHYSICALITY_MIN).all()
+    nulled = [k for k, ws in enumerate(table.warnings)
+              if any(w.startswith("unphysical covariance") for w in ws)]
+    assert len(nulled) >= 5
+    for k in nulled:
+        rec = table[k]
+        [warning] = [w for w in rec.warnings if w.startswith("unphysical")]
+        least = float(re.fullmatch(
+            r"unphysical covariance \(min eigenvalue (\S+)\)", warning)[1])
+        assert least < lyapunov.PHYSICALITY_MIN
+        _assert_nulled(rec, warning)
+        assert rec.margin < 0.0
+    assert (f"warning: unphysical covariance ({len(nulled)} points)"
+            in _reported(table.warnings, capsys))
+
+
+def test_the_tc_search_gates_its_unit_solutions_as_the_kernel_does():
+    # fig2b at Delta_m = 0.1 omega_b, eta = 0 (row 2110): the kernel
+    # nulls the point, for a Lyapunov residual above the gate; the unit
+    # solutions of the mode noises miss the same gate, so the search finds
+    # no entanglement at T = 0 either (the bare solve gave 0.094140625 K)
+    spec = figure_preset("fig2b")
+    params = build_point_params(spec, grid_values(spec)[2110])
+    rec = evaluate_point(params)
+    assert not rec.stable
+    assert rec.warnings[0].startswith("Lyapunov residual not below 1e-10")
+    assert sweep._unit_noise_solutions(params) is None
+    with pytest.raises(ValueError, match=re.escape(
+            "E_a1b is not positive at T = 0")):
+        find_critical_temperature(params, ("a1", "b"))
+
+
+@pytest.mark.parametrize("name, row", [("fig2b", 7420), ("fig2b", 29369),
+                                       ("fig3", 17820), ("fig6", 17820)])
+def test_preset_points_whose_unit_solutions_miss_the_residual_gate(name,
+                                                                   row):
+    # within 30 rad/s of the stability boundary, a unit-noise solution's
+    # residual misses the gate although the point's own solve passes it
+    spec = figure_preset(name)
+    params = build_point_params(spec, grid_values(spec)[row])
+    *_, A, report = sweep._point_block(params)
+    assert -30.0 < report.margin[0] < 0.0
+    _, residual = lyapunov.solve_lyapunov(A, sweep._UNIT_NOISES, eig=(
+        report.eigenvalues, report.eigenvectors))
+    assert residual.max() >= lyapunov.RESIDUAL_MAX
+    assert sweep._unit_noise_solutions(params) is None
+
+
+@pytest.mark.parametrize("name", sorted(TC_CURVES))
+def test_critical_temperature_warnings(baseline, monkeypatch, name):
+    tc, expected = prescribe_tc_curve(monkeypatch, name)
+    found, warnings = find_critical_temperature(baseline, ("a2", "m"))
+    assert warnings == expected
+    assert found == pytest.approx(tc, abs=sweep.TC_TOL_T)
+
+
 def test_csv_rendering(baseline):
     spec = small_spec(baseline)
     records = run_sweep(spec)
@@ -865,13 +1073,22 @@ def test_unit_noise_superposition_matches_the_kernel(
     table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((41, 0)),
                                   E_COLUMNS)
     solutions = sweep._unit_noise_solutions(params)
-    assert table.stable.all()
+    # the kernel also nulls a solution of non-negative noise that is no
+    # quantum covariance, which the superposition does not judge: under
+    # the printed drift with absolute_value noise, below 0.35 K
+    unphysical = np.array([any(w.startswith("unphysical covariance")
+                               for w in ws) for ws in table.warnings])
+    assert np.array_equal(table.stable, ~unphysical)
+    shown = (drift_mode, convention) == ("printed", "absolute_value")
+    assert unphysical.tolist() == [shown and t < 0.35 for t in temperatures]
+    stable = table.stable
     for column, pair in zip(E_COLUMNS, measures.PAIRS):
         values = sweep._superposed_log_negativity(
-            params, measures.reduce_pair(solutions, pair), temperatures)
+            params, measures.reduce_pair(solutions, pair),
+            temperatures)[stable]
         null = np.isnan(values)
-        assert np.array_equal(null, np.isnan(table.values[column]))
-        expected = table.values[column][~null]
+        assert np.array_equal(null, np.isnan(table.values[column][stable]))
+        expected = table.values[column][stable][~null]
         assert np.all(np.abs(values[~null] - expected)
                       <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
