@@ -70,11 +70,36 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout or "
                                      "<preset>.csv)")
     for p in (p_sweep, p_preset):
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs, default=1,
                        help="parallel worker processes, each given "
                             "contiguous parts of the grid")
 
     return parser
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process, where the C library has
+    glibc's ``mallopt``.  By default glibc hands a sweep part's freed
+    temporaries (about 2 MB) back to the OS, and the next part faults them
+    in again; with these thresholds they, and a preset's output text, stay
+    in the heap.  Setting either threshold turns off glibc's dynamic ones,
+    so both are set."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no glibc; TypeError on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: a whole number of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _apply_overrides(params, args):
@@ -125,7 +150,7 @@ def cmd_point(args) -> int:
 
 
 def _run_and_emit(spec: SweepSpec, args, default_out=None) -> int:
-    records = run_sweep(spec, jobs=max(args.jobs, 1))
+    records = run_sweep(spec, jobs=args.jobs)
     out = args.out or default_out
     _emit(render_records(records, spec), out)
     _report_warnings(records.warnings)
@@ -237,6 +262,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"point": cmd_point, "sweep": cmd_sweep,

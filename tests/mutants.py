@@ -211,6 +211,12 @@ MUTATIONS = (
         "        V = V",
         ("tests/test_acceptance.py::"
          "test_median_lyapunov_residual_of_each_preset",)),
+    Mutation(
+        "cli_default_heap_policy", "src/magmech/cli.py",
+        "    _keep_freed_memory()\n    parser = _build_parser()",
+        "    parser = _build_parser()",
+        ("tests/test_cli.py::"
+         "test_cli_sweep_reuses_freed_memory_instead_of_faulting_it_in",)),
 )
 
 

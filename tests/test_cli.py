@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -132,6 +135,40 @@ def test_cli_sweep_writes_csv(config_file, tmp_path):
     assert lines[0].startswith("J,stable,")
 
 
+# runs two sweeps in one fresh process and prints the minor page faults
+# that the second one took
+_FAULT_PROBE = """\
+import resource, sys
+from magmech.cli import main
+argv = ["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_cli_sweep_reuses_freed_memory_instead_of_faulting_it_in(tmp_path):
+    # a fresh interpreter: large allocations of earlier tests would raise
+    # glibc's dynamic thresholds and hide the faults of the default policy
+    config = tmp_path / "row.cfg"
+    config.write_text(GOOD_CONFIG.replace(
+        "axis1 = J, 1.5 kappa1, 2.5 kappa1, 3\nquantities = E_a2m, E_a1m",
+        "axis1 = eta, -1, 1, 201\nquantities = E_a2m").replace(
+        "Delta_m = 0.89 omega_b", "Delta_m = 0.9 omega_b"))
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, str(config),
+         str(tmp_path / "row.csv")], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # 225-390 with glibc's default policy, 4-8 with the CLI's
+    assert int(proc.stdout) < 40
+    assert len((tmp_path / "row.csv").read_text().splitlines()) == 202
+
+
 def test_cli_sweep_diffusion_override(config_file, tmp_path):
     out_a = tmp_path / "as_printed.csv"
     out_b = tmp_path / "physical.csv"
@@ -162,6 +199,8 @@ def test_cli_tc_takes_a_pair_in_either_order(config_file, capsys):
     ["validate", "--out", "v.txt"],
     ["point", "--jobs", "2"],
     ["tc", "--jobs", "2"],
+    ["sweep", "--jobs", "0"],
+    ["preset", "fig2d", "--jobs", "-1"],
 ])
 def test_cli_rejects_flags_the_verb_does_not_read(config_file, argv):
     with pytest.raises(SystemExit) as exc:
