@@ -12,7 +12,7 @@ from .dynamics import (StabilityReport, diffusion_matrices, drift_matrices,
 from .lyapunov import (lyapunov_residual, physicality_min_eig, solve_lyapunov,
                        symplectic_form)
 from .measures import MODES, PAIRS, pair_measures, reduce_pair
-from .params import (DriveParams, ParamStack, PhysicalParams, eta_ratio,
+from .params import (DriveParams, ParamStack, PhysicalParams,
                      reference_baseline, rabi_frequency, thermal_occupation)
 from .steady_state import SteadyState, effective_coupling, solve_steady_states
 from .sweep import (SweepAxis, SweepRecord, SweepSpec, SweepTable,
@@ -23,7 +23,7 @@ __all__ = [
     "DriveParams", "MODES", "PAIRS", "ParamStack", "PhysicalParams",
     "StabilityReport", "SteadyState", "SweepAxis", "SweepRecord",
     "SweepSpec", "SweepTable", "diffusion_matrices", "drift_matrices",
-    "effective_coupling", "eta_ratio", "evaluate_point", "figure_preset",
+    "effective_coupling", "evaluate_point", "figure_preset",
     "find_critical_temperature", "lyapunov_residual", "pair_measures",
     "reference_baseline", "physicality_min_eig", "rabi_frequency",
     "reduce_pair", "run_sweep", "solve_lyapunov", "solve_steady_states",

@@ -258,14 +258,6 @@ def effective_kappa_2(params):
     return params.kappa_2 - params.gain_g
 
 
-def eta_ratio(params: PhysicalParams) -> float:
-    """Gain-loss ratio (kappa_2 - gain_g)/kappa_1.
-
-    Negative exactly when the second cavity is net active.
-    """
-    return effective_kappa_2(params) / params.kappa_1
-
-
 def rabi_frequency(drive: DriveParams) -> float:
     """Drive Rabi rate (sqrt(5)/4) * gamma_g * sqrt(N) * B_0 (rad/s).
 

@@ -464,8 +464,11 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     ``jobs > 1`` they go to ``jobs`` worker processes, or one per part
     if there are fewer.  A grid of one part runs serially, as one
     worker would take all of it.  Each point is a pure function of its
-    parameters, so ``jobs`` changes no output.
+    parameters, so ``jobs`` changes no output; below 1 it is a
+    ValueError, as ``--jobs`` is a usage error.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     values = np.array(grid_values(spec), dtype=float)
     parts = np.split(values, range(CHUNK_POINTS, len(values), CHUNK_POINTS))
     evaluate = partial(_evaluate_points, spec)

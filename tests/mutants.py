@@ -217,6 +217,12 @@ MUTATIONS = (
         "    parser = _build_parser()",
         ("tests/test_cli.py::"
          "test_cli_sweep_reuses_freed_memory_instead_of_faulting_it_in",)),
+    Mutation(
+        "validate_steering_check_disabled", "src/magmech/cli.py",
+        "if (rec.measures.get(d) or 0.0) > 1e-9",
+        "if (rec.measures.get(d) or 0.0) > 1e300",
+        ("tests/test_cli.py::"
+         "test_cli_validate_fails_steering_without_entanglement",)),
 )
 
 

@@ -511,6 +511,13 @@ def gauge_phase(m_avg):
     return -cmath.phase(1j * m_avg)
 
 
+def eta_ratio(params):
+    """Gain-loss ratio (kappa_2 - gain_g)/kappa_1 of a point, or of each
+    point of a :class:`ParamStack`; negative exactly when the second
+    cavity is net active."""
+    return effective_kappa_2(params) / params.kappa_1
+
+
 def bose_occupation(omega, temperature):
     """Scalar Bose-Einstein occupation 1/(exp(x) - 1), x = hbar*omega /
     (k_B*T), in Python floats with ``math.expm1``: 0 at T = 0 and past

@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magmech import reference_baseline, sweep
+from magmech import cli, reference_baseline, sweep
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
 from magmech.dynamics import diffusion_matrices, format_matrix
@@ -208,11 +209,33 @@ def test_cli_rejects_flags_the_verb_does_not_read(config_file, argv):
     assert exc.value.code == 2
 
 
+VALIDATE_PASSES = ("PASS steady state converged\n"
+                   "PASS steady-state residual < 1e-9\n")
+
+
 def test_cli_validate(config_file, capsys):
     assert main(["validate", "--config", config_file]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == (VALIDATE_PASSES +
+                                       "PASS steering implies entanglement\n"
+                                       "0 failure(s)\n")
+
+
+def test_cli_validate_fails_steering_without_entanglement(config_file,
+                                                          monkeypatch,
+                                                          capsys):
+    # the kernel enforces no such rule, so a record breaks it by hand: a2
+    # steers m while the pair has no entanglement
+    def evaluated(params):
+        rec = sweep.evaluate_point(params)
+        assert rec.stable
+        return replace(rec, measures={**rec.measures, "st_a2_to_m": 0.05,
+                                      "E_a2m": 0.0})
+
+    monkeypatch.setattr(cli, "evaluate_point", evaluated)
+    assert main(["validate", "--config", config_file]) == 1
+    assert capsys.readouterr().out == (
+        VALIDATE_PASSES + "FAIL steering implies entanglement "
+        "[('a2', 'm')]\n1 failure(s)\n")
 
 
 @pytest.mark.parametrize("changes, line", [
@@ -542,8 +565,9 @@ def test_cli_validate_with_a_null_residual(tmp_path, capsys, mode, lines):
 def test_validate_never_judges_physicality_on_negative_noise(eta, J,
                                                              Delta_m):
     # net cavity-2 gain (eta < 0) under as_printed makes the cavity-2
-    # noise negative: a stable point skips the physicality check, an
-    # unstable one all Lyapunov checks, and neither passes or fails it
+    # noise negative, where the kernel judges no physicality: a stable
+    # point reaches the steering check, an unstable one skips it, and
+    # neither passes or fails a physicality check
     text = (GOOD_CONFIG.replace("eta = -0.5", f"eta = {eta!r}")
             .replace("J = 2 kappa1", f"J = {J!r} kappa1")
             .replace("Delta_m = 0.89 omega_b",
@@ -558,9 +582,9 @@ def test_validate_never_judges_physicality_on_negative_noise(eta, J,
             main(["validate", "--config", path])
     lines = out.getvalue().splitlines()
     skipped = [line for line in lines if line.startswith("SKIP ")]
-    assert skipped in (["SKIP covariance physicality (negative diffusion "
-                        "convention at this point)"],
-                       ["SKIP Lyapunov checks (configured point is not "
-                        "stable)"])
+    steering = [line for line in lines if "steering" in line]
+    assert (skipped, len(steering)) in (
+        ([], 1), (["SKIP Lyapunov checks (configured point is not stable)"],
+                  0))
     assert not [line for line in lines
                 if line.startswith(("PASS", "FAIL")) and "physicality" in line]

@@ -6,10 +6,10 @@ import pytest
 from magmech import params as params_module
 from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS, TWO_PI,
                             DriveParams, ParamStack, PhysicalParams,
-                            eta_ratio, reference_baseline, rabi_frequency,
+                            reference_baseline, rabi_frequency,
                             thermal_occupation)
 
-from .oracles import bose_occupation
+from .oracles import bose_occupation, eta_ratio
 
 
 def test_thermal_occupation_zero_temperature():

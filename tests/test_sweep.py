@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from magmech import cli, dynamics, lyapunov, measures, sweep
 from magmech.params import (NUMERIC_FIELDS, TWO_PI, ParamStack,
-                            PhysicalParams, eta_ratio, reference_baseline)
+                            PhysicalParams, reference_baseline)
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            MEASURE_COLUMNS, ST_COLUMNS, SweepAxis, SweepSpec,
                            SweepTable, evaluate_point, figure_preset,
@@ -24,7 +24,7 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
                            stack_params)
 
 from .oracles import (TC_CURVES, bisect_critical_temperature,
-                      build_point_params, csv_module_write_csv,
+                      build_point_params, csv_module_write_csv, eta_ratio,
                       mean_field_cubic_roots, point_params,
                       prescribe_tc_curve)
 
@@ -521,6 +521,18 @@ def test_pool_has_at_most_one_worker_per_part(baseline, monkeypatch, jobs,
                         InProcessPool)
     assert render_records(run_sweep(spec, jobs=jobs), spec) == serial
     assert started == [workers]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_rejects_fewer_than_one_job(baseline, monkeypatch, jobs):
+    # as the CLI's --jobs does, before a point is evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweep, "_evaluate_points", evaluated)
+    with pytest.raises(ValueError,
+                       match=f"^jobs must be at least 1, got {jobs}$"):
+        run_sweep(small_spec(baseline), jobs=jobs)
 
 
 def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
