@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from . import dynamics, lyapunov, measures
@@ -75,13 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
     """Keep freed heap memory in the process, where the C library has
     glibc's ``mallopt``.  By default glibc hands a sweep part's freed
     temporaries (about 2 MB) back to the OS, and the next part faults them
     in again; with these thresholds they, and a preset's output text, stay
     in the heap.  Setting either threshold turns off glibc's dynamic ones,
-    so both are set."""
+    so both are set, once per process: each ``mallopt`` call also
+    consolidates glibc's fastbins."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -120,12 +123,13 @@ def _emit(text: str, out_path) -> None:
 def _report_warnings(warnings) -> None:
     """One standard-error line per warning category, in order of first
     appearance, with the number of points (each a sequence of warnings)
-    that raised it.  A category is the text before the first ':' or ' ('."""
+    that raised it.  A category is the text before the first ':' or ' (';
+    the points that share a sequence are counted together."""
     counts: dict[str, int] = {}
-    for point in warnings:
+    for point, n in Counter(map(tuple, warnings)).items():
         for head in {w.split(":", 1)[0].split(" (", 1)[0]: None
                      for w in point}:
-            counts[head] = counts.get(head, 0) + 1
+            counts[head] = counts.get(head, 0) + n
     for head, n in counts.items():
         noun = "point" if n == 1 else "points"
         print(f"warning: {head} ({n} {noun})", file=sys.stderr)

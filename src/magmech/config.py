@@ -66,9 +66,21 @@ def _parse_rate(text: str, default_unit: str, kappa_1=None, omega_b=None,
 
 
 def _load(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The parsed UTF-8 file, its values as written (a ``%``
+    interpolates nothing); a file that cannot be decoded or is no INI
+    file is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     parser.optionxform = str  # keys are case sensitive (Delta_1, J, ...)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        # configparser's message names the file and line, on several lines
+        raise ConfigError(" ".join(map(str.strip, str(exc).splitlines()))
+                          ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}"
+                          ) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     return parser

@@ -103,17 +103,16 @@ def noise_matrices(rates) -> np.ndarray:
     return D
 
 
-def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, list[tuple]]:
+def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, dict[int, str]]:
     """(N, 8, 8) stack of the :func:`noise_matrices` of the stack's
-    :func:`mode_noises` at its own temperatures, and each point's
-    convention warnings, a tuple per point: a negative cavity-2 rate
-    (``as_printed`` with net gain) is flagged.
+    :func:`mode_noises` at its own temperatures, and the convention
+    warning of each point that has one, by its index in the stack: a
+    negative cavity-2 rate (``as_printed`` with net gain) is flagged.
     """
     rates = mode_noises(p, p.temperature_T)
-    warnings = [()] * len(p)
-    for k in np.flatnonzero(rates[:, 1] < 0).tolist():
-        warnings[k] = ("negative diffusion: cavity-2 noise entry %.6g "
-                       "< 0 (as_printed with net gain)" % rates[k, 1],)
+    warnings = {k: "negative diffusion: cavity-2 noise entry %.6g < 0 "
+                   "(as_printed with net gain)" % rates[k, 1]
+                for k in np.flatnonzero(rates[:, 1] < 0).tolist()}
     return noise_matrices(rates), warnings
 
 

@@ -349,8 +349,8 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     of ``table``."""
     warnings = table.warnings
     D, d_warnings = dynamics.diffusion_matrices(sub)
-    for k, w in zip(live.tolist(), d_warnings):
-        warnings[k].extend(w)
+    for j, w in d_warnings.items():
+        warnings[live[j]].append(w)
     for k in live[report.indeterminate]:
         warnings[k].append("stability indeterminate: eigensolver failed")
     decided = ~report.indeterminate
@@ -692,39 +692,56 @@ def figure_preset(name: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # output writers
 
-def _formatted(column: np.ndarray) -> list[str]:
-    """``"%.17g"`` of each entry, formatted once per distinct bit
-    pattern, so that -0.0 keeps its sign; nulls (NaN) as empty fields."""
-    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = ["" if math.isnan(v) else "%.17g" % v
-            for v in distinct.view(float).tolist()]
-    return list(map(text.__getitem__, index.tolist()))
+def _needs_quoting(text: str) -> bool:
+    """Whether the csv module may quote ``text``: whether it holds the
+    delimiter, the quote character or a line break."""
+    return any(map(text.__contains__, ',"\r\n'))
 
 
 def write_csv(records, spec: SweepSpec, stream) -> None:
     """Lossless CSV: every column named, 17 significant digits, nulls
     as empty fields.
 
-    Formats by column, each distinct value once, and a measure column
-    that was not requested as one shared empty field."""
+    Formats the table's numbers as one block, each distinct bit pattern
+    once, so that -0.0 keeps its sign; the measure columns that were not
+    requested are constant empty fields of the row template."""
     table = SweepTable.of(records, spec)
     _, with_amplitudes = normalize_quantities(spec.quantities)
     header = (list(spec.axis_names()) + ["stable"] + list(MEASURE_COLUMNS)
               + list(DIAGNOSTIC_COLUMNS)
               + list(AMPLITUDE_COLUMNS if with_amplitudes else ())
               + ["warnings"])
-    fields = list(map(_formatted, table.axis_values.T))
-    fields.append(["true" if s else "false" for s in table.stable.tolist()])
-    fields += [_formatted(table.values[c]) if c in table.values
-               else [""] * len(table) for c in header[len(spec.axes) + 1:-1]]
-    # only a warnings field can need quoting, and the csv module decides:
-    # its writer returns what the file's write does, here the line
-    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    n_axes = len(spec.axes)
+    names = header[n_axes + 1:-1]
+    template = ",".join(["%s"] * (n_axes + 1) + [
+        "%s" if c in table.values else "" for c in names] + ["%s"])
+    block = np.column_stack([table.axis_values] + [
+        table.values[c] for c in names if c in table.values])
+    distinct, index = np.unique(block.view(np.int64), return_inverse=True)
+    values = distinct.view(float)
+    # one format call for all of them, faster than a call per value
+    text = (",".join(["%.17g"] * len(values))
+            % tuple(values.tolist())).split(",")
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    cells = list(map(text.__getitem__, index.reshape(-1).tolist()))
+    k = block.shape[1]
+    columns = [cells[j::k] for j in range(k)]
+    columns.insert(n_axes, ["true" if s else "false"
+                            for s in table.stable.tolist()])
+    # the csv module quotes the warnings texts that may need it, each
+    # once: its writer returns what the file's write does, here the line
     warnings = list(map(";".join, table.warnings))
-    quoted = {w: row(("", w))[1:-1] for w in set(warnings)}
-    fields.append([quoted[w] for w in warnings])
+    if _needs_quoting("".join(warnings)):
+        row = csv.writer(SimpleNamespace(write=str),
+                         lineterminator="\n").writerow
+        quoted = {w: row(("", w))[1:-1]
+                  for w in set(filter(_needs_quoting, warnings))}
+        warnings = [quoted.get(w, w) for w in warnings]
+    columns.append(warnings)
     stream.write("\n".join([",".join(header)]
-                           + list(map(",".join, zip(*fields)))) + "\n")
+                           + list(map(template.__mod__, zip(*columns))))
+                 + "\n")
 
 
 def record_to_dict(rec: SweepRecord, axis_names) -> dict:

@@ -65,16 +65,22 @@ MUTATIONS = (
          "test_unphysical_slice_of_a_stack_is_null_with_message")),
     Mutation(
         "csv_unique_by_value", "src/magmech/sweep.py",
-        "np.unique(column.view(np.int64), return_inverse=True)\n"
-        '    text = ["" if math.isnan(v) else "%.17g" % v\n'
-        "            for v in distinct.view(float).tolist()]",
-        "np.unique(column, return_inverse=True)\n"
-        '    text = ["" if math.isnan(v) else "%.17g" % v\n'
-        "            for v in distinct.tolist()]",
+        "np.unique(block.view(np.int64), return_inverse=True)\n"
+        "    values = distinct.view(float)",
+        "np.unique(block, return_inverse=True)\n"
+        "    values = distinct",
         ("tests/test_sweep.py::"
          "test_csv_writer_formats_each_distinct_value_once",
          "tests/test_sweep.py::"
-         "test_csv_writer_is_the_csv_module_writer_byte_for_byte")),
+         "test_csv_writer_is_the_csv_module_writer_byte_for_byte",
+         "tests/test_sweep.py::"
+         "test_csv_numeric_cells_are_the_oracles_byte_for_byte")),
+    Mutation(
+        "csv_quoting_skips_lf", "src/magmech/sweep.py",
+        """map(text.__contains__, ',"\\r\\n')""",
+        """map(text.__contains__, ',"\\r')""",
+        ("tests/test_sweep.py::"
+         "test_warnings_column_and_report_are_the_oracles_byte_for_byte",)),
     Mutation(
         "put_keeps_non_finite", "src/magmech/sweep.py",
         "table.values[name][points] = np.where(np.isfinite(values), values, "
@@ -200,6 +206,10 @@ MUTATIONS = (
         '_check_keys(section, "axis1",', '_check_keys((), "axis1",',
         ("tests/test_cli.py::"
          "test_cli_sweep_rejects_a_setting_it_would_ignore",)),
+    Mutation(
+        "config_parse_errors_unwrapped", "src/magmech/config.py",
+        "    except configparser.Error as exc:", "    except () as exc:",
+        ("tests/test_cli.py::test_cli_config_error_names_its_cause",)),
     Mutation(
         "output_keys_unchecked", "src/magmech/config.py",
         '_check_keys(section, "format",', '_check_keys((), "format",',

@@ -12,8 +12,9 @@ partially-transposed symplectic eigenvalue by the spectrum of
 i*Omega*(P V P) instead of the package's closed form.
 
 It also holds the package helpers that only the tests call, and the
-earlier forms of two rewritten loops, which the rewrites must match bit
-for bit: the stacked Picard loop and the ``csv.writer`` CSV writer.
+earlier forms of three rewritten loops, which the rewrites must match bit
+for bit: the stacked Picard loop, the ``csv.writer`` CSV writer and the
+per-point warning report.
 """
 
 import cmath
@@ -685,6 +686,21 @@ def csv_module_write_csv(records, spec, stream):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(zip(*fields))
+
+
+def report_warnings_by_point(warnings, stream):
+    """``cli._report_warnings`` as it was written before it counted each
+    distinct warnings sequence once: the categories of every point, each
+    counted once per point, in order of first appearance, one line each
+    to ``stream``.  The package's report must print the same lines."""
+    counts = {}
+    for point in warnings:
+        for head in {w.split(":", 1)[0].split(" (", 1)[0]: None
+                     for w in point}:
+            counts[head] = counts.get(head, 0) + 1
+    for head, n in counts.items():
+        noun = "point" if n == 1 else "points"
+        print(f"warning: {head} ({n} {noun})", file=stream)
 
 
 def stable_covariances(spec, values):

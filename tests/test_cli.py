@@ -324,6 +324,20 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, old, new,
     ("format = csv", "format = xml", "unknown output format 'xml'"),
     ("drift_mode = derived", "drift_mode = sideways",
      "unknown drift mode 'sideways'"),
+    # a '%' is taken as written, not as an interpolation
+    ("J = 2 kappa1", "J = 2%", "bad number '2%' for 'J'"),
+    # files that the INI reader itself rejects, and one that is no UTF-8
+    ("[system]\n", "", "File contains no section headers. file: '{path}', "
+     "line: 1 'units = Hz2pi\\n'"),
+    ("[sweep]", "[system]", "While reading from '{path}' [line 23]: "
+     "section 'system' already exists"),
+    ("J = 2 kappa1", "J = 2 kappa1\nJ = 3 kappa1", "While reading from "
+     "'{path}' [line 13]: option 'J' in section 'system' already exists"),
+    ("J = 2 kappa1", "J = 2 kappa1\nspin", "Source contains parsing errors: "
+     "'{path}' [line 13]: 'spin\\n'"),
+    ("J = 2 kappa1", "J = 2 \udcff kappa1", "cannot read config file "
+     "'{path}': 'utf-8' codec can't decode byte 0xff in position 166: "
+     "invalid start byte"),
 ])
 def test_cli_config_error_names_its_cause(tmp_path, capsys, old, new,
                                           message):
@@ -333,9 +347,11 @@ def test_cli_config_error_names_its_cause(tmp_path, capsys, old, new,
                                "drift_mode = derived\n")
     assert text.count(old) == 1
     path = tmp_path / "bad.cfg"
-    path.write_text(text.replace(old, new))
+    # a lone surrogate of the text is written as the byte it escapes
+    path.write_bytes(text.replace(old, new).encode(errors="surrogateescape"))
     assert main(["point", "--config", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert capsys.readouterr() == (
+        "", f"config error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("old, new, message", [

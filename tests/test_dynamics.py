@@ -35,7 +35,7 @@ NONZERO = {
 def _diffusion(params):
     """(D, warnings) of one parameter set, built as a one-point stack."""
     D, warnings = diffusion_matrices(stack_of([params]))
-    return D[0], warnings[0]
+    return D[0], tuple(warnings.values())
 
 
 def _stability(A, kappa_1):
@@ -162,7 +162,7 @@ def test_stacked_diffusion_matches_scalar_thermal_occupation(convention):
         expected = [c1, c1, d2, d2, cm, cm, 0.0, p.gamma_b * (2.0 * nb + 1.0)]
         assert np.diag(D[k]).tolist() == expected
         assert np.count_nonzero(D[k]) == 7
-        assert len(warnings[k]) == (convention == "as_printed")
+        assert (k in warnings) == (convention == "as_printed")
 
 
 @pytest.mark.parametrize("convention", ["as_printed", "absolute_value",
@@ -202,7 +202,7 @@ def test_noise_diagonals_are_the_diffusion_diagonals(baseline, convention,
         assert not diagonal[:, 6].any()
     negative = convention == "as_printed" and gain > 1.0
     assert (diagonal[:, 2] < 0).all() == negative
-    assert [len(w) for w in warnings] == [negative] * 41
+    assert list(warnings) == (list(range(41)) if negative else [])
 
 
 _MODE_FREQUENCIES = ("omega_1", "omega_2", "omega_m", "omega_b")

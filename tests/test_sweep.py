@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
 from .oracles import (TC_CURVES, bisect_critical_temperature,
                       build_point_params, csv_module_write_csv, eta_ratio,
                       mean_field_cubic_roots, point_params,
-                      prescribe_tc_curve)
+                      prescribe_tc_curve, report_warnings_by_point)
 
 
 def small_spec(baseline, **kwargs):
@@ -419,6 +420,83 @@ def test_csv_writer_formats_each_distinct_value_once(baseline):
         f"-0,true{empty},0,0,0,0,",
         f"0,false{empty},,,,,x\ry",
         ""]
+
+
+# pieces of warnings texts: each character that the csv module may quote,
+# CRLF, the separators of the warnings field and of a category, and
+# non-ASCII text
+_WARNING_TEXT = st.lists(st.sampled_from(
+    [",", '"', "\r", "\n", "\r\n", ";", " (", ":", " ", ")", "a", "é", "→",
+     "negative diffusion", "pair a2-m"]), max_size=5).map("".join)
+
+
+@st.composite
+def _point_warnings(draw):
+    """Each point's warning list: empty ones, and lists that recur across
+    points, among them."""
+    recurring = draw(st.lists(st.lists(_WARNING_TEXT, max_size=3),
+                              min_size=1, max_size=3))
+    return draw(st.lists(st.one_of(st.sampled_from(recurring),
+                                   st.lists(_WARNING_TEXT, max_size=3)),
+                         max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(warnings=_point_warnings())
+def test_warnings_column_and_report_are_the_oracles_byte_for_byte(warnings):
+    # the CSV against every row through csv.writer, and the standard-error
+    # report against the count of each point's categories
+    n = len(warnings)
+    table = SweepTable(np.arange(n, dtype=float).reshape(n, 1),
+                       np.zeros(n, dtype=bool),
+                       {c: np.full(n, math.nan) for c in DIAGNOSTIC_COLUMNS},
+                       warnings, ())
+    spec = SweepSpec(reference_baseline(), (SweepAxis("J", 0.0, 1.0, 2),),
+                     quantities=())
+    got, want = StringIO(), StringIO()
+    sweep.write_csv(table, spec, got)
+    csv_module_write_csv(table, spec, want)
+    assert got.getvalue() == want.getvalue()
+    got, want = StringIO(), StringIO()
+    with contextlib.redirect_stderr(got):
+        cli._report_warnings(warnings)
+    report_warnings_by_point(warnings, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csv_numeric_cells_are_the_oracles_byte_for_byte(seed):
+    # one block of numbers, formatted once per distinct bit pattern: -0.0,
+    # subnormals, NaN of either sign and with payloads, and values shared
+    # by columns, axes among them, each keep the text of "%.17g" alone
+    rng = np.random.default_rng([seed, 1133])
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF0000000000001, 0xFFF0000000000123],
+                    dtype=np.uint64).view(float)
+    finite = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0,
+                              -1.0], rng.standard_normal(6)
+                             * 10.0 ** rng.integers(-300, 300, 6)])
+    pool = np.concatenate([finite, nans])
+    n = int(rng.integers(0, 40))
+    n_axes = 1 + seed % 2
+    quantities = tuple(str(q) for q in rng.choice(
+        MEASURE_COLUMNS + ("amplitudes",), 4))
+    columns, with_amplitudes = normalize_quantities(quantities)
+    names = DIAGNOSTIC_COLUMNS + columns + (AMPLITUDE_COLUMNS
+                                            if with_amplitudes else ())
+    table = SweepTable(rng.choice(finite, (n, n_axes)), rng.random(n) < 0.5,
+                       {c: rng.choice(pool, n) for c in names},
+                       [[] for _ in range(n)], columns)
+    spec = SweepSpec(reference_baseline(),
+                     tuple(SweepAxis(name, 0.0, 1.0, 2)
+                           for name in ("J", "eta")[:n_axes]),
+                     quantities=quantities)
+    want = StringIO()
+    csv_module_write_csv(table, spec, want)
+    for records in (table, list(table)):
+        got = StringIO()
+        sweep.write_csv(records, spec, got)
+        assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize("epsilon_d", [math.nan, math.inf, -1.0])
