@@ -15,8 +15,8 @@ with one Picard loop over (N,) arrays; a sweep hands it the valid
 points of one part of its grid at a time, so the loop runs once per
 part.  Each slice leaves the loop at the iteration where its own
 detuning shift meets the tolerance, so its result does not depend on
-the stack it is solved in.  A slice that divides by zero or overflows
-records its error and does not raise.
+the stack it is solved in.  A slice whose mean field cannot be used
+records why and does not raise.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class SteadyState:
     ``residual`` is the max-norm of the zero-derivative equations of
     motion relative to the drive amplitude, and 0 without a drive;
     ``delta_eff`` is the self-consistent magnon detuning.  ``errors``
-    holds, per slice, the ``ArithmeticError`` (division by zero,
-    overflow) that the solve ran into, or None.  Such a slice is not
+    holds, per slice, the reason it failed
+    (:func:`solve_steady_states`), or None.  Such a slice is not
     converged.  ``real_roots`` is the number of real roots, 1 or 3, of a
     driven microscopic slice's mean-field cubic, and 0 where the cubic
     is not solved.
@@ -116,24 +116,6 @@ def _relative_max_norm(equations, scale) -> np.ndarray:
     return worst / scale
 
 
-def _arithmetic_error(denom: complex, m: complex, *moduli):
-    """The error that Python's complex arithmetic raises on one closed-
-    form evaluation, m = E/denom then abs(m)**2 and abs() of each of
-    ``moduli``: division by zero, or a finite value whose modulus or
-    squared modulus overflows.  None if it raises nothing."""
-    if denom == 0:
-        return ZeroDivisionError("complex division by zero")
-    # CPython's abs() of a NaN complex can raise on a stale C errno
-    try:
-        if np.isfinite(m):
-            abs(m) ** 2
-        for z in filter(np.isfinite, moduli):
-            abs(z)
-    except OverflowError as exc:
-        return exc
-    return None
-
-
 def _mean_field_cubic(s: ParamStack, g, f: _Response):
     """The displacement fixed point q = f(q) = -(g/omega_b)|E/(u + v q)|^2,
     with u = (kappa_m + i*Delta_m)*C + G and v = i*g*C, as the cubic
@@ -192,18 +174,14 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response):
     return count, idx[closed], q[closed], attracts[closed]
 
 
-def _iterate(s: ParamStack, g, C, G, E, errors):
+def _iterate(s: ParamStack, g, C, G, E):
     """Damped Picard iteration of a driven stack from q = 0; returns
-    each slice's q, iteration count and converged flag, and records
-    errors in ``errors`` in place.
+    each slice's q, iteration count and converged flag.
 
     C, G and E = epsilon_d*C are the closed-form constants.  Slices
-    without displacement feedback (g = 0) or with C = 0, whose division
-    by zero is already recorded, are not iterated.  A slice whose
-    iterate leaves the finite numbers stops there with q = NaN and
-    ``MAX_ITER`` iterations, which is where NaN arithmetic would take
-    it, unless that step divided by zero or overflowed a finite
-    amplitude: then it records the error.
+    without displacement feedback (g = 0) or with C = 0 are not
+    iterated.  A slice whose iterate leaves the finite numbers stops at
+    that step with q = NaN, not converged.
     """
     n = len(s)
     q = np.zeros(n)
@@ -224,56 +202,40 @@ def _iterate(s: ParamStack, g, C, G, E, errors):
     keep = 1.0 - DAMPING
     qa = q[idx]
     tol_hi = tol.max()
-    prev = None
     it = 0
     for it in range(1, MAX_ITER + 1):
         np.add(Dm, g * qa, out=z.imag)
-        denom = z * C + G
-        m = E / denom
-        a2 = np.abs(m)
+        a2 = np.abs(E / (z * C + G))
         a2 *= a2
         q_next = keep * qa - dg * a2 / wb
         shift = np.abs(g * (q_next - qa))
         # NaN in the minimum: some slice went non-finite, at this step
         # or (through an infinite q) at the last one
         if np.minimum.reduce(shift) >= tol_hi:
-            prev = denom, m
             qa = q_next
             continue
         done = shift < tol
-        lost = np.isnan(shift)
-        stop = done | lost
+        stop = done | np.isnan(shift)
         if stop.any():
-            k = idx[done]
-            q[k] = q_next[done]
+            k = idx[stop]
+            q[k] = np.where(done, q_next, math.nan)[stop]
             iterations[k] = it
-            converged[k] = True
-            for j in np.flatnonzero(lost):
-                step = (denom, m) if np.isfinite(qa[j]) else prev
-                err = _arithmetic_error(complex(step[0][j]),
-                                        complex(step[1][j]))
-                q[idx[j]] = math.nan
-                iterations[idx[j]] = it if err else MAX_ITER
-                errors[idx[j]] = err
+            converged[k] = done[stop]
             live = ~stop
-            (idx, Dm, g, wb, tol, dg, z, q_next, C, G, E, denom, m) = (
+            (idx, Dm, g, wb, tol, dg, z, q_next, C, G, E) = (
                 x[live] for x in (idx, Dm, g, wb, tol, dg, z, q_next, C, G,
-                                  E, denom, m))
+                                  E))
             if not idx.size:
                 return q, iterations, converged
             tol_hi = tol.max()
-        prev = denom, m
         qa = q_next
     q[idx] = qa
     iterations[idx] = it
-    # an infinite q from the last step
-    for j in np.flatnonzero(~np.isfinite(qa)):
-        errors[idx[j]] = _arithmetic_error(complex(denom[j]), complex(m[j]))
     return q, iterations, converged
 
 
-# NumPy warns where Python's complex arithmetic raises; the errors that
-# matter are named per slice
+# a slice that leaves the finite numbers fails by the rule below, not by
+# NumPy's floating-point warnings
 @np.errstate(all="ignore")
 def solve_steady_states(params: ParamStack) -> SteadyState:
     """Solve the mean-field equations for a parameter stack at its drive
@@ -293,13 +255,16 @@ def solve_steady_states(params: ParamStack) -> SteadyState:
 
     Never raises on non-convergence: the last iterate is returned with
     ``converged`` False, and ``real_roots`` tells a multistable slice.
-    A slice that divides by zero or overflows a finite amplitude gets
-    its error in ``errors`` instead of raising.  The drive is not
-    checked: the caller names a stack's broken rules, as the kernel does.
+    A slice fails, not converged and with its reason in ``errors``,
+    where the closed form divides by J^2 + f1*f2 = 0 (``complex
+    division by zero``) and, in ``microscopic`` mode, where the drift
+    matrix would read a non-finite ``delta_eff`` or ``m_avg`` (``mean
+    field not finite``).  A ``direct_g`` slice whose amplitudes overflow
+    stands, with a non-finite residual.  The drive is not checked: the
+    caller names a stack's broken rules, as the kernel does.
     """
     s, g = params, _feedback(params)
     n = len(s)
-    errors: list = [None] * n
     p = np.zeros(n)
 
     if s.epsilon_d == 0.0:
@@ -308,35 +273,33 @@ def solve_steady_states(params: ParamStack) -> SteadyState:
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q,
                            np.zeros(n, dtype=int), np.zeros(n),
                            np.ones(n, dtype=bool), np.zeros(n, dtype=int),
-                           tuple(errors))
+                           (None,) * n)
 
     f = _response(s)
     E = s.epsilon_d * f.C
-    # J^2 + f1*f2 divides in the closed form
-    for k in np.flatnonzero(f.C == 0):
-        errors[k] = ZeroDivisionError("complex division by zero")
     # the loop leaves out the closed slices, as if without feedback
     real_roots, closed, root, attracts = _mean_field_cubic(s, g, f)
     looped = g.copy()
     looped[closed] = 0.0
-    q, iterations, converged = _iterate(s, looped, f.C, f.G, E, errors)
+    q, iterations, converged = _iterate(s, looped, f.C, f.G, E)
     q[closed] = root
     converged[closed] = attracts
     delta_eff = s.Delta_m + g * q
-    denom = (1j * delta_eff + s.kappa_m) * f.C + f.G
-    m = E / denom
+    m = E / ((1j * delta_eff + s.kappa_m) * f.C + f.G)
     a1 = -1j * s.g_ma * f.f2 * m / f.C
     # -i J a1 / f2 with the f2 cancellation done symbolically, so a
     # resonant undamped cavity 2 (f2 = 0) stays finite
     a2 = -s.J * s.g_ma * m / f.C
-    equations = _equations(s, g, f, m, a1, a2, q, p)
-    residual = _relative_max_norm(equations, max(s.epsilon_d, 1e-300))
-    for k in np.flatnonzero(~np.isfinite(residual)):
-        if errors[k] is None:
-            errors[k] = _arithmetic_error(
-                complex(denom[k]), complex(m[k]),
-                *(complex(e[k]) for e in equations[:3]))
-            converged[k] &= errors[k] is None
+    residual = _relative_max_norm(_equations(s, g, f, m, a1, a2, q, p),
+                                  max(s.epsilon_d, 1e-300))
+    failed = f.C == 0
+    if s.coupling_mode == "microscopic":
+        failed |= ~(np.isfinite(delta_eff) & np.isfinite(m))
+    converged &= ~failed
+    errors = [None] * n
+    for k in np.flatnonzero(failed):
+        errors[k] = ("complex division by zero" if f.C[k] == 0
+                     else "mean field not finite")
     return SteadyState(m, a1, a2, q, p, delta_eff, iterations, residual,
                        converged, real_roots, tuple(errors))
 

@@ -502,10 +502,12 @@ def point_matrices(params: PhysicalParams):
     return None
 
 
-def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
+def _unit_noise_solutions(params: PhysicalParams, warnings: list[str]
+                          ) -> np.ndarray | None:
     """The solutions V_k of A V + V A^T = -D_k at ``params``, D_k the
     noise of a unit rate on mode k, as a stack (4, 8, 8); None where the
-    kernel's gate nulls the point or one of them falls (:func:`_covariances`).
+    kernel's gate nulls the point or one of them falls
+    (:func:`_covariances`), whose warnings go to ``warnings``.
 
     Temperature enters only the mode rates w_k(T) of the noise: the
     steady state, the drift matrix A and the stability verdict hold at
@@ -517,7 +519,7 @@ def _unit_noise_solutions(params: PhysicalParams) -> np.ndarray | None:
         return None
     *_, A, report = block
     V, _, stands = _covariances(A, _UNIT_NOISES, (
-        report.eigenvalues, report.eigenvectors), (0,) * 4, [[]])
+        report.eigenvalues, report.eigenvectors), (0,) * 4, [warnings])
     return V if stands.all() else None
 
 
@@ -545,18 +547,18 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     63 at the defaults, are evaluated as one stack and then descended,
     so the result is the one sequential bisection gives.  Both stacks
     share the unit-noise solutions of the point
-    (:func:`_unit_noise_solutions`), and a point without them, which the
-    kernel's gate or its Lyapunov rules null, has E_N = 0 at every
-    temperature; the gate skips the validity rules, which ``params``
-    passed when it was built.  The kernel's physicality rule is not
-    applied: a unit solution is no covariance, and the search forms only
-    the pair's blocks of their weighted sums, never a whole covariance
-    whose spectrum the rule could read.  Re-entrant entanglement on the
-    coarse scan gives a ``non-monotonic`` warning and the first crossing
-    is returned.
+    (:func:`_unit_noise_solutions`), and a point that the kernel's gate
+    nulls has E_N = 0 at every temperature; the gate skips the validity
+    rules, which ``params`` passed when it was built.  The kernel's
+    physicality rule is not applied: a unit solution is no covariance,
+    and the search forms only the pair's blocks of their weighted sums,
+    never a whole covariance whose spectrum the rule could read.
+    Re-entrant entanglement on the coarse scan gives a ``non-monotonic``
+    warning and the first crossing is returned.
     Raises ValueError, before any evaluation, if the pair in neither
-    order is one of ``measures.PAIRS``; and if the pair is not entangled
-    at T = 0.
+    order is one of ``measures.PAIRS``; with the first warning of
+    :func:`_covariances`, if a unit-noise solution falls; and if the
+    pair is not entangled at T = 0.
     """
     pair = tuple(pair)
     # E_N does not depend on the order of the pair
@@ -568,7 +570,11 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     t_max, tol_t, tol_e = TC_T_MAX, TC_TOL_T, TC_TOL_E
     ts = np.linspace(0.0, t_max, TC_COARSE_POINTS)
 
-    solutions = _unit_noise_solutions(params)
+    warnings: list[str] = []
+    solutions = _unit_noise_solutions(params, warnings)
+    if warnings:
+        raise ValueError(f"{column} undefined: a unit-noise solution fails: "
+                         f"{warnings[0]}; critical temperature undefined")
     basis = None if solutions is None else measures.reduce_pair(solutions,
                                                                 pair)
 
@@ -577,13 +583,12 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
         values = _superposed_log_negativity(params, basis, temperatures)
         return np.where(np.isnan(values), 0.0, values).tolist()
 
-    # a point without unit-noise solutions is entangled at no temperature
+    # a point that the gate nulls is entangled at no temperature
     es = [0.0] if basis is None else entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
 
-    warnings: list[str] = []
     crossing = next((i for i, e in enumerate(es) if e <= tol_e), None)
     if crossing is None:
         warnings.append(f"still entangled at t_max = {t_max} K")

@@ -18,6 +18,9 @@ Each tree runs in its own subprocess with its own ``src`` on
   benchmark's 401-point sweep over Delta_m; standard output, standard
   error and the exit code of each, and the ``A.txt`` and ``D.txt``
   that ``point --dump-matrices`` writes;
+- ``point`` where the mean field breaks down (``BREAKDOWNS``): an
+  overflowed drive in each mode, and a point where the closed form
+  divides by zero;
 - the Tc of ``reference_baseline()`` along a row of 21 eta values, for
   (a2,m) over [-0.6, 1] and (a1,m) over [-0.5, 0], at ``"%.17g"`` with
   its warnings or the search's error;
@@ -104,11 +107,29 @@ TC_CASES = {
 }
 
 
-def _config(mode: str, output_format: str) -> str:
+# ``point`` where the mean field breaks down: per case the coupling
+# mode, the drive and the changes to that mode's point, from the point.
+# A drive that overflows in each mode, and J^2 + f1*f2 = 0 (resonant
+# cavities with a net cavity-2 gain of J^2/kappa_1), where the closed
+# form divides by zero
+BREAKDOWNS = {
+    "direct_g_overflow": ("direct_g", 1e170, lambda p: {}),
+    "microscopic_overflow": ("microscopic", 1e300, lambda p: {}),
+    "resonant_loss": ("direct_g", 1e14, lambda p: dict(
+        Delta_1=0.0, Delta_2=0.0, gain_g=p.kappa_2 + p.J ** 2 / p.kappa_1)),
+}
+
+
+def _config(mode: str, output_format: str, epsilon_d=None,
+            more=lambda p: {}) -> str:
+    """A config of the mode's point, at its drive or ``epsilon_d``, with
+    the changes ``more`` gives from that point."""
     from magmech.params import NUMERIC_FIELDS, reference_baseline
 
-    changes, epsilon_d, axis = MODES[mode]
+    changes, drive, axis = MODES[mode]
     base = reference_baseline().with_(coupling_mode=mode, **changes)
+    base = base.with_(**more(base))
+    epsilon_d = drive if epsilon_d is None else epsilon_d
     return "\n".join(
         ["[system]", "units = rad_s"]
         + [f"{name} = {getattr(base, name)!r}" for name in NUMERIC_FIELDS]
@@ -228,6 +249,11 @@ def emit(out_dir: str, tree: str) -> None:
             _run_cli(["sweep", "--config",
                       os.path.join(out_dir, f"{mode}_{fmt}.ini"),
                       "--out", out], f"sweep_{mode}_{fmt}", out_dir)
+    for name, (mode, epsilon_d, more) in BREAKDOWNS.items():
+        cfg = os.path.join(out_dir, f"{name}.ini")
+        with open(cfg, "w") as fh:
+            fh.write(_config(mode, "csv", epsilon_d, more))
+        _run_cli(["point", "--config", cfg], f"point_{name}", out_dir)
     report = os.path.join(out_dir, "discrepancy_report.json")
     subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
                     "no:cacheprovider", "tests/test_acceptance.py", "-k",

@@ -233,6 +233,23 @@ MUTATIONS = (
         "if (rec.measures.get(d) or 0.0) > 1e300",
         ("tests/test_cli.py::"
          "test_cli_validate_fails_steering_without_entanglement",)),
+    Mutation(
+        "mean_field_rule_in_direct_g", "src/magmech/steady_state.py",
+        '    if s.coupling_mode == "microscopic":\n        failed |=',
+        "    if True:\n        failed |=",
+        ("tests/test_steady_state.py::"
+         "test_direct_mode_keeps_infinite_drive_point",)),
+    Mutation(
+        "division_by_zero_rule_dropped", "src/magmech/steady_state.py",
+        "    failed = f.C == 0\n", "    failed = np.zeros(n, dtype=bool)\n",
+        ("tests/test_steady_state.py::"
+         "test_breakdown_points_keep_their_outcome",)),
+    Mutation(
+        "tc_unit_solution_warning_dropped", "src/magmech/sweep.py",
+        "    if warnings:\n        raise ValueError(f\"{column} undefined",
+        "    if False:\n        raise ValueError(f\"{column} undefined",
+        ("tests/test_sweep.py::"
+         "test_a_tc_search_names_the_gate_its_unit_solution_misses",)),
 )
 
 

@@ -31,8 +31,7 @@ from magmech.dynamics import diffusion_matrices, drift_matrices
 from magmech.lyapunov import RESIDUAL_MAX, solve_lyapunov, symplectic_form
 from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS,
                             ParamStack, effective_kappa_2)
-from magmech.steady_state import (DAMPING, MAX_ITER, TOL_REL, SteadyState,
-                                   _arithmetic_error)
+from magmech.steady_state import DAMPING, MAX_ITER, TOL_REL, SteadyState
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS,
                            MEASURE_COLUMNS, SweepTable, _gate,
                            evaluate_point, normalize_quantities,
@@ -366,7 +365,7 @@ def picard_steady_state(params, epsilon_d, *, tol_rel=1e-12, max_iter=1000,
     the detuning moves by less than ``tol_rel * omega_b``, from q = 0.
 
     Raises ZeroDivisionError or OverflowError where Python's complex
-    arithmetic does; the package reports these per slice instead.
+    arithmetic does; the package does not raise there.
     """
     if params.coupling_mode == "direct_g" or params.g_mb == 0.0:
         delta_eff = params.Delta_m
@@ -430,7 +429,7 @@ def mean_field_cubic_roots(params, epsilon_d):
     return sorted(out)
 
 
-def stacked_picard_loop(s, g, C, G, E, errors):
+def stacked_picard_loop(s, g, C, G, E):
     """The stacked damped Picard loop of ``steady_state._iterate`` as it
     was written before its step was cut to fewer NumPy calls: one fresh
     array per operation, ``(1j * (Delta_m + g*q) + kappa_m) * C + G`` as
@@ -440,7 +439,7 @@ def stacked_picard_loop(s, g, C, G, E, errors):
     n = len(s)
     q = np.zeros(n)
     iterations = np.zeros(n, dtype=int)
-    converged = np.array([e is None for e in errors], dtype=bool)
+    converged = C != 0
     idx = np.flatnonzero((g != 0.0) & converged)
     if not idx.size:
         return q, iterations, converged
@@ -453,7 +452,6 @@ def stacked_picard_loop(s, g, C, G, E, errors):
     keep = 1.0 - DAMPING
     qa = q[idx]
     tol_hi = tol.max()
-    prev = None
     it = 0
     for it in range(1, MAX_ITER + 1):
         denom = (1j * (Dm + g * qa) + km) * C + G
@@ -465,7 +463,6 @@ def stacked_picard_loop(s, g, C, G, E, errors):
         # NaN in the minimum: some slice went non-finite, at this step
         # or (through an infinite q) at the last one
         if shift.min() >= tol_hi:
-            prev = denom, m
             qa = q_next
             continue
         done = shift < tol
@@ -476,27 +473,19 @@ def stacked_picard_loop(s, g, C, G, E, errors):
             q[k] = q_next[done]
             iterations[k] = it
             converged[k] = True
-            for j in np.flatnonzero(lost):
-                step = (denom, m) if np.isfinite(qa[j]) else prev
-                err = _arithmetic_error(complex(step[0][j]),
-                                        complex(step[1][j]))
-                q[idx[j]] = math.nan
-                iterations[idx[j]] = it if err else MAX_ITER
-                errors[idx[j]] = err
+            # a slice that left the finite numbers stops with q = NaN
+            q[idx[lost]] = math.nan
+            iterations[idx[lost]] = it
             live = ~stop
-            (idx, Dm, km, g, wb, tol, dg, q_next, C, G, E, denom, m) = (
+            (idx, Dm, km, g, wb, tol, dg, q_next, C, G, E) = (
                 x[live] for x in (idx, Dm, km, g, wb, tol, dg, q_next, C, G,
-                                  E, denom, m))
+                                  E))
             if not idx.size:
                 return q, iterations, converged
             tol_hi = tol.max()
-        prev = denom, m
         qa = q_next
     q[idx] = qa
     iterations[idx] = it
-    # an infinite q from the last step
-    for j in np.flatnonzero(~np.isfinite(qa)):
-        errors[idx[j]] = _arithmetic_error(complex(denom[j]), complex(m[j]))
     return q, iterations, converged
 
 

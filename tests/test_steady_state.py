@@ -176,21 +176,38 @@ def test_a_monostable_point_takes_its_cubic_root(micro):
 def assert_matches_oracle(params_seq, epsilon_d):
     """The stacked solve agrees slice by slice with the scalar Picard
     loop, or with the mean-field cubic where it closes the cubic.  Where
+    the oracle divides by zero, the slice fails with the oracle's text.
+    Where it overflows, a slice with displacement feedback fails with
+    ``mean field not finite``, and any other stands, converged, with a
+    non-finite residual.  A microscopic slice whose oracle amplitude or
+    detuning is not finite fails with ``mean field not finite``.  Where
     the cubic is solved, its real roots are the oracle's.  A slice with
     one real root is closed: 0 iterations, its root within 1e-12
     relative, and converged unless that root repels.  The oracle's loop
     does not converge on a repelling root, and where it converges on
     the closed root it is within the stop rule's own error of it.  Every
-    other slice has the oracle's error, converged flag and iteration
+    other slice has no error, the oracle's converged flag and iteration
     count, and converged amplitudes within 1e-13 relative; a converged
     one sits on an attracting root."""
     state = solve_steady_states(stack_of(params_seq, epsilon_d=epsilon_d))
     for k, params in enumerate(params_seq):
+        microscopic = params.coupling_mode == "microscopic"
         try:
             ref = picard_steady_state(params, epsilon_d)
-        except ArithmeticError as exc:
-            assert type(state.errors[k]) is type(exc)
-            assert str(state.errors[k]) == str(exc)
+        except ZeroDivisionError as exc:
+            failed = str(exc)
+        except OverflowError:
+            if not (microscopic and params.g_mb):
+                assert state.errors[k] is None and state.converged[k]
+                assert not np.isfinite(state.residual[k])
+                continue
+            failed = "mean field not finite"
+        else:
+            finite = np.isfinite(ref.m_avg) and np.isfinite(ref.delta_eff)
+            failed = (None if finite or not microscopic
+                      else "mean field not finite")
+        if failed is not None:
+            assert state.errors[k] == failed
             assert not state.converged[k]
             continue
         assert state.errors[k] is None
@@ -306,9 +323,8 @@ def test_one_root_slices_are_closed_and_multistable_slices_loop():
         stack = stack_of(params_seq, epsilon_d=epsilon_d)
         state = solve_steady_states(stack)
         f = steady_state._response(stack)
-        errors = [ZeroDivisionError() if c == 0 else None for c in f.C]
         loop = stacked_picard_loop(stack, stack.g_mb, f.C, f.G,
-                                   epsilon_d * f.C, errors)
+                                   epsilon_d * f.C)
         for k in np.flatnonzero(state.real_roots):
             roots = mean_field_cubic_roots(params_seq[k], epsilon_d)
             if len(roots) == 1:
@@ -380,36 +396,39 @@ def _resonant_loss(params):
                         gain_g=params.kappa_2 + params.J ** 2 / params.kappa_1)
 
 
+_NOT_FINITE = "steady state singular: mean field not finite"
+
+
 @pytest.mark.parametrize("case, epsilon_d, warning", [
-    ("micro", 1e300, "steady state did not converge (residual nan)"),
-    ("micro", 1e170,
-     "steady state singular: (34, 'Numerical result out of range')"),
-    ("direct", 1e170,
-     "steady state singular: (34, 'Numerical result out of range')"),
+    ("micro", 1e160, _NOT_FINITE),
+    ("micro", 1e170, _NOT_FINITE),
+    ("micro", 1e200, _NOT_FINITE),
+    ("micro", 1e300, _NOT_FINITE),
     ("micro_resonant", 1e14, "steady state singular: complex division by zero"),
     ("direct_resonant", 1e14,
      "steady state singular: complex division by zero"),
 ])
 def test_breakdown_points_keep_their_outcome(baseline, micro, case,
                                              epsilon_d, warning):
-    params = {"micro": micro, "direct": baseline,
-              "micro_resonant": _resonant_loss(micro),
+    params = {"micro": micro, "micro_resonant": _resonant_loss(micro),
               "direct_resonant": _resonant_loss(baseline)}[case]
     rec = evaluate_point(params.with_(epsilon_d=epsilon_d))
     assert not rec.stable
-    assert rec.warnings[0] == warning
+    assert rec.warnings == (warning,)
     assert all(v is None for v in rec.measures.values())
     assert_matches_oracle([params], epsilon_d)
 
 
-def test_direct_mode_keeps_infinite_drive_point(baseline):
+@pytest.mark.parametrize("epsilon_d", [1e170, 1e200, 1e300])
+def test_direct_mode_keeps_infinite_drive_point(baseline, epsilon_d):
     # direct_g amplitudes do not enter the fluctuations: an overflowed
     # drive leaves a NaN residual, which the record holds as null, on a
-    # point that is still evaluated
-    rec = evaluate_point(baseline.with_(epsilon_d=1e300))
+    # point that is still evaluated, with the measures of any other drive
+    rec = evaluate_point(baseline.with_(epsilon_d=epsilon_d))
     assert rec.stable
     assert rec.residual is None
-    assert_matches_oracle([baseline], 1e300)
+    assert rec.measures == evaluate_point(baseline).measures
+    assert_matches_oracle([baseline], epsilon_d)
     assert "steady state residual not finite (residual nan)" in rec.warnings
 
 
@@ -436,8 +455,7 @@ def assert_loop_is_the_oracle_loop(stack):
         got, want = getattr(state, f.name), getattr(ref, f.name)
         assert got.dtype == want.dtype, f.name
         assert got.tobytes() == want.tobytes(), f.name
-    assert ([(type(e), getattr(e, "args", None)) for e in state.errors]
-            == [(type(e), getattr(e, "args", None)) for e in ref.errors])
+    assert state.errors == ref.errors
     return state
 
 
@@ -546,16 +564,3 @@ def test_drive_must_be_finite_and_non_negative(baseline, micro, epsilon_d):
             params.with_(epsilon_d=epsilon_d)
         stack = stack_of([params], epsilon_d=epsilon_d)
         assert re.fullmatch(message, stack.errors()[0])
-
-
-def test_arithmetic_error_ignores_a_stale_overflow():
-    # CPython's abs() of a NaN complex returns NaN without clearing the
-    # C errno, so right after an overflow it raised one too
-    with pytest.raises(OverflowError):
-        abs(complex(1.5e308, 1.5e308))
-    nan = complex(math.nan, math.nan)
-    assert steady_state._arithmetic_error(1j, nan, nan) is None
-    with pytest.raises(OverflowError):
-        abs(complex(1.5e308, 1.5e308))
-    assert isinstance(steady_state._arithmetic_error(
-        1j, 1.5e308 + 1.5e308j), OverflowError)

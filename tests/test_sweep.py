@@ -305,11 +305,11 @@ def _no_constant(token):
 def test_non_finite_values_are_written_as_nulls(baseline, tmp_path):
     # an overflowed drive: in direct_g mode a stable point whose residual
     # and |a1|, |a2|, |m| are not finite, in microscopic mode a point whose
-    # steady state does not converge; eta > 1 is an invalid point.  Each
-    # such value is null, a warning says why, and every number written,
-    # as CSV, JSON lines or the point's JSON, is finite
+    # mean field is not finite; eta > 1 is an invalid point.  Each such
+    # value is null, a warning says why, and every number written, as
+    # CSV, JSON lines or the point's JSON, is finite
     warned = {"direct_g": "steady state residual not finite (residual nan)",
-              "microscopic": "steady state did not converge (residual nan)"}
+              "microscopic": "steady state singular: mean field not finite"}
     for mode, warning in warned.items():
         base = baseline.with_(coupling_mode=mode, g_mb=TWO_PI * 0.2,
                               epsilon_d=1e300)
@@ -701,7 +701,7 @@ def test_a_singular_lyapunov_system_nulls_only_its_point(baseline,
 def test_a_singular_unit_noise_system_leaves_no_critical_temperature(
         baseline, monkeypatch):
     # one of the four unit solutions without a finite value: the search
-    # nulls the point at every temperature, as the kernel would
+    # has no Tc, and says why with the kernel's warning
     solve = lyapunov.solve_lyapunov
 
     def patched(A, D, eig=None):
@@ -711,8 +711,13 @@ def test_a_singular_unit_noise_system_leaves_no_critical_temperature(
 
     assert find_critical_temperature(baseline, ("a2", "m"))[0] > 0.1
     monkeypatch.setattr(lyapunov, "solve_lyapunov", patched)
-    assert sweep._unit_noise_solutions(baseline) is None
-    with pytest.raises(ValueError, match="^E_a2m is not positive at T = 0"):
+    warnings = []
+    assert sweep._unit_noise_solutions(baseline, warnings) is None
+    assert warnings == ["singular Lyapunov system: no finite solution"]
+    with pytest.raises(ValueError, match=re.escape(
+            "E_a2m undefined: a unit-noise solution fails: singular "
+            "Lyapunov system: no finite solution; critical temperature "
+            "undefined")):
         find_critical_temperature(baseline, ("a2", "m"))
 
 
@@ -802,17 +807,36 @@ def test_the_kernel_nulls_an_unphysical_covariance(capsys):
 def test_the_tc_search_gates_its_unit_solutions_as_the_kernel_does():
     # fig2b at Delta_m = 0.1 omega_b, eta = 0 (row 2110): the kernel
     # nulls the point, for a Lyapunov residual above the gate; the unit
-    # solutions of the mode noises miss the same gate, so the search finds
-    # no entanglement at T = 0 either (the bare solve gave 0.094140625 K)
+    # solutions of the mode noises miss the same gate, so the search has
+    # no Tc either, and says so (the bare solve gave 0.094140625 K)
     spec = figure_preset("fig2b")
     params = build_point_params(spec, grid_values(spec)[2110])
     rec = evaluate_point(params)
     assert not rec.stable
     assert rec.warnings[0].startswith("Lyapunov residual not below 1e-10")
-    assert sweep._unit_noise_solutions(params) is None
+    assert sweep._unit_noise_solutions(params, []) is None
     with pytest.raises(ValueError, match=re.escape(
-            "E_a1b is not positive at T = 0")):
+            "E_a1b undefined: a unit-noise solution fails: Lyapunov "
+            "residual not below 1e-10 (residual ")):
         find_critical_temperature(params, ("a1", "b"))
+
+
+@pytest.mark.parametrize("pair", [("a2", "m"), ("a1", "b"), ("a1", "m")])
+def test_a_tc_search_names_the_gate_its_unit_solution_misses(pair):
+    # fig3 row 17820 (Delta_1 = -1.12 omega_b, Delta_m = 1.32 omega_b):
+    # the point stands with each pair entangled, while the mechanical unit
+    # solution misses the residual gate; the search has no Tc and names
+    # that gate instead of calling the pair unentangled
+    spec = figure_preset("fig3")
+    params = build_point_params(spec, grid_values(spec)[17820])
+    rec = evaluate_point(params)
+    assert rec.stable and rec.measures["E_%s%s" % pair] > 0.03
+    assert rec.measures["E_a2m"] == pytest.approx(0.0694, abs=1e-4)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "E_%s%s undefined: a unit-noise solution fails: Lyapunov "
+            "residual not below 1e-10 (residual 2.328e-10); critical "
+            "temperature undefined" % pair) + "$"):
+        find_critical_temperature(params, pair)
 
 
 @pytest.mark.parametrize("name, row", [("fig2b", 7420), ("fig2b", 29369),
@@ -828,7 +852,7 @@ def test_preset_points_whose_unit_solutions_miss_the_residual_gate(name,
     _, residual = lyapunov.solve_lyapunov(A, sweep._UNIT_NOISES, eig=(
         report.eigenvalues, report.eigenvectors))
     assert residual.max() >= lyapunov.RESIDUAL_MAX
-    assert sweep._unit_noise_solutions(params) is None
+    assert sweep._unit_noise_solutions(params, []) is None
 
 
 @pytest.mark.parametrize("name", sorted(TC_CURVES))
@@ -1162,7 +1186,7 @@ def test_unit_noise_superposition_matches_the_kernel(
     stack = ParamStack.broadcast(params, 41, temperature_T=temperatures)
     table = sweep._evaluate_chunk(stack, stack.errors(), np.empty((41, 0)),
                                   E_COLUMNS)
-    solutions = sweep._unit_noise_solutions(params)
+    solutions = sweep._unit_noise_solutions(params, [])
     # the kernel also nulls a solution of non-negative noise that is no
     # quantum covariance, which the superposition does not judge: under
     # the printed drift with absolute_value noise, below 0.35 K
@@ -1188,7 +1212,7 @@ def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
     # w_a1 V_a1 + w_a2 V_a2 + w_m V_m + w_b V_b added left to right, bit
     # for bit, at every size of a stack of temperatures, one included
     basis = measures.reduce_pair(
-        sweep._unit_noise_solutions(baseline), ("a2", "m"))
+        sweep._unit_noise_solutions(baseline, []), ("a2", "m"))
     assert basis.shape == (4, 4, 4)
     temperatures = np.linspace(0.0, 0.3, n)
     rates = dynamics.mode_noises(baseline, temperatures)
@@ -1205,7 +1229,7 @@ def test_unstable_point_has_no_unit_noise_solutions(baseline):
     # an unstable point is not entangled at any temperature
     params = baseline.with_(gain_g=2.5 * baseline.kappa_1)
     assert not evaluate_point(params).stable
-    assert sweep._unit_noise_solutions(params) is None
+    assert sweep._unit_noise_solutions(params, []) is None
     with pytest.raises(ValueError, match="not positive at T = 0"):
         find_critical_temperature(params, ("a2", "m"))
 
@@ -1228,7 +1252,7 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
         return stability(A, kappa_1)
 
     monkeypatch.setattr(dynamics, "stability", spy)
-    assert sweep._unit_noise_solutions(params) is None
+    assert sweep._unit_noise_solutions(params, []) is None
     assert classified == []
     with pytest.raises(ValueError, match="not positive at T = 0"):
         find_critical_temperature(params, ("a2", "m"))
