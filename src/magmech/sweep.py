@@ -5,18 +5,21 @@ Every grid point is an independent pure computation (steady state ->
 drift/diffusion -> stability -> Lyapunov -> measures).  A stack of
 points goes in as a :class:`~magmech.params.ParamStack` and comes out as
 a :class:`SweepTable` of columns, one point being a stack of one.  A
-grid runs as parts of ``CHUNK_POINTS`` points, one stack each, in
-process or in parallel, and their tables are joined.
+grid runs as parts of at most ``CHUNK_POINTS`` points, one stack each,
+on a thread per usable CPU or in worker processes, and their tables are
+joined.
 Tables keep row-major axis order, and unstable points carry explicit
 nulls, never zeros: NaN in a table, empty in CSV, ``null`` in JSON.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import itertools
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -46,10 +49,11 @@ _PAIR_OF = {col: (pair, place) for pair in measures.PAIRS
 
 AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 
-# Points per part of a grid, serial or in a worker: the most that one
-# kernel stack holds.  Each stage pays a fixed Python and NumPy cost per
-# call: a serial fig2a runs about 1.3x faster in parts of 256 than of
-# 64, and no faster in parts of 1024, which peak 7 MiB higher.
+# Points per part of a grid: the most that one kernel stack holds.  Each
+# stage pays a fixed Python and NumPy cost per call: a serial fig2a runs
+# about 1.3x faster in parts of 256 than of 64, and no faster in parts
+# of 1024, which peak 7 MiB higher.  A serial run shares a smaller grid
+# out among its threads, in parts of no fewer than CHUNK_POINTS // 4.
 CHUNK_POINTS = 256
 
 TC_T_MAX = 2.0  # K: the Tc search scans [0, TC_T_MAX]
@@ -458,22 +462,23 @@ def _evaluate_points(spec: SweepSpec, values: np.ndarray) -> SweepTable:
 def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
     """Evaluate the grid; a table in deterministic row-major order.
 
-    The grid is cut into contiguous parts of ``CHUNK_POINTS`` points,
-    each evaluated as one stack by :func:`_evaluate_points`, and their
-    tables are joined.  A serial run maps the parts in process; with
-    ``jobs > 1`` they go to ``jobs`` worker processes, or one per part
-    if there are fewer.  A grid of one part runs serially, as one
-    worker would take all of it.  Each point is a pure function of its
-    parameters, so ``jobs`` changes no output; below 1 it is a
-    ValueError, as ``--jobs`` is a usage error.
+    The grid is cut into contiguous parts, each evaluated as one stack
+    by :func:`_evaluate_points`, and their tables are joined in grid
+    order.  A serial run evaluates them on a thread per usable CPU
+    (:func:`_evaluate_threaded`); with ``jobs > 1`` a grid of more than
+    ``CHUNK_POINTS`` points goes to ``jobs`` worker processes, or one
+    per part if there are fewer, in parts of ``CHUNK_POINTS``.  Each
+    point is a pure function of its parameters, so neither the parts
+    nor ``jobs`` change any output; ``jobs`` below 1 is a ValueError, as
+    ``--jobs`` is a usage error.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     values = np.array(grid_values(spec), dtype=float)
-    parts = np.split(values, range(CHUNK_POINTS, len(values), CHUNK_POINTS))
     evaluate = partial(_evaluate_points, spec)
-    if jobs <= 1 or len(parts) == 1:
-        return SweepTable.concat(list(map(evaluate, parts)))
+    if jobs == 1 or len(values) <= CHUNK_POINTS:
+        return _evaluate_threaded(evaluate, values)
+    parts = np.split(values, range(CHUNK_POINTS, len(values), CHUNK_POINTS))
     # imported where a pool runs: with multiprocessing, it makes up about
     # a third of the package's import time
     from concurrent.futures import ProcessPoolExecutor
@@ -482,15 +487,76 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepTable:
         return SweepTable.concat(list(pool.map(evaluate, parts)))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_thread_pool = None  # ((pid, threads), executor) of the last threaded run
+
+
+def _worker_threads(threads: int):
+    """The persistent pool of ``threads - 1`` worker threads."""
+    global _thread_pool
+    # a forked child inherits the pool without its threads: make it anew,
+    # as when the usable CPUs change.  The idle threads of a pool that is
+    # no longer referenced exit.
+    key = (os.getpid(), threads)
+    if _thread_pool is None or _thread_pool[0] != key:
+        # imported where threads start, as the process pool is
+        from concurrent.futures import ThreadPoolExecutor
+        _thread_pool = (key, ThreadPoolExecutor(threads - 1))
+    return _thread_pool[1]
+
+
+def _evaluate_threaded(evaluate, values: np.ndarray) -> SweepTable:
+    """The table of ``evaluate`` over the grid points ``values`` in
+    parts, shared out among a thread per usable CPU.
+
+    The stacked LAPACK calls that take most of a part's time release the
+    GIL, so the threads overlap.  Parts hold ``ceil(N / threads)``
+    points, within ``CHUNK_POINTS // 4`` and ``CHUNK_POINTS``; the
+    calling thread evaluates parts ``0::threads`` and the worker threads
+    the other shares, each in a copy of the caller's context (its
+    ``np.errstate``).  A grid of one part is evaluated directly, and on
+    one CPU every part is evaluated in the calling thread.
+    """
+    threads = _usable_cpus()
+    size = max(CHUNK_POINTS // 4,
+               min(CHUNK_POINTS, math.ceil(len(values) / threads)))
+    parts = np.split(values, range(size, len(values), size))
+    if len(parts) == 1:
+        return evaluate(values)
+    shares = min(threads, len(parts))
+
+    def share(t: int) -> list[SweepTable]:
+        return [evaluate(part) for part in parts[t::shares]]
+
+    futures = [_worker_threads(threads).submit(
+        contextvars.copy_context().run, share, t) for t in range(1, shares)]
+    try:
+        mine = share(0)
+    finally:
+        # every share has ended when the call returns or raises
+        theirs = [f.result() for f in futures]
+    tables = [mine] + theirs
+    return SweepTable.concat([tables[k % shares][k // shares]
+                              for k in range(len(parts))])
+
+
 # the noise matrices of a unit rate on each of the four modes, read-only
 _UNIT_NOISES = dynamics.noise_matrices(np.eye(4))
 _UNIT_NOISES.flags.writeable = False
 
 
-def _point_block(params: PhysicalParams):
+def _point_block(params: PhysicalParams, warnings: list[str] | None = None):
     """The block of :func:`_gate` on the one-point stack of ``params``,
-    or None without a steady state."""
-    return _gate(ParamStack.broadcast(params, 1), [None], [[]])[2]
+    or None without a steady state; the gate's warnings go to
+    ``warnings``."""
+    return _gate(ParamStack.broadcast(params, 1), [None],
+                 [[] if warnings is None else warnings])[2]
 
 
 def point_matrices(params: PhysicalParams):
@@ -507,20 +573,32 @@ def _unit_noise_solutions(params: PhysicalParams, warnings: list[str]
     """The solutions V_k of A V + V A^T = -D_k at ``params``, D_k the
     noise of a unit rate on mode k, as a stack (4, 8, 8); None where the
     kernel's gate nulls the point or one of them falls
-    (:func:`_covariances`), whose warnings go to ``warnings``.
+    (:func:`_covariances`).  The gate's warnings go to ``warnings``, and
+    where there are no solutions its last entry says why: the gate's
+    warning, the margin of an unstable point or the first warning of a
+    solution that falls.
 
     Temperature enters only the mode rates w_k(T) of the noise: the
     steady state, the drift matrix A and the stability verdict hold at
     every temperature, and the Lyapunov equation is linear in the noise,
     so the covariance at T is sum_k w_k(T) V_k.
     """
-    block = _point_block(params)
-    if block is None or not block[-1].stable[0]:
+    block = _point_block(params, warnings)
+    if block is None:
         return None
     *_, A, report = block
+    if not report.stable[0]:
+        warnings.append("stability indeterminate: eigensolver failed"
+                        if report.indeterminate[0] else
+                        f"unstable (margin {report.margin[0]:.3e} rad/s)")
+        return None
+    fell: list[str] = []
     V, _, stands = _covariances(A, _UNIT_NOISES, (
-        report.eigenvalues, report.eigenvectors), (0,) * 4, [warnings])
-    return V if stands.all() else None
+        report.eigenvalues, report.eigenvectors), (0,) * 4, [fell])
+    if stands.all():
+        return V
+    warnings.append(f"a unit-noise solution fails: {fell[0]}")
+    return None
 
 
 def _superposed_log_negativity(params: PhysicalParams, basis: np.ndarray,
@@ -547,8 +625,7 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     63 at the defaults, are evaluated as one stack and then descended,
     so the result is the one sequential bisection gives.  Both stacks
     share the unit-noise solutions of the point
-    (:func:`_unit_noise_solutions`), and a point that the kernel's gate
-    nulls has E_N = 0 at every temperature; the gate skips the validity
+    (:func:`_unit_noise_solutions`), whose gate skips the validity
     rules, which ``params`` passed when it was built.  The kernel's
     physicality rule is not applied: a unit solution is no covariance,
     and the search forms only the pair's blocks of their weighted sums,
@@ -556,9 +633,10 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     Re-entrant entanglement on the coarse scan gives a ``non-monotonic``
     warning and the first crossing is returned.
     Raises ValueError, before any evaluation, if the pair in neither
-    order is one of ``measures.PAIRS``; with the first warning of
-    :func:`_covariances`, if a unit-noise solution falls; and if the
-    pair is not entangled at T = 0.
+    order is one of ``measures.PAIRS``; with the reason that
+    :func:`_unit_noise_solutions` gives, if the kernel's gate nulls the
+    point or a unit-noise solution falls; and if the pair is not
+    entangled at T = 0.
     """
     pair = tuple(pair)
     # E_N does not depend on the order of the pair
@@ -570,25 +648,24 @@ def find_critical_temperature(params: PhysicalParams, pair: tuple[str, str]
     t_max, tol_t, tol_e = TC_T_MAX, TC_TOL_T, TC_TOL_E
     ts = np.linspace(0.0, t_max, TC_COARSE_POINTS)
 
-    warnings: list[str] = []
-    solutions = _unit_noise_solutions(params, warnings)
-    if warnings:
-        raise ValueError(f"{column} undefined: a unit-noise solution fails: "
-                         f"{warnings[0]}; critical temperature undefined")
-    basis = None if solutions is None else measures.reduce_pair(solutions,
-                                                                pair)
+    gate: list[str] = []
+    solutions = _unit_noise_solutions(params, gate)
+    if solutions is None:
+        raise ValueError(f"{column} undefined: {gate[-1]}; "
+                         "critical temperature undefined")
+    basis = measures.reduce_pair(solutions, pair)
 
     def entanglement(temperatures) -> list[float]:
         """The pair's E_N at each temperature, 0 where a screen fails."""
         values = _superposed_log_negativity(params, basis, temperatures)
         return np.where(np.isnan(values), 0.0, values).tolist()
 
-    # a point that the gate nulls is entangled at no temperature
-    es = [0.0] if basis is None else entanglement(ts)
+    es = entanglement(ts)
     if es[0] <= tol_e:
         raise ValueError(f"{column} is not positive at T = 0; "
                          "critical temperature undefined")
 
+    warnings: list[str] = []
     crossing = next((i for i, e in enumerate(es) if e <= tol_e), None)
     if crossing is None:
         warnings.append(f"still entangled at t_max = {t_max} K")

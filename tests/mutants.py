@@ -131,7 +131,8 @@ MUTATIONS = (
          "test_lyapunov_residual_at_all_preset_points")),
     Mutation(
         "tc_ignores_fallen_unit_solutions", "src/magmech/sweep.py",
-        "    return V if stands.all() else None", "    return V",
+        "    if stands.all():\n        return V\n",
+        "    if True:\n        return V\n",
         ("tests/test_sweep.py::"
          "test_the_tc_search_gates_its_unit_solutions_as_the_kernel_does",
          "tests/test_sweep.py::"
@@ -245,11 +246,34 @@ MUTATIONS = (
         ("tests/test_steady_state.py::"
          "test_breakdown_points_keep_their_outcome",)),
     Mutation(
-        "tc_unit_solution_warning_dropped", "src/magmech/sweep.py",
-        "    if warnings:\n        raise ValueError(f\"{column} undefined",
-        "    if False:\n        raise ValueError(f\"{column} undefined",
+        "tc_null_reason_dropped", "src/magmech/sweep.py",
+        'raise ValueError(f"{column} undefined: {gate[-1]}; "',
+        'raise ValueError(f"{column} is not positive at T = 0; "',
         ("tests/test_sweep.py::"
-         "test_a_tc_search_names_the_gate_its_unit_solution_misses",)),
+         "test_a_tc_search_names_the_gate_its_unit_solution_misses",
+         "tests/test_sweep.py::test_unstable_point_has_no_unit_noise_solutions",
+         "tests/test_sweep.py::"
+         "test_unconverged_point_has_no_unit_noise_solutions")),
+    Mutation(
+        "thread_shares_joined_share_by_share", "src/magmech/sweep.py",
+        "SweepTable.concat([tables[k % shares][k // shares]\n"
+        "                              for k in range(len(parts))])",
+        "SweepTable.concat([t for s in tables for t in s])",
+        ("tests/test_sweep.py::test_threaded_parts_join_in_grid_order",)),
+    Mutation(
+        "thread_shares_outside_the_callers_context", "src/magmech/sweep.py",
+        "contextvars.copy_context().run, share, t)", "share, t)",
+        ("tests/test_sweep.py::test_threaded_parts_join_in_grid_order",)),
+    Mutation(
+        "thread_shares_left_running", "src/magmech/sweep.py",
+        "    try:\n        mine = share(0)\n    finally:\n",
+        "    if True:\n        mine = share(0)\n    if True:\n",
+        ("tests/test_sweep.py::"
+         "test_an_error_in_a_share_is_raised_after_every_share_ends",)),
+    Mutation(
+        "thread_pool_kept_across_fork", "src/magmech/sweep.py",
+        "    key = (os.getpid(), threads)", "    key = (0, threads)",
+        ("tests/test_sweep.py::test_a_fork_after_the_worker_threads_exist",)),
 )
 
 

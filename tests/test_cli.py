@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -17,6 +18,7 @@ from magmech import cli, reference_baseline, sweep
 from magmech.cli import main
 from magmech.config import ConfigError, load_config
 from magmech.dynamics import diffusion_matrices, format_matrix
+from magmech.params import NUMERIC_FIELDS
 from magmech.steady_state import solve_steady_states
 
 from .oracles import (TC_CURVES, drift_matrix_general, prescribe_tc_curve,
@@ -168,6 +170,46 @@ def test_cli_sweep_reuses_freed_memory_instead_of_faulting_it_in(tmp_path):
     # 225-390 with glibc's default policy, 4-8 with the CLI's
     assert int(proc.stdout) < 40
     assert len((tmp_path / "row.csv").read_text().splitlines()) == 202
+
+
+def _microscopic_config() -> str:
+    """The benchmark's microscopic sweep: 401 points over Delta_m."""
+    base = reference_baseline().with_(coupling_mode="microscopic", G_mb=0.0,
+                                      g_mb=2.0 * math.pi * 0.2)
+    return "\n".join(
+        ["[system]", "units = rad_s"]
+        + [f"{name} = {getattr(base, name)!r}" for name in NUMERIC_FIELDS]
+        + ["coupling_mode = microscopic", "diffusion_convention = as_printed",
+           "epsilon_d = 1e15", "[sweep]",
+           "axis1 = Delta_m, 0 omega_b, 2 omega_b, 401",
+           "quantities = all, amplitudes", ""])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to hold a child to one")
+def test_cli_output_does_not_depend_on_the_usable_cpus(tmp_path):
+    # fresh interpreters: a serial sweep runs its parts on a thread per
+    # usable CPU, and a child held to one CPU runs them all in its main
+    # thread; the affinity is set in the child only
+    config = tmp_path / "micro.cfg"
+    config.write_text(_microscopic_config())
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    one_cpu = min(os.sched_getaffinity(0))
+    texts = {}
+    for cpus, preexec in (("all", None), ("one", lambda: os.sched_setaffinity(
+            0, {one_cpu}))):
+        for verb in (["preset", "fig2d"], ["sweep", "--config", str(config)]):
+            out = tmp_path / f"{verb[0]}_{cpus}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "magmech.cli", *verb, "--out",
+                 str(out)], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src), preexec_fn=preexec)
+            assert proc.returncode == 0, proc.stderr
+            texts[verb[0], cpus] = out.read_bytes(), proc.stderr
+    for verb in ("preset", "sweep"):
+        assert texts[verb, "one"] == texts[verb, "all"]
+    assert len(texts["sweep", "all"][0].splitlines()) == 402
 
 
 def test_cli_sweep_diffusion_override(config_file, tmp_path):
@@ -487,8 +529,10 @@ def test_cli_drift_flag_reaches_point_tc_and_validate(config_file, tmp_path,
         assert json.loads(out.read_text())["stable"] is stable
     capsys.readouterr()
     assert main(["tc", "--config", config_file, "--drift", "printed"]) == 1
-    assert capsys.readouterr().err == ("error: E_a2m is not positive at T = "
-                                       "0; critical temperature undefined\n")
+    # the printed drift makes the point unstable, and the search says so
+    assert capsys.readouterr().err == (
+        "error: E_a2m undefined: unstable (margin 4.668e+07 rad/s); "
+        "critical temperature undefined\n")
     assert main(["validate", "--config", config_file, "--drift",
                  "printed"]) == 0
     assert ("SKIP Lyapunov checks (configured point is not stable)"
@@ -536,8 +580,10 @@ def test_cli_point_and_tc_read_the_system_drift_key(config_file, tmp_path,
                    "derived") == _output("point", config_file, tmp_path)
     capsys.readouterr()
     assert main(["tc", "--config", printed_config]) == 1
-    assert capsys.readouterr().err == ("error: E_a2m is not positive at T = "
-                                       "0; critical temperature undefined\n")
+    # the printed drift makes the point unstable, and the search says so
+    assert capsys.readouterr().err == (
+        "error: E_a2m undefined: unstable (margin 4.668e+07 rad/s); "
+        "critical temperature undefined\n")
     assert _output("tc", printed_config, tmp_path, "--drift",
                    "derived") == _output("tc", config_file, tmp_path)
 

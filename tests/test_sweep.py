@@ -3,7 +3,9 @@ import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
 import re
+import threading
 from dataclasses import replace
 from functools import partial
 from io import StringIO
@@ -613,6 +615,85 @@ def test_run_sweep_rejects_fewer_than_one_job(baseline, monkeypatch, jobs):
         run_sweep(small_spec(baseline), jobs=jobs)
 
 
+def test_threaded_parts_join_in_grid_order(monkeypatch):
+    # three usable CPUs and parts of 4: the calling thread evaluates parts
+    # 0::3 and two worker threads the others, each under the caller's
+    # np.errstate, and the tables come back in grid order, as on one CPU
+    spec = figure_preset("fig2d")
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
+    serial = render_records(run_sweep(spec), spec)
+    evaluate, threads = sweep._evaluate_points, {}
+
+    def spy(spec, values):
+        threads[values[0, 0]] = threading.get_ident(), np.geterr()["over"]
+        return evaluate(spec, values)
+
+    monkeypatch.setattr(sweep, "_evaluate_points", spy)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    with np.errstate(over="ignore"):
+        assert render_records(run_sweep(spec), spec) == serial
+    starts = [v for v, in grid_values(spec)[::4]]
+    assert sorted(threads) == starts
+    caller = threading.get_ident()
+    assert [threads[v] == (caller, "ignore") for v in starts] == [
+        k % 3 == 0 for k in range(len(starts))]
+    assert {over for _, over in threads.values()} == {"ignore"}
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_error_in_a_share_is_raised_after_every_share_ends(
+        baseline, monkeypatch, failing):
+    # two parts: part 0 on the calling thread, part 1 on the worker
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    spec = small_spec(baseline, axes=(
+        SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
+    starts = [v for v, in grid_values(spec)[::4]]
+    evaluate, ended = sweep._evaluate_points, []
+
+    def spy(spec, values):
+        k = starts.index(values[0, 0])
+        if k == failing:
+            raise RuntimeError(f"part {k}")
+        table = evaluate(spec, values)
+        ended.append(k)
+        return table
+
+    monkeypatch.setattr(sweep, "_evaluate_points", spy)
+    with pytest.raises(RuntimeError, match=f"^part {failing}$"):
+        run_sweep(spec)
+    assert ended == [1 - failing]
+
+
+def _render_in_pipe(spec, pipe) -> None:
+    pipe.send(render_records(run_sweep(spec), spec))
+    pipe.close()
+
+
+def test_a_fork_after_the_worker_threads_exist(baseline, monkeypatch):
+    # a threaded run leaves a worker thread, which a forked process does
+    # not inherit: the pool's workers still finish, and a forked child
+    # makes a pool of its own instead of waiting on the parent's
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 8)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    spec = small_spec(baseline, axes=(
+        SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 33),))
+    threaded = run_sweep(spec)
+    assert render_records(run_sweep(spec, jobs=2), spec) \
+        == render_records(threaded, spec)
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_render_in_pipe, args=(spec, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's sweep did not finish"
+        assert receive.recv() == render_records(threaded, spec)
+    finally:
+        child.kill()
+        child.join()
+
+
 def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
     # fig2b at Delta_m = 0.1 omega_b, eta = 0 (row 2110) is stable, but
     # its Kronecker retry leaves a residual above the 1e-10 gate
@@ -713,7 +794,8 @@ def test_a_singular_unit_noise_system_leaves_no_critical_temperature(
     monkeypatch.setattr(lyapunov, "solve_lyapunov", patched)
     warnings = []
     assert sweep._unit_noise_solutions(baseline, warnings) is None
-    assert warnings == ["singular Lyapunov system: no finite solution"]
+    assert warnings == ["a unit-noise solution fails: singular Lyapunov "
+                        "system: no finite solution"]
     with pytest.raises(ValueError, match=re.escape(
             "E_a2m undefined: a unit-noise solution fails: singular "
             "Lyapunov system: no finite solution; critical temperature "
@@ -1020,16 +1102,18 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
         return det(a)
 
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     spec = small_spec(baseline, quantities=quantities, axes=(
         SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
     monkeypatch.setattr(np.linalg, "det", spy)
     records = run_sweep(spec)
-    # two parts, of 4 and 3 points, every point stable
+    # two parts, of 4 and 3 points, every point stable; they run on two
+    # threads, whose calls may interleave
     assert all(r.stable for r in records)
-    assert [a.shape for a in calls] == [(12 * n_pairs, 2, 2),
-                                        (4 * n_pairs, 4, 4),
-                                        (9 * n_pairs, 2, 2),
-                                        (3 * n_pairs, 4, 4)]
+    assert sorted(a.shape for a in calls) == sorted([(12 * n_pairs, 2, 2),
+                                                     (4 * n_pairs, 4, 4),
+                                                     (9 * n_pairs, 2, 2),
+                                                     (3 * n_pairs, 4, 4)])
 
 
 def test_a_pairs_columns_do_not_depend_on_the_other_pairs():
@@ -1146,10 +1230,12 @@ def test_a_serial_sweep_validates_each_part_once(baseline, monkeypatch):
     # one check of each part of the grid, before its steady state; the
     # 8x8 stages check nothing again
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     spec = small_spec(baseline, axes=(SweepAxis("eta", 0.5, 1.5, 11),))
     sizes = _spy_on_validation(monkeypatch)
     records = run_sweep(spec)
-    assert sizes == [4, 4, 3]
+    # parts 0 and 2 on the calling thread, part 1 on the other
+    assert sorted(sizes) == [3, 4, 4]
     # eta above 1 takes a negative gain
     assert [any(w.startswith("invalid parameters") for w in r.warnings)
             for r in records] == [False] * 6 + [True] * 5
@@ -1230,7 +1316,10 @@ def test_unstable_point_has_no_unit_noise_solutions(baseline):
     params = baseline.with_(gain_g=2.5 * baseline.kappa_1)
     assert not evaluate_point(params).stable
     assert sweep._unit_noise_solutions(params, []) is None
-    with pytest.raises(ValueError, match="not positive at T = 0"):
+    # the search says why it has no Tc: the point's margin
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "E_a2m undefined: unstable (margin 3.198e+06 rad/s); critical "
+            "temperature undefined") + "$"):
         find_critical_temperature(params, ("a2", "m"))
 
 
@@ -1252,9 +1341,15 @@ def test_unconverged_point_has_no_unit_noise_solutions(k, monkeypatch):
         return stability(A, kappa_1)
 
     monkeypatch.setattr(dynamics, "stability", spy)
-    assert sweep._unit_noise_solutions(params, []) is None
+    warnings = []
+    assert sweep._unit_noise_solutions(params, warnings) is None
     assert classified == []
-    with pytest.raises(ValueError, match="not positive at T = 0"):
+    # the search says why it has no Tc: the gate's warning
+    assert warnings == [w for w in record.warnings
+                        if w.startswith("steady state did not converge")]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"E_a2m undefined: {warnings[0]}; critical temperature "
+            "undefined") + "$"):
         find_critical_temperature(params, ("a2", "m"))
 
 
@@ -1360,9 +1455,11 @@ def test_a_serial_sweep_solves_the_mean_field_once_per_part(monkeypatch):
 
     monkeypatch.setattr(sweep, "solve_steady_states", spy)
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 7)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     records = run_sweep(_microscopic_sweep())
     assert not any("invalid" in w for r in records for w in r.warnings)
-    assert sizes == [7, 7, 7, 7, 7, 6]
+    # in the order that the two threads reach them
+    assert sorted(sizes) == [6, 7, 7, 7, 7, 7]
 
 
 def test_unconverged_band_has_no_attracting_root():
