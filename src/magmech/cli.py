@@ -20,9 +20,10 @@ from dataclasses import replace
 from . import dynamics, lyapunov, measures
 from .config import ConfigError, load_config
 from .params import DRIFT_MODES
-from .sweep import (PRESET_NAMES, SweepSpec, evaluate_point, figure_preset,
-                    find_critical_temperature, point_matrices, record_to_dict,
-                    render_records, run_sweep)
+from .sweep import (LYAPUNOV_RESIDUAL, OUTCOMES, PRESET_NAMES, SINGULAR,
+                    UNCONVERGED, UNPHYSICAL, SweepSpec, evaluate_point,
+                    figure_preset, find_critical_temperature, point_matrices,
+                    record_to_dict, render_records, run_sweep)
 
 DIFFUSION_FLAGS = {"as-printed": "as_printed", "abs": "absolute_value",
                    "physical": "physical_sum"}
@@ -112,6 +113,16 @@ def _apply_overrides(params, args):
     return params
 
 
+def _writable(path):
+    """``path``, checked before any evaluation: an OSError unless it is
+    standard output or a file in a writable directory."""
+    if path not in (None, "", "-") and (os.path.isdir(path) or not os.access(
+            os.path.dirname(path) or ".", os.W_OK)):
+        raise OSError(f"cannot write {path!r}: not a file in a writable "
+                      "directory")
+    return path
+
+
 def _emit(text: str, out_path) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
@@ -120,16 +131,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _report_warnings(warnings) -> None:
-    """One standard-error line per warning category, in order of first
-    appearance, with the number of points (each a sequence of warnings)
-    that raised it.  A category is the text before the first ':' or ' (';
-    the points that share a sequence are counted together."""
-    counts: dict[str, int] = {}
-    for point, n in Counter(map(tuple, warnings)).items():
-        for head in {w.split(":", 1)[0].split(" (", 1)[0]: None
-                     for w in point}:
-            counts[head] = counts.get(head, 0) + n
+def _report_warnings(outcome) -> None:
+    """One standard-error line per outcome bit (``OUTCOMES``), in order
+    of first appearance, with the number of points whose ``outcome``
+    has it; the points that share an outcome are counted together."""
+    counts: Counter = Counter()
+    for bits, n in Counter(outcome).items():
+        counts.update({name: n for b, name in enumerate(OUTCOMES)
+                       if bits >> b & 1})
     for head, n in counts.items():
         noun = "point" if n == 1 else "points"
         print(f"warning: {head} ({n} {noun})", file=sys.stderr)
@@ -138,6 +147,7 @@ def _report_warnings(warnings) -> None:
 def cmd_point(args) -> int:
     cfg = load_config(args.config)
     params = _apply_overrides(cfg["params"], args)
+    _writable(args.out)
     rec = evaluate_point(params)
     # a point without a steady state has no matrices to dump
     matrices = args.dump_matrices and point_matrices(params)
@@ -147,15 +157,15 @@ def cmd_point(args) -> int:
             dynamics.write_matrix(os.path.join(args.dump_matrices, name), M)
     _emit(json.dumps(record_to_dict(rec, ()), sort_keys=True, indent=2,
                      allow_nan=False) + "\n", args.out)
-    _report_warnings([rec.warnings])
+    _report_warnings([rec.outcome])
     return 0
 
 
 def _run_and_emit(spec: SweepSpec, args, default_out=None) -> int:
+    out = _writable(args.out or default_out)
     records = run_sweep(spec, jobs=args.jobs)
-    out = args.out or default_out
     _emit(render_records(records, spec), out)
-    _report_warnings(records.warnings)
+    _report_warnings(records.outcome.tolist())
     return 0
 
 
@@ -182,6 +192,7 @@ def cmd_tc(args) -> int:
         raise ConfigError(f"--pair must be one of "
                           f"{' '.join(','.join(p) for p in measures.PAIRS)}"
                           f" (in either order), got {args.pair!r}")
+    _writable(args.out)
     tc, warnings = find_critical_temperature(params, pair)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -203,26 +214,26 @@ def cmd_validate(args) -> int:
         failures += 0 if ok else 1
 
     rec = evaluate_point(params)
-    singular = [w.split(": ", 1)[1] for w in rec.warnings
-                if w.startswith("steady state singular: ")]
-    if singular:
-        check("steady state converged", False, f"(singular: {singular[0]})")
+    # a rule that nulls the point is its last warning, which then goes on
+    # to quote what the rule found
+    said = rec.warnings[-1][len(OUTCOMES[rec.outcome.bit_length() - 1]):] \
+        if rec.warnings else ""
+    if rec.outcome >> SINGULAR & 1:
+        check("steady state converged", False, f"(singular{said})")
     else:
         residual = ("(residual not finite)" if rec.residual is None
                     else f"(residual {rec.residual:.3e})")
-        check("steady state converged",
-              not any(w.startswith("steady state did not converge")
-                      for w in rec.warnings), residual)
+        check("steady state converged", not rec.outcome >> UNCONVERGED & 1,
+              residual)
         check("steady-state residual < 1e-9",
               rec.residual is not None and rec.residual < 1e-9, residual)
 
     # the kernel nulls a solved point that fails its residual or its
     # physicality gate, and its warning carries the failing value
-    heads = {"Lyapunov residual not below":
-             f"Lyapunov residual < {lyapunov.RESIDUAL_MAX:g}",
-             "unphysical covariance": "covariance physicality >= -1e-9"}
-    nulled = [(label, w[w.index("("):]) for w in rec.warnings
-              for head, label in heads.items() if w.startswith(head)]
+    nulled = [(label, said.lstrip()) for bit, label in (
+        (LYAPUNOV_RESIDUAL, f"Lyapunov residual < {lyapunov.RESIDUAL_MAX:g}"),
+        (UNPHYSICAL, "covariance physicality >= -1e-9"))
+        if rec.outcome >> bit & 1]
     for label, detail in nulled:
         check(label, False, detail)
     if rec.stable:
@@ -250,7 +261,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,17 +103,12 @@ def noise_matrices(rates) -> np.ndarray:
     return D
 
 
-def diffusion_matrices(p: ParamStack) -> tuple[np.ndarray, dict[int, str]]:
+def diffusion_matrices(p: ParamStack) -> np.ndarray:
     """(N, 8, 8) stack of the :func:`noise_matrices` of the stack's
-    :func:`mode_noises` at its own temperatures, and the convention
-    warning of each point that has one, by its index in the stack: a
-    negative cavity-2 rate (``as_printed`` with net gain) is flagged.
-    """
-    rates = mode_noises(p, p.temperature_T)
-    warnings = {k: "negative diffusion: cavity-2 noise entry %.6g < 0 "
-                   "(as_printed with net gain)" % rates[k, 1]
-                for k in np.flatnonzero(rates[:, 1] < 0).tolist()}
-    return noise_matrices(rates), warnings
+    :func:`mode_noises` at its own temperatures.  A negative cavity-2
+    rate, ``D[:, 2, 2] < 0``, is the ``as_printed`` convention with net
+    gain."""
+    return noise_matrices(mode_noises(p, p.temperature_T))
 
 
 @dataclass(frozen=True)

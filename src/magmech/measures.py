@@ -12,8 +12,8 @@ A, det C, det B and det V of each: E_N, the steering in both directions
 and the symplectic eigenvalue, each with its own screens.
 :func:`log_negativity` is the same pass without the steering, for a
 caller that reads E_N alone.  A slice that fails a screen comes back
-NaN with a message; nothing raises.  The
-spectral route to the eigenvalue, the eigenvalues of i*Omega*(P cm P),
+NaN with the screen's code and the number it quotes; nothing raises.
+The spectral route to the eigenvalue, the eigenvalues of i*Omega*(P cm P),
 is the tests' oracle.
 """
 
@@ -55,28 +55,31 @@ def reduce_pair(V: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
     return np.asarray(V)[..., idx[:, None], idx]
 
 
-def _screened(values: np.ndarray, checks) -> tuple[np.ndarray, list]:
-    """``(values, errors)``: per slice, the message of the first failed
-    (mask, message) check or None, and NaN in ``values``, which is
-    written in place, where there is one."""
-    errors = [None] * len(values)
-    for mask, message in checks:
-        for k in mask.nonzero()[0]:
-            if errors[k] is None:
-                errors[k] = message(k)
-                values[k] = np.nan
-    return values, errors
+def _screen(values: np.ndarray, checks) -> tuple:
+    """``(values, screen, quoted)``: per slice, the place (from 1) of the
+    first (mask, number) check that it fails, or 0, and the number of
+    that check; ``values``, written in place, is NaN where one fails."""
+    screen = np.zeros(len(values), dtype=np.int8)
+    quoted = np.full(len(values), np.nan)
+    for code, (mask, number) in reversed(list(enumerate(checks, 1))):
+        if np.count_nonzero(mask):  # most slices pass: skip the writes
+            screen[mask] = code
+            quoted = np.where(mask, number, quoted)
+    values[screen > 0] = np.nan
+    return values, screen, quoted
 
 
 class PairMeasures(NamedTuple):
     """The measures of a stack of two-mode CMs, each as ``(values,
-    errors)``: an (N,) array, NaN on each slice that failed a screen,
-    and per slice the message of the first screen it failed or None."""
+    screen, quoted)`` of (N,) arrays: the values, NaN on each slice that
+    failed a screen; per slice the place (from 1) of the first screen it
+    failed, or 0; and the number that screen quotes, NaN where it quotes
+    none."""
 
-    log_negativity: tuple[np.ndarray, list]
-    forward: tuple[np.ndarray, list]
-    backward: tuple[np.ndarray, list]
-    nu: tuple[np.ndarray, list]
+    log_negativity: tuple
+    forward: tuple
+    backward: tuple
+    nu: tuple
 
 
 def _clamp(value: np.ndarray) -> np.ndarray:
@@ -86,10 +89,10 @@ def _clamp(value: np.ndarray) -> np.ndarray:
 
 
 def _symplectic(cms: np.ndarray):
-    """E_N of each slice of a stack (N, 4, 4) as ``(values, errors)``,
-    then what the steering and nu- reuse: det A, det C and det V of each
-    slice, its smallest partially transposed symplectic eigenvalue nu-
-    and the (mask, message) screens of nu-.
+    """E_N of each slice of a stack (N, 4, 4) as ``(values, screen,
+    quoted)``, then what the steering and nu- reuse: det A, det C and det
+    V of each slice, its smallest partially transposed symplectic
+    eigenvalue nu- and the (mask, number) screens of nu-.
 
     sigma = det A + det C - 2 det B and nu-^2 = 2 det V / (sigma +
     sqrt(sigma^2 - 4 det V)) (Serafini, Illuminati and De Siena, J.
@@ -123,21 +126,17 @@ def _symplectic(cms: np.ndarray):
         # sum does not
         nu = np.sqrt(np.maximum(2.0 * det_v / (sigma + root), 0.0))
         e_n = -np.log(2.0 * nu)
-    screens = [
-        (disc < -ZERO_CLAMP * scale,
-         lambda k: f"negative symplectic discriminant {disc[k]:.3e}"),
-        (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)),
-         lambda k: f"negative squared symplectic eigenvalue {inner[k]:.3e}"),
-    ]
+    screens = [(disc < -ZERO_CLAMP * scale, disc),
+               (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)), inner)]
     # roundoff around the threshold nu = 1/2 reports exact zero
-    return (_screened(_clamp(e_n), screens + [
-        (~(nu > 0.0), lambda k: "vanishing symplectic eigenvalue")]),
-        det_a, det_c, det_v, nu, screens)
+    return (_screen(_clamp(e_n), screens + [(~(nu > 0.0), np.nan)]),
+            det_a, det_c, det_v, nu, screens)
 
 
-def log_negativity(cms: np.ndarray) -> tuple[np.ndarray, list]:
-    """E_N of each slice of a stack (N, 4, 4) as ``(values, errors)``,
-    the first element of :func:`pair_measures` without the steering."""
+def log_negativity(cms: np.ndarray) -> tuple:
+    """E_N of each slice of a stack (N, 4, 4) as ``(values, screen,
+    quoted)``, the first element of :func:`pair_measures` without the
+    steering."""
     return _symplectic(cms)[0]
 
 
@@ -157,14 +156,10 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
         backward = 0.5 * np.log(det_c / (4.0 * det_v))
 
     def steering(value, det_block):
-        return _screened(_clamp(value), [
-            (det_block <= 0.0, lambda k: "non-positive conditioning block "
-                                         f"determinant {det_block[k]:.3e}"),
-            (det_v <= 0.0, lambda k: "non-positive covariance determinant "
-                                     f"{det_v[k]:.3e}"),
-        ])
+        return _screen(_clamp(value), [(det_block <= 0.0, det_block),
+                                       (det_v <= 0.0, det_v)])
 
     # roundoff-scale steering reports exact zero, so that one-way
     # statements are crisp
     return PairMeasures(e_n, steering(forward, det_a),
-                        steering(backward, det_c), _screened(nu, screens))
+                        steering(backward, det_c), _screen(nu, screens))

@@ -47,6 +47,22 @@ _PAIR_OF = {col: (pair, place) for pair in measures.PAIRS
                                          "st_%s_to_%s" % pair,
                                          "st_%s_to_%s" % pair[::-1]))}
 
+# The outcome bits of a point, in the order of its warnings: the kernel's
+# null rules in stage order, then one per measure column whose screen
+# failed, in _PAIR_OF order.  OUTCOMES names each, as its warning and the
+# standard-error report do.
+(INVALID, SINGULAR, UNCONVERGED, NOT_FINITE, NEGATIVE_DIFFUSION,
+ INDETERMINATE, LYAPUNOV_RESIDUAL, SINGULAR_LYAPUNOV, UNPHYSICAL) = range(9)
+_COLUMN_BIT = {col: bit for bit, col in enumerate(_PAIR_OF, UNPHYSICAL + 1)}
+OUTCOMES = ("invalid parameters at this point", "steady state singular",
+            "steady state did not converge",
+            "steady state residual not finite", "negative diffusion",
+            "stability indeterminate",
+            f"Lyapunov residual not below {lyapunov.RESIDUAL_MAX:g}",
+            "singular Lyapunov system", "unphysical covariance") + tuple(
+    col if place else "pair %s-%s" % pair
+    for col, (pair, place) in _PAIR_OF.items())
+
 AXIS_NAMES = set(NUMERIC_FIELDS) | {"eta"}
 
 # Points per part of a grid: the most that one kernel stack holds.  Each
@@ -115,7 +131,10 @@ class SweepSpec:
             raise ValueError("a sweep needs one or two axes")
         if self.output_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        for target, source, _ in self.links:
+        for target, source, factor in self.links:
+            if not math.isfinite(factor):
+                raise ValueError(f"link {target}:{source} factor {factor!r} "
+                                 "is not finite")
             if target not in NUMERIC_FIELDS:
                 raise ValueError(f"unknown link target {target!r}")
             if source not in NUMERIC_FIELDS:
@@ -150,7 +169,8 @@ class SweepRecord:
     None when the point is unstable or the measure failed; diagnostics
     carry the stability margin (rad/s), the minimum eigenvalue of
     V + (i/2)Omega, the mean-field and Lyapunov residuals, and any
-    warnings raised along the way.
+    warnings raised along the way, one per bit of ``outcome``
+    (``OUTCOMES``), which the JSON leaves out.
     """
 
     axis_values: tuple[float, ...]
@@ -162,6 +182,7 @@ class SweepRecord:
     lyap_residual: float | None = None
     amplitudes: tuple[float, float, float, float] | None = None
     warnings: tuple[str, ...] = ()
+    outcome: int = 0
 
 
 @dataclass(eq=False)
@@ -173,6 +194,8 @@ class SweepTable(Sequence):
     measure and any requested ``AMPLITUDE_COLUMNS`` to an (N,) float
     array.  Each entry is finite, or NaN where it is null: a value that
     is not finite, such as the residual of an overflowed drive, is null.
+    ``outcome`` holds each point's outcome bits (``OUTCOMES``), and
+    ``warnings`` their texts.
     """
 
     axis_values: np.ndarray
@@ -180,6 +203,7 @@ class SweepTable(Sequence):
     values: dict[str, np.ndarray]
     warnings: list[list[str]]
     columns: tuple[str, ...]
+    outcome: np.ndarray
 
     def __len__(self) -> int:
         return len(self.stable)
@@ -195,7 +219,7 @@ class SweepTable(Sequence):
                            {c: cell(c) for c in self.columns},
                            *map(cell, DIAGNOSTIC_COLUMNS),
                            None if amplitudes == (None,) * 4 else amplitudes,
-                           tuple(self.warnings[k]))
+                           tuple(self.warnings[k]), int(self.outcome[k]))
 
     @classmethod
     def concat(cls, parts) -> "SweepTable":
@@ -207,7 +231,8 @@ class SweepTable(Sequence):
         return cls(joined(lambda p: p.axis_values),
                    joined(lambda p: p.stable),
                    {c: joined(lambda p: p.values[c]) for c in names},
-                   [w for p in parts for w in p.warnings], parts[0].columns)
+                   [w for p in parts for w in p.warnings], parts[0].columns,
+                   joined(lambda p: p.outcome))
 
     @classmethod
     def of(cls, rows, spec: "SweepSpec") -> "SweepTable":
@@ -224,7 +249,8 @@ class SweepTable(Sequence):
                             dtype=float).reshape(len(rows), len(spec.axes)),
                    np.array([r.stable for r in rows], dtype=bool),
                    {c: np.array(v, dtype=float) for c, v in cells.items()},
-                   [list(r.warnings) for r in rows], columns)
+                   [list(r.warnings) for r in rows], columns,
+                   np.array([r.outcome for r in rows], dtype=np.int64))
 
 
 def normalize_quantities(quantities) -> tuple[tuple[str, ...], bool]:
@@ -265,14 +291,16 @@ def _evaluate_chunk(params: ParamStack, invalid: list, axis_values,
     n = len(params)
     names = DIAGNOSTIC_COLUMNS + columns + (AMPLITUDE_COLUMNS
                                             if with_amplitudes else ())
+    out = _Outcomes(n)
     table = SweepTable(np.asarray(axis_values, dtype=float),
                        np.zeros(n, dtype=bool),
-                       {c: np.full(n, np.nan) for c in names},
-                       [[] for _ in range(n)], columns)
-    state, solved, block = _gate(params, invalid, table.warnings)
+                       {c: np.full(n, np.nan) for c in names}, [], columns,
+                       out.bits)
+    state, solved, block = _gate(params, invalid, out)
     _put(table, "residual", *solved)
     if block is not None:
-        _evaluate_block(table, state, *block, with_amplitudes)
+        _evaluate_block(table, out, state, *block, with_amplitudes)
+    table.warnings = _warning_texts(out)
     return table
 
 
@@ -281,41 +309,80 @@ def _put(table: SweepTable, name: str, points, values) -> None:
     table.values[name][points] = np.where(np.isfinite(values), values, np.nan)
 
 
-def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
+class _Outcomes:
+    """A stack's outcome bits, and per bit set the note its warnings
+    quote: its points, and for each a number (or the broken rule of an
+    invalid or singular point) and a variant (the place from 0 of the
+    screen that failed, or 1 where no mean-field root attracts)."""
+
+    def __init__(self, n: int):
+        self.bits, self.notes = np.zeros(n, dtype=np.int64), []
+
+    def set(self, bit: int, points, number=(), variant=()) -> None:
+        """Set ``bit`` on the stack indices ``points``; a note without
+        numbers or variants quotes none and takes the first variant."""
+        if len(points):
+            self.bits[points] |= 1 << bit
+            self.notes.append((bit, points.tolist(), np.asarray(
+                number).tolist(), np.asarray(variant).tolist()))
+
+
+def _warning_texts(out: _Outcomes) -> list[list[str]]:
+    """Every warning is worded here: per point of ``out``, a text per
+    outcome bit in bit order, the bit's name and then what its note
+    quotes.  Only the points with a bit set are visited."""
+    texts = [[] for _ in range(len(out.bits))]
+    if not out.notes:
+        return texts
+    residual = " (residual {x:.3e})"
+    ends = [(": {x}",), (": {x}",),
+            (residual, ": no real mean-field root attracts the damped "
+                       "iteration" + residual), (residual,),
+            (": cavity-2 noise entry {x:.6g} < 0 (as_printed with net gain)",),
+            (": eigensolver failed",), (residual,), (": no finite solution",),
+            (" (min eigenvalue {x:.3e})",)]
+    ends += [(": non-positive conditioning block determinant {x:.3e}",
+              ": non-positive covariance determinant {x:.3e}") if place else
+             (": negative symplectic discriminant {x:.3e}",
+              ": negative squared symplectic eigenvalue {x:.3e}",
+              ": vanishing symplectic eigenvalue")
+             for _, place in _PAIR_OF.values()]
+    for bit, points, number, variant in sorted(out.notes, key=lambda n: n[0]):
+        for k, x, v in itertools.zip_longest(points, number, variant,
+                                             fillvalue=0):
+            texts[k].append(OUTCOMES[bit] + ends[bit][v].format(x=x))
+    return texts
+
+
+def _gate(params: ParamStack, invalid: list, out: _Outcomes):
     """The kernel's front stages: ``(state, solved, block)``.  The
     points that ``invalid`` names a broken rule for are nulled; the
-    steady state ``state`` is solved for the others.  Both append the
-    warnings of the null rules they apply; ``solved`` is the solved
-    points with their residuals.  ``block`` is None when no point has a
-    steady state, and else holds those points' stack indices,
+    steady state ``state`` is solved for the others.  Each stage sets the
+    bits of the null rules it applies in ``out``; ``solved`` is the
+    solved points with their residuals.  ``block`` is None when no point
+    has a steady state, and else holds those points' stack indices,
     steady-state slices, parameters, drift stack and stability report,
     whose ``stable`` mask is the last null rule.
     """
     # k indexes the stack and j the steady state's slices (the valid
     # points); ``live`` and ``good`` are the drift-stage points in each
-    valid = np.flatnonzero([e is None for e in invalid])
-    for k, e in enumerate(invalid):
-        if e is not None:
-            warnings[k].append(f"invalid parameters at this point: {e}")
+    ok = np.array([e is None for e in invalid], dtype=bool)
+    valid, k = np.flatnonzero(ok), np.flatnonzero(~ok)
+    out.set(INVALID, k, [invalid[i] for i in k.tolist()])
     state = solve_steady_states(
         params if valid.size == len(params) else params.take(valid))
     solved = np.array([e is None for e in state.errors], dtype=bool)
-    for j, e in enumerate(state.errors):
-        if e is not None:
-            warnings[valid[j]].append(f"steady state singular: {e}")
+    j = np.flatnonzero(~solved)
+    out.set(SINGULAR, valid[j], [state.errors[i] for i in j.tolist()])
     residual = state.residual
-    for j in np.flatnonzero(solved & ~state.converged):
-        # 0 iterations marks closed slices, converged or not: here, repelled
-        reason = (": no real mean-field root attracts the damped iteration"
-                  if state.iterations_used[j] == 0 else "")
-        warnings[valid[j]].append(f"steady state did not converge{reason} "
-                                  f"(residual {residual[j]:.3e})")
+    j = np.flatnonzero(solved & ~state.converged)
+    # 0 iterations marks closed slices, converged or not: here, repelled
+    out.set(UNCONVERGED, valid[j], residual[j], state.iterations_used[j] == 0)
     good = np.flatnonzero(solved & state.converged)
     # an overflowed drive in direct_g mode: the amplitudes do not enter
     # the fluctuations, so the measures stand
-    for j in good[~np.isfinite(residual[good])]:
-        warnings[valid[j]].append("steady state residual not finite "
-                                  f"(residual {residual[j]:.3e})")
+    j = good[~np.isfinite(residual[good])]
+    out.set(NOT_FINITE, valid[j], residual[j])
     solved_points = (valid[solved], residual[solved])
     if not good.size:
         return state, solved_points, None
@@ -328,42 +395,39 @@ def _gate(params: ParamStack, invalid: list, warnings: list[list[str]]):
     else:
         g_eff = sub.G_mb
     A = dynamics.drift_matrices(sub, state.delta_eff[good], g_eff)
-    return state, solved_points, (live, good, sub, A,
-                                  dynamics.stability(A, sub.kappa_1))
+    report = dynamics.stability(A, sub.kappa_1)
+    out.set(INDETERMINATE, live[report.indeterminate])
+    return state, solved_points, (live, good, sub, A, report)
 
 
-def _covariances(A: np.ndarray, D: np.ndarray, eig, points, warnings):
+def _covariances(A: np.ndarray, D: np.ndarray, eig, out: _Outcomes, points):
     """The Lyapunov solutions of ``A`` and ``D`` in the gate's eigenbasis
     ``eig``, their residuals and the mask of those that stand, finite with
-    a residual below ``RESIDUAL_MAX``; each that falls warns ``points[j]``."""
+    a residual below ``RESIDUAL_MAX``; each that falls sets its bit on
+    ``points[j]`` in ``out``."""
     V, residual = lyapunov.solve_lyapunov(A, D, eig=eig)
     finite = np.isfinite(V).all(axis=(1, 2))
     stands = finite & (residual < lyapunov.RESIDUAL_MAX)
-    for j in np.flatnonzero(~stands):
-        warnings[points[j]].append(
-            f"Lyapunov residual not below {lyapunov.RESIDUAL_MAX:g} "
-            f"(residual {residual[j]:.3e})" if finite[j] else
-            "singular Lyapunov system: no finite solution")
+    missed = finite & ~stands
+    out.set(LYAPUNOV_RESIDUAL, points[missed], residual[missed])
+    out.set(SINGULAR_LYAPUNOV, points[~finite])
     return V, residual, stands
 
 
-def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
-                    with_amplitudes: bool) -> None:
+def _evaluate_block(table: SweepTable, out: _Outcomes, state, live, good,
+                    sub, A, report, with_amplitudes: bool) -> None:
     """The stages after the gate on its block; fills the rows ``live``
-    of ``table``."""
-    warnings = table.warnings
-    D, d_warnings = dynamics.diffusion_matrices(sub)
-    for j, w in d_warnings.items():
-        warnings[live[j]].append(w)
-    for k in live[report.indeterminate]:
-        warnings[k].append("stability indeterminate: eigensolver failed")
+    of ``table`` and sets their bits in ``out``."""
+    D = dynamics.diffusion_matrices(sub)
+    noisy = np.flatnonzero(D[:, 2, 2] < 0)
+    out.set(NEGATIVE_DIFFUSION, live[noisy], D[noisy, 2, 2])
     decided = ~report.indeterminate
     _put(table, "margin", live[decided], report.margin[decided])
 
     stable = np.flatnonzero(report.stable)
     V, residual, stands = _covariances(A[stable], D[stable], (
-        report.eigenvalues[stable], report.eigenvectors[stable]),
-        live[stable], warnings)
+        report.eigenvalues[stable], report.eigenvectors[stable]), out,
+        live[stable])
     rows = stable[stands]
     V, residual = V[stands], residual[stands]
     # a solution that is no quantum covariance, where every mode rate of
@@ -371,9 +435,7 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     physicality = lyapunov.physicality_min_eig(V)
     unphysical = ((physicality < lyapunov.PHYSICALITY_MIN)
                   & (D[rows] >= 0).all(axis=(1, 2)))
-    for j in np.flatnonzero(unphysical):
-        warnings[live[rows[j]]].append(
-            f"unphysical covariance (min eigenvalue {physicality[j]:.3e})")
+    out.set(UNPHYSICAL, live[rows[unphysical]], physicality[unphysical])
     V, residual, physicality, rows = (
         x[~unphysical] for x in (V, residual, physicality, rows))
     points = live[rows]
@@ -400,21 +462,17 @@ def _evaluate_block(table: SweepTable, state, live, good, sub, A, report,
     n = len(points)
     found = measures.pair_measures(np.concatenate(
         [measures.reduce_pair(V, pair) for pair in by_pair]))
-    for p, (pair, cols) in enumerate(by_pair.items()):
+    for p, cols in enumerate(by_pair.values()):
         at = slice(p * n, (p + 1) * n)
         # cols[0] is the pair's E column: its symplectic screen decides
         # whether the reduced state is physical enough to report at all
-        e_values, e_errors = (x[at] for x in found.log_negativity)
-        physical = ~np.isnan(e_values)
-        for i in np.flatnonzero(~physical):
-            warnings[points[i]].append(f"pair {pair[0]}-{pair[1]}: "
-                                       f"{e_errors[i]}")
-        _put(table, cols[0], points[physical], e_values[physical])
-        for col in cols[1:]:
-            st_values, st_errors = (x[at] for x in found[_PAIR_OF[col][1]])
-            _put(table, col, points[physical], st_values[physical])
-            for i in np.flatnonzero(physical & np.isnan(st_values)):
-                warnings[points[i]].append(f"{col}: {st_errors[i]}")
+        physical = found.log_negativity[1][at] == 0
+        for col in cols:
+            values, screen, quoted = (x[at] for x in found[_PAIR_OF[col][1]])
+            _put(table, col, points[physical], values[physical])
+            failed = ~physical if col == cols[0] else physical & (screen > 0)
+            out.set(_COLUMN_BIT[col], points[failed], quoted[failed],
+                    screen[failed] - 1)
 
 
 def evaluate_point(params: PhysicalParams, *,
@@ -423,8 +481,8 @@ def evaluate_point(params: PhysicalParams, *,
     stack of the kernel that sweeps run, which skips the validity rules
     that ``params`` passed when it was built.
 
-    Solver failures are folded into the record (nulled measures plus a
-    warning string); this function does not raise for per-point physics
+    Solver failures are folded into the record (nulled measures, an
+    outcome bit and its warning); this function does not raise for physics
     problems, so sweeps always complete.  The point's drift and
     diffusion matrices come from :func:`point_matrices`.
     """
@@ -551,12 +609,11 @@ _UNIT_NOISES = dynamics.noise_matrices(np.eye(4))
 _UNIT_NOISES.flags.writeable = False
 
 
-def _point_block(params: PhysicalParams, warnings: list[str] | None = None):
+def _point_block(params: PhysicalParams, out: _Outcomes | None = None):
     """The block of :func:`_gate` on the one-point stack of ``params``,
-    or None without a steady state; the gate's warnings go to
-    ``warnings``."""
+    or None without a steady state; the gate's bits go to ``out``."""
     return _gate(ParamStack.broadcast(params, 1), [None],
-                 [[] if warnings is None else warnings])[2]
+                 out or _Outcomes(1))[2]
 
 
 def point_matrices(params: PhysicalParams):
@@ -564,7 +621,7 @@ def point_matrices(params: PhysicalParams):
     kernel builds at ``params``; None without a steady state."""
     if block := _point_block(params):
         _, _, sub, A, _ = block
-        return A[0], dynamics.diffusion_matrices(sub)[0][0]
+        return A[0], dynamics.diffusion_matrices(sub)[0]
     return None
 
 
@@ -575,7 +632,7 @@ def _unit_noise_solutions(params: PhysicalParams, warnings: list[str]
     kernel's gate nulls the point or one of them falls
     (:func:`_covariances`).  The gate's warnings go to ``warnings``, and
     where there are no solutions its last entry says why: the gate's
-    warning, the margin of an unstable point or the first warning of a
+    warning, the margin of an unstable point or the warning of the first
     solution that falls.
 
     Temperature enters only the mode rates w_k(T) of the noise: the
@@ -583,21 +640,22 @@ def _unit_noise_solutions(params: PhysicalParams, warnings: list[str]
     every temperature, and the Lyapunov equation is linear in the noise,
     so the covariance at T is sum_k w_k(T) V_k.
     """
-    block = _point_block(params, warnings)
-    if block is None:
+    out = _Outcomes(1)
+    block = _point_block(params, out)
+    warnings += _warning_texts(out)[0]
+    if block is None or not block[-1].stable[0]:
+        if block and not block[-1].indeterminate[0]:
+            warnings.append("unstable (margin %.3e rad/s)"
+                            % block[-1].margin[0])
         return None
     *_, A, report = block
-    if not report.stable[0]:
-        warnings.append("stability indeterminate: eigensolver failed"
-                        if report.indeterminate[0] else
-                        f"unstable (margin {report.margin[0]:.3e} rad/s)")
-        return None
-    fell: list[str] = []
+    fell = _Outcomes(4)
     V, _, stands = _covariances(A, _UNIT_NOISES, (
-        report.eigenvalues, report.eigenvectors), (0,) * 4, [fell])
+        report.eigenvalues, report.eigenvectors), fell, np.arange(4))
     if stands.all():
         return V
-    warnings.append(f"a unit-noise solution fails: {fell[0]}")
+    warnings.append("a unit-noise solution fails: "
+                    + _warning_texts(fell)[np.argmin(stands)][0])
     return None
 
 

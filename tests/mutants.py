@@ -274,6 +274,28 @@ MUTATIONS = (
         "thread_pool_kept_across_fork", "src/magmech/sweep.py",
         "    key = (os.getpid(), threads)", "    key = (0, threads)",
         ("tests/test_sweep.py::test_a_fork_after_the_worker_threads_exist",)),
+    Mutation(
+        "negative_diffusion_bit_skipped", "src/magmech/sweep.py",
+        "            self.bits[points] |= 1 << bit\n",
+        "            self.bits[points] |= (1 << bit) & ~(1 << NEGATIVE_DIFFUSION)"
+        "\n",
+        ("tests/test_warnings.py::"
+         "test_the_report_counts_each_category_in_order_of_first_appearance",
+         "tests/test_sweep.py::"
+         "test_warnings_column_and_report_are_the_oracles_byte_for_byte")),
+    Mutation(
+        "out_path_unchecked", "src/magmech/cli.py",
+        '    if path not in (None, "", "-") and (',
+        "    if False and (",
+        ("tests/test_cli.py::"
+         "test_cli_out_in_a_missing_directory_fails_before_evaluating",
+         "tests/test_cli.py::"
+         "test_cli_out_that_is_a_directory_fails_before_evaluating")),
+    Mutation(
+        "link_accepts_non_finite_factor", "src/magmech/sweep.py",
+        "            if not math.isfinite(factor):", "            if False:",
+        ("tests/test_sweep.py::test_link_factor_must_be_finite",
+         "tests/test_cli.py::test_cli_rejects_a_non_finite_link_factor")),
 )
 
 

@@ -33,7 +33,7 @@ from magmech.params import (HBAR, K_B, NUMERIC_FIELDS, SHARED_FIELDS,
                             ParamStack, effective_kappa_2)
 from magmech.steady_state import DAMPING, MAX_ITER, TOL_REL, SteadyState
 from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS,
-                           MEASURE_COLUMNS, SweepTable, _gate,
+                           MEASURE_COLUMNS, SweepTable, _gate, _Outcomes,
                            evaluate_point, normalize_quantities,
                            stack_params)
 
@@ -700,12 +700,12 @@ def stable_covariances(spec, values):
     diffusion matrices of its block.  A solve that misses the kernel's
     residual gate leaves its point out, as the kernel nulls it."""
     params = stack_params(spec, values)
-    _, _, block = _gate(params, params.errors(), [[] for _ in values])
+    _, _, block = _gate(params, params.errors(), _Outcomes(len(values)))
     if block is None:
         return np.empty(0, dtype=int), np.empty((0, 8, 8))
     live, _, sub, A, report = block
     stable = report.stable
     V, residual = solve_lyapunov(A[stable],
-                                 diffusion_matrices(sub)[0][stable])
+                                 diffusion_matrices(sub)[stable])
     kept = residual < RESIDUAL_MAX
     return live[stable][kept], V[kept]

@@ -125,7 +125,7 @@ def test_cli_point_dumps_the_matrices_of_the_pipeline(config_file,
     params = cfg["params"]
     state = solve_steady_states(stack_of([params]))
     A = drift_matrix_general(params, state.delta_eff[0], params.G_mb)
-    D = diffusion_matrices(stack_of([params]))[0][0]
+    D = diffusion_matrices(stack_of([params]))[0]
     assert (dump / "A.txt").read_text() == format_matrix(A)
     assert (dump / "D.txt").read_text() == format_matrix(D)
 
@@ -600,6 +600,62 @@ def test_cli_rejects_a_non_finite_axis(tmp_path, capsys, axis, shown):
     assert capsys.readouterr().err == (f"config error: axis J from {shown} "
                                        "is not finite\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan"])
+def test_cli_rejects_a_non_finite_link_factor(tmp_path, capsys, factor):
+    path, out = tmp_path / "link.cfg", tmp_path / "link.csv"
+    path.write_text(GOOD_CONFIG.replace(
+        "quantities = E_a2m, E_a1m",
+        f"quantities = E_a2m, E_a1m\nlinks = Delta_2:Delta_1:{factor}"))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: link Delta_2:Delta_1 factor {factor} is not finite\n")
+    assert not out.exists()
+
+
+def _unevaluated(monkeypatch):
+    """Make any evaluation of a point fail the test."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweep, "_gate", evaluated)
+
+
+@pytest.mark.parametrize("verb", ["sweep", "point", "tc", "preset"])
+def test_cli_out_in_a_missing_directory_fails_before_evaluating(
+        config_file, tmp_path, capsys, monkeypatch, verb):
+    _unevaluated(monkeypatch)
+    out = tmp_path / "missing" / "out.csv"
+    argv = ["preset", "fig2d"] if verb == "preset" else [
+        verb, "--config", config_file]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {str(out)!r}: "
+                                       "not a file in a writable directory\n")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep", "point", "tc", "preset"])
+def test_cli_out_that_is_a_directory_fails_before_evaluating(
+        config_file, tmp_path, capsys, monkeypatch, verb):
+    _unevaluated(monkeypatch)
+    argv = ["preset", "fig2d"] if verb == "preset" else [
+        verb, "--config", config_file]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write "
+                                       f"{str(tmp_path)!r}: not a file in a "
+                                       "writable directory\n")
+
+
+def test_cli_an_error_while_writing_is_an_error_line(config_file, tmp_path,
+                                                     capsys, monkeypatch):
+    # past the check, the OSError of the write itself exits 1 the same
+    monkeypatch.setattr(cli, "_writable", lambda path: path)
+    assert main(["point", "--config", config_file, "--out",
+                 str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno ")
+    assert err.endswith(f": {str(tmp_path)!r}\n")
 
 
 @pytest.mark.parametrize("mode, lines", [

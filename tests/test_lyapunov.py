@@ -39,7 +39,7 @@ def test_thermal_fixed_point():
 
 def test_baseline_covariance_residual_and_integration(baseline):
     A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
-    D = diffusion_matrices(stack_of([baseline]))[0][0]
+    D = diffusion_matrices(stack_of([baseline]))[0]
     assert stability(A[None], baseline.kappa_1).stable[0]
     V = _solve(A, D)
     assert _residual(A, V, D) < 1e-10

@@ -21,7 +21,7 @@ from .oracles import (drift_matrix_general, random_physical_cm,
 @pytest.fixture
 def baseline_cov(baseline):
     A = drift_matrix_general(baseline, baseline.Delta_m, baseline.G_mb)
-    D, _ = diffusion_matrices(stack_of([baseline]))
+    D = diffusion_matrices(stack_of([baseline]))
     V, _ = solve_lyapunov(A[None], D)
     return V[0]
 
@@ -59,8 +59,8 @@ def _measures(cm):
     """(E_N, forward, backward, nu) of one CM, each with no screen
     failed."""
     found = pair_measures(cm[None])
-    assert all(errors == [None] for _, errors in found)
-    return [values[0] for values, _ in found]
+    assert all(screen.tolist() == [0] for _, screen, _ in found)
+    return [values[0] for values, _, _ in found]
 
 
 def test_product_of_thermal_states_is_separable():
@@ -84,8 +84,8 @@ def test_tmsv_symplectic_eigenvalue():
 
 def test_dual_methods_agree_on_random_states(rng):
     cms = np.stack([random_physical_cm(rng) for _ in range(200)])
-    nu, errors = pair_measures(cms).nu
-    assert errors == [None] * len(cms)
+    nu, screen, _ = pair_measures(cms).nu
+    assert not screen.any()
     assert np.all(nu > 0)
     diff, allowance = symplectic_agreement(cms, nu)
     assert np.all(diff <= allowance)
@@ -128,8 +128,8 @@ def test_symplectic_eigenvalue_against_50_digits(name, pair, indices, bound):
     rows, V = stable_covariances(spec, values)
     assert len(rows) == len(indices)
     cms = reduce_pair(V, pair)
-    nu, errors = pair_measures(cms).nu
-    assert errors == [None] * len(cms)
+    nu, screen, _ = pair_measures(cms).nu
+    assert not screen.any()
     for cm, value in zip(cms, nu):
         with mpmath.workdps(50):
             assert abs(mpmath.mpf(float(value)) - _exact_nu(cm)) <= bound
@@ -211,10 +211,11 @@ def test_roundoff_negative_clamps_to_zero():
 
 def test_physicality_errors():
     bad = np.diag([1.0, -0.1, 1.0, 1.0])
-    values, errors = pair_measures(bad[None]).forward
+    values, screen, quoted = pair_measures(bad[None]).forward
     assert np.isnan(values[0])
-    assert errors == ["non-positive conditioning block determinant "
-                      "-1.000e-01"]
+    # the first screen, on the conditioning block's determinant
+    assert screen.tolist() == [1]
+    assert quoted[0] == pytest.approx(-0.1, rel=1e-15)
 
 
 def test_stacked_measures_match_single_calls(rng):
@@ -223,48 +224,47 @@ def test_stacked_measures_match_single_calls(rng):
     cms = np.stack([random_physical_cm(rng) for _ in range(6)]
                    + [np.diag([1.0, -0.1, 1.0, 1.0])])
     found = pair_measures(cms)
-    assert found.log_negativity[1][:6] == found.backward[1][:6] == [None] * 6
+    assert not found.log_negativity[1][:6].any()
+    assert not found.backward[1][:6].any()
     for k in range(7):
-        for (values, errors), (alone, alone_errors) in zip(
-                found, pair_measures(cms[k:k + 1])):
-            assert values[k].tobytes() == alone[0].tobytes()
-            assert errors[k] == alone_errors[0]
+        for measure, alone in zip(found, pair_measures(cms[k:k + 1])):
+            for stacked, single in zip(measure, alone):
+                assert stacked[k].tobytes() == single[0].tobytes()
 
 
 def test_unphysical_slice_of_a_stack_is_null_with_message():
     bad = np.diag([1.0, -0.1, 1.0, 1.0])
     cms = np.stack([tmsv_cm(0.5), bad])
-    values, errors = pair_measures(cms).forward
+    values, screen, _ = pair_measures(cms).forward
     assert values[0] == pytest.approx(math.log(math.cosh(1.0)), abs=1e-10)
-    assert errors[0] is None
     assert np.isnan(values[1])
-    assert "non-positive" in errors[1]
-    nu, errors = pair_measures(cms).nu
+    assert screen.tolist() == [0, 1]
+    nu, screen, _ = pair_measures(cms).nu
     assert nu[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-    assert errors[0] is None
-    assert np.isnan(nu[1]) and errors[1]
+    assert np.isnan(nu[1])
+    assert screen[0] == 0 and screen[1] > 0
 
 
 def test_log_negativity_is_the_pair_measures_one_bit_for_bit(rng):
-    # values, NaNs and messages on random physical CMs, products of
-    # vacua and thermal states (nu at 1/2, where E_N clamps to zero) and
-    # one slice that each screen rejects, first-failed screen first
-    rejected = {
-        "negative symplectic discriminant -4.000e+00": np.array(
-            [[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
-             [0.5, 0.0, -1.0, 0.0], [0.0, 0.5, 0.0, -1.0]]),
-        "negative squared symplectic eigenvalue -1.000e-01":
-            np.diag([1.0, -0.1, 1.0, 1.0]),
-        "vanishing symplectic eigenvalue": np.diag([1.0, 0.0, 1.0, 1.0]),
-    }
+    # values, NaNs, screens and quoted numbers on random physical CMs,
+    # products of vacua and thermal states (nu at 1/2, where E_N clamps
+    # to zero) and one slice that each screen rejects, first-failed
+    # screen first: the discriminant, the squared eigenvalue, and a
+    # vanishing eigenvalue, which quotes no number
+    rejected = [
+        np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
+                  [0.5, 0.0, -1.0, 0.0], [0.0, 0.5, 0.0, -1.0]]),
+        np.diag([1.0, -0.1, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0])]
     cms = np.stack([random_physical_cm(rng) for _ in range(12)]
                    + [0.5 * np.eye(4), np.diag([0.5, 0.5, 1.5, 1.5])]
-                   + list(rejected.values()))
-    values, errors = log_negativity(cms)
-    expected, expected_errors = pair_measures(cms).log_negativity
-    assert values.tobytes() == expected.tobytes()
-    assert errors == expected_errors
-    assert errors[:14] == [None] * 14 and errors[14:] == list(rejected)
+                   + rejected)
+    found = log_negativity(cms)
+    for got, want in zip(found, pair_measures(cms).log_negativity):
+        assert got.tobytes() == want.tobytes()
+    values, screen, quoted = found
+    assert screen.tolist() == [0] * 14 + [1, 2, 3]
+    assert np.isnan(quoted[:14]).all() and np.isnan(quoted[16])
+    assert quoted[14:16] == pytest.approx([-4.0, -0.1], rel=1e-15)
     assert np.isnan(values[14:]).all() and values[12] == values[13] == 0.0
 
 

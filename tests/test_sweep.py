@@ -78,6 +78,15 @@ def test_axis_values_must_be_finite(start, stop):
         SweepAxis("J", start, stop, 3)
 
 
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+def test_link_factor_must_be_finite(baseline, factor):
+    # a link that would set its field to a non-finite value at every
+    # point is no sweep
+    with pytest.raises(ValueError, match=re.escape(
+            f"link Delta_2:Delta_1 factor {factor!r} is not finite")):
+        small_spec(baseline, links=(("Delta_2", "Delta_1", factor),))
+
+
 def test_quiet_passive_point_has_no_correlations(baseline):
     params = baseline.with_(J=0.0, g_ma=0.0, G_mb=0.0, gain_g=0.0,
                             temperature_T=0.0)
@@ -385,7 +394,8 @@ def _csv_tables(draw):
         np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                  dtype=bool),
         {c: np.array(draw(cells), dtype=float) for c in names},
-        [draw(st.lists(_WARNING, max_size=3)) for _ in range(n)], columns)
+        [draw(st.lists(_WARNING, max_size=3)) for _ in range(n)], columns,
+        np.zeros(n, dtype=np.int64))
     spec = SweepSpec(reference_baseline(),
                      tuple(SweepAxis(name, 0.0, 1.0, 2)
                            for name in ("J", "eta")[:n_axes]),
@@ -411,7 +421,8 @@ def test_csv_writer_formats_each_distinct_value_once(baseline):
                        np.array([True, True, False]),
                        {c: np.array([-0.0, 0.0, -math.nan])
                         for c in DIAGNOSTIC_COLUMNS},
-                       [["a,b", 'say "x"'], [], ["x\ry"]], ())
+                       [["a,b", 'say "x"'], [], ["x\ry"]], (),
+                       np.zeros(3, dtype=np.int64))
     spec = SweepSpec(baseline, (SweepAxis("J", 0.0, 1.0, 2),),
                      quantities=())
     buf = StringIO()
@@ -432,37 +443,42 @@ _WARNING_TEXT = st.lists(st.sampled_from(
      "negative diffusion", "pair a2-m"]), max_size=5).map("".join)
 
 
-@st.composite
-def _point_warnings(draw):
-    """Each point's warning list: empty ones, and lists that recur across
-    points, among them."""
-    recurring = draw(st.lists(st.lists(_WARNING_TEXT, max_size=3),
-                              min_size=1, max_size=3))
-    return draw(st.lists(st.one_of(st.sampled_from(recurring),
-                                   st.lists(_WARNING_TEXT, max_size=3)),
-                         max_size=12))
+def _recurring(element):
+    """Lists of ``element``: an empty list, and elements that recur
+    across the list, among them."""
+    return st.lists(element, min_size=1, max_size=3).flatmap(
+        lambda recurring: st.lists(st.one_of(st.sampled_from(recurring),
+                                             element), max_size=12))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(warnings=_point_warnings())
-def test_warnings_column_and_report_are_the_oracles_byte_for_byte(warnings):
-    # the CSV against every row through csv.writer, and the standard-error
-    # report against the count of each point's categories
+@given(warnings=_recurring(st.lists(_WARNING_TEXT, max_size=3)),
+       outcome=_recurring(st.integers(0, (1 << len(sweep.OUTCOMES)) - 1)))
+def test_warnings_column_and_report_are_the_oracles_byte_for_byte(warnings,
+                                                                   outcome):
+    # the CSV against every row through csv.writer; the standard-error
+    # report of the points' outcome bits against the count of each
+    # point's categories in the warnings that the bits word
     n = len(warnings)
     table = SweepTable(np.arange(n, dtype=float).reshape(n, 1),
                        np.zeros(n, dtype=bool),
                        {c: np.full(n, math.nan) for c in DIAGNOSTIC_COLUMNS},
-                       warnings, ())
+                       warnings, (), np.zeros(n, dtype=np.int64))
     spec = SweepSpec(reference_baseline(), (SweepAxis("J", 0.0, 1.0, 2),),
                      quantities=())
     got, want = StringIO(), StringIO()
     sweep.write_csv(table, spec, got)
     csv_module_write_csv(table, spec, want)
     assert got.getvalue() == want.getvalue()
+    out = sweep._Outcomes(len(outcome))
+    for bit in range(len(sweep.OUTCOMES)):
+        out.set(bit, np.flatnonzero(np.array(outcome, dtype=np.int64)
+                                    >> bit & 1))
+    assert out.bits.tolist() == outcome
     got, want = StringIO(), StringIO()
     with contextlib.redirect_stderr(got):
-        cli._report_warnings(warnings)
-    report_warnings_by_point(warnings, want)
+        cli._report_warnings(outcome)
+    report_warnings_by_point(sweep._warning_texts(out), want)
     assert got.getvalue() == want.getvalue()
 
 
@@ -488,7 +504,8 @@ def test_csv_numeric_cells_are_the_oracles_byte_for_byte(seed):
                                             if with_amplitudes else ())
     table = SweepTable(rng.choice(finite, (n, n_axes)), rng.random(n) < 0.5,
                        {c: rng.choice(pool, n) for c in names},
-                       [[] for _ in range(n)], columns)
+                       [[] for _ in range(n)], columns,
+                       np.zeros(n, dtype=np.int64))
     spec = SweepSpec(reference_baseline(),
                      tuple(SweepAxis(name, 0.0, 1.0, 2)
                            for name in ("J", "eta")[:n_axes]),
@@ -713,11 +730,11 @@ def test_a_point_that_misses_the_lyapunov_residual_gate_is_nulled():
     assert all(v is None for v in rec.measures.values())
 
 
-def _reported(warnings, capsys):
-    """The standard-error lines that ``magmech`` prints for the warnings
-    of a run."""
+def _reported(outcome, capsys):
+    """The standard-error lines that ``magmech`` prints for the outcome
+    bits of a run."""
     capsys.readouterr()
-    cli._report_warnings(warnings)
+    cli._report_warnings(outcome.tolist())
     return capsys.readouterr().err.splitlines()
 
 
@@ -766,7 +783,7 @@ def test_an_eigensolver_failure_nulls_only_its_point(baseline, monkeypatch,
     _assert_nulled(records[1], "stability indeterminate: eigensolver failed",
                    margin=False)
     assert ("warning: stability indeterminate (1 point)"
-            in _reported(records.warnings, capsys))
+            in _reported(records.outcome, capsys))
 
 
 def test_a_singular_lyapunov_system_nulls_only_its_point(baseline,
@@ -776,7 +793,7 @@ def test_a_singular_lyapunov_system_nulls_only_its_point(baseline,
     assert [r.stable for r in records] == [True, False, True]
     _assert_nulled(records[1], "singular Lyapunov system: no finite solution")
     assert ("warning: singular Lyapunov system (1 point)"
-            in _reported(records.warnings, capsys))
+            in _reported(records.outcome, capsys))
 
 
 def test_a_singular_unit_noise_system_leaves_no_critical_temperature(
@@ -808,13 +825,14 @@ def test_an_overflowing_solve_is_a_singular_lyapunov_system(capsys):
     # spectral solve and the Kronecker retry overflow, and the solution
     # falls
     A, D = -1e-10 * np.eye(8)[None], 1e300 * np.eye(8)[None]
-    warnings = [[]]
+    out = sweep._Outcomes(1)
     V, residual, stands = sweep._covariances(
-        A, D, lyapunov.eigendecomposition(A), [0], warnings)
+        A, D, lyapunov.eigendecomposition(A), out, np.arange(1))
     assert np.isnan(V).all() and np.isnan(residual).all()
     assert stands.tolist() == [False]
-    assert warnings == [["singular Lyapunov system: no finite solution"]]
-    assert _reported(warnings, capsys) == [
+    assert sweep._warning_texts(out) == [
+        ["singular Lyapunov system: no finite solution"]]
+    assert _reported(out.bits, capsys) == [
         "warning: singular Lyapunov system (1 point)"]
 
 
@@ -838,7 +856,7 @@ def test_a_steering_screen_nulls_its_direction_only(baseline, monkeypatch,
     assert ("st_a2_to_m: non-positive conditioning block determinant "
             "0.000e+00") in rec.warnings
     assert ("warning: st_a2_to_m (1 point)"
-            in _reported(records.warnings, capsys))
+            in _reported(records.outcome, capsys))
     for other in (records[0], records[2]):
         assert all(v is not None for v in other.measures.values())
 
@@ -883,7 +901,7 @@ def test_the_kernel_nulls_an_unphysical_covariance(capsys):
         _assert_nulled(rec, warning)
         assert rec.margin < 0.0
     assert (f"warning: unphysical covariance ({len(nulled)} points)"
-            in _reported(table.warnings, capsys))
+            in _reported(table.outcome, capsys))
 
 
 def test_the_tc_search_gates_its_unit_solutions_as_the_kernel_does():
@@ -1305,10 +1323,10 @@ def test_superposition_adds_the_unit_noises_in_index_order(baseline, n):
     cms = rates[:, 0, None, None] * basis[0]
     for k in range(1, 4):
         cms = cms + rates[:, k, None, None] * basis[k]
-    expected, errors = measures.log_negativity(cms)
+    expected, screen, _ = measures.log_negativity(cms)
     values = sweep._superposed_log_negativity(baseline, basis, temperatures)
     assert values.tobytes() == expected.tobytes()
-    assert np.isnan(values).tolist() == [e is not None for e in errors]
+    assert np.isnan(values).tolist() == (screen > 0).tolist()
 
 
 def test_unstable_point_has_no_unit_noise_solutions(baseline):
