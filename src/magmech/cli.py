@@ -214,10 +214,10 @@ def cmd_validate(args) -> int:
         failures += 0 if ok else 1
 
     rec = evaluate_point(params)
-    # a rule that nulls the point is its last warning, which then goes on
-    # to quote what the rule found
-    said = rec.warnings[-1][len(OUTCOMES[rec.outcome.bit_length() - 1]):] \
-        if rec.warnings else ""
+    # a rule that nulls the point sets its highest bit, so its warning is
+    # the last: after the bit's name, that warning quotes what it found
+    said = (rec.warnings[-1][len(OUTCOMES[rec.outcome.bit_length() - 1]):]
+            if rec.warnings else "")
     if rec.outcome >> SINGULAR & 1:
         check("steady state converged", False, f"(singular{said})")
     else:
