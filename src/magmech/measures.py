@@ -30,8 +30,18 @@ PAIRS = (("a1", "a2"), ("a1", "m"), ("a2", "m"),
 
 ZERO_CLAMP = 1e-12
 
-# adj(M)^T of a 2x2 block M is M[::-1, ::-1] times these signs
-_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# The places, row-major from 0 to 15 in a 4x4 slice [[A, B], [B^T, C]],
+# of the factors x, y, z, w of 11 differences x y - z w: det A, det C,
+# det B, then X_ik = a_i0 b_1(1-k) - a_i1 b_0(1-k) and Y_ik = b_(1-i)1
+# c_k0 - b_(1-i)0 c_k1 for ik = 00, 01, 10, 11.  With adj(B)^T_jk =
+# (-1)^(j+k) b_(1-j)(1-k), t = tr(A adj(B)^T C adj(B)) is the sum of
+# (-1)^(i+k) X_ik Y_ik.
+_IK = ((0, 0), (0, 1), (1, 0), (1, 1))
+_FACTORS = np.array(
+    [(0, 5, 1, 4), (10, 15, 11, 14), (2, 7, 3, 6)]
+    + [(4 * i, 7 - k, 4 * i + 1, 3 - k) for i, k in _IK]
+    + [(7 - 4 * i, 10 + 4 * k, 6 - 4 * i, 11 + 4 * k) for i, k in _IK]
+).T.ravel()
 
 
 def mode_indices(mode: str) -> tuple[int, int]:
@@ -99,25 +109,40 @@ def _symplectic(cms: np.ndarray):
     Phys. B 37, L21 (2004)), with the discriminant expanded so that it
     does not cancel where the two symplectic eigenvalues meet; det B is
     signed, negative for entangled states.  E_N = max(0, -ln(2 nu-)),
-    with the screens of nu- and a vanishing nu- as a third.
+    with the screens of nu- (the discriminant, nu-^2 and det V > 0) and
+    a vanishing nu- as a fourth.
+
+    The slices are symmetric, so det V = det A det C + det B^2 - t, t =
+    tr(A adj(B)^T C adj(B)).  That identity is off by about the unit
+    roundoff times the sum of its terms' moduli; where that sum is not
+    below 1e3 det V (so wherever det V <= 0 or is NaN), LAPACK's LU
+    takes the slice instead.
     """
-    a, b, c = cms[:, :2, :2], cms[:, :2, 2:], cms[:, 2:, 2:]
-    # LAPACK factors each slice alone, so joining stacks keeps the bits
-    det_a, det_c, det_b = np.linalg.det(np.concatenate((a, c, b))).reshape(
-        3, -1)
-    det_v = np.linalg.det(cms)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    g = cms.reshape(len(cms), 16)[:, _FACTORS]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        p, q = g[:, :11] * g[:, 11:22], g[:, 22:33] * g[:, 33:]
+        d, size = p - q, np.abs(p) + np.abs(q)
+        det_a, det_c, det_b = d[:, 0], d[:, 1], d[:, 2]
+        xy, xy_size = d[:, 3:7] * d[:, 7:], size[:, 3:7] * size[:, 7:]
+        t = (xy[:, 0] + xy[:, 3]) - (xy[:, 1] + xy[:, 2])
+        det_v = det_a * det_c + det_b * det_b - t
+        # near the stability boundary the terms cancel: at fig3 row
+        # 17820 the identity is off by 1.2e-9 relative, LU by 4.7e-13
+        cancels = np.flatnonzero(~(
+            size[:, 0] * size[:, 1] + size[:, 2] * size[:, 2]
+            + (xy_size[:, 0] + xy_size[:, 1]) + (xy_size[:, 2] + xy_size[:, 3])
+            < 1e3 * det_v))
+        if cancels.size:
+            det_v[cancels] = np.linalg.det(cms[cancels])
         sigma = det_a + det_c - 2.0 * det_b
         disc = sigma * sigma - 4.0 * det_v
         scale = np.maximum(1.0, sigma * sigma)
         inner = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
         # The same discriminant with det V = det A det C + det B^2 - t,
-        # t = tr(A adj(B)^T C adj(B)), expanded: sigma^2 - 4 det V
-        # cancels to roundoff as the two symplectic eigenvalues meet (a
-        # product of vacua gives nu off by 5e-9), this expansion does
-        # not.  The screens keep the plain form.
-        adj_bt = b[:, ::-1, ::-1] * _COFACTOR_SIGNS
-        t = ((a @ adj_bt) * (adj_bt @ c.transpose(0, 2, 1))).sum(axis=(1, 2))
+        # expanded: sigma^2 - 4 det V cancels to roundoff as the two
+        # symplectic eigenvalues meet (a product of vacua gives nu off
+        # by 5e-9), this expansion does not.  The screens keep the
+        # plain form.
         root = np.sqrt(np.maximum((det_a - det_c) ** 2
                                   - 4.0 * det_b * (det_a + det_c) + 4.0 * t,
                                   0.0))
@@ -127,7 +152,8 @@ def _symplectic(cms: np.ndarray):
         nu = np.sqrt(np.maximum(2.0 * det_v / (sigma + root), 0.0))
         e_n = -np.log(2.0 * nu)
     screens = [(disc < -ZERO_CLAMP * scale, disc),
-               (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)), inner)]
+               (inner < -ZERO_CLAMP * np.maximum(1.0, np.abs(sigma)), inner),
+               (det_v <= 0.0, det_v)]
     # roundoff around the threshold nu = 1/2 reports exact zero
     return (_screen(_clamp(e_n), screens + [(~(nu > 0.0), np.nan)]),
             det_a, det_c, det_v, nu, screens)
@@ -151,7 +177,7 @@ def pair_measures(cms: np.ndarray) -> PairMeasures:
     (first-mode -> second-mode, ``forward``) or C (``backward``).
     """
     e_n, det_a, det_c, det_v, nu, screens = _symplectic(cms)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         forward = 0.5 * np.log(det_a / (4.0 * det_v))
         backward = 0.5 * np.log(det_c / (4.0 * det_v))
 

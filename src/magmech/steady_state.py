@@ -58,7 +58,8 @@ class SteadyState:
     (:func:`solve_steady_states`), or None.  Such a slice is not
     converged.  ``real_roots`` is the number of real roots, 1 or 3, of a
     driven microscopic slice's mean-field cubic, and 0 where the cubic
-    is not solved.
+    is not solved; ``root_slope`` is |F'| of the damped map at a root
+    taken in closed form, NaN on the other slices.
     """
 
     m_avg: np.ndarray
@@ -71,6 +72,7 @@ class SteadyState:
     residual: np.ndarray
     converged: np.ndarray
     real_roots: np.ndarray
+    root_slope: np.ndarray | None = None
     errors: tuple = ()
 
 
@@ -131,13 +133,12 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response):
     Returns per slice the number of real roots (0 where the cubic is
     not solved: no feedback, C = 0, or a non-finite coefficient or
     discriminant); the closed slices, with one finite real root and a
-    discriminant clear of roundoff; their roots; and whether these
-    attract F.
+    discriminant clear of roundoff; their roots; and |F'| at each.
     """
     count = np.zeros(len(s), dtype=int)
     idx = np.flatnonzero((g != 0.0) & (f.C != 0.0))
     if not idx.size:
-        return count, idx, None, None
+        return count, idx, np.empty(0), np.empty(0)
     # the monic cubic q^3 + B q^2 + Cq + D: divided by |v|^2, with
     # w = u/C = kappa_m + i*Delta_m + G/C
     gi = g[idx]
@@ -165,13 +166,11 @@ def _mean_field_cubic(s: ParamStack, g, f: _Response):
     # the benchmark's sweep) to roundoff
     q -= (((q + B) * q + C) * q + D) / ((3.0 * q + 2.0 * B) * q + C)
 
-    # F'(r) = 1/2 + f'(r)/2 = 1/2 - r (2r + B) / (2 (r^2 + B r + C)); a
-    # NaN slope counts as attracting
-    slope = 0.5 - q * (2.0 * q + B) / (2.0 * ((q + B) * q + C))
-    attracts = ~(np.abs(slope) >= 1.0 + REPEL_TOL)
+    # F'(r) = 1/2 + f'(r)/2 = 1/2 - r (2r + B) / (2 (r^2 + B r + C))
+    slope = np.abs(0.5 - q * (2.0 * q + B) / (2.0 * ((q + B) * q + C)))
     closed = (solved & ~three & np.isfinite(q)
               & (np.abs(disc) > DISC_TOL * scale))
-    return count, idx[closed], q[closed], attracts[closed]
+    return count, idx[closed], q[closed], slope[closed]
 
 
 def _iterate(s: ParamStack, g, C, G, E):
@@ -273,17 +272,20 @@ def solve_steady_states(params: ParamStack) -> SteadyState:
         return SteadyState(m, a1, a2, q, p, s.Delta_m + g * q,
                            np.zeros(n, dtype=int), np.zeros(n),
                            np.ones(n, dtype=bool), np.zeros(n, dtype=int),
-                           (None,) * n)
+                           np.full(n, np.nan), (None,) * n)
 
     f = _response(s)
     E = s.epsilon_d * f.C
     # the loop leaves out the closed slices, as if without feedback
-    real_roots, closed, root, attracts = _mean_field_cubic(s, g, f)
+    real_roots, closed, root, slope = _mean_field_cubic(s, g, f)
     looped = g.copy()
     looped[closed] = 0.0
     q, iterations, converged = _iterate(s, looped, f.C, f.G, E)
     q[closed] = root
-    converged[closed] = attracts
+    # a NaN slope counts as attracting
+    converged[closed] = ~(slope >= 1.0 + REPEL_TOL)
+    root_slope = np.full(n, np.nan)
+    root_slope[closed] = slope
     delta_eff = s.Delta_m + g * q
     m = E / ((1j * delta_eff + s.kappa_m) * f.C + f.G)
     a1 = -1j * s.g_ma * f.f2 * m / f.C
@@ -301,7 +303,7 @@ def solve_steady_states(params: ParamStack) -> SteadyState:
         errors[k] = ("complex division by zero" if f.C[k] == 0
                      else "mean field not finite")
     return SteadyState(m, a1, a2, q, p, delta_eff, iterations, residual,
-                       converged, real_roots, tuple(errors))
+                       converged, real_roots, root_slope, tuple(errors))
 
 
 def effective_coupling(g_mb, m_avg):

@@ -337,7 +337,7 @@ def _warning_texts(out: _Outcomes) -> list[list[str]]:
     residual = " (residual {x:.3e})"
     ends = [(": {x}",), (": {x}",),
             (residual, ": no real mean-field root attracts the damped "
-                       "iteration" + residual), (residual,),
+                       "iteration (root slope |F'| {x:.3e})"), (residual,),
             (": cavity-2 noise entry {x:.6g} < 0 (as_printed with net gain)",),
             (": eigensolver failed",), (residual,), (": no finite solution",),
             (" (min eigenvalue {x:.3e})",)]
@@ -345,6 +345,7 @@ def _warning_texts(out: _Outcomes) -> list[list[str]]:
               ": non-positive covariance determinant {x:.3e}") if place else
              (": negative symplectic discriminant {x:.3e}",
               ": negative squared symplectic eigenvalue {x:.3e}",
+              ": non-positive covariance determinant {x:.3e}",
               ": vanishing symplectic eigenvalue")
              for _, place in _PAIR_OF.values()]
     for bit, points, number, variant in sorted(out.notes, key=lambda n: n[0]):
@@ -377,7 +378,9 @@ def _gate(params: ParamStack, invalid: list, out: _Outcomes):
     residual = state.residual
     j = np.flatnonzero(solved & ~state.converged)
     # 0 iterations marks closed slices, converged or not: here, repelled
-    out.set(UNCONVERGED, valid[j], residual[j], state.iterations_used[j] == 0)
+    repelled = state.iterations_used[j] == 0
+    out.set(UNCONVERGED, valid[j],
+            np.where(repelled, state.root_slope[j], residual[j]), repelled)
     good = np.flatnonzero(solved & state.converged)
     # an overflowed drive in direct_g mode: the amplitudes do not enter
     # the fluctuations, so the measures stand

@@ -46,10 +46,13 @@ whatever else moved.  Over every CSV output it checks that:
 - no ``E_*`` or ``st_*`` cell moves by more than 1e-12 times
   max(|other|, 1), a null on one side only counting as a move, except
   at those listed points;
+- every Tc is identical: ``tc_row_a2m.txt``, ``tc_row_a1m.txt`` and
+  ``tc_cases.txt`` are the same bytes in both trees;
 - the Python files under ``src`` have no more lines than the other
   tree's.
 
-It prints one verdict line per check, with the points that break it,
+It prints one verdict line per check, with the points or outputs that
+break it,
 and exits 1 if any check fails.
 """
 
@@ -87,6 +90,9 @@ MODES = {
 # per pair, the eta range of its Tc row
 TC_ROWS = {("a2", "m"): (-0.6, 1.0), ("a1", "m"): (-0.5, 0.0)}
 TC_ROW_POINTS = 21
+# the outputs that hold every compared Tc
+TC_OUTPUTS = tuple("tc_row_%s%s.txt" % pair for pair in TC_ROWS) + (
+    "tc_cases.txt",)
 
 # the Tc searches off the rows' defaults, those of the sequential
 # bisection test: per case the pair, the drift mode or drive (a field of
@@ -439,7 +445,7 @@ def main(argv=None) -> int:
             return 1
         names = sorted(set().union(*map(os.listdir, dirs)))
         differ = 0
-        rule = ([], [], [])
+        rule = ([], [], [], [])
         for name in names:
             paths = [Path(out_dir, name) for out_dir in dirs]
             texts = [p.read_text() if p.exists() else None for p in paths]
@@ -457,6 +463,8 @@ def main(argv=None) -> int:
                     for found, more in zip(rule,
                                            refactor_rule(name, *texts)):
                         found.extend(more)
+            if name in TC_OUTPUTS:
+                rule[3].append(f"{name} differs")
     if args.rule:
         return _verdict(*rule, mine - theirs)
     if differ:
@@ -466,13 +474,14 @@ def main(argv=None) -> int:
     return 0
 
 
-def _verdict(flips, exempt, moves, net_lines: int) -> int:
-    """Print the refactor rule's three verdicts; 1 if any fails."""
+def _verdict(flips, exempt, moves, tcs, net_lines: int) -> int:
+    """Print the refactor rule's four verdicts; 1 if any fails."""
     checks = (
         ("stable mask", flips,
          [f"  exempt, within {MARGIN_TOL:.3g} of the boundary: {line}"
           for line in exempt]),
         (f"measures within {MEASURE_TOL:g} relative", moves, []),
+        ("every Tc identical", tcs, []),
         (f"src/ lines {net_lines:+d}",
          ["  more lines than the other tree"] if net_lines > 0 else [], []))
     for label, failures, notes in checks:

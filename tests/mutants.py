@@ -116,7 +116,7 @@ MUTATIONS = (
          "test_a_serial_sweep_validates_each_part_once")),
     Mutation(
         "picard_skip_at_slope_0_9", "src/magmech/steady_state.py",
-        "(np.abs(slope) >= 1.0 + REPEL_TOL)", "(np.abs(slope) >= 0.9)",
+        "~(slope >= 1.0 + REPEL_TOL)", "~(slope >= 0.9)",
         ("tests/test_steady_state.py::"
          "test_stacked_solver_matches_scalar_oracle_on_micro_sweep_grid",
          "tests/test_sweep.py::"
@@ -169,7 +169,8 @@ MUTATIONS = (
          "test_critical_temperature_matches_sequential_bisection",)),
     Mutation(
         "one_root_reported_unconverged", "src/magmech/steady_state.py",
-        "converged[closed] = attracts", "converged[closed] = False",
+        "converged[closed] = ~(slope >= 1.0 + REPEL_TOL)",
+        "converged[closed] = False",
         ("tests/test_steady_state.py::"
          "test_a_monostable_point_takes_its_cubic_root",
          "tests/test_sweep.py::"
@@ -291,6 +292,18 @@ MUTATIONS = (
          "test_cli_out_in_a_missing_directory_fails_before_evaluating",
          "tests/test_cli.py::"
          "test_cli_out_that_is_a_directory_fails_before_evaluating")),
+    Mutation(
+        "det_v_screen_dropped", "src/magmech/measures.py",
+        "(det_v <= 0.0, det_v)]\n", "(det_v < -np.inf, det_v)]\n",
+        ("tests/test_measures.py::"
+         "test_log_negativity_is_the_pair_measures_one_bit_for_bit",
+         "tests/test_warnings.py::"
+         "test_each_entanglement_screen_words_its_warning")),
+    Mutation(
+        "det_v_fallback_never_taken", "src/magmech/measures.py",
+        "        if cancels.size:\n", "        if False:\n",
+        ("tests/test_measures.py::"
+         "test_det_v_and_e_n_near_the_boundary_against_50_digits",)),
     Mutation(
         "link_accepts_non_finite_factor", "src/magmech/sweep.py",
         "            if not math.isfinite(factor):", "            if False:",

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,9 +10,10 @@ from scipy.linalg import expm
 
 from magmech.dynamics import diffusion_matrices
 from magmech.lyapunov import solve_lyapunov
-from magmech.measures import (PAIRS, log_negativity, mode_indices,
-                              pair_measures, reduce_pair)
-from magmech.sweep import figure_preset, grid_values
+from magmech.measures import (PAIRS, _symplectic, log_negativity,
+                              mode_indices, pair_measures, reduce_pair)
+from magmech.sweep import (_PAIR_OF, figure_preset, grid_values,
+                           normalize_quantities)
 
 from .oracles import (drift_matrix_general, random_physical_cm,
                       stable_covariances, stack_of, symplectic_agreement,
@@ -135,6 +137,77 @@ def test_symplectic_eigenvalue_against_50_digits(name, pair, indices, bound):
             assert abs(mpmath.mpf(float(value)) - _exact_nu(cm)) <= bound
 
 
+def _exact_det_v_and_e_n(cm):
+    """det V and E_N at 50 digits from the float entries of the 4x4 CM."""
+    with mpmath.workdps(50):
+        return mpmath.det(mpmath.matrix(cm.tolist())), max(
+            mpmath.mpf(0), -mpmath.log(2 * _exact_nu(cm)))
+
+
+# near the stability boundary, where the terms of det V = det A det C +
+# det B^2 - t cancel: at fig3/fig6 row 17820 that closed form is off by
+# up to 1.7e-9 relative, at fig2b row 7420 by 4.1e-11
+@pytest.mark.parametrize("name,row", [("fig3", 17820), ("fig6", 17820),
+                                      ("fig2b", 7420), ("fig2b", 29369)])
+def test_det_v_and_e_n_near_the_boundary_against_50_digits(name, row):
+    spec = figure_preset(name)
+    rows, V = stable_covariances(spec, np.array(grid_values(spec))[[row]])
+    assert len(rows) == 1
+    columns, _ = normalize_quantities(spec.quantities)
+    for pair in dict.fromkeys(_PAIR_OF[col][0] for col in columns):
+        cm = reduce_pair(V, pair)
+        (e_n, screen, _), _, _, det_v, _, _ = _symplectic(cm)
+        assert screen[0] == 0
+        for value, exact in zip((det_v[0], e_n[0]),
+                                _exact_det_v_and_e_n(cm[0])):
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(float(value)) - exact) <= \
+                    1e-12 * max(abs(exact), 1)
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """A symmetric 4x4 block, positive definite (M M^T plus a diagonal
+    up to 1e-3) or indefinite (M + M^T), M with entries in [-1, 1],
+    times 10^s for s in [-8, 8]."""
+    M = np.array(draw(st.lists(_UNIT, min_size=16, max_size=16)))
+    M = M.reshape(4, 4)
+    if draw(st.booleans()):
+        block = M @ M.T + draw(st.floats(0.0, 1e-3)) * np.eye(4)
+    else:
+        block = M + M.T
+    return block * 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cm=symmetric_blocks())
+def test_block_determinants_are_within_their_roundoff(cm):
+    # det A, det C and det B (det A of the block with B moved to its
+    # place) within the allowance that symplectic_agreement assumes;
+    # det V within 1e-12 relative wherever LU does not take it
+    unit = 64.0 * np.finfo(float).eps
+    _, det_a, det_c, _, _, _ = _symplectic(cm[None])
+    det_b = _symplectic(cm[None][:, :, [2, 3, 0, 1]])[1]
+    with mpmath.workdps(50):
+        for value, (i, j) in ((det_a, (0, 0)), (det_c, (2, 2)),
+                              (det_b, (0, 2))):
+            p, q = cm[i, j] * cm[i + 1, j + 1], cm[i, j + 1] * cm[i + 1, j]
+            exact = (mpmath.mpf(float(cm[i, j])) * float(cm[i + 1, j + 1])
+                     - mpmath.mpf(float(cm[i, j + 1])) * float(cm[i + 1, j]))
+            assert abs(mpmath.mpf(float(value[0])) - exact) <= \
+                unit * (abs(p) + abs(q))
+    calls = []
+    det = np.linalg.det
+    with mock.patch.object(np.linalg, "det",
+                           lambda a: calls.append(a) or det(a)):
+        det_v = _symplectic(cm[None])[3]
+    if not calls:
+        with mpmath.workdps(50):
+            exact = mpmath.det(mpmath.matrix(cm.tolist()))
+            assert abs(mpmath.mpf(float(det_v[0])) - exact) <= \
+                1e-12 * abs(exact)
+
+
 def test_swap_symmetry(baseline_cov):
     for pair in PAIRS:
         e_fwd, fwd_forward, fwd_backward, _ = _measures(
@@ -249,12 +322,14 @@ def test_log_negativity_is_the_pair_measures_one_bit_for_bit(rng):
     # values, NaNs, screens and quoted numbers on random physical CMs,
     # products of vacua and thermal states (nu at 1/2, where E_N clamps
     # to zero) and one slice that each screen rejects, first-failed
-    # screen first: the discriminant, the squared eigenvalue, and a
-    # vanishing eigenvalue, which quotes no number
+    # screen first: the discriminant, the squared eigenvalue, det V = 0
+    # and a vanishing eigenvalue (det V = 1e-190 > 0, nu^2 underflows),
+    # which quotes no number
     rejected = [
         np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
                   [0.5, 0.0, -1.0, 0.0], [0.0, 0.5, 0.0, -1.0]]),
-        np.diag([1.0, -0.1, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0])]
+        np.diag([1.0, -0.1, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0]),
+        np.diag([1e75, 1e75, 1e-170, 1e-170])]
     cms = np.stack([random_physical_cm(rng) for _ in range(12)]
                    + [0.5 * np.eye(4), np.diag([0.5, 0.5, 1.5, 1.5])]
                    + rejected)
@@ -262,9 +337,9 @@ def test_log_negativity_is_the_pair_measures_one_bit_for_bit(rng):
     for got, want in zip(found, pair_measures(cms).log_negativity):
         assert got.tobytes() == want.tobytes()
     values, screen, quoted = found
-    assert screen.tolist() == [0] * 14 + [1, 2, 3]
-    assert np.isnan(quoted[:14]).all() and np.isnan(quoted[16])
-    assert quoted[14:16] == pytest.approx([-4.0, -0.1], rel=1e-15)
+    assert screen.tolist() == [0] * 14 + [1, 2, 3, 4]
+    assert np.isnan(quoted[:14]).all() and np.isnan(quoted[17])
+    assert quoted[14:17] == pytest.approx([-4.0, -0.1, 0.0], rel=1e-15)
     assert np.isnan(values[14:]).all() and values[12] == values[13] == 0.0
 
 

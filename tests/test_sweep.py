@@ -29,7 +29,8 @@ from magmech.sweep import (AMPLITUDE_COLUMNS, DIAGNOSTIC_COLUMNS, E_COLUMNS,
 from .oracles import (TC_CURVES, bisect_critical_temperature,
                       build_point_params, csv_module_write_csv, eta_ratio,
                       mean_field_cubic_roots, point_params,
-                      prescribe_tc_curve, report_warnings_by_point)
+                      prescribe_tc_curve, report_warnings_by_point,
+                      stable_covariances, tmsv_cm)
 
 
 def small_spec(baseline, **kwargs):
@@ -1108,15 +1109,15 @@ def test_critical_temperature_matches_sequential_bisection(
     (("E_a1m", "st_a2_to_m", "st_m_to_a2", "st_b_to_a1"), 3)])
 def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
                                               quantities, n_pairs):
-    # det A, det C, det B and det V, taken once per part on the stacked
-    # reductions of every requested pair, however many pairs and steering
-    # directions are requested: the three 2x2 blocks in one call, then
-    # the 4x4 covariances
+    # det A, det C, det B and det V of every requested pair come from
+    # closed forms, one pass per part: at the baseline's points, which
+    # are well conditioned, no part calls LAPACK's LU.  Of a stack, LU
+    # takes the slices where det V's closed form cancels, and only those
     calls = []
     det = np.linalg.det
 
     def spy(a):
-        calls.append(a)
+        calls.append(a.copy())
         return det(a)
 
     monkeypatch.setattr(sweep, "CHUNK_POINTS", 4)
@@ -1125,13 +1126,20 @@ def test_four_determinants_per_pair_per_chunk(baseline, monkeypatch,
         SweepAxis("J", 1.5 * baseline.kappa_1, 2.5 * baseline.kappa_1, 7),))
     monkeypatch.setattr(np.linalg, "det", spy)
     records = run_sweep(spec)
-    # two parts, of 4 and 3 points, every point stable; they run on two
-    # threads, whose calls may interleave
+    # two parts, of 4 and 3 points, every point stable
     assert all(r.stable for r in records)
-    assert sorted(a.shape for a in calls) == sorted([(12 * n_pairs, 2, 2),
-                                                     (4 * n_pairs, 4, 4),
-                                                     (9 * n_pairs, 2, 2),
-                                                     (3 * n_pairs, 4, 4)])
+    assert len(records[0].measures) >= n_pairs
+    assert calls == []
+    # fig3 row 17820, near the stability boundary, where the closed form
+    # of det V is off by 1.2e-9 relative; det V < 0; det V = 0
+    fig3 = figure_preset("fig3")
+    _, V = stable_covariances(fig3, np.array(grid_values(fig3))[[17820]])
+    near = measures.reduce_pair(V, ("a2", "m"))[0]
+    cms = np.stack([tmsv_cm(0.5), near, tmsv_cm(1.0),
+                    np.diag([1.0, 1.0, -1.0, 1.0]),
+                    np.diag([1.0, 0.0, 1.0, 1.0]), 0.5 * np.eye(4)])
+    measures.pair_measures(cms)
+    assert len(calls) == 1 and calls[0].tobytes() == cms[[1, 3, 4]].tobytes()
 
 
 def test_a_pairs_columns_do_not_depend_on_the_other_pairs():
@@ -1511,7 +1519,7 @@ def test_points_without_an_attracting_root_skip_the_picard_loop():
     spec = _microscopic_sweep()
     warnings = run_sweep(spec).warnings
     skipped = "steady state did not converge: no real mean-field root " \
-        "attracts the damped iteration (residual "
+        "attracts the damped iteration (root slope |F'| "
     assert [k for k, w in enumerate(warnings)
             if w and w[0].startswith(skipped)] == list(range(3, 16))
     assert not any("did not converge" in w for w in warnings[2])
@@ -1520,6 +1528,11 @@ def test_points_without_an_attracting_root_skip_the_picard_loop():
     assert state.iterations_used.tolist() == [0] * 14
     assert state.converged.tolist() == [True] + [False] * 13
     assert state.real_roots.tolist() == [1] * 14
+    # each warning quotes the |F'| that repels, not a residual
+    assert 0.99 < state.root_slope[0] < 1.0
+    assert [w[0] for w in warnings[3:16]] == [
+        skipped + "%.3e)" % x for x in state.root_slope[1:].tolist()]
+    assert (state.root_slope[1:] > 1.0 + 1e-6).all()
 
 
 def test_csv_does_not_depend_on_chunk_size_or_workers(monkeypatch):
@@ -1574,18 +1587,27 @@ def test_exceptional_point_sweep(baseline, monkeypatch):
 # closed-form one-root mean field moved microscopic rows 0-2: q, the
 # amplitudes and the (positive) margin of rows 0 and 1 within the Picard
 # stop rule's error, their residual to 1e-15; row 2 converges, and is
-# unstable, instead of running out its 1000 steps.
+# unstable, instead of running out its 1000 steps.  The closed-form
+# block determinants moved measures by at most 2.7e-15, each largest
+# move: fig2d E_a1m 2.3e-16, E_a2m 3.9e-16; fig4a E_a1m 3.9e-16, E_a2m
+# 6.1e-16, E_a1b 4.5e-16, E_a2b 4.4e-16; fig5b E_a1a2 2.7e-15, E_a1m
+# 2.8e-16, E_a2m 5.6e-16, E_a1b 4.2e-16, E_a2b 3.5e-16, E_mb 3.8e-16,
+# st_a1_to_a2 2.7e-15, st_a2_to_a1 2.2e-15, st_a1_to_m 3.3e-16,
+# st_m_to_a1 2.2e-16, st_a2_to_m 2.1e-16, st_m_to_a2 3.3e-16, st_b_to_a1
+# 4.4e-16, st_b_to_a2 3.3e-16, st_b_to_m 2.8e-16; fig7a E_a2m 3.6e-16,
+# st_a2_to_m 3.3e-16; microscopic E_a2m 4.5e-16.  The warnings of
+# microscopic rows 3-15 quote the repelling root's |F'|, not a residual.
 CSV_DIGESTS = {
     "fig2d":
-        "cadbeaac48a4bb74a72ece5dee53615d69eb7fafbbacdaa4f267682ae8a6ea66",
+        "3ec58cc179568df7cafaa4b5ee49a3139045e5f9cce74b8952aedbb210f4c5fa",
     "fig4a":
-        "17b64c0f50edc34f6018db490f3f4edd78313142fe9b81c11b4d58a4b6577dbf",
+        "93f636235426237db8a98350e6a034a8dd329cad5819b2c11475c82846c8bd3f",
     "fig5b":
-        "0b8623edef7bdcfcc733fa461375307e064c97dcce1aed2c557e0fe06f87d68e",
+        "aa42e2ed489eae206d474433d9f357fe60a8f7d8abf38dd3c1332eddb8f31d32",
     "fig7a":
-        "9f3dc2c7fbad72907322e3521327071c6c0e7dcc679679b09d9fe0802c9c42a5",
+        "20562d56718040b65ca80fb18b7973ed8b1f005b635158f0ea97068ea5f9a62c",
     "microscopic":
-        "6826da8c5e86dd4e6523b42f71f51586bb12fe75ddb28fb20fc19c2d94f4f018",
+        "e5dc13649dfc12b72c14940b376b59f25a806779118fc38a4f2287f5e1421cb8",
 }
 
 

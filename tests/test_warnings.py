@@ -62,7 +62,12 @@ _E_SCREENS = [
      "pair a2-m: negative symplectic discriminant -4.000e+00"),
     (np.diag([1.0, -0.1, 1.0, 1.0]),
      "pair a2-m: negative squared symplectic eigenvalue -1.000e-01"),
-    (np.diag([1.0, 0.0, 1.0, 1.0]),
+    # det A > 0 > det V, at a scale where the discriminant screens pass
+    (1e-7 * np.array([[-2.0, -1.0, -3.0, 2.0], [-1.0, -2.0, -2.0, 0.0],
+                      [-3.0, -2.0, -2.0, 0.0], [2.0, 0.0, 0.0, 0.0]]),
+     "pair a2-m: non-positive covariance determinant -2.509e-44"),
+    # det V = 1e-190 > 0, where nu^2 = det V / det A underflows
+    (np.diag([1e75, 1e75, 1e-170, 1e-170]),
      "pair a2-m: vanishing symplectic eigenvalue"),
 ]
 _B = np.sqrt(30.0) * np.eye(2)
@@ -70,11 +75,9 @@ _ST_SCREENS = [
     # det A = 0 and det V = 300: E_N stands at 0
     (np.block([[np.ones((2, 2)), _B], [_B, 10.0 * np.eye(2)]]),
      ["st_a2_to_m: non-positive conditioning block determinant 0.000e+00"]),
-    # det A > 0 > det V, at a scale where the E_N screens pass
-    (1e-7 * np.array([[-2.0, -1.0, -3.0, 2.0], [-1.0, -2.0, -2.0, 0.0],
-                      [-3.0, -2.0, -2.0, 0.0], [2.0, 0.0, 0.0, 0.0]]),
-     ["st_a2_to_m: non-positive covariance determinant -2.509e-44",
-      "st_m_to_a2: non-positive conditioning block determinant 0.000e+00"]),
+    # the same with the modes swapped: det C = 0
+    (np.block([[10.0 * np.eye(2), _B], [_B, np.ones((2, 2))]]),
+     ["st_m_to_a2: non-positive conditioning block determinant 0.000e+00"]),
 ]
 
 
@@ -94,7 +97,7 @@ def test_the_mean_field_rules_word_their_warnings(baseline, monkeypatch):
     repelled = build_point_params(micro, grid_values(micro)[3])
     assert evaluate_point(repelled).warnings == (
         "steady state did not converge: no real mean-field root attracts "
-        "the damped iteration (residual 2.500e-16)",)
+        "the damped iteration (root slope |F'| 1.136e+00)",)
     # an overflowed drive stands, and so does its negative noise
     assert evaluate_point(baseline.with_(epsilon_d=1e170)).warnings == (
         "steady state residual not finite (residual nan)", NOISE)
@@ -167,7 +170,7 @@ def test_the_report_counts_each_category_in_order_of_first_appearance(
         records.append(evaluate_point(baseline,
                                       quantities=("st_a2_to_m",)))
     with monkeypatch.context() as m:
-        _with_covariance(m, _a2_m_block(_E_SCREENS[2][0]))
+        _with_covariance(m, _a2_m_block(_E_SCREENS[3][0]))
         records += [evaluate_point(baseline, quantities=("st_a2_to_m",))] * 2
     spec = SweepSpec(baseline, (SweepAxis("J", 0.0, 1.0, 2),),
                      quantities=("st_a2_to_m",))
