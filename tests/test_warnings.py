@@ -62,13 +62,13 @@ _E_SCREENS = [
      "pair a2-m: negative symplectic discriminant -4.000e+00"),
     (np.diag([1.0, -0.1, 1.0, 1.0]),
      "pair a2-m: negative squared symplectic eigenvalue -1.000e-01"),
+    # det V = 1e-190 > 0, where nu^2 = det V / det A underflows
+    (np.diag([1e75, 1e75, 1e-170, 1e-170]),
+     "pair a2-m: vanishing symplectic eigenvalue"),
     # det A > 0 > det V, at a scale where the discriminant screens pass
     (1e-7 * np.array([[-2.0, -1.0, -3.0, 2.0], [-1.0, -2.0, -2.0, 0.0],
                       [-3.0, -2.0, -2.0, 0.0], [2.0, 0.0, 0.0, 0.0]]),
      "pair a2-m: non-positive covariance determinant -2.509e-44"),
-    # det V = 1e-190 > 0, where nu^2 = det V / det A underflows
-    (np.diag([1e75, 1e75, 1e-170, 1e-170]),
-     "pair a2-m: vanishing symplectic eigenvalue"),
 ]
 _B = np.sqrt(30.0) * np.eye(2)
 _ST_SCREENS = [
@@ -170,7 +170,7 @@ def test_the_report_counts_each_category_in_order_of_first_appearance(
         records.append(evaluate_point(baseline,
                                       quantities=("st_a2_to_m",)))
     with monkeypatch.context() as m:
-        _with_covariance(m, _a2_m_block(_E_SCREENS[3][0]))
+        _with_covariance(m, _a2_m_block(_E_SCREENS[2][0]))
         records += [evaluate_point(baseline, quantities=("st_a2_to_m",))] * 2
     spec = SweepSpec(baseline, (SweepAxis("J", 0.0, 1.0, 2),),
                      quantities=("st_a2_to_m",))
